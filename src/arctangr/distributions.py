@@ -7,19 +7,20 @@ probability, into a Laplace kernel:
 
     h(x) = exp(-|x - omega| / psi) / (2 psi)
 
-Pushing that kernel through the arctan transform gives the AGR
-distribution with CDF
+AGR is a location-scale family: ``X = omega + psi Z``.  Pushing the
+standard Laplace kernel through the arctan transform gives ``Z`` the CDF
+and density (both branches of the density meet at ``8/(5 pi)``)
 
-    G(x) = (4/pi) * arctan(1 - exp(-(x - omega)/psi) / 2)   for x >= omega
-    G(x) = (4/pi) * arctan(exp(-(omega - x)/psi) / 2)       for x <  omega
+    G(z) = (4/pi) arctan(1 - e^{-z}/2),    g(z) = (2/pi) e^{-z} / (1 + (1 - e^{-z}/2)^2)   z >= 0
+    G(z) = (4/pi) arctan(e^{z}/2),         g(z) = (8/pi) e^{z} / (4 + e^{2z})              z <  0
 
-and density (the derivative of G; both branches meet at ``8/(5 pi psi)``)
+``G(0) = (4/pi) arctan(1/2)`` (exported as ``P_STAR``) is the probability
+level at which the quantile function switches branches.
 
-    g(x) = (2/(pi psi)) * e^{-u} / (1 + (1 - e^{-u}/2)^2)   u = (x-omega)/psi >= 0
-    g(x) = (8/(pi psi)) * t / (4 + t^2)                     t = e^{-(omega-x)/psi}, x < omega
-
-``G(omega) = (4/pi) * arctan(1/2)`` (exported as ``P_STAR``) is the
-probability level at which the quantile function switches branches.
+Each formula is one private kernel of ``z``; the public ``agr_*`` and
+``mixture_kernel_*`` functions check input and map a kernel affinely
+(densities divide by ``psi``).  Raw moments expand ``E[(omega + psi Z)^r]``
+binomially over ``E[Z^k]``, summed exactly from the density's series.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -155,6 +156,80 @@ def _checked_prob(p, name="p"):
 
 
 # ---------------------------------------------------------------------------
+# Standard-variable kernels of Z = (X - omega) / psi
+# ---------------------------------------------------------------------------
+
+def _standardize(params: ArctanGRParams, x, require_finite=False):
+    return (as_float_array(x, require_finite=require_finite) - params.omega) / params.psi
+
+
+def _half_exp(z):
+    """``e^{-|z|} / 2``: the standard Laplace density, and its tail on either side."""
+    return 0.5 * np.exp(-np.abs(z))
+
+
+def _laplace_cdf(z):
+    """Standard Laplace CDF: ``1 - e^{-z}/2`` for z >= 0, ``e^{z}/2`` below."""
+    t = _half_exp(z)
+    return np.where(z >= 0.0, 1.0 - t, t)
+
+
+def _z_sf(z):
+    """Standard AGR survival; above 0 it is ``arctan(t/(2-t)) = pi/4 - arctan(1-t)``,
+    which stays accurate where ``1 - cdf`` cancels (survival below ~1e-16)."""
+    t = _half_exp(z)
+    upper = FOUR_OVER_PI * np.arctan(t / (2.0 - t))
+    return np.where(z >= 0.0, upper, 1.0 - FOUR_OVER_PI * np.arctan(t))
+
+
+def _z_pdf(z):
+    """Standard AGR density: the arctan transform ``(4/pi) h / (1 + H^2)`` of Laplace."""
+    cap = _laplace_cdf(z)
+    return FOUR_OVER_PI * _half_exp(z) / (1.0 + cap * cap)
+
+
+def _z_log_shape(z):
+    """``log g(z) - log(2/pi)``, the standard AGR log-density less its constant,
+    written so neither branch under- or overflows far from 0."""
+    up = np.maximum(z, 0.0)
+    un = np.minimum(z, 0.0)
+    upper = -up - np.log1p((1.0 - 0.5 * np.exp(-up)) ** 2)
+    lower = un - np.log(4.0 + np.exp(2.0 * un)) + math.log(4.0)
+    return np.where(z >= 0.0, upper, lower)
+
+
+def _z_tail_quantile(q):
+    """Standard quantile at tail probability ``q = 1 - p <= 1 - P_STAR``: equal to
+    ``-log(2*(1 - tan(pi*(1-q)/4)))`` without its cancellation as ``q -> 0``."""
+    t = np.tan(_PI_OVER_4 * q)
+    return -np.log(4.0 * t / (1.0 + t))
+
+
+def _z_quantile(p):
+    """Standard AGR quantile; the branches split at ``P_STAR``, where both give 0."""
+    # 1 - p is exact for p >= 1/2, so the tail form loses nothing here
+    return np.where(p < P_STAR, np.log(2.0 * np.tan(_PI_OVER_4 * p)), _z_tail_quantile(1.0 - p))
+
+
+def _z_moment_parts(k):
+    """``E[Z^k]`` of the standard AGR as its (z < 0, z >= 0) parts.
+
+    With ``e = e^{-|z|}`` the density is ``(2/pi) e sum_j (-1/4)^j e^{2j}``
+    below 0 and ``(1/pi) e sum_j c_j e^j`` above, where ``c_0 = 1``,
+    ``c_1 = 1/2`` and ``c_j = c_{j-1}/2 - c_{j-2}/8``; termwise,
+    ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``.  The terms shrink like
+    ``4^{-j}`` and ``2^{-3j/2}``, so 60 of them exhaust double precision.
+    """
+    j = np.arange(60.0)
+    c = [1.0, 0.5]
+    while len(c) < j.size:
+        c.append(c[-1] / 2.0 - c[-2] / 8.0)
+    lower = 2.0 / math.pi * (-1) ** k * np.sum((-0.25) ** j * (2.0 * j + 1.0) ** -(k + 1.0))
+    upper = np.sum(np.array(c) * (j + 1.0) ** -(k + 1.0)) / math.pi
+    return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
+
+
+# ---------------------------------------------------------------------------
 # Gaussian-Rayleigh scale mixture (Laplace kernel)
 # ---------------------------------------------------------------------------
 
@@ -164,30 +239,21 @@ def mixture_kernel_pdf(params: ArctanGRParams, x):
     ``exp(-|x - omega| / psi) / (2 psi)`` -- a Laplace density with location
     ``omega`` and scale ``psi``.
     """
-    arr = as_float_array(x)
-    u = np.abs(arr - params.omega) / params.psi
-    return match_input(x, np.exp(-u) / (2.0 * params.psi))
+    return match_input(x, _half_exp(_standardize(params, x)) / params.psi)
 
 
 def mixture_kernel_cdf(params: ArctanGRParams, x):
-    arr = as_float_array(x)
-    u = (arr - params.omega) / params.psi
-    upper = 1.0 - 0.5 * np.exp(-np.maximum(u, 0.0))
-    lower = 0.5 * np.exp(np.minimum(u, 0.0))
-    return match_input(x, np.where(u >= 0.0, upper, lower))
+    return match_input(x, _laplace_cdf(_standardize(params, x)))
 
 
 def mixture_kernel_logpdf(params: ArctanGRParams, x):
-    arr = as_float_array(x)
-    u = np.abs(arr - params.omega) / params.psi
-    return match_input(x, -u - math.log(2.0 * params.psi))
+    return match_input(x, -np.abs(_standardize(params, x)) - math.log(2.0 * params.psi))
 
 
 def mixture_kernel_quantile(params: ArctanGRParams, p):
     arr = _checked_prob(p)
-    lower = params.omega + params.psi * np.log(2.0 * arr)
-    upper = params.omega - params.psi * np.log(2.0 * (1.0 - arr))
-    return match_input(p, np.where(arr < 0.5, lower, upper))
+    z = np.where(arr < 0.5, np.log(2.0 * arr), -np.log(2.0 * (1.0 - arr)))
+    return match_input(p, params.omega + params.psi * z)
 
 
 def mixture_kernel_pdf_by_integration(params: ArctanGRParams, x):
@@ -258,55 +324,28 @@ def mixture_kernel_base(params: ArctanGRParams) -> BaseDistribution:
 
 def agr_cdf(params: ArctanGRParams, x):
     """CDF of the AGR distribution; accepts +-inf and returns the limits."""
-    arr = as_float_array(x)
-    u = (arr - params.omega) / params.psi
-    upper = 1.0 - 0.5 * np.exp(-np.maximum(u, 0.0))
-    lower = 0.5 * np.exp(np.minimum(u, 0.0))
-    h = np.where(u >= 0.0, upper, lower)
-    return match_input(x, FOUR_OVER_PI * np.arctan(h))
+    return match_input(x, FOUR_OVER_PI * np.arctan(_laplace_cdf(_standardize(params, x))))
 
 
 def agr_survival(params: ArctanGRParams, x):
-    """Survival function ``1 - G(x)``, accurate deep into the upper tail.
-
-    For ``x >= omega`` the naive ``1 - cdf`` cancels catastrophically once
-    the survival drops below ~1e-16, so the upper branch uses the identity
-    ``pi/4 - arctan(1 - z) = arctan(z / (2 - z))``.
-    """
-    arr = as_float_array(x)
-    u = (arr - params.omega) / params.psi
-    z = 0.5 * np.exp(-np.maximum(u, 0.0))
-    upper = FOUR_OVER_PI * np.arctan(z / (2.0 - z))
-    lower = 1.0 - FOUR_OVER_PI * np.arctan(0.5 * np.exp(np.minimum(u, 0.0)))
-    return match_input(x, np.where(u >= 0.0, upper, lower))
+    """Survival function ``1 - G(x)``, accurate deep into the upper tail."""
+    return match_input(x, _z_sf(_standardize(params, x)))
 
 
 def agr_pdf(params: ArctanGRParams, x):
     """Density of the AGR distribution (the derivative of :func:`agr_cdf`)."""
-    arr = as_float_array(x)
-    u = (arr - params.omega) / params.psi
-    e_up = np.exp(-np.maximum(u, 0.0))
-    upper = 2.0 * e_up / (math.pi * params.psi * (1.0 + (1.0 - 0.5 * e_up) ** 2))
-    t = np.exp(np.minimum(u, 0.0))
-    lower = 8.0 * t / (math.pi * params.psi * (4.0 + t * t))
-    return match_input(x, np.where(u >= 0.0, upper, lower))
+    return match_input(x, _z_pdf(_standardize(params, x)) / params.psi)
 
 
 def agr_logpdf(params: ArctanGRParams, x):
     """Log density, written to avoid under/overflow far from the location."""
-    arr = as_float_array(x, require_finite=True)
-    u = (arr - params.omega) / params.psi
-    up = np.maximum(u, 0.0)
-    un = np.minimum(u, 0.0)
-    upper = math.log(2.0 / (math.pi * params.psi)) - up - np.log1p((1.0 - 0.5 * np.exp(-up)) ** 2)
-    lower = math.log(8.0 / (math.pi * params.psi)) + un - np.log(4.0 + np.exp(2.0 * un))
-    return match_input(x, np.where(u >= 0.0, upper, lower))
+    z = _standardize(params, x, require_finite=True)
+    return match_input(x, math.log(2.0 / (math.pi * params.psi)) + _z_log_shape(z))
 
 
 def agr_cum_hazard(params: ArctanGRParams, x):
     """Cumulative hazard ``-log(survival)``; nondecreasing, 0 at -inf."""
-    arr = as_float_array(x)
-    return match_input(x, -np.log(agr_survival(params, arr)))
+    return match_input(x, -np.log(_z_sf(_standardize(params, x))))
 
 
 def agr_hazard(params: ArctanGRParams, x):
@@ -316,30 +355,15 @@ def agr_hazard(params: ArctanGRParams, x):
     shared factor is cancelled analytically so the hazard stays finite
     (tending to ``1/psi``) even where both underflow to zero.
     """
-    arr = as_float_array(x)
-    u = (arr - params.omega) / params.psi
-    z = 0.5 * np.exp(-np.maximum(u, 0.0))
-    # z / arctan(z/(2-z)) -> 2 - z as z -> 0; switch before the ratio degrades
-    small = z < 1e-8
-    safe_z = np.where(small, 0.5, z)
-    ratio = np.where(small, 2.0 - z, safe_z / np.arctan(safe_z / (2.0 - safe_z)))
-    upper = ratio / (params.psi * (1.0 + (1.0 - z) ** 2))
-    lower_pdf = 8.0 * np.exp(np.minimum(u, 0.0)) / (
-        math.pi * params.psi * (4.0 + np.exp(2.0 * np.minimum(u, 0.0)))
-    )
-    lower_sf = 1.0 - FOUR_OVER_PI * np.arctan(0.5 * np.exp(np.minimum(u, 0.0)))
-    return match_input(x, np.where(u >= 0.0, upper, lower_pdf / lower_sf))
-
-
-def _agr_tail_quantile(params: ArctanGRParams, q):
-    """Quantile expressed through the tail probability ``q = 1 - p``.
-
-    Only valid on the upper branch (``q <= 1 - P_STAR``).  Algebraically
-    identical to ``omega - psi*log(2*(1 - tan(pi*(1-q)/4)))`` but free of the
-    ``1 - tan(...)`` cancellation, so it stays accurate as ``q -> 0``.
-    """
-    t = np.tan(_PI_OVER_4 * q)
-    return params.omega - params.psi * np.log(4.0 * t / (1.0 + t))
+    z = _standardize(params, x)
+    t = _half_exp(z)
+    # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
+    small = t < 1e-8
+    safe_t = np.where(small, 0.5, t)
+    ratio = np.where(small, 2.0 - t, safe_t / np.arctan(safe_t / (2.0 - safe_t)))
+    upper = ratio / (1.0 + (1.0 - t) ** 2)
+    below = np.minimum(z, 0.0)
+    return match_input(x, np.where(z >= 0.0, upper, _z_pdf(below) / _z_sf(below)) / params.psi)
 
 
 def agr_quantile(params: ArctanGRParams, p):
@@ -349,11 +373,7 @@ def agr_quantile(params: ArctanGRParams, p):
     location, at or above it the upper-branch closed form applies.  Both
     branch formulas agree (value ``omega``) at the split.
     """
-    arr = _checked_prob(p)
-    lower = params.omega + params.psi * np.log(2.0 * np.tan(_PI_OVER_4 * arr))
-    # 1 - p is exact for p >= 1/2, so the tail form loses nothing here
-    upper = _agr_tail_quantile(params, 1.0 - arr)
-    return match_input(p, np.where(arr < P_STAR, lower, upper))
+    return match_input(p, params.omega + params.psi * _z_quantile(_checked_prob(p)))
 
 
 def agr_sample(params: ArctanGRParams, n, seed):
@@ -374,47 +394,26 @@ def agr_sample(params: ArctanGRParams, n, seed):
 
 
 def agr_moment(params: ArctanGRParams, r):
-    """r-th raw moment ``E[X^r]`` by adaptive quadrature.
+    """r-th raw moment ``E[X^r] = sum_k C(r,k) omega^(r-k) psi^k E[Z^k]``.
 
-    The integral is split at the location (the density's kink) and truncated
-    where the integrand falls below 1e-16 of its peak; all moments exist
-    because the tails decay exponentially.
+    Summed in increasing ``k`` from the exact ``k = 0`` term ``omega^r``.
     """
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise DomainError(f"moment order r must be a positive integer, got {r!r}")
-    omega, psi = params.omega, params.psi
-    r = int(r)
-
-    def integrand(x):
-        return x**r * agr_pdf(params, x)
-
-    scan = omega + psi * np.linspace(-60.0, 60.0, 241)
-    peak = float(np.max(np.abs(integrand(scan))))
-    if peak == 0.0:
-        peak = abs(omega) ** r * 8.0 / (5.0 * math.pi * psi) + 1e-300
-    cut = 40.0
-    while max(abs(integrand(omega - cut * psi)), abs(integrand(omega + cut * psi))) > 1e-16 * peak:
-        cut *= 2.0
-        if cut > 1e6:  # exp(-1e6) underflowed long ago; cannot happen
-            break
-
-    total = 0.0
-    for a, b in ((omega - cut * psi, omega), (omega, omega + cut * psi)):
-        value, _ = adaptive_quad(
-            integrand, a, b, epsabs=1e-14, epsrel=1e-9, label=f"moment r={r}"
-        )
-        total += value
+    omega, psi, r = params.omega, params.psi, int(r)
+    total = omega**r
+    for k in range(1, r + 1):
+        total += math.comb(r, k) * omega ** (r - k) * psi**k * sum(_z_moment_parts(k))
     return total
 
 
 def agr_skewness(params: ArctanGRParams) -> float:
     """Quartile-based (Bowley) skewness; free of both location and scale."""
-    q1, q2, q3 = (agr_quantile(params, p) for p in (0.25, 0.5, 0.75))
-    return (q1 + q3 - 2.0 * q2) / (q3 - q1)
+    q1, q2, q3 = _z_quantile(np.array([0.25, 0.5, 0.75]))
+    return float((q1 + q3 - 2.0 * q2) / (q3 - q1))
 
 
 def agr_kurtosis(params: ArctanGRParams) -> float:
     """Octile-based (Moors) kurtosis; free of both location and scale."""
-    e1, e3, e5, e7 = (agr_quantile(params, p) for p in (0.125, 0.375, 0.625, 0.875))
-    q1, q3 = agr_quantile(params, 0.25), agr_quantile(params, 0.75)
-    return (e7 + e3 - e5 - e1) / (q3 - q1)
+    e1, q1, e3, e5, q3, e7 = _z_quantile(np.array([0.125, 0.25, 0.375, 0.625, 0.75, 0.875]))
+    return float((e7 + e3 - e5 - e1) / (q3 - q1))

@@ -26,6 +26,7 @@ from .distributions import (
     ArctanGRParams,
     GaussianParams,
     RayleighParams,
+    _z_log_shape,
     agr_logpdf,
     gaussian_logpdf,
     mixture_kernel_logpdf,
@@ -206,12 +207,7 @@ def fit_agr(data) -> FitResult:
         omega, psi = theta
         if not (np.isfinite(omega) and np.isfinite(psi)) or psi <= 0.0:
             return np.inf
-        u = (x - omega) / psi
-        up = np.maximum(u, 0.0)
-        un = np.minimum(u, 0.0)
-        upper = -up - np.log1p((1.0 - 0.5 * np.exp(-up)) ** 2)
-        lower = un - np.log(4.0 + np.exp(2.0 * un)) + math.log(4.0)
-        ll = float(np.sum(np.where(u >= 0.0, upper, lower)))
+        ll = float(np.sum(_z_log_shape((x - omega) / psi)))
         return -(ll + n * math.log(2.0 / (math.pi * psi)))
 
     omegas = np.quantile(x, np.linspace(0.1, 0.9, 9))

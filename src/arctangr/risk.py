@@ -1,14 +1,17 @@
 """Actuarial tail-risk measures for the arctan Gaussian-Rayleigh model.
 
-Value at risk is the quantile itself.  Tail value at risk and tail variance
-are conditional tail moments
+AGR is a location-scale family, ``X = omega + psi Z``, so each risk measure
+is an affine image of one computed on the standard variable ``Z``:
 
-    TVaR(a) = E[X | X > VaR(a)]
-    TV(a)   = E[X^2 | X > VaR(a)] - TVaR(a)^2
+    VaR(a)  = omega + psi z_a           z_a  = standard a-quantile
+    TVaR(a) = omega + psi m(a)          m(a) = E[Z | Z > z_a]
+    TV(a)   = psi^2 v(a)                v(a) = E[(Z - m(a))^2 | Z > z_a]
 
-computed here in probability space: the x-space integrals have an infinite
+``v`` is integrated centred rather than as ``E[Z^2] - m^2`` (or worse, in
+``x``), so it cannot cancel, whatever the ratio ``omega / psi``.  Both tail
+integrals run in probability space: the x-space integrals have an infinite
 upper limit, but substituting the quantile turns them into integrals of
-``u(p)`` over ``(a, 1)``, and the further substitution ``p = 1 - e^{-s}``
+``z(p)`` over ``(a, 1)``, and the further substitution ``p = 1 - e^{-s}``
 maps the logarithmic endpoint singularity at ``p -> 1`` onto a tame
 exponential tail.  A seeded Monte Carlo oracle and order-statistic
 empirical estimators round out the module.
@@ -30,17 +33,15 @@ from .dataset import LossDataset
 from .distributions import (
     S_STAR,
     ArctanGRParams,
-    _agr_tail_quantile,
+    _z_quantile,
+    _z_tail_quantile,
     agr_quantile,
 )
-from .errors import DataError, DomainError, QuadratureError
+from .errors import DataError, DomainError
 
 #: Relative tolerance requested from the tail-moment quadrature.
 QUAD_RELATIVE_TOL = 1e-10
 _QUAD_ABSOLUTE_FLOOR = 1e-14
-
-#: Magnitude below which a negative tail variance is treated as roundoff.
-TV_CLAMP = 1e-12
 
 
 def _check_alpha(alpha) -> float:
@@ -62,8 +63,8 @@ def var(params: ArctanGRParams, alpha) -> float:
     return float(agr_quantile(params, a))
 
 
-def _tail_power_integral(params: ArctanGRParams, alpha: float, power: int) -> float:
-    """Integral of ``quantile(p)**power`` over ``p in (alpha, 1)``.
+def _tail_average(alpha: float, fn) -> float:
+    """Average of ``fn(z(p))`` over ``p in (alpha, 1)``, ``z`` the standard quantile.
 
     Evaluated after ``p = 1 - e^{-s}``; the piece below the quantile branch
     point (present only when ``alpha < P_STAR``) is integrated separately.
@@ -72,12 +73,9 @@ def _tail_power_integral(params: ArctanGRParams, alpha: float, power: int) -> fl
     def integrand(s):
         q = math.exp(-s)
         if q == 0.0:
-            return 0.0  # u grows only like s, so u**power * q has underflowed
-        if s >= S_STAR:
-            u = _agr_tail_quantile(params, q)
-        else:
-            u = float(agr_quantile(params, 1.0 - q))
-        return (u**power) * q
+            return 0.0  # z grows only like s, so fn(z) * q has underflowed
+        z = _z_tail_quantile(q) if s >= S_STAR else _z_quantile(1.0 - q)
+        return float(fn(z)) * q
 
     s0 = -math.log1p(-alpha)
     pieces = [(s0, S_STAR), (S_STAR, np.inf)] if s0 < S_STAR else [(s0, np.inf)]
@@ -89,34 +87,31 @@ def _tail_power_integral(params: ArctanGRParams, alpha: float, power: int) -> fl
             b,
             epsabs=_QUAD_ABSOLUTE_FLOOR,
             epsrel=QUAD_RELATIVE_TOL,
-            label=f"tail moment (power={power})",
+            label="standard tail moment",
         )
         total += value
-    return total
+    return total / (1.0 - alpha)
+
+
+def _tail_mean(alpha: float) -> float:
+    """``m(alpha) = E[Z | Z > z_alpha]`` of the standard variable."""
+    return _tail_average(alpha, lambda z: z)
+
+
+def _tail_variance(alpha: float, mean: float) -> float:
+    """``v(alpha) = E[(Z - mean)^2 | Z > z_alpha]``, nonnegative by construction."""
+    return _tail_average(alpha, lambda z: (z - mean) ** 2)
 
 
 def tvar(params: ArctanGRParams, alpha) -> float:
     """Tail value at risk: mean loss beyond the VaR threshold."""
-    a = _check_alpha(alpha)
-    return _tail_power_integral(params, a, 1) / (1.0 - a)
+    return params.omega + params.psi * _tail_mean(_check_alpha(alpha))
 
 
 def tv(params: ArctanGRParams, alpha) -> float:
-    """Tail variance: variance of the loss beyond the VaR threshold.
-
-    Mathematically nonnegative; a result below ``-TV_CLAMP`` indicates a
-    quadrature failure and raises, while roundoff-sized negatives clamp to 0.
-    """
+    """Tail variance: variance of the loss beyond the VaR threshold."""
     a = _check_alpha(alpha)
-    t = tvar(params, a)
-    second = _tail_power_integral(params, a, 2) / (1.0 - a)
-    out = second - t * t
-    if out < -TV_CLAMP:
-        raise QuadratureError(
-            f"tail variance came out {out!r} < -{TV_CLAMP}; quadrature inconsistent",
-            value=out,
-        )
-    return max(out, 0.0)
+    return params.psi**2 * _tail_variance(a, _tail_mean(a))
 
 
 class RiskRow(NamedTuple):
@@ -199,11 +194,14 @@ def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
     levels = sorted(_check_alpha(a) for a in np.atleast_1d(np.asarray(alphas, dtype=float)))
     if not levels:
         raise DomainError("alphas must be nonempty")
-    rows = tuple(
-        RiskRow(a, var(params, a), tvar(params, a), tv(params, a)) for a in levels
-    )
+    rows = []
+    for a in levels:
+        m = _tail_mean(a)
+        rows.append(RiskRow(
+            a, var(params, a), params.omega + params.psi * m, params.psi**2 * _tail_variance(a, m)
+        ))
     return RiskReport(
-        rows=rows,
+        rows=tuple(rows),
         source=f"model(omega={params.omega!r}, psi={params.psi!r})",
         method={"quadrature_epsrel": QUAD_RELATIVE_TOL},
     )

@@ -42,6 +42,7 @@ from arctangr import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
+from arctangr.distributions import _z_log_shape, _z_moment_parts
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -185,6 +186,15 @@ class TestPdf:
             agr_logpdf(unit_params, x), np.log(agr_pdf(unit_params, x)), atol=1e-12
         )
 
+    def test_shared_log_density_kernel(self, table_params):
+        # the fit's objective sums this kernel; mapped affinely it is the log-density
+        omega, psi = table_params.omega, table_params.psi
+        z = np.linspace(-40, 40, 401)
+        x = omega + psi * z
+        mapped = _z_log_shape(z) + math.log(2.0 / (math.pi * psi))
+        np.testing.assert_allclose(mapped, agr_logpdf(table_params, x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mapped, np.log(agr_pdf(table_params, x)), rtol=0, atol=1e-12)
+
 
 class TestQuantile:
     def test_branch_point_returns_location(self):
@@ -311,6 +321,17 @@ class TestMoments:
     def test_frozen_first_two_moments(self, unit_params):
         assert agr_moment(unit_params, 1) == pytest.approx(MEAN_01, abs=1e-10)
         assert agr_moment(unit_params, 2) == pytest.approx(M2_01, rel=1e-10)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_standard_moment_series_matches_quadrature(self, unit_params, k):
+        lower, upper = _z_moment_parts(k)
+        for got, (lo, hi) in ((lower, (-np.inf, 0.0)), (upper, (0.0, np.inf))):
+            want, _ = quad(lambda z: z**k * agr_pdf(unit_params, z), lo, hi,
+                           epsabs=0, epsrel=1e-13, limit=200)
+            assert got == pytest.approx(want, rel=1e-12)
+        if k == 0:
+            assert lower + upper == pytest.approx(1.0, abs=1e-15)
+            assert lower == pytest.approx(P_STAR, abs=1e-15)
 
     def test_concentrates_at_location_for_tiny_scale(self):
         assert agr_moment(ArctanGRParams(5.0, 1e-3), 1) == pytest.approx(5.0, abs=0.01)

@@ -6,17 +6,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
-import arctangr.risk as risk_mod
 from arctangr import (
     P_STAR,
     ArctanGRParams,
     DataError,
     DomainError,
     LossDataset,
-    QuadratureError,
     RiskReport,
     RiskRow,
+    agr_moment,
+    agr_pdf,
     agr_quantile,
     empirical_risk,
     empirical_risk_curve,
@@ -116,26 +119,43 @@ class TestTailMeasures:
                       epsabs=1e-14, epsrel=1e-11, limit=200)
         assert tvar(table_params, alpha) == pytest.approx(val / (1 - alpha), rel=1e-9)
 
-    def test_negative_tv_beyond_clamp_raises(self, table_params, monkeypatch):
-        # force E[X^2|tail] - TVaR^2 = -1e-6, far beyond the roundoff clamp
-        def broken(params, a, power):
-            return (1 - a) * (1.0 if power == 1 else 1.0 - 1e-6)
+    def test_large_location_to_scale_ratio(self):
+        # computed in x, TV cancelled (E[X^2] - E[X]^2) and so did the raw
+        # moments' distribution-dependent part; on z both are exact
+        unit = ArctanGRParams(0.0, 1.0)
+        assert tv(ArctanGRParams(1e8, 1.0), 0.99) == tv(unit, 0.99)
+        psi = 0.37
+        far = ArctanGRParams(1e6 * psi, psi)
+        for alpha in (0.55, 0.9, 0.999):
+            assert tv(far, alpha) == pytest.approx(psi**2 * tv(unit, alpha), rel=1e-12)
+        pieces = ((-np.inf, 0.0), (0.0, np.inf))
+        ez = [sum(quad(lambda z: z**k * agr_pdf(unit, z), lo, hi, epsabs=0, epsrel=1e-13)[0]
+                  for lo, hi in pieces) for k in range(5)]
+        for r in (1, 2, 3, 4):
+            terms = [math.comb(r, k) * far.omega ** (r - k) * psi**k * ez[k] for k in range(r + 1)]
+            spread = sum(abs(t) for t in terms[1:])  # the distribution-dependent part
+            assert abs(agr_moment(far, r) - sum(terms)) <= 1e-8 * spread
 
-        monkeypatch.setattr(risk_mod, "_tail_power_integral", broken)
-        with pytest.raises(QuadratureError):
-            risk_mod.tv(table_params, 0.8)
 
-    def test_tiny_negative_tv_clamps_to_zero(self, table_params, monkeypatch):
-        real = risk_mod._tail_power_integral
+# standard (omega=0, psi=1) values the equivariance property compares against
+_ALPHAS = (0.51, 0.58, P_STAR, 0.75, 0.9, 0.99, 0.9999)
+_UNIT = ArctanGRParams(0.0, 1.0)
+_STANDARD = {a: (var(_UNIT, a), tvar(_UNIT, a), tv(_UNIT, a)) for a in _ALPHAS}
 
-        def nudged(params, a, power):
-            if power == 1:
-                return real(params, a, 1)
-            t = real(params, a, 1) / (1 - a)
-            return (1 - a) * (t * t - 5e-13)  # second moment a hair below TVaR^2
 
-        monkeypatch.setattr(risk_mod, "_tail_power_integral", nudged)
-        assert risk_mod.tv(table_params, 0.8) == 0.0
+@settings(max_examples=60, deadline=None)
+@given(
+    ratio=st.floats(-1e12, 1e12),
+    psi=st.floats(1e-3, 1e3),
+    alpha=st.sampled_from(_ALPHAS),
+)
+def test_shift_and_scale_equivariance(ratio, psi, alpha):
+    params = ArctanGRParams(ratio * psi, psi)
+    omega = params.omega
+    z, m, v = _STANDARD[alpha]
+    assert tv(params, alpha) / psi**2 == pytest.approx(v, rel=1e-12)
+    for got, std in ((var(params, alpha), z), (tvar(params, alpha), m)):
+        assert abs(got - (omega + psi * std)) <= 1e-12 * (abs(omega) + psi * (1 + abs(std)))
 
 
 class TestMcOracle:
