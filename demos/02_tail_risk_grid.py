@@ -2,7 +2,7 @@
 Tail-risk measures across confidence levels
 ===========================================
 
-VaR is the closed-form quantile; TVaR and TV come from adaptive quadrature
+VaR is the closed-form quantile; TVaR and TV come from fixed Gauss quadrature
 in probability space.  A seeded Monte Carlo oracle cross-checks both.
 """
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import EMBEDDED_INSURANCE, describe, ingest
 from .distributions import ArctanGRParams
-from .errors import DataError, DomainError, FitConvergenceError, QuadratureError
+from .errors import DataError, DomainError, FitConvergenceError
 from .fit import compare_models, fit_agr, fit_gaussian, fit_laplace, fit_rayleigh
 from .plotdata import plot_bundle
 from .risk import empirical_risk_curve, mc_oracle, risk_curve
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except (DomainError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (QuadratureError, FitConvergenceError) as exc:
+    except FitConvergenceError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     _emit(text, args.out)

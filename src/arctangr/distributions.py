@@ -32,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from ._quadrature import adaptive_quad
 from ._util import as_float_array, match_input
@@ -105,11 +104,15 @@ def gaussian_pdf(params: GaussianParams, x):
 
 
 def gaussian_cdf(params: GaussianParams, x):
+    from scipy.special import ndtr
+
     arr = as_float_array(x)
     return match_input(x, ndtr((arr - params.omega) / params.eta))
 
 
 def gaussian_quantile(params: GaussianParams, p):
+    from scipy.special import ndtri
+
     arr = _checked_prob(p)
     return match_input(p, params.omega + params.eta * ndtri(arr))
 
@@ -344,8 +347,23 @@ def agr_logpdf(params: ArctanGRParams, x):
 
 
 def agr_cum_hazard(params: ArctanGRParams, x):
-    """Cumulative hazard ``-log(survival)``; nondecreasing, 0 at -inf."""
-    return match_input(x, -np.log(_z_sf(_standardize(params, x))))
+    """Cumulative hazard ``-log(survival)``; nondecreasing, 0 at -inf, inf only at +inf.
+
+    Above the location the survival is ``(4/pi) arctan(y)`` with
+    ``y = t/(2-t)``, ``t = e^{-z}/2``; taking the log of ``y`` analytically,
+    ``-log(survival) = z + log(2(2-t)) - log(4/pi) - log(arctan(y)/y)``
+    stays finite where the survival itself underflows.
+    """
+    z = _standardize(params, x)
+    t = _half_exp(z)
+    y = t / (2.0 - t)
+    # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
+    small = y < 1e-8
+    safe_y = np.where(small, 1.0, y)
+    ratio = np.where(small, 1.0, np.arctan(safe_y) / safe_y)
+    upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
+    below = np.minimum(z, 0.0)
+    return match_input(x, np.where(z >= 0.0, upper, -np.log(_z_sf(below))))
 
 
 def agr_hazard(params: ArctanGRParams, x):
@@ -397,13 +415,23 @@ def agr_moment(params: ArctanGRParams, r):
     """r-th raw moment ``E[X^r] = sum_k C(r,k) omega^(r-k) psi^k E[Z^k]``.
 
     Summed in increasing ``k`` from the exact ``k = 0`` term ``omega^r``.
+    Raises :class:`DomainError` when the sum leaves the double range, which
+    for the standard variable happens from ``r = 171`` on.
     """
     if not (isinstance(r, (int, np.integer)) and r >= 1):
         raise DomainError(f"moment order r must be a positive integer, got {r!r}")
     omega, psi, r = params.omega, params.psi, int(r)
-    total = omega**r
-    for k in range(1, r + 1):
-        total += math.comb(r, k) * omega ** (r - k) * psi**k * sum(_z_moment_parts(k))
+    try:
+        total = omega**r
+        for k in range(1, r + 1):
+            total += math.comb(r, k) * omega ** (r - k) * psi**k * sum(_z_moment_parts(k))
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"moment of order r={r} overflows double precision "
+            f"at omega={omega!r}, psi={psi!r}"
+        )
     return total
 
 

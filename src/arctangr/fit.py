@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .dataset import LossDataset
 from .distributions import (
@@ -194,6 +193,8 @@ def fit_agr(data) -> FitResult:
     ``converged`` flag requires the polish to terminate on its tolerances
     and its log-likelihood to be no worse than every restart's.
     """
+    from scipy.optimize import minimize
+
     x = _values(data)
     n = int(x.size)
     if n < 3:

@@ -9,12 +9,16 @@ is an affine image of one computed on the standard variable ``Z``:
 
 ``v`` is integrated centred rather than as ``E[Z^2] - m^2`` (or worse, in
 ``x``), so it cannot cancel, whatever the ratio ``omega / psi``.  Both tail
-integrals run in probability space: the x-space integrals have an infinite
-upper limit, but substituting the quantile turns them into integrals of
-``z(p)`` over ``(a, 1)``, and the further substitution ``p = 1 - e^{-s}``
-maps the logarithmic endpoint singularity at ``p -> 1`` onto a tame
-exponential tail.  A seeded Monte Carlo oracle and order-statistic
-empirical estimators round out the module.
+integrals run in probability space, over ``z(p)`` for ``p in (a, 1)``; the
+substitution ``p = 1 - e^{-s}`` turns the logarithmic endpoint singularity
+at ``p -> 1`` into an exponential weight on ``s in (-log(1-a), inf)``.
+There ``z`` is ``s`` plus a smooth correction, so fixed Gauss rules
+suffice: 36-node Gauss-Laguerre above the quantile's branch point
+``S_STAR = -log(1 - P_STAR)``, and 16-node Gauss-Legendre between
+``-log(1-a)`` and ``S_STAR`` when ``a < P_STAR``.  All levels are one
+vectorised numpy evaluation, within 2.7e-15 (``m``, relative to ``1+|m|``)
+and 1.6e-14 (``v``, relative) of a 30-digit reference.  A seeded Monte
+Carlo oracle and order-statistic empirical estimators round out the module.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._quadrature import adaptive_quad
 from .dataset import LossDataset
 from .distributions import (
     S_STAR,
@@ -39,9 +42,15 @@ from .distributions import (
 )
 from .errors import DataError, DomainError
 
-#: Relative tolerance requested from the tail-moment quadrature.
-QUAD_RELATIVE_TOL = 1e-10
-_QUAD_ABSOLUTE_FLOOR = 1e-14
+# 32 Laguerre nodes leave a 3e-13 truncation error in v near alpha = 1/2, 36 about
+# 1e-14; from 40 on, the error in numpy's own nodes (~5e-14) outweighs the gain
+_LAGUERRE_NODES, _LAGUERRE_WEIGHTS = np.polynomial.laguerre.laggauss(36)
+_LEGENDRE_NODES, _LEGENDRE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_RULE = {
+    "rule": "gauss-laguerre+gauss-legendre, p = 1 - e^-s",
+    "laguerre_nodes": _LAGUERRE_NODES.size,
+    "legendre_nodes": _LEGENDRE_NODES.size,
+}
 
 
 def _check_alpha(alpha) -> float:
@@ -63,55 +72,36 @@ def var(params: ArctanGRParams, alpha) -> float:
     return float(agr_quantile(params, a))
 
 
-def _tail_average(alpha: float, fn) -> float:
-    """Average of ``fn(z(p))`` over ``p in (alpha, 1)``, ``z`` the standard quantile.
+def _tail_moments(alphas):
+    """``(m, v)`` arrays: ``E[Z | Z > z_a]`` and ``E[(Z - m)^2 | Z > z_a]`` per level.
 
-    Evaluated after ``p = 1 - e^{-s}``; the piece below the quantile branch
-    point (present only when ``alpha < P_STAR``) is integrated separately.
+    Both are averages of the standard quantile over ``p in (a, 1)``, taken
+    after ``p = 1 - e^{-s}`` as weighted sums over one set of nodes per
+    level: Gauss-Laguerre on ``s = max(s0, S_STAR) + u``, and Gauss-Legendre
+    on ``[s0, S_STAR]``, whose weights are all 0 when ``a >= P_STAR``.
+    Weights are divided by ``1 - a = e^{-s0}``, so they sum to 1.
     """
-
-    def integrand(s):
-        q = math.exp(-s)
-        if q == 0.0:
-            return 0.0  # z grows only like s, so fn(z) * q has underflowed
-        z = _z_tail_quantile(q) if s >= S_STAR else _z_quantile(1.0 - q)
-        return float(fn(z)) * q
-
-    s0 = -math.log1p(-alpha)
-    pieces = [(s0, S_STAR), (S_STAR, np.inf)] if s0 < S_STAR else [(s0, np.inf)]
-    total = 0.0
-    for a, b in pieces:
-        value, _ = adaptive_quad(
-            integrand,
-            a,
-            b,
-            epsabs=_QUAD_ABSOLUTE_FLOOR,
-            epsrel=QUAD_RELATIVE_TOL,
-            label="standard tail moment",
-        )
-        total += value
-    return total / (1.0 - alpha)
-
-
-def _tail_mean(alpha: float) -> float:
-    """``m(alpha) = E[Z | Z > z_alpha]`` of the standard variable."""
-    return _tail_average(alpha, lambda z: z)
-
-
-def _tail_variance(alpha: float, mean: float) -> float:
-    """``v(alpha) = E[(Z - mean)^2 | Z > z_alpha]``, nonnegative by construction."""
-    return _tail_average(alpha, lambda z: (z - mean) ** 2)
+    a = np.atleast_1d(np.asarray(alphas, dtype=float))[:, None]
+    s0 = -np.log1p(-a)
+    lo = np.maximum(s0, S_STAR)
+    half = 0.5 * (lo - s0)
+    s = s0 + half * (1.0 + _LEGENDRE_NODES)
+    z = np.hstack([_z_quantile(-np.expm1(-s)), _z_tail_quantile(np.exp(-lo - _LAGUERRE_NODES))])
+    w = np.hstack([half * _LEGENDRE_WEIGHTS * np.exp(s0 - s), np.exp(s0 - lo) * _LAGUERRE_WEIGHTS])
+    m = np.sum(w * z, axis=1)
+    return m, np.sum(w * (z - m[:, None]) ** 2, axis=1)
 
 
 def tvar(params: ArctanGRParams, alpha) -> float:
     """Tail value at risk: mean loss beyond the VaR threshold."""
-    return params.omega + params.psi * _tail_mean(_check_alpha(alpha))
+    m, _ = _tail_moments(_check_alpha(alpha))
+    return params.omega + params.psi * float(m[0])
 
 
 def tv(params: ArctanGRParams, alpha) -> float:
     """Tail variance: variance of the loss beyond the VaR threshold."""
-    a = _check_alpha(alpha)
-    return params.psi**2 * _tail_variance(a, _tail_mean(a))
+    _, v = _tail_moments(_check_alpha(alpha))
+    return params.psi**2 * float(v[0])
 
 
 class RiskRow(NamedTuple):
@@ -135,8 +125,8 @@ class RiskReport:
     """Rows of (alpha, var, tvar, tv) plus provenance metadata.
 
     ``source`` tags whether the rows came from model parameters or from
-    empirical estimators; ``method`` records the quadrature tolerance or
-    sample counts that produced them.
+    empirical estimators; ``method`` records the quadrature rule or the
+    quantile convention that produced them.
     """
 
     rows: tuple[RiskRow, ...]
@@ -194,16 +184,15 @@ def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
     levels = sorted(_check_alpha(a) for a in np.atleast_1d(np.asarray(alphas, dtype=float)))
     if not levels:
         raise DomainError("alphas must be nonempty")
-    rows = []
-    for a in levels:
-        m = _tail_mean(a)
-        rows.append(RiskRow(
-            a, var(params, a), params.omega + params.psi * m, params.psi**2 * _tail_variance(a, m)
-        ))
+    ms, vs = _tail_moments(levels)
+    rows = tuple(
+        RiskRow(a, var(params, a), params.omega + params.psi * float(m), params.psi**2 * float(v))
+        for a, m, v in zip(levels, ms, vs)
+    )
     return RiskReport(
-        rows=tuple(rows),
+        rows=rows,
         source=f"model(omega={params.omega!r}, psi={params.psi!r})",
-        method={"quadrature_epsrel": QUAD_RELATIVE_TOL},
+        method=dict(_RULE),
     )
 
 

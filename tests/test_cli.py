@@ -1,11 +1,15 @@
 """CLI: subcommands, formats, exit codes, and output determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import arctangr
 import arctangr.cli as cli
 from arctangr.errors import FitConvergenceError
 
@@ -185,3 +189,40 @@ class TestOutputsAndDeterminism:
             assert proc.returncode == 0
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestColdPath:
+    # one fresh interpreter: the commands that need no scipy must not load it
+    SCRIPT = textwrap.dedent("""
+        import json, sys
+        import arctangr
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        after_import = scipy_modules()
+        import arctangr.cli
+        codes = [arctangr.cli.main(argv) for argv in (
+            ["describe", "--data", "embedded:insurance"],
+            ["risk", "--omega", "0.02", "--psi", "0.005"],
+            ["risk", "--data", "embedded:insurance", "--empirical", "--alphas", "0.75,0.9,0.95"],
+        )]
+        cold = scipy_modules()
+        fit_code = arctangr.cli.main(["fit", "--data", "embedded:insurance"])
+        print(json.dumps({"after_import": after_import, "codes": codes, "cold": cold,
+                          "fit_code": fit_code, "after_fit": scipy_modules()}))
+    """)
+
+    def test_no_scipy_until_a_fit(self):
+        src = str(Path(arctangr.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["after_import"] == []
+        assert result["codes"] == [0, 0, 0]
+        assert result["cold"] == []
+        assert result["fit_code"] == 0
+        assert "scipy.optimize" in result["after_fit"]

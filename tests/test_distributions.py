@@ -271,6 +271,18 @@ class TestSurvivalHazard:
         assert np.all(np.diff(ch) >= 0)
         assert agr_cum_hazard(unit_params, -np.inf) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_cum_hazard_finite_where_survival_underflows(self, unit_params):
+        # the direct form -log(survival), where the survival is still normal
+        t = 0.5 * math.exp(-700.0)
+        direct = -math.log((4 / math.pi) * math.atan(t / (2 - t)))
+        assert agr_cum_hazard(unit_params, 700.0) == pytest.approx(direct, rel=1e-13)
+        # beyond it the survival is (4/pi) e^{-z}/4 to double precision
+        for z in (800.0, 1e4):
+            want = z + math.log(math.pi)
+            assert agr_cum_hazard(unit_params, z) == pytest.approx(want, rel=1e-15)
+        assert agr_cum_hazard(unit_params, np.inf) == np.inf
+
     def test_hazard_values_and_tail_limit(self, unit_params):
         assert agr_hazard(unit_params, 0.0) == pytest.approx(HAZ_AT_LOC, abs=1e-13)
         assert agr_hazard(unit_params, -np.inf) == 0.0
@@ -332,6 +344,19 @@ class TestMoments:
         if k == 0:
             assert lower + upper == pytest.approx(1.0, abs=1e-15)
             assert lower == pytest.approx(P_STAR, abs=1e-15)
+
+    def test_largest_representable_order(self, unit_params):
+        # E[Z^r] = r! (sum_j c_j (j+1)^-(r+1) / pi + (2/pi) sum_j (-1/4)^j (2j+1)^-(r+1))
+        # for even r; every term past j = 0 is below 2^-171 of the first
+        assert agr_moment(unit_params, 170) == pytest.approx(
+            math.factorial(170) * 3 / math.pi, rel=1e-14
+        )
+
+    @pytest.mark.parametrize("params,r", [(ArctanGRParams(0.0, 1.0), 171),
+                                          (ArctanGRParams(10.0, 1.0), 400)])
+    def test_overflow_is_a_domain_error(self, params, r):
+        with pytest.raises(DomainError, match=f"r={r}"):
+            agr_moment(params, r)
 
     def test_concentrates_at_location_for_tiny_scale(self):
         assert agr_moment(ArctanGRParams(5.0, 1e-3), 1) == pytest.approx(5.0, abs=0.01)

@@ -29,6 +29,8 @@ from arctangr import (
     tvar,
     var,
 )
+from arctangr.distributions import S_STAR, _z_quantile, _z_tail_quantile
+from arctangr.risk import _tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
 VAR_609 = 0.02018810940062634
@@ -158,6 +160,46 @@ def test_shift_and_scale_equivariance(ratio, psi, alpha):
         assert abs(got - (omega + psi * std)) <= 1e-12 * (abs(omega) + psi * (1 + abs(std)))
 
 
+def _adaptive_tail_moments(alpha):
+    """``(m, v)`` by adaptive quadrature in ``s``, ``p = 1 - e^{-s}``, split at S_STAR."""
+    s0 = -math.log1p(-alpha)
+    pieces = [(s0, S_STAR), (S_STAR, np.inf)] if s0 < S_STAR else [(s0, np.inf)]
+
+    def average(fn):
+        def integrand(s):
+            q = math.exp(-s)
+            if q == 0.0:
+                return 0.0
+            z = _z_tail_quantile(q) if s >= S_STAR else _z_quantile(1.0 - q)
+            return fn(float(z)) * q
+
+        return sum(quad(integrand, a, b, epsabs=1e-14, epsrel=1e-10, limit=200)[0]
+                   for a, b in pieces) / (1.0 - alpha)
+
+    m = average(lambda z: z)
+    return m, average(lambda z: (z - m) ** 2)
+
+
+class TestFixedRule:
+    LEVELS = sorted({*np.linspace(0.5 + 1e-9, 0.9999, 40).tolist(), 0.5 + 1e-9,
+                     P_STAR - 1e-6, P_STAR, P_STAR + 1e-6, 0.609, 0.9999})
+
+    def test_matches_adaptive_quadrature(self):
+        assert len(self.LEVELS) >= 40
+        ms, vs = _tail_moments(self.LEVELS)
+        for alpha, m, v in zip(self.LEVELS, ms, vs):
+            want_m, want_v = _adaptive_tail_moments(alpha)
+            assert abs(m - want_m) <= 1e-13 * (1.0 + abs(want_m)), alpha
+            assert abs(v - want_v) <= 1e-12 * want_v, alpha
+
+    def test_curve_rows_equal_single_levels(self, table_params):
+        report = risk_curve(table_params, self.LEVELS)
+        for row in report.rows:
+            assert row.var == var(table_params, row.alpha)
+            assert row.tvar == tvar(table_params, row.alpha)
+            assert row.tv == tv(table_params, row.alpha)
+
+
 class TestMcOracle:
     def test_deterministic(self, table_params):
         a = mc_oracle(table_params, 0.8, 10**5, seed=5)
@@ -220,7 +262,11 @@ class TestRiskCurve:
         report = risk_curve(table_params, [0.75])
         payload = json.loads(report.to_json())
         assert payload["rows"][0]["var"] == var(table_params, 0.75)
-        assert "quadrature_epsrel" in payload["method"]
+        assert payload["method"] == {
+            "rule": "gauss-laguerre+gauss-legendre, p = 1 - e^-s",
+            "laguerre_nodes": 36,
+            "legendre_nodes": 16,
+        }
 
     def test_text_has_one_line_per_row(self, table_params):
         report = risk_curve(table_params, [0.75, 0.9, 0.95])
