@@ -141,7 +141,7 @@ def _run_fit(args) -> str:
              f"aic: {result.aic:.6g}    bic: {result.bic:.6g}",
              f"caic: {result.caic:.6g}    hqic: {result.hqic:.6g}",
              f"converged: {result.converged} "
-             f"(iterations={result.iterations}, restarts={result.restarts})"]
+             f"(iterations={result.iterations}, nfev={result.nfev})"]
     return "\n".join(lines) + "\n"
 
 

@@ -147,10 +147,34 @@ class SummaryStats:
         }
 
 
+def _linear_quantile(sorted_values: np.ndarray, q):
+    """``np.quantile(x, q)`` (the default linear interpolation at rank
+    ``(n-1)*q``), bit for bit, from ``x`` already sorted; unlike
+    ``np.quantile`` it never imports ``numpy.ma``.
+
+    The one difference: where ``x`` holds both ``0.0`` and ``-0.0``, the two
+    compare equal, ``np.quantile``'s partial sort orders them arbitrarily,
+    and a zero result may carry the other sign.
+    """
+    last = sorted_values.size - 1
+    h = last * np.asarray(q, dtype=float)
+    # numpy's index arithmetic, kept as is so that signed zeros match too:
+    # at the top both neighbours are the last value, at index -1
+    top = h >= last
+    lo = np.where(top, -1.0, np.floor(h))
+    a = sorted_values[lo.astype(np.intp)]
+    b = sorted_values[np.where(top, -1.0, lo + 1.0).astype(np.intp)]
+    gamma = h - lo
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
 def describe(data: LossDataset) -> SummaryStats:
     """Summary statistics; SD is the population standard deviation."""
     x = data.values
-    octiles = np.quantile(x, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875])
+    octiles = _linear_quantile(
+        data.sorted_values, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
+    )
     e1, q1, e3, med, e5, q3, e7 = octiles
     iqr = q3 - q1
     if iqr > 0:

@@ -28,7 +28,7 @@ class QuadratureError(RuntimeError):
 
 
 class FitConvergenceError(RuntimeError):
-    """Every optimizer restart failed to produce a usable optimum."""
+    """The optimizer failed to produce a usable optimum."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)

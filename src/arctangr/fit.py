@@ -2,11 +2,13 @@
 
 The arctan Gaussian-Rayleigh log-likelihood is piecewise smooth in the
 location (a kink at every data point, inherited from ``|x - omega|``), so
-it is maximized with a derivative-free Nelder-Mead search multi-started
-over the data deciles crossed with three scale guesses, then polished to a
-tight simplex tolerance.  The baseline Gaussian, Rayleigh, and Laplace fits
-are closed-form MLEs.  Model ranking uses AIC, BIC, CAIC, and HQIC (lower
-is better; higher log-likelihood is better).
+it is maximized derivative-free: one numpy Nelder-Mead search from the
+median and mean absolute deviation, a polish to a tight simplex
+tolerance, and a golden-section profile over ``log psi`` that finishes
+psi when omega has settled on a kink.  No scipy is imported.  The
+baseline Gaussian, Rayleigh, and Laplace fits are closed-form MLEs.  Model
+ranking uses AIC, BIC, CAIC, and HQIC (lower is better; higher
+log-likelihood is better).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LossDataset
+from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     ArctanGRParams,
     GaussianParams,
@@ -92,7 +94,7 @@ class FitResult:
     hqic: float
     iterations: int = 0
     converged: bool = True
-    restarts: int = 0
+    nfev: int = 0
 
     def params_dict(self) -> dict:
         return {
@@ -113,7 +115,7 @@ class FitResult:
             "hqic": self.hqic,
             "iterations": self.iterations,
             "converged": self.converged,
-            "restarts": self.restarts,
+            "nfev": self.nfev,
         }
 
 
@@ -176,7 +178,7 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     x = _values(data)
-    med = float(np.median(x))
+    med = float(_linear_quantile(np.sort(x), 0.5))
     scale = float(np.mean(np.abs(x - med)))
     if scale <= 0.0:
         raise DataError("Laplace fit is degenerate: zero absolute deviation")
@@ -184,22 +186,98 @@ def fit_laplace(data) -> FitResult:
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
 
 
-def fit_agr(data) -> FitResult:
-    """Fit the arctan Gaussian-Rayleigh model by multi-start Nelder-Mead.
+def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
+    """Minimize ``f`` from ``x0`` by Nelder-Mead with scipy's default setup.
 
-    Starting points are the nine data deciles crossed with scale guesses
-    {0.5, 1, 2} x (mean absolute deviation from the median); the best
-    restart is polished with simplex tolerance ``1e-10 * scale``.  The
-    ``converged`` flag requires the polish to terminate on its tolerances
-    and its log-likelihood to be no worse than every restart's.
+    Reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the initial
+    simplex moves each coordinate of ``x0`` by 5% (to 0.00025 where it is
+    0).  Stops on convergence -- every vertex within ``xatol`` of the best
+    in each coordinate and within ``fatol`` of it in value -- or once
+    ``maxiter`` iterations or ``maxfev`` evaluations are spent.  Returns
+    ``(x, f(x), iterations, evaluations, converged)``.
     """
-    from scipy.optimize import minimize
+    dim = len(x0)
+    sim = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
+    for k in range(dim):
+        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0.0 else 0.00025
+    fsim = np.array([f(v) for v in sim])
+    nit, nfev = 1, dim + 1
+    while True:
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        converged = bool(np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                         and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol)
+        if converged or nit >= maxiter or nfev >= maxfev:
+            return sim[0], float(fsim[0]), nit, nfev, converged
+        nit += 1
+        xbar = sim[:-1].sum(axis=0) / dim
+        xr = 2.0 * xbar - sim[-1]
+        fr = f(xr)
+        nfev += 1
+        if fr < fsim[0]:
+            xe = 3.0 * xbar - 2.0 * sim[-1]
+            fe = f(xe)
+            nfev += 1
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+            continue
+        if fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+            continue
+        if fr < fsim[-1]:  # contract outside, towards the reflected point
+            xc = 1.5 * xbar - 0.5 * sim[-1]
+            fc = f(xc)
+            accept = fc <= fr
+        else:  # contract inside, towards the worst vertex
+            xc = 0.5 * xbar + 0.5 * sim[-1]
+            fc = f(xc)
+            accept = fc < fsim[-1]
+        nfev += 1
+        if accept:
+            sim[-1], fsim[-1] = xc, fc
+        else:  # shrink towards the best vertex
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fsim[1:] = [f(v) for v in sim[1:]]
+            nfev += dim
 
+
+def _golden_section(g, a, b, tol):
+    """Golden-section search for a minimum of ``g`` on ``[a, b]``, down to a
+    bracket narrower than ``tol``.  Returns ``(t, g(t), evaluations)``."""
+    r = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - r * (b - a), a + r * (b - a)
+    gc, gd = g(c), g(d)
+    nfev = 2
+    while b - a > tol:
+        if gc <= gd:
+            b, d, gd = d, c, gc
+            c = b - r * (b - a)
+            gc = g(c)
+        else:
+            a, c, gc = c, d, gd
+            d = a + r * (b - a)
+            gd = g(d)
+        nfev += 1
+    return (c, gc, nfev) if gc <= gd else (d, gd, nfev)
+
+
+def fit_agr(data) -> FitResult:
+    """Fit the arctan Gaussian-Rayleigh model by Nelder-Mead and a psi profile.
+
+    One Nelder-Mead search starts at (median, mean absolute deviation from
+    the median) and a second one polishes its result with simplex tolerance
+    ``1e-10 * scale``.  The likelihood has a kink in omega at every data
+    point; when omega settles on one, the simplex can collapse before psi
+    is optimal, so a golden-section search over ``log psi`` within +-0.7 of
+    the polished value, omega held, finishes the fit.  ``converged`` means
+    the polish stopped on its tolerances; ``iterations`` counts the
+    simplex iterations of both searches and ``nfev`` every log-likelihood
+    evaluation.
+    """
     x = _values(data)
     n = int(x.size)
     if n < 3:
         raise DomainError(f"AGR fit needs at least 3 observations, got {n}")
-    med = float(np.median(x))
+    med = float(_linear_quantile(np.sort(x), 0.5))
     scale = float(np.mean(np.abs(x - med)))
     if scale <= 0.0:
         raise DataError("AGR fit is degenerate: zero absolute deviation")
@@ -211,63 +289,35 @@ def fit_agr(data) -> FitResult:
         ll = float(np.sum(_z_log_shape((x - omega) / psi)))
         return -(ll + n * math.log(2.0 / (math.pi * psi)))
 
-    omegas = np.quantile(x, np.linspace(0.1, 0.9, 9))
-    psis = [0.5 * scale, scale, 2.0 * scale]
-    restarts = []
-    iterations = 0
-    for omega0 in omegas:
-        for psi0 in psis:
-            res = minimize(
-                negloglik,
-                np.array([omega0, psi0]),
-                method="Nelder-Mead",
-                options={
-                    "xatol": 1e-6 * scale,
-                    "fatol": 1e-7 * n,
-                    "maxiter": 2000,
-                    "maxfev": 4000,
-                },
-            )
-            iterations += res.nit
-            restarts.append(res)
-
-    finite = [r for r in restarts if np.isfinite(r.fun)]
-    if not finite:
+    start, fun, nit1, nfev1, _ = _nelder_mead(
+        negloglik, [med, scale], xatol=1e-6 * scale, fatol=1e-7 * n,
+        maxiter=2000, maxfev=4000,
+    )
+    (omega, psi), fun, nit2, nfev2, converged = _nelder_mead(
+        negloglik, start, xatol=1e-10 * scale, fatol=1e-8 * (1.0 + abs(fun)),
+        maxiter=20000, maxfev=40000,
+    )
+    if not math.isfinite(fun):
         raise FitConvergenceError(
-            "every Nelder-Mead restart failed to produce a finite log-likelihood",
-            diagnostics=[(r.message, r.x.tolist(), float(r.fun)) for r in restarts],
+            "Nelder-Mead found no finite log-likelihood",
+            diagnostics=[(float(omega), float(psi), fun)],
         )
-    best = min(finite, key=lambda r: float(r.fun))  # stable min: earliest restart wins ties
-
-    polish = minimize(
-        negloglik,
-        best.x,
-        method="Nelder-Mead",
-        options={
-            "xatol": 1e-10 * scale,
-            "fatol": 1e-8 * (1.0 + abs(float(best.fun))),
-            "maxiter": 20000,
-            "maxfev": 40000,
-        },
+    log_psi = math.log(psi)
+    t, gfun, nfev3 = _golden_section(
+        lambda t: negloglik((omega, math.exp(t))), log_psi - 0.7, log_psi + 0.7, 1e-10
     )
-    iterations += polish.nit
-    final = polish if polish.fun <= best.fun else best
+    if gfun < fun:
+        psi = math.exp(t)
 
-    params = ArctanGRParams(omega=float(final.x[0]), psi=float(final.x[1]))
-    best_ll = -float(final.fun)
-    tol = 1e-9 * (1.0 + abs(best_ll))
-    converged = bool(polish.success) and all(
-        best_ll >= -float(r.fun) - tol for r in finite
-    )
     return _build_result(
         "agr",
-        params,
+        ArctanGRParams(omega=float(omega), psi=float(psi)),
         agr_logpdf,
         x,
         r=2,
-        iterations=int(iterations),
+        iterations=nit1 + nit2,
+        nfev=nfev1 + nfev2 + nfev3,
         converged=converged,
-        restarts=len(restarts),
     )
 
 

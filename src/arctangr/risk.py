@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import LossDataset
+from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     S_STAR,
     ArctanGRParams,
@@ -211,7 +211,7 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     values = data.values
     if values.size < 2:
         raise DataError("empirical risk needs at least 2 observations")
-    threshold = float(np.quantile(values, a))
+    threshold = float(_linear_quantile(data.sorted_values, a))
     exceed = values[values > threshold]
     if exceed.size < 2:
         raise DataError(

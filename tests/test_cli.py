@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -58,7 +59,14 @@ class TestFit:
         payload = json.loads(out)
         assert code == 0
         assert payload["converged"] is True
-        assert payload["restarts"] == 27
+        assert payload["nfev"] > payload["iterations"] > 0
+        assert "restarts" not in payload
+
+    def test_table_diagnostics_line(self, capsys):
+        code, out, _ = run_cli(["fit", "--data", "embedded:insurance"], capsys)
+        assert code == 0
+        assert re.fullmatch(r"converged: True \(iterations=\d+, nfev=\d+\)",
+                            out.splitlines()[-1])
 
 
 class TestRisk:
@@ -192,28 +200,35 @@ class TestOutputsAndDeterminism:
 
 
 class TestColdPath:
-    # one fresh interpreter: the commands that need no scipy must not load it
+    # one fresh interpreter: no subcommand loads scipy, and the commands that
+    # need no histogram leave numpy.ma unloaded too
     SCRIPT = textwrap.dedent("""
         import json, sys
         import arctangr
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        def loaded(package):
+            return sorted(m for m in sys.modules if m.split(".")[0] == package)
 
-        after_import = scipy_modules()
+        after_import = loaded("scipy")
         import arctangr.cli
-        codes = [arctangr.cli.main(argv) for argv in (
-            ["describe", "--data", "embedded:insurance"],
-            ["risk", "--omega", "0.02", "--psi", "0.005"],
-            ["risk", "--data", "embedded:insurance", "--empirical", "--alphas", "0.75,0.9,0.95"],
+        ins = ["--data", "embedded:insurance"]
+        lean = [arctangr.cli.main(argv) for argv in (
+            ["describe", *ins],
+            ["fit", *ins],
+            ["risk", *ins, "--empirical", "--alphas", "0.75,0.9,0.95"],
         )]
-        cold = scipy_modules()
-        fit_code = arctangr.cli.main(["fit", "--data", "embedded:insurance"])
-        print(json.dumps({"after_import": after_import, "codes": codes, "cold": cold,
-                          "fit_code": fit_code, "after_fit": scipy_modules()}))
+        masked = [m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]]
+        rest = [arctangr.cli.main(argv) for argv in (
+            ["compare", *ins],
+            ["risk", *ins],
+            ["risk", "--omega", "0.02", "--psi", "0.005"],
+            ["plotdata", *ins],
+        )]
+        print(json.dumps({"after_import": after_import, "codes": lean + rest,
+                          "masked": masked, "scipy": loaded("scipy")}))
     """)
 
-    def test_no_scipy_until_a_fit(self):
+    def test_no_scipy_in_any_subcommand(self):
         src = str(Path(arctangr.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -222,7 +237,6 @@ class TestColdPath:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["after_import"] == []
-        assert result["codes"] == [0, 0, 0]
-        assert result["cold"] == []
-        assert result["fit_code"] == 0
-        assert "scipy.optimize" in result["after_fit"]
+        assert result["codes"] == [0] * 7
+        assert result["masked"] == []
+        assert result["scipy"] == []

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from arctangr import DataError, LossDataset, describe, ingest
+from arctangr.dataset import _linear_quantile
 
 
 class TestEmbedded:
@@ -136,3 +139,34 @@ class TestDescribe:
     def test_as_dict_keys_ordered(self, insurance):
         d = describe(insurance).as_dict()
         assert list(d)[:4] == ["n", "mean", "median", "sd"]
+
+
+class TestLinearQuantile:
+    # samples drawn from a few values so ties are common; sizes of both parities
+    @settings(max_examples=100, deadline=None)
+    @given(
+        x=st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.2, 0.3, 7.0]),
+                             st.floats(-1e6, 1e6)),
+                   min_size=1, max_size=60),
+        q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    @example(x=[0.3, 0.1, 0.2, 0.1], q=[0.0, 0.5, 1.0])
+    @example(x=[5.0], q=[0.0, 0.25, 1.0])
+    @example(x=[-0.0], q=[0.0])
+    @example(x=[0.0, -1.5, -0.0, -0.0, 0.1], q=[0.5])
+    def test_equals_numpy_bitwise(self, x, q):
+        x = np.array(x)
+        xs = np.sort(x)
+        zero_signs = np.signbit(x[x == 0])
+        # np.quantile orders 0.0 and -0.0 either way; with both in x only the
+        # sign of a zero result is left open, and + 0.0 erases it
+        mixed_zeros = zero_signs.any() and not zero_signs.all()
+
+        def bits(v):
+            v = np.asarray(v, dtype=float)
+            return (v + 0.0 if mixed_zeros else v).tobytes()
+
+        levels = np.array(q + [0.0, 0.5, 1.0])
+        assert bits(_linear_quantile(xs, levels)) == bits(np.quantile(x, levels))
+        for level in q:  # a scalar level takes numpy's Python-float path
+            assert bits(_linear_quantile(xs, level)) == bits(np.quantile(x, level))

@@ -1,11 +1,14 @@
 """Fitting: information criteria, closed-form MLEs against frozen values,
-the Nelder-Mead AGR fit, and the comparison table."""
+the Nelder-Mead AGR fit against the 27-start search it replaced, and the
+comparison table."""
 
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from arctangr import (
     ArctanGRParams,
@@ -21,6 +24,8 @@ from arctangr import (
     fit_rayleigh,
     information_criteria,
 )
+from arctangr.distributions import _z_log_shape
+from arctangr.fit import _golden_section, _nelder_mead
 
 # frozen values computed from the embedded insurance sample's closed forms
 GAUSS_OMEGA = 0.070672413793103461
@@ -161,7 +166,7 @@ class TestFitAgr:
     def test_insurance_fit(self, insurance):
         res = fit_agr(insurance)
         assert res.converged
-        assert res.restarts == 27
+        assert res.nfev > res.iterations > 0
         assert res.loglik == pytest.approx(129.6191746582758, abs=1e-6)
         assert res.loglik == pytest.approx(agr_loglik(res.params, insurance), abs=1e-9)
 
@@ -192,6 +197,126 @@ class TestFitAgr:
         a, b = fit_agr(insurance), fit_agr(insurance)
         assert a.params == b.params
         assert a.loglik == b.loglik
+
+
+def multistart_loglik(x) -> float:
+    """Oracle: the AGR log-likelihood maximum found by 27 scipy Nelder-Mead
+    searches (the nine data deciles crossed with {0.5, 1, 2} x the mean
+    absolute deviation from the median) and a tight polish of the best."""
+    from scipy.optimize import minimize
+
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    med = float(np.median(x))
+    scale = float(np.mean(np.abs(x - med)))
+
+    def negloglik(theta):
+        omega, psi = theta
+        if not (np.isfinite(omega) and np.isfinite(psi)) or psi <= 0.0:
+            return np.inf
+        ll = float(np.sum(_z_log_shape((x - omega) / psi)))
+        return -(ll + n * math.log(2.0 / (math.pi * psi)))
+
+    starts = [
+        minimize(negloglik, [omega0, psi0], method="Nelder-Mead",
+                 options={"xatol": 1e-6 * scale, "fatol": 1e-7 * n,
+                          "maxiter": 2000, "maxfev": 4000})
+        for omega0 in np.quantile(x, np.linspace(0.1, 0.9, 9))
+        for psi0 in (0.5 * scale, scale, 2.0 * scale)
+    ]
+    best = min(starts, key=lambda r: float(r.fun))
+    polish = minimize(negloglik, best.x, method="Nelder-Mead",
+                      options={"xatol": 1e-10 * scale,
+                               "fatol": 1e-8 * (1.0 + abs(float(best.fun))),
+                               "maxiter": 20000, "maxfev": 40000})
+    final = polish if polish.fun <= best.fun else best
+    return agr_loglik(ArctanGRParams(*final.x), x)
+
+
+def assert_matches_multistart(x):
+    ll = fit_agr(x).loglik
+    oracle = multistart_loglik(x)
+    assert ll >= oracle - 1e-9 * (1.0 + abs(oracle)), (ll, oracle)
+
+
+def _family_sample(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.normal(3.0, 2.0, n)
+    if kind == "two_normals":
+        return np.where(rng.random(n) < 0.3, rng.normal(-4.0, 0.5, n), rng.normal(2.0, 1.5, n))
+    if kind == "cauchy":
+        return 400.0 * rng.standard_cauchy(n)
+    if kind == "lognormal":
+        return rng.lognormal(0.0, 1.0, n)
+    if kind == "cubed_exponential":
+        return rng.exponential(1.0, n) ** 3
+    if kind == "rounded":
+        return np.round(rng.normal(0.0, 1.0, n), 1)
+    return 10.0 + rng.pareto(1.5, n)  # shifted Pareto
+
+
+class TestNelderMead:
+    def test_matches_scipy_step_for_step(self):
+        from scipy.optimize import minimize
+
+        def rosen(v):
+            return (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2
+
+        for x0 in ([-1.2, 1.0], [0.0, 2.0], [3.0, -0.5]):
+            ref = minimize(rosen, x0, method="Nelder-Mead",
+                           options={"xatol": 1e-10, "fatol": 1e-12,
+                                    "maxiter": 5000, "maxfev": 10000})
+            x, fun, nit, nfev, converged = _nelder_mead(rosen, x0, 1e-10, 1e-12, 5000, 10000)
+            assert x.tolist() == ref.x.tolist()
+            assert fun == ref.fun
+            assert (nit, nfev, converged) == (ref.nit, ref.nfev, ref.success)
+
+    def test_budget_exhausted_is_not_converged(self):
+        _, _, nit, _, converged = _nelder_mead(
+            lambda v: (1.0 - v[0]) ** 2 + 100.0 * (v[1] - v[0] ** 2) ** 2,
+            [-1.2, 1.0], 1e-10, 1e-12, 10, 10000,
+        )
+        assert (nit, converged) == (10, False)
+
+    def test_golden_section(self):
+        t, fun, nfev = _golden_section(lambda t: abs(t - 0.3) + 1.0, -1.0, 1.0, 1e-10)
+        assert t == pytest.approx(0.3, abs=1e-10)
+        assert fun == 1.0 + abs(t - 0.3)
+        assert nfev == 2 + math.ceil(math.log(2.0 / 1e-10) / math.log((1 + 5 ** 0.5) / 2))
+
+
+class TestAgainstMultistart:
+    """The single-start fit reaches the 27-start search's log-likelihood."""
+
+    def test_insurance(self, insurance):
+        assert_matches_multistart(insurance.values)
+
+    def test_fixed_datasets(self):
+        rng = np.random.default_rng(2024)
+        for x in (
+            agr_sample(ArctanGRParams(0.02, 0.005), 10**4, seed=3),
+            np.concatenate([rng.normal(0.0, 1.0, 1500), rng.normal(5.0, 1.0, 1500)]),
+            rng.standard_cauchy(400),
+            rng.lognormal(0.0, 1.0, 500),
+        ):
+            assert_matches_multistart(x)
+
+    @settings(max_examples=20, deadline=None)
+    @given(x=st.builds(
+        _family_sample,
+        st.sampled_from(["normal", "two_normals", "cauchy", "lognormal",
+                         "cubed_exponential", "rounded", "pareto"]),
+        st.integers(5, 1000),
+        st.integers(0, 2**32 - 1),
+    ))
+    # omega-hat on a data point: without the psi profile the simplex
+    # collapses there before psi is optimal
+    @example(x=np.array([0.01539682, 1.03853065, 1.58575026, 2.31852605, 3.22760277]))
+    @example(x=np.array([-2.0, -1.9, -0.9, -0.3, 0.3]))
+    def test_family(self, x):
+        assume(np.mean(np.abs(x - np.median(x))) > 0.0)
+        assert_matches_multistart(x)
 
 
 class TestCompareModels:
