@@ -171,6 +171,22 @@ def fit_rayleigh(data) -> FitResult:
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
 
+def _median_and_spread(x, model):
+    """Median of ``x`` and mean absolute deviation from it, which must be a
+    positive finite number for the ``model`` fit to have a scale."""
+    med = float(_linear_quantile(np.sort(x), 0.5))
+    with np.errstate(over="ignore"):
+        scale = float(np.mean(np.abs(x - med)))
+    if scale <= 0.0:
+        raise DataError(f"{model} fit is degenerate: zero absolute deviation")
+    if scale == math.inf:
+        raise DataError(
+            f"{model} fit is impossible: the mean absolute deviation overflows "
+            "the double range"
+        )
+    return med, scale
+
+
 def fit_laplace(data) -> FitResult:
     """Closed-form Laplace MLE: median and mean absolute deviation from it.
 
@@ -178,10 +194,7 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     x = _values(data)
-    med = float(_linear_quantile(np.sort(x), 0.5))
-    scale = float(np.mean(np.abs(x - med)))
-    if scale <= 0.0:
-        raise DataError("Laplace fit is degenerate: zero absolute deviation")
+    med, scale = _median_and_spread(x, "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
 
@@ -191,10 +204,11 @@ def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
 
     Reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the initial
     simplex moves each coordinate of ``x0`` by 5% (to 0.00025 where it is
-    0).  Stops on convergence -- every vertex within ``xatol`` of the best
-    in each coordinate and within ``fatol`` of it in value -- or once
-    ``maxiter`` iterations or ``maxfev`` evaluations are spent.  Returns
-    ``(x, f(x), iterations, evaluations, converged)``.
+    0).  Stops on convergence -- every vertex within ``xatol`` (a scalar or
+    one value per coordinate) of the best in each coordinate and within
+    ``fatol`` of it in value -- or once ``maxiter`` iterations or ``maxfev``
+    evaluations are spent.  Returns ``(x, f(x), iterations, evaluations,
+    converged)``.
     """
     dim = len(x0)
     sim = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
@@ -205,7 +219,7 @@ def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
     while True:
         order = np.argsort(fsim, kind="stable")
         sim, fsim = sim[order], fsim[order]
-        converged = bool(np.max(np.abs(sim[1:] - sim[0])) <= xatol
+        converged = bool(np.all(np.abs(sim[1:] - sim[0]) <= xatol)
                          and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol)
         if converged or nit >= maxiter or nfev >= maxfev:
             return sim[0], float(fsim[0]), nit, nfev, converged
@@ -265,22 +279,21 @@ def fit_agr(data) -> FitResult:
 
     One Nelder-Mead search starts at (median, mean absolute deviation from
     the median) and a second one polishes its result with simplex tolerance
-    ``1e-10 * scale``.  The likelihood has a kink in omega at every data
-    point; when omega settles on one, the simplex can collapse before psi
-    is optimal, so a golden-section search over ``log psi`` within +-0.7 of
-    the polished value, omega held, finishes the fit.  ``converged`` means
-    the polish stopped on its tolerances; ``iterations`` counts the
-    simplex iterations of both searches and ``nfev`` every log-likelihood
-    evaluation.
+    ``1e-10 * scale``; both tolerances are floored at 4 ulps of each
+    coordinate, below which no simplex can close (the double spacing at a
+    large ``|omega|`` exceeds ``1e-10 * scale``).  The likelihood has a kink
+    in omega at every data point; when omega settles on one, the simplex can
+    collapse before psi is optimal, so a golden-section search over
+    ``log psi`` within +-0.7 of the polished value, omega held, finishes the
+    fit.  ``converged`` means the polish stopped on its tolerances;
+    ``iterations`` counts the simplex iterations of both searches and
+    ``nfev`` every log-likelihood evaluation.
     """
     x = _values(data)
     n = int(x.size)
     if n < 3:
         raise DomainError(f"AGR fit needs at least 3 observations, got {n}")
-    med = float(_linear_quantile(np.sort(x), 0.5))
-    scale = float(np.mean(np.abs(x - med)))
-    if scale <= 0.0:
-        raise DataError("AGR fit is degenerate: zero absolute deviation")
+    med, scale = _median_and_spread(x, "AGR")
 
     def negloglik(theta):
         omega, psi = theta
@@ -289,12 +302,16 @@ def fit_agr(data) -> FitResult:
         ll = float(np.sum(_z_log_shape((x - omega) / psi)))
         return -(ll + n * math.log(2.0 / (math.pi * psi)))
 
+    def xatol(rel, x0):
+        # a simplex cannot close to less than a few ulps of each coordinate
+        return np.maximum(rel * scale, 4.0 * np.spacing(np.abs(x0)))
+
     start, fun, nit1, nfev1, _ = _nelder_mead(
-        negloglik, [med, scale], xatol=1e-6 * scale, fatol=1e-7 * n,
+        negloglik, [med, scale], xatol=xatol(1e-6, [med, scale]), fatol=1e-7 * n,
         maxiter=2000, maxfev=4000,
     )
     (omega, psi), fun, nit2, nfev2, converged = _nelder_mead(
-        negloglik, start, xatol=1e-10 * scale, fatol=1e-8 * (1.0 + abs(fun)),
+        negloglik, start, xatol=xatol(1e-10, start), fatol=1e-8 * (1.0 + abs(fun)),
         maxiter=20000, maxfev=40000,
     )
     if not math.isfinite(fun):

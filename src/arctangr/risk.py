@@ -241,11 +241,20 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     parallel without changing the reduction.  Exceedance statistics are
     taken relative to the exact VaR threshold; sums are accumulated on
     threshold-shifted values to limit cancellation in the higher moments.
+    Only the uniforms above ``alpha - 1e-9`` are mapped through the
+    quantile, since no other draw can exceed VaR; ``x > VaR`` still decides
+    each candidate, so the exceedances, and every returned number, are
+    exactly those of mapping all ``n`` draws.
     """
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     threshold = var(params, a)
+    # The standard density is at most 8/(5 pi) < 0.51, so p <= a_lo puts z at
+    # least 1.9e-9 below z_a: far beyond the few-ulp error of the computed
+    # quantile, and omega + psi*z rounds monotonically, so such a draw cannot
+    # land above the threshold.  Every candidate is > a_lo > 0, a valid p.
+    a_lo = a - 1e-9
 
     n = int(n)
     n_chunks = (n + chunk - 1) // chunk
@@ -256,8 +265,8 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     for i, child in enumerate(children):
         k = min(chunk, n - i * chunk)
         rng = np.random.Generator(np.random.PCG64(child))
-        p = np.maximum(rng.random(k), np.finfo(float).tiny)
-        x = agr_quantile(params, p)
+        p = rng.random(k)
+        x = agr_quantile(params, p[p > a_lo])
         y = x[x > threshold] - threshold
         m += y.size
         s1 += y.sum()

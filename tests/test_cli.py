@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,15 @@ class TestExitCodes:
         code, _, err = run_cli(["fit", "--data", str(f), "--model", "gaussian"], capsys)
         assert code == 3
         assert "line 3" in err
+
+    def test_data_error_overflowing_spread(self, tmp_path, capsys):
+        f = tmp_path / "huge.csv"
+        f.write_text("-1e308\n0\n1e308\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(["fit", "--data", str(f)], capsys)
+        assert code == 3
+        assert "mean absolute deviation overflows" in err
 
     def test_numeric_error_exit_code(self, capsys, monkeypatch):
         def exploding(data):

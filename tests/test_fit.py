@@ -4,6 +4,7 @@ comparison table."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -317,6 +318,29 @@ class TestAgainstMultistart:
     def test_family(self, x):
         assume(np.mean(np.abs(x - np.median(x))) > 0.0)
         assert_matches_multistart(x)
+
+
+class TestExtremeData:
+    @pytest.mark.parametrize("x", [
+        1e9 + np.random.default_rng(2).normal(0.0, 1.0, 300),
+        1e6 + 1e-6 * np.random.default_rng(0).normal(0.0, 1.0, 300),
+    ], ids=["1e9+N(0,1)", "1e6+1e-6*N(0,1)"])
+    def test_large_location_converges(self, x):
+        # 1e-10*scale is below the double spacing at omega-hat, so without the
+        # ulp floor the polish spends its 40,000 evaluations and fails
+        res = fit_agr(x)
+        assert res.converged
+        assert res.nfev < 5000
+        oracle = multistart_loglik(x)
+        assert res.loglik >= oracle - 1e-9 * (1.0 + abs(res.loglik))
+
+    @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
+    @pytest.mark.parametrize("x", [[-1e308, 0.0, 1e308], [-1e308, 1e308, 1e308]])
+    def test_overflowing_spread_is_a_data_error(self, fit, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="mean absolute deviation overflows"):
+                fit(np.array(x))
 
 
 class TestCompareModels:

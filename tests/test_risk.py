@@ -29,8 +29,9 @@ from arctangr import (
     tvar,
     var,
 )
+from arctangr.cli import main as cli_main
 from arctangr.distributions import S_STAR, _z_quantile, _z_tail_quantile
-from arctangr.risk import _tail_moments
+from arctangr.risk import MCOracleResult, _check_alpha, _tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
 VAR_609 = 0.02018810940062634
@@ -229,6 +230,128 @@ class TestMcOracle:
         assert small.n == 1000
         with pytest.raises(DomainError):
             mc_oracle(table_params, 0.8, 0, seed=3)
+
+
+def _mc_full_reference(params, alpha, n, seed, chunk=1 << 20) -> MCOracleResult:
+    """Oracle for ``mc_oracle``: its former loop, which maps every draw
+    through the quantile rather than only those that can exceed VaR."""
+    a = _check_alpha(alpha)
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    threshold = var(params, a)
+
+    n = int(n)
+    n_chunks = (n + chunk - 1) // chunk
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    children = root.spawn(n_chunks)
+    m = 0
+    s1 = s2 = s3 = s4 = 0.0
+    for i, child in enumerate(children):
+        k = min(chunk, n - i * chunk)
+        rng = np.random.Generator(np.random.PCG64(child))
+        p = np.maximum(rng.random(k), np.finfo(float).tiny)
+        x = agr_quantile(params, p)
+        y = x[x > threshold] - threshold
+        m += y.size
+        s1 += y.sum()
+        y2 = y * y
+        s2 += y2.sum()
+        s3 += (y2 * y).sum()
+        s4 += (y2 * y2).sum()
+
+    if m < 2:
+        raise DomainError(
+            f"only {m} of {n} samples exceeded the VaR threshold; "
+            "increase n or lower alpha"
+        )
+    mean = s1 / m
+    m2 = s2 / m - mean**2
+    m4 = s4 / m - 4.0 * mean * s3 / m + 6.0 * mean**2 * s2 / m - 3.0 * mean**4
+    tvar_est = threshold + mean
+    tv_est = m2
+    tvar_se = math.sqrt(max(m2, 0.0) / m)
+    tv_se = math.sqrt(max(m4 - m2 * m2, 0.0) / m)
+    return MCOracleResult(tvar_est, tv_est, tvar_se, tv_se, m, n)
+
+
+def _result_or_message(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def assert_mc_matches_full_reference(params, alpha, n, seed, chunk):
+    got = _result_or_message(mc_oracle, params, alpha, n, seed, chunk=chunk)
+    ref = _result_or_message(_mc_full_reference, params, alpha, n, seed, chunk=chunk)
+    assert got == ref
+
+
+class TestMcTailOnly:
+    """``mc_oracle`` maps only the draws above ``alpha - 1e-9`` through the
+    quantile; every field must equal the full evaluation's exactly."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+        ratio=st.floats(-1e12, 1e12),
+        psi=st.floats(1e-3, 1e3),
+        chunk=st.sampled_from([64, 4096, 1 << 20]),
+        blocks=st.integers(0, 2),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_full_evaluation(self, alpha, ratio, psi, chunk, blocks, frac, seed):
+        if chunk == 1 << 20:
+            blocks = min(blocks, 1)
+        # a last chunk of 1 .. chunk-1 draws, so n is never a multiple of chunk
+        n = blocks * chunk + 1 + int(frac * (chunk - 2))
+        assert_mc_matches_full_reference(ArctanGRParams(ratio * psi, psi), alpha, n, seed, chunk)
+
+    @pytest.mark.parametrize("params,alpha,n,chunk", [
+        (ArctanGRParams(0.02, 0.005), 0.5 + 1e-12, 200_001, 4096),
+        (ArctanGRParams(0.0, 1.0), P_STAR - 1e-12, 200_001, 1 << 20),
+        (ArctanGRParams(-3.0, 2.0), P_STAR, 200_001, 64),
+        (ArctanGRParams(1e12, 1.0), P_STAR + 1e-12, 200_001, 4096),
+        (ArctanGRParams(0.02, 0.005), 0.99999, 10**6 + 7, 1 << 20),
+        (ArctanGRParams(0.0, 1e-3), 0.9, 3 * 10**6 + 1, 1 << 20),
+    ])
+    def test_explicit_levels(self, params, alpha, n, chunk):
+        assert_mc_matches_full_reference(params, alpha, n, 17, chunk)
+
+    def test_too_few_exceedances_message(self):
+        args = (ArctanGRParams(0.02, 0.005), 0.99999, 1000, 17)
+        with pytest.raises(DomainError, match=r"only [01] of 1000 samples exceeded") as got:
+            mc_oracle(*args, chunk=64)
+        with pytest.raises(DomainError) as ref:
+            _mc_full_reference(*args, chunk=64)
+        assert str(got.value) == str(ref.value)
+
+    def test_cli_json_rows(self, capsys):
+        alphas = (0.9, 0.99)
+        assert cli_main(["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.9,0.99",
+                         "--mc-samples", "200000", "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["mc_check"]
+        seeds = np.random.SeedSequence(0).spawn(len(alphas))
+        params = ArctanGRParams(0.02, 0.005)
+        assert rows == [_mc_full_reference(params, a, 200_000, s)._asdict()
+                        for a, s in zip(alphas, seeds)]
+
+    def test_cli_table_lines(self, capsys):
+        alphas = (0.9, 0.99)
+        assert cli_main(["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.9,0.99",
+                         "--mc-samples", "200000"]) == 0
+        out = capsys.readouterr().out
+        seeds = np.random.SeedSequence(0).spawn(len(alphas))
+        params = ArctanGRParams(0.02, 0.005)
+        lines = ["monte carlo cross-check (n=200000):"]
+        for a, s in zip(alphas, seeds):
+            c = _mc_full_reference(params, a, 200_000, s)
+            lines.append(
+                f"alpha={a:.6g}: tvar_mc={c.tvar:.6g} (se {c.tvar_se:.2g}), "
+                f"tv_mc={c.tv:.6g} (se {c.tv_se:.2g}), exceedances={c.exceedances}"
+            )
+        assert out.endswith("\n".join(lines) + "\n")
 
 
 class TestRiskCurve:
