@@ -34,6 +34,7 @@ import numpy as np
 
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
+    P_STAR,
     S_STAR,
     ArctanGRParams,
     _z_quantile,
@@ -241,10 +242,12 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     parallel without changing the reduction.  Exceedance statistics are
     taken relative to the exact VaR threshold; sums are accumulated on
     threshold-shifted values to limit cancellation in the higher moments.
-    Only the uniforms above ``alpha - 1e-9`` are mapped through the
-    quantile, since no other draw can exceed VaR; ``x > VaR`` still decides
-    each candidate, so the exceedances, and every returned number, are
-    exactly those of mapping all ``n`` draws.
+    Only the uniforms above ``min(alpha - 1e-9, 7/8)`` are mapped through
+    the quantile, since no other draw can exceed VaR; ``x > VaR`` still
+    decides each candidate, so the exceedances, and every returned number,
+    are exactly those of mapping all ``n`` draws.  The 7/8 floor keeps at
+    least an eighth of each chunk a candidate, so the time per draw is the
+    same for every ``alpha`` from 0.875 up.
     """
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -254,7 +257,10 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     # least 1.9e-9 below z_a: far beyond the few-ulp error of the computed
     # quantile, and omega + psi*z rounds monotonically, so such a draw cannot
     # land above the threshold.  Every candidate is > a_lo > 0, a valid p.
-    a_lo = a - 1e-9
+    # np.flatnonzero compacts branch-free once more than a tenth of the mask
+    # is set and draw by draw below that, at a cost that grows with the
+    # count; the 7/8 floor keeps it on the steady branch-free path.
+    a_lo = min(a - 1e-9, 0.875)
 
     n = int(n)
     n_chunks = (n + chunk - 1) // chunk
@@ -266,7 +272,10 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
         k = min(chunk, n - i * chunk)
         rng = np.random.Generator(np.random.PCG64(child))
         p = rng.random(k)
-        x = agr_quantile(params, p[p > a_lo])
+        c = p[np.flatnonzero(p > a_lo)]
+        # agr_quantile's own expression; above P_STAR only its tail branch applies
+        z = _z_tail_quantile(1.0 - c) if a_lo >= P_STAR else _z_quantile(c)
+        x = params.omega + params.psi * z
         y = x[x > threshold] - threshold
         m += y.size
         s1 += y.sum()

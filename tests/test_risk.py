@@ -288,8 +288,9 @@ def assert_mc_matches_full_reference(params, alpha, n, seed, chunk):
 
 
 class TestMcTailOnly:
-    """``mc_oracle`` maps only the draws above ``alpha - 1e-9`` through the
-    quantile; every field must equal the full evaluation's exactly."""
+    """``mc_oracle`` maps only the draws above ``min(alpha - 1e-9, 7/8)``
+    through the quantile; every field must equal the full evaluation's
+    exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -313,6 +314,8 @@ class TestMcTailOnly:
         (ArctanGRParams(0.0, 1.0), P_STAR - 1e-12, 200_001, 1 << 20),
         (ArctanGRParams(-3.0, 2.0), P_STAR, 200_001, 64),
         (ArctanGRParams(1e12, 1.0), P_STAR + 1e-12, 200_001, 4096),
+        (ArctanGRParams(0.5, 0.3), 0.875, 200_001, 4096),
+        (ArctanGRParams(0.5, 0.3), 0.875 + 1e-9, 200_001, 4096),
         (ArctanGRParams(0.02, 0.005), 0.99999, 10**6 + 7, 1 << 20),
         (ArctanGRParams(0.0, 1e-3), 0.9, 3 * 10**6 + 1, 1 << 20),
     ])
