@@ -4,6 +4,9 @@ import numpy as np
 
 from .errors import DomainError
 
+#: Elements per block of a bulk elementwise evaluation (see :func:`blockwise`).
+BLOCK = 1 << 14
+
 
 def as_float_array(x, name="x", require_finite=False):
     """Coerce to a float ndarray, rejecting NaN (and optionally infinities)."""
@@ -20,3 +23,25 @@ def match_input(x, result):
     if np.ndim(x) == 0:
         return float(result)
     return result
+
+
+def blockwise(fn, arr):
+    """``fn(arr)`` for an elementwise float ``fn``, evaluated ``BLOCK`` elements
+    at a time into one output array of ``arr``'s shape.
+
+    Each element passes through the same ufuncs in the same order, so the
+    result is bit-identical to ``fn(arr)``; only the temporaries shrink.  A
+    kernel chains 5-15 ufuncs, each writing a temporary the size of its
+    input: at 16 Ki doubles (128 KiB) those stay in a core's L2 cache,
+    where on 1e6 points each would be a fresh 8 MB array that faults in new
+    pages and waits on memory.  Of 4, 16, 64 and 256 Ki, 16 Ki was the
+    fastest for the 1e6-point kernels on a Xeon with 2 MiB of L2 per core.
+    Inputs of at most ``BLOCK`` elements are passed to ``fn`` whole.
+    """
+    if arr.size <= BLOCK:
+        return fn(arr)
+    flat = arr.reshape(-1)
+    out = np.empty(flat.size)
+    for i in range(0, flat.size, BLOCK):
+        out[i:i + BLOCK] = fn(flat[i:i + BLOCK])
+    return out.reshape(arr.shape)

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_float_array, match_input
+from ._util import as_float_array, blockwise, match_input
 from .errors import DomainError
 
 FOUR_OVER_PI = 4.0 / np.pi
@@ -33,8 +33,9 @@ class BaseDistribution:
     """A CDF/PDF pair plus support, as consumed by the arctan transform.
 
     ``cdf`` and ``pdf`` must accept float ndarrays of finite arguments and
-    evaluate elementwise.  ``support`` bounds may be infinite; they are used
-    to resolve limits at +-inf without calling ``cdf`` on infinite input.
+    evaluate elementwise; the transform calls them on blocks of its input.
+    ``support`` bounds may be infinite; they are used to resolve limits at
+    +-inf without calling ``cdf`` on infinite input.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
@@ -56,14 +57,17 @@ def arctan_cdf(base: BaseDistribution, x):
     Accepts scalars or arrays; ``+-inf`` arguments map to the 1/0 limits
     directly rather than being passed to the base CDF.
     """
-    arr = as_float_array(x)
-    h = np.empty(arr.shape, dtype=float)
-    finite = np.isfinite(arr)
-    if finite.any():
-        h[finite] = base.cdf(arr[finite])
-    h[arr == -np.inf] = 0.0
-    h[arr == np.inf] = 1.0
-    return match_input(x, FOUR_OVER_PI * np.arctan(h))
+
+    def block(v):
+        h = np.empty(v.shape, dtype=float)
+        finite = np.isfinite(v)
+        if finite.any():
+            h[finite] = base.cdf(v[finite])
+        h[v == -np.inf] = 0.0
+        h[v == np.inf] = 1.0
+        return FOUR_OVER_PI * np.arctan(h)
+
+    return match_input(x, blockwise(block, as_float_array(x)))
 
 
 def arctan_pdf(base: BaseDistribution, x):
@@ -72,7 +76,10 @@ def arctan_pdf(base: BaseDistribution, x):
     ``(4/pi) * h(x) / (1 + H(x)^2)``; requires finite ``x`` because the
     base callables are only guaranteed on finite arguments.
     """
-    arr = as_float_array(x, require_finite=True)
-    h = np.asarray(base.pdf(arr), dtype=float)
-    cap_h = np.asarray(base.cdf(arr), dtype=float)
-    return match_input(x, FOUR_OVER_PI * h / (1.0 + cap_h * cap_h))
+
+    def block(v):
+        h = np.asarray(base.pdf(v), dtype=float)
+        cap_h = np.asarray(base.cdf(v), dtype=float)
+        return FOUR_OVER_PI * h / (1.0 + cap_h * cap_h)
+
+    return match_input(x, blockwise(block, as_float_array(x, require_finite=True)))

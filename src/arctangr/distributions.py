@@ -19,7 +19,8 @@ level at which the quantile function switches branches.
 
 Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
-(densities divide by ``psi``).  Raw moments expand ``E[(omega + psi Z)^r]``
+(densities divide by ``psi``), evaluated in cache-sized blocks by
+:func:`arctangr._util.blockwise`.  Raw moments expand ``E[(omega + psi Z)^r]``
 binomially over ``E[Z^k]``, summed exactly from the density's series.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quadrature import adaptive_quad
-from ._util import as_float_array, match_input
+from ._util import BLOCK, as_float_array, blockwise, match_input
 from .arctanx import FOUR_OVER_PI, BaseDistribution
 from .errors import DomainError
 
@@ -153,7 +154,7 @@ def rayleigh_logpdf(params: RayleighParams, x):
 
 def _checked_prob(p, name="p"):
     arr = as_float_array(p, name=name)
-    if np.any((arr <= 0.0) | (arr >= 1.0)):
+    if ((arr <= 0.0) | (arr >= 1.0)).any():
         raise DomainError(f"{name} must lie strictly inside (0, 1)")
     return arr
 
@@ -162,8 +163,16 @@ def _checked_prob(p, name="p"):
 # Standard-variable kernels of Z = (X - omega) / psi
 # ---------------------------------------------------------------------------
 
-def _standardize(params: ArctanGRParams, x, require_finite=False):
-    return (as_float_array(x, require_finite=require_finite) - params.omega) / params.psi
+def _on_z(params: ArctanGRParams, x, kernel, require_finite=False):
+    """``kernel((x - omega) / psi)`` elementwise over ``x``; a float for a scalar."""
+    arr = as_float_array(x, require_finite=require_finite)
+    return match_input(x, blockwise(lambda v: kernel((v - params.omega) / params.psi), arr))
+
+
+def _on_p(params: ArctanGRParams, p, kernel):
+    """``omega + psi * kernel(p)`` elementwise over checked probabilities ``p``."""
+    arr = _checked_prob(p)
+    return match_input(p, blockwise(lambda q: params.omega + params.psi * kernel(q), arr))
 
 
 def _half_exp(z):
@@ -175,6 +184,16 @@ def _laplace_cdf(z):
     """Standard Laplace CDF: ``1 - e^{-z}/2`` for z >= 0, ``e^{z}/2`` below."""
     t = _half_exp(z)
     return np.where(z >= 0.0, 1.0 - t, t)
+
+
+def _laplace_quantile(p):
+    """Standard Laplace quantile, the inverse of :func:`_laplace_cdf`."""
+    return np.where(p < 0.5, np.log(2.0 * p), -np.log(2.0 * (1.0 - p)))
+
+
+def _z_cdf(z):
+    """Standard AGR CDF: the arctan transform ``(4/pi) arctan(H)`` of Laplace."""
+    return FOUR_OVER_PI * np.arctan(_laplace_cdf(z))
 
 
 def _z_sf(z):
@@ -189,6 +208,31 @@ def _z_pdf(z):
     """Standard AGR density: the arctan transform ``(4/pi) h / (1 + H^2)`` of Laplace."""
     cap = _laplace_cdf(z)
     return FOUR_OVER_PI * _half_exp(z) / (1.0 + cap * cap)
+
+
+def _z_cum_hazard(z):
+    """Standard AGR cumulative hazard ``-log(survival)``; see :func:`agr_cum_hazard`."""
+    t = _half_exp(z)
+    y = t / (2.0 - t)
+    # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
+    small = y < 1e-8
+    safe_y = np.where(small, 1.0, y)
+    ratio = np.where(small, 1.0, np.arctan(safe_y) / safe_y)
+    upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
+    below = np.minimum(z, 0.0)
+    return np.where(z >= 0.0, upper, -np.log(_z_sf(below)))
+
+
+def _z_hazard(z):
+    """Standard AGR hazard ``g / (1 - G)``; see :func:`agr_hazard`."""
+    t = _half_exp(z)
+    # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
+    small = t < 1e-8
+    safe_t = np.where(small, 0.5, t)
+    ratio = np.where(small, 2.0 - t, safe_t / np.arctan(safe_t / (2.0 - safe_t)))
+    upper = ratio / (1.0 + (1.0 - t) ** 2)
+    below = np.minimum(z, 0.0)
+    return np.where(z >= 0.0, upper, _z_pdf(below) / _z_sf(below))
 
 
 def _z_log_shape(z):
@@ -242,21 +286,19 @@ def mixture_kernel_pdf(params: ArctanGRParams, x):
     ``exp(-|x - omega| / psi) / (2 psi)`` -- a Laplace density with location
     ``omega`` and scale ``psi``.
     """
-    return match_input(x, _half_exp(_standardize(params, x)) / params.psi)
+    return _on_z(params, x, lambda z: _half_exp(z) / params.psi)
 
 
 def mixture_kernel_cdf(params: ArctanGRParams, x):
-    return match_input(x, _laplace_cdf(_standardize(params, x)))
+    return _on_z(params, x, _laplace_cdf)
 
 
 def mixture_kernel_logpdf(params: ArctanGRParams, x):
-    return match_input(x, -np.abs(_standardize(params, x)) - math.log(2.0 * params.psi))
+    return _on_z(params, x, lambda z: -np.abs(z) - math.log(2.0 * params.psi))
 
 
 def mixture_kernel_quantile(params: ArctanGRParams, p):
-    arr = _checked_prob(p)
-    z = np.where(arr < 0.5, np.log(2.0 * arr), -np.log(2.0 * (1.0 - arr)))
-    return match_input(p, params.omega + params.psi * z)
+    return _on_p(params, p, _laplace_quantile)
 
 
 def mixture_kernel_pdf_by_integration(params: ArctanGRParams, x):
@@ -327,23 +369,23 @@ def mixture_kernel_base(params: ArctanGRParams) -> BaseDistribution:
 
 def agr_cdf(params: ArctanGRParams, x):
     """CDF of the AGR distribution; accepts +-inf and returns the limits."""
-    return match_input(x, FOUR_OVER_PI * np.arctan(_laplace_cdf(_standardize(params, x))))
+    return _on_z(params, x, _z_cdf)
 
 
 def agr_survival(params: ArctanGRParams, x):
     """Survival function ``1 - G(x)``, accurate deep into the upper tail."""
-    return match_input(x, _z_sf(_standardize(params, x)))
+    return _on_z(params, x, _z_sf)
 
 
 def agr_pdf(params: ArctanGRParams, x):
     """Density of the AGR distribution (the derivative of :func:`agr_cdf`)."""
-    return match_input(x, _z_pdf(_standardize(params, x)) / params.psi)
+    return _on_z(params, x, lambda z: _z_pdf(z) / params.psi)
 
 
 def agr_logpdf(params: ArctanGRParams, x):
     """Log density, written to avoid under/overflow far from the location."""
-    z = _standardize(params, x, require_finite=True)
-    return match_input(x, math.log(2.0 / (math.pi * params.psi)) + _z_log_shape(z))
+    log_c = math.log(2.0 / (math.pi * params.psi))
+    return _on_z(params, x, lambda z: log_c + _z_log_shape(z), require_finite=True)
 
 
 def agr_cum_hazard(params: ArctanGRParams, x):
@@ -354,16 +396,7 @@ def agr_cum_hazard(params: ArctanGRParams, x):
     ``-log(survival) = z + log(2(2-t)) - log(4/pi) - log(arctan(y)/y)``
     stays finite where the survival itself underflows.
     """
-    z = _standardize(params, x)
-    t = _half_exp(z)
-    y = t / (2.0 - t)
-    # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
-    small = y < 1e-8
-    safe_y = np.where(small, 1.0, y)
-    ratio = np.where(small, 1.0, np.arctan(safe_y) / safe_y)
-    upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
-    below = np.minimum(z, 0.0)
-    return match_input(x, np.where(z >= 0.0, upper, -np.log(_z_sf(below))))
+    return _on_z(params, x, _z_cum_hazard)
 
 
 def agr_hazard(params: ArctanGRParams, x):
@@ -373,15 +406,7 @@ def agr_hazard(params: ArctanGRParams, x):
     shared factor is cancelled analytically so the hazard stays finite
     (tending to ``1/psi``) even where both underflow to zero.
     """
-    z = _standardize(params, x)
-    t = _half_exp(z)
-    # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
-    small = t < 1e-8
-    safe_t = np.where(small, 0.5, t)
-    ratio = np.where(small, 2.0 - t, safe_t / np.arctan(safe_t / (2.0 - safe_t)))
-    upper = ratio / (1.0 + (1.0 - t) ** 2)
-    below = np.minimum(z, 0.0)
-    return match_input(x, np.where(z >= 0.0, upper, _z_pdf(below) / _z_sf(below)) / params.psi)
+    return _on_z(params, x, lambda z: _z_hazard(z) / params.psi)
 
 
 def agr_quantile(params: ArctanGRParams, p):
@@ -391,7 +416,7 @@ def agr_quantile(params: ArctanGRParams, p):
     location, at or above it the upper-branch closed form applies.  Both
     branch formulas agree (value ``omega``) at the split.
     """
-    return match_input(p, params.omega + params.psi * _z_quantile(_checked_prob(p)))
+    return _on_p(params, p, _z_quantile)
 
 
 def agr_sample(params: ArctanGRParams, n, seed):
@@ -399,16 +424,24 @@ def agr_sample(params: ArctanGRParams, n, seed):
 
     Randomness comes from numpy's seeded PCG64 generator
     (``np.random.default_rng(seed)``), so identical seeds reproduce the
-    identical sequence on any platform.  For parallel Monte Carlo, split
-    streams with ``np.random.SeedSequence(seed).spawn(k)`` and hand each
-    child to its own generator; see :func:`arctangr.risk.mc_oracle`.
+    identical sequence on any platform.  The uniforms are drawn and mapped
+    ``BLOCK`` at a time; PCG64 spends one 64-bit word per double, so the
+    blocks consume the stream exactly as one ``rng.random(n)`` would, and
+    the draws equal ``agr_quantile(params, max(rng.random(n), tiny))``.
+    For parallel Monte Carlo, split streams with
+    ``np.random.SeedSequence(seed).spawn(k)`` and hand each child to its own
+    generator; see :func:`arctangr.risk.mc_oracle`.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
     rng = np.random.default_rng(seed)
-    # random() lands in [0, 1); nudge an exact 0 into the domain of the quantile
-    p = np.maximum(rng.random(int(n)), np.finfo(float).tiny)
-    return agr_quantile(params, p)
+    out = np.empty(n)
+    for i in range(0, n, BLOCK):
+        # random() lands in [0, 1); nudge an exact 0 into the domain of the quantile
+        p = np.maximum(rng.random(min(BLOCK, n - i)), np.finfo(float).tiny)
+        out[i:i + BLOCK] = params.omega + params.psi * _z_quantile(p)
+    return out
 
 
 def agr_moment(params: ArctanGRParams, r):

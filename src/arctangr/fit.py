@@ -155,9 +155,15 @@ def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
 def fit_gaussian(data) -> FitResult:
     """Closed-form Gaussian MLE: sample mean and population SD."""
     x = _values(data)
-    sd = float(x.std(ddof=0))
+    with np.errstate(over="ignore"):
+        sd = float(x.std(ddof=0))
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
+    if sd == math.inf:
+        raise DataError(
+            "Gaussian fit is impossible: the sum of squared deviations overflows the "
+            "double range"
+        )
     params = GaussianParams(omega=float(x.mean()), eta=sd)
     return _build_result("gaussian", params, gaussian_logpdf, x, r=2)
 
@@ -167,7 +173,13 @@ def fit_rayleigh(data) -> FitResult:
     x = _values(data)
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
-    params = RayleighParams(psi=float(np.sqrt(np.sum(x * x) / (2.0 * x.size))))
+    with np.errstate(over="ignore"):
+        psi = float(np.sqrt(np.sum(x * x) / (2.0 * x.size)))
+    if psi == math.inf:
+        raise DataError(
+            "Rayleigh fit is impossible: the sum of squares overflows the double range"
+        )
+    params = RayleighParams(psi=psi)
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
 

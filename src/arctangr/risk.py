@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._util import BLOCK
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -247,7 +248,11 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     decides each candidate, so the exceedances, and every returned number,
     are exactly those of mapping all ``n`` draws.  The 7/8 floor keeps at
     least an eighth of each chunk a candidate, so the time per draw is the
-    same for every ``alpha`` from 0.875 up.
+    same for every ``alpha`` from 0.875 up.  Within a chunk the uniforms are
+    drawn, filtered and mapped ``BLOCK`` at a time; PCG64 spends one 64-bit
+    word per double, so the blocks consume the child's stream exactly as one
+    ``rng.random(k)`` would, and the chunk's exceedances are concatenated
+    before they are summed, so no result depends on the block size.
     """
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
@@ -259,7 +264,7 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     # land above the threshold.  Every candidate is > a_lo > 0, a valid p.
     # np.flatnonzero compacts branch-free once more than a tenth of the mask
     # is set and draw by draw below that, at a cost that grows with the
-    # count; the 7/8 floor keeps it on the steady branch-free path.
+    # count; the 7/8 floor keeps every block on the steady branch-free path.
     a_lo = min(a - 1e-9, 0.875)
 
     n = int(n)
@@ -271,12 +276,15 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     for i, child in enumerate(children):
         k = min(chunk, n - i * chunk)
         rng = np.random.Generator(np.random.PCG64(child))
-        p = rng.random(k)
-        c = p[np.flatnonzero(p > a_lo)]
-        # agr_quantile's own expression; above P_STAR only its tail branch applies
-        z = _z_tail_quantile(1.0 - c) if a_lo >= P_STAR else _z_quantile(c)
-        x = params.omega + params.psi * z
-        y = x[x > threshold] - threshold
+        tail = []
+        for j in range(0, k, BLOCK):
+            p = rng.random(min(BLOCK, k - j))
+            c = p[np.flatnonzero(p > a_lo)]
+            # agr_quantile's own expression; above P_STAR only its tail branch applies
+            z = _z_tail_quantile(1.0 - c) if a_lo >= P_STAR else _z_quantile(c)
+            x = params.omega + params.psi * z
+            tail.append(x[x > threshold] - threshold)
+        y = np.concatenate(tail)
         m += y.size
         s1 += y.sum()
         y2 = y * y

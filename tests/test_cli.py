@@ -173,6 +173,20 @@ class TestExitCodes:
         assert code == 3
         assert "mean absolute deviation overflows" in err
 
+    @pytest.mark.parametrize("model,what", [
+        ("gaussian", "sum of squared deviations overflows"),
+        ("rayleigh", "sum of squares overflows"),
+    ])
+    def test_data_error_overflowing_second_moment(self, tmp_path, capsys, model, what):
+        f = tmp_path / "huge.csv"
+        f.write_text("1e200\n2e200\n3e200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _, err = run_cli(["fit", "--model", model, "--data", str(f)], capsys)
+        assert code == 3
+        assert what in err
+        assert "RuntimeWarning" not in err
+
     def test_numeric_error_exit_code(self, capsys, monkeypatch):
         def exploding(data):
             raise FitConvergenceError("no restart converged")

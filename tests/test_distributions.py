@@ -6,9 +6,12 @@ Expected constants were evaluated independently at 40-digit precision
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import kstest
 
@@ -29,11 +32,15 @@ from arctangr import (
     agr_sample,
     agr_skewness,
     agr_survival,
+    arctan_cdf,
+    arctan_pdf,
+    gaussian_base,
     gaussian_cdf,
     gaussian_logpdf,
     gaussian_pdf,
     gaussian_quantile,
     mixture_kernel_cdf,
+    mixture_kernel_logpdf,
     mixture_kernel_pdf,
     mixture_kernel_pdf_by_integration,
     mixture_kernel_quantile,
@@ -42,7 +49,21 @@ from arctangr import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
-from arctangr.distributions import _z_log_shape, _z_moment_parts
+from arctangr._util import BLOCK
+from arctangr.arctanx import FOUR_OVER_PI
+from arctangr.distributions import (
+    _half_exp,
+    _laplace_cdf,
+    _laplace_quantile,
+    _z_cdf,
+    _z_cum_hazard,
+    _z_hazard,
+    _z_log_shape,
+    _z_moment_parts,
+    _z_pdf,
+    _z_quantile,
+    _z_sf,
+)
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -323,6 +344,13 @@ class TestSampling:
         draws = agr_sample(unit_params, 10**6, seed=7)
         assert np.median(draws) == pytest.approx(Q_HALF, abs=0.01)
 
+    @pytest.mark.parametrize("n", [BLOCK + 1, 3 * BLOCK + 5])
+    def test_blocks_consume_one_stream(self, table_params, n):
+        # drawn BLOCK uniforms at a time, yet exactly the single-call draws
+        p = np.maximum(np.random.default_rng(11).random(n), np.finfo(float).tiny)
+        want = agr_quantile(table_params, p)
+        assert_same_bits(agr_sample(table_params, n, seed=11), want)
+
 
 class TestMoments:
     def test_preconditions(self, unit_params):
@@ -418,3 +446,166 @@ class TestGaussianRayleighClosedForms:
         params = RayleighParams(psi=2.5)
         total, _ = quad(lambda x: rayleigh_pdf(params, x), 0, 50, epsabs=1e-12, epsrel=1e-12)
         assert abs(total - 1.0) < 1e-9
+
+
+def assert_same_bits(got, want):
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+GAUSS = GaussianParams(0.3, 2.0)
+
+
+# each blocked public function beside its kernel expression in one numpy call
+BLOCKED_X = {
+    "agr_cdf": (agr_cdf, lambda x, o, s: _z_cdf((x - o) / s)),
+    "agr_survival": (agr_survival, lambda x, o, s: _z_sf((x - o) / s)),
+    "agr_pdf": (agr_pdf, lambda x, o, s: _z_pdf((x - o) / s) / s),
+    "agr_logpdf": (agr_logpdf,
+                   lambda x, o, s: math.log(2.0 / (math.pi * s)) + _z_log_shape((x - o) / s)),
+    "agr_cum_hazard": (agr_cum_hazard, lambda x, o, s: _z_cum_hazard((x - o) / s)),
+    "agr_hazard": (agr_hazard, lambda x, o, s: _z_hazard((x - o) / s) / s),
+    "mixture_kernel_pdf": (mixture_kernel_pdf, lambda x, o, s: _half_exp((x - o) / s) / s),
+    "mixture_kernel_cdf": (mixture_kernel_cdf, lambda x, o, s: _laplace_cdf((x - o) / s)),
+    "mixture_kernel_logpdf": (mixture_kernel_logpdf,
+                              lambda x, o, s: -np.abs((x - o) / s) - math.log(2.0 * s)),
+}
+BLOCKED_P = {
+    "agr_quantile": (agr_quantile, lambda p, o, s: o + s * _z_quantile(p)),
+    "mixture_kernel_quantile": (mixture_kernel_quantile,
+                                lambda p, o, s: o + s * _laplace_quantile(p)),
+}
+# the generic transform, on a Gaussian base: (fn, reference, accepts +-inf)
+BLOCKED_BASE = {
+    "arctan_cdf": (arctan_cdf,
+                   lambda x: FOUR_OVER_PI * np.arctan(gaussian_cdf(GAUSS, x)), True),
+    "arctan_pdf": (arctan_pdf,
+                   lambda x: FOUR_OVER_PI * gaussian_pdf(GAUSS, x)
+                   / (1.0 + gaussian_cdf(GAUSS, x) ** 2), False),
+}
+# around the block boundaries, a 2-d array and a strided view
+LAYOUTS = [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7, (3, BLOCK), "view"]
+
+
+def _flat_size(layout):
+    return 3 * (3 * BLOCK + 7) if layout == "view" else int(np.prod(layout))
+
+
+def _laid_out(flat, layout):
+    return flat[::3] if layout == "view" else flat.reshape(layout)
+
+
+class TestBlockwise:
+    """Bulk inputs are evaluated BLOCK elements at a time; every bit must equal
+    the kernel expression evaluated on the whole array at once."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        layout=st.sampled_from(LAYOUTS),
+        omega=st.floats(-1e6, 1e6),
+        psi=st.floats(1e-3, 1e3),
+        infinite=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_one_call(self, layout, omega, psi, infinite, seed):
+        rng = np.random.default_rng(seed)
+        n = _flat_size(layout)
+        # z spread to +-800, with exact zeros on the branch point
+        z = rng.uniform(-800.0, 800.0, n) * rng.choice([1e-3, 1.0, 1.0], n)
+        z[rng.random(n) < 0.01] = 0.0
+        p = np.maximum(rng.random(n), np.finfo(float).tiny)
+        p[rng.random(n) < 0.01] = P_STAR
+        # +-inf where the strided view keeps them too
+        at = rng.integers(n, size=2) // 3 * 3
+
+        def both(flat):
+            with_inf = flat.copy()
+            if infinite:
+                with_inf[at] = [np.inf, -np.inf]
+            return _laid_out(flat, layout), _laid_out(with_inf, layout)
+
+        params = ArctanGRParams(omega, psi)
+        x, x_inf = both(omega + psi * z)
+        for name, (fn, kernel) in BLOCKED_X.items():
+            arg = x if name == "agr_logpdf" else x_inf
+            assert_same_bits(fn(params, arg), kernel(arg, omega, psi))
+
+        p = _laid_out(p, layout)
+        for fn, kernel in BLOCKED_P.values():
+            assert_same_bits(fn(params, p), kernel(p, omega, psi))
+
+        base = gaussian_base(GAUSS)
+        g, g_inf = both(0.3 + 0.02 * z)
+        for fn, kernel, accepts_inf in BLOCKED_BASE.values():
+            arg = g_inf if accepts_inf else g
+            assert_same_bits(fn(base, arg), kernel(arg))
+
+    def test_scalars_stay_float(self, table_params):
+        for fn, _ in BLOCKED_X.values():
+            assert type(fn(table_params, 0.03)) is float
+        for fn, _ in BLOCKED_P.values():
+            assert type(fn(table_params, 0.9)) is float
+        for fn, _, _ in BLOCKED_BASE.values():
+            assert type(fn(gaussian_base(GAUSS), 0.5)) is float
+
+    def test_errors_unchanged(self, table_params):
+        x = np.linspace(-1.0, 1.0, 3 * BLOCK + 7)
+        nan_last = x.copy()
+        nan_last[-1] = np.nan
+        for fn, _ in BLOCKED_X.values():
+            with pytest.raises(DomainError) as err:
+                fn(table_params, nan_last)
+            assert str(err.value) == "x must not contain NaN"
+        for fn, _, _ in BLOCKED_BASE.values():
+            with pytest.raises(DomainError) as err:
+                fn(gaussian_base(GAUSS), nan_last)
+            assert str(err.value) == "x must not contain NaN"
+        inf_last = x.copy()
+        inf_last[-1] = np.inf
+        for fn in (agr_logpdf, lambda _, v: arctan_pdf(gaussian_base(GAUSS), v)):
+            with pytest.raises(DomainError) as err:
+                fn(table_params, inf_last)
+            assert str(err.value) == "x must be finite"
+        for bad in (0.0, 1.0, 1.5, -0.1):
+            p = np.full(3 * BLOCK + 7, 0.5)
+            p[-1] = bad
+            for fn, _ in BLOCKED_P.values():
+                with pytest.raises(DomainError) as err:
+                    fn(table_params, p)
+                assert str(err.value) == "p must lie strictly inside (0, 1)"
+
+
+class TestMemoryBudget:
+    """No bulk kernel may hold more than half an output's worth of
+    temporaries: the blocks keep them at most BLOCK elements each."""
+
+    N = 10**6
+
+    @pytest.mark.parametrize("name", [
+        "agr_cdf", "agr_pdf", "agr_logpdf", "agr_quantile", "agr_sample", "agr_hazard",
+        "arctan_cdf",
+    ])
+    def test_peak_traced_allocation(self, table_params, name):
+        rng = np.random.default_rng(5)
+        x = agr_quantile(table_params, rng.random(self.N))
+        p = rng.random(self.N)
+        g = 0.3 + 2.0 * rng.standard_normal(self.N)
+        base = gaussian_base(GAUSS)
+        call = {
+            "agr_cdf": lambda: agr_cdf(table_params, x),
+            "agr_pdf": lambda: agr_pdf(table_params, x),
+            "agr_logpdf": lambda: agr_logpdf(table_params, x),
+            "agr_quantile": lambda: agr_quantile(table_params, p),
+            "agr_sample": lambda: agr_sample(table_params, self.N, seed=5),
+            "agr_hazard": lambda: agr_hazard(table_params, x),
+            "arctan_cdf": lambda: arctan_cdf(base, g),
+        }[name]
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.nbytes == 8 * self.N
+        assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"

@@ -342,6 +342,17 @@ class TestExtremeData:
             with pytest.raises(DataError, match="mean absolute deviation overflows"):
                 fit(np.array(x))
 
+    @pytest.mark.parametrize("fit,x,what", [
+        (fit_gaussian, [-1e308, 0.0, 1e308], "sum of squared deviations"),
+        (fit_gaussian, [1e200, 2e200, 3e200], "sum of squared deviations"),
+        (fit_rayleigh, [1e200, 2e200, 3e200], "sum of squares"),
+    ])
+    def test_overflowing_second_moment_is_a_data_error(self, fit, x, what):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=f"{what} overflows the double range"):
+                fit(np.array(x))
+
 
 class TestCompareModels:
     def test_insurance_table(self, insurance):

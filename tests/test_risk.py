@@ -29,6 +29,7 @@ from arctangr import (
     tvar,
     var,
 )
+from arctangr._util import BLOCK
 from arctangr.cli import main as cli_main
 from arctangr.distributions import S_STAR, _z_quantile, _z_tail_quantile
 from arctangr.risk import MCOracleResult, _check_alpha, _tail_moments
@@ -318,6 +319,10 @@ class TestMcTailOnly:
         (ArctanGRParams(0.5, 0.3), 0.875 + 1e-9, 200_001, 4096),
         (ArctanGRParams(0.02, 0.005), 0.99999, 10**6 + 7, 1 << 20),
         (ArctanGRParams(0.0, 1e-3), 0.9, 3 * 10**6 + 1, 1 << 20),
+        # chunk sizes around the sampling BLOCK, none of which divides n
+        (ArctanGRParams(0.02, 0.005), 0.9, 200_001, BLOCK - 1),
+        (ArctanGRParams(-3.0, 2.0), 0.6, 200_001, BLOCK + 1),
+        (ArctanGRParams(1e6, 3.0), 0.99, 200_001, 3 * BLOCK + 7),
     ])
     def test_explicit_levels(self, params, alpha, n, chunk):
         assert_mc_matches_full_reference(params, alpha, n, 17, chunk)
