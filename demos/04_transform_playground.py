@@ -8,6 +8,8 @@ Laplace kernel, but nothing stops you from wrapping other bases -- or your
 own.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
 
@@ -21,7 +23,6 @@ from arctangr import (
     arctan_pdf,
     gaussian_base,
     mixture_kernel_base,
-    mixture_kernel_pdf_by_integration,
     rayleigh_base,
 )
 
@@ -62,7 +63,16 @@ print(np.abs(arctan_cdf(kernel, x) - agr_cdf(params, x)).max())
 
 # And the kernel itself really is the Gaussian-Rayleigh scale mixture:
 # integrating the mixture definition numerically lands on the closed form.
-val = mixture_kernel_pdf_by_integration(params, 1.7)
+# With d = (x - omega)/psi, a Gaussian of scale psi*s weighted by the
+# Rayleigh density of s integrates to the Laplace density at x; the range
+# is split at the integrand's saddle so quad cannot miss the mass.
+d = (1.7 - params.omega) / params.psi
+split = max(1.0, math.sqrt(abs(d)))
+val = sum(
+    quad(lambda s: math.exp(-d * d / (2 * s * s) - s * s / 2) if s > 0 else 0.0,
+         a, b, epsabs=1e-14, epsrel=1e-11, limit=200)[0]
+    for a, b in ((0.0, split), (split, np.inf))
+) / (params.psi * math.sqrt(2 * math.pi))
 print(f"mixture integral at x=1.7: {val:.12f}")
 
 # Wrapping a custom base takes one dataclass.
@@ -70,7 +80,6 @@ custom = BaseDistribution(
     cdf=lambda x: np.clip(x, 0.0, 1.0),          # uniform on [0, 1]
     pdf=lambda x: ((x >= 0) & (x <= 1)).astype(float),
     support=(0.0, 1.0),
-    param_count=0,
 )
 total, _ = quad(lambda x: arctan_pdf(custom, x), 0.0, 1.0)
 print(f"arctan-uniform integrates to {total:.12f}")

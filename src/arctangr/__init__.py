@@ -42,7 +42,6 @@ from .distributions import (
     mixture_kernel_cdf,
     mixture_kernel_logpdf,
     mixture_kernel_pdf,
-    mixture_kernel_pdf_by_integration,
     mixture_kernel_quantile,
     rayleigh_base,
     rayleigh_cdf,
@@ -50,7 +49,7 @@ from .distributions import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
-from .errors import DataError, DomainError, FitConvergenceError, QuadratureError
+from .errors import DataError, DomainError, FitConvergenceError
 from .fit import (
     ComparisonTable,
     FitResult,
@@ -77,71 +76,3 @@ from .risk import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ArctanGRParams",
-    "BaseDistribution",
-    "ComparisonTable",
-    "DataError",
-    "DomainError",
-    "EMBEDDED_INSURANCE",
-    "FitConvergenceError",
-    "FitResult",
-    "GaussianParams",
-    "INSURANCE_VALUES",
-    "LossDataset",
-    "MCOracleResult",
-    "P_STAR",
-    "PlotBundle",
-    "QuadratureError",
-    "RayleighParams",
-    "RiskReport",
-    "RiskRow",
-    "SummaryStats",
-    "agr_cdf",
-    "agr_cum_hazard",
-    "agr_hazard",
-    "agr_kurtosis",
-    "agr_logpdf",
-    "agr_loglik",
-    "agr_moment",
-    "agr_pdf",
-    "agr_quantile",
-    "agr_sample",
-    "agr_skewness",
-    "agr_survival",
-    "arctan_cdf",
-    "arctan_pdf",
-    "compare_models",
-    "describe",
-    "empirical_risk",
-    "empirical_risk_curve",
-    "fit_agr",
-    "fit_gaussian",
-    "fit_laplace",
-    "fit_rayleigh",
-    "gaussian_base",
-    "gaussian_cdf",
-    "gaussian_logpdf",
-    "gaussian_pdf",
-    "gaussian_quantile",
-    "information_criteria",
-    "ingest",
-    "mc_oracle",
-    "mixture_kernel_base",
-    "mixture_kernel_cdf",
-    "mixture_kernel_logpdf",
-    "mixture_kernel_pdf",
-    "mixture_kernel_pdf_by_integration",
-    "mixture_kernel_quantile",
-    "plot_bundle",
-    "rayleigh_base",
-    "rayleigh_cdf",
-    "rayleigh_logpdf",
-    "rayleigh_pdf",
-    "rayleigh_quantile",
-    "risk_curve",
-    "tv",
-    "tvar",
-    "var",
-]

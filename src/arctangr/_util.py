@@ -1,4 +1,8 @@
-"""Internal helpers for scalar-or-array numeric functions."""
+"""Internal helpers: scalar-or-array numeric functions and the output formats."""
+
+import csv
+import io
+import json
 
 import numpy as np
 
@@ -45,3 +49,17 @@ def blockwise(fn, arr):
     for i in range(0, flat.size, BLOCK):
         out[i:i + BLOCK] = fn(flat[i:i + BLOCK])
     return out.reshape(arr.shape)
+
+
+def dump_json(payload) -> str:
+    """``payload`` as indent-2 JSON with a final newline: every JSON output."""
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def dump_csv(header, rows) -> str:
+    """A header and rows as CSV, minimal quoting and ``\\n`` line ends: every CSV output."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -34,21 +34,20 @@ class BaseDistribution:
 
     ``cdf`` and ``pdf`` must accept float ndarrays of finite arguments and
     evaluate elementwise; the transform calls them on blocks of its input.
-    ``support`` bounds may be infinite; they are used to resolve limits at
-    +-inf without calling ``cdf`` on infinite input.
+    ``support`` is the interval carrying the mass, bounds possibly infinite;
+    it is validated as a nonempty interval, and callers read it for
+    integration bounds.  The transform itself never reads it: ``arctan_cdf``
+    maps +-inf to 0/1 directly, and finite ``x`` go to ``cdf``.
     """
 
     cdf: Callable[[np.ndarray], np.ndarray]
     pdf: Callable[[np.ndarray], np.ndarray]
     support: tuple[float, float] = (-np.inf, np.inf)
-    param_count: int = 0
 
     def __post_init__(self):
         lo, hi = self.support
         if not lo < hi:
             raise DomainError(f"support must be a nonempty interval, got {self.support}")
-        if self.param_count < 0:
-            raise DomainError("param_count must be nonnegative")
 
 
 def arctan_cdf(base: BaseDistribution, x):

@@ -1,8 +1,12 @@
 """Command-line front end.
 
-Subcommands: describe, fit, compare, risk, plotdata.  All numeric output is
-dual-format: a human table (6 significant digits, the default), machine
-JSON at full precision, or CSV where a fixed column order is defined.
+Subcommands: describe, fit, compare, risk, plotdata.  Each subcommand
+returns one result object, and :func:`main` renders it through the
+method named by ``--format``: ``to_text`` for the human table (6
+significant digits, the default), ``to_json`` for machine JSON at full
+precision, or ``to_csv`` where a fixed column order is defined.  ``fit``
+and ``compare`` share one CSV row layout; ``plotdata`` has no CSV, and
+``risk --mc-samples`` needs table or JSON.
 
 Exit codes: 0 success, 2 usage error, 3 data/domain error, 4 numeric
 non-convergence.
@@ -11,8 +15,8 @@ non-convergence.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +24,7 @@ import numpy as np
 from .dataset import EMBEDDED_INSURANCE, describe, ingest
 from .distributions import ArctanGRParams
 from .errors import DataError, DomainError, FitConvergenceError
-from .fit import compare_models, fit_agr, fit_gaussian, fit_laplace, fit_rayleigh
+from .fit import MODELS, compare_models, fit_agr
 from .plotdata import plot_bundle
 from .risk import empirical_risk_curve, mc_oracle, risk_curve
 
@@ -28,13 +32,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-_FITTERS = {
-    "agr": fit_agr,
-    "gaussian": fit_gaussian,
-    "rayleigh": fit_rayleigh,
-    "laplace": fit_laplace,
-}
 
 DEFAULT_RISK_ALPHAS = (0.75, 0.80, 0.85, 0.90, 0.95, 0.99)
 
@@ -77,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model by maximum likelihood")
     add_common(p)
-    p.add_argument("--model", choices=sorted(_FITTERS), default="agr")
+    p.add_argument("--model", choices=sorted(MODELS), default="agr")
 
     p = sub.add_parser("compare", help="fit all models and rank by information criteria")
     add_common(p)
@@ -110,53 +107,23 @@ def _emit(text: str, out) -> None:
         sys.stdout.write(text)
 
 
-def _run_describe(args) -> str:
-    stats = describe(ingest(args.data))
-    if args.format == "json":
-        return json.dumps(stats.as_dict(), indent=2) + "\n"
-    if args.format == "csv":
-        d = stats.as_dict()
-        head = ",".join(d)
-        row = ",".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in d.values())
-        return head + "\n" + row + "\n"
-    return "\n".join(f"{k:>16}: {v:.6g}" if isinstance(v, float) else f"{k:>16}: {v}"
-                     for k, v in stats.as_dict().items()) + "\n"
+def _run_describe(args):
+    return describe(ingest(args.data))
 
 
-def _run_fit(args) -> str:
-    result = _FITTERS[args.model](ingest(args.data))
-    if args.format == "json":
-        return json.dumps(result.as_dict(), indent=2) + "\n"
-    par = "; ".join(f"{k}={v:.6g}" for k, v in result.params_dict().items())
-    if args.format == "csv":
-        head = "model,par,r,loglik,aic,bic,caic,hqic"
-        row = ",".join(
-            [result.model_name, f'"{par}"', str(result.r)]
-            + [f"{getattr(result, c):.6g}" for c in ("loglik", "aic", "bic", "caic", "hqic")]
-        )
-        return head + "\n" + row + "\n"
-    lines = [f"model: {result.model_name}", f"params: {par}",
-             f"n: {result.n}    r: {result.r}",
-             f"loglik: {result.loglik:.6g}",
-             f"aic: {result.aic:.6g}    bic: {result.bic:.6g}",
-             f"caic: {result.caic:.6g}    hqic: {result.hqic:.6g}",
-             f"converged: {result.converged} "
-             f"(iterations={result.iterations}, nfev={result.nfev})"]
-    return "\n".join(lines) + "\n"
+def _run_fit(args):
+    return MODELS[args.model].fit(ingest(args.data))
 
 
-def _run_compare(args) -> str:
-    table = compare_models(ingest(args.data))
-    if args.format == "json":
-        return table.to_json()
-    if args.format == "csv":
-        return table.to_csv()
-    return table.to_text()
+def _run_compare(args):
+    return compare_models(ingest(args.data))
 
 
-def _run_risk(args) -> str:
+def _run_risk(args):
     if (args.omega is None) != (args.psi is None):
         raise DomainError("--omega and --psi must be given together")
+    if args.mc_samples > 0 and args.format == "csv":
+        raise DomainError("--mc-samples has no CSV layout; use --format table or json")
     if args.omega is not None:
         if args.empirical:
             raise DomainError("--empirical needs --data, not --omega/--psi")
@@ -173,41 +140,19 @@ def _run_risk(args) -> str:
     else:
         raise DomainError("risk needs either --data or --omega/--psi")
 
-    mc_lines = []
     if args.mc_samples > 0:
         if params is None:
             raise DomainError("--mc-samples applies to model-based risk only")
         seeds = np.random.SeedSequence(args.seed).spawn(len(report.rows))
-        checks = [
+        report = replace(report, mc_check=tuple(
             mc_oracle(params, row.alpha, args.mc_samples, seed)
             for row, seed in zip(report.rows, seeds)
-        ]
-        if args.format == "json":
-            payload = json.loads(report.to_json())
-            payload["mc_check"] = [c._asdict() for c in checks]
-            return json.dumps(payload, indent=2) + "\n"
-        for row, c in zip(report.rows, checks):
-            mc_lines.append(
-                f"alpha={row.alpha:.6g}: tvar_mc={c.tvar:.6g} (se {c.tvar_se:.2g}), "
-                f"tv_mc={c.tv:.6g} (se {c.tv_se:.2g}), exceedances={c.exceedances}"
-            )
-
-    if args.format == "json":
-        return report.to_json()
-    if args.format == "csv":
-        return report.to_csv()
-    text = report.to_text()
-    if mc_lines:
-        text += "monte carlo cross-check (n=%d):\n" % args.mc_samples
-        text += "\n".join(mc_lines) + "\n"
-    return text
+        ))
+    return report
 
 
-def _run_plotdata(args) -> str:
-    bundle = plot_bundle(ingest(args.data), bins=args.bins)
-    if args.format == "json":
-        return bundle.to_json()
-    return bundle.to_text()
+def _run_plotdata(args):
+    return plot_bundle(ingest(args.data), bins=args.bins)
 
 
 _RUNNERS = {
@@ -218,12 +163,14 @@ _RUNNERS = {
     "plotdata": _run_plotdata,
 }
 
+_RENDERERS = {"table": "to_text", "csv": "to_csv", "json": "to_json"}
+
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        text = _RUNNERS[args.command](args)
+        text = getattr(_RUNNERS[args.command](args), _RENDERERS[args.format])()
     except (DomainError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -10,12 +10,13 @@ July 2008 - April 2013) available under the source spec
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
+from ._util import dump_csv, dump_json
 from .errors import DataError
 
 EMBEDDED_PREFIX = "embedded:"
@@ -133,18 +134,21 @@ class SummaryStats:
     moors_kurtosis: float
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "median": self.median,
-            "sd": self.sd,
-            "min": self.min,
-            "max": self.max,
-            "q1": self.q1,
-            "q3": self.q3,
-            "bowley_skewness": self.bowley_skewness,
-            "moors_kurtosis": self.moors_kurtosis,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def _cells(self):
+        return {k: f"{v:.6g}" if isinstance(v, float) else str(v)
+                for k, v in self.as_dict().items()}
+
+    def to_json(self) -> str:
+        return dump_json(self.as_dict())
+
+    def to_csv(self) -> str:
+        cells = self._cells()
+        return dump_csv(cells, [cells.values()])
+
+    def to_text(self) -> str:
+        return "".join(f"{k:>16}: {v}\n" for k, v in self._cells().items())
 
 
 def _linear_quantile(sorted_values: np.ndarray, q):

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_quad
 from ._util import BLOCK, as_float_array, blockwise, match_input
 from .arctanx import FOUR_OVER_PI, BaseDistribution
 from .errors import DomainError
@@ -301,37 +300,6 @@ def mixture_kernel_quantile(params: ArctanGRParams, p):
     return _on_p(params, p, _laplace_quantile)
 
 
-def mixture_kernel_pdf_by_integration(params: ArctanGRParams, x):
-    """Evaluate the scale-mixture density by direct numeric integration.
-
-    Integrates the conditional Gaussian density against the Rayleigh weight
-    over all scales, i.e. the definition of the mixture, without using the
-    closed form.  Exists purely as a verification oracle for
-    :func:`mixture_kernel_pdf`; the integration variable is rescaled by
-    ``psi`` and the range is split at the integrand's saddle so adaptive
-    quadrature cannot miss the mass.
-    """
-    arr = as_float_array(x, require_finite=True)
-    if arr.ndim > 0:
-        out = np.array([mixture_kernel_pdf_by_integration(params, float(v)) for v in arr])
-        return out
-
-    d = (float(arr) - params.omega) / params.psi
-    dd = d * d
-
-    def integrand(s):
-        return math.exp(-dd / (2.0 * s * s) - 0.5 * s * s) if s > 0 else 0.0
-
-    split = max(1.0, math.sqrt(abs(d)))
-    total = 0.0
-    for a, b in ((0.0, split), (split, np.inf)):
-        value, _ = adaptive_quad(
-            integrand, a, b, epsabs=1e-14, epsrel=1e-11, label="mixture kernel density"
-        )
-        total += value
-    return match_input(x, total / (params.psi * math.sqrt(2.0 * math.pi)))
-
-
 # ---------------------------------------------------------------------------
 # BaseDistribution adapters for the generic arctan transform
 # ---------------------------------------------------------------------------
@@ -341,7 +309,6 @@ def gaussian_base(params: GaussianParams) -> BaseDistribution:
         cdf=lambda x: gaussian_cdf(params, x),
         pdf=lambda x: gaussian_pdf(params, x),
         support=(-np.inf, np.inf),
-        param_count=2,
     )
 
 
@@ -350,7 +317,6 @@ def rayleigh_base(params: RayleighParams) -> BaseDistribution:
         cdf=lambda x: rayleigh_cdf(params, x),
         pdf=lambda x: rayleigh_pdf(params, x),
         support=(0.0, np.inf),
-        param_count=1,
     )
 
 
@@ -359,7 +325,6 @@ def mixture_kernel_base(params: ArctanGRParams) -> BaseDistribution:
         cdf=lambda x: mixture_kernel_cdf(params, x),
         pdf=lambda x: mixture_kernel_pdf(params, x),
         support=(-np.inf, np.inf),
-        param_count=2,
     )
 
 

@@ -1,8 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto distinct exit codes, so keep the hierarchy flat:
-``DomainError``/``DataError`` are argument/input problems, the two
-``RuntimeError`` subclasses are numeric failures.
+``DomainError``/``DataError`` are argument/input problems (exit 3), and
+``FitConvergenceError``, a ``RuntimeError``, is a numeric failure (exit 4).
 """
 
 
@@ -12,19 +12,6 @@ class DomainError(ValueError):
 
 class DataError(ValueError):
     """A dataset is malformed, degenerate, or unusable for the requested task."""
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach its tolerance.
-
-    Carries the best value obtained and the achieved error estimate so
-    callers can report how far off the integration was.
-    """
-
-    def __init__(self, message, value=None, error_estimate=None):
-        super().__init__(message)
-        self.value = value
-        self.error_estimate = error_estimate
 
 
 class FitConvergenceError(RuntimeError):

@@ -6,22 +6,21 @@ it is maximized derivative-free: one numpy Nelder-Mead search from the
 median and mean absolute deviation, a polish to a tight simplex
 tolerance, and a golden-section profile over ``log psi`` that finishes
 psi when omega has settled on a kink.  No scipy is imported.  The
-baseline Gaussian, Rayleigh, and Laplace fits are closed-form MLEs.  Model
-ranking uses AIC, BIC, CAIC, and HQIC (lower is better; higher
-log-likelihood is better).
+baseline Gaussian, Rayleigh, and Laplace fits are closed-form MLEs.  The
+four models are registered once, in :data:`MODELS`.  Model ranking uses
+AIC, BIC, CAIC, and HQIC (lower is better; higher log-likelihood is
+better).
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._util import dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     ArctanGRParams,
@@ -29,20 +28,20 @@ from .distributions import (
     RayleighParams,
     _z_log_shape,
     agr_logpdf,
+    agr_pdf,
     gaussian_logpdf,
+    gaussian_pdf,
     mixture_kernel_logpdf,
+    mixture_kernel_pdf,
     rayleigh_logpdf,
+    rayleigh_pdf,
 )
 from .errors import DataError, DomainError, FitConvergenceError
 
-MODEL_LABELS = {
-    "agr": "Arctan-GR",
-    "gaussian": "Gaussian",
-    "rayleigh": "Rayleigh",
-    "laplace": "Laplace",
-}
-
 CRITERIA = ("aic", "bic", "caic", "hqic")
+
+#: Columns of a fit's CSV row, shared by ``fit`` and ``compare``.
+_CSV_HEADER = ("model", "par", "r", "loglik", *CRITERIA)
 
 
 class Criteria(NamedTuple):
@@ -117,6 +116,31 @@ class FitResult:
             "converged": self.converged,
             "nfev": self.nfev,
         }
+
+    def _par(self) -> str:
+        return "; ".join(f"{k}={v:.6g}" for k, v in self.params_dict().items())
+
+    def _csv_row(self) -> list:
+        return [self.model_name, self._par(), self.r] + [
+            f"{getattr(self, c):.6g}" for c in ("loglik", *CRITERIA)
+        ]
+
+    def to_json(self) -> str:
+        return dump_json(self.as_dict())
+
+    def to_csv(self) -> str:
+        return dump_csv(_CSV_HEADER, [self._csv_row()])
+
+    def to_text(self) -> str:
+        return (
+            f"model: {self.model_name}\nparams: {self._par()}\n"
+            f"n: {self.n}    r: {self.r}\n"
+            f"loglik: {self.loglik:.6g}\n"
+            f"aic: {self.aic:.6g}    bic: {self.bic:.6g}\n"
+            f"caic: {self.caic:.6g}    hqic: {self.hqic:.6g}\n"
+            f"converged: {self.converged} "
+            f"(iterations={self.iterations}, nfev={self.nfev})\n"
+        )
 
 
 def _values(data) -> np.ndarray:
@@ -350,6 +374,23 @@ def fit_agr(data) -> FitResult:
     )
 
 
+class Model(NamedTuple):
+    """A candidate model: display label, MLE fitter, and density ``pdf(params, x)``."""
+
+    label: str
+    fit: Callable[..., FitResult]
+    pdf: Callable
+
+
+#: The candidate models, in comparison order.
+MODELS = {
+    "agr": Model("Arctan-GR", fit_agr, agr_pdf),
+    "gaussian": Model("Gaussian", fit_gaussian, gaussian_pdf),
+    "rayleigh": Model("Rayleigh", fit_rayleigh, rayleigh_pdf),
+    "laplace": Model("Laplace", fit_laplace, mixture_kernel_pdf),
+}
+
+
 @dataclass(frozen=True)
 class ComparisonTable:
     """Fit results for every candidate model plus the winner per criterion."""
@@ -357,37 +398,20 @@ class ComparisonTable:
     rows: tuple[FitResult, ...]
     best_by: dict
 
-    def to_csv(self, digits: int = 6) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["model", "par", "r", "loglik", "aic", "bic", "caic", "hqic"])
-        for row in self.rows:
-            par = "; ".join(f"{k}={v:.{digits}g}" for k, v in row.params_dict().items())
-            writer.writerow(
-                [row.model_name, par, row.r]
-                + [f"{getattr(row, c):.{digits}g}" for c in ("loglik", *CRITERIA)]
-            )
-        return buf.getvalue()
+    def to_csv(self) -> str:
+        return dump_csv(_CSV_HEADER, [row._csv_row() for row in self.rows])
 
     def to_json(self) -> str:
-        payload = {
-            "rows": [row.as_dict() for row in self.rows],
-            "best_by": self.best_by,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return dump_json({"rows": [row.as_dict() for row in self.rows], "best_by": self.best_by})
 
-    def to_text(self, digits: int = 6) -> str:
+    def to_text(self) -> str:
         headers = ["Model", "Par.", "r", "LL", "AIC", "BIC", "CAIC", "HQIC"]
         cells = []
         for row in self.rows:
             par = ", ".join(f"{k}={v:.4g}" for k, v in row.params_dict().items())
             cells.append(
-                [
-                    MODEL_LABELS.get(row.model_name, row.model_name),
-                    par,
-                    str(row.r),
-                ]
-                + [f"{getattr(row, c):.{digits}g}" for c in ("loglik", *CRITERIA)]
+                [MODELS[row.model_name].label, par, str(row.r)]
+                + [f"{getattr(row, c):.6g}" for c in ("loglik", *CRITERIA)]
             )
         widths = [
             max(len(headers[i]), *(len(c[i]) for c in cells)) for i in range(len(headers))
@@ -405,9 +429,9 @@ class ComparisonTable:
 
 
 def compare_models(data) -> ComparisonTable:
-    """Fit AGR plus the three baselines and rank them per criterion."""
+    """Fit every model in :data:`MODELS` and rank them per criterion."""
     x = _values(data)
-    results = (fit_agr(x), fit_gaussian(x), fit_rayleigh(x), fit_laplace(x))
+    results = tuple(model.fit(x) for model in MODELS.values())
     best_by = {"loglik": max(results, key=lambda r: r.loglik).model_name}
     for criterion in CRITERIA:
         best_by[criterion] = min(results, key=lambda r: getattr(r, criterion)).model_name

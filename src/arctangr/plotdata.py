@@ -8,25 +8,19 @@ skipped with a note instead of failing the whole bundle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._util import dump_json
 from .dataset import LossDataset
-from .distributions import agr_pdf, gaussian_pdf, mixture_kernel_pdf, rayleigh_pdf
 from .errors import DataError, DomainError
-from .fit import fit_agr, fit_gaussian, fit_laplace, fit_rayleigh
+from .fit import MODELS
 from .risk import risk_curve
 
-_DENSITY_FNS = {
-    "agr": (fit_agr, agr_pdf),
-    "gaussian": (fit_gaussian, gaussian_pdf),
-    "rayleigh": (fit_rayleigh, rayleigh_pdf),
-    "laplace": (fit_laplace, mixture_kernel_pdf),
-}
-
-DEFAULT_ALPHAS = tuple(np.linspace(0.55, 0.99, 45).round(12))
+#: Confidence levels of the risk curves, and points of the density grid.
+RISK_ALPHAS = tuple(np.linspace(0.55, 0.99, 45).round(12))
+GRID_POINTS = 401
 
 
 @dataclass(frozen=True)
@@ -61,15 +55,15 @@ class PlotBundle:
             "risk": self.risk,
             "skipped_models": self.skipped_models,
         }
-        return json.dumps(payload, indent=2) + "\n"
+        return dump_json(payload)
 
-    def to_text(self, digits: int = 6) -> str:
+    def to_text(self) -> str:
         five = self.boxplot["five_number"]
         lines = [
             f"plot bundle: n={self.histogram['n']}, "
             f"{len(self.histogram['counts'])} histogram bins",
             "five-number summary: "
-            + ", ".join(f"{k}={five[k]:.{digits}g}" for k in ("min", "q1", "median", "q3", "max")),
+            + ", ".join(f"{k}={five[k]:.6g}" for k in ("min", "q1", "median", "q3", "max")),
             f"outliers beyond 1.5*IQR: {len(self.boxplot['outliers'])}",
             f"density curves: {', '.join(sorted(self.density['curves']))} "
             f"on {len(self.density['x'])} grid points",
@@ -82,11 +76,13 @@ class PlotBundle:
         return "\n".join(lines) + "\n"
 
 
-def plot_bundle(data: LossDataset, bins=None, alphas=DEFAULT_ALPHAS, grid_points=401) -> PlotBundle:
+def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     """Assemble histogram/boxplot/density/risk data for one dataset.
 
     ``bins=None`` selects the Freedman-Diaconis rule; pass an integer to
-    override.  Risk curves use the fitted AGR parameters.
+    override.  Densities of every model in :data:`MODELS` are tabulated on
+    ``GRID_POINTS`` points; risk curves use the fitted AGR parameters at
+    ``RISK_ALPHAS``.
     """
     x = data.values
     counts, edges = np.histogram(x, bins=("fd" if bins is None else int(bins)))
@@ -113,24 +109,24 @@ def plot_bundle(data: LossDataset, bins=None, alphas=DEFAULT_ALPHAS, grid_points
     }
 
     span = float(x.max() - x.min()) or 1.0
-    grid = np.linspace(x.min() - 0.25 * span, x.max() + 0.25 * span, int(grid_points))
+    grid = np.linspace(x.min() - 0.25 * span, x.max() + 0.25 * span, GRID_POINTS)
     curves = {}
     skipped = {}
     agr_params = None
-    for name, (fitter, density) in _DENSITY_FNS.items():
+    for name, model in MODELS.items():
         try:
-            result = fitter(x)
+            result = model.fit(x)
         except DataError as exc:
             skipped[name] = str(exc)
             continue
-        curves[name] = np.asarray(density(result.params, grid)).tolist()
+        curves[name] = np.asarray(model.pdf(result.params, grid)).tolist()
         if name == "agr":
             agr_params = result.params
     density_block = {"x": grid.tolist(), "curves": curves}
 
     if agr_params is None:
         raise DataError("cannot build risk curves: AGR fit failed")
-    report = risk_curve(agr_params, list(alphas))
+    report = risk_curve(agr_params, list(RISK_ALPHAS))
     risk_block = {
         "params": {"omega": agr_params.omega, "psi": agr_params.psi},
         "alpha": [row.alpha for row in report.rows],

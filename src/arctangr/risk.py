@@ -23,16 +23,13 @@ Carlo oracle and order-statistic empirical estimators round out the module.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from ._util import BLOCK
+from ._util import BLOCK, dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -128,12 +125,15 @@ class RiskReport:
 
     ``source`` tags whether the rows came from model parameters or from
     empirical estimators; ``method`` records the quadrature rule or the
-    quantile convention that produced them.
+    quantile convention that produced them.  ``mc_check`` optionally holds
+    one :func:`mc_oracle` result per row; the JSON and text layouts render
+    it, the CSV layout has no columns for it.
     """
 
     rows: tuple[RiskRow, ...]
     source: str
     method: dict = field(default_factory=dict)
+    mc_check: tuple[MCOracleResult, ...] = ()
 
     def __post_init__(self):
         if not self.rows:
@@ -145,6 +145,8 @@ class RiskReport:
                 raise DomainError(f"tvar < var at alpha={row.alpha}")
             if row.tv < 0.0:
                 raise DomainError(f"negative tail variance at alpha={row.alpha}")
+        if self.mc_check and len(self.mc_check) != len(self.rows):
+            raise DomainError("mc_check needs one Monte Carlo result per row")
         alphas = [row.alpha for row in self.rows]
         if sorted(alphas) != alphas:
             raise DomainError("risk report rows must be sorted by alpha")
@@ -154,13 +156,9 @@ class RiskReport:
                 if hi < lo - slack * (1.0 + abs(lo)):
                     raise DomainError(f"{col} must be nondecreasing in alpha")
 
-    def to_csv(self, digits: int = 6) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "var", "tvar", "tv"])
-        for row in self.rows:
-            writer.writerow([f"{v:.{digits}g}" for v in row])
-        return buf.getvalue()
+    def to_csv(self) -> str:
+        return dump_csv(["alpha", "var", "tvar", "tv"],
+                        [[f"{v:.6g}" for v in row] for row in self.rows])
 
     def to_json(self) -> str:
         payload = {
@@ -168,16 +166,24 @@ class RiskReport:
             "method": self.method,
             "rows": [row._asdict() for row in self.rows],
         }
-        return json.dumps(payload, indent=2) + "\n"
+        if self.mc_check:
+            payload["mc_check"] = [c._asdict() for c in self.mc_check]
+        return dump_json(payload)
 
-    def to_text(self, digits: int = 6) -> str:
+    def to_text(self) -> str:
         header = f"{'alpha':>10} {'var':>14} {'tvar':>14} {'tv':>14}"
         lines = [f"risk report ({self.source})", header, "-" * len(header)]
         for row in self.rows:
             lines.append(
-                f"{row.alpha:>10.{digits}g} {row.var:>14.{digits}g} "
-                f"{row.tvar:>14.{digits}g} {row.tv:>14.{digits}g}"
+                f"{row.alpha:>10.6g} {row.var:>14.6g} {row.tvar:>14.6g} {row.tv:>14.6g}"
             )
+        if self.mc_check:
+            lines.append(f"monte carlo cross-check (n={self.mc_check[0].n}):")
+            for row, c in zip(self.rows, self.mc_check):
+                lines.append(
+                    f"alpha={row.alpha:.6g}: tvar_mc={c.tvar:.6g} (se {c.tvar_se:.2g}), "
+                    f"tv_mc={c.tv:.6g} (se {c.tv_se:.2g}), exceedances={c.exceedances}"
+                )
         return "\n".join(lines) + "\n"
 
 

@@ -33,11 +33,11 @@ from arctangr import (
     fit_rayleigh,
     mc_oracle,
     mixture_kernel_pdf,
-    mixture_kernel_pdf_by_integration,
     tv,
     tvar,
     var,
 )
+from mixture_oracle import mixture_kernel_pdf_by_integration
 
 TABLE_PARAMS = ArctanGRParams(omega=0.02, psi=0.005)
 

@@ -56,7 +56,7 @@ def test_limits_use_support_not_base_cdf():
         return np.clip(x, 0.0, 1.0)
 
     base = BaseDistribution(cdf=strict_cdf, pdf=lambda x: np.ones_like(x),
-                            support=(0.0, 1.0), param_count=0)
+                            support=(0.0, 1.0))
     assert arctan_cdf(base, -np.inf) == 0.0
     assert arctan_cdf(base, np.inf) == pytest.approx(1.0, abs=1e-15)
     out = arctan_cdf(base, np.array([-np.inf, 0.5, np.inf]))
@@ -73,8 +73,6 @@ def test_nan_rejected_and_pdf_requires_finite():
 def test_base_distribution_validation():
     with pytest.raises(DomainError):
         BaseDistribution(cdf=lambda x: x, pdf=lambda x: x, support=(1.0, 1.0))
-    with pytest.raises(DomainError):
-        BaseDistribution(cdf=lambda x: x, pdf=lambda x: x, param_count=-1)
 
 
 @pytest.mark.parametrize("base", ALL_BASES)

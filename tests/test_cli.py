@@ -14,6 +14,7 @@ import pytest
 import arctangr
 import arctangr.cli as cli
 from arctangr.errors import FitConvergenceError
+from arctangr.fit import MODELS
 
 
 def run_cli(argv, capsys):
@@ -109,6 +110,19 @@ class TestRisk:
         assert len(payload["mc_check"]) == 1
         assert payload["mc_check"][0]["exceedances"] > 0
 
+    def test_mc_samples_rejected_in_csv_before_any_work(self, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no fit or draw may run before the format check")
+
+        monkeypatch.setattr(cli, "fit_agr", forbidden)
+        monkeypatch.setattr(cli, "mc_oracle", forbidden)
+        for source in (["--data", "embedded:insurance"], ["--omega", "0.02", "--psi", "0.005"]):
+            code, out, err = run_cli(
+                ["risk", *source, "--mc-samples", "1000", "--format", "csv"], capsys
+            )
+            assert (code, out) == (3, "")
+            assert err == "error: --mc-samples has no CSV layout; use --format table or json\n"
+
     def test_param_pairing_enforced(self, capsys):
         code, _, err = run_cli(["risk", "--omega", "0.02", "--alphas", "0.8"], capsys)
         assert code == 3
@@ -191,7 +205,7 @@ class TestExitCodes:
         def exploding(data):
             raise FitConvergenceError("no restart converged")
 
-        monkeypatch.setitem(cli._FITTERS, "agr", exploding)
+        monkeypatch.setitem(MODELS, "agr", MODELS["agr"]._replace(fit=exploding))
         code, _, err = run_cli(["fit", "--data", "embedded:insurance", "--model", "agr"], capsys)
         assert code == 4
         assert "no restart converged" in err

@@ -42,7 +42,6 @@ from arctangr import (
     mixture_kernel_cdf,
     mixture_kernel_logpdf,
     mixture_kernel_pdf,
-    mixture_kernel_pdf_by_integration,
     mixture_kernel_quantile,
     rayleigh_cdf,
     rayleigh_logpdf,
@@ -64,6 +63,7 @@ from arctangr.distributions import (
     _z_quantile,
     _z_sf,
 )
+from mixture_oracle import mixture_kernel_pdf_by_integration
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)

@@ -15,6 +15,7 @@ from arctangr import (
     ArctanGRParams,
     DataError,
     DomainError,
+    LossDataset,
     agr_logpdf,
     agr_loglik,
     agr_sample,
@@ -24,9 +25,10 @@ from arctangr import (
     fit_laplace,
     fit_rayleigh,
     information_criteria,
+    plot_bundle,
 )
 from arctangr.distributions import _z_log_shape
-from arctangr.fit import _golden_section, _nelder_mead
+from arctangr.fit import MODELS, _golden_section, _nelder_mead
 
 # frozen values computed from the embedded insurance sample's closed forms
 GAUSS_OMEGA = 0.070672413793103461
@@ -389,3 +391,26 @@ class TestCompareModels:
         named = {row["model"]: row for row in payload["rows"]}
         assert named["gaussian"]["loglik"] == pytest.approx(GAUSS_LL, abs=1e-9)
         assert named["gaussian"]["params"]["eta"] == pytest.approx(GAUSS_ETA, abs=1e-15)
+
+
+class TestModelRegistry:
+    """``MODELS`` is the one list of candidate models."""
+
+    def test_cli_model_choices(self):
+        from arctangr.cli import build_parser
+
+        fit_parser = build_parser()._subparsers._group_actions[0].choices["fit"]
+        (model,) = [a for a in fit_parser._actions if a.dest == "model"]
+        assert list(model.choices) == sorted(MODELS)
+
+    def test_compare_rows_in_registry_order(self, insurance):
+        assert [r.model_name for r in compare_models(insurance).rows] == list(MODELS)
+
+    def test_plot_bundle_covers_registry(self, insurance):
+        rng = np.random.default_rng(5)
+        centered = LossDataset(values=rng.normal(0.0, 1.0, 400), source="inline", name="c")
+        for data, want_skipped in ((insurance, set()), (centered, {"rayleigh"})):
+            bundle = plot_bundle(data)
+            curves, skipped = set(bundle.density["curves"]), set(bundle.skipped_models)
+            assert skipped == want_skipped
+            assert curves == set(MODELS) - skipped

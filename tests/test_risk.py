@@ -399,6 +399,21 @@ class TestRiskCurve:
             "legendre_nodes": 16,
         }
 
+    def test_mc_check_renders_in_json_and_text_only(self, table_params):
+        report = risk_curve(table_params, [0.75, 0.9])
+        checks = tuple(mc_oracle(table_params, r.alpha, 5000, seed=i)
+                       for i, r in enumerate(report.rows))
+        checked = RiskReport(report.rows, report.source, report.method, mc_check=checks)
+        payload = json.loads(checked.to_json())
+        assert payload["mc_check"] == [c._asdict() for c in checks]
+        assert "mc_check" not in json.loads(report.to_json())
+        text = checked.to_text()
+        assert text.startswith(report.to_text())
+        assert "monte carlo cross-check (n=5000):" in text
+        assert checked.to_csv() == report.to_csv()
+        with pytest.raises(DomainError, match="one Monte Carlo result per row"):
+            RiskReport(report.rows, report.source, mc_check=checks[:1])
+
     def test_text_has_one_line_per_row(self, table_params):
         report = risk_curve(table_params, [0.75, 0.9, 0.95])
         body = [l for l in report.to_text().splitlines() if l and not l.startswith(("risk", "-", " alpha", "     alpha"))]
