@@ -2,8 +2,8 @@
 Tail-risk measures across confidence levels
 ===========================================
 
-VaR is the closed-form quantile; TVaR and TV come from fixed Gauss quadrature
-in probability space.  A seeded Monte Carlo oracle cross-checks both.
+VaR is the closed-form quantile; TVaR and TV are closed-form sums over the
+density's series.  A seeded Monte Carlo oracle cross-checks both.
 """
 
 import numpy as np
@@ -22,7 +22,7 @@ rows = report.rows
 assert all(r.tvar > r.var for r in rows)
 assert all(b.var > a.var and b.tvar > a.tvar for a, b in zip(rows, rows[1:]))
 
-# Monte Carlo agreement: the quadrature values sit well inside the
+# Monte Carlo agreement: the series values sit well inside the
 # uncertainty of a 10-million-draw simulation.
 alpha = 0.95
 mc = mc_oracle(params, alpha, n=10**7, seed=11)

@@ -122,6 +122,8 @@ def _run_compare(args):
 def _run_risk(args):
     if (args.omega is None) != (args.psi is None):
         raise DomainError("--omega and --psi must be given together")
+    if args.mc_samples < 0:
+        raise DomainError(f"--mc-samples must be >= 0 (0 skips the check), got {args.mc_samples}")
     if args.mc_samples > 0 and args.format == "csv":
         raise DomainError("--mc-samples has no CSV layout; use --format table or json")
     if args.omega is not None:
@@ -152,6 +154,8 @@ def _run_risk(args):
 
 
 def _run_plotdata(args):
+    if args.bins is not None and args.bins < 1:
+        raise DomainError(f"--bins must be a positive integer, got {args.bins}")
     return plot_bundle(ingest(args.data), bins=args.bins)
 
 

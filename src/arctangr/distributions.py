@@ -43,10 +43,6 @@ from .errors import DomainError
 #: they land at or above the location.
 P_STAR = FOUR_OVER_PI * math.atan(0.5)
 
-# tail probability above the location, and its -log, used by risk integrals
-Q_STAR = 1.0 - P_STAR
-S_STAR = -math.log(Q_STAR)
-
 _PI_OVER_4 = math.pi / 4.0
 
 
@@ -257,21 +253,21 @@ def _z_quantile(p):
     return np.where(p < P_STAR, np.log(2.0 * np.tan(_PI_OVER_4 * p)), _z_tail_quantile(1.0 - p))
 
 
-def _z_moment_parts(k):
-    """``E[Z^k]`` of the standard AGR as its (z < 0, z >= 0) parts.
+# pi g(z) = sum_j C_j e^{-n_j |z|} on either side of 0, the standard density
+# as a series in e^{-|z|}: below 0, C_j = 2 (-1/4)^j and n_j = 2j + 1; above,
+# n_j = j + 1 and C_j = c_j, where c_0 = 1, c_1 = 1/2, c_j = c_{j-1}/2 - c_{j-2}/8,
+# which is 2^{-floor(3j/2)} times +1, +1, +1, 0, -1, -1, -1, 0 repeated.  The
+# terms shrink like 4^{-j} and 2^{-3j/2}, so 60 of them exhaust double precision.
+_j = np.arange(60)
+_LOWER_C, _LOWER_N = 2.0 * (-0.25) ** _j, 2.0 * _j + 1.0
+_UPPER_C, _UPPER_N = np.resize([1.0, 1, 1, 0, -1, -1, -1, 0], 60) * 0.5 ** (3 * _j // 2), _j + 1.0
 
-    With ``e = e^{-|z|}`` the density is ``(2/pi) e sum_j (-1/4)^j e^{2j}``
-    below 0 and ``(1/pi) e sum_j c_j e^j`` above, where ``c_0 = 1``,
-    ``c_1 = 1/2`` and ``c_j = c_{j-1}/2 - c_{j-2}/8``; termwise,
-    ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``.  The terms shrink like
-    ``4^{-j}`` and ``2^{-3j/2}``, so 60 of them exhaust double precision.
-    """
-    j = np.arange(60.0)
-    c = [1.0, 0.5]
-    while len(c) < j.size:
-        c.append(c[-1] / 2.0 - c[-2] / 8.0)
-    lower = 2.0 / math.pi * (-1) ** k * np.sum((-0.25) ** j * (2.0 * j + 1.0) ** -(k + 1.0))
-    upper = np.sum(np.array(c) * (j + 1.0) ** -(k + 1.0)) / math.pi
+
+def _z_moment_parts(k):
+    """``E[Z^k]`` of the standard AGR as its (z < 0, z >= 0) parts, summed
+    termwise over the density series with ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``."""
+    lower = (-1) ** k * np.sum(_LOWER_C * _LOWER_N ** -(k + 1.0)) / math.pi
+    upper = np.sum(_UPPER_C * _UPPER_N ** -(k + 1.0)) / math.pi
     return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
 
 

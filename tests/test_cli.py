@@ -132,6 +132,14 @@ class TestRisk:
         code, _, err = run_cli(["risk", "--alphas", "0.8"], capsys)
         assert code == 3
 
+    def test_negative_mc_samples_is_data_error(self, capsys):
+        code, out, err = run_cli(
+            ["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.9",
+             "--mc-samples", "-1"], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: --mc-samples must be >= 0")
+
     def test_alpha_out_of_range_is_data_error(self, capsys):
         code, _, err = run_cli(
             ["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.4"], capsys
@@ -148,6 +156,14 @@ class TestPlotdata:
         assert code == 0
         payload = json.loads(out)
         assert sum(payload["histogram"]["counts"]) == 58
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_nonpositive_bins_is_data_error(self, capsys, bins):
+        code, out, err = run_cli(
+            ["plotdata", "--data", "embedded:insurance", "--bins", bins], capsys
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: --bins must be a positive integer, got {bins}\n"
 
     def test_csv_rejected_as_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -33,6 +33,10 @@ COMMANDS = (
     + [
         "risk --omega 0.02 --alphas 0.8",  # unpaired --omega: exit 3
         "fit --data /no/such/file.csv",  # missing file: exit 3
+        "risk --omega 1e308 --psi 1e308 --alphas 0.99",  # VaR overflows: exit 3
+        "risk --omega 0.02 --psi 0.005 --alphas nan",  # NaN level: exit 3
+        "risk --omega 0.02 --psi 0.005 --alphas 0.9 --mc-samples -5",  # exit 3
+        f"plotdata {INS} --bins 0",  # no bins: exit 3
     ]
 )
 

@@ -4,6 +4,7 @@ empirical estimators, and report serialization."""
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from arctangr import (
 )
 from arctangr._util import BLOCK
 from arctangr.cli import main as cli_main
-from arctangr.distributions import S_STAR, _z_quantile, _z_tail_quantile
+from arctangr.distributions import _z_quantile, _z_tail_quantile
 from arctangr.risk import MCOracleResult, _check_alpha, _tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
@@ -163,7 +164,9 @@ def test_shift_and_scale_equivariance(ratio, psi, alpha):
 
 
 def _adaptive_tail_moments(alpha):
-    """``(m, v)`` by adaptive quadrature in ``s``, ``p = 1 - e^{-s}``, split at S_STAR."""
+    """``(m, v)`` by adaptive quadrature in ``s``, ``p = 1 - e^{-s}``, split at
+    ``S_STAR``, where the quantile switches branches."""
+    S_STAR = -math.log(1.0 - P_STAR)
     s0 = -math.log1p(-alpha)
     pieces = [(s0, S_STAR), (S_STAR, np.inf)] if s0 < S_STAR else [(s0, np.inf)]
 
@@ -188,7 +191,7 @@ class TestFixedRule:
 
     def test_matches_adaptive_quadrature(self):
         assert len(self.LEVELS) >= 40
-        ms, vs = _tail_moments(self.LEVELS)
+        _, ms, vs = _tail_moments(self.LEVELS)
         for alpha, m, v in zip(self.LEVELS, ms, vs):
             want_m, want_v = _adaptive_tail_moments(alpha)
             assert abs(m - want_m) <= 1e-13 * (1.0 + abs(want_m)), alpha
@@ -200,6 +203,62 @@ class TestFixedRule:
             assert row.var == var(table_params, row.alpha)
             assert row.tvar == tvar(table_params, row.alpha)
             assert row.tv == tv(table_params, row.alpha)
+
+
+def _mp_tail_moments(z_a):
+    """``(m, v)`` beyond the double ``z_a``: 25-digit mpmath quadrature in ``z``
+    of the closed-form density, split at 0 or at ``z_a + 1`` and ``z_a + 10``."""
+    with mpmath.workdps(25):
+        za = mpmath.mpf(z_a)
+
+        def shape(z):  # the density times pi/2; the constant cancels
+            e = mpmath.exp(-abs(z))
+            return e / (1 + (1 - e / 2) ** 2) if z >= 0 else 4 * e / (4 + e * e)
+
+        pts = [za, 0, mpmath.inf] if za < 0 else [za, za + 1, za + 10, mpmath.inf]
+        p0, p1, p2 = (mpmath.quad(lambda z: (z - za) ** k * shape(z), pts) for k in range(3))
+        r = p1 / p0
+        return za + r, p2 / p0 - r * r
+
+
+class TestSeriesAgainstMpmath:
+    LEVELS = sorted({*np.linspace(0.5 + 1e-7, 0.9999, 30).tolist(),
+                     *(1.0 - 10.0 ** -np.arange(5, 14)).tolist(),
+                     P_STAR - 1e-9, P_STAR, P_STAR + 1e-9})
+
+    def test_m_and_v_to_a_few_ulps(self):
+        assert len(self.LEVELS) >= 40 and self.LEVELS[-1] == 1.0 - 1e-13
+        zs, ms, vs = _tail_moments(self.LEVELS)
+        assert np.array_equal(zs, _z_quantile(np.array(self.LEVELS)))
+        for alpha, z, m, v in zip(self.LEVELS, zs, ms, vs):
+            want_m, want_v = _mp_tail_moments(z)
+            assert abs(m - want_m) <= 4e-16 * (1 + abs(want_m)), alpha
+            assert abs(v - want_v) <= 1e-15 * want_v, alpha
+
+    def test_curve_var_equals_scalar_var(self, table_params):
+        levels = np.linspace(0.5, 1.0 - 1e-12, 2003)[1:-1]
+        report = risk_curve(table_params, levels)
+        assert [row.var for row in report.rows] == [var(table_params, a) for a in levels]
+
+
+class TestNonFiniteMeasures:
+    def test_overflow_names_measure_and_level(self):
+        huge = ArctanGRParams(1e308, 1e308)
+        with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double"):
+            risk_curve(huge, [0.6, 0.99])
+        with pytest.raises(DomainError, match=r"^TVaR at alpha=0\.6 is not a finite double"):
+            tvar(huge, 0.6)
+        wide = ArctanGRParams(0.0, 1e200)
+        with pytest.raises(DomainError, match=r"^TV at alpha=0\.9 is not a finite double"):
+            tv(wide, 0.9)
+        with pytest.raises(DomainError, match=r"^TV at alpha=0\.9 "):
+            risk_curve(wide, [0.9])
+        # only the measure asked for has to be representable
+        assert tvar(wide, 0.9) == 1e200 * tvar(_UNIT, 0.9)
+
+    def test_nan_level_message_is_plain(self, table_params):
+        with pytest.raises(DomainError, match=r"got nan$"):
+            risk_curve(table_params, [np.float64("nan")])
 
 
 class TestMcOracle:
@@ -393,11 +452,7 @@ class TestRiskCurve:
         report = risk_curve(table_params, [0.75])
         payload = json.loads(report.to_json())
         assert payload["rows"][0]["var"] == var(table_params, 0.75)
-        assert payload["method"] == {
-            "rule": "gauss-laguerre+gauss-legendre, p = 1 - e^-s",
-            "laguerre_nodes": 36,
-            "legendre_nodes": 16,
-        }
+        assert payload["method"] == {"rule": "density series, termwise", "terms": 60}
 
     def test_mc_check_renders_in_json_and_text_only(self, table_params):
         report = risk_curve(table_params, [0.75, 0.9])
