@@ -175,10 +175,19 @@ def _half_exp(z):
     return 0.5 * np.exp(-np.abs(z))
 
 
+def _z_uw(z):
+    """``(u, w)``: ``u = e^{-|z|}`` and the standard Laplace CDF ``w = H(z)``, which
+    is ``1 - u/2`` for z >= 0 and ``u/2`` below.  ``w`` is continuous at 0 with
+    ``w' = u/2`` on both sides; the AGR log-shape and its derivatives
+    (:func:`_z_log_shape`, :func:`_z_shape_derivs`) are written in these two."""
+    u = np.exp(-np.abs(z))
+    h = 0.5 * u
+    return u, np.where(z >= 0.0, 1.0 - h, h)
+
+
 def _laplace_cdf(z):
     """Standard Laplace CDF: ``1 - e^{-z}/2`` for z >= 0, ``e^{z}/2`` below."""
-    t = _half_exp(z)
-    return np.where(z >= 0.0, 1.0 - t, t)
+    return _z_uw(z)[1]
 
 
 def _laplace_quantile(p):
@@ -201,8 +210,8 @@ def _z_sf(z):
 
 def _z_pdf(z):
     """Standard AGR density: the arctan transform ``(4/pi) h / (1 + H^2)`` of Laplace."""
-    cap = _laplace_cdf(z)
-    return FOUR_OVER_PI * _half_exp(z) / (1.0 + cap * cap)
+    u, w = _z_uw(z)
+    return FOUR_OVER_PI * (0.5 * u) / (1.0 + w * w)
 
 
 def _z_cum_hazard(z):
@@ -231,13 +240,25 @@ def _z_hazard(z):
 
 
 def _z_log_shape(z):
-    """``log g(z) - log(2/pi)``, the standard AGR log-density less its constant,
-    written so neither branch under- or overflows far from 0."""
-    up = np.maximum(z, 0.0)
-    un = np.minimum(z, 0.0)
-    upper = -up - np.log1p((1.0 - 0.5 * np.exp(-up)) ** 2)
-    lower = un - np.log(4.0 + np.exp(2.0 * un)) + math.log(4.0)
-    return np.where(z >= 0.0, upper, lower)
+    """``L(z) = log g(z) - log(2/pi) = -|z| - log1p(w^2)``, the standard AGR
+    log-density less its constant, with ``w = H(z)`` from :func:`_z_uw`; one
+    ``exp`` and one ``log1p``, and neither under- nor overflows far from 0."""
+    _, w = _z_uw(z)
+    return -np.abs(z) - np.log1p(w * w)
+
+
+def _z_shape_derivs(u, w, sign):
+    """``(L'(z), L''(z))`` from ``(u, w) = _z_uw(z)``, on the side ``sign`` (+1 or
+    -1, scalar or per element) of 0, where ``sign * |z| = z``.
+
+    With ``q = 1 + w^2`` and ``r = w u / q``: ``L' = -sign - r`` and
+    ``L'' = r (r + sign) - u^2 / (2 q)``.  At a data point (``z = 0``) the
+    one-sided values are ``L'(0-) = 0.6``, ``L'(0+) = -1.4``, ``L''(0-) = -0.64``
+    and ``L''(0+) = 0.16``.
+    """
+    q = 1.0 + w * w
+    r = w * u / q
+    return -sign - r, r * (r + sign) - 0.5 * u * u / q
 
 
 def _z_tail_quantile(q):

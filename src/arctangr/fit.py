@@ -1,15 +1,17 @@
 """Maximum-likelihood fitting and information-criterion model comparison.
 
 The arctan Gaussian-Rayleigh log-likelihood is piecewise smooth in the
-location (a kink at every data point, inherited from ``|x - omega|``), so
-it is maximized derivative-free: one numpy Nelder-Mead search from the
-median and mean absolute deviation, a polish to a tight simplex
-tolerance, and a golden-section profile over ``log psi`` that finishes
-psi when omega has settled on a kink.  No scipy is imported.  The
-baseline Gaussian, Rayleigh, and Laplace fits are closed-form MLEs.  The
-four models are registered once, in :data:`MODELS`.  Model ranking uses
-AIC, BIC, CAIC, and HQIC (lower is better; higher log-likelihood is
-better).
+location (a kink at every data point, inherited from ``|x - omega|``) and
+smooth in the scale, and its score is closed-form.  It is maximized from
+that score: a bracketed Newton iteration on ``log psi`` for each omega, and
+in omega an ascent from the median on the one-sided slopes of the profile,
+narrowed over the order statistics and then inside a gap between two data
+points (samples with few distinct values are also swept point by point).
+The fit stops on a checkable rule (see :func:`fit_agr`).  No scipy is
+imported.  The baseline Gaussian, Rayleigh, and Laplace fits are
+closed-form MLEs.  The four models are registered once, in :data:`MODELS`.
+Model ranking uses AIC, BIC, CAIC, and HQIC (lower is better; higher
+log-likelihood is better).
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .distributions import (
     GaussianParams,
     RayleighParams,
     _z_log_shape,
+    _z_shape_derivs,
+    _z_uw,
     agr_logpdf,
     agr_pdf,
     gaussian_logpdf,
@@ -36,7 +40,7 @@ from .distributions import (
     rayleigh_logpdf,
     rayleigh_pdf,
 )
-from .errors import DataError, DomainError, FitConvergenceError
+from .errors import DataError, DomainError
 
 CRITERIA = ("aic", "bic", "caic", "hqic")
 
@@ -80,7 +84,13 @@ def information_criteria(loglik, n, r) -> Criteria:
 
 @dataclass(frozen=True)
 class FitResult:
-    """One fitted model: parameters, log-likelihood, criteria, diagnostics."""
+    """One fitted model: parameters, log-likelihood, criteria, diagnostics.
+
+    The diagnostics describe an iterative fit (AGR; the closed forms keep the
+    defaults): ``iterations`` counts its omega steps, ``nfev`` its score
+    passes, ``converged`` says whether its stopping rule holds, and ``stop``
+    holds the numbers that rule reads, which ``as_dict`` includes when set.
+    """
 
     model_name: str
     params: object
@@ -94,6 +104,7 @@ class FitResult:
     iterations: int = 0
     converged: bool = True
     nfev: int = 0
+    stop: dict | None = None
 
     def params_dict(self) -> dict:
         return {
@@ -115,6 +126,7 @@ class FitResult:
             "iterations": self.iterations,
             "converged": self.converged,
             "nfev": self.nfev,
+            **({"stop": self.stop} if self.stop is not None else {}),
         }
 
     def _par(self) -> str:
@@ -235,142 +247,277 @@ def fit_laplace(data) -> FitResult:
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
 
 
-def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
-    """Minimize ``f`` from ``x0`` by Nelder-Mead with scipy's default setup.
-
-    Reflection 1, expansion 2, contraction 1/2 and shrink 1/2; the initial
-    simplex moves each coordinate of ``x0`` by 5% (to 0.00025 where it is
-    0).  Stops on convergence -- every vertex within ``xatol`` (a scalar or
-    one value per coordinate) of the best in each coordinate and within
-    ``fatol`` of it in value -- or once ``maxiter`` iterations or ``maxfev``
-    evaluations are spent.  Returns ``(x, f(x), iterations, evaluations,
-    converged)``.
-    """
-    dim = len(x0)
-    sim = np.tile(np.asarray(x0, dtype=float), (dim + 1, 1))
-    for k in range(dim):
-        sim[k + 1, k] = 1.05 * sim[0, k] if sim[0, k] != 0.0 else 0.00025
-    fsim = np.array([f(v) for v in sim])
-    nit, nfev = 1, dim + 1
-    while True:
-        order = np.argsort(fsim, kind="stable")
-        sim, fsim = sim[order], fsim[order]
-        converged = bool(np.all(np.abs(sim[1:] - sim[0]) <= xatol)
-                         and np.max(np.abs(fsim[1:] - fsim[0])) <= fatol)
-        if converged or nit >= maxiter or nfev >= maxfev:
-            return sim[0], float(fsim[0]), nit, nfev, converged
-        nit += 1
-        xbar = sim[:-1].sum(axis=0) / dim
-        xr = 2.0 * xbar - sim[-1]
-        fr = f(xr)
-        nfev += 1
-        if fr < fsim[0]:
-            xe = 3.0 * xbar - 2.0 * sim[-1]
-            fe = f(xe)
-            nfev += 1
-            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
-            continue
-        if fr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fr
-            continue
-        if fr < fsim[-1]:  # contract outside, towards the reflected point
-            xc = 1.5 * xbar - 0.5 * sim[-1]
-            fc = f(xc)
-            accept = fc <= fr
-        else:  # contract inside, towards the worst vertex
-            xc = 0.5 * xbar + 0.5 * sim[-1]
-            fc = f(xc)
-            accept = fc < fsim[-1]
-        nfev += 1
-        if accept:
-            sim[-1], fsim[-1] = xc, fc
-        else:  # shrink towards the best vertex
-            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-            fsim[1:] = [f(v) for v in sim[1:]]
-            nfev += dim
+#: Score passes per psi solve; score passes and omega steps per fit.
+_PSI_PASSES = 60
+_MAX_PASSES = 2000
+_MAX_STEPS = 400
+#: The psi-score is at rounding level within this many ulps of its terms' sum.
+_PSI_ROUNDING = 64.0
+#: Samples with at most this many distinct values are swept point by point.
+_SWEEP_N = 32
+_EPS = float(np.finfo(float).eps)
 
 
-def _golden_section(g, a, b, tol):
-    """Golden-section search for a minimum of ``g`` on ``[a, b]``, down to a
-    bracket narrower than ``tol``.  Returns ``(t, g(t), evaluations)``."""
-    r = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - r * (b - a), a + r * (b - a)
-    gc, gd = g(c), g(d)
-    nfev = 2
-    while b - a > tol:
-        if gc <= gd:
-            b, d, gd = d, c, gc
-            c = b - r * (b - a)
-            gc = g(c)
-        else:
-            a, c, gc = c, d, gd
-            d = a + r * (b - a)
-            gd = g(d)
-        nfev += 1
-    return (c, gc, nfev) if gc <= gd else (d, gd, nfev)
+class _Point(NamedTuple):
+    """The profile ``l(omega, psi-hat(omega))`` at one ``omega``: ``t = log psi-hat``,
+    the psi-score ``dl/dt`` there and its rounding level, and, per side of
+    ``omega`` (left, right), the slope ``dl/domega`` and two candidate omega
+    steps: a Newton step on the profile's curvature between data points
+    (``nan`` where that is not concave), and a scoring step on its
+    outer-product curvature, which counts the kinks.  A data point at
+    ``omega`` is a kink: the slope drops by ``2/psi`` across it."""
+
+    omega: float
+    t: float
+    psi_score: float
+    psi_tol: float
+    slope: tuple
+    newton: tuple
+    scoring: tuple
+    dt: tuple
+
+
+class _AgrSearch:
+    """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`."""
+
+    def __init__(self, xs):
+        self.xs = xs
+        self.n = xs.size
+        self.passes = 0
+        self.steps = 0
+
+    def slope_tol(self, omega, psi):
+        """Rounding level of a slope at ``(omega, psi)``: the rounding of its ``n``
+        terms, each below 2 in size, and what one double step of omega changes."""
+        return self.n * (16.0 * _EPS + float(np.spacing(abs(omega))) / psi) / psi
+
+    def point(self, omega, t, tight=False):
+        """Solve ``psi-hat(omega)`` by a bracketed Newton iteration on ``t = log psi``
+        from the guess ``t`` and return the :class:`_Point`.
+
+        The psi-score is solved to rounding level unless ``tight`` is false and
+        the profile clearly rises on one side of ``omega``: then it stops once
+        the psi error moves the slopes by under a tenth of that rise.
+        """
+        xs, n = self.xs, self.n
+        below = int(np.searchsorted(xs, omega, "left"))
+        m = int(np.searchsorted(xs, omega, "right")) - below
+        d = xs - omega
+        sign = np.ones(n)
+        sign[:below] = -1.0  # points at omega take their 0+ values: the left side
+        lo, hi = -math.inf, math.inf
+        for _ in range(_PSI_PASSES):
+            psi = math.exp(t)
+            self.passes += 1
+            z = d / psi
+            l1, l2 = _z_shape_derivs(*_z_uw(z), sign)
+            zl1, zl2 = z * l1, z * l2
+            # pairwise sums where rounding matters (the score and the slope);
+            # np.vdot for the curvatures, which only shape steps
+            sl1, szl1, szl2 = float(l1.sum()), float(zl1.sum()), float(zl2.sum())
+            score, ltt = -n - szl1, szl1 + float(np.vdot(z, zl2))
+            # every z L'(z) is <= 0, so n - szl1 is the sum of the terms' sizes;
+            # and t itself moves the score by ltt per unit, in steps of ulp(t)
+            tol = _PSI_ROUNDING * _EPS * (n - szl1) + abs(ltt) * math.ulp(t)
+            if abs(score) <= tol:
+                break
+            if not tight and ltt < 0.0:
+                shift = (abs(sl1 + szl2) + 2.0 * m) * abs(score / ltt) / psi
+                rise = max(-(sl1 + 2.0 * m), sl1) / psi - self.slope_tol(omega, psi)
+                if shift <= 0.1 * rise:
+                    break
+            if score > 0.0:
+                lo = t
+            else:
+                hi = t
+            step = -score / ltt if ltt < 0.0 else math.copysign(1.0, score)
+            nxt = t + max(-1.0, min(1.0, step))
+            if not lo < nxt < hi:
+                nxt = 0.5 * (lo + hi) if math.isfinite(lo + hi) else t + math.copysign(1.0, score)
+            if nxt == t:
+                break
+            t = nxt
+        sl2 = float(l2.sum())
+        sl11, szl11, sz2l11 = (float(np.vdot(a, b)) for a, b in ((l1, l1), (zl1, l1), (zl1, zl1)))
+        # per observation, the scores in omega and t are -L'/psi and -1 - z L';
+        # sums carry psi as a factor, so no power of psi under- or overflows
+        tt = n + 2.0 * szl1 + sz2l11
+        slope, newton, scoring, dt = [], [], [], []
+        # the points at omega count with L'(0+) = -1.4 and L''(0+) = 0.16 on the
+        # left, and with L'(0-) = 0.6 and L''(0-) = -0.64 on the right
+        for g1, g2, g11 in ((sl1, sl2, sl11), (sl1 + 2.0 * m, sl2 - 0.8 * m, sl11 - 1.6 * m)):
+            lwt, wt = g1 + szl2, g1 + szl11
+            curv = g2 - (lwt * lwt / ltt if ltt < 0.0 else 0.0)
+            info = g11 - wt * wt / tt
+            slope.append(-g1 / psi)
+            newton.append(psi * (g1 / curv) if curv < 0.0 else math.nan)
+            scoring.append(psi * (-g1 / info) if info > 0.0 else math.copysign(math.inf, -g1))
+            dt.append(-lwt / ltt / psi if ltt < 0.0 else 0.0)
+        return _Point(omega, t, score, tol, *map(tuple, (slope, newton, scoring, dt)))
+
+    def step_to(self, p, omega, side):
+        """One omega step: :meth:`point` at ``omega``, guessing ``t`` from ``p``'s
+        ``dt`` on ``side``."""
+        self.steps += 1
+        return self.point(omega, p.t + max(-1.0, min(1.0, p.dt[side] * (omega - p.omega))))
+
+    def rises(self, p):
+        """Whether the profile rises to the right of ``p`` (else, unless ``p``
+        is a local maximum, it rises to the left)."""
+        return p.slope[1] > self.slope_tol(p.omega, math.exp(p.t))
+
+    def is_max(self, p):
+        """``slope_right <= 0 <= slope_left`` to the slopes' rounding level."""
+        tol = self.slope_tol(p.omega, math.exp(p.t))
+        return p.slope[1] <= tol and p.slope[0] >= -tol
+
+    def budget_left(self):
+        return self.steps < _MAX_STEPS and self.passes < _MAX_PASSES
+
+    def ascend(self, p):
+        """Scoring steps on the profile from ``p`` uphill until one lands on a
+        local maximum or overshoots one; then :meth:`narrow` the bracket."""
+        xs = self.xs
+        side = int(self.rises(p))  # the side of each point the ascent leaves by
+        while self.budget_left():
+            omega = p.omega + p.scoring[side]
+            # the nearest data point ahead: up to it the profile is smooth, so
+            # a step that stays short of it is a Newton step, if one exists
+            j = int(np.searchsorted(xs, p.omega, "right")) if side else \
+                int(np.searchsorted(xs, p.omega, "left")) - 1
+            nxt = float(xs[min(max(j, 0), xs.size - 1)])
+            ahead = 2 * side - 1
+            if (omega - nxt) * ahead < 0.0:
+                omega = p.omega + p.newton[side]
+                if not (omega - nxt) * ahead < 0.0:  # beyond it, or no Newton step
+                    omega = nxt
+            omega = min(max(omega, xs[0]), xs[-1])
+            if omega == p.omega:
+                return p
+            new = self.step_to(p, omega, side)
+            if self.is_max(new):
+                return new
+            if self.rises(new) != bool(side):  # overshot
+                return self.narrow(*((p, new) if side else (new, p)))
+            p = new
+        return p
+
+    def sweep(self, values, t):
+        """Every local maximum that the one-sided slopes at the distinct data
+        ``values`` reveal: the values where the rule holds, and the maximum of
+        each gap whose ends rise into it.  ``t`` guesses ``log psi`` at the first."""
+        pts, p = [], None
+        for v in values:
+            p = self.step_to(p, float(v), 1) if p else self.point(float(v), t)
+            pts.append(p)
+        found = [p for p in pts if self.is_max(p)]
+        for a, b in zip(pts, pts[1:]):
+            if self.rises(a) and b.slope[0] < -self.slope_tol(b.omega, math.exp(b.t)):
+                found.append(self.narrow(a, b))
+        return found
+
+    def loglik(self, p):
+        """The log-likelihood at ``p`` less its constant ``n log(2/pi)``."""
+        return float(_z_log_shape((self.xs - p.omega) / math.exp(p.t)).sum()) - self.n * p.t
+
+    def narrow(self, a, b):
+        """Shrink ``[a, b]``, where the profile rises to the right of ``a`` and to
+        the left of ``b``, to a local maximum.  From the end of smaller slope,
+        take a scoring step while data points lie inside and step to the one
+        nearest it; once none is left, take Newton steps inside the gap.  A
+        step outside the bracket falls back to the secant of the two slopes,
+        and the bracket halves (in data points, then in width) at least every
+        second step."""
+        xs = self.xs
+        sizes = []
+        while self.budget_left():
+            lo = int(np.searchsorted(xs, a.omega, "right"))
+            hi = int(np.searchsorted(xs, b.omega, "left"))
+            inside = hi > lo
+            sa, sb = a.slope[1], b.slope[0]
+            p, side = (a, 1) if sa <= -sb else (b, 0)
+            guess = p.omega + (p.scoring if inside else p.newton)[side]
+            if not a.omega < guess < b.omega:
+                guess = a.omega + (b.omega - a.omega) * (sa / (sa - sb))
+            if sizes and sizes[-1][0] != inside:
+                sizes = []
+            sizes.append((inside, hi - lo if inside else b.omega - a.omega))
+            halve = len(sizes) > 2 and sizes[-1][1] > sizes[-3][1] / 2
+            if inside:
+                j = (lo + hi) // 2
+                if not halve:
+                    j = min(max(int(np.searchsorted(xs, guess)), lo), hi - 1)
+                    if j > lo and guess - xs[j - 1] < xs[j] - guess:
+                        j -= 1
+                omega = float(xs[j])
+            else:
+                omega = a.omega + 0.5 * (b.omega - a.omega) if halve else guess
+                if not a.omega < omega < b.omega:  # a and b are adjacent doubles
+                    break
+            near_a = omega - a.omega <= b.omega - omega
+            new = self.step_to(a, omega, 1) if near_a else self.step_to(b, omega, 0)
+            if self.is_max(new):
+                return new
+            if self.rises(new):
+                a = new
+            else:
+                b = new
+        return a if a.slope[1] <= -b.slope[0] else b
 
 
 def fit_agr(data) -> FitResult:
-    """Fit the arctan Gaussian-Rayleigh model by Nelder-Mead and a psi profile.
+    """Fit the arctan Gaussian-Rayleigh model by its analytic score.
 
-    One Nelder-Mead search starts at (median, mean absolute deviation from
-    the median) and a second one polishes its result with simplex tolerance
-    ``1e-10 * scale``; both tolerances are floored at 4 ulps of each
-    coordinate, below which no simplex can close (the double spacing at a
-    large ``|omega|`` exceeds ``1e-10 * scale``).  The likelihood has a kink
-    in omega at every data point; when omega settles on one, the simplex can
-    collapse before psi is optimal, so a golden-section search over
-    ``log psi`` within +-0.7 of the polished value, omega held, finishes the
-    fit.  ``converged`` means the polish stopped on its tolerances;
-    ``iterations`` counts the simplex iterations of both searches and
-    ``nfev`` every log-likelihood evaluation.
+    The log-likelihood is ``n log(2/(pi psi)) + sum L(z_i)`` with
+    ``z_i = (x_i - omega)/psi`` and ``L(z) = -|z| - log1p(w^2)``, whose
+    derivatives are closed forms (:func:`~arctangr.distributions._z_shape_derivs`).
+    For a fixed omega, ``psi-hat`` solves the psi-score
+    ``dl/dlog psi = -n - sum z L'(z)`` by a bracketed Newton iteration on
+    ``log psi``.  The profile ``l(omega, psi-hat(omega))`` is smooth between
+    data points and has a concave kink at each, its slope
+    ``-sum L'(z)/psi`` dropping by ``2/psi`` per point.  The search ascends
+    from the median by Newton steps on that profile, one-sided at kinks;
+    once a step overshoots (a one-sided slope changes sign), it narrows the
+    bracket over the order statistics, then inside the gap between two
+    adjacent data points if the maximum lies there.
+
+    ``converged`` means the stopping rule holds at the returned point: the
+    psi-score is at rounding level and ``slope_right <= 0 <= slope_left``,
+    both slopes to their rounding level.  ``stop`` records those three
+    numbers, ``iterations`` counts the omega steps and ``nfev`` the score
+    passes.  The likelihood is not concave, so this certifies a local
+    maximum: the one the ascent from the median reaches.  Samples with at
+    most 32 distinct values (small or coarsely rounded ones), where several
+    local maxima are common, are also swept: every value where the rule
+    holds and the maximum of every gap whose ends rise into it compete with
+    that one, and the highest is returned.
     """
     x = _values(data)
     n = int(x.size)
     if n < 3:
         raise DomainError(f"AGR fit needs at least 3 observations, got {n}")
     med, scale = _median_and_spread(x, "AGR")
-
-    def negloglik(theta):
-        omega, psi = theta
-        if not (np.isfinite(omega) and np.isfinite(psi)) or psi <= 0.0:
-            return np.inf
-        ll = float(np.sum(_z_log_shape((x - omega) / psi)))
-        return -(ll + n * math.log(2.0 / (math.pi * psi)))
-
-    def xatol(rel, x0):
-        # a simplex cannot close to less than a few ulps of each coordinate
-        return np.maximum(rel * scale, 4.0 * np.spacing(np.abs(x0)))
-
-    start, fun, nit1, nfev1, _ = _nelder_mead(
-        negloglik, [med, scale], xatol=xatol(1e-6, [med, scale]), fatol=1e-7 * n,
-        maxiter=2000, maxfev=4000,
-    )
-    (omega, psi), fun, nit2, nfev2, converged = _nelder_mead(
-        negloglik, start, xatol=xatol(1e-10, start), fatol=1e-8 * (1.0 + abs(fun)),
-        maxiter=20000, maxfev=40000,
-    )
-    if not math.isfinite(fun):
-        raise FitConvergenceError(
-            "Nelder-Mead found no finite log-likelihood",
-            diagnostics=[(float(omega), float(psi), fun)],
-        )
-    log_psi = math.log(psi)
-    t, gfun, nfev3 = _golden_section(
-        lambda t: negloglik((omega, math.exp(t))), log_psi - 0.7, log_psi + 0.7, 1e-10
-    )
-    if gfun < fun:
-        psi = math.exp(t)
-
+    search = _AgrSearch(np.sort(x))
+    best = search.point(med, math.log(scale))
+    if not search.is_max(best):
+        best = search.ascend(best)
+    xs = search.xs
+    values = xs[np.r_[True, xs[1:] != xs[:-1]]]
+    if values.size <= _SWEEP_N:
+        best = max([best, *search.sweep(values, best.t)], key=search.loglik)
+    if abs(best.psi_score) > best.psi_tol:
+        best = search.point(best.omega, best.t, tight=True)
     return _build_result(
         "agr",
-        ArctanGRParams(omega=float(omega), psi=float(psi)),
+        ArctanGRParams(omega=float(best.omega), psi=math.exp(best.t)),
         agr_logpdf,
         x,
         r=2,
-        iterations=nit1 + nit2,
-        nfev=nfev1 + nfev2 + nfev3,
-        converged=converged,
+        iterations=search.steps,
+        nfev=search.passes,
+        converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,
+        stop={"psi_score": best.psi_score, "omega_slope_left": best.slope[0],
+              "omega_slope_right": best.slope[1]},
     )
 
 

@@ -33,7 +33,6 @@ from .distributions import (
     ArctanGRParams,
     _z_quantile,
     _z_tail_quantile,
-    agr_quantile,
 )
 from .errors import DataError, DomainError
 
@@ -52,9 +51,16 @@ def var(params: ArctanGRParams, alpha) -> float:
     ``omega - psi*log(2 - 2*tan(pi*alpha/4))``; for ``alpha`` in
     ``(1/2, P_STAR)`` that formula would sit on the wrong CDF branch, so the
     general quantile is used throughout (they coincide where both apply).
+    A VaR that is not a finite double raises :class:`DomainError`, as the
+    other measures do.
     """
     a = _check_alpha(alpha)
-    return float(agr_quantile(params, a))
+    # agr_quantile's expression on a checked level, in float arithmetic,
+    # which overflows to inf without a warning
+    value = params.omega + params.psi * float(_z_quantile(a))
+    if not math.isfinite(value):
+        raise DomainError(f"VaR at alpha={a!r} is not a finite double")
+    return value
 
 
 def _tail_moments(alphas):

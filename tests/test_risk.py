@@ -246,6 +246,10 @@ class TestNonFiniteMeasures:
         huge = ArctanGRParams(1e308, 1e308)
         with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double"):
             risk_curve(huge, [0.6, 0.99])
+        with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double$"):
+            var(huge, 0.99)
+        with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double$"):
+            mc_oracle(huge, 0.99, 1000, seed=1)
         with pytest.raises(DomainError, match=r"^TVaR at alpha=0\.6 is not a finite double"):
             tvar(huge, 0.6)
         wide = ArctanGRParams(0.0, 1e200)
