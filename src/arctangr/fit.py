@@ -274,7 +274,6 @@ class _Point(NamedTuple):
     slope: tuple
     newton: tuple
     scoring: tuple
-    dt: tuple
 
 
 class _AgrSearch:
@@ -342,7 +341,7 @@ class _AgrSearch:
         # per observation, the scores in omega and t are -L'/psi and -1 - z L';
         # sums carry psi as a factor, so no power of psi under- or overflows
         tt = n + 2.0 * szl1 + sz2l11
-        slope, newton, scoring, dt = [], [], [], []
+        slope, newton, scoring = [], [], []
         # the points at omega count with L'(0+) = -1.4 and L''(0+) = 0.16 on the
         # left, and with L'(0-) = 0.6 and L''(0-) = -0.64 on the right
         for g1, g2, g11 in ((sl1, sl2, sl11), (sl1 + 2.0 * m, sl2 - 0.8 * m, sl11 - 1.6 * m)):
@@ -352,14 +351,12 @@ class _AgrSearch:
             slope.append(-g1 / psi)
             newton.append(psi * (g1 / curv) if curv < 0.0 else math.nan)
             scoring.append(psi * (-g1 / info) if info > 0.0 else math.copysign(math.inf, -g1))
-            dt.append(-lwt / ltt / psi if ltt < 0.0 else 0.0)
-        return _Point(omega, t, score, tol, *map(tuple, (slope, newton, scoring, dt)))
+        return _Point(omega, t, score, tol, *map(tuple, (slope, newton, scoring)))
 
-    def step_to(self, p, omega, side):
-        """One omega step: :meth:`point` at ``omega``, guessing ``t`` from ``p``'s
-        ``dt`` on ``side``."""
+    def step_to(self, p, omega):
+        """One omega step: :meth:`point` at ``omega``, from ``p``'s ``log psi``."""
         self.steps += 1
-        return self.point(omega, p.t + max(-1.0, min(1.0, p.dt[side] * (omega - p.omega))))
+        return self.point(omega, p.t)
 
     def rises(self, p):
         """Whether the profile rises to the right of ``p`` (else, unless ``p``
@@ -394,7 +391,7 @@ class _AgrSearch:
             omega = min(max(omega, xs[0]), xs[-1])
             if omega == p.omega:
                 return p
-            new = self.step_to(p, omega, side)
+            new = self.step_to(p, omega)
             if self.is_max(new):
                 return new
             if self.rises(new) != bool(side):  # overshot
@@ -402,13 +399,13 @@ class _AgrSearch:
             p = new
         return p
 
-    def sweep(self, values, t):
+    def sweep(self, values, p):
         """Every local maximum that the one-sided slopes at the distinct data
         ``values`` reveal: the values where the rule holds, and the maximum of
-        each gap whose ends rise into it.  ``t`` guesses ``log psi`` at the first."""
-        pts, p = [], None
+        each gap whose ends rise into it.  The first step starts from ``p``."""
+        pts = []
         for v in values:
-            p = self.step_to(p, float(v), 1) if p else self.point(float(v), t)
+            p = self.step_to(p, float(v))
             pts.append(p)
         found = [p for p in pts if self.is_max(p)]
         for a, b in zip(pts, pts[1:]):
@@ -454,8 +451,7 @@ class _AgrSearch:
                 omega = a.omega + 0.5 * (b.omega - a.omega) if halve else guess
                 if not a.omega < omega < b.omega:  # a and b are adjacent doubles
                     break
-            near_a = omega - a.omega <= b.omega - omega
-            new = self.step_to(a, omega, 1) if near_a else self.step_to(b, omega, 0)
+            new = self.step_to(a if omega - a.omega <= b.omega - omega else b, omega)
             if self.is_max(new):
                 return new
             if self.rises(new):
@@ -504,7 +500,7 @@ def fit_agr(data) -> FitResult:
     xs = search.xs
     values = xs[np.r_[True, xs[1:] != xs[:-1]]]
     if values.size <= _SWEEP_N:
-        best = max([best, *search.sweep(values, best.t)], key=search.loglik)
+        best = max([best, *search.sweep(values, best)], key=search.loglik)
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
     return _build_result(
