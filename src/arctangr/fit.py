@@ -448,7 +448,9 @@ class _AgrSearch:
                         j -= 1
                 omega = float(xs[j])
             else:
-                omega = a.omega + 0.5 * (b.omega - a.omega) if halve else guess
+                omega = guess
+                if halve or not a.omega < omega < b.omega:  # the secant can round onto an end
+                    omega = a.omega + 0.5 * (b.omega - a.omega)
                 if not a.omega < omega < b.omega:  # a and b are adjacent doubles
                     break
             new = self.step_to(a if omega - a.omega <= b.omega - omega else b, omega)

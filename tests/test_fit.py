@@ -306,7 +306,8 @@ def score_at(x, omega, psi):
     z = (np.asarray(x, dtype=float) - omega) / psi
     e = np.exp(-np.abs(z))
     above = 1.0 - 0.5 * e
-    lp = np.where(z > 0.0, -1.0 - e * above / (1.0 + above**2), 1.0 - 0.5 * e**2 / (1.0 + 0.25 * e**2))
+    lp = np.where(z > 0.0, -1.0 - e * above / (1.0 + above**2),
+                  1.0 - 0.5 * e**2 / (1.0 + 0.25 * e**2))
     zero = z == 0.0
     lp[zero] = -1.4
     right = lp.copy()
