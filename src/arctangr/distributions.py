@@ -365,8 +365,9 @@ def agr_pdf(params: ArctanGRParams, x):
 
 
 def agr_logpdf(params: ArctanGRParams, x):
-    """Log density, written to avoid under/overflow far from the location."""
-    log_c = math.log(2.0 / (math.pi * params.psi))
+    """Log density, written to avoid under/overflow far from the location and,
+    as ``log(2/pi) - log(psi)``, at every scale (``pi * psi`` can overflow)."""
+    log_c = math.log(2.0 / math.pi) - math.log(params.psi)
     return _on_z(params, x, lambda z: log_c + _z_log_shape(z), require_finite=True)
 
 

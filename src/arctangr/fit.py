@@ -4,9 +4,10 @@ The arctan Gaussian-Rayleigh log-likelihood is piecewise smooth in the
 location (a kink at every data point, inherited from ``|x - omega|``) and
 smooth in the scale, and its score is closed-form.  It is maximized from
 that score: a bracketed Newton iteration on ``log psi`` for each omega, and
-in omega an ascent from the median on the one-sided slopes of the profile,
-narrowed over the order statistics and then inside a gap between two data
-points (samples with few distinct values are also swept point by point).
+in omega one bracketed search on the one-sided slopes of the profile, from
+the median toward an open end just beyond the data, narrowed over the order
+statistics and then inside a gap between two data points (samples with few
+distinct values are also swept point by point).
 The fit stops on a checkable rule (see :func:`fit_agr`).  No scipy is
 imported.  The baseline Gaussian, Rayleigh, and Laplace fits are
 closed-form MLEs.  The four models are registered once, in :data:`MODELS`.
@@ -219,10 +220,11 @@ def fit_rayleigh(data) -> FitResult:
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
 
-def _median_and_spread(x, model):
-    """Median of ``x`` and mean absolute deviation from it, which must be a
-    positive finite number for the ``model`` fit to have a scale."""
-    med = float(_linear_quantile(np.sort(x), 0.5))
+def _median_and_spread(x, xs, model):
+    """Median of ``x`` (read from ``xs``, the same values sorted) and mean
+    absolute deviation from it, which must be a positive finite number for
+    the ``model`` fit to have a scale."""
+    med = float(_linear_quantile(xs, 0.5))
     with np.errstate(over="ignore"):
         scale = float(np.mean(np.abs(x - med)))
     if scale <= 0.0:
@@ -242,7 +244,7 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     x = _values(data)
-    med, scale = _median_and_spread(x, "Laplace")
+    med, scale = _median_and_spread(x, np.sort(x), "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
 
@@ -368,36 +370,16 @@ class _AgrSearch:
         tol = self.slope_tol(p.omega, math.exp(p.t))
         return p.slope[1] <= tol and p.slope[0] >= -tol
 
+    def open_end(self, side):
+        """A bracket end one double beyond the data on ``side`` (1 right, 0 left),
+        where every ``L'`` has one sign: infinite slopes, no psi solve (``t`` is
+        ``nan``), and never stepped from or returned."""
+        slope = -math.inf if side else math.inf
+        omega = np.nextafter(self.xs[-1 if side else 0], slope)
+        return _Point(float(omega), math.nan, math.nan, math.nan, (slope, slope), (), ())
+
     def budget_left(self):
         return self.steps < _MAX_STEPS and self.passes < _MAX_PASSES
-
-    def ascend(self, p):
-        """Scoring steps on the profile from ``p`` uphill until one lands on a
-        local maximum or overshoots one; then :meth:`narrow` the bracket."""
-        xs = self.xs
-        side = int(self.rises(p))  # the side of each point the ascent leaves by
-        while self.budget_left():
-            omega = p.omega + p.scoring[side]
-            # the nearest data point ahead: up to it the profile is smooth, so
-            # a step that stays short of it is a Newton step, if one exists
-            j = int(np.searchsorted(xs, p.omega, "right")) if side else \
-                int(np.searchsorted(xs, p.omega, "left")) - 1
-            nxt = float(xs[min(max(j, 0), xs.size - 1)])
-            ahead = 2 * side - 1
-            if (omega - nxt) * ahead < 0.0:
-                omega = p.omega + p.newton[side]
-                if not (omega - nxt) * ahead < 0.0:  # beyond it, or no Newton step
-                    omega = nxt
-            omega = min(max(omega, xs[0]), xs[-1])
-            if omega == p.omega:
-                return p
-            new = self.step_to(p, omega)
-            if self.is_max(new):
-                return new
-            if self.rises(new) != bool(side):  # overshot
-                return self.narrow(*((p, new) if side else (new, p)))
-            p = new
-        return p
 
     def sweep(self, values, p):
         """Every local maximum that the one-sided slopes at the distinct data
@@ -419,12 +401,15 @@ class _AgrSearch:
 
     def narrow(self, a, b):
         """Shrink ``[a, b]``, where the profile rises to the right of ``a`` and to
-        the left of ``b``, to a local maximum.  From the end of smaller slope,
-        take a scoring step while data points lie inside and step to the one
-        nearest it; once none is left, take Newton steps inside the gap.  A
-        step outside the bracket falls back to the secant of the two slopes,
-        and the bracket halves (in data points, then in width) at least every
-        second step."""
+        the left of ``b``, to a local maximum.  Either end may be an
+        :meth:`open_end`.  From the end ``p`` of smaller slope, take a scoring
+        step, no further than the data, while data points lie inside: one that
+        falls short of the data point nearest ``p`` becomes a Newton step
+        inside that gap (or that point), any other goes to the data point
+        nearest it.  Once none is left, take Newton steps inside the gap.  A
+        step outside the bracket falls back to the secant of the two slopes.
+        Once both ends are closed, the bracket halves (in data points, then in
+        width) at least every second step."""
         xs = self.xs
         sizes = []
         while self.budget_left():
@@ -433,27 +418,34 @@ class _AgrSearch:
             inside = hi > lo
             sa, sb = a.slope[1], b.slope[0]
             p, side = (a, 1) if sa <= -sb else (b, 0)
-            guess = p.omega + (p.scoring if inside else p.newton)[side]
+            guess = min(max(p.omega + (p.scoring if inside else p.newton)[side], xs[0]), xs[-1])
             if not a.omega < guess < b.omega:
                 guess = a.omega + (b.omega - a.omega) * (sa / (sa - sb))
             if sizes and sizes[-1][0] != inside:
                 sizes = []
-            sizes.append((inside, hi - lo if inside else b.omega - a.omega))
+            if math.isfinite(a.t + b.t):  # both ends closed
+                sizes.append((inside, hi - lo if inside else b.omega - a.omega))
             halve = len(sizes) > 2 and sizes[-1][1] > sizes[-3][1] / 2
             if inside:
-                j = (lo + hi) // 2
-                if not halve:
+                nxt = float(xs[lo if side else hi - 1])  # the data point ahead of p
+                if halve:
+                    omega = float(xs[(lo + hi) // 2])
+                elif (guess < nxt) if side else (guess > nxt):  # up to nxt the profile is smooth
+                    omega = p.omega + p.newton[side]
+                    if not min(p.omega, nxt) < omega < max(p.omega, nxt):
+                        omega = nxt
+                else:
                     j = min(max(int(np.searchsorted(xs, guess)), lo), hi - 1)
                     if j > lo and guess - xs[j - 1] < xs[j] - guess:
                         j -= 1
-                omega = float(xs[j])
+                    omega = float(xs[j])
             else:
                 omega = guess
                 if halve or not a.omega < omega < b.omega:  # the secant can round onto an end
                     omega = a.omega + 0.5 * (b.omega - a.omega)
                 if not a.omega < omega < b.omega:  # a and b are adjacent doubles
                     break
-            new = self.step_to(a if omega - a.omega <= b.omega - omega else b, omega)
+            new = self.step_to(p, omega)
             if self.is_max(new):
                 return new
             if self.rises(new):
@@ -473,33 +465,35 @@ def fit_agr(data) -> FitResult:
     ``dl/dlog psi = -n - sum z L'(z)`` by a bracketed Newton iteration on
     ``log psi``.  The profile ``l(omega, psi-hat(omega))`` is smooth between
     data points and has a concave kink at each, its slope
-    ``-sum L'(z)/psi`` dropping by ``2/psi`` per point.  The search ascends
-    from the median by Newton steps on that profile, one-sided at kinks;
-    once a step overshoots (a one-sided slope changes sign), it narrows the
-    bracket over the order statistics, then inside the gap between two
-    adjacent data points if the maximum lies there.
+    ``-sum L'(z)/psi`` dropping by ``2/psi`` per point; beyond the data it
+    falls away on both sides.  One bracketed search, from the median to an
+    open end just beyond the data on its rising side, narrows by scoring
+    and Newton steps on the profile, one-sided at kinks, over the order
+    statistics and then inside a gap between two data points.
 
     ``converged`` means the stopping rule holds at the returned point: the
     psi-score is at rounding level and ``slope_right <= 0 <= slope_left``,
     both slopes to their rounding level.  ``stop`` records those three
     numbers, ``iterations`` counts the omega steps and ``nfev`` the score
     passes.  The likelihood is not concave, so this certifies a local
-    maximum: the one the ascent from the median reaches.  Samples with at
+    maximum: the one the search from the median reaches.  Samples with at
     most 32 distinct values (small or coarsely rounded ones), where several
     local maxima are common, are also swept: every value where the rule
     holds and the maximum of every gap whose ends rise into it compete with
-    that one, and the highest is returned.
+    that one, and the highest is returned.  CAIC needs ``n > r + 1``, so
+    fewer than 4 observations raise :class:`DomainError` before the search.
     """
     x = _values(data)
-    n = int(x.size)
-    if n < 3:
-        raise DomainError(f"AGR fit needs at least 3 observations, got {n}")
-    med, scale = _median_and_spread(x, "AGR")
-    search = _AgrSearch(np.sort(x))
+    xs = np.sort(x)
+    med, scale = _median_and_spread(x, xs, "AGR")
+    n, r = int(x.size), 2
+    if n <= r + 1:
+        raise DomainError(f"AGR fit needs at least {r + 2} observations, got {n}")
+    search = _AgrSearch(xs)
     best = search.point(med, math.log(scale))
     if not search.is_max(best):
-        best = search.ascend(best)
-    xs = search.xs
+        ends = (best, search.open_end(1)) if search.rises(best) else (search.open_end(0), best)
+        best = search.narrow(*ends)
     values = xs[np.r_[True, xs[1:] != xs[:-1]]]
     if values.size <= _SWEEP_N:
         best = max([best, *search.sweep(values, best)], key=search.loglik)
@@ -510,7 +504,7 @@ def fit_agr(data) -> FitResult:
         ArctanGRParams(omega=float(best.omega), psi=math.exp(best.t)),
         agr_logpdf,
         x,
-        r=2,
+        r=r,
         iterations=search.steps,
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,

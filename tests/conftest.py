@@ -1,6 +1,20 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import arctangr
 from arctangr import ArctanGRParams, ingest
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``,
+    for tests that run the package in a new ``python`` process."""
+    env = dict(os.environ)
+    src = str(Path(arctangr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 @pytest.fixture(scope="session")

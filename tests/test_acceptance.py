@@ -254,7 +254,7 @@ def test_criterion_09_sampling_ks():
             f"worst KS = {worst:.5f}")
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(tmp_path, src_env):
     blobs = []
     for fmt in ("json", "csv"):
         for run in (1, 2):
@@ -263,7 +263,7 @@ def test_criterion_10_cli_determinism(tmp_path):
                 [sys.executable, "-m", "arctangr", "compare",
                  "--data", "embedded:insurance", "--seed", "42",
                  "--format", fmt, "--out", str(target)],
-                capture_output=True,
+                capture_output=True, env=src_env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             blobs.append(target.read_bytes())

@@ -1,17 +1,14 @@
 """CLI: subcommands, formats, exit codes, and output determinism."""
 
 import json
-import os
 import re
 import subprocess
 import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import pytest
 
-import arctangr
 import arctangr.cli as cli
 from arctangr.errors import FitConvergenceError
 from arctangr.fit import MODELS
@@ -238,7 +235,7 @@ class TestOutputsAndDeterminism:
         assert out == ""  # everything went to the file
         assert target.read_text().startswith("alpha,var,tvar,tv")
 
-    def test_compare_byte_identical_across_processes(self, tmp_path):
+    def test_compare_byte_identical_across_processes(self, tmp_path, src_env):
         outs = []
         for name in ("a.json", "b.json"):
             target = tmp_path / name
@@ -246,7 +243,7 @@ class TestOutputsAndDeterminism:
                 [sys.executable, "-m", "arctangr", "compare",
                  "--data", "embedded:insurance", "--seed", "42",
                  "--format", "json", "--out", str(target)],
-                capture_output=True,
+                capture_output=True, env=src_env,
             )
             assert proc.returncode == 0
             outs.append(target.read_bytes())
@@ -282,12 +279,9 @@ class TestColdPath:
                           "masked": masked, "scipy": loaded("scipy")}))
     """)
 
-    def test_no_scipy_in_any_subcommand(self):
-        src = str(Path(arctangr.__file__).resolve().parents[1])
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    def test_no_scipy_in_any_subcommand(self, src_env):
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
         assert result["after_import"] == []

@@ -219,6 +219,13 @@ class TestPdf:
         np.testing.assert_allclose(mapped, agr_logpdf(table_params, x), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mapped, np.log(agr_pdf(table_params, x)), rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("psi", [1e308, np.finfo(float).max, 5e-324])
+    def test_logpdf_finite_at_extreme_scales(self, psi):
+        # pi * psi overflows above ~5.7e307 and 2 / (pi * psi) below ~2e-308
+        expected = math.log(2.0 / math.pi) - math.log(psi) - math.log(1.25)
+        got = agr_logpdf(ArctanGRParams(0.0, psi), 0.0)
+        assert got == pytest.approx(expected, rel=1e-15)
+
 
 def _mp_log_shape(z, side):
     """``L(z) = log g(z) - log(2/pi)`` on the ``side`` (+1 or -1) of 0, in mpmath
@@ -507,7 +514,8 @@ BLOCKED_X = {
     "agr_survival": (agr_survival, lambda x, o, s: _z_sf((x - o) / s)),
     "agr_pdf": (agr_pdf, lambda x, o, s: _z_pdf((x - o) / s) / s),
     "agr_logpdf": (agr_logpdf,
-                   lambda x, o, s: math.log(2.0 / (math.pi * s)) + _z_log_shape((x - o) / s)),
+                   lambda x, o, s: math.log(2.0 / math.pi) - math.log(s)
+                   + _z_log_shape((x - o) / s)),
     "agr_cum_hazard": (agr_cum_hazard, lambda x, o, s: _z_cum_hazard((x - o) / s)),
     "agr_hazard": (agr_hazard, lambda x, o, s: _z_hazard((x - o) / s) / s),
     "mixture_kernel_pdf": (mixture_kernel_pdf, lambda x, o, s: _half_exp((x - o) / s) / s),

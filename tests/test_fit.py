@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import arctangr.fit as fit_module
 from arctangr import (
     ArctanGRParams,
     DataError,
@@ -166,6 +167,15 @@ class TestFitAgr:
         with pytest.raises(DomainError):
             fit_agr(np.array([1.0, 2.0]))
 
+    def test_three_points_fail_before_the_search(self, monkeypatch):
+        # CAIC needs n > r + 1 = 3, so no search is run for three points
+        def no_search(xs):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(fit_module, "_AgrSearch", no_search)
+        with pytest.raises(DomainError, match="AGR fit needs at least 4 observations, got 3"):
+            fit_agr(np.array([1e-300, 2e-300, 3e-300]))
+
     def test_insurance_fit(self, insurance):
         res = fit_agr(insurance)
         assert res.converged
@@ -293,6 +303,10 @@ class TestAgainstMultistart:
     # the maximum lies inside a wide gap between data points: bisecting the
     # slope over [min, max] finds a lower local maximum (-19.202 against -19.114)
     @example(x=_family_sample("two_normals", 7, 2))
+    # the maximum lies in the wide gap right of the median: an unbracketed
+    # ascent stepped over it onto a local maximum at a data point (-19.928
+    # against -19.861)
+    @example(x=_family_sample("two_normals", 7, 2799830971))
     def test_family(self, x):
         assume(np.mean(np.abs(x - np.median(x))) > 0.0)
         assert_matches_multistart(x)
