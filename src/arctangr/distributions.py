@@ -21,7 +21,8 @@ Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
 (densities divide by ``psi``), evaluated in cache-sized blocks by
 :func:`arctangr._util.blockwise`.  Raw moments expand ``E[(omega + psi Z)^r]``
-binomially over ``E[Z^k]``, summed exactly from the density's series.
+binomially over ``E[Z^k]``, summed exactly from the density's series; those
+depend on ``k`` alone, so each is summed once and kept for later calls.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -29,6 +30,7 @@ all randomness (see :func:`agr_sample` for the stream-splitting convention).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -284,9 +286,14 @@ _LOWER_C, _LOWER_N = 2.0 * (-0.25) ** _j, 2.0 * _j + 1.0
 _UPPER_C, _UPPER_N = np.resize([1.0, 1, 1, 0, -1, -1, -1, 0], 60) * 0.5 ** (3 * _j // 2), _j + 1.0
 
 
+@functools.cache
 def _z_moment_parts(k):
     """``E[Z^k]`` of the standard AGR as its (z < 0, z >= 0) parts, summed
-    termwise over the density series with ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``."""
+    termwise over the density series with ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``.
+
+    Parameter-free, so each order is summed once and kept: the tuple of floats
+    is immutable, and from ``k = 171`` on ``k!`` leaves the double range and
+    raises ``OverflowError`` before anything is kept, so at most 170 orders are."""
     lower = (-1) ** k * np.sum(_LOWER_C * _LOWER_N ** -(k + 1.0)) / math.pi
     upper = np.sum(_UPPER_C * _UPPER_N ** -(k + 1.0)) / math.pi
     return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
@@ -310,7 +317,12 @@ def mixture_kernel_cdf(params: ArctanGRParams, x):
 
 
 def mixture_kernel_logpdf(params: ArctanGRParams, x):
-    return _on_z(params, x, lambda z: -np.abs(z) - math.log(2.0 * params.psi))
+    """Log density ``-|z| - log(2 psi)``; where ``2 psi`` overflows (psi above
+    ~9e307) the constant is taken as ``log 2 + log psi``, so it is finite at
+    every scale and unchanged, bit for bit, below."""
+    psi = float(params.psi)
+    log_c = math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
+    return _on_z(params, x, lambda z: -np.abs(z) - log_c)
 
 
 def mixture_kernel_quantile(params: ArctanGRParams, p):

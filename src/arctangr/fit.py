@@ -290,7 +290,7 @@ class _AgrSearch:
     def slope_tol(self, omega, psi):
         """Rounding level of a slope at ``(omega, psi)``: the rounding of its ``n``
         terms, each below 2 in size, and what one double step of omega changes."""
-        return self.n * (16.0 * _EPS + float(np.spacing(abs(omega))) / psi) / psi
+        return self.n * (16.0 * _EPS + math.ulp(omega) / psi) / psi
 
     def point(self, omega, t, tight=False):
         """Solve ``psi-hat(omega)`` by a bracketed Newton iteration on ``t = log psi``

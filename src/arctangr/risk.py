@@ -10,12 +10,16 @@ is an affine image of one computed on the standard variable ``Z``:
 ``m`` and ``v`` are closed-form sums over the density's series in
 ``e^{-|z|}`` (the raw moments' series), taken about ``z_a`` and ``m``: from
 0.5 + 1e-7 to 1 - 1e-13 they are within 2.5e-16 (``m``, relative to
-``1 + |m|``) and 5.5e-16 (``v``, relative) of a 25-digit reference.  A seeded
-Monte Carlo oracle and order-statistic empirical estimators round out the module.
+``1 + |m|``) and 5.5e-16 (``v``, relative) of a 25-digit reference.  ``z``,
+``m`` and ``v`` depend on the levels alone, so each grid of levels is summed
+once and its read-only arrays kept (the 64 most recently used grids) for every
+later call and every ``(omega, psi)``.  A seeded Monte Carlo oracle and
+order-statistic empirical estimators round out the module.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -63,6 +67,10 @@ def var(params: ArctanGRParams, alpha) -> float:
     return value
 
 
+# C / n^k, k = 1, 2, 3: the weights of the three lower-branch sums
+_LOWER_W = [_LOWER_C / _LOWER_N**k for k in (1, 2, 3)]
+
+
 def _tail_moments(alphas):
     """``(z, m, v)`` arrays per level: ``z_a``, ``E[Z | Z > z_a]`` and ``E[(Z - m)^2 | Z > z_a]``.
 
@@ -70,17 +78,21 @@ def _tail_moments(alphas):
     summed about ``m``.  Above ``lo = max(z_a, 0)``, with ``u = 1/n + lo - z_a``, the
     term ``C e^{-n z}`` adds ``C e^{-n lo} / n`` times ``1``, ``u`` and ``u^2 + 1/n^2``;
     on ``[z_a, 0)`` the term ``C e^{n z}``, with ``x = n (lo - z_a)`` and ``e = 1 - e^{-x}``,
-    adds ``C e/n``, ``C (x - e)/n^2`` and ``C (x^2 - 2x + 2e)/n^3``.
+    adds ``C e/n``, ``C (x - e)/n^2`` and ``C (x^2 - 2x + 2e)/n^3``.  At ``z_a >= 0``
+    those lower sums are exactly +0.0, so they are summed only for levels with
+    ``z_a < 0`` and left at 0 for the rest.
     """
     z = _z_quantile(np.atleast_1d(np.asarray(alphas, dtype=float)))
     lo = np.maximum(z, 0.0)[:, None]
-    d = lo - z[:, None]
     w = np.exp(-_UPPER_N * lo) * (_UPPER_C / _UPPER_N)
-    u = d + 1.0 / _UPPER_N
-    x = _LOWER_N * d
-    e = -np.expm1(-x)
-    s0, s1, s2 = ((_LOWER_C / _LOWER_N**k * t).sum(axis=1)
-                  for k, t in ((1, e), (2, x - e), (3, x * (x - 2.0) + 2.0 * e)))
+    u = lo - z[:, None] + 1.0 / _UPPER_N
+    s0, s1, s2 = lower = np.zeros((3, z.size))
+    below = np.flatnonzero(z < 0.0)
+    if below.size:
+        x = _LOWER_N * -z[below, None]
+        e = -np.expm1(-x)
+        for s, weight, t in zip(lower, _LOWER_W, (e, x - e, x * (x - 2.0) + 2.0 * e)):
+            s[below] = (weight * t).sum(axis=1)
     p0 = w.sum(axis=1) + s0
     r = ((w * u).sum(axis=1) + s1) / p0
     c = u - r[:, None]
@@ -88,10 +100,23 @@ def _tail_moments(alphas):
     return z, z + r, p2 / p0
 
 
+@functools.lru_cache(maxsize=64)
+def _standard_tail(levels: tuple):
+    """:func:`_tail_moments` over the checked ``levels``, kept for the 64 most
+    recently used grids.  The result depends on the levels alone, never on
+    ``(omega, psi)``, so every parameter set and every measure share it; the
+    arrays are read-only, so no caller can change what a later one reads."""
+    tail = _tail_moments(levels)
+    for arr in tail:
+        arr.flags.writeable = False
+    return tail
+
+
 def _risk_columns(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
-    """The named measures, one array over ``levels`` each; :class:`DomainError`
-    names the measure and the first level at which it is not a finite double."""
-    z, m, v = _tail_moments(levels)
+    """The named measures, one array over the checked ``levels`` each, mapped
+    affinely from :func:`_standard_tail`; :class:`DomainError` names the
+    measure and the first level at which it is not a finite double."""
+    z, m, v = _standard_tail(tuple(levels))
     with np.errstate(over="ignore"):
         cols = {"VaR": params.omega + params.psi * z, "TVaR": params.omega + params.psi * m,
                 "TV": params.psi * params.psi * v}

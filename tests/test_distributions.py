@@ -134,6 +134,13 @@ class TestMixtureKernel:
             integrated = mixture_kernel_pdf_by_integration(params, xs)
             np.testing.assert_allclose(integrated, direct, rtol=0, atol=1e-8)
 
+    @pytest.mark.parametrize("psi", [1e308, np.finfo(float).max, 5e-324])
+    def test_logpdf_finite_at_extreme_scales(self, psi):
+        # 2 * psi overflows above ~9e307
+        expected = -math.log(2.0) - math.log(psi)
+        got = mixture_kernel_logpdf(ArctanGRParams(0.0, psi), 0.0)
+        assert got == pytest.approx(expected, rel=1e-15)
+
     def test_cdf_quantile_round_trip(self):
         params = ArctanGRParams(-2.0, 0.7)
         p = np.linspace(0.01, 0.99, 33)

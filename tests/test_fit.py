@@ -347,7 +347,7 @@ class TestStoppingRule:
         omega, psi = res.params.omega, res.params.psi
         score, size, left, right = score_at(x, omega, psi)
         eps = np.finfo(float).eps
-        tol = x.size * (16.0 * eps + np.spacing(abs(omega)) / psi) / psi
+        tol = x.size * (16.0 * eps + math.ulp(omega) / psi) / psi
         # 64 ulps of the score's terms' sizes, and one step of log psi, which
         # moves the score by |d score / d log psi| <= 4n
         psi_tol = 64.0 * eps * size + 4.0 * x.size * math.ulp(math.log(psi))
@@ -405,6 +405,16 @@ class TestExtremeData:
         assert res.nfev < 5000
         oracle = multistart_loglik(x)
         assert res.loglik >= oracle - 1e-9 * (1.0 + abs(res.loglik))
+
+    @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0, np.finfo(float).max],
+                                   [-np.finfo(float).max, 0.0, 1.0, 2.0]])
+    def test_largest_double_in_the_sample_converges(self, x):
+        # the slope tolerance reads one ulp of omega, which np.spacing
+        # overflowed at the largest double
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_agr(np.array(x))
+        assert res.converged and math.isfinite(res.loglik)
 
     @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
     @pytest.mark.parametrize("x", [[-1e308, 0.0, 1e308], [-1e308, 1e308, 1e308]])

@@ -3,6 +3,7 @@ empirical estimators, and report serialization."""
 
 import json
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -30,10 +31,21 @@ from arctangr import (
     tvar,
     var,
 )
+from arctangr import distributions, risk
 from arctangr._util import BLOCK
+from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
-from arctangr.distributions import _z_quantile, _z_tail_quantile
-from arctangr.risk import MCOracleResult, _check_alpha, _tail_moments
+from arctangr.distributions import (
+    _LOWER_C,
+    _LOWER_N,
+    _UPPER_C,
+    _UPPER_N,
+    _z_moment_parts,
+    _z_quantile,
+    _z_tail_quantile,
+)
+from arctangr.plotdata import RISK_ALPHAS
+from arctangr.risk import MCOracleResult, _check_alpha, _standard_tail, _tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
 VAR_609 = 0.02018810940062634
@@ -239,6 +251,104 @@ class TestSeriesAgainstMpmath:
         levels = np.linspace(0.5, 1.0 - 1e-12, 2003)[1:-1]
         report = risk_curve(table_params, levels)
         assert [row.var for row in report.rows] == [var(table_params, a) for a in levels]
+
+
+def _tail_moments_both_branches(alphas):
+    """The tail-moment series with its lower-branch sums taken at every level,
+    the oracle for :func:`_tail_moments`, which takes them only at ``z_a < 0``."""
+    z = _z_quantile(np.atleast_1d(np.asarray(alphas, dtype=float)))
+    lo = np.maximum(z, 0.0)[:, None]
+    d = lo - z[:, None]
+    w = np.exp(-_UPPER_N * lo) * (_UPPER_C / _UPPER_N)
+    u = d + 1.0 / _UPPER_N
+    x = _LOWER_N * d
+    e = -np.expm1(-x)
+    s0, s1, s2 = ((_LOWER_C / _LOWER_N**k * t).sum(axis=1)
+                  for k, t in ((1, e), (2, x - e), (3, x * (x - 2.0) + 2.0 * e)))
+    p0 = w.sum(axis=1) + s0
+    r = ((w * u).sum(axis=1) + s1) / p0
+    c = u - r[:, None]
+    p2 = (w * (c * c + _UPPER_N**-2.0)).sum(axis=1) + s2 - r * (2.0 * s1 - r * s0)
+    return z, z + r, p2 / p0
+
+
+class TestLowerBranchSkip:
+    @pytest.mark.parametrize("levels", [
+        RISK_ALPHAS,
+        DEFAULT_RISK_ALPHAS,
+        0.5 + 0.5 * np.random.default_rng(2001).random(2001),
+        [0.5 + 1e-7, 0.5903345],
+        [P_STAR - 1e-9, P_STAR, P_STAR + 1e-9],
+        [P_STAR + 1e-9, 0.9, 1.0 - 1e-13],
+    ])
+    def test_bit_identical_to_both_branches(self, levels):
+        for got, want in zip(_tail_moments(levels), _tail_moments_both_branches(levels)):
+            assert got.tobytes() == want.tobytes()
+
+
+def _measures(params, levels, r):
+    return (risk_curve(params, levels).rows, tvar(params, levels[0]), tv(params, levels[-1]),
+            agr_moment(params, r))
+
+
+class TestStandardCaches:
+    """The parameter-free layers are computed once and kept: the standard tail
+    per grid of levels (:func:`_standard_tail`) and ``E[Z^k]`` per order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        ratio=st.floats(-1e8, 1e8),
+        psi=st.floats(1e-6, 1e6),
+        levels=st.lists(st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=50),
+        r=st.integers(1, 12),
+    )
+    def test_bit_identical_to_uncached(self, ratio, psi, levels, r):
+        params = ArctanGRParams(ratio * psi, psi)
+        warm = [repr(_measures(params, levels, r)) for _ in range(2)]
+        with mock.patch.object(risk, "_standard_tail", _tail_moments), \
+                mock.patch.object(distributions, "_z_moment_parts", _z_moment_parts.__wrapped__):
+            cold = repr(_measures(params, levels, r))
+        assert warm == [cold, cold]
+
+    def test_arrays_are_read_only(self):
+        for arr in _standard_tail((0.6, 0.9)):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+    def test_one_tail_series_per_grid(self):
+        _standard_tail.cache_clear()
+        with mock.patch.object(risk, "_tail_moments", wraps=_tail_moments) as series:
+            for i in range(21):
+                risk_curve(ArctanGRParams(0.5 * i - 5.0, 2.0**i), RISK_ALPHAS)
+        assert series.call_count == 1
+
+    def test_one_moment_series_per_order(self):
+        _z_moment_parts.cache_clear()
+        for i in range(21):
+            params = ArctanGRParams(10.0**i - 1.0, 1e-3 * 2.0**i)
+            for r in (1, 2, 3, 4):
+                agr_moment(params, r)
+        info = _z_moment_parts.cache_info()
+        assert (info.misses, info.hits) == (4, 21 * (1 + 2 + 3 + 4) - 4)
+
+    def test_overflow_raises_on_a_cache_hit(self):
+        _standard_tail.cache_clear()
+        for _ in range(2):
+            with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double"):
+                risk_curve(ArctanGRParams(1e308, 1e308), [0.99])
+        assert _standard_tail.cache_info().hits == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.5, 1.0])
+    def test_invalid_levels_rejected_on_every_call(self, table_params, bad):
+        _standard_tail.cache_clear()
+        for _ in range(2):
+            for measure in (tvar, tv):
+                with pytest.raises(DomainError, match="confidence level"):
+                    measure(table_params, bad)
+            with pytest.raises(DomainError, match="confidence level"):
+                risk_curve(table_params, [0.9, bad])
+        assert _standard_tail.cache_info().currsize == 0
 
 
 class TestNonFiniteMeasures:
