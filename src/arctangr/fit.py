@@ -31,7 +31,7 @@ from .distributions import (
     RayleighParams,
     _z_log_shape,
     _z_shape_derivs,
-    _z_uw,
+    _z_uw_split,
     agr_logpdf,
     agr_pdf,
     gaussian_logpdf,
@@ -173,7 +173,10 @@ def agr_loglik(params: ArctanGRParams, data) -> float:
 
 
 def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
-    ll = float(np.sum(logpdf(params, x)))
+    with np.errstate(over="ignore"):
+        ll = float(np.sum(logpdf(params, x)))
+    if not math.isfinite(ll):
+        raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
     crit = information_criteria(ll, int(x.size), r)
     return FitResult(
         model_name=model_name,
@@ -189,34 +192,51 @@ def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
     )
 
 
+def _at_unit_scale(x, stats):
+    """``stats(x)``, a tuple of statistics each scaling like ``x``, computed on
+    ``x`` over the power of two ``2^e`` just above ``max|x|`` and then times
+    ``2^e``; both steps are exact, so only ``stats`` rounds.  For samples whose
+    squares overflow though the statistics do not."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    try:
+        return tuple(math.ldexp(float(v), e) for v in stats(np.ldexp(x, -e)))
+    except OverflowError:
+        raise DataError("the fitted scale is not a finite double") from None
+
+
 def fit_gaussian(data) -> FitResult:
-    """Closed-form Gaussian MLE: sample mean and population SD."""
+    """Closed-form Gaussian MLE: sample mean and population SD.
+
+    Both lie within ``max|x|``, so they are finite doubles; where the squares
+    overflow they are computed by :func:`_at_unit_scale`."""
     x = _values(data)
     with np.errstate(over="ignore"):
-        sd = float(x.std(ddof=0))
+        omega, sd = float(x.mean()), float(x.std(ddof=0))
+    if sd == math.inf:
+        omega, sd = _at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
-    if sd == math.inf:
-        raise DataError(
-            "Gaussian fit is impossible: the sum of squared deviations overflows the "
-            "double range"
-        )
-    params = GaussianParams(omega=float(x.mean()), eta=sd)
+    params = GaussianParams(omega=omega, eta=sd)
     return _build_result("gaussian", params, gaussian_logpdf, x, r=2)
 
 
 def fit_rayleigh(data) -> FitResult:
-    """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``."""
+    """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``.
+
+    ``psi`` is below ``max x``, so it is a finite double; where the squares
+    overflow it is computed by :func:`_at_unit_scale`."""
     x = _values(data)
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
+
+    def mle(y):
+        return (np.sqrt(np.sum(y * y) / (2.0 * y.size)),)
+
     with np.errstate(over="ignore"):
-        psi = float(np.sqrt(np.sum(x * x) / (2.0 * x.size)))
+        (psi,) = mle(x)
     if psi == math.inf:
-        raise DataError(
-            "Rayleigh fit is impossible: the sum of squares overflows the double range"
-        )
-    params = RayleighParams(psi=psi)
+        (psi,) = _at_unit_scale(x, mle)
+    params = RayleighParams(psi=float(psi))
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
 
@@ -311,7 +331,7 @@ class _AgrSearch:
             psi = math.exp(t)
             self.passes += 1
             z = d / psi
-            l1, l2 = _z_shape_derivs(*_z_uw(z), sign)
+            l1, l2 = _z_shape_derivs(*_z_uw_split(z, below), sign)
             zl1, zl2 = z * l1, z * l2
             # pairwise sums where rounding matters (the score and the slope);
             # np.vdot for the curvatures, which only shape steps

@@ -12,9 +12,9 @@ is an affine image of one computed on the standard variable ``Z``:
 0.5 + 1e-7 to 1 - 1e-13 they are within 2.5e-16 (``m``, relative to
 ``1 + |m|``) and 5.5e-16 (``v``, relative) of a 25-digit reference.  ``z``,
 ``m`` and ``v`` depend on the levels alone, so each grid of levels is summed
-once and its read-only arrays kept (the 64 most recently used grids) for every
-later call and every ``(omega, psi)``.  A seeded Monte Carlo oracle and
-order-statistic empirical estimators round out the module.
+once and its read-only arrays kept (the 64 most recently used grids of at most
+256 levels) for every later call and every ``(omega, psi)``.  A seeded Monte
+Carlo oracle and order-statistic empirical estimators round out the module.
 """
 
 from __future__ import annotations
@@ -100,10 +100,16 @@ def _tail_moments(alphas):
     return z, z + r, p2 / p0
 
 
+#: Longer grids of levels are summed on every call, not kept, so the cache of
+#: :func:`_standard_tail` holds at most 64 x 256 levels (~0.9 MB, ~56 bytes each).
+_CACHED_LEVELS = 256
+
+
 @functools.lru_cache(maxsize=64)
 def _standard_tail(levels: tuple):
     """:func:`_tail_moments` over the checked ``levels``, kept for the 64 most
-    recently used grids.  The result depends on the levels alone, never on
+    recently used grids; :func:`_risk_columns` asks it only for grids of at most
+    ``_CACHED_LEVELS`` levels.  The result depends on the levels alone, never on
     ``(omega, psi)``, so every parameter set and every measure share it; the
     arrays are read-only, so no caller can change what a later one reads."""
     tail = _tail_moments(levels)
@@ -116,7 +122,10 @@ def _risk_columns(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
     """The named measures, one array over the checked ``levels`` each, mapped
     affinely from :func:`_standard_tail`; :class:`DomainError` names the
     measure and the first level at which it is not a finite double."""
-    z, m, v = _standard_tail(tuple(levels))
+    if len(levels) <= _CACHED_LEVELS:
+        z, m, v = _standard_tail(tuple(levels))
+    else:
+        z, m, v = _tail_moments(levels)
     with np.errstate(over="ignore"):
         cols = {"VaR": params.omega + params.psi * z, "TVaR": params.omega + params.psi * m,
                 "TV": params.psi * params.psi * v}

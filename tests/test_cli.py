@@ -1,6 +1,7 @@
 """CLI: subcommands, formats, exit codes, and output determinism."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -200,19 +201,16 @@ class TestExitCodes:
         assert code == 3
         assert "mean absolute deviation overflows" in err
 
-    @pytest.mark.parametrize("model,what", [
-        ("gaussian", "sum of squared deviations overflows"),
-        ("rayleigh", "sum of squares overflows"),
-    ])
-    def test_data_error_overflowing_second_moment(self, tmp_path, capsys, model, what):
+    @pytest.mark.parametrize("model", ["gaussian", "rayleigh"])
+    def test_second_moment_that_overflows_is_fitted(self, tmp_path, capsys, model):
         f = tmp_path / "huge.csv"
-        f.write_text("1e200\n2e200\n3e200\n")
+        f.write_text("1e200\n2e200\n3e200\n4e200\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run_cli(["fit", "--model", model, "--data", str(f)], capsys)
-        assert code == 3
-        assert what in err
-        assert "RuntimeWarning" not in err
+            code, out, err = run_cli(["fit", "--model", model, "--data", str(f),
+                                      "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert all(math.isfinite(v) for v in json.loads(out)["params"].values())
 
     def test_numeric_error_exit_code(self, capsys, monkeypatch):
         def exploding(data):

@@ -1,0 +1,178 @@
+"""The branch-free kernels equal their ``np.where`` forms (``where_kernels``)
+bit for bit: on random-sign arrays, at the branch points and their float
+neighbours, where ``e^{-|z|}`` underflows, at +-0 and +-inf, and on 0-d
+arrays and Python floats.  Every drawn array is also tried repeated past
+``_BLEND_MIN``, where the selects blend bits instead of calling ``np.where``."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import where_kernels as ref
+from arctangr import P_STAR
+from arctangr._util import BLOCK
+from arctangr.distributions import (
+    _BLEND_MIN,
+    _laplace_cdf,
+    _laplace_quantile,
+    _lanes,
+    _negate,
+    _select,
+    _z_cdf,
+    _z_cum_hazard,
+    _z_hazard,
+    _z_log_shape,
+    _z_pdf,
+    _z_quantile,
+    _z_sf,
+    _z_uw,
+    _z_uw_split,
+)
+
+Z_KERNELS = {
+    "uw": (_z_uw, ref.z_uw),
+    "laplace_cdf": (_laplace_cdf, ref.laplace_cdf),
+    "cdf": (_z_cdf, ref.z_cdf),
+    "sf": (_z_sf, ref.z_sf),
+    "pdf": (_z_pdf, ref.z_pdf),
+    "cum_hazard": (_z_cum_hazard, ref.z_cum_hazard),
+    "hazard": (_z_hazard, ref.z_hazard),
+    "log_shape": (_z_log_shape, ref.z_log_shape),
+}
+P_KERNELS = {
+    "laplace_quantile": (_laplace_quantile, ref.laplace_quantile),
+    "quantile": (_z_quantile, ref.z_quantile),
+}
+
+TINY = 5e-324
+# +-0, +-inf, e^{-|z|} under- and overflowing (|z| > 745), the hazard's small
+# switches (t, y < 1e-8 near z = 17.7, 18.4) and the survival's cancellation
+Z_EDGES = [0.0, -0.0, math.inf, -math.inf, TINY, -TINY, 745.0, -745.0, 745.2, -745.2,
+           746.0, -746.0, 1e3, -1e3, 1e308, -1e308, 17.7275, 18.4207, 36.7, -36.7]
+P_EDGES = [P_STAR, math.nextafter(P_STAR, 0.0), math.nextafter(P_STAR, 1.0),
+           0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0),
+           TINY, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17,
+           math.nextafter(1.0, 0.0), 1.0 - 1e-13]
+
+Z_VALUES = st.one_of(st.floats(allow_nan=False), st.floats(-800.0, 800.0),
+                     st.sampled_from(Z_EDGES))
+P_VALUES = st.one_of(st.floats(TINY, math.nextafter(1.0, 0.0)), st.sampled_from(P_EDGES))
+
+
+def assert_same_bits(got, want):
+    got = got if isinstance(got, tuple) else (got,)
+    want = want if isinstance(want, tuple) else (want,)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        g, w = np.asarray(g, dtype=float), np.asarray(w, dtype=float)
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(g.view(np.int64), w.view(np.int64))
+
+
+def reference(kernel, arg):
+    """The ``np.where`` form, whose discarded branch may warn; the new form must not."""
+    with np.errstate(all="ignore"):
+        return kernel(arg)
+
+
+def long(values):
+    """``values`` repeated to a length at which the selects blend."""
+    return np.resize(np.asarray(values), _BLEND_MIN + len(values))
+
+
+def check_all_forms(new, old, values):
+    for arr in (np.array(values, dtype=float), long(np.array(values, dtype=float))):
+        assert_same_bits(new(arr.copy()), reference(old, arr))
+    for v in values:
+        for arg in (float(v), np.float64(v), np.array(v)):
+            assert_same_bits(new(arg), reference(old, arg))
+
+
+@pytest.mark.parametrize("name", Z_KERNELS)
+@settings(max_examples=80, deadline=None)
+@given(z=st.lists(Z_VALUES, min_size=1, max_size=40))
+@example(z=Z_EDGES)
+def test_z_kernels_bit_identical(name, z):
+    check_all_forms(*Z_KERNELS[name], z)
+
+
+@pytest.mark.parametrize("name", P_KERNELS)
+@settings(max_examples=80, deadline=None)
+@given(p=st.lists(P_VALUES, min_size=1, max_size=40))
+@example(p=P_EDGES)
+def test_p_kernels_bit_identical(name, p):
+    check_all_forms(*P_KERNELS[name], p)
+
+
+@pytest.mark.parametrize("name", [*Z_KERNELS, *P_KERNELS])
+def test_bulk_random_signs(name):
+    # several blocks' worth, signs drawn at random, in a 2-d layout
+    rng = np.random.default_rng(11)
+    if name in P_KERNELS:
+        new, old = P_KERNELS[name]
+        arg = np.maximum(rng.random((3, BLOCK + 5)), TINY)
+    else:
+        new, old = Z_KERNELS[name]
+        arg = rng.standard_normal((3, BLOCK + 5)) * 10.0 ** rng.uniform(-3, 2.9, (3, BLOCK + 5))
+    assert_same_bits(new(arg), reference(old, arg))
+
+
+@pytest.mark.parametrize("shape", [(101,), ()])
+def test_kernels_leave_their_input_alone(shape):
+    for kernels, lo, hi in ((Z_KERNELS, -5.0, 5.0), (P_KERNELS, 0.01, 0.99)):
+        for value in np.linspace(lo, hi, 101):
+            arg = np.full(shape, value)
+            for new, _ in kernels.values():
+                new(arg)
+                assert_same_bits(arg, np.full(shape, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bits=st.lists(st.tuples(st.booleans(), st.integers(-2**63, 2**63 - 1),
+                               st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30))
+def test_select_is_where_on_any_bits(bits):
+    # every bit pattern, NaN payloads and signed zeros included, is carried
+    # over; _negate is np.where(mask, -a, a)
+    mask = np.array([m for m, _, _ in bits])
+    a = np.array([x for _, x, _ in bits], dtype=np.int64).view(float)
+    b = np.array([y for _, _, y in bits], dtype=np.int64).view(float)
+    assert_same_bits(_select(mask[0], a[0], b[0]), np.where(mask[0], a[0], b[0]))
+    assert_same_bits(_negate(mask[0], a[0]), np.where(mask[0], -a[0], a[0]))
+    for mask, a, b in ((mask, a, b), (long(mask), long(a), long(b))):
+        want = np.where(mask, a, b)
+        assert_same_bits(_select(mask, a, b), want)
+        assert_same_bits(_select(_lanes(mask), a, b), want)
+        assert_same_bits(_select(mask, 1.0, b), np.where(mask, 1.0, b))
+        assert_same_bits(_select(mask, a, -0.0), np.where(mask, a, -0.0))
+        assert_same_bits(_select(mask, a.copy(), b, out=a.copy()), want)
+        assert_same_bits(_negate(mask, a.copy()), np.where(mask, -a, a))
+        assert_same_bits(_negate(_lanes(mask), a.copy()), np.where(mask, -a, a))
+    out = a.copy()
+    _select(mask, out, b, out=out)
+    assert_same_bits(out, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    xs=st.lists(st.one_of(st.sampled_from([-3.0, -1e-300, 0.0, 0.0, 2.5, 2.5, 7.0]),
+                          st.floats(-1e300, 1e300)), min_size=1, max_size=40),
+    at=st.one_of(st.integers(0, 39), st.floats(-1e300, 1e300)),
+    psi=st.floats(1e-300, 1e300),
+)
+@example(xs=[-1e-300, 0.0, 0.0, 1.0], at=1, psi=1e300)  # z = -1e-600 rounds to -0.0
+@example(xs=[-1e300, 0.0, 1e300], at=-1e300, psi=1e-300)  # z = +-inf
+def test_fit_split_is_z_uw(xs, at, psi):
+    # the fit's sorted split: z = (xs - omega) / psi on a sorted sample, with
+    # omega tied to a sample point or anywhere, and below = #(xs < omega)
+    xs = np.sort(np.array(xs))
+    omega = float(xs[at % xs.size]) if isinstance(at, int) else at
+    # as drawn, and each point repeated so that _z_uw blends
+    for sample in (xs, np.repeat(xs, _BLEND_MIN // xs.size + 1)):
+        below = int(np.searchsorted(sample, omega, "left"))
+        with np.errstate(over="ignore"):
+            z = (sample - omega) / psi
+        assert_same_bits(_z_uw_split(z, below), _z_uw(z))
+        assert_same_bits(_z_uw_split(z, below), ref.z_uw(z))

@@ -3,6 +3,7 @@ empirical estimators, and report serialization."""
 
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -45,7 +46,13 @@ from arctangr.distributions import (
     _z_tail_quantile,
 )
 from arctangr.plotdata import RISK_ALPHAS
-from arctangr.risk import MCOracleResult, _check_alpha, _standard_tail, _tail_moments
+from arctangr.risk import (
+    _CACHED_LEVELS,
+    MCOracleResult,
+    _check_alpha,
+    _standard_tail,
+    _tail_moments,
+)
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
 VAR_609 = 0.02018810940062634
@@ -338,6 +345,31 @@ class TestStandardCaches:
             with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double"):
                 risk_curve(ArctanGRParams(1e308, 1e308), [0.99])
         assert _standard_tail.cache_info().hits == 1
+
+    def test_long_grids_are_not_kept(self):
+        # a kept 1e5-level grid held ~5.6 MB until 64 newer grids pushed it out
+        _standard_tail.cache_clear()
+        levels = np.linspace(0.5, 1.0, 100_002)[1:-1]
+        tracemalloc.start()
+        try:
+            report = risk_curve(ArctanGRParams(0.0, 1.0), levels)
+            assert len(report.rows) == levels.size
+            del report
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept < 100_000
+        assert _standard_tail.cache_info().currsize == 0
+
+    def test_kept_and_unkept_grids_agree(self):
+        levels = sorted(np.random.default_rng(3).uniform(0.5, 1.0, _CACHED_LEVELS + 1))
+        params = ArctanGRParams(0.3, 2.0)
+        _standard_tail.cache_clear()
+        unkept = risk_curve(params, levels).rows
+        assert _standard_tail.cache_info().currsize == 0
+        kept = risk_curve(params, levels[:-1]).rows + risk_curve(params, levels[-1:]).rows
+        assert _standard_tail.cache_info().currsize == 2
+        assert repr(unkept) == repr(kept)
 
     @pytest.mark.parametrize("bad", [math.nan, 0.5, 1.0])
     def test_invalid_levels_rejected_on_every_call(self, table_params, bad):

@@ -1,5 +1,6 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
-``scipy.special`` from scipy, and nothing from the test-only packages."""
+``scipy.special`` from scipy, and nothing from the test-only packages.  And
+the distribution kernels stay branch-free: ``np.where`` only in ``_select``."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,33 @@ def test_no_oracle_imports(path):
     names = set(imported_modules(path))
     assert not {n for n in names if any(within(n, f) for f in FORBIDDEN)}
     assert not {n for n in names if within(n, "scipy") and not within(n, "scipy.special")}
+
+
+def where_calls(source):
+    """``(enclosing function, line)`` of every ``np.where(...)`` call in ``source``."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "where" and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in ("np", "numpy")):
+                yield func, child.lineno
+            yield from visit(child, func)
+
+    return list(visit(ast.parse(source), None))
+
+
+def test_where_calls_found():
+    source = "def _select(m, a, b):\n    return np.where(m, a, b)\n" \
+             "def k(z):\n    def inner(v):\n        return numpy.where(v > 0, v, 0)\n" \
+             "    return inner(z) + np.abs(z)\n"
+    assert where_calls(source) == [("_select", 2), ("inner", 5)]
+
+
+def test_where_only_in_select():
+    # the distribution kernels select by bit masks (distributions._select);
+    # np.where on a mask of random signs mispredicts a branch per element
+    path = next(p for p in SOURCES if p.name == "distributions.py")
+    assert {f for f, _ in where_calls(path.read_text(encoding="utf-8"))} <= {"_select"}
