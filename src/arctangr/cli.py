@@ -174,6 +174,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # SeedSequence takes nonnegative seeds only; every command checks its
+        # --seed here, whether or not it draws
+        if args.seed < 0:
+            raise DomainError(f"--seed must be a nonnegative integer, got {args.seed}")
         text = getattr(_RUNNERS[args.command](args), _RENDERERS[args.format])()
     except (DomainError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,6 +48,7 @@ from .errors import DomainError
 P_STAR = FOUR_OVER_PI * math.atan(0.5)
 
 _PI_OVER_4 = math.pi / 4.0
+_TINY = float(np.finfo(float).tiny)
 _SIGN_BIT = np.int64(-(2**63))
 
 
@@ -144,11 +145,21 @@ def rayleigh_quantile(params: RayleighParams, p):
 
 
 def rayleigh_logpdf(params: RayleighParams, x):
-    """Log density; ``-inf`` off the support (x <= 0)."""
+    """Log density ``log(z/psi) - z^2/2``, ``z = x/psi``; ``-inf`` off the support
+    (x <= 0).  Where ``z/psi`` underflows (a point far below ``psi``) the log is
+    taken as ``log x - 2 log psi``, so it stays finite; elsewhere it keeps its
+    bits."""
     arr = as_float_array(x)
+    psi = params.psi
     pos = _lanes(arr > 0)
-    z = _select(pos, arr, 1.0) / params.psi
-    out = _select(pos, np.log(z / params.psi) - 0.5 * z * z, -np.inf)
+    safe = _select(pos, arr, 1.0)
+    z = safe / psi
+    ratio = z / psi
+    tiny = _lanes(ratio < _TINY)
+    log_ratio = np.log(_select(tiny, 1.0, ratio))
+    if np.any(tiny):
+        log_ratio = _select(tiny, np.log(safe) - 2.0 * math.log(psi), log_ratio)
+    out = _select(pos, log_ratio - 0.5 * z * z, -np.inf)
     return match_input(x, out)
 
 
@@ -278,26 +289,12 @@ def _half_exp(z):
 def _z_uw(z):
     """``(u, w)``: ``u = e^{-|z|}`` and the standard Laplace CDF ``w = H(z)``, which
     is ``1 - u/2`` for z >= 0 and ``u/2`` below.  ``w`` is continuous at 0 with
-    ``w' = u/2`` on both sides; the AGR log-shape and its derivatives
-    (:func:`_z_log_shape`, :func:`_z_shape_derivs`) are written in these two."""
+    ``w' = u/2`` on both sides; the AGR log-shape (:func:`_z_log_shape`) and
+    its derivatives (the fit's score pass) are written in these two."""
     u = _inplace(np.exp, _inplace(np.negative, np.abs(z)))
     h = u * 0.5
     w = 1.0 - h
     return u, _select(z >= 0.0, w, h, out=w)
-
-
-def _z_uw_split(z, below):
-    """:func:`_z_uw` bit for bit, on a ``z`` whose first ``below`` elements are
-    negative and the rest not, as a sorted sample less a point between them:
-    ``w = u/2`` is turned into ``1 - u/2`` on a slice, where :func:`_z_uw`
-    selects per element.  (A negative ``z`` that rounded to -0.0 has
-    ``u/2 = 0.5 = 1 - u/2``, so the side it counts on does not matter.)"""
-    u = np.abs(z)
-    np.negative(u, out=u)
-    np.exp(u, out=u)
-    w = u * 0.5
-    np.subtract(1.0, w[below:], out=w[below:])
-    return u, w
 
 
 def _laplace_cdf(z):
@@ -345,7 +342,8 @@ def _z_pdf(z):
 
 
 def _z_cum_hazard(z):
-    """Standard AGR cumulative hazard ``-log(survival)``; see :func:`agr_cum_hazard`."""
+    """Standard AGR cumulative hazard ``-log(survival)``; see :func:`agr_cum_hazard`.
+    Below 0 it is ``-log1p(-cdf)``, on the lower tail's accurate CDF."""
     t = _half_exp(z)
     y = t / (2.0 - t)
     # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
@@ -354,7 +352,7 @@ def _z_cum_hazard(z):
     ratio = _select(small, 1.0, np.arctan(safe_y) / safe_y)
     upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
     below = np.minimum(z, 0.0)
-    return _select(z >= 0.0, upper, -np.log(_z_sf(below)))
+    return _select(z >= 0.0, upper, -np.log1p(-_z_cdf(below)))
 
 
 def _z_hazard(z):
@@ -378,20 +376,6 @@ def _z_log_shape(z):
     shape = _inplace(np.negative, np.abs(z))
     shape -= _inplace(np.log1p, w)
     return shape
-
-
-def _z_shape_derivs(u, w, sign):
-    """``(L'(z), L''(z))`` from ``(u, w) = _z_uw(z)``, on the side ``sign`` (+1 or
-    -1, scalar or per element) of 0, where ``sign * |z| = z``.
-
-    With ``q = 1 + w^2`` and ``r = w u / q``: ``L' = -sign - r`` and
-    ``L'' = r (r + sign) - u^2 / (2 q)``.  At a data point (``z = 0``) the
-    one-sided values are ``L'(0-) = 0.6``, ``L'(0+) = -1.4``, ``L''(0-) = -0.64``
-    and ``L''(0+) = 0.16``.
-    """
-    q = 1.0 + w * w
-    r = w * u / q
-    return -sign - r, r * (r + sign) - 0.5 * u * u / q
 
 
 def _z_tail_quantile(q):

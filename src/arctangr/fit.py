@@ -5,10 +5,12 @@ location (a kink at every data point, inherited from ``|x - omega|``) and
 smooth in the scale, and its score is closed-form.  It is maximized from
 that score: a bracketed Newton iteration on ``log psi`` for each omega, and
 in omega one bracketed search on the one-sided slopes of the profile, from
-the median toward an open end just beyond the data, narrowed over the order
-statistics and then inside a gap between two data points (samples with few
-distinct values are also swept point by point).
-The fit stops on a checkable rule (see :func:`fit_agr`).  No scipy is
+the sample's ``P_STAR`` quantile (where the model puts omega) toward an open
+end just beyond the data, narrowed over the order statistics and then inside
+a gap between two data points (samples with few distinct values are also
+swept point by point).  Every score pass of a fit writes one preallocated
+workspace in place.  The fit stops on a checkable rule (see
+:func:`fit_agr`).  No scipy is
 imported.  The baseline Gaussian, Rayleigh, and Laplace fits are
 closed-form MLEs.  The four models are registered once, in :data:`MODELS`.
 Model ranking uses AIC, BIC, CAIC, and HQIC (lower is better; higher
@@ -17,6 +19,7 @@ log-likelihood is better).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -26,12 +29,11 @@ import numpy as np
 from ._util import dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
+    P_STAR,
     ArctanGRParams,
     GaussianParams,
     RayleighParams,
     _z_log_shape,
-    _z_shape_derivs,
-    _z_uw_split,
     agr_logpdf,
     agr_pdf,
     gaussian_logpdf,
@@ -192,6 +194,13 @@ def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
     )
 
 
+def _check_size(x, r, model):
+    """CAIC needs ``n > r + 1``, so a fit of ``r`` parameters to fewer than
+    ``r + 2`` observations raises :class:`DomainError` before it is made."""
+    if x.size <= r + 1:
+        raise DomainError(f"{model} fit needs at least {r + 2} observations, got {x.size}")
+
+
 def _at_unit_scale(x, stats):
     """``stats(x)``, a tuple of statistics each scaling like ``x``, computed on
     ``x`` over the power of two ``2^e`` just above ``max|x|`` and then times
@@ -210,6 +219,7 @@ def fit_gaussian(data) -> FitResult:
     Both lie within ``max|x|``, so they are finite doubles; where the squares
     overflow they are computed by :func:`_at_unit_scale`."""
     x = _values(data)
+    _check_size(x, 2, "Gaussian")
     with np.errstate(over="ignore"):
         omega, sd = float(x.mean()), float(x.std(ddof=0))
     if sd == math.inf:
@@ -228,6 +238,7 @@ def fit_rayleigh(data) -> FitResult:
     x = _values(data)
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
+    _check_size(x, 1, "Rayleigh")
 
     def mle(y):
         return (np.sqrt(np.sum(y * y) / (2.0 * y.size)),)
@@ -265,6 +276,7 @@ def fit_laplace(data) -> FitResult:
     """
     x = _values(data)
     med, scale = _median_and_spread(x, np.sort(x), "Laplace")
+    _check_size(x, 2, "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
 
@@ -298,14 +310,135 @@ class _Point(NamedTuple):
     scoring: tuple
 
 
+class _Pass:
+    """One score pass at ``psi`` on the workspace of an :class:`_AgrSearch` that
+    :meth:`_AgrSearch.at` has pointed at omega.
+
+    With ``s = +-1`` the side of omega (points at omega count on the right),
+    ``u = e^{-|z|}``, ``w = H(z)``, ``q = 1 + w^2``, ``r = w u / q`` and
+    ``G = u^2 / q``, the log-shape's derivatives are ``L' = -s - r`` and
+    ``L'' = r^2 + s r - G/2``; as ``s z = |z|``, every sum below is a sum of
+    ``r``, ``z r`` and ``z G`` against ``1``, ``z`` and ``|z|``.  The pass
+    writes ``z``, ``u``, ``w``, ``q``, ``r = w (u/q)``, ``G = u (u/q)``,
+    ``z r`` and ``z G`` into the workspace and takes the two sums that the
+    psi step reads; every other sum is read from the workspace on first
+    use, so a pass is valid until the next one.  Sums named ``l1``/``l2``
+    are of ``L'``/``L''``, with their ``z`` factors as a prefix; the others
+    are named by their factors, with ``a = |z|`` and ``s``: ``a_zr`` is
+    ``sum |z| z r``.
+    """
+
+    def __init__(self, ws, psi):
+        z, u, w, q, r, g, zr, zg = ws.z, ws.u, ws.w, ws.q, ws.r, ws.g, ws.zr, ws.zg
+        self.ws = ws
+        self.psi_a = psi_a = psi * ws.unit  # |z| = a / psi_a
+        np.divide(ws.d, psi, out=z)
+        np.divide(ws.a, -psi_a, out=u)
+        np.exp(u, out=u)
+        np.multiply(u, 0.5, out=w)
+        right = w[ws.below:]
+        np.subtract(1.0, right, out=right)
+        np.multiply(w, w, out=q)
+        q += 1.0
+        np.divide(u, q, out=g)
+        np.multiply(w, g, out=r)
+        g *= u
+        np.multiply(z, r, out=zr)
+        np.multiply(z, g, out=zg)
+        # pairwise sums where rounding matters (the score and the slopes);
+        # np.dot for the curvatures, which only shape steps
+        self.zr_zr = float(np.dot(zr, zr))
+        self.a_zr = float(np.dot(ws.a, zr)) / psi_a
+        self.zl1 = -ws.a_sum / psi_a - float(zr.sum())
+        self.z2l2 = self.zr_zr + self.a_zr - 0.5 * float(np.dot(zg, z))
+
+    @functools.cached_property
+    def row_sums(self):
+        """``(sum G, sum z G, sum z, sum r)``: one reduction over four rows of
+        the workspace, each row's sum pairwise as ``ndarray.sum`` takes it."""
+        return self.ws.summed.sum(axis=1).tolist()
+
+    @functools.cached_property
+    def r_sum(self):
+        return self.row_sums[3]
+
+    @functools.cached_property
+    def sr_sum(self):
+        return self.r_sum - 2.0 * float(self.ws.r[:self.ws.below].sum())
+
+    @functools.cached_property
+    def r_r(self):
+        return float(np.dot(self.ws.r, self.ws.r))
+
+    @functools.cached_property
+    def a_r(self):
+        return float(np.dot(self.ws.a, self.ws.r)) / self.psi_a
+
+    @functools.cached_property
+    def zr_r(self):
+        return float(np.dot(self.ws.zr, self.ws.r))
+
+    @functools.cached_property
+    def l1(self):
+        return 2.0 * self.ws.below - self.ws.n - self.r_sum
+
+    @functools.cached_property
+    def zl2(self):
+        return self.zr_r + self.a_r - 0.5 * self.row_sums[1]
+
+    @functools.cached_property
+    def l2(self):
+        return self.r_r + self.sr_sum - 0.5 * self.row_sums[0]
+
+    @functools.cached_property
+    def l11(self):
+        return self.ws.n + 2.0 * self.sr_sum + self.r_r
+
+    @functools.cached_property
+    def zl11(self):
+        return self.row_sums[2] + 2.0 * self.a_r + self.zr_r
+
+    @functools.cached_property
+    def z2l11(self):
+        return float(np.dot(self.ws.z, self.ws.z)) + 2.0 * self.a_zr + self.zr_zr
+
+
 class _AgrSearch:
-    """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`."""
+    """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`.
+
+    Its score passes (:class:`_Pass`) all write one workspace of ``n``-arrays,
+    allocated here.  ``|x - omega|`` is kept in units of ``2^k``, with
+    ``k > 0`` only where ``n`` times the largest ``|x|`` could overflow, so
+    that its sum, taken once per omega, is finite."""
 
     def __init__(self, xs):
         self.xs = xs
-        self.n = xs.size
+        self.n = n = xs.size
         self.passes = 0
         self.steps = 0
+        # sum |x - omega| < 2 n max|x| <= 2^(bits(n) + top + 1): kept below 2^1022
+        top = math.frexp(max(abs(float(xs[0])), abs(float(xs[-1]))))[1]
+        self.unit = math.ldexp(1.0, -max(0, top + n.bit_length() + 2 - 1023))
+        ws = np.empty((10, n))
+        self.d, self.a, self.u, self.w, self.q, self.zr, self.g, self.zg, self.z, self.r = ws
+        self.summed = ws[6:]  # G, z G, z, r: the rows summed together
+
+    def at(self, omega):
+        """Point the workspace at ``omega``: ``below`` points lie left of it and
+        ``m`` at it, ``d = x - omega``, and ``a = |d|`` in units, with its sum."""
+        xs = self.xs
+        self.below = int(xs.searchsorted(omega, "left"))
+        self.m = int(xs.searchsorted(omega, "right")) - self.below
+        np.subtract(xs, omega, out=self.d)
+        np.abs(self.d, out=self.a)
+        if self.unit != 1.0:
+            self.a *= self.unit
+        self.a_sum = float(self.a.sum())
+
+    def score_pass(self, psi):
+        """A :class:`_Pass` at ``psi``; it overwrites the last one's workspace."""
+        self.passes += 1
+        return _Pass(self, psi)
 
     def slope_tol(self, omega, psi):
         """Rounding level of a slope at ``(omega, psi)``: the rounding of its ``n``
@@ -318,35 +451,30 @@ class _AgrSearch:
 
         The psi-score is solved to rounding level unless ``tight`` is false and
         the profile clearly rises on one side of ``omega``: then it stops once
-        the psi error moves the slopes by under a tenth of that rise.
+        the psi error moves the slopes by under a tenth of that rise.  Each
+        pass computes only the sums its step and this test read; the rest are
+        taken once, from the last pass.
         """
-        xs, n = self.xs, self.n
-        below = int(np.searchsorted(xs, omega, "left"))
-        m = int(np.searchsorted(xs, omega, "right")) - below
-        d = xs - omega
-        sign = np.ones(n)
-        sign[:below] = -1.0  # points at omega take their 0+ values: the left side
+        n = self.n
+        self.at(omega)
+        m = self.m
         lo, hi = -math.inf, math.inf
         for _ in range(_PSI_PASSES):
             psi = math.exp(t)
-            self.passes += 1
-            z = d / psi
-            l1, l2 = _z_shape_derivs(*_z_uw_split(z, below), sign)
-            zl1, zl2 = z * l1, z * l2
-            # pairwise sums where rounding matters (the score and the slope);
-            # np.vdot for the curvatures, which only shape steps
-            sl1, szl1, szl2 = float(l1.sum()), float(zl1.sum()), float(zl2.sum())
-            score, ltt = -n - szl1, szl1 + float(np.vdot(z, zl2))
-            # every z L'(z) is <= 0, so n - szl1 is the sum of the terms' sizes;
+            s = self.score_pass(psi)
+            score, ltt = -n - s.zl1, s.zl1 + s.z2l2
+            # every z L'(z) is <= 0, so n - zl1 is the sum of the terms' sizes;
             # and t itself moves the score by ltt per unit, in steps of ulp(t)
-            tol = _PSI_ROUNDING * _EPS * (n - szl1) + abs(ltt) * math.ulp(t)
+            tol = _PSI_ROUNDING * _EPS * (n - s.zl1) + abs(ltt) * math.ulp(t)
             if abs(score) <= tol:
                 break
             if not tight and ltt < 0.0:
-                shift = (abs(sl1 + szl2) + 2.0 * m) * abs(score / ltt) / psi
-                rise = max(-(sl1 + 2.0 * m), sl1) / psi - self.slope_tol(omega, psi)
-                if shift <= 0.1 * rise:
-                    break
+                rise = max(-(s.l1 + 2.0 * m), s.l1) / psi - self.slope_tol(omega, psi)
+                # the shift is never negative, so no rise below 0 can end the solve
+                if rise >= 0.0:
+                    shift = (abs(s.l1 + s.zl2) + 2.0 * m) * abs(score / ltt) / psi
+                    if shift <= 0.1 * rise:
+                        break
             if score > 0.0:
                 lo = t
             else:
@@ -358,16 +486,14 @@ class _AgrSearch:
             if nxt == t:
                 break
             t = nxt
-        sl2 = float(l2.sum())
-        sl11, szl11, sz2l11 = (float(np.vdot(a, b)) for a, b in ((l1, l1), (zl1, l1), (zl1, zl1)))
         # per observation, the scores in omega and t are -L'/psi and -1 - z L';
         # sums carry psi as a factor, so no power of psi under- or overflows
-        tt = n + 2.0 * szl1 + sz2l11
+        tt = n + 2.0 * s.zl1 + s.z2l11
         slope, newton, scoring = [], [], []
         # the points at omega count with L'(0+) = -1.4 and L''(0+) = 0.16 on the
         # left, and with L'(0-) = 0.6 and L''(0-) = -0.64 on the right
-        for g1, g2, g11 in ((sl1, sl2, sl11), (sl1 + 2.0 * m, sl2 - 0.8 * m, sl11 - 1.6 * m)):
-            lwt, wt = g1 + szl2, g1 + szl11
+        for g1, g2, g11 in ((s.l1, s.l2, s.l11), (s.l1 + 2.0 * m, s.l2 - 0.8 * m, s.l11 - 1.6 * m)):
+            lwt, wt = g1 + s.zl2, g1 + s.zl11
             curv = g2 - (lwt * lwt / ltt if ltt < 0.0 else 0.0)
             info = g11 - wt * wt / tt
             slope.append(-g1 / psi)
@@ -433,8 +559,8 @@ class _AgrSearch:
         xs = self.xs
         sizes = []
         while self.budget_left():
-            lo = int(np.searchsorted(xs, a.omega, "right"))
-            hi = int(np.searchsorted(xs, b.omega, "left"))
+            lo = int(xs.searchsorted(a.omega, "right"))
+            hi = int(xs.searchsorted(b.omega, "left"))
             inside = hi > lo
             sa, sb = a.slope[1], b.slope[0]
             p, side = (a, 1) if sa <= -sb else (b, 0)
@@ -480,23 +606,25 @@ def fit_agr(data) -> FitResult:
 
     The log-likelihood is ``n log(2/(pi psi)) + sum L(z_i)`` with
     ``z_i = (x_i - omega)/psi`` and ``L(z) = -|z| - log1p(w^2)``, whose
-    derivatives are closed forms (:func:`~arctangr.distributions._z_shape_derivs`).
+    derivatives are closed forms (see :class:`_Pass`).
     For a fixed omega, ``psi-hat`` solves the psi-score
     ``dl/dlog psi = -n - sum z L'(z)`` by a bracketed Newton iteration on
     ``log psi``.  The profile ``l(omega, psi-hat(omega))`` is smooth between
     data points and has a concave kink at each, its slope
     ``-sum L'(z)/psi`` dropping by ``2/psi`` per point; beyond the data it
-    falls away on both sides.  One bracketed search, from the median to an
-    open end just beyond the data on its rising side, narrows by scoring
-    and Newton steps on the profile, one-sided at kinks, over the order
-    statistics and then inside a gap between two data points.
+    falls away on both sides.  One bracketed search, from the sample's
+    ``P_STAR`` quantile (omega is the model's ``P_STAR`` quantile, as
+    ``G(0) = P_STAR``) to an open end just beyond the data on its rising
+    side, narrows by scoring and Newton steps on the profile, one-sided at
+    kinks, over the order statistics and then inside a gap between two data
+    points.
 
     ``converged`` means the stopping rule holds at the returned point: the
     psi-score is at rounding level and ``slope_right <= 0 <= slope_left``,
     both slopes to their rounding level.  ``stop`` records those three
     numbers, ``iterations`` counts the omega steps and ``nfev`` the score
     passes.  The likelihood is not concave, so this certifies a local
-    maximum: the one the search from the median reaches.  Samples with at
+    maximum: the one the search from that quantile reaches.  Samples with at
     most 32 distinct values (small or coarsely rounded ones), where several
     local maxima are common, are also swept: every value where the rule
     holds and the maximum of every gap whose ends rise into it compete with
@@ -505,17 +633,16 @@ def fit_agr(data) -> FitResult:
     """
     x = _values(data)
     xs = np.sort(x)
-    med, scale = _median_and_spread(x, xs, "AGR")
-    n, r = int(x.size), 2
-    if n <= r + 1:
-        raise DomainError(f"AGR fit needs at least {r + 2} observations, got {n}")
+    _, scale = _median_and_spread(x, xs, "AGR")
+    _check_size(x, 2, "AGR")
     search = _AgrSearch(xs)
-    best = search.point(med, math.log(scale))
+    best = search.point(float(_linear_quantile(xs, P_STAR)), math.log(scale))
     if not search.is_max(best):
         ends = (best, search.open_end(1)) if search.rises(best) else (search.open_end(0), best)
         best = search.narrow(*ends)
-    values = xs[np.r_[True, xs[1:] != xs[:-1]]]
-    if values.size <= _SWEEP_N:
+    new = xs[1:] != xs[:-1]
+    if np.count_nonzero(new) < _SWEEP_N:  # at most _SWEEP_N distinct values
+        values = xs[np.r_[True, new]]
         best = max([best, *search.sweep(values, best)], key=search.loglik)
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
@@ -524,7 +651,7 @@ def fit_agr(data) -> FitResult:
         ArctanGRParams(omega=float(best.omega), psi=math.exp(best.t)),
         agr_logpdf,
         x,
-        r=r,
+        r=2,
         iterations=search.steps,
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,

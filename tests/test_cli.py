@@ -11,6 +11,7 @@ import warnings
 import pytest
 
 import arctangr.cli as cli
+from arctangr import ingest
 from arctangr.errors import FitConvergenceError
 from arctangr.fit import MODELS
 
@@ -59,7 +60,11 @@ class TestFit:
         payload = json.loads(out)
         assert code == 0
         assert payload["converged"] is True
-        assert payload["nfev"] > payload["iterations"] > 0
+        # the library's own diagnostics; insurance starts at omega-hat, so it
+        # takes no omega step
+        res = MODELS["agr"].fit(ingest("embedded:insurance"))
+        assert (payload["iterations"], payload["nfev"]) == (res.iterations, res.nfev)
+        assert payload["nfev"] > payload["iterations"] >= 0
         assert "restarts" not in payload
 
     def test_table_diagnostics_line(self, capsys):
@@ -137,6 +142,18 @@ class TestRisk:
         )
         assert (code, out) == (3, "")
         assert err.startswith("error: --mc-samples must be >= 0")
+
+    @pytest.mark.parametrize("argv", [
+        ["risk", "--omega", "0", "--psi", "1", "--alphas", "0.99", "--mc-samples", "10"],
+        ["risk", "--omega", "0", "--psi", "1", "--alphas", "0.99"],
+        ["describe", "--data", "embedded:insurance"],
+    ])
+    def test_negative_seed_is_data_error(self, capsys, monkeypatch, argv):
+        # checked where it is parsed, with or without a draw to seed
+        monkeypatch.setattr(cli, "_RUNNERS", {})
+        code, out, err = run_cli(argv + ["--seed", "-1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: --seed must be a nonnegative integer, got -1\n"
 
     def test_alpha_out_of_range_is_data_error(self, capsys):
         code, _, err = run_cli(

@@ -63,10 +63,10 @@ from arctangr.distributions import (
     _z_pdf,
     _z_quantile,
     _z_sf,
-    _z_shape_derivs,
     _z_uw,
 )
 from mixture_oracle import mixture_kernel_pdf_by_integration
+from score_oracle import z_shape_derivs
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -261,7 +261,7 @@ class TestLogShape:
         z = np.concatenate([_SHAPE_Z, [0.0, 0.0]])
         side = np.where(z > 0.0, 1.0, -1.0)
         side[-1] = 1.0  # the last two are L(0-) and L(0+)
-        l1, l2 = _z_shape_derivs(*_z_uw(z), side)
+        l1, l2 = z_shape_derivs(*_z_uw(z), side)
         with mpmath.workdps(40):
             for k, got in ((1, l1), (2, l2)):
                 want = [float(mpmath.diff(lambda t: _mp_log_shape(t, s), zi, k))
@@ -270,7 +270,7 @@ class TestLogShape:
                 np.testing.assert_allclose(got, want, rtol=0, atol=4e-16)
 
     def test_one_sided_limits_at_zero(self):
-        l1, l2 = _z_shape_derivs(*_z_uw(np.zeros(2)), np.array([-1.0, 1.0]))
+        l1, l2 = z_shape_derivs(*_z_uw(np.zeros(2)), np.array([-1.0, 1.0]))
         assert l1 == pytest.approx([0.6, -1.4], abs=1e-16)
         assert l2 == pytest.approx([-0.64, 0.16], abs=1e-16)
 
@@ -349,6 +349,29 @@ class TestSurvivalHazard:
         ch = agr_cum_hazard(unit_params, grid)
         assert np.all(np.diff(ch) >= 0)
         assert agr_cum_hazard(unit_params, -np.inf) == 0.0
+
+    def test_cum_hazard_against_mpmath(self, unit_params):
+        # below the location -log1p(-F) on the lower tail's CDF, which -log(sf)
+        # missed by 3e-10 relative at z = -20 and rounded to -0.0 from z ~ -37
+        z = np.concatenate([-np.logspace(-300, math.log10(745.0), 400),
+                            [-5e-324, -20.0, -37.0, -700.0, -745.2],
+                            np.linspace(0.0, 700.0, 201), [5e-324, 17.7275, 18.4207, 36.7]])
+
+        def exact(v):
+            v = mpmath.mpf(v)
+            if v < 0:
+                return -mpmath.log1p(-4 / mpmath.pi * mpmath.atan(mpmath.exp(v) / 2))
+            t = mpmath.exp(-v) / 2
+            return -mpmath.log(4 / mpmath.pi * mpmath.atan(t / (2 - t)))
+
+        with mpmath.workdps(40):
+            want = np.array([float(exact(v)) for v in z])
+        got = agr_cum_hazard(unit_params, z)
+        assert not np.signbit(got).any()
+        # measured 2 ulp below the location and 1 above; where the value is
+        # subnormal (z < -708) it is exact
+        np.testing.assert_array_less(np.abs(got - want), 3.0 * np.spacing(want) + 5e-324)
+        assert got[z == -37.0][0] == pytest.approx(5.4323068e-17, rel=1e-7)
 
     @pytest.mark.filterwarnings("error")
     def test_cum_hazard_finite_where_survival_underflows(self, unit_params):

@@ -29,8 +29,8 @@ from arctangr.distributions import (
     _z_quantile,
     _z_sf,
     _z_uw,
-    _z_uw_split,
 )
+from arctangr.fit import _AgrSearch
 
 Z_KERNELS = {
     "uw": (_z_uw, ref.z_uw),
@@ -164,15 +164,20 @@ def test_select_is_where_on_any_bits(bits):
 )
 @example(xs=[-1e-300, 0.0, 0.0, 1.0], at=1, psi=1e300)  # z = -1e-600 rounds to -0.0
 @example(xs=[-1e300, 0.0, 1e300], at=-1e300, psi=1e-300)  # z = +-inf
-def test_fit_split_is_z_uw(xs, at, psi):
-    # the fit's sorted split: z = (xs - omega) / psi on a sorted sample, with
-    # omega tied to a sample point or anywhere, and below = #(xs < omega)
+def test_fit_pass_uw_is_z_uw(xs, at, psi):
+    # the fit's score pass on a sorted sample, with omega tied to a sample
+    # point or anywhere: it writes u = e^{-|z|} from |x - omega| / psi, and
+    # w = u/2 turned into 1 - u/2 on a slice (the points from omega on),
+    # where _z_uw selects per element
     xs = np.sort(np.array(xs))
     omega = float(xs[at % xs.size]) if isinstance(at, int) else at
     # as drawn, and each point repeated so that _z_uw blends
     for sample in (xs, np.repeat(xs, _BLEND_MIN // xs.size + 1)):
-        below = int(np.searchsorted(sample, omega, "left"))
-        with np.errstate(over="ignore"):
+        search = _AgrSearch(sample)
+        # (u, w) only: the pass's other sums are not finite where z is not
+        with np.errstate(all="ignore"):
             z = (sample - omega) / psi
-        assert_same_bits(_z_uw_split(z, below), _z_uw(z))
-        assert_same_bits(_z_uw_split(z, below), ref.z_uw(z))
+            search.at(omega)
+            search.score_pass(psi)
+        assert_same_bits((search.u, search.w), _z_uw(z))
+        assert_same_bits((search.u, search.w), ref.z_uw(z))

@@ -54,7 +54,7 @@ def z_cum_hazard(z):
     ratio = np.where(small, 1.0, np.arctan(safe_y) / safe_y)
     upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
     below = np.minimum(z, 0.0)
-    return np.where(z >= 0.0, upper, -np.log(z_sf(below)))
+    return np.where(z >= 0.0, upper, -np.log1p(-z_cdf(below)))
 
 
 def z_hazard(z):
