@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 
@@ -12,8 +13,23 @@ from .errors import DomainError
 BLOCK = 1 << 14
 
 
+#: The types taken as one number, by exact type (not bool, nor a 0-d array).
+SCALARS = (float, int, np.float64)
+
+
 def as_float_array(x, name="x", require_finite=False):
-    """Coerce to a float ndarray, rejecting NaN (and optionally infinities)."""
+    """Coerce to a float ndarray, rejecting NaN (and optionally infinities).
+
+    A number of a ``SCALARS`` type is checked with ``math`` and returned as an
+    ``np.float64``: every ufunc then runs the loop a 0-d array would, with the
+    same bits, without the array's per-call cost."""
+    if type(x) in SCALARS:
+        v = float(x)
+        if math.isnan(v):
+            raise DomainError(f"{name} must not contain NaN")
+        if require_finite and math.isinf(v):
+            raise DomainError(f"{name} must be finite")
+        return np.float64(v)
     arr = np.asarray(x, dtype=float)
     if np.isnan(arr).any():
         raise DomainError(f"{name} must not contain NaN")
@@ -24,7 +40,7 @@ def as_float_array(x, name="x", require_finite=False):
 
 def match_input(x, result):
     """Return a bare float when the caller passed a scalar."""
-    if np.ndim(x) == 0:
+    if type(x) in SCALARS or np.ndim(x) == 0:
         return float(result)
     return result
 

@@ -66,7 +66,9 @@ def arctan_cdf(base: BaseDistribution, x):
         h[v == np.inf] = 1.0
         return FOUR_OVER_PI * np.arctan(h)
 
-    return match_input(x, blockwise(block, as_float_array(x)))
+    # an ndarray, 0-d for one number: the base callables are given arrays
+    arr = np.asarray(as_float_array(x))
+    return match_input(x, blockwise(block, arr))
 
 
 def arctan_pdf(base: BaseDistribution, x):
@@ -81,4 +83,5 @@ def arctan_pdf(base: BaseDistribution, x):
         cap_h = np.asarray(base.cdf(v), dtype=float)
         return FOUR_OVER_PI * h / (1.0 + cap_h * cap_h)
 
-    return match_input(x, blockwise(block, as_float_array(x, require_finite=True)))
+    arr = np.asarray(as_float_array(x, require_finite=True))
+    return match_input(x, blockwise(block, arr))

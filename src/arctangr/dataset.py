@@ -10,6 +10,7 @@ July 2008 - April 2013) available under the source spec
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
@@ -159,8 +160,21 @@ def _linear_quantile(sorted_values: np.ndarray, q):
     The one difference: where ``x`` holds both ``0.0`` and ``-0.0``, the two
     compare equal, ``np.quantile``'s partial sort orders them arbitrarily,
     and a zero result may carry the other sign.
+
+    A float ``q`` in ``[0, 1]`` takes the same steps in Python floats and
+    returns a float; any other ``q`` an array (0-d for a scalar).
     """
     last = sorted_values.size - 1
+    if isinstance(q, float) and 0.0 <= q <= 1.0:
+        h = last * float(q)
+        if h >= last:
+            lo, a, b = -1.0, sorted_values.item(-1), sorted_values.item(-1)
+        else:
+            lo = math.floor(h)
+            a, b = sorted_values.item(lo), sorted_values.item(lo + 1)
+        gamma = h - lo
+        diff = b - a
+        return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
     h = last * np.asarray(q, dtype=float)
     # numpy's index arithmetic, kept as is so that signed zeros match too:
     # at the top both neighbours are the last value, at index -1

@@ -20,11 +20,13 @@ level at which the quantile function switches branches.
 Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
 (densities divide by ``psi``), evaluated in cache-sized blocks by
-:func:`arctangr._util.blockwise`.  Where a formula has two sides, a kernel
-picks each element's side by blending bits (:func:`_select`), not by a
-branch per element.  Raw moments expand ``E[(omega + psi Z)^r]``
-binomially over ``E[Z^k]``, summed exactly from the density's series; those
-depend on ``k`` alone, so each is summed once and kept for later calls.
+:func:`arctangr._util.blockwise`; one number is checked with ``math`` and
+passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
+Where a formula has two sides, a kernel picks each element's side by
+blending bits (:func:`_select`), not by a branch per element.  Raw moments
+expand ``E[(omega + psi Z)^r]`` binomially over ``E[Z^k]``, summed exactly
+from the density's series; those depend on ``k`` alone, so each is summed
+once and kept for later calls, as are each order's binomial weights.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import BLOCK, as_float_array, blockwise, match_input
+from ._util import BLOCK, SCALARS, as_float_array, blockwise, match_input
 from .arctanx import FOUR_OVER_PI, BaseDistribution
 from .errors import DomainError
 
@@ -164,6 +166,13 @@ def rayleigh_logpdf(params: RayleighParams, x):
 
 
 def _checked_prob(p, name="p"):
+    if type(p) in SCALARS:
+        v = float(p)
+        if not 0.0 < v < 1.0:
+            if math.isnan(v):
+                raise DomainError(f"{name} must not contain NaN")
+            raise DomainError(f"{name} must lie strictly inside (0, 1)")
+        return np.float64(v)
     arr = np.asarray(p, dtype=float)
     # min and max are NaN if any element is, so one range check also fails on
     # NaN; only then is there a NaN scan, to name the fault
@@ -426,6 +435,18 @@ def _z_moment_parts(k):
     return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
 
 
+#: The highest order whose ``E[Z^k]`` is a finite double (``171!`` is not).
+_MAX_ORDER = 170
+
+
+@functools.cache
+def _binomial_row(r):
+    """``(C(r, k), r - k, k)`` for ``k = 1..r``, ``r <= _MAX_ORDER``: the exact
+    weight and the two powers of each of :func:`agr_moment`'s terms, kept per
+    order (at most 170 rows)."""
+    return tuple((math.comb(r, k), r - k, k) for k in range(1, r + 1))
+
+
 # ---------------------------------------------------------------------------
 # Gaussian-Rayleigh scale mixture (Laplace kernel)
 # ---------------------------------------------------------------------------
@@ -578,9 +599,13 @@ def agr_moment(params: ArctanGRParams, r):
         raise DomainError(f"moment order r must be a positive integer, got {r!r}")
     omega, psi, r = params.omega, params.psi, int(r)
     try:
+        if r > _MAX_ORDER:  # its E[Z^171] term would overflow
+            raise OverflowError
         total = omega**r
-        for k in range(1, r + 1):
-            total += math.comb(r, k) * omega ** (r - k) * psi**k * sum(_z_moment_parts(k))
+        for c, j, k in _binomial_row(r):
+            # E[Z^k] = lower + upper; neither is zero, so this is sum() to the bit
+            lower, upper = _z_moment_parts(k)
+            total += c * omega**j * psi**k * (lower + upper)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

@@ -622,9 +622,12 @@ def fit_agr(data) -> FitResult:
     ``converged`` means the stopping rule holds at the returned point: the
     psi-score is at rounding level and ``slope_right <= 0 <= slope_left``,
     both slopes to their rounding level.  ``stop`` records those three
-    numbers, ``iterations`` counts the omega steps and ``nfev`` the score
-    passes.  The likelihood is not concave, so this certifies a local
-    maximum: the one the search from that quantile reaches.  Samples with at
+    numbers and the two tolerances (``psi_tol``, ``slope_tol``), so that
+    ``converged`` is ``|psi_score| <= psi_tol`` and ``omega_slope_right <=
+    slope_tol`` and ``omega_slope_left >= -slope_tol``, from ``stop`` alone;
+    ``iterations`` counts the omega steps and ``nfev`` the score passes.  The
+    likelihood is not concave, so this certifies a local maximum: the one the
+    search from that quantile reaches.  Samples with at
     most 32 distinct values (small or coarsely rounded ones), where several
     local maxima are common, are also swept: every value where the rule
     holds and the maximum of every gap whose ends rise into it compete with
@@ -655,8 +658,9 @@ def fit_agr(data) -> FitResult:
         iterations=search.steps,
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,
-        stop={"psi_score": best.psi_score, "omega_slope_left": best.slope[0],
-              "omega_slope_right": best.slope[1]},
+        stop={"psi_score": best.psi_score, "psi_tol": best.psi_tol,
+              "omega_slope_left": best.slope[0], "omega_slope_right": best.slope[1],
+              "slope_tol": search.slope_tol(best.omega, math.exp(best.t))},
     )
 
 

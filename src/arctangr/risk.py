@@ -12,9 +12,13 @@ is an affine image of one computed on the standard variable ``Z``:
 0.5 + 1e-7 to 1 - 1e-13 they are within 2.5e-16 (``m``, relative to
 ``1 + |m|``) and 5.5e-16 (``v``, relative) of a 25-digit reference.  ``z``,
 ``m`` and ``v`` depend on the levels alone, so each grid of levels is summed
-once and its read-only arrays kept (the 64 most recently used grids of at most
-256 levels) for every later call and every ``(omega, psi)``.  A seeded Monte
-Carlo oracle and order-statistic empirical estimators round out the module.
+once, as one vectorised series, and its read-only arrays kept (the 64 most
+recently used grids of at most 256 levels) for every later call and every
+``(omega, psi)``.  The affine map, its finiteness checks and the report's
+checks then run on Python floats, per level: the same arithmetic as numpy's
+on the arrays, so the same bits, without numpy's cost per call on a handful
+of levels.  A seeded Monte Carlo oracle and order-statistic empirical
+estimators round out the module.
 """
 
 from __future__ import annotations
@@ -108,7 +112,7 @@ _CACHED_LEVELS = 256
 @functools.lru_cache(maxsize=64)
 def _standard_tail(levels: tuple):
     """:func:`_tail_moments` over the checked ``levels``, kept for the 64 most
-    recently used grids; :func:`_risk_columns` asks it only for grids of at most
+    recently used grids; :func:`_risk_lists` asks it only for grids of at most
     ``_CACHED_LEVELS`` levels.  The result depends on the levels alone, never on
     ``(omega, psi)``, so every parameter set and every measure share it; the
     arrays are read-only, so no caller can change what a later one reads."""
@@ -118,32 +122,43 @@ def _standard_tail(levels: tuple):
     return tail
 
 
-def _risk_columns(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
-    """The named measures, one array over the checked ``levels`` each, mapped
-    affinely from :func:`_standard_tail`; :class:`DomainError` names the
-    measure and the first level at which it is not a finite double."""
+def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
+    """The named measures over the checked ``levels``, one list of floats each,
+    mapped from :func:`_standard_tail` as ``omega + psi z``, ``omega + psi m``
+    and ``(psi psi) v``: the arithmetic, and so the bits, of numpy on the
+    arrays, without its per-call cost.  Grids longer than ``_CACHED_LEVELS``
+    take the same loop over a fresh :func:`_tail_moments`.  :class:`DomainError`
+    names the first measure (in ``names`` order) and the first level at which
+    it is not a finite double."""
     if len(levels) <= _CACHED_LEVELS:
         z, m, v = _standard_tail(tuple(levels))
     else:
         z, m, v = _tail_moments(levels)
-    with np.errstate(over="ignore"):
-        cols = {"VaR": params.omega + params.psi * z, "TVaR": params.omega + params.psi * m,
-                "TV": params.psi * params.psi * v}
+    omega, psi = float(params.omega), float(params.psi)
+    cols = []
     for name in names:
-        bad = np.flatnonzero(~np.isfinite(cols[name]))
-        if bad.size:
-            raise DomainError(f"{name} at alpha={levels[bad[0]]!r} is not a finite double")
-    return [cols[name] for name in names]
+        if name == "TV":
+            psi2 = psi * psi
+            col = [psi2 * s for s in v.tolist()]
+        else:
+            col = [omega + psi * s for s in (z if name == "VaR" else m).tolist()]
+        if not all(map(math.isfinite, col)):
+            bad = next(i for i, value in enumerate(col) if not math.isfinite(value))
+            raise DomainError(f"{name} at alpha={levels[bad]!r} is not a finite double")
+        cols.append(col)
+    return cols
 
 
 def tvar(params: ArctanGRParams, alpha) -> float:
     """Tail value at risk: mean loss beyond the VaR threshold."""
-    return float(_risk_columns(params, [_check_alpha(alpha)], ["TVaR"])[0][0])
+    a = _check_alpha(alpha)
+    return _risk_lists(params, [a], ["TVaR"])[0][0]
 
 
 def tv(params: ArctanGRParams, alpha) -> float:
     """Tail variance: variance of the loss beyond the VaR threshold."""
-    return float(_risk_columns(params, [_check_alpha(alpha)], ["TV"])[0][0])
+    a = _check_alpha(alpha)
+    return _risk_lists(params, [a], ["TV"])[0][0]
 
 
 class RiskRow(NamedTuple):
@@ -179,25 +194,41 @@ class RiskReport:
     mc_check: tuple[MCOracleResult, ...] = ()
 
     def __post_init__(self):
+        """One pass over the rows.  The checks, in order of precedence: each
+        row's ``tvar >= var`` (to a slack of 1e-9 (1 + |var|)) and ``tv >= 0``,
+        one ``mc_check`` result per row, rows sorted by alpha, and then ``var``
+        and ``tvar`` nondecreasing in alpha (to the same slack)."""
         if not self.rows:
             raise DomainError("a risk report needs at least one row")
         slack = 1e-9
-        for row in self.rows:
-            scale = 1.0 + abs(row.var)
-            if row.tvar < row.var - slack * scale:
-                raise DomainError(f"tvar < var at alpha={row.alpha}")
-            if row.tv < 0.0:
-                raise DomainError(f"negative tail variance at alpha={row.alpha}")
+        descent = var_falls = tvar_falls = False
+        # the previous row (none for the first).  A floor ``b - slack (1 + |b|)``
+        # is never above ``b``, and NaN or -inf wherever ``b`` is not finite, so
+        # ``a < b`` is tested first and the floor is taken only where it holds
+        alpha0 = v0 = t0 = -math.inf
+        for alpha, v, t, w in self.rows:
+            if t < v and t < v - slack * (1.0 + abs(v)):
+                raise DomainError(f"tvar < var at alpha={alpha}")
+            if w < 0.0:
+                raise DomainError(f"negative tail variance at alpha={alpha}")
+            if alpha < alpha0:
+                descent = True
+            if v < v0 and v < v0 - slack * (1.0 + abs(v0)):
+                var_falls = True
+            if t < t0 and t < t0 - slack * (1.0 + abs(t0)):
+                tvar_falls = True
+            alpha0, v0, t0 = alpha, v, t
         if self.mc_check and len(self.mc_check) != len(self.rows):
             raise DomainError("mc_check needs one Monte Carlo result per row")
-        alphas = [row.alpha for row in self.rows]
-        if sorted(alphas) != alphas:
-            raise DomainError("risk report rows must be sorted by alpha")
-        for col in ("var", "tvar"):
-            vals = [getattr(row, col) for row in self.rows]
-            for lo, hi in zip(vals, vals[1:]):
-                if hi < lo - slack * (1.0 + abs(lo)):
-                    raise DomainError(f"{col} must be nondecreasing in alpha")
+        # without a descent the rows are one sorted run; with one, sorted()
+        # decides, as it would with a NaN level
+        if descent:
+            alphas = [row.alpha for row in self.rows]
+            if sorted(alphas) != alphas:
+                raise DomainError("risk report rows must be sorted by alpha")
+        for col, falls in (("var", var_falls), ("tvar", tvar_falls)):
+            if falls:
+                raise DomainError(f"{col} must be nondecreasing in alpha")
 
     def to_csv(self) -> str:
         return dump_csv(["alpha", "var", "tvar", "tv"],
@@ -232,10 +263,15 @@ class RiskReport:
 
 def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
     """Risk measures across confidence levels, one sorted row per level."""
-    levels = sorted(_check_alpha(a) for a in np.atleast_1d(np.asarray(alphas, dtype=float)))
+    arr = np.atleast_1d(np.asarray(alphas, dtype=float))
+    values = arr.tolist() if arr.ndim == 1 else list(map(float, arr))
+    levels = sorted(values)
+    # a NaN makes the sum NaN; otherwise the sorted ends bound every level
+    if math.isnan(sum(values)) or levels and not (0.5 < levels[0] and levels[-1] < 1.0):
+        levels = sorted(map(_check_alpha, values))  # raises on the first bad level
     if not levels:
         raise DomainError("alphas must be nonempty")
-    rows = tuple(map(RiskRow, levels, *(col.tolist() for col in _risk_columns(params, levels))))
+    rows = tuple(map(RiskRow, levels, *_risk_lists(params, levels)))
     return RiskReport(
         rows=rows,
         source=f"model(omega={params.omega!r}, psi={params.psi!r})",

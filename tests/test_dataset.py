@@ -1,11 +1,13 @@
 """Dataset ingestion, the embedded fixture, and descriptive statistics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arctangr import DataError, LossDataset, describe, ingest
+from arctangr import P_STAR, DataError, LossDataset, describe, ingest
 from arctangr.dataset import _linear_quantile
 
 
@@ -154,6 +156,8 @@ class TestLinearQuantile:
     @example(x=[5.0], q=[0.0, 0.25, 1.0])
     @example(x=[-0.0], q=[0.0])
     @example(x=[0.0, -1.5, -0.0, -0.0, 0.1], q=[0.5])
+    @example(x=[0.3, 0.1, 0.2, 0.1, 0.1, 7.0], q=[P_STAR])
+    @example(x=[-0.0, -0.0, -0.0], q=[0.0, P_STAR, 1.0])
     def test_equals_numpy_bitwise(self, x, q):
         x = np.array(x)
         xs = np.sort(x)
@@ -170,3 +174,27 @@ class TestLinearQuantile:
         assert bits(_linear_quantile(xs, levels)) == bits(np.quantile(x, levels))
         for level in q:  # a scalar level takes numpy's Python-float path
             assert bits(_linear_quantile(xs, level)) == bits(np.quantile(x, level))
+
+    LEVELS = [0.0, 1.0, P_STAR, 0.5, 0.25, math.nextafter(1.0, 0.0), 5e-324, 1.0 / 3.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        x=st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.1, 7.0]),
+                             st.floats(-1e300, 1e300)), min_size=1, max_size=40),
+        q=st.one_of(st.floats(0.0, 1.0), st.sampled_from(LEVELS)),
+    )
+    @example(x=[-0.0], q=0.0)
+    @example(x=[-0.0, -0.0], q=1.0)
+    @example(x=[-0.0, 0.0, 0.0], q=P_STAR)
+    @example(x=[0.0, -0.0], q=0.5)
+    @example(x=[2.0, 2.0, 2.0, 5.0], q=P_STAR)
+    @example(x=[-1e300, 1e300], q=0.75)
+    def test_float_level_equals_the_array_path(self, x, q):
+        # a float level runs the same index arithmetic and lerp in Python
+        # floats, signed zeros, ties and the top of the range included
+        xs = np.sort(np.array(x))
+        want = np.asarray(_linear_quantile(xs, np.array([q]))[0]).tobytes()
+        for level in (q, np.float64(q)):
+            got = _linear_quantile(xs, level)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == want

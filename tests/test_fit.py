@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -381,6 +382,9 @@ class TestStoppingRule:
         stop = res.stop
         assert stop["omega_slope_right"] <= tol and stop["omega_slope_left"] >= -tol
         assert abs(stop["psi_score"]) <= psi_tol
+        # and the tolerances it reports are the rule's
+        assert stop["slope_tol"] == tol
+        assert abs(stop["psi_score"]) <= stop["psi_tol"] <= psi_tol
         # the reported numbers are the scores at the returned point
         assert abs(score - stop["psi_score"]) <= psi_tol
         assert abs(left - stop["omega_slope_left"]) <= tol
@@ -410,8 +414,27 @@ class TestStoppingRule:
         res = fit_agr(insurance)
         payload = json.loads(res.to_json())
         assert payload["stop"] == res.stop
-        assert set(res.stop) == {"psi_score", "omega_slope_left", "omega_slope_right"}
+        assert set(res.stop) == {"psi_score", "psi_tol", "omega_slope_left",
+                                 "omega_slope_right", "slope_tol"}
         assert "stop" not in json.loads(fit_laplace(insurance).to_json())
+
+    def test_converged_recomputes_from_the_json(self, insurance):
+        # stop carries the tolerances, so the rule can be checked from the
+        # JSON alone; a small pass budget leaves some of these fits unconverged
+        seen = set()
+        for budget in (1, 3, 5, fit_module._MAX_PASSES):
+            for x in [insurance.values, *(_family_sample(kind, 300, seed)
+                                          for kind in ("lognormal", "two_normals")
+                                          for seed in range(3))]:
+                with mock.patch.object(fit_module, "_MAX_PASSES", budget):
+                    payload = json.loads(fit_agr(x).to_json())
+                stop = payload["stop"]
+                rule = (abs(stop["psi_score"]) <= stop["psi_tol"]
+                        and stop["omega_slope_right"] <= stop["slope_tol"]
+                        and stop["omega_slope_left"] >= -stop["slope_tol"])
+                assert rule == payload["converged"]
+                seen.add(rule)
+        assert seen == {True, False}
 
     def test_benchmark_shaped_fits_take_no_more_passes(self):
         # the benchmark's fit_models samples, seeds 1-20 (180 fits of 3,000
@@ -502,6 +525,20 @@ class TestExtremeData:
         assert res.nfev < 5000
         oracle = multistart_loglik(x)
         assert res.loglik >= oracle - 1e-9 * (1.0 + abs(res.loglik))
+
+    def test_large_offset_fits_like_the_shifted_sample(self):
+        # data on a 1/64 grid at 1e14: the slope tolerance's n ulp(omega)/psi^2
+        # term (3.6 here) once accepted the rising point 1e14 - 0.09375, with
+        # l = -310.49990; the search from the P* quantile reaches the fit of
+        # the same data shifted exactly to 0, mapped back
+        y = 1e14 + agr_sample(ArctanGRParams(0.0, 1.0), 198, 788757209)
+        u = y - 1e14  # exact: y and 1e14 are within a factor of 2
+        assert np.array_equal(u + 1e14, y)
+        res, shifted = fit_agr(y), fit_agr(u)
+        assert res.converged
+        assert res.params.omega == 1e14 - 0.078125 == 1e14 + shifted.params.omega
+        assert res.params.psi == shifted.params.psi
+        assert res.loglik == shifted.loglik == pytest.approx(-310.46398, abs=1e-5)
 
     @pytest.mark.parametrize("x", [[0.0, 1.0, 2.0, np.finfo(float).max],
                                    [-np.finfo(float).max, 0.0, 1.0, 2.0]])
