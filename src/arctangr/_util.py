@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 
 #: Elements per block of a bulk elementwise evaluation (see :func:`blockwise`).
 BLOCK = 1 << 14
@@ -45,9 +45,10 @@ def match_input(x, result):
     return result
 
 
-def blockwise(fn, arr):
+def blockwise(fn, arr, out=None):
     """``fn(arr)`` for an elementwise float ``fn``, evaluated ``BLOCK`` elements
-    at a time into one output array of ``arr``'s shape.
+    at a time into one output array of ``arr``'s shape (``out``, a new array
+    by default).
 
     Each element passes through the same ufuncs in the same order, so the
     result is bit-identical to ``fn(arr)``; only the temporaries shrink.  A
@@ -57,14 +58,30 @@ def blockwise(fn, arr):
     pages and waits on memory.  Of 4, 16, 64 and 256 Ki, 16 Ki was the
     fastest for the 1e6-point kernels on a Xeon with 2 MiB of L2 per core.
     Inputs of at most ``BLOCK`` elements are passed to ``fn`` whole.
+
+    ``out`` may be a contiguous float ``arr`` itself, for an ``fn`` that
+    writes its result over its block and returns it: numpy skips the copy of
+    a view onto itself, so the pass runs in place.
     """
     if arr.size <= BLOCK:
         return fn(arr)
     flat = arr.reshape(-1)
-    out = np.empty(flat.size)
+    out = np.empty(flat.size) if out is None else out.reshape(-1)
     for i in range(0, flat.size, BLOCK):
         out[i:i + BLOCK] = fn(flat[i:i + BLOCK])
     return out.reshape(arr.shape)
+
+
+def at_unit_scale(x, stats):
+    """``stats(x)``, a tuple of statistics each scaling like ``x``, computed on
+    ``x`` over the power of two ``2^e`` just above ``max|x|`` and then times
+    ``2^e``; both steps are exact, so only ``stats`` rounds.  For samples whose
+    squares overflow though the statistics do not."""
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    try:
+        return tuple(math.ldexp(float(v), e) for v in stats(np.ldexp(x, -e)))
+    except OverflowError:
+        raise DataError("a statistic of the sample is not a finite double") from None
 
 
 def dump_json(payload) -> str:

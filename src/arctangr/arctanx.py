@@ -54,16 +54,21 @@ def arctan_cdf(base: BaseDistribution, x):
     """CDF of the arctan-transformed distribution: ``(4/pi) * arctan(H(x))``.
 
     Accepts scalars or arrays; ``+-inf`` arguments map to the 1/0 limits
-    directly rather than being passed to the base CDF.
+    directly rather than being passed to the base CDF.  A block with no
+    infinity goes to the base CDF whole; ``cdf`` is elementwise, so its
+    values, and the result's bits, are those of the masked route.
     """
 
     def block(v):
-        h = np.empty(v.shape, dtype=float)
         finite = np.isfinite(v)
-        if finite.any():
-            h[finite] = base.cdf(v[finite])
-        h[v == -np.inf] = 0.0
-        h[v == np.inf] = 1.0
+        if finite.all():
+            h = np.asarray(base.cdf(v), dtype=float)
+        else:
+            h = np.empty(v.shape, dtype=float)
+            if finite.any():
+                h[finite] = base.cdf(v[finite])
+            h[v == -np.inf] = 0.0
+            h[v == np.inf] = 1.0
         return FOUR_OVER_PI * np.arctan(h)
 
     # an ndarray, 0-d for one number: the base callables are given arrays

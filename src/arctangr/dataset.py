@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import dump_csv, dump_json
+from ._util import at_unit_scale, dump_csv, dump_json
 from .errors import DataError
 
 EMBEDDED_PREFIX = "embedded:"
@@ -188,8 +188,14 @@ def _linear_quantile(sorted_values: np.ndarray, q):
 
 
 def describe(data: LossDataset) -> SummaryStats:
-    """Summary statistics; SD is the population standard deviation."""
+    """Summary statistics; SD is the population standard deviation.  Where
+    the squares overflow, the mean and SD are computed by
+    :func:`at_unit_scale`, as the Gaussian fit computes them."""
     x = data.values
+    with np.errstate(over="ignore"):
+        mean, sd = float(x.mean()), float(x.std(ddof=0))
+    if sd == math.inf:
+        mean, sd = at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
     octiles = _linear_quantile(
         data.sorted_values, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
     )
@@ -203,9 +209,9 @@ def describe(data: LossDataset) -> SummaryStats:
         moors = 0.0
     return SummaryStats(
         n=data.n,
-        mean=float(x.mean()),
+        mean=mean,
         median=float(med),
-        sd=float(x.std(ddof=0)),
+        sd=sd,
         min=float(x.min()),
         max=float(x.max()),
         q1=float(q1),

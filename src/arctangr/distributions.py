@@ -389,9 +389,14 @@ def _z_log_shape(z):
 
 def _z_tail_quantile(q):
     """Standard quantile at tail probability ``q = 1 - p <= 1 - P_STAR``: equal to
-    ``-log(2*(1 - tan(pi*(1-q)/4)))`` without its cancellation as ``q -> 0``."""
-    t = np.tan(_PI_OVER_4 * q)
-    return -np.log(4.0 * t / (1.0 + t))
+    ``-log(2*(1 - tan(pi*(1-q)/4)))`` without its cancellation as ``q -> 0``.
+    An array ``q`` is a temporary handed over: the result is written over it."""
+    q *= _PI_OVER_4
+    t = _inplace(np.tan, q)
+    d = 1.0 + t
+    t *= 4.0
+    t /= d
+    return _inplace(np.negative, _inplace(np.log, t))
 
 
 def _z_quantile(p):

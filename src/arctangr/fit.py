@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import dump_csv, dump_json
+from ._util import at_unit_scale, dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -201,29 +201,17 @@ def _check_size(x, r, model):
         raise DomainError(f"{model} fit needs at least {r + 2} observations, got {x.size}")
 
 
-def _at_unit_scale(x, stats):
-    """``stats(x)``, a tuple of statistics each scaling like ``x``, computed on
-    ``x`` over the power of two ``2^e`` just above ``max|x|`` and then times
-    ``2^e``; both steps are exact, so only ``stats`` rounds.  For samples whose
-    squares overflow though the statistics do not."""
-    e = math.frexp(float(np.max(np.abs(x))))[1]
-    try:
-        return tuple(math.ldexp(float(v), e) for v in stats(np.ldexp(x, -e)))
-    except OverflowError:
-        raise DataError("the fitted scale is not a finite double") from None
-
-
 def fit_gaussian(data) -> FitResult:
     """Closed-form Gaussian MLE: sample mean and population SD.
 
     Both lie within ``max|x|``, so they are finite doubles; where the squares
-    overflow they are computed by :func:`_at_unit_scale`."""
+    overflow they are computed by :func:`at_unit_scale`."""
     x = _values(data)
     _check_size(x, 2, "Gaussian")
     with np.errstate(over="ignore"):
         omega, sd = float(x.mean()), float(x.std(ddof=0))
     if sd == math.inf:
-        omega, sd = _at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
+        omega, sd = at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
     params = GaussianParams(omega=omega, eta=sd)
@@ -234,7 +222,7 @@ def fit_rayleigh(data) -> FitResult:
     """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``.
 
     ``psi`` is below ``max x``, so it is a finite double; where the squares
-    overflow it is computed by :func:`_at_unit_scale`."""
+    overflow it is computed by :func:`at_unit_scale`."""
     x = _values(data)
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
@@ -246,7 +234,7 @@ def fit_rayleigh(data) -> FitResult:
     with np.errstate(over="ignore"):
         (psi,) = mle(x)
     if psi == math.inf:
-        (psi,) = _at_unit_scale(x, mle)
+        (psi,) = at_unit_scale(x, mle)
     params = RayleighParams(psi=float(psi))
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 

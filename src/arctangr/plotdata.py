@@ -8,6 +8,7 @@ skipped with a note instead of failing the whole bundle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,9 @@ from .risk import risk_curve
 #: Confidence levels of the risk curves, and points of the density grid.
 RISK_ALPHAS = tuple(np.linspace(0.55, 0.99, 45).round(12))
 GRID_POINTS = 401
+#: The most histogram bins the Freedman-Diaconis rule may choose; a million
+#: edges are already ~25 MB of JSON.
+MAX_FD_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -76,40 +80,73 @@ class PlotBundle:
         return "\n".join(lines) + "\n"
 
 
+def _fd_bins(n, span, iqr) -> int:
+    """The bin count of ``np.histogram(x, bins="fd")`` for ``n`` values over a
+    range ``span`` with interquartile range ``iqr``: ``ceil(span / width)``
+    with ``width = 2 iqr n^(-1/3)``, or 1 bin where the width is 0.  It is
+    computed in floats before any edge is made, so a count above
+    ``MAX_FD_BINS`` raises :class:`DataError` rather than reaching numpy."""
+    width = 2.0 * float(iqr) * n ** (-1.0 / 3.0)
+    if not width:
+        return 1
+    count = span / width
+    if not count <= MAX_FD_BINS:
+        raise DataError(
+            f"the Freedman-Diaconis rule asks for {count:.3g} histogram bins, "
+            f"more than the {MAX_FD_BINS} a plot bundle holds (the range is "
+            "huge against the IQR); choose a count with --bins"
+        )
+    return math.ceil(count)
+
+
 def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     """Assemble histogram/boxplot/density/risk data for one dataset.
 
-    ``bins=None`` selects the Freedman-Diaconis rule; pass an integer to
-    override.  Densities of every model in :data:`MODELS` are tabulated on
-    ``GRID_POINTS`` points; risk curves use the fitted AGR parameters at
-    ``RISK_ALPHAS``.
+    ``bins=None`` selects the Freedman-Diaconis rule, bit for bit as
+    ``np.histogram(x, bins="fd")``, for at most ``MAX_FD_BINS`` (10**6)
+    bins: a sample whose range needs more raises :class:`DataError`.  Pass
+    an integer to override.  Densities of every model in :data:`MODELS` are
+    tabulated on ``GRID_POINTS`` points; risk curves use the fitted AGR
+    parameters at ``RISK_ALPHAS``.  A sample so near the double limits that
+    its fences (1.5 IQR beyond the quartiles) or its grid (a quarter of the
+    range beyond the data) would overflow raises :class:`DataError`.
     """
     x = data.values
-    counts, edges = np.histogram(x, bins=("fd" if bins is None else int(bins)))
+    lo, hi = float(x.min()), float(x.max())
+    span = hi - lo
+    # every fence, grid point and grid step lies within this of zero
+    if not math.isfinite(max(abs(lo), abs(hi)) + 1.5 * span):
+        raise DataError(
+            f"the sample spans {lo:.6g} to {hi:.6g}: its box-plot fences and "
+            "density grid would leave the double range"
+        )
+    # np.histogram's "fd" takes the IQR from these quartiles' own algorithm
+    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+    iqr = q3 - q1
+    counts, edges = np.histogram(
+        x, bins=(_fd_bins(x.size, span, iqr) if bins is None else int(bins)))
     histogram = {
         "n": int(x.size),
         "bin_edges": edges.tolist(),
         "counts": counts.tolist(),
     }
 
-    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
-    iqr = q3 - q1
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     outliers = x[(x < lo_fence) | (x > hi_fence)]
     boxplot = {
         "five_number": {
-            "min": float(x.min()),
+            "min": lo,
             "q1": float(q1),
             "median": float(med),
             "q3": float(q3),
-            "max": float(x.max()),
+            "max": hi,
         },
         "fences": {"low": float(lo_fence), "high": float(hi_fence)},
         "outliers": sorted(float(v) for v in outliers),
     }
 
-    span = float(x.max() - x.min()) or 1.0
-    grid = np.linspace(x.min() - 0.25 * span, x.max() + 0.25 * span, GRID_POINTS)
+    span = span or 1.0
+    grid = np.linspace(lo - 0.25 * span, hi + 0.25 * span, GRID_POINTS)
     curves = {}
     skipped = {}
     agr_params = None

@@ -18,6 +18,8 @@ from arctangr import (
     mixture_kernel_base,
     rayleigh_base,
 )
+from arctangr._util import BLOCK
+from arctangr.arctanx import FOUR_OVER_PI
 
 # (4/pi) * arctan(1/2), evaluated at 40-digit precision and frozen
 CDF_AT_HALF = 0.59033447060173305
@@ -132,3 +134,37 @@ def test_scalar_in_scalar_out():
     assert isinstance(arctan_cdf(GAUSS, 0.3), float)
     assert isinstance(arctan_pdf(GAUSS, 0.3), float)
     assert arctan_cdf(GAUSS, np.array([0.3])).shape == (1,)
+
+
+def masked_arctan_cdf(base, x):
+    """``arctan_cdf`` with every argument taking the masked route: the base
+    CDF on the finite entries only, the limits scattered in for +-inf."""
+    v = np.asarray(x, dtype=float)
+    h = np.empty(v.shape)
+    finite = np.isfinite(v)
+    h[finite] = base.cdf(v[finite])
+    h[v == -np.inf] = 0.0
+    h[v == np.inf] = 1.0
+    return FOUR_OVER_PI * np.arctan(h)
+
+
+@pytest.mark.parametrize("base", ALL_BASES)
+@pytest.mark.parametrize("layout", ["finite", "inf", "mixed", "blocks"])
+def test_cdf_finite_blocks_keep_masked_bits(base, layout):
+    # all finite (the direct route), only +-inf, a mix, and several BLOCKs of
+    # which only the middle one holds infinities
+    x = np.random.default_rng(3).standard_cauchy(3 * BLOCK + 7) * 4.0
+    if layout == "finite":
+        x = x[:1000]
+    elif layout == "inf":
+        x = np.array([np.inf, -np.inf, -np.inf, np.inf])
+    elif layout == "mixed":
+        x = x[:1000]
+        x[::7], x[3::11] = np.inf, -np.inf
+    else:
+        x[BLOCK + 5], x[2 * BLOCK - 1] = -np.inf, np.inf
+    got = arctan_cdf(base, x)
+    assert got.view(np.int64).tolist() == masked_arctan_cdf(base, x).view(np.int64).tolist()
+    for v in (x[0], x[-1], 0.0, -0.0):
+        assert np.float64(arctan_cdf(base, v)).view(np.int64) == \
+            masked_arctan_cdf(base, np.array([v]))[0].view(np.int64)

@@ -30,6 +30,9 @@ def mostly(good, bad):
 # data specs: placeholders (@name) stand for files written once per module
 DATA = mostly(["embedded:insurance", "@sample"],
               ["@constant", "@tiny", "@words", "@empty", "@missing", "embedded:nope"])
+# samples whose range is huge against their IQR, two of them near the double
+# limits; only describe and plotdata draw them
+WIDE_DATA = st.one_of(DATA, st.sampled_from(["@wide", "@widepm", "@subnormal", "@edge"]))
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "abc"]
 OMEGAS = mostly(["0.02", "0", "-3", "2.5", "1e8"], EDGE_NUMBERS)
 PSIS = mostly(["0.005", "1", "2.5", "1e3"], EDGE_NUMBERS)
@@ -46,7 +49,7 @@ FORMATS = mostly(["table", "json", "csv"], ["xml"])
 COMMON = {"--data": (DATA, 9), "--format": (FORMATS, 5), "--seed": (SEEDS, 3),
           "--out": (st.just("@out"), 2)}
 OPTIONS = {
-    "describe": COMMON,
+    "describe": {**COMMON, "--data": (WIDE_DATA, 9)},
     "fit": {**COMMON, "--model": (mostly(["agr", "gaussian", "rayleigh", "laplace"],
                                          ["lognormal"]), 5)},
     "compare": COMMON,
@@ -56,7 +59,8 @@ OPTIONS = {
              "--alphas": (ALPHAS, 7),
              "--empirical": (st.none(), 2),
              "--mc-samples": (mostly(["0", "1", "10", "2000"], ["-1", "-5", "nan", "1e308"]), 4)},
-    "plotdata": {**COMMON, "--format": (mostly(["table", "json"], ["csv", "xml"]), 5),
+    "plotdata": {**COMMON, "--data": (WIDE_DATA, 9),
+                 "--format": (mostly(["table", "json"], ["csv", "xml"]), 5),
                  "--bins": (mostly(["1", "12", "50"], ["0", "-1", "nan", "1e308", "5e-324"]), 5)},
 }
 
@@ -89,6 +93,10 @@ def files(tmp_path_factory):
         "tiny": "0.1\n0.2\n",
         "words": "loss\n0.1\nabc\n",
         "empty": "",
+        "wide": "1\n2\n3\n4\n1e200\n",
+        "widepm": "1e154\n-1e154\n3\n4\n5\n",
+        "subnormal": "5e-324\n1\n-2\n3\n1e300\n-1e-300\n",
+        "edge": "-1e308\n0\n1\n2\n1e308\n",
     }
     paths = {"missing": str(root / "missing.csv"), "out": str(root / "out.txt")}
     for name, text in contents.items():
@@ -122,6 +130,12 @@ def run(argv):
 @example(argv=["risk", "--data", "@constant", "--alphas", "0.9"])
 @example(argv=["risk", "--data", "@sample", "--empirical", "--alphas", "0.99"])
 @example(argv=["plotdata", "--data", "@tiny", "--bins", "50"])
+@example(argv=["plotdata", "--data", "@wide"])
+@example(argv=["plotdata", "--data", "@widepm", "--bins", "12"])
+@example(argv=["plotdata", "--data", "@edge", "--bins", "12"])
+@example(argv=["describe", "--data", "@wide"])
+@example(argv=["describe", "--data", "@widepm", "--format", "json"])
+@example(argv=["describe", "--data", "@subnormal"])
 @example(argv=["fit", "--data", "@missing"])
 def test_exit_codes_and_streams(files, argv):
     for name, path in files.items():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arctangr import P_STAR, DataError, LossDataset, describe, ingest
+from arctangr import P_STAR, DataError, LossDataset, describe, fit_gaussian, ingest
 from arctangr.dataset import _linear_quantile
 
 
@@ -137,6 +137,16 @@ class TestDescribe:
         stats = describe(ds)
         assert stats.bowley_skewness == 0.0
         assert stats.moors_kurtosis == 0.0
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0, 4.0, 1e200],
+                                        [1e154, -1e154, 3.0, 4.0, 5.0],
+                                        [1e300, 2e300, -3e300, 5.0]])
+    def test_squares_overflow_sd_as_gaussian_fit(self, values):
+        # x.std() overflows here; the rescaled mean and SD are the Gaussian fit's
+        stats = describe(LossDataset(values=np.array(values), source="inline", name="w"))
+        fit = fit_gaussian(np.array(values)).params
+        assert (stats.mean, stats.sd) == (fit.omega, fit.eta)
+        assert 0.0 < stats.sd <= max(map(abs, values))
 
     def test_as_dict_keys_ordered(self, insurance):
         d = describe(insurance).as_dict()

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from arctangr import (
+    DataError,
     DomainError,
     LossDataset,
     agr_pdf,
     fit_agr,
     plot_bundle,
 )
+from arctangr.dataset import INSURANCE_VALUES
+from arctangr.plotdata import MAX_FD_BINS, _fd_bins
 
 
 @pytest.fixture(scope="module")
@@ -22,6 +25,30 @@ def bundle(insurance):
 def test_histogram_counts_sum_to_n(bundle, insurance):
     assert sum(bundle.histogram["counts"]) == insurance.n
     assert len(bundle.histogram["bin_edges"]) == len(bundle.histogram["counts"]) + 1
+
+
+@pytest.mark.parametrize("values", [
+    INSURANCE_VALUES, [1.0, 1.0, 1.0, 2.0], [0.0, -0.0, 0.0, 1.0, 2.0], [5e-324, 1.0, 2.0, 3.0],
+    np.random.default_rng(5).standard_cauchy(2000), np.random.default_rng(6).lognormal(0, 3, 500),
+])
+def test_fd_bins_equal_numpy(values):
+    x = np.asarray(values, dtype=float)
+    q1, q3 = np.quantile(x, [0.25, 0.75])
+    got = _fd_bins(x.size, float(x.max()) - float(x.min()), q3 - q1)
+    assert got == np.histogram_bin_edges(x, bins="fd").size - 1
+
+
+def test_fd_bins_beyond_a_bundle_is_data_error():
+    assert _fd_bins(8, MAX_FD_BINS * 1.0, 1.0) == MAX_FD_BINS
+    with pytest.raises(DataError, match=r"asks for 1e\+06 histogram bins, more than the "
+                                        r"1000000 .*--bins"):
+        _fd_bins(8, MAX_FD_BINS + 1.0, 1.0)
+    x = LossDataset(values=np.array([1.0, 2.0, 3.0, 4.0, 1e200]), source="inline", name="w")
+    with pytest.raises(DataError, match=r"asks for 4.27e\+199 histogram bins"):
+        plot_bundle(x)
+    with pytest.raises(DataError, match="spans -1e\\+308 to 1e\\+308"):
+        plot_bundle(LossDataset(values=np.array([-1e308, 0.0, 1e308]), source="inline", name="e"),
+                    bins=3)
 
 
 def test_bins_override(insurance):

@@ -48,6 +48,7 @@ from arctangr.distributions import (
 from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import (
     _CACHED_LEVELS,
+    _DRAW_BLOCK,
     MCOracleResult,
     _check_alpha,
     _standard_tail,
@@ -494,9 +495,9 @@ def assert_mc_matches_full_reference(params, alpha, n, seed, chunk):
 
 
 class TestMcTailOnly:
-    """``mc_oracle`` maps only the draws above ``min(alpha - 1e-9, 7/8)``
-    through the quantile; every field must equal the full evaluation's
-    exactly."""
+    """``mc_oracle`` maps only the draws above ``alpha - 1e-9`` through the
+    quantile, gathered per chunk from draw blocks of ``_DRAW_BLOCK``
+    uniforms; every field must equal the full evaluation's exactly."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -528,9 +529,34 @@ class TestMcTailOnly:
         (ArctanGRParams(0.02, 0.005), 0.9, 200_001, BLOCK - 1),
         (ArctanGRParams(-3.0, 2.0), 0.6, 200_001, BLOCK + 1),
         (ArctanGRParams(1e6, 3.0), 0.99, 200_001, 3 * BLOCK + 7),
+        # the perfbench levels, each over at least 3 chunks of several draw
+        # blocks, the last one short
+        (ArctanGRParams(0.02, 0.005), 0.9, 3 * (2 * _DRAW_BLOCK + 3) + 11, 2 * _DRAW_BLOCK + 3),
+        (ArctanGRParams(-3.0, 2.0), 0.95, 3 * (3 * _DRAW_BLOCK) + 5, 3 * _DRAW_BLOCK),
+        (ArctanGRParams(1e6, 3.0), 0.99, 4 * (2 * _DRAW_BLOCK - 1) + 1, 2 * _DRAW_BLOCK - 1),
+        # chunks of a draw block and 1 draw, of 1 draw short of a block, and of one block
+        (ArctanGRParams(0.02, 0.005), 0.9, 3 * (_DRAW_BLOCK + 1) + 2, _DRAW_BLOCK + 1),
+        (ArctanGRParams(0.0, 1e-3), 0.95, 3 * (_DRAW_BLOCK - 1) + 2, _DRAW_BLOCK - 1),
+        (ArctanGRParams(1e12, 1.0), 0.99, 3 * _DRAW_BLOCK + 1, _DRAW_BLOCK),
     ])
     def test_explicit_levels(self, params, alpha, n, chunk):
         assert_mc_matches_full_reference(params, alpha, n, 17, chunk)
+
+    @pytest.mark.parametrize("rank", [1, 10])
+    def test_chunk_with_candidates_below_var(self, rank):
+        # alpha 5e-10 above the rank-th largest draw of the first chunk makes
+        # that draw a candidate (it is above alpha - 1e-9) that stays below
+        # VaR: with rank 1 it is the chunk's only candidate and none exceeds,
+        # with rank 10 nine larger ones exceed.  The later chunks take the
+        # usual path, where every candidate exceeds.
+        params, chunk, seed = ArctanGRParams(0.02, 0.005), 4096, 17
+        first = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[0])).random(chunk)
+        alpha = float(np.sort(first)[-rank]) + 5e-10
+        candidates = first[first > alpha - 1e-9]
+        exceed = int((agr_quantile(params, candidates) > var(params, alpha)).sum())
+        assert (candidates.size, exceed) == (rank, rank - 1)
+        assert_mc_matches_full_reference(params, alpha, 4 * chunk, seed, chunk)
 
     def test_too_few_exceedances_message(self):
         args = (ArctanGRParams(0.02, 0.005), 0.99999, 1000, 17)
