@@ -72,14 +72,17 @@ def blockwise(fn, arr, out=None):
     return out.reshape(arr.shape)
 
 
-def at_unit_scale(x, stats):
-    """``stats(x)``, a tuple of statistics each scaling like ``x``, computed on
-    ``x`` over the power of two ``2^e`` just above ``max|x|`` and then times
-    ``2^e``; both steps are exact, so only ``stats`` rounds.  For samples whose
-    squares overflow though the statistics do not."""
+def at_unit_scale(x, stats, degrees=None):
+    """``stats(x)``, a tuple of statistics each scaling like ``x`` (or like
+    ``x**k``, ``k`` its entry in ``degrees``), computed on ``x`` over the power
+    of two ``2^e`` just above ``max|x|`` and then times ``2^e`` (``2^{ke}``);
+    both steps are exact, so only ``stats`` rounds.  For samples whose squares
+    overflow though the statistics do not."""
     e = math.frexp(float(np.max(np.abs(x))))[1]
+    values = stats(np.ldexp(x, -e))
     try:
-        return tuple(math.ldexp(float(v), e) for v in stats(np.ldexp(x, -e)))
+        return tuple(math.ldexp(float(v), k * e)
+                     for v, k in zip(values, degrees or [1] * len(values)))
     except OverflowError:
         raise DataError("a statistic of the sample is not a finite double") from None
 

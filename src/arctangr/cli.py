@@ -8,6 +8,9 @@ precision, or ``to_csv`` where a fixed column order is defined.  ``fit``
 and ``compare`` share one CSV row layout; ``plotdata`` has no CSV, and
 ``risk --mc-samples`` needs table or JSON.
 
+Each runner imports the modules it calls, so a command loads only those:
+``describe`` needs no model code, and ``risk --omega/--psi`` no fit.
+
 Exit codes: 0 success, 2 usage error, 3 data/domain error, 4 numeric
 non-convergence.
 """
@@ -22,11 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import EMBEDDED_INSURANCE, describe, ingest
-from .distributions import ArctanGRParams
 from .errors import DataError, DomainError, FitConvergenceError
-from .fit import MODELS, compare_models, fit_agr
-from .plotdata import plot_bundle
-from .risk import empirical_risk_curve, mc_oracle, risk_curve
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -44,6 +43,22 @@ def _alpha_list(text: str):
     if not values:
         raise argparse.ArgumentTypeError("alpha list is empty")
     return values
+
+
+class _ModelChoices:
+    """The ``--model`` choices of ``fit``: ``sorted(fit.MODELS)`` as argparse
+    reads them, importing :mod:`arctangr.fit` only when a value is tested or
+    the choices are listed (help, an invalid choice)."""
+
+    def __iter__(self):
+        from .fit import MODELS
+
+        return iter(sorted(MODELS))
+
+    def __contains__(self, value):
+        from .fit import MODELS
+
+        return value in MODELS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit one model by maximum likelihood")
     add_common(p)
-    p.add_argument("--model", choices=sorted(MODELS), default="agr")
+    # add_argument lists the choices once to check the metavar, so they are
+    # attached after it
+    p.add_argument("--model", default="agr").choices = _ModelChoices()
 
     p = sub.add_parser("compare", help="fit all models and rank by information criteria")
     add_common(p)
@@ -112,14 +129,21 @@ def _run_describe(args):
 
 
 def _run_fit(args):
+    from .fit import MODELS
+
     return MODELS[args.model].fit(ingest(args.data))
 
 
 def _run_compare(args):
+    from .fit import compare_models
+
     return compare_models(ingest(args.data))
 
 
 def _run_risk(args):
+    from .distributions import ArctanGRParams
+    from .risk import empirical_risk_curve, mc_oracle, risk_curve
+
     if (args.omega is None) != (args.psi is None):
         raise DomainError("--omega and --psi must be given together")
     if args.mc_samples < 0:
@@ -137,6 +161,8 @@ def _run_risk(args):
             report = empirical_risk_curve(data, args.alphas)
             params = None
         else:
+            from .fit import fit_agr
+
             params = fit_agr(data).params
             report = risk_curve(params, args.alphas)
     else:
@@ -154,6 +180,8 @@ def _run_risk(args):
 
 
 def _run_plotdata(args):
+    from .plotdata import plot_bundle
+
     if args.bins is not None and args.bins < 1:
         raise DomainError(f"--bins must be a positive integer, got {args.bins}")
     return plot_bundle(ingest(args.data), bins=args.bins)

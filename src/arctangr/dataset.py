@@ -163,6 +163,12 @@ def _linear_quantile(sorted_values: np.ndarray, q):
 
     A float ``q`` in ``[0, 1]`` takes the same steps in Python floats and
     returns a float; any other ``q`` an array (0-d for a scalar).
+
+    Where the gap ``b - a`` between two neighbours leaves the double range
+    (neighbours of opposite signs near +-1.8e308), the interpolation runs on
+    ``a/2`` and ``b/2`` and is doubled, elsewhere at scale 1: every scaling is
+    exact, so the result is the one numpy's steps give with an unbounded
+    exponent, and the same bits wherever those do not overflow.
     """
     last = sorted_values.size - 1
     if isinstance(q, float) and 0.0 <= q <= 1.0:
@@ -173,8 +179,10 @@ def _linear_quantile(sorted_values: np.ndarray, q):
             lo = math.floor(h)
             a, b = sorted_values.item(lo), sorted_values.item(lo + 1)
         gamma = h - lo
+        scale = 0.5 if b - a == math.inf else 1.0
+        a, b = a * scale, b * scale
         diff = b - a
-        return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+        return (b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma) / scale
     h = last * np.asarray(q, dtype=float)
     # numpy's index arithmetic, kept as is so that signed zeros match too:
     # at the top both neighbours are the last value, at index -1
@@ -183,8 +191,11 @@ def _linear_quantile(sorted_values: np.ndarray, q):
     a = sorted_values[lo.astype(np.intp)]
     b = sorted_values[np.where(top, -1.0, lo + 1.0).astype(np.intp)]
     gamma = h - lo
+    with np.errstate(over="ignore"):
+        scale = np.where(b - a == np.inf, 0.5, 1.0)
+    a, b = a * scale, b * scale
     diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma) / scale
 
 
 def describe(data: LossDataset) -> SummaryStats:
@@ -200,13 +211,13 @@ def describe(data: LossDataset) -> SummaryStats:
         data.sorted_values, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
     )
     e1, q1, e3, med, e5, q3, e7 = octiles
-    iqr = q3 - q1
-    if iqr > 0:
-        bowley = (q1 + q3 - 2.0 * med) / iqr
-        moors = (e7 - e5 + e3 - e1) / iqr
-    else:
-        bowley = 0.0
-        moors = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = _octile_sums(octiles)
+    if not np.isfinite(sums).all():
+        # a sum left the double range; on the octiles over 4 every step is exact
+        sums = _octile_sums(0.25 * octiles)
+    iqr, skew, kurt = sums
+    bowley, moors = (skew / iqr, kurt / iqr) if iqr > 0 else (0.0, 0.0)
     return SummaryStats(
         n=data.n,
         mean=mean,
@@ -219,3 +230,10 @@ def describe(data: LossDataset) -> SummaryStats:
         bowley_skewness=float(bowley),
         moors_kurtosis=float(moors),
     )
+
+
+def _octile_sums(octiles):
+    """From the octiles ``e1, ..., e7``: the IQR ``q3 - q1`` and the
+    numerators of Bowley's skewness and Moors' kurtosis over it."""
+    e1, q1, e3, med, e5, q3, e7 = octiles
+    return q3 - q1, q1 + q3 - 2.0 * med, e7 - e5 + e3 - e1

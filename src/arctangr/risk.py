@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import blockwise, dump_csv, dump_json
+from ._util import at_unit_scale, blockwise, dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     _LOWER_C,
@@ -60,16 +60,12 @@ def var(params: ArctanGRParams, alpha) -> float:
     ``omega - psi*log(2 - 2*tan(pi*alpha/4))``; for ``alpha`` in
     ``(1/2, P_STAR)`` that formula would sit on the wrong CDF branch, so the
     general quantile is used throughout (they coincide where both apply).
-    A VaR that is not a finite double raises :class:`DomainError`, as the
+    ``z_a`` comes from :func:`_standard_tail`, as TVaR's and TV's moments do,
+    and a VaR that is not a finite double raises :class:`DomainError`, as the
     other measures do.
     """
     a = _check_alpha(alpha)
-    # agr_quantile's expression on a checked level, in float arithmetic,
-    # which overflows to inf without a warning
-    value = params.omega + params.psi * float(_z_quantile(a))
-    if not math.isfinite(value):
-        raise DomainError(f"VaR at alpha={a!r} is not a finite double")
-    return value
+    return _risk_lists(params, [a], ["VaR"])[0][0]
 
 
 # C / n^k, k = 1, 2, 3: the weights of the three lower-branch sums
@@ -302,7 +298,16 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
             f"empirical TVaR/TV need at least 2 observations above the VaR "
             f"threshold; got {exceed.size} at alpha={a}"
         )
-    return RiskRow(a, threshold, float(exceed.mean()), float(exceed.var(ddof=0)))
+    with np.errstate(over="ignore"):
+        mean, tv = float(exceed.mean()), float(exceed.var(ddof=0))
+    if tv == math.inf:
+        # the squares overflow: take the moments at a power-of-two scale,
+        # where TV, which scales like the square, may still overflow
+        try:
+            mean, tv = at_unit_scale(exceed, lambda y: (y.mean(), y.var(ddof=0)), (1, 2))
+        except DataError:
+            raise DataError(f"empirical TV at alpha={a} is not a finite double") from None
+    return RiskRow(a, threshold, mean, tv)
 
 
 def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:

@@ -117,8 +117,8 @@ class TestRisk:
         def forbidden(*args, **kwargs):
             raise AssertionError("no fit or draw may run before the format check")
 
-        monkeypatch.setattr(cli, "fit_agr", forbidden)
-        monkeypatch.setattr(cli, "mc_oracle", forbidden)
+        monkeypatch.setattr("arctangr.fit.fit_agr", forbidden)
+        monkeypatch.setattr("arctangr.risk.mc_oracle", forbidden)
         for source in (["--data", "embedded:insurance"], ["--omega", "0.02", "--psi", "0.005"]):
             code, out, err = run_cli(
                 ["risk", *source, "--mc-samples", "1000", "--format", "csv"], capsys
@@ -303,3 +303,51 @@ class TestColdPath:
         assert result["codes"] == [0] * 7
         assert result["masked"] == []
         assert result["scipy"] == []
+
+
+class TestModuleSets:
+    # a fresh interpreter per command: each loads the package modules it
+    # runs and no other, since the runners import what they call
+    SCRIPT = textwrap.dedent("""
+        import contextlib, io, json, sys
+        import arctangr.cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = arctangr.cli.main(sys.argv[1:])
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("arctangr."))]))
+    """)
+    BASE = ["_util", "cli", "dataset", "errors"]
+    MODEL = sorted(BASE + ["arctanx", "distributions"])
+    INS = "--data embedded:insurance"
+    LOADS = {
+        f"describe {INS}": BASE,
+        "risk --omega 0.02 --psi 0.005": sorted(MODEL + ["risk"]),
+        "risk --omega 0.02 --psi 0.005 --mc-samples 2000": sorted(MODEL + ["risk"]),
+        f"risk {INS} --empirical --alphas 0.75,0.9": sorted(MODEL + ["risk"]),
+        f"fit {INS}": sorted(MODEL + ["fit"]),
+        f"fit {INS} --model gaussian": sorted(MODEL + ["fit"]),
+        f"compare {INS}": sorted(MODEL + ["fit"]),
+        f"risk {INS}": sorted(MODEL + ["fit", "risk"]),
+        f"plotdata {INS}": sorted(MODEL + ["fit", "plotdata", "risk"]),
+    }
+
+    @pytest.mark.parametrize("command", LOADS)
+    def test_each_command_loads_only_what_it_runs(self, src_env, command):
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *command.split()],
+                              capture_output=True, text=True, env=src_env)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0
+        assert loaded == [f"arctangr.{m}" for m in self.LOADS[command]]
+
+    def test_model_choices_come_from_the_registry(self, capsys):
+        # argparse lists and tests the --model choices of fit from fit.MODELS
+        with pytest.raises(SystemExit):
+            cli.main(["fit", "--help"])
+        assert "--model {%s}" % ",".join(sorted(MODELS)) in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", *self.INS.split(), "--model", "lognormal"])
+        assert exc.value.code == 2
+        choices = ", ".join(map(repr, sorted(MODELS)))
+        assert capsys.readouterr().err.endswith(
+            f"argument --model: invalid choice: 'lognormal' (choose from {choices})\n")

@@ -30,9 +30,10 @@ def mostly(good, bad):
 # data specs: placeholders (@name) stand for files written once per module
 DATA = mostly(["embedded:insurance", "@sample"],
               ["@constant", "@tiny", "@words", "@empty", "@missing", "embedded:nope"])
-# samples whose range is huge against their IQR, two of them near the double
-# limits; only describe and plotdata draw them
-WIDE_DATA = st.one_of(DATA, st.sampled_from(["@wide", "@widepm", "@subnormal", "@edge"]))
+# samples whose range is huge against their IQR, or whose octiles' sums and
+# gaps leave the double range; describe, plotdata and risk --empirical draw them
+WIDE_DATA = st.one_of(DATA, st.sampled_from(["@wide", "@widepm", "@subnormal", "@edge",
+                                             "@top", "@gap"]))
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "abc"]
 OMEGAS = mostly(["0.02", "0", "-3", "2.5", "1e8"], EDGE_NUMBERS)
 PSIS = mostly(["0.005", "1", "2.5", "1e3"], EDGE_NUMBERS)
@@ -58,6 +59,7 @@ OPTIONS = {
              ("--omega", "--psi"): (st.tuples(OMEGAS, PSIS), 7), "--psi": (PSIS, 1),
              "--alphas": (ALPHAS, 7),
              "--empirical": (st.none(), 2),
+             ("--empirical", "--data"): (st.tuples(st.none(), WIDE_DATA), 2),
              "--mc-samples": (mostly(["0", "1", "10", "2000"], ["-1", "-5", "nan", "1e308"]), 4)},
     "plotdata": {**COMMON, "--data": (WIDE_DATA, 9),
                  "--format": (mostly(["table", "json"], ["csv", "xml"]), 5),
@@ -97,6 +99,8 @@ def files(tmp_path_factory):
         "widepm": "1e154\n-1e154\n3\n4\n5\n",
         "subnormal": "5e-324\n1\n-2\n3\n1e300\n-1e-300\n",
         "edge": "-1e308\n0\n1\n2\n1e308\n",
+        "top": "1e308\n1.7e308\n1.7e308\n1.7e308\n",
+        "gap": "1.7e308\n1.7e308\n-1e308\n",
     }
     paths = {"missing": str(root / "missing.csv"), "out": str(root / "out.txt")}
     for name, text in contents.items():
@@ -136,6 +140,11 @@ def run(argv):
 @example(argv=["describe", "--data", "@wide"])
 @example(argv=["describe", "--data", "@widepm", "--format", "json"])
 @example(argv=["describe", "--data", "@subnormal"])
+@example(argv=["describe", "--data", "@top"])
+@example(argv=["describe", "--data", "@gap", "--format", "csv"])
+@example(argv=["risk", "--data", "@wide", "--empirical", "--alphas", "0.5"])
+@example(argv=["risk", "--data", "@edge", "--empirical", "--alphas", "0.6,0.5"])
+@example(argv=["risk", "--data", "@gap", "--empirical", "--alphas", "0.1"])
 @example(argv=["fit", "--data", "@missing"])
 def test_exit_codes_and_streams(files, argv):
     for name, path in files.items():

@@ -148,6 +148,20 @@ class TestDescribe:
         assert (stats.mean, stats.sd) == (fit.omega, fit.eta)
         assert 0.0 < stats.sd <= max(map(abs, values))
 
+    @pytest.mark.parametrize("values", [[1e308, 1.7e308, 1.7e308, 1.7e308],
+                                        [-1.4e308] * 3 + [-0.4e308] * 2,
+                                        [1.7e308, 1.7e308, -1e308],
+                                        [-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0]])
+    def test_near_the_double_limit_as_at_a_sixteenth(self, values):
+        # the octiles' sums and gaps leave the double range here; every
+        # statistic is that of the sample over 16, times 16, bit for bit
+        stats = describe(LossDataset(values=np.array(values), source="inline", name="t"))
+        small = describe(LossDataset(values=np.array(values) / 16.0, source="inline", name="t"))
+        for key, value in stats.as_dict().items():
+            scale = 1.0 if key in ("n", "bowley_skewness", "moors_kurtosis") else 16.0
+            assert value == scale * small.as_dict()[key], key
+        assert math.isfinite(stats.bowley_skewness) and math.isfinite(stats.moors_kurtosis)
+
     def test_as_dict_keys_ordered(self, insurance):
         d = describe(insurance).as_dict()
         assert list(d)[:4] == ["n", "mean", "median", "sd"]
@@ -208,3 +222,26 @@ class TestLinearQuantile:
             got = _linear_quantile(xs, level)
             assert type(got) is float
             assert np.float64(got).tobytes() == want
+
+    # finite doubles over the whole range, but none so small that a quarter
+    # of it would round
+    WIDE = st.floats(-1.7976931348623157e308, 1.7976931348623157e308).filter(
+        lambda v: v == 0.0 or abs(v) > 1e-300)
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=st.lists(st.one_of(st.sampled_from([1.7e308, -1.7e308, 1e308, -0.0, 1.0]), WIDE),
+                      min_size=1, max_size=12),
+           q=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(LEVELS)),
+                      min_size=1, max_size=6))
+    @example(x=[1.7e308, 1.7e308, -1e308], q=[0.125, 0.25, 0.5])
+    @example(x=[-1.7976931348623157e308, 1.7976931348623157e308], q=[0.0, 0.5, 1.0 / 3.0])
+    def test_gaps_beyond_the_double_range(self, x, q):
+        # where b - a overflows the steps run at half scale; they are exact, so
+        # every level is 4 times the quantile of the sample over 4, bit for bit
+        xs = np.sort(np.array(x))
+        levels = np.array(q)
+        want = 4.0 * _linear_quantile(xs / 4.0, levels)
+        assert _linear_quantile(xs, levels).tobytes() == want.tobytes()
+        for level, w in zip(q, want.tolist()):
+            assert _linear_quantile(xs, level) == w
+            assert math.copysign(1.0, _linear_quantile(xs, level)) == math.copysign(1.0, w)

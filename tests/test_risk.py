@@ -4,6 +4,7 @@ empirical estimators, and report serialization."""
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -86,6 +87,23 @@ class TestVar:
         assert var(table_params, P_STAR) == pytest.approx(
             table_params.omega, abs=1e-14 * table_params.psi
         )
+
+    @pytest.mark.parametrize("alpha", [math.nextafter(P_STAR, 0.0), P_STAR,
+                                       math.nextafter(P_STAR, 1.0), 0.5 + 1e-7, 1.0 - 1e-13])
+    @pytest.mark.parametrize("omega, psi", [(0.02, 0.005), (0.0, 1.0), (-3e8, 1e-3), (1e8, 1.0)])
+    def test_reads_the_cached_standard_quantile(self, alpha, omega, psi):
+        # omega + psi z_a with z_a from _standard_tail: the bits of the scalar
+        # quantile that var computed on every call before
+        params = ArctanGRParams(omega, psi)
+        _standard_tail.cache_clear()
+        want = omega + psi * float(_z_quantile(alpha))
+        assert var(params, alpha).hex() == want.hex()
+        assert var(params, alpha).hex() == want.hex()
+        assert _standard_tail.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_overflow_names_var(self):
+        with pytest.raises(DomainError, match=r"^VaR at alpha=0\.99 is not a finite double$"):
+            var(ArctanGRParams(1e308, 1e308), 0.99)
 
     def test_domain(self, table_params):
         for bad in (0.5, 1.0, 0.2, 1.5, float("nan")):
@@ -415,6 +433,16 @@ class TestMcOracle:
         assert a == b
         assert a != mc_oracle(table_params, 0.8, 10**5, seed=6)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
+                       reason="the sums of (x - VaR)^2 and ^4 are taken unscaled and overflow")
+    def test_scale_whose_tv_is_finite(self):
+        # tv here is 1.5e307; the per-draw squares and fourth powers overflow.
+        # The fit of 1e154, -1e154, 3, 4, 5 gives this psi (risk --mc-samples)
+        params = ArctanGRParams(5.0, 4.07865e153)
+        assert math.isfinite(tv(params, 0.75))
+        res = mc_oracle(params, 0.75, 2000, seed=0)
+        assert math.isfinite(res.tv)
+
     def test_exceedance_fraction_binomial(self, table_params):
         n = 10**6
         for alpha in (0.609, 0.9):
@@ -680,6 +708,26 @@ class TestEmpirical:
         for alpha in (0.6, 0.75, 0.9):
             row = empirical_risk(insurance, alpha)
             assert row.var == float(np.quantile(insurance.values, alpha))
+
+    def test_squares_overflow_tv_finite(self):
+        # the exceedances are 99 zeros and 1e155: their squares overflow, while
+        # the mean 1e153 and TV 9.9e307 are finite; exact sums as the oracle
+        values = [-1.0] * 100 + [0.0] * 99 + [1e155]
+        data = LossDataset(values=np.array(values), source="inline", name="w")
+        row = empirical_risk(data, 0.3)
+        exceed = [Fraction(v) for v in values[100:]]
+        mean = sum(exceed) / len(exceed)
+        tv = sum((v - mean) ** 2 for v in exceed) / len(exceed)
+        assert row.var == -1.0
+        assert row.tvar == pytest.approx(float(mean), rel=1e-15)
+        assert row.tv == pytest.approx(float(tv), rel=1e-15)
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0, 3.0, 4.0, 1e200],
+                                        [-1e308, 0.0, 1.0, 2.0, 1e308]])
+    def test_tv_beyond_the_double_range(self, values):
+        data = LossDataset(values=np.array(values), source="inline", name="w")
+        with pytest.raises(DataError, match=r"^empirical TV at alpha=0\.5 is not a finite double$"):
+            empirical_risk(data, 0.5)
 
     def test_curve(self, insurance):
         report = empirical_risk_curve(insurance, [0.9, 0.75])
