@@ -73,11 +73,18 @@ def blockwise(fn, arr, out=None):
 
 
 def at_unit_scale(x, stats, degrees=None):
-    """``stats(x)``, a tuple of statistics each scaling like ``x`` (or like
-    ``x**k``, ``k`` its entry in ``degrees``), computed on ``x`` over the power
-    of two ``2^e`` just above ``max|x|`` and then times ``2^e`` (``2^{ke}``);
-    both steps are exact, so only ``stats`` rounds.  For samples whose squares
-    overflow though the statistics do not."""
+    """``stats(x)`` as a tuple of floats, each statistic scaling like ``x`` (or
+    like ``x**k``, ``k`` its entry in ``degrees``).  It is taken on ``x`` itself,
+    with numpy's overflow and invalid-value warnings off.  Only where a
+    statistic is not finite (the squares overflow, or a sum meets both
+    infinities, though the statistics need not) is it taken again, on ``x``
+    over the power of two ``2^e`` just above ``max|x|``, and then times ``2^e``
+    (``2^{ke}``).  Both steps are exact, so only ``stats`` rounds, and the
+    statistics keep their bits wherever nothing overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = tuple(map(float, stats(x)))
+    if all(map(math.isfinite, values)):
+        return values
     e = math.frexp(float(np.max(np.abs(x))))[1]
     values = stats(np.ldexp(x, -e))
     try:
@@ -85,6 +92,26 @@ def at_unit_scale(x, stats, degrees=None):
                      for v, k in zip(values, degrees or [1] * len(values)))
     except OverflowError:
         raise DataError("a statistic of the sample is not a finite double") from None
+
+
+def mean_sd(x):
+    """The mean and the population SD of a sample, by :func:`at_unit_scale`."""
+    return at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
+
+
+def bowley_moors(octiles):
+    """Bowley's skewness ``(q1 + q3 - 2 med) / IQR`` and Moors' kurtosis
+    ``(e7 - e5 + e3 - e1) / IQR`` from the seven octiles ``e1, ..., e7``
+    (``q1 = e2``, ``med = e4``, ``q3 = e6``), in Python floats; both are 0 for
+    a zero IQR.  Where a sum leaves the double range the sums are taken on the
+    octiles over 4, where every step is exact."""
+    def sums(e1, q1, e3, med, e5, q3, e7):
+        return q3 - q1, q1 + q3 - 2.0 * med, e7 - e5 + e3 - e1
+
+    iqr, skew, kurt = sums(*octiles)
+    if not all(map(math.isfinite, (iqr, skew, kurt))):
+        iqr, skew, kurt = sums(*(0.25 * e for e in octiles))
+    return (skew / iqr, kurt / iqr) if iqr > 0 else (0.0, 0.0)
 
 
 def dump_json(payload) -> str:

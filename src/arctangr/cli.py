@@ -11,8 +11,8 @@ and ``compare`` share one CSV row layout; ``plotdata`` has no CSV, and
 Each runner imports the modules it calls, so a command loads only those:
 ``describe`` needs no model code, and ``risk --omega/--psi`` no fit.
 
-Exit codes: 0 success, 2 usage error, 3 data/domain error, 4 numeric
-non-convergence.
+Exit codes: 0 success, 2 usage error, 3 data/domain error (or an ``--out``
+that cannot be written), 4 numeric non-convergence.
 """
 
 from __future__ import annotations
@@ -119,7 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise DataError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -207,13 +210,13 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise DomainError(f"--seed must be a nonnegative integer, got {args.seed}")
         text = getattr(_RUNNERS[args.command](args), _RENDERERS[args.format])()
+        _emit(text, args.out)
     except (DomainError, DataError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FitConvergenceError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(text, args.out)
     return EXIT_OK
 
 

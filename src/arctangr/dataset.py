@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import at_unit_scale, dump_csv, dump_json
+from ._util import bowley_moors, dump_csv, dump_json, mean_sd
 from .errors import DataError
 
 EMBEDDED_PREFIX = "embedded:"
@@ -152,17 +152,16 @@ class SummaryStats:
         return "".join(f"{k:>16}: {v}\n" for k, v in self._cells().items())
 
 
-def _linear_quantile(sorted_values: np.ndarray, q):
+def _linear_quantile(sorted_values: np.ndarray, q: float) -> float:
     """``np.quantile(x, q)`` (the default linear interpolation at rank
-    ``(n-1)*q``), bit for bit, from ``x`` already sorted; unlike
-    ``np.quantile`` it never imports ``numpy.ma``.
+    ``(n-1)*q``) for one level ``q`` in ``[0, 1]``, bit for bit, from ``x``
+    already sorted: numpy's index arithmetic and lerp in Python floats.
+    Unlike ``np.quantile`` it never imports ``numpy.ma``, and it costs a few
+    float operations, not numpy's per-call overhead.
 
     The one difference: where ``x`` holds both ``0.0`` and ``-0.0``, the two
     compare equal, ``np.quantile``'s partial sort orders them arbitrarily,
     and a zero result may carry the other sign.
-
-    A float ``q`` in ``[0, 1]`` takes the same steps in Python floats and
-    returns a float; any other ``q`` an array (0-d for a scalar).
 
     Where the gap ``b - a`` between two neighbours leaves the double range
     (neighbours of opposite signs near +-1.8e308), the interpolation runs on
@@ -171,69 +170,37 @@ def _linear_quantile(sorted_values: np.ndarray, q):
     exponent, and the same bits wherever those do not overflow.
     """
     last = sorted_values.size - 1
-    if isinstance(q, float) and 0.0 <= q <= 1.0:
-        h = last * float(q)
-        if h >= last:
-            lo, a, b = -1.0, sorted_values.item(-1), sorted_values.item(-1)
-        else:
-            lo = math.floor(h)
-            a, b = sorted_values.item(lo), sorted_values.item(lo + 1)
-        gamma = h - lo
-        scale = 0.5 if b - a == math.inf else 1.0
-        a, b = a * scale, b * scale
-        diff = b - a
-        return (b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma) / scale
-    h = last * np.asarray(q, dtype=float)
-    # numpy's index arithmetic, kept as is so that signed zeros match too:
-    # at the top both neighbours are the last value, at index -1
-    top = h >= last
-    lo = np.where(top, -1.0, np.floor(h))
-    a = sorted_values[lo.astype(np.intp)]
-    b = sorted_values[np.where(top, -1.0, lo + 1.0).astype(np.intp)]
+    h = last * float(q)
+    # at the top both neighbours are the last value, at numpy's index -1
+    if h >= last:
+        lo, a, b = -1.0, sorted_values.item(-1), sorted_values.item(-1)
+    else:
+        lo = math.floor(h)
+        a, b = sorted_values.item(lo), sorted_values.item(lo + 1)
     gamma = h - lo
-    with np.errstate(over="ignore"):
-        scale = np.where(b - a == np.inf, 0.5, 1.0)
+    scale = 0.5 if b - a == math.inf else 1.0
     a, b = a * scale, b * scale
     diff = b - a
-    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma) / scale
+    return (b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma) / scale
 
 
 def describe(data: LossDataset) -> SummaryStats:
-    """Summary statistics; SD is the population standard deviation.  Where
-    the squares overflow, the mean and SD are computed by
-    :func:`at_unit_scale`, as the Gaussian fit computes them."""
+    """Summary statistics; SD is the population standard deviation, computed
+    by :func:`mean_sd` as the Gaussian fit computes it.  The quartiles and
+    the octiles under Bowley's and Moors' measures are ``np.quantile``'s."""
     x = data.values
-    with np.errstate(over="ignore"):
-        mean, sd = float(x.mean()), float(x.std(ddof=0))
-    if sd == math.inf:
-        mean, sd = at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
-    octiles = _linear_quantile(
-        data.sorted_values, [0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875]
-    )
-    e1, q1, e3, med, e5, q3, e7 = octiles
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = _octile_sums(octiles)
-    if not np.isfinite(sums).all():
-        # a sum left the double range; on the octiles over 4 every step is exact
-        sums = _octile_sums(0.25 * octiles)
-    iqr, skew, kurt = sums
-    bowley, moors = (skew / iqr, kurt / iqr) if iqr > 0 else (0.0, 0.0)
+    mean, sd = mean_sd(x)
+    octiles = [_linear_quantile(data.sorted_values, k / 8) for k in range(1, 8)]
+    bowley, moors = bowley_moors(octiles)
     return SummaryStats(
         n=data.n,
         mean=mean,
-        median=float(med),
+        median=octiles[3],
         sd=sd,
         min=float(x.min()),
         max=float(x.max()),
-        q1=float(q1),
-        q3=float(q3),
-        bowley_skewness=float(bowley),
-        moors_kurtosis=float(moors),
+        q1=octiles[1],
+        q3=octiles[5],
+        bowley_skewness=bowley,
+        moors_kurtosis=moors,
     )
-
-
-def _octile_sums(octiles):
-    """From the octiles ``e1, ..., e7``: the IQR ``q3 - q1`` and the
-    numerators of Bowley's skewness and Moors' kurtosis over it."""
-    e1, q1, e3, med, e5, q3, e7 = octiles
-    return q3 - q1, q1 + q3 - 2.0 * med, e7 - e5 + e3 - e1

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import BLOCK, SCALARS, as_float_array, blockwise, match_input
+from ._util import BLOCK, SCALARS, as_float_array, blockwise, bowley_moors, match_input
 from .arctanx import FOUR_OVER_PI, BaseDistribution
 from .errors import DomainError
 
@@ -623,11 +623,9 @@ def agr_moment(params: ArctanGRParams, r):
 
 def agr_skewness(params: ArctanGRParams) -> float:
     """Quartile-based (Bowley) skewness; free of both location and scale."""
-    q1, q2, q3 = _z_quantile(np.array([0.25, 0.5, 0.75]))
-    return float((q1 + q3 - 2.0 * q2) / (q3 - q1))
+    return bowley_moors(_z_quantile(np.arange(1, 8) / 8).tolist())[0]
 
 
 def agr_kurtosis(params: ArctanGRParams) -> float:
     """Octile-based (Moors) kurtosis; free of both location and scale."""
-    e1, q1, e3, e5, q3, e7 = _z_quantile(np.array([0.125, 0.25, 0.375, 0.625, 0.75, 0.875]))
-    return float((e7 + e3 - e5 - e1) / (q3 - q1))
+    return bowley_moors(_z_quantile(np.arange(1, 8) / 8).tolist())[1]

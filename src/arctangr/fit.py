@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import at_unit_scale, dump_csv, dump_json
+from ._util import at_unit_scale, dump_csv, dump_json, mean_sd
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -158,20 +158,18 @@ class FitResult:
         )
 
 
-def _values(data) -> np.ndarray:
+def _values(data) -> LossDataset:
+    """``data`` as a :class:`LossDataset`, which checks a sample once (1-d,
+    nonempty, finite) and sorts it once; any other input is coerced to one
+    named ``"sample"``, so it raises the dataset's :class:`DataError`."""
     if isinstance(data, LossDataset):
-        return data.values
-    arr = np.asarray(data, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DataError("expected a nonempty 1-d sample")
-    if not np.isfinite(arr).all():
-        raise DataError("sample contains NaN or infinite values")
-    return arr
+        return data
+    return LossDataset(values=data, source="array", name="sample")
 
 
 def agr_loglik(params: ArctanGRParams, data) -> float:
     """Sum of AGR log-densities over the sample."""
-    return float(np.sum(agr_logpdf(params, _values(data))))
+    return float(np.sum(agr_logpdf(params, _values(data).values)))
 
 
 def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
@@ -206,12 +204,9 @@ def fit_gaussian(data) -> FitResult:
 
     Both lie within ``max|x|``, so they are finite doubles; where the squares
     overflow they are computed by :func:`at_unit_scale`."""
-    x = _values(data)
+    x = _values(data).values
     _check_size(x, 2, "Gaussian")
-    with np.errstate(over="ignore"):
-        omega, sd = float(x.mean()), float(x.std(ddof=0))
-    if sd == math.inf:
-        omega, sd = at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
+    omega, sd = mean_sd(x)
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
     params = GaussianParams(omega=omega, eta=sd)
@@ -223,19 +218,12 @@ def fit_rayleigh(data) -> FitResult:
 
     ``psi`` is below ``max x``, so it is a finite double; where the squares
     overflow it is computed by :func:`at_unit_scale`."""
-    x = _values(data)
+    x = _values(data).values
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
     _check_size(x, 1, "Rayleigh")
-
-    def mle(y):
-        return (np.sqrt(np.sum(y * y) / (2.0 * y.size)),)
-
-    with np.errstate(over="ignore"):
-        (psi,) = mle(x)
-    if psi == math.inf:
-        (psi,) = at_unit_scale(x, mle)
-    params = RayleighParams(psi=float(psi))
+    (psi,) = at_unit_scale(x, lambda y: (np.sqrt(np.sum(y * y) / (2.0 * y.size)),))
+    params = RayleighParams(psi=psi)
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
 
@@ -243,7 +231,7 @@ def _median_and_spread(x, xs, model):
     """Median of ``x`` (read from ``xs``, the same values sorted) and mean
     absolute deviation from it, which must be a positive finite number for
     the ``model`` fit to have a scale."""
-    med = float(_linear_quantile(xs, 0.5))
+    med = _linear_quantile(xs, 0.5)
     with np.errstate(over="ignore"):
         scale = float(np.mean(np.abs(x - med)))
     if scale <= 0.0:
@@ -262,8 +250,9 @@ def fit_laplace(data) -> FitResult:
     This is the MLE of the Gaussian-Rayleigh mixture kernel, so the result
     reuses :class:`ArctanGRParams`.
     """
-    x = _values(data)
-    med, scale = _median_and_spread(x, np.sort(x), "Laplace")
+    data = _values(data)
+    x = data.values
+    med, scale = _median_and_spread(x, data.sorted_values, "Laplace")
     _check_size(x, 2, "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
@@ -622,12 +611,12 @@ def fit_agr(data) -> FitResult:
     that one, and the highest is returned.  CAIC needs ``n > r + 1``, so
     fewer than 4 observations raise :class:`DomainError` before the search.
     """
-    x = _values(data)
-    xs = np.sort(x)
+    data = _values(data)
+    x, xs = data.values, data.sorted_values
     _, scale = _median_and_spread(x, xs, "AGR")
     _check_size(x, 2, "AGR")
     search = _AgrSearch(xs)
-    best = search.point(float(_linear_quantile(xs, P_STAR)), math.log(scale))
+    best = search.point(_linear_quantile(xs, P_STAR), math.log(scale))
     if not search.is_max(best):
         ends = (best, search.open_end(1)) if search.rises(best) else (search.open_end(0), best)
         best = search.narrow(*ends)
@@ -708,8 +697,8 @@ class ComparisonTable:
 
 def compare_models(data) -> ComparisonTable:
     """Fit every model in :data:`MODELS` and rank them per criterion."""
-    x = _values(data)
-    results = tuple(model.fit(x) for model in MODELS.values())
+    data = _values(data)
+    results = tuple(model.fit(data) for model in MODELS.values())
     best_by = {"loglik": max(results, key=lambda r: r.loglik).model_name}
     for criterion in CRITERIA:
         best_by[criterion] = min(results, key=lambda r: getattr(r, criterion)).model_name

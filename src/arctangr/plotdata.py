@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import dump_json
-from .dataset import LossDataset
+from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
 from .fit import MODELS
 from .risk import risk_curve
@@ -86,7 +86,7 @@ def _fd_bins(n, span, iqr) -> int:
     with ``width = 2 iqr n^(-1/3)``, or 1 bin where the width is 0.  It is
     computed in floats before any edge is made, so a count above
     ``MAX_FD_BINS`` raises :class:`DataError` rather than reaching numpy."""
-    width = 2.0 * float(iqr) * n ** (-1.0 / 3.0)
+    width = 2.0 * iqr * n ** (-1.0 / 3.0)
     if not width:
         return 1
     count = span / width
@@ -120,8 +120,8 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
             f"the sample spans {lo:.6g} to {hi:.6g}: its box-plot fences and "
             "density grid would leave the double range"
         )
-    # np.histogram's "fd" takes the IQR from these quartiles' own algorithm
-    q1, med, q3 = np.quantile(x, [0.25, 0.5, 0.75])
+    # np.quantile's quartiles, from which np.histogram's "fd" takes its IQR
+    q1, med, q3 = (_linear_quantile(data.sorted_values, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     counts, edges = np.histogram(
         x, bins=(_fd_bins(x.size, span, iqr) if bins is None else int(bins)))
@@ -136,12 +136,12 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     boxplot = {
         "five_number": {
             "min": lo,
-            "q1": float(q1),
-            "median": float(med),
-            "q3": float(q3),
+            "q1": q1,
+            "median": med,
+            "q3": q3,
             "max": hi,
         },
-        "fences": {"low": float(lo_fence), "high": float(hi_fence)},
+        "fences": {"low": lo_fence, "high": hi_fence},
         "outliers": sorted(float(v) for v in outliers),
     }
 
@@ -152,7 +152,7 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     agr_params = None
     for name, model in MODELS.items():
         try:
-            result = model.fit(x)
+            result = model.fit(data)
         except DataError as exc:
             skipped[name] = str(exc)
             continue

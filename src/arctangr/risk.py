@@ -291,22 +291,18 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     values = data.values
     if values.size < 2:
         raise DataError("empirical risk needs at least 2 observations")
-    threshold = float(_linear_quantile(data.sorted_values, a))
+    threshold = _linear_quantile(data.sorted_values, a)
     exceed = values[values > threshold]
     if exceed.size < 2:
         raise DataError(
             f"empirical TVaR/TV need at least 2 observations above the VaR "
             f"threshold; got {exceed.size} at alpha={a}"
         )
-    with np.errstate(over="ignore"):
-        mean, tv = float(exceed.mean()), float(exceed.var(ddof=0))
-    if tv == math.inf:
-        # the squares overflow: take the moments at a power-of-two scale,
-        # where TV, which scales like the square, may still overflow
-        try:
-            mean, tv = at_unit_scale(exceed, lambda y: (y.mean(), y.var(ddof=0)), (1, 2))
-        except DataError:
-            raise DataError(f"empirical TV at alpha={a} is not a finite double") from None
+    try:
+        mean, tv = at_unit_scale(exceed, lambda y: (y.mean(), y.var(ddof=0)), (1, 2))
+    except DataError:
+        # TV scales like the square, so it may overflow where the mean does not
+        raise DataError(f"empirical TV at alpha={a} is not a finite double") from None
     return RiskRow(a, threshold, mean, tv)
 
 
@@ -349,11 +345,21 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     candidate, so the exceedances are the same values in the same order as
     from mapping all ``n`` draws, and every returned number is exactly that
     evaluation's.  What is left per draw is drawing, masking and compacting.
+
+    The passes run on ``omega``, ``psi`` and the threshold times ``2^-s``,
+    ``2^s`` the power of two just above ``psi`` (``s = 0`` for ``psi < 1``),
+    and the results are mapped back by ``2^s`` (TVaR and its SE) and ``2^2s``
+    (TV and its SE).  Power-of-two scaling is exact, so every number keeps
+    its bits wherever no value leaves the normal double range, and the
+    squares and fourth powers of the exceedances stay finite wherever TV is.  A result that is not a
+    finite double raises :class:`DomainError`.
     """
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    threshold = var(params, a)
+    s = max(0, math.frexp(params.psi)[1])
+    unit = ArctanGRParams(math.ldexp(params.omega, -s), math.ldexp(params.psi, -s))
+    threshold = math.ldexp(var(params, a), -s)
     # The standard density is at most 8/(5 pi) < 0.51, so p <= a_lo puts z at
     # least 1.9e-9 below z_a: far beyond the few-ulp error of the computed
     # quantile, and omega + psi*z rounds monotonically, so such a draw cannot
@@ -363,10 +369,10 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
         # agr_quantile's own expression; above P_STAR only its tail branch
         # applies, here on 1 - c written over the candidates
         def to_x(c):
-            return _from_z(params, _z_tail_quantile(np.subtract(1.0, c, out=c)))
+            return _from_z(unit, _z_tail_quantile(np.subtract(1.0, c, out=c)))
     else:
         def to_x(c):
-            return _from_z(params, _z_quantile(c))
+            return _from_z(unit, _z_quantile(c))
 
     n = int(n)
     n_chunks = (n + chunk - 1) // chunk
@@ -412,8 +418,11 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracle
     mean = s1 / m
     m2 = s2 / m - mean**2
     m4 = s4 / m - 4.0 * mean * s3 / m + 6.0 * mean**2 * s2 / m - 3.0 * mean**4
-    tvar_est = threshold + mean
-    tv_est = m2
     tvar_se = math.sqrt(max(m2, 0.0) / m)
     tv_se = math.sqrt(max(m4 - m2 * m2, 0.0) / m)
-    return MCOracleResult(tvar_est, tv_est, tvar_se, tv_se, m, n)
+    try:
+        return MCOracleResult(math.ldexp(threshold + mean, s), math.ldexp(m2, 2 * s),
+                              math.ldexp(tvar_se, s), math.ldexp(tv_se, 2 * s), m, n)
+    except OverflowError:
+        raise DomainError(
+            f"the Monte Carlo TVaR/TV at alpha={a} is not a finite double") from None

@@ -314,7 +314,8 @@ class TestModuleSets:
 
         with contextlib.redirect_stdout(io.StringIO()):
             code = arctangr.cli.main(sys.argv[1:])
-        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("arctangr."))]))
+        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("arctangr.")),
+                          sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])]))
     """)
     BASE = ["_util", "cli", "dataset", "errors"]
     MODEL = sorted(BASE + ["arctanx", "distributions"])
@@ -336,9 +337,10 @@ class TestModuleSets:
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *command.split()],
                               capture_output=True, text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
-        code, loaded = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, masked = json.loads(proc.stdout.splitlines()[-1])
         assert code == 0
         assert loaded == [f"arctangr.{m}" for m in self.LOADS[command]]
+        assert masked == []  # numpy.ma: ~20 ms of imports no command needs
 
     def test_model_choices_come_from_the_registry(self, capsys):
         # argparse lists and tests the --model choices of fit from fit.MODELS

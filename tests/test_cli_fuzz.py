@@ -48,7 +48,7 @@ FORMATS = mostly(["table", "json", "csv"], ["xml"])
 # option: (values, chance in 10 that it is given); None as a value is a flag,
 # and a tuple of options takes a tuple of values
 COMMON = {"--data": (DATA, 9), "--format": (FORMATS, 5), "--seed": (SEEDS, 3),
-          "--out": (st.just("@out"), 2)}
+          "--out": (mostly(["@out"], ["@folder", "@nowhere"]), 2)}
 OPTIONS = {
     "describe": {**COMMON, "--data": (WIDE_DATA, 9)},
     "fit": {**COMMON, "--model": (mostly(["agr", "gaussian", "rayleigh", "laplace"],
@@ -102,7 +102,9 @@ def files(tmp_path_factory):
         "top": "1e308\n1.7e308\n1.7e308\n1.7e308\n",
         "gap": "1.7e308\n1.7e308\n-1e308\n",
     }
-    paths = {"missing": str(root / "missing.csv"), "out": str(root / "out.txt")}
+    # --out: a file, a directory, and a file whose parent does not exist
+    paths = {"missing": str(root / "missing.csv"), "folder": str(root),
+             "nowhere": str(root / "no" / "such" / "out.txt"), "out": str(root / "out.txt")}
     for name, text in contents.items():
         path = root / f"{name}.csv"
         path.write_text(text, encoding="utf-8")
@@ -145,7 +147,10 @@ def run(argv):
 @example(argv=["risk", "--data", "@wide", "--empirical", "--alphas", "0.5"])
 @example(argv=["risk", "--data", "@edge", "--empirical", "--alphas", "0.6,0.5"])
 @example(argv=["risk", "--data", "@gap", "--empirical", "--alphas", "0.1"])
+@example(argv=["risk", "--data", "@widepm", "--mc-samples", "2000", "--alphas", "0.75,0.99"])
 @example(argv=["fit", "--data", "@missing"])
+@example(argv=["describe", "--data", "embedded:insurance", "--out", "@folder"])
+@example(argv=["fit", "--data", "@sample", "--out=@nowhere", "--format", "json"])
 def test_exit_codes_and_streams(files, argv):
     for name, path in files.items():
         argv = [arg.replace(f"@{name}", path) for arg in argv]

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from arctangr import P_STAR, DataError, LossDataset, describe, fit_gaussian, ingest
+from arctangr._util import bowley_moors
 from arctangr.dataset import _linear_quantile
 
 
@@ -151,7 +152,10 @@ class TestDescribe:
     @pytest.mark.parametrize("values", [[1e308, 1.7e308, 1.7e308, 1.7e308],
                                         [-1.4e308] * 3 + [-0.4e308] * 2,
                                         [1.7e308, 1.7e308, -1e308],
-                                        [-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0]])
+                                        [-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0],
+                                        # the sum meets inf and -inf: a NaN mean unscaled
+                                        [1.7976931348623157e308] * 6
+                                        + [-1.7976931348623157e308] * 2 + [0.0]])
     def test_near_the_double_limit_as_at_a_sixteenth(self, values):
         # the octiles' sums and gaps leave the double range here; every
         # statistic is that of the sample over 16, times 16, bit for bit
@@ -162,66 +166,85 @@ class TestDescribe:
             assert value == scale * small.as_dict()[key], key
         assert math.isfinite(stats.bowley_skewness) and math.isfinite(stats.moors_kurtosis)
 
+    TOP = 1.7976931348623157e308
+
+    @settings(max_examples=150, deadline=None)
+    @given(x=st.one_of(
+        st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 7.0]), st.floats(-1e6, 1e6)),
+                 min_size=1, max_size=50),
+        st.lists(st.floats(1e308, TOP), min_size=1, max_size=12),
+        st.lists(st.floats(-TOP, -1e308), min_size=1, max_size=12),
+        st.lists(st.one_of(st.sampled_from([TOP, -TOP, 1.7e308, -1e308, 0.0]),
+                           st.floats(-TOP, TOP)), min_size=1, max_size=12)))
+    @example(x=[1e308, 1.7e308, 1.7e308, 1.7e308])
+    @example(x=[-1.4e308] * 3 + [-0.4e308] * 2)
+    @example(x=[-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0])
+    def test_octiles_are_numpys(self, x):
+        # the seven octiles are np.quantile's, bit for bit, wherever numpy's
+        # own steps stay in the double range; Bowley and Moors are read from them
+        x = np.array(x)
+        with np.errstate(over="raise", invalid="raise"):
+            try:
+                octiles = np.quantile(x, np.arange(1, 8) / 8).tolist()
+            except FloatingPointError:
+                assume(False)
+        stats = describe(LossDataset(values=x, source="inline", name="h"))
+        bits = quantile_bits(x)
+        assert [bits(stats.q1), bits(stats.median), bits(stats.q3)] == [
+            bits(octiles[1]), bits(octiles[3]), bits(octiles[5])]
+        assert (stats.bowley_skewness, stats.moors_kurtosis) == bowley_moors(octiles)
+
     def test_as_dict_keys_ordered(self, insurance):
         d = describe(insurance).as_dict()
         assert list(d)[:4] == ["n", "mean", "median", "sd"]
 
 
+def quantile_bits(x):
+    """The bytes by which ``np.quantile`` and ``_linear_quantile`` must agree
+    on a quantile of ``x``.  ``np.quantile`` orders 0.0 and -0.0 either way;
+    with both in ``x`` only the sign of a zero result is left open, and
+    + 0.0 erases it."""
+    zero_signs = np.signbit(x[x == 0])
+    mixed_zeros = zero_signs.any() and not zero_signs.all()
+    return lambda v: np.float64(v + 0.0 if mixed_zeros else v).tobytes()
+
+
 class TestLinearQuantile:
+    LEVELS = [0.0, 1.0, P_STAR, 0.5, 0.25, math.nextafter(1.0, 0.0), 5e-324, 1.0 / 3.0]
+
     # samples drawn from a few values so ties are common; sizes of both parities
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
         x=st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.2, 0.3, 7.0]),
-                             st.floats(-1e6, 1e6)),
+                             st.floats(-1e6, 1e6), st.floats(-1e300, 1e300)),
                    min_size=1, max_size=60),
-        q=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+        q=st.lists(st.one_of(st.floats(0.0, 1.0), st.sampled_from(LEVELS)),
+                   min_size=1, max_size=8),
     )
     @example(x=[0.3, 0.1, 0.2, 0.1], q=[0.0, 0.5, 1.0])
     @example(x=[5.0], q=[0.0, 0.25, 1.0])
     @example(x=[-0.0], q=[0.0])
+    @example(x=[-0.0, -0.0], q=[1.0])
+    @example(x=[-0.0, 0.0, 0.0], q=[P_STAR])
+    @example(x=[0.0, -0.0], q=[0.5])
     @example(x=[0.0, -1.5, -0.0, -0.0, 0.1], q=[0.5])
     @example(x=[0.3, 0.1, 0.2, 0.1, 0.1, 7.0], q=[P_STAR])
     @example(x=[-0.0, -0.0, -0.0], q=[0.0, P_STAR, 1.0])
+    @example(x=[2.0, 2.0, 2.0, 5.0], q=[P_STAR])
+    @example(x=[-1e300, 1e300], q=[0.75])
     def test_equals_numpy_bitwise(self, x, q):
+        # one level per call, a Python float or an np.float64, against numpy's
+        # scalar and array paths: the same index arithmetic and lerp, signed
+        # zeros, ties and the top of the range included
         x = np.array(x)
         xs = np.sort(x)
-        zero_signs = np.signbit(x[x == 0])
-        # np.quantile orders 0.0 and -0.0 either way; with both in x only the
-        # sign of a zero result is left open, and + 0.0 erases it
-        mixed_zeros = zero_signs.any() and not zero_signs.all()
-
-        def bits(v):
-            v = np.asarray(v, dtype=float)
-            return (v + 0.0 if mixed_zeros else v).tobytes()
-
-        levels = np.array(q + [0.0, 0.5, 1.0])
-        assert bits(_linear_quantile(xs, levels)) == bits(np.quantile(x, levels))
-        for level in q:  # a scalar level takes numpy's Python-float path
-            assert bits(_linear_quantile(xs, level)) == bits(np.quantile(x, level))
-
-    LEVELS = [0.0, 1.0, P_STAR, 0.5, 0.25, math.nextafter(1.0, 0.0), 5e-324, 1.0 / 3.0]
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        x=st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.1, 0.1, 7.0]),
-                             st.floats(-1e300, 1e300)), min_size=1, max_size=40),
-        q=st.one_of(st.floats(0.0, 1.0), st.sampled_from(LEVELS)),
-    )
-    @example(x=[-0.0], q=0.0)
-    @example(x=[-0.0, -0.0], q=1.0)
-    @example(x=[-0.0, 0.0, 0.0], q=P_STAR)
-    @example(x=[0.0, -0.0], q=0.5)
-    @example(x=[2.0, 2.0, 2.0, 5.0], q=P_STAR)
-    @example(x=[-1e300, 1e300], q=0.75)
-    def test_float_level_equals_the_array_path(self, x, q):
-        # a float level runs the same index arithmetic and lerp in Python
-        # floats, signed zeros, ties and the top of the range included
-        xs = np.sort(np.array(x))
-        want = np.asarray(_linear_quantile(xs, np.array([q]))[0]).tobytes()
-        for level in (q, np.float64(q)):
-            got = _linear_quantile(xs, level)
-            assert type(got) is float
-            assert np.float64(got).tobytes() == want
+        bits = quantile_bits(x)
+        for level, want in zip(q, np.quantile(x, q).tolist()):
+            assert bits(np.quantile(x, level)) == bits(want)
+            for lv in (level, np.float64(level)):
+                got = _linear_quantile(xs, lv)
+                assert type(got) is float
+                assert bits(got) == bits(want)
 
     # finite doubles over the whole range, but none so small that a quarter
     # of it would round
@@ -235,13 +258,20 @@ class TestLinearQuantile:
                       min_size=1, max_size=6))
     @example(x=[1.7e308, 1.7e308, -1e308], q=[0.125, 0.25, 0.5])
     @example(x=[-1.7976931348623157e308, 1.7976931348623157e308], q=[0.0, 0.5, 1.0 / 3.0])
+    @example(x=[-0.0, 1.0], q=[5e-324])
     def test_gaps_beyond_the_double_range(self, x, q):
-        # where b - a overflows the steps run at half scale; they are exact, so
-        # every level is 4 times the quantile of the sample over 4, bit for bit
-        xs = np.sort(np.array(x))
-        levels = np.array(q)
-        want = 4.0 * _linear_quantile(xs / 4.0, levels)
-        assert _linear_quantile(xs, levels).tobytes() == want.tobytes()
-        for level, w in zip(q, want.tolist()):
-            assert _linear_quantile(xs, level) == w
-            assert math.copysign(1.0, _linear_quantile(xs, level)) == math.copysign(1.0, w)
+        # numpy's bits where its steps stay in the double range; where b - a
+        # overflows the steps run at half scale, exactly, so the level is 4
+        # times the quantile of the sample over 4, bit for bit.  That oracle is
+        # kept to the overflowing gaps: elsewhere its own diff * gamma may
+        # underflow where numpy's does not, as on [-0.0, 1.0] at 5e-324
+        x = np.array(x)
+        xs = np.sort(x)
+        bits = quantile_bits(x)
+        for level in q:
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    want = float(np.quantile(x, level))
+            except FloatingPointError:
+                want = 4.0 * _linear_quantile(xs / 4.0, level)
+            assert bits(_linear_quantile(xs, level)) == bits(want)

@@ -49,7 +49,7 @@ from arctangr import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
-from arctangr._util import BLOCK
+from arctangr._util import BLOCK, bowley_moors
 from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
     _half_exp,
@@ -319,6 +319,12 @@ class TestShapeMeasures:
         b = ArctanGRParams(7.0, 3.0)
         assert agr_skewness(a) == pytest.approx(agr_skewness(b), rel=1e-10)
         assert agr_kurtosis(a) == pytest.approx(agr_kurtosis(b), rel=1e-10)
+
+    def test_the_sample_measures_on_the_model_octiles(self):
+        # the one Bowley/Moors definition, shared with describe
+        octiles = _z_quantile(np.arange(1, 8) / 8).tolist()
+        for params in GRID:
+            assert (agr_skewness(params), agr_kurtosis(params)) == bowley_moors(octiles)
 
     def test_kurtosis_positive_and_iqr_positive_on_grid(self):
         for params in GRID:

@@ -653,6 +653,39 @@ class TestCompareModels:
         assert named["gaussian"]["params"]["eta"] == pytest.approx(GAUSS_ETA, abs=1e-15)
 
 
+class TestSampleType:
+    """Every fit reads a :class:`LossDataset`: an array is coerced to one, and
+    checked and sorted by it."""
+
+    @pytest.mark.parametrize("name", MODELS)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_array_fits_as_its_dataset(self, name, seed):
+        x = agr_sample(ArctanGRParams(10.0, 0.5), 200, seed)
+        fit = MODELS[name].fit
+        assert fit(x).as_dict() == fit(LossDataset(values=x, source="array", name="s")).as_dict()
+
+    def test_compare_array_as_its_dataset(self, insurance):
+        table = compare_models(np.array(insurance.values))
+        assert table.to_json() == compare_models(insurance).to_json()
+
+    @pytest.mark.parametrize("bad, match", [
+        ([], "nonempty 1-d"), (np.ones((2, 3)), "nonempty 1-d"), (2.0, "nonempty 1-d"),
+        ([1.0, np.nan, 2.0], "NaN or infinite"), ([1.0, np.inf], "NaN or infinite")])
+    def test_array_errors_are_the_datasets(self, bad, match):
+        for model in MODELS.values():
+            with pytest.raises(DataError, match=f"^dataset 'sample' .*{match}"):
+                model.fit(bad)
+
+    def test_sorted_once(self, insurance, monkeypatch):
+        # compare_models sorts its sample once for the AGR and Laplace fits
+        data = LossDataset(values=insurance.values, source="inline", name="i")
+        sorts = []
+        real_sort = np.sort
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or real_sort(*a, **k))
+        compare_models(data)
+        assert len(sorts) == 1
+
+
 class TestModelRegistry:
     """``MODELS`` is the one list of candidate models."""
 

@@ -38,6 +38,7 @@ COMMANDS = (
         "risk --omega 0.02 --psi 0.005 --alphas 0.9 --mc-samples -5",  # exit 3
         f"plotdata {INS} --bins 0",  # no bins: exit 3
         "risk --omega 0 --psi 1 --alphas 0.99 --seed -1 --mc-samples 10",  # exit 3
+        f"describe {INS} --out /no/such/dir/x.txt",  # unwritable --out: exit 3
     ]
 )
 

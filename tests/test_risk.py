@@ -433,15 +433,25 @@ class TestMcOracle:
         assert a == b
         assert a != mc_oracle(table_params, 0.8, 10**5, seed=6)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeWarning,
-                       reason="the sums of (x - VaR)^2 and ^4 are taken unscaled and overflow")
     def test_scale_whose_tv_is_finite(self):
-        # tv here is 1.5e307; the per-draw squares and fourth powers overflow.
-        # The fit of 1e154, -1e154, 3, 4, 5 gives this psi (risk --mc-samples)
+        # tv here is 1.5e307; the per-draw squares and fourth powers overflow
+        # unscaled.  The fit of 1e154, -1e154, 3, 4, 5 gives this psi (risk
+        # --mc-samples).  The passes run at a power-of-two scale, so the result
+        # is that of the parameters over 2^512, mapped back exactly
         params = ArctanGRParams(5.0, 4.07865e153)
         assert math.isfinite(tv(params, 0.75))
         res = mc_oracle(params, 0.75, 2000, seed=0)
         assert math.isfinite(res.tv)
+        small = mc_oracle(ArctanGRParams(math.ldexp(5.0, -512), math.ldexp(params.psi, -512)),
+                          0.75, 2000, seed=0)
+        assert res == (math.ldexp(small.tvar, 512), math.ldexp(small.tv, 1024),
+                       math.ldexp(small.tvar_se, 512), math.ldexp(small.tv_se, 1024),
+                       small.exceedances, small.n)
+
+    def test_results_beyond_the_double_range(self):
+        # TV scales like psi^2: at psi = 1e300 it is no finite double
+        with pytest.raises(DomainError, match="Monte Carlo TVaR/TV at alpha=0.9 is not"):
+            mc_oracle(ArctanGRParams(0.0, 1e300), 0.9, 2000, seed=0)
 
     def test_exceedance_fraction_binomial(self, table_params):
         n = 10**6

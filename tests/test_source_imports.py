@@ -1,6 +1,7 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
-``scipy.special`` from scipy, and nothing from the test-only packages.  And
-the distribution kernels stay branch-free: ``np.where`` only in ``_select``."""
+``scipy.special`` from scipy, and nothing from the test-only packages.  The
+distribution kernels stay branch-free: ``np.where`` only in ``_select``.  And
+every sample quantile is ``dataset._linear_quantile``: no numpy quantile."""
 
 import ast
 from pathlib import Path
@@ -67,3 +68,26 @@ def test_where_only_in_select():
     # np.where on a mask of random signs mispredicts a branch per element
     path = next(p for p in SOURCES if p.name == "distributions.py")
     assert {f for f, _ in where_calls(path.read_text(encoding="utf-8"))} <= {"_select"}
+
+
+def numpy_calls(source, names):
+    """``(name, line)`` of every ``np.<name>(...)`` call in ``source``."""
+    return [(node.func.attr, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")]
+
+
+QUANTILES = ("quantile", "percentile", "median")
+
+
+def test_numpy_calls_found():
+    source = "a = np.quantile(x, 0.5)\nb = numpy.median(x) + np.percentile(x, 5)\nc = x.median()\n"
+    assert sorted(numpy_calls(source, QUANTILES)) == [
+        ("median", 2), ("percentile", 2), ("quantile", 1)]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_numpy_quantiles(path):
+    # np.quantile and its kin import numpy.ma; _linear_quantile gives their bits
+    assert numpy_calls(path.read_text(encoding="utf-8"), QUANTILES) == []
