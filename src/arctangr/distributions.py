@@ -576,9 +576,9 @@ def agr_sample(params: ArctanGRParams, n, seed):
     ``BLOCK`` at a time; PCG64 spends one 64-bit word per double, so the
     blocks consume the stream exactly as one ``rng.random(n)`` would, and
     the draws equal ``agr_quantile(params, max(rng.random(n), tiny))``.
-    For parallel Monte Carlo, split streams with
-    ``np.random.SeedSequence(seed).spawn(k)`` and hand each child to its own
-    generator; see :func:`arctangr.risk.mc_oracle`.
+    ``seed`` may also be a ``np.random.SeedSequence``: independent streams
+    are the children of one, as the CLI gives each level's
+    :func:`arctangr.risk.mc_oracle` its own.
     """
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")

@@ -229,18 +229,21 @@ def fit_rayleigh(data) -> FitResult:
 
 def _median_and_spread(x, xs, model):
     """Median of ``x`` (read from ``xs``, the same values sorted) and mean
-    absolute deviation from it, which must be a positive finite number for
-    the ``model`` fit to have a scale."""
+    absolute deviation from it, which must be positive for the ``model`` fit
+    to have a scale.  The deviation is at most half the range, so at most
+    ``max|x|``: where its plain sum overflows, it is taken on ``x`` and the
+    median over the power of two ``2^e`` just above ``max|x|`` (exact), capped
+    at ``max|x|`` against rounding, and mapped back."""
     med = _linear_quantile(xs, 0.5)
     with np.errstate(over="ignore"):
         scale = float(np.mean(np.abs(x - med)))
+    if scale == math.inf:
+        top = max(-xs.item(0), xs.item(-1))
+        e = math.frexp(top)[1]
+        unit = float(np.mean(np.abs(np.ldexp(x, -e) - math.ldexp(med, -e))))
+        scale = math.ldexp(min(unit, math.ldexp(top, -e)), e)
     if scale <= 0.0:
         raise DataError(f"{model} fit is degenerate: zero absolute deviation")
-    if scale == math.inf:
-        raise DataError(
-            f"{model} fit is impossible: the mean absolute deviation overflows "
-            "the double range"
-        )
     return med, scale
 
 
@@ -615,6 +618,12 @@ def fit_agr(data) -> FitResult:
     x, xs = data.values, data.sorted_values
     _, scale = _median_and_spread(x, xs, "AGR")
     _check_size(x, 2, "AGR")
+    # the search takes x - omega at every point: where the sample's range
+    # overflows it runs on the sample over 2, and omega, psi and the slopes
+    # map back exactly
+    back = 2.0 if xs.item(-1) - xs.item(0) == math.inf else 1.0
+    if back > 1.0:
+        xs, scale = xs / back, scale / back
     search = _AgrSearch(xs)
     best = search.point(_linear_quantile(xs, P_STAR), math.log(scale))
     if not search.is_max(best):
@@ -626,9 +635,10 @@ def fit_agr(data) -> FitResult:
         best = max([best, *search.sweep(values, best)], key=search.loglik)
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
+    psi = math.exp(best.t)
     return _build_result(
         "agr",
-        ArctanGRParams(omega=float(best.omega), psi=math.exp(best.t)),
+        ArctanGRParams(omega=float(best.omega) * back, psi=psi * back),
         agr_logpdf,
         x,
         r=2,
@@ -636,8 +646,8 @@ def fit_agr(data) -> FitResult:
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,
         stop={"psi_score": best.psi_score, "psi_tol": best.psi_tol,
-              "omega_slope_left": best.slope[0], "omega_slope_right": best.slope[1],
-              "slope_tol": search.slope_tol(best.omega, math.exp(best.t))},
+              "omega_slope_left": best.slope[0] / back, "omega_slope_right": best.slope[1] / back,
+              "slope_tol": search.slope_tol(best.omega, psi) / back},
     )
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._util import at_unit_scale, blockwise, dump_csv, dump_json
+from ._util import at_unit_scale, dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     _LOWER_C,
@@ -174,6 +174,10 @@ class MCOracleResult(NamedTuple):
     n: int
 
 
+#: How :func:`mc_oracle` draws, as a report's JSON ``method`` names it.
+_MC_METHOD = "binomial exceedance count, then inverse-transform draws from the tail"
+
+
 @dataclass(frozen=True)
 class RiskReport:
     """Rows of (alpha, var, tvar, tv) plus provenance metadata.
@@ -182,7 +186,8 @@ class RiskReport:
     empirical estimators; ``method`` records the series or the
     quantile convention that produced them.  ``mc_check`` optionally holds
     one :func:`mc_oracle` result per row; the JSON and text layouts render
-    it, the CSV layout has no columns for it.
+    it, and the JSON ``method`` then also names its design under
+    ``"mc_check"``.  The CSV layout has no columns for it.
     """
 
     rows: tuple[RiskRow, ...]
@@ -238,6 +243,7 @@ class RiskReport:
             "rows": [row._asdict() for row in self.rows],
         }
         if self.mc_check:
+            payload["method"] = {**self.method, "mc_check": _MC_METHOD}
             payload["mc_check"] = [c._asdict() for c in self.mc_check]
         return dump_json(payload)
 
@@ -317,88 +323,66 @@ def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:
     )
 
 
-#: Uniforms per draw block of a Monte Carlo chunk, drawn into one reused
-#: 512 KiB buffer.  For 1e7 draws on a 2-vCPU Xeon VM, 32 and 64 Ki ran
-#: fastest of 16 to 256 Ki (16 Ki 5-10% slower).
-_DRAW_BLOCK = 1 << 16
+#: Tail draws per block, drawn and mapped in one reused 256 KiB buffer.  For
+#: 1e7 draws on a 2-vCPU Xeon VM, 16 and 32 Ki ran fastest of 8 to 64 Ki
+#: (64 Ki 5-20% slower).
+_DRAW_BLOCK = 1 << 15
 
 
-def mc_oracle(params: ArctanGRParams, alpha, n, seed, chunk=1 << 20) -> MCOracleResult:
-    """Monte Carlo estimate of TVaR/TV with standard errors.
+def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
+    """Monte Carlo estimate of TVaR/TV with standard errors, from ``n`` draws.
 
-    Draws ``n`` inverse-transform samples in fixed-size chunks, one spawned
-    child of ``SeedSequence(seed)`` per chunk, and accumulates tail moments
-    in a fixed order -- so results are reproducible and chunks could run in
-    parallel without changing the reduction.  Exceedance statistics are
-    taken relative to the exact VaR threshold; sums are accumulated on
-    threshold-shifted values to limit cancellation in the higher moments.
-
-    Only the uniforms above ``a_lo = alpha - 1e-9`` are candidates, since no
-    other draw can exceed VaR, so their number scales with ``1 - alpha``.
-    Within a chunk the uniforms are drawn ``_DRAW_BLOCK`` at a time into one
-    reused buffer, masked into one reused bool buffer, and the candidates
-    gathered; PCG64 spends one 64-bit word per double, so the blocks consume
-    the child's stream exactly as one ``rng.random(k)`` would.  The chunk's
-    candidates, concatenated in draw order, then take one pass, ``BLOCK`` at
-    a time and in place: the quantile, ``omega + psi z``, then ``x > VaR``
-    over the chunk and the four sums.  ``x > VaR`` still decides each
-    candidate, so the exceedances are the same values in the same order as
-    from mapping all ``n`` draws, and every returned number is exactly that
-    evaluation's.  What is left per draw is drawing, masking and compacting.
+    Of ``n`` iid draws the number above VaR is Binomial(n, 1 - alpha), and
+    given that number they are iid from the tail.  So one generator,
+    ``np.random.default_rng(seed)`` (``seed`` an int or a ``SeedSequence``),
+    draws that count ``k``, then ``k`` tail probabilities ``q = (1 - alpha) U``,
+    ``U`` uniform on (0, 1], ``_DRAW_BLOCK`` at a time into one reused buffer.
+    Each block is mapped in place to ``x``: by :func:`_z_tail_quantile` at ``q``
+    from ``alpha >= P_STAR`` on, by the general quantile at ``1 - q`` below
+    it.  ``x > VaR`` decides each draw, so one that rounds onto the threshold
+    does not count, and each block adds its four sums of ``x - VaR`` (shifted
+    to limit cancellation in the higher moments).  Time scales with
+    ``(1 - alpha) n`` and memory is fixed; the same seed gives the same
+    result.  ``n`` is at most ``2**63 - 1``, the largest count the binomial
+    draw takes.
 
     The passes run on ``omega``, ``psi`` and the threshold times ``2^-s``,
     ``2^s`` the power of two just above ``psi`` (``s = 0`` for ``psi < 1``),
     and the results are mapped back by ``2^s`` (TVaR and its SE) and ``2^2s``
     (TV and its SE).  Power-of-two scaling is exact, so every number keeps
     its bits wherever no value leaves the normal double range, and the
-    squares and fourth powers of the exceedances stay finite wherever TV is.  A result that is not a
-    finite double raises :class:`DomainError`.
+    squares and fourth powers of the exceedances stay finite wherever TV is.
+    A result that is not a finite double raises :class:`DomainError`.
     """
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
+    if n > 2**63 - 1:
+        raise DomainError(f"n must be at most 2**63 - 1, got {n}")
     s = max(0, math.frexp(params.psi)[1])
     unit = ArctanGRParams(math.ldexp(params.omega, -s), math.ldexp(params.psi, -s))
     threshold = math.ldexp(var(params, a), -s)
-    # The standard density is at most 8/(5 pi) < 0.51, so p <= a_lo puts z at
-    # least 1.9e-9 below z_a: far beyond the few-ulp error of the computed
-    # quantile, and omega + psi*z rounds monotonically, so such a draw cannot
-    # land above the threshold.  Every candidate is > a_lo > 0, a valid p.
-    a_lo = a - 1e-9
-    if a_lo >= P_STAR:
-        # agr_quantile's own expression; above P_STAR only its tail branch
-        # applies, here on 1 - c written over the candidates
-        def to_x(c):
-            return _from_z(unit, _z_tail_quantile(np.subtract(1.0, c, out=c)))
+    tail = 1.0 - a  # exact, as a >= 1/2
+    if a >= P_STAR:
+        to_z = _z_tail_quantile
     else:
-        def to_x(c):
-            return _from_z(unit, _z_quantile(c))
+        def to_z(q):
+            return _z_quantile(np.subtract(1.0, q, out=q))
 
-    n = int(n)
-    n_chunks = (n + chunk - 1) // chunk
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(n_chunks)
-    size = min(n, chunk, _DRAW_BLOCK)
-    draws, above = np.empty(size), np.empty(size, dtype=bool)
+    rng = np.random.default_rng(seed)
+    k = int(rng.binomial(n, tail))
+    draws = np.empty(min(k, _DRAW_BLOCK))
     m = 0
     s1 = s2 = s3 = s4 = 0.0
-    for i, child in enumerate(children):
-        k = min(chunk, n - i * chunk)
-        rng = np.random.Generator(np.random.PCG64(child))
-        parts = []
-        for j in range(0, k, _DRAW_BLOCK):
-            b = min(_DRAW_BLOCK, k - j)
-            p, mask = draws[:b], above[:b]
-            rng.random(out=p)
-            # a block gathers ~(1 - alpha) of its draws; np.flatnonzero
-            # compacts draw by draw once at most a tenth of the mask is set,
-            # at a cost that grows with the count, and branch-free above that
-            parts.append(p[np.flatnonzero(np.greater(p, a_lo, out=mask))])
-        c = np.concatenate(parts)
-        parts.clear()
-        x = blockwise(to_x, c, out=c)
+    for j in range(0, k, _DRAW_BLOCK):
+        q = draws[:min(_DRAW_BLOCK, k - j)]
+        rng.random(out=q)
+        # 1 - U is exact and lies in (0, 1], so q > 0 and its quantile is finite
+        np.subtract(1.0, q, out=q)
+        q *= tail
+        x = _from_z(unit, to_z(q))
         hit = x > threshold
-        # with a_lo within 1e-9 of alpha nearly every candidate exceeds
         y = x if hit.all() else x[hit]
         y -= threshold
         m += y.size

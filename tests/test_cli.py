@@ -135,6 +135,14 @@ class TestRisk:
         code, _, err = run_cli(["risk", "--alphas", "0.8"], capsys)
         assert code == 3
 
+    def test_mc_samples_beyond_int64_is_data_error(self, capsys):
+        code, out, err = run_cli(
+            ["risk", "--omega", "0.02", "--psi", "0.005", "--mc-samples", "9223372036854775808"],
+            capsys,
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: n must be at most 2**63 - 1, got 9223372036854775808\n"
+
     def test_negative_mc_samples_is_data_error(self, capsys):
         code, out, err = run_cli(
             ["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.9",
@@ -209,14 +217,27 @@ class TestExitCodes:
         assert code == 3
         assert "line 3" in err
 
-    def test_data_error_overflowing_spread(self, tmp_path, capsys):
+    def test_spread_whose_sum_overflows(self, tmp_path, capsys):
+        # the mean absolute deviation (4e307 here) is finite, so both fits
+        # answer; the AGR tail beyond it, and the Rayleigh fit of data below
+        # 0, are what end in exit 3
         f = tmp_path / "huge.csv"
-        f.write_text("-1e308\n0\n1e308\n")
+        f.write_text("-1e308\n0\n1\n2\n1e308\n")
+        runs = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, _, err = run_cli(["fit", "--data", str(f)], capsys)
-        assert code == 3
-        assert "mean absolute deviation overflows" in err
+            for argv in (["fit"], ["fit", "--model", "laplace"], ["risk"], ["compare"]):
+                runs[argv[-1]] = run_cli([*argv, "--data", str(f)], capsys)
+        assert runs["fit"][0] == runs["laplace"][0] == 0
+        assert "params: omega=1; psi=4e+307" in runs["laplace"][1]
+        assert runs["risk"] == (3, "", "error: TVaR at alpha=0.99 is not a finite double\n")
+        assert runs["compare"] == (3, "", "error: Rayleigh fit requires strictly positive data\n")
+
+    def test_three_huge_points_stop_at_the_size_check(self, tmp_path, capsys):
+        f = tmp_path / "huge.csv"
+        f.write_text("-1e308\n0\n1e308\n")
+        code, _, err = run_cli(["fit", "--data", str(f)], capsys)
+        assert (code, err) == (3, "error: AGR fit needs at least 4 observations, got 3\n")
 
     @pytest.mark.parametrize("model", ["gaussian", "rayleigh"])
     def test_second_moment_that_overflows_is_fitted(self, tmp_path, capsys, model):

@@ -148,6 +148,10 @@ def run(argv):
 @example(argv=["risk", "--data", "@edge", "--empirical", "--alphas", "0.6,0.5"])
 @example(argv=["risk", "--data", "@gap", "--empirical", "--alphas", "0.1"])
 @example(argv=["risk", "--data", "@widepm", "--mc-samples", "2000", "--alphas", "0.75,0.99"])
+@example(argv=["fit", "--data", "@edge", "--format", "json"])
+@example(argv=["risk", "--data", "@edge"])
+@example(argv=["compare", "--data", "@edge"])
+@example(argv=["fit", "--data", "@gap", "--model", "laplace"])
 @example(argv=["fit", "--data", "@missing"])
 @example(argv=["describe", "--data", "embedded:insurance", "--out", "@folder"])
 @example(argv=["fit", "--data", "@sample", "--out=@nowhere", "--format", "json"])

@@ -7,6 +7,7 @@ import json
 import math
 import statistics
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import mpmath
@@ -550,12 +551,46 @@ class TestExtremeData:
             res = fit_agr(np.array(x))
         assert res.converged and math.isfinite(res.loglik)
 
-    @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
-    @pytest.mark.parametrize("x", [[-1e308, 0.0, 1e308], [-1e308, 1e308, 1e308]])
-    def test_overflowing_spread_is_a_data_error(self, fit, x):
+    @pytest.mark.parametrize("x", [
+        [-1.7e308, 0.0, 1.7e308, 1.0, 2.0], [-1e308, 0.0, 1.0, 2.0, 1e308],
+        [-1.7e308, -1.7e308, 1.7e308, 1.7e308], [1.79e308, -1.79e308, 3.0, -1.79e308, 5.0, 1.79e308],
+    ])
+    def test_laplace_spread_whose_sum_overflows(self, x):
+        # the mean absolute deviation about the median is at most half the
+        # range, a finite double; the exact rational one, correctly rounded, is
+        # the oracle (math.fsum of the exact |x - med| agrees)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="mean absolute deviation overflows"):
+            res = fit_laplace(np.array(x))
+        med = float(statistics.median(Fraction(v) for v in x))
+        mad = sum(abs(Fraction(v) - Fraction(med)) for v in x) / len(x)
+        assert res.params.omega == med
+        assert res.params.psi == float(mad) == pytest.approx(
+            math.fsum(float(abs(Fraction(v) - Fraction(med))) / len(x) for v in x), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [
+        [-1.7e308, 0.0, 1.7e308, 1.0, 2.0], [-1e308, 0.0, 1.0, 2.0, 1e308],
+        [1.79e308, -1.79e308, 3.0, -1.79e308, 5.0, 1.79e308],
+    ])
+    def test_agr_on_a_sample_whose_range_overflows(self, x):
+        # the search runs on the sample over 2: the fit of the halved sample,
+        # mapped back exactly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fit_agr(np.array(x))
+        half = fit_agr(np.array(x) / 2.0)
+        assert res.converged and math.isfinite(res.loglik)
+        assert (res.params.omega, res.params.psi) == (2.0 * half.params.omega, 2.0 * half.params.psi)
+        for key in ("omega_slope_left", "omega_slope_right", "slope_tol"):
+            assert res.stop[key] == half.stop[key] / 2.0
+        assert res.loglik == pytest.approx(half.loglik - len(x) * math.log(2.0), rel=1e-14)
+
+    @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
+    @pytest.mark.parametrize("x", [[-1e308, 0.0, 1e308], [-1e308, 1e308, 1e308]])
+    def test_three_huge_points_stop_at_the_size_check(self, fit, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="needs at least 4 observations, got 3"):
                 fit(np.array(x))
 
     @pytest.mark.parametrize("x", [[1e154, -1e154] * 2, [-1e308, 0.0, 1e308, 0.0],

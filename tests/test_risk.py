@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats as scipy_stats
 from scipy.integrate import quad
 
 from arctangr import (
@@ -25,6 +26,7 @@ from arctangr import (
     agr_moment,
     agr_pdf,
     agr_quantile,
+    agr_survival,
     empirical_risk,
     empirical_risk_curve,
     mc_oracle,
@@ -34,7 +36,6 @@ from arctangr import (
     var,
 )
 from arctangr import distributions, risk
-from arctangr._util import BLOCK
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
 from arctangr.distributions import (
@@ -50,8 +51,6 @@ from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import (
     _CACHED_LEVELS,
     _DRAW_BLOCK,
-    MCOracleResult,
-    _check_alpha,
     _standard_tail,
     _tail_moments,
 )
@@ -469,150 +468,148 @@ class TestMcOracle:
         assert abs(res.tvar - tvar(params, alpha)) < 3 * res.tvar_se
         assert abs(res.tv - tv(params, alpha)) < 3 * res.tv_se
 
-    def test_chunking_invariant(self, table_params):
-        # identical stream split regardless of n's divisibility by the chunk
-        small = mc_oracle(table_params, 0.8, 1000, seed=3, chunk=64)
-        assert small.n == 1000
-        with pytest.raises(DomainError):
-            mc_oracle(table_params, 0.8, 0, seed=3)
+    def test_rejects_nonpositive_n(self, table_params):
+        for n in (0, -1, 2.0):
+            with pytest.raises(DomainError, match="n must be a positive integer"):
+                mc_oracle(table_params, 0.8, n, seed=3)
+
+    def test_n_is_bounded_by_the_binomial_draw(self, table_params):
+        # rng.binomial takes an int64 count; one more is refused, not overflowed
+        with pytest.raises(DomainError, match=r"^n must be at most 2\*\*63 - 1, got 9223372036854775808$"):
+            mc_oracle(table_params, 0.9, 2**63, seed=0)
+        # the largest n at the largest level: ~1000 exceedances
+        res = mc_oracle(table_params, 1.0 - 2.0**-53, np.int64(2**63 - 1), seed=0)
+        assert res.n == 2**63 - 1 and 900 < res.exceedances < 1150
 
 
-def _mc_full_reference(params, alpha, n, seed, chunk=1 << 20) -> MCOracleResult:
-    """Oracle for ``mc_oracle``: its former loop, which maps every draw
-    through the quantile rather than only those that can exceed VaR."""
-    a = _check_alpha(alpha)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
-        raise DomainError(f"n must be a positive integer, got {n!r}")
-    threshold = var(params, a)
-
-    n = int(n)
-    n_chunks = (n + chunk - 1) // chunk
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(n_chunks)
-    m = 0
-    s1 = s2 = s3 = s4 = 0.0
-    for i, child in enumerate(children):
-        k = min(chunk, n - i * chunk)
-        rng = np.random.Generator(np.random.PCG64(child))
-        p = np.maximum(rng.random(k), np.finfo(float).tiny)
-        x = agr_quantile(params, p)
-        y = x[x > threshold] - threshold
-        m += y.size
-        s1 += y.sum()
-        y2 = y * y
-        s2 += y2.sum()
-        s3 += (y2 * y).sum()
-        s4 += (y2 * y2).sum()
-
-    if m < 2:
-        raise DomainError(
-            f"only {m} of {n} samples exceeded the VaR threshold; "
-            "increase n or lower alpha"
-        )
-    mean = s1 / m
-    m2 = s2 / m - mean**2
-    m4 = s4 / m - 4.0 * mean * s3 / m + 6.0 * mean**2 * s2 / m - 3.0 * mean**4
-    tvar_est = threshold + mean
-    tv_est = m2
-    tvar_se = math.sqrt(max(m2, 0.0) / m)
-    tv_se = math.sqrt(max(m4 - m2 * m2, 0.0) / m)
-    return MCOracleResult(tvar_est, tv_est, tvar_se, tv_se, m, n)
+_MC_LEVELS = [0.5 + 1e-12, 0.55, P_STAR - 1e-12, math.nextafter(P_STAR, 0.0), P_STAR,
+              math.nextafter(P_STAR, 1.0), P_STAR + 1e-12, 0.9, 0.99, 1.0 - 1e-9]
 
 
-def _result_or_message(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except DomainError as exc:
-        return f"DomainError: {exc}"
+def _mapped_draws(params, alpha, n, seed):
+    """``mc_oracle``'s result and every value it mapped to ``x``, in order."""
+    seen = []
+
+    def recording(unit, z):
+        x = distributions._from_z(unit, z)
+        seen.append(x.copy())
+        return x
+
+    with mock.patch.object(risk, "_from_z", recording):
+        res = mc_oracle(params, alpha, n, seed)
+    return res, np.concatenate(seen) if seen else np.empty(0)
 
 
-def assert_mc_matches_full_reference(params, alpha, n, seed, chunk):
-    got = _result_or_message(mc_oracle, params, alpha, n, seed, chunk=chunk)
-    ref = _result_or_message(_mc_full_reference, params, alpha, n, seed, chunk=chunk)
-    assert got == ref
+class TestMcExceedances:
+    """``mc_oracle`` draws the exceedance count, Binomial(n, 1 - alpha), and
+    then only that many values from the tail beyond VaR; a different stream
+    from mapping every draw, so its law is checked, not its bits."""
 
+    @pytest.mark.parametrize("alpha", [0.6, 0.9, 0.99])
+    def test_count_is_the_generators_binomial_draw(self, table_params, alpha):
+        for seed in range(20):
+            res, x = _mapped_draws(table_params, alpha, 10**5, seed)
+            k = np.random.default_rng(seed).binomial(10**5, 1.0 - alpha)
+            assert x.size == k
+            assert res.exceedances == np.count_nonzero(x > var(table_params, alpha))
+            assert k - res.exceedances <= 1
 
-class TestMcTailOnly:
-    """``mc_oracle`` maps only the draws above ``alpha - 1e-9`` through the
-    quantile, gathered per chunk from draw blocks of ``_DRAW_BLOCK``
-    uniforms; every field must equal the full evaluation's exactly."""
+    @pytest.mark.parametrize("alpha", [0.609, 0.95])
+    def test_counts_over_seeds_are_binomial(self, table_params, alpha):
+        n, p = 20_000, 1.0 - alpha
+        counts = np.array([mc_oracle(table_params, alpha, n, seed).exceedances
+                           for seed in range(400)])
+        mean, sd = n * p, math.sqrt(n * p * alpha)
+        assert abs(counts.mean() - mean) < 4.0 * sd / math.sqrt(counts.size)
+        # the sample variance of 400 counts is within ~0.07 of 1 relative
+        assert 0.75 < counts.var(ddof=1) / sd**2 < 1.3
 
-    @settings(max_examples=40, deadline=None)
-    @given(
-        alpha=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
-        ratio=st.floats(-1e12, 1e12),
-        psi=st.floats(1e-3, 1e3),
-        chunk=st.sampled_from([64, 4096, 1 << 20]),
-        blocks=st.integers(0, 2),
-        frac=st.floats(0.0, 1.0),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_equals_full_evaluation(self, alpha, ratio, psi, chunk, blocks, frac, seed):
-        if chunk == 1 << 20:
-            blocks = min(blocks, 1)
-        # a last chunk of 1 .. chunk-1 draws, so n is never a multiple of chunk
-        n = blocks * chunk + 1 + int(frac * (chunk - 2))
-        assert_mc_matches_full_reference(ArctanGRParams(ratio * psi, psi), alpha, n, seed, chunk)
-
-    @pytest.mark.parametrize("params,alpha,n,chunk", [
-        (ArctanGRParams(0.02, 0.005), 0.5 + 1e-12, 200_001, 4096),
-        (ArctanGRParams(0.0, 1.0), P_STAR - 1e-12, 200_001, 1 << 20),
-        (ArctanGRParams(-3.0, 2.0), P_STAR, 200_001, 64),
-        (ArctanGRParams(1e12, 1.0), P_STAR + 1e-12, 200_001, 4096),
-        (ArctanGRParams(0.5, 0.3), 0.875, 200_001, 4096),
-        (ArctanGRParams(0.5, 0.3), 0.875 + 1e-9, 200_001, 4096),
-        (ArctanGRParams(0.02, 0.005), 0.99999, 10**6 + 7, 1 << 20),
-        (ArctanGRParams(0.0, 1e-3), 0.9, 3 * 10**6 + 1, 1 << 20),
-        # chunk sizes around the sampling BLOCK, none of which divides n
-        (ArctanGRParams(0.02, 0.005), 0.9, 200_001, BLOCK - 1),
-        (ArctanGRParams(-3.0, 2.0), 0.6, 200_001, BLOCK + 1),
-        (ArctanGRParams(1e6, 3.0), 0.99, 200_001, 3 * BLOCK + 7),
-        # the perfbench levels, each over at least 3 chunks of several draw
-        # blocks, the last one short
-        (ArctanGRParams(0.02, 0.005), 0.9, 3 * (2 * _DRAW_BLOCK + 3) + 11, 2 * _DRAW_BLOCK + 3),
-        (ArctanGRParams(-3.0, 2.0), 0.95, 3 * (3 * _DRAW_BLOCK) + 5, 3 * _DRAW_BLOCK),
-        (ArctanGRParams(1e6, 3.0), 0.99, 4 * (2 * _DRAW_BLOCK - 1) + 1, 2 * _DRAW_BLOCK - 1),
-        # chunks of a draw block and 1 draw, of 1 draw short of a block, and of one block
-        (ArctanGRParams(0.02, 0.005), 0.9, 3 * (_DRAW_BLOCK + 1) + 2, _DRAW_BLOCK + 1),
-        (ArctanGRParams(0.0, 1e-3), 0.95, 3 * (_DRAW_BLOCK - 1) + 2, _DRAW_BLOCK - 1),
-        (ArctanGRParams(1e12, 1.0), 0.99, 3 * _DRAW_BLOCK + 1, _DRAW_BLOCK),
+    @pytest.mark.parametrize("params,alpha", [
+        (ArctanGRParams(0.02, 0.005), 0.55),
+        (ArctanGRParams(0.0, 0.75), P_STAR),
+        (ArctanGRParams(-3.0, 0.5), 0.9),
+        (ArctanGRParams(0.02, 0.005), 1.0 - 1e-9),
     ])
-    def test_explicit_levels(self, params, alpha, n, chunk):
-        assert_mc_matches_full_reference(params, alpha, n, 17, chunk)
+    def test_draws_follow_the_tail_law(self, params, alpha):
+        # S(x) / (1 - alpha), the tail's survival, is uniform on (0, 1) over
+        # the exceedances; psi < 1, so the values are mapped at scale 1
+        _, x = _mapped_draws(params, alpha, round(40_000 / (1.0 - alpha)), 8)
+        u = agr_survival(params, x) / (1.0 - alpha)
+        assert 39_000 < u.size < 41_000 and np.all(u <= 1.0 + 1e-6)
+        assert scipy_stats.kstest(u, "uniform").pvalue > 1e-3
 
-    @pytest.mark.parametrize("rank", [1, 10])
-    def test_chunk_with_candidates_below_var(self, rank):
-        # alpha 5e-10 above the rank-th largest draw of the first chunk makes
-        # that draw a candidate (it is above alpha - 1e-9) that stays below
-        # VaR: with rank 1 it is the chunk's only candidate and none exceeds,
-        # with rank 10 nine larger ones exceed.  The later chunks take the
-        # usual path, where every candidate exceeds.
-        params, chunk, seed = ArctanGRParams(0.02, 0.005), 4096, 17
-        first = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed).spawn(4)[0])).random(chunk)
-        alpha = float(np.sort(first)[-rank]) + 5e-10
-        candidates = first[first > alpha - 1e-9]
-        exceed = int((agr_quantile(params, candidates) > var(params, alpha)).sum())
-        assert (candidates.size, exceed) == (rank, rank - 1)
-        assert_mc_matches_full_reference(params, alpha, 4 * chunk, seed, chunk)
+    @pytest.mark.parametrize("alpha", [0.6, 0.95])
+    def test_standard_errors_are_calibrated(self, table_params, alpha):
+        z_tvar, z_tv = [], []
+        for seed in range(250):
+            res = mc_oracle(table_params, alpha, 50_000, seed)
+            z_tvar.append((res.tvar - tvar(table_params, alpha)) / res.tvar_se)
+            z_tv.append((res.tv - tv(table_params, alpha)) / res.tv_se)
+        for z in (np.array(z_tvar), np.array(z_tv)):
+            # the mean of 250 z-scores has SE 0.063; the SE of TV is itself
+            # estimated from a fourth moment, so its SD is allowed more room
+            assert abs(z.mean()) < 0.25
+            assert 0.8 < z.std() < 1.25
+
+    def test_same_seed_same_result(self, table_params):
+        a = mc_oracle(table_params, 0.95, 10**5, seed=7)
+        assert mc_oracle(table_params, 0.95, 10**5, seed=7) == a
+        assert mc_oracle(table_params, 0.95, 10**5, np.random.SeedSequence(7)) == a
+        child = np.random.SeedSequence(7).spawn(2)[1]
+        b = mc_oracle(table_params, 0.95, 10**5, child)
+        assert b != a
+        assert mc_oracle(table_params, 0.95, 10**5, np.random.SeedSequence(7).spawn(2)[1]) == b
+        assert mc_oracle(table_params, 0.95, 10**5, child) == b
+
+    @pytest.mark.parametrize("alpha", _MC_LEVELS)
+    def test_levels_around_p_star(self, alpha):
+        # below P_STAR the draws take the general quantile at 1 - q, from it
+        # the tail quantile at q; both sides agree with the series
+        params = ArctanGRParams(-3.0, 0.5)
+        res, x = _mapped_draws(params, alpha, round(50_000 / (1.0 - alpha)), 5)
+        assert np.all(np.isfinite(x))
+        assert res.exceedances == np.count_nonzero(x > var(params, alpha))
+        assert abs(res.tvar - tvar(params, alpha)) < 4.0 * res.tvar_se
+        assert abs(res.tv - tv(params, alpha)) < 4.0 * res.tv_se
+
+    def test_far_tail_at_huge_n(self, table_params):
+        alpha = 1.0 - 1e-13
+        res = mc_oracle(table_params, alpha, 10**16, seed=5)
+        assert res.n == 10**16 and 800 < res.exceedances < 1200
+        assert abs(res.tvar - tvar(table_params, alpha)) < 3.0 * res.tvar_se
+        assert abs(res.tv - tv(table_params, alpha)) < 3.0 * res.tv_se
+
+    def test_memory_does_not_grow_with_n(self, table_params):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mc_oracle(table_params, 0.9, n, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        mc_oracle(table_params, 0.9, 1000, seed=1)  # fills the tail caches first
+        small = peak(10**6)  # ~1e5 exceedances: already several full blocks
+        assert small >= _DRAW_BLOCK * 8
+        assert peak(10**8) <= 1.1 * small
 
     def test_too_few_exceedances_message(self):
-        args = (ArctanGRParams(0.02, 0.005), 0.99999, 1000, 17)
-        with pytest.raises(DomainError, match=r"only [01] of 1000 samples exceeded") as got:
-            mc_oracle(*args, chunk=64)
-        with pytest.raises(DomainError) as ref:
-            _mc_full_reference(*args, chunk=64)
-        assert str(got.value) == str(ref.value)
+        with pytest.raises(DomainError, match=r"^only [01] of 1000 samples exceeded the VaR "
+                                              r"threshold; increase n or lower alpha$"):
+            mc_oracle(ArctanGRParams(0.02, 0.005), 0.99999, 1000, 17)
 
-    def test_cli_json_rows(self, capsys):
+    def test_cli_json_rows_and_method(self, capsys):
         alphas = (0.9, 0.99)
         assert cli_main(["risk", "--omega", "0.02", "--psi", "0.005", "--alphas", "0.9,0.99",
                          "--mc-samples", "200000", "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)["mc_check"]
+        payload = json.loads(capsys.readouterr().out)
         seeds = np.random.SeedSequence(0).spawn(len(alphas))
         params = ArctanGRParams(0.02, 0.005)
-        assert rows == [_mc_full_reference(params, a, 200_000, s)._asdict()
-                        for a, s in zip(alphas, seeds)]
+        assert payload["mc_check"] == [mc_oracle(params, a, 200_000, s)._asdict()
+                                       for a, s in zip(alphas, seeds)]
+        assert payload["method"] == {
+            "rule": "density series, termwise", "terms": 60,
+            "mc_check": "binomial exceedance count, then inverse-transform draws from the tail"}
 
     def test_cli_table_lines(self, capsys):
         alphas = (0.9, 0.99)
@@ -623,7 +620,7 @@ class TestMcTailOnly:
         params = ArctanGRParams(0.02, 0.005)
         lines = ["monte carlo cross-check (n=200000):"]
         for a, s in zip(alphas, seeds):
-            c = _mc_full_reference(params, a, 200_000, s)
+            c = mc_oracle(params, a, 200_000, s)
             lines.append(
                 f"alpha={a:.6g}: tvar_mc={c.tvar:.6g} (se {c.tvar_se:.2g}), "
                 f"tv_mc={c.tv:.6g} (se {c.tv_se:.2g}), exceedances={c.exceedances}"
