@@ -29,8 +29,6 @@ _EXPORTS = {
         "ingest",
     ),
     "distributions": (
-        "P_STAR",
-        "ArctanGRParams",
         "GaussianParams",
         "RayleighParams",
         "agr_cdf",
@@ -85,6 +83,7 @@ _EXPORTS = {
         "tvar",
         "var",
     ),
+    "tail": ("P_STAR", "ArctanGRParams"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,92 +1,58 @@
-"""Internal helpers: scalar-or-array numeric functions and the output formats."""
+"""Internal helpers in Python floats: numpy's pairwise sum, the sample
+statistics taken at unit scale where they would overflow, Bowley/Moors, and
+the output formats.  Nothing here imports numpy (see :mod:`arctangr._arrays`
+for the elementwise kernels' helpers)."""
 
 import csv
 import io
 import json
 import math
+from functools import reduce
+from operator import add
 
-import numpy as np
-
-from .errors import DataError, DomainError
-
-#: Elements per block of a bulk elementwise evaluation (see :func:`blockwise`).
-BLOCK = 1 << 14
+from .errors import DataError
 
 
-#: The types taken as one number, by exact type (not bool, nor a 0-d array).
-SCALARS = (float, int, np.float64)
+def _pairwise(x, i, n):
+    """numpy's pairwise sum of ``x[i:i + n]``: fewer than 8 terms in order from
+    0.0; up to 128 on eight interleaved accumulators, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the last
+    ``n % 8`` terms in order; more, as two halves split at a multiple of 8."""
+    if n < 8:
+        return reduce(add, x[i:i + n], 0.0)
+    if n <= 128:
+        end = i + n - n % 8
+        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, x[j:end:8]) for j in range(i, i + 8)]
+        return reduce(add, x[end:i + n], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise(x, i, half) + _pairwise(x, i + half, n - half)
 
 
-def as_float_array(x, name="x", require_finite=False):
-    """Coerce to a float ndarray, rejecting NaN (and optionally infinities).
-
-    A number of a ``SCALARS`` type is checked with ``math`` and returned as an
-    ``np.float64``: every ufunc then runs the loop a 0-d array would, with the
-    same bits, without the array's per-call cost."""
-    if type(x) in SCALARS:
-        v = float(x)
-        if math.isnan(v):
-            raise DomainError(f"{name} must not contain NaN")
-        if require_finite and math.isinf(v):
-            raise DomainError(f"{name} must be finite")
-        return np.float64(v)
-    arr = np.asarray(x, dtype=float)
-    if np.isnan(arr).any():
-        raise DomainError(f"{name} must not contain NaN")
-    if require_finite and not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
-
-
-def match_input(x, result):
-    """Return a bare float when the caller passed a scalar."""
-    if type(x) in SCALARS or np.ndim(x) == 0:
-        return float(result)
-    return result
-
-
-def blockwise(fn, arr, out=None):
-    """``fn(arr)`` for an elementwise float ``fn``, evaluated ``BLOCK`` elements
-    at a time into one output array of ``arr``'s shape (``out``, a new array
-    by default).
-
-    Each element passes through the same ufuncs in the same order, so the
-    result is bit-identical to ``fn(arr)``; only the temporaries shrink.  A
-    kernel chains 5-15 ufuncs, each writing a temporary the size of its
-    input: at 16 Ki doubles (128 KiB) those stay in a core's L2 cache,
-    where on 1e6 points each would be a fresh 8 MB array that faults in new
-    pages and waits on memory.  Of 4, 16, 64 and 256 Ki, 16 Ki was the
-    fastest for the 1e6-point kernels on a Xeon with 2 MiB of L2 per core.
-    Inputs of at most ``BLOCK`` elements are passed to ``fn`` whole.
-
-    ``out`` may be a contiguous float ``arr`` itself, for an ``fn`` that
-    writes its result over its block and returns it: numpy skips the copy of
-    a view onto itself, so the pass runs in place.
-    """
-    if arr.size <= BLOCK:
-        return fn(arr)
-    flat = arr.reshape(-1)
-    out = np.empty(flat.size) if out is None else out.reshape(-1)
-    for i in range(0, flat.size, BLOCK):
-        out[i:i + BLOCK] = fn(flat[i:i + BLOCK])
-    return out.reshape(arr.shape)
+def pairwise_sum(x) -> float:
+    """The sum of a list (or tuple) of floats, in the order, and so with the
+    bits, of numpy's ``sum`` of the same values as a contiguous float array
+    (or of one row of a C-ordered 2-d array summed along its rows)."""
+    return _pairwise(x, 0, len(x))
 
 
 def at_unit_scale(x, stats, degrees=None):
     """``stats(x)`` as a tuple of floats, each statistic scaling like ``x`` (or
-    like ``x**k``, ``k`` its entry in ``degrees``).  It is taken on ``x`` itself,
-    with numpy's overflow and invalid-value warnings off.  Only where a
+    like ``x**k``, ``k`` its entry in ``degrees``).  ``x`` is a list (or tuple)
+    of floats, or an ndarray whose ``stats`` run with numpy's overflow and
+    invalid-value warnings off.  It is taken on ``x`` itself.  Only where a
     statistic is not finite (the squares overflow, or a sum meets both
     infinities, though the statistics need not) is it taken again, on ``x``
-    over the power of two ``2^e`` just above ``max|x|``, and then times ``2^e``
-    (``2^{ke}``).  Both steps are exact, so only ``stats`` rounds, and the
+    times ``2^-e``, ``2^e`` the power of two just above ``max|x|``, and then
+    times ``2^e`` (``2^{ke}``).  Both scalings are exact (or round once into
+    the subnormals, as ``ldexp`` does), so only ``stats`` rounds, and the
     statistics keep their bits wherever nothing overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = tuple(map(float, stats(x)))
+    values = tuple(map(float, stats(x)))
     if all(map(math.isfinite, values)):
         return values
-    e = math.frexp(float(np.max(np.abs(x))))[1]
-    values = stats(np.ldexp(x, -e))
+    e = math.frexp(max(map(abs, x)))[1]
+    unit = math.ldexp(1.0, -e)
+    values = stats([v * unit for v in x] if isinstance(x, (list, tuple)) else x * unit)
     try:
         return tuple(math.ldexp(float(v), k * e)
                      for v, k in zip(values, degrees or [1] * len(values)))
@@ -94,9 +60,24 @@ def at_unit_scale(x, stats, degrees=None):
         raise DataError("a statistic of the sample is not a finite double") from None
 
 
+def mean_var(x):
+    """numpy's ``mean`` and ``var(ddof=0)`` of a list of floats, bit for bit:
+    the pairwise sum over ``n``, then the pairwise sum of the squared
+    deviations from that mean over ``n``."""
+    n = len(x)
+    mean = pairwise_sum(x) / n
+    dev = [v - mean for v in x]
+    return mean, pairwise_sum([d * d for d in dev]) / n
+
+
 def mean_sd(x):
-    """The mean and the population SD of a sample, by :func:`at_unit_scale`."""
-    return at_unit_scale(x, lambda y: (y.mean(), y.std(ddof=0)))
+    """The mean and the population SD of a list of floats, numpy's ``mean``
+    and ``std(ddof=0)`` bit for bit, by :func:`at_unit_scale`."""
+    def stats(y):
+        mean, var = mean_var(y)
+        return mean, math.sqrt(var)
+
+    return at_unit_scale(x, stats)
 
 
 def bowley_moors(octiles):

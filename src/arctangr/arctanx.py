@@ -22,10 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from ._util import as_float_array, blockwise, match_input
+from ._arrays import as_float_array, blockwise, match_input
 from .errors import DomainError
-
-FOUR_OVER_PI = 4.0 / np.pi
+from .tail import FOUR_OVER_PI
 
 
 @dataclass(frozen=True)

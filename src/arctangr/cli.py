@@ -9,7 +9,11 @@ and ``compare`` share one CSV row layout; ``plotdata`` has no CSV, and
 ``risk --mc-samples`` needs table or JSON.
 
 Each runner imports the modules it calls, so a command loads only those:
-``describe`` needs no model code, and ``risk --omega/--psi`` no fit.
+``describe`` needs no model code, and ``risk --omega/--psi`` no fit.  The
+commands that fit and draw nothing (``describe``, ``risk --omega/--psi``
+and ``risk --empirical``) run on Python floats and never import numpy;
+``fit``, ``compare``, ``plotdata``, ``risk --data`` without ``--empirical``
+and ``risk --mc-samples`` do.
 
 Exit codes: 0 success, 2 usage error, 3 data/domain error (or an ``--out``
 that cannot be written), 4 numeric non-convergence.
@@ -21,8 +25,6 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import EMBEDDED_INSURANCE, describe, ingest
 from .errors import DataError, DomainError, FitConvergenceError
@@ -144,8 +146,8 @@ def _run_compare(args):
 
 
 def _run_risk(args):
-    from .distributions import ArctanGRParams
     from .risk import empirical_risk_curve, mc_oracle, risk_curve
+    from .tail import ArctanGRParams
 
     if (args.omega is None) != (args.psi is None):
         raise DomainError("--omega and --psi must be given together")
@@ -174,7 +176,9 @@ def _run_risk(args):
     if args.mc_samples > 0:
         if params is None:
             raise DomainError("--mc-samples applies to model-based risk only")
-        seeds = np.random.SeedSequence(args.seed).spawn(len(report.rows))
+        from numpy.random import SeedSequence
+
+        seeds = SeedSequence(args.seed).spawn(len(report.rows))
         report = replace(report, mc_check=tuple(
             mc_oracle(params, row.alpha, args.mc_samples, seed)
             for row, seed in zip(report.rows, seeds)

@@ -5,6 +5,11 @@ embedded unemployment-insurance sample (58 monthly observations of first
 unemployment-insurance checks issued to former federal employees, Maryland,
 July 2008 - April 2013) available under the source spec
 ``embedded:insurance``.
+
+A :class:`LossDataset` holds its checked sample, and the sorted copy, as
+Python floats; ``describe`` and the quantiles run on those, with numpy's
+bits, and import no numpy.  The ndarrays that the fits and the plot bundle
+work on are built from the floats on first use.
 """
 
 from __future__ import annotations
@@ -14,8 +19,6 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
-
-import numpy as np
 
 from ._util import bowley_moors, dump_csv, dump_json, mean_sd
 from .errors import DataError
@@ -36,29 +39,57 @@ INSURANCE_VALUES = (
 
 @dataclass
 class LossDataset:
-    """An ordered sample of finite real-valued losses with provenance."""
+    """An ordered sample of finite real-valued losses with provenance.
 
-    values: np.ndarray
+    ``values`` is given as any flat sequence of numbers (an ndarray too) and
+    kept as a tuple of floats, checked once: nonempty, 1-d and finite.
+    ``sorted_values`` is the same floats sorted; ``array`` and
+    ``sorted_array`` are read-only float ndarrays of the two, each made on
+    first use (``np.sort`` for the sorted one)."""
+
+    values: tuple
     source: str
     name: str
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
+        raw = self.values
+        is_array = type(raw).__module__ == "numpy"  # an ndarray (or a numpy scalar)
+        try:
+            # an ndarray's tolist() gives its numbers in one call, nested if not 1-d
+            values = tuple(map(float, raw.tolist() if is_array else raw))
+        except (TypeError, ValueError):
+            values = ()
+        if not values:
             raise DataError(f"dataset {self.name!r} must be a nonempty 1-d sample")
-        if not np.isfinite(arr).all():
+        if not all(map(math.isfinite, values)):
             raise DataError(f"dataset {self.name!r} contains NaN or infinite values")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = values
+        if is_array:  # kept as ``array``, so it is not rebuilt from the floats
+            arr = raw.astype(float)
+            arr.flags.writeable = False
+            self.__dict__["array"] = arr
 
     @property
     def n(self) -> int:
-        return int(self.values.size)
+        return len(self.values)
 
     @cached_property
-    def sorted_values(self) -> np.ndarray:
-        out = np.sort(self.values)
+    def sorted_values(self) -> tuple:
+        return tuple(sorted(self.values))
+
+    @cached_property
+    def array(self):
+        import numpy as np
+
+        out = np.array(self.values)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def sorted_array(self):
+        import numpy as np
+
+        out = np.sort(self.array)
         out.flags.writeable = False
         return out
 
@@ -76,9 +107,7 @@ def ingest(source) -> LossDataset:
             raise DataError(
                 f"unknown embedded dataset {spec!r}; available: {EMBEDDED_INSURANCE}"
             )
-        return LossDataset(
-            values=np.array(INSURANCE_VALUES), source=spec, name="insurance"
-        )
+        return LossDataset(values=INSURANCE_VALUES, source=spec, name="insurance")
 
     path = Path(spec)
     if not path.is_file():
@@ -105,14 +134,14 @@ def ingest(source) -> LossDataset:
                 saw_row = True  # optional header
                 continue
             raise DataError(f"{spec} line {lineno}: cannot parse {token!r} as a number")
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"{spec} line {lineno}: non-finite value {token!r}")
         saw_row = True
         values.append(value)
 
     if not values:
         raise DataError(f"{spec} contains no numeric values")
-    return LossDataset(values=np.array(values), source=spec, name=path.stem)
+    return LossDataset(values=values, source=spec, name=path.stem)
 
 
 @dataclass(frozen=True)
@@ -152,12 +181,13 @@ class SummaryStats:
         return "".join(f"{k:>16}: {v}\n" for k, v in self._cells().items())
 
 
-def _linear_quantile(sorted_values: np.ndarray, q: float) -> float:
+def _linear_quantile(sorted_values, q: float) -> float:
     """``np.quantile(x, q)`` (the default linear interpolation at rank
     ``(n-1)*q``) for one level ``q`` in ``[0, 1]``, bit for bit, from ``x``
-    already sorted: numpy's index arithmetic and lerp in Python floats.
-    Unlike ``np.quantile`` it never imports ``numpy.ma``, and it costs a few
-    float operations, not numpy's per-call overhead.
+    already sorted (a tuple of floats or an ndarray): numpy's index arithmetic
+    and lerp in Python floats.  Unlike ``np.quantile`` it never imports
+    ``numpy.ma``, and it costs a few float operations, not numpy's per-call
+    overhead.
 
     The one difference: where ``x`` holds both ``0.0`` and ``-0.0``, the two
     compare equal, ``np.quantile``'s partial sort orders them arbitrarily,
@@ -169,14 +199,14 @@ def _linear_quantile(sorted_values: np.ndarray, q: float) -> float:
     exact, so the result is the one numpy's steps give with an unbounded
     exponent, and the same bits wherever those do not overflow.
     """
-    last = sorted_values.size - 1
+    last = len(sorted_values) - 1
     h = last * float(q)
     # at the top both neighbours are the last value, at numpy's index -1
     if h >= last:
-        lo, a, b = -1.0, sorted_values.item(-1), sorted_values.item(-1)
+        lo, a, b = -1.0, float(sorted_values[-1]), float(sorted_values[-1])
     else:
         lo = math.floor(h)
-        a, b = sorted_values.item(lo), sorted_values.item(lo + 1)
+        a, b = float(sorted_values[lo]), float(sorted_values[lo + 1])
     gamma = h - lo
     scale = 0.5 if b - a == math.inf else 1.0
     a, b = a * scale, b * scale
@@ -186,19 +216,20 @@ def _linear_quantile(sorted_values: np.ndarray, q: float) -> float:
 
 def describe(data: LossDataset) -> SummaryStats:
     """Summary statistics; SD is the population standard deviation, computed
-    by :func:`mean_sd` as the Gaussian fit computes it.  The quartiles and
-    the octiles under Bowley's and Moors' measures are ``np.quantile``'s."""
-    x = data.values
-    mean, sd = mean_sd(x)
-    octiles = [_linear_quantile(data.sorted_values, k / 8) for k in range(1, 8)]
+    by :func:`mean_sd` with the bits of the Gaussian fit's numpy mean and SD.
+    The quartiles and the octiles under Bowley's and Moors' measures are
+    ``np.quantile``'s; everything runs on the sample's floats."""
+    xs = data.sorted_values
+    mean, sd = mean_sd(data.values)
+    octiles = [_linear_quantile(xs, k / 8) for k in range(1, 8)]
     bowley, moors = bowley_moors(octiles)
     return SummaryStats(
         n=data.n,
         mean=mean,
         median=octiles[3],
         sd=sd,
-        min=float(x.min()),
-        max=float(x.max()),
+        min=xs[0],
+        max=xs[-1],
         q1=octiles[1],
         q3=octiles[5],
         bowley_skewness=bowley,

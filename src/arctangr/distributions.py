@@ -20,7 +20,7 @@ level at which the quantile function switches branches.
 Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
 (densities divide by ``psi``), evaluated in cache-sized blocks by
-:func:`arctangr._util.blockwise`; one number is checked with ``math`` and
+:func:`arctangr._arrays.blockwise`; one number is checked with ``math`` and
 passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
 Where a formula has two sides, a kernel picks each element's side by
 blending bits (:func:`_select`), not by a branch per element.  Raw moments
@@ -40,16 +40,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import BLOCK, SCALARS, as_float_array, blockwise, bowley_moors, match_input
-from .arctanx import FOUR_OVER_PI, BaseDistribution
+from ._arrays import BLOCK, SCALARS, as_float_array, blockwise, match_input
+from ._util import bowley_moors
+from .arctanx import BaseDistribution
 from .errors import DomainError
+from .tail import (
+    _LOWER_C,
+    _LOWER_N,
+    _PI_OVER_4,
+    _UPPER_C,
+    _UPPER_N,
+    FOUR_OVER_PI,
+    P_STAR,
+    ArctanGRParams,
+)
 
-#: CDF value at the location parameter, (4/pi) * arctan(1/2) ~= 0.5903345.
-#: Quantile lookups below this level land below the location, at or above it
-#: they land at or above the location.
-P_STAR = FOUR_OVER_PI * math.atan(0.5)
-
-_PI_OVER_4 = math.pi / 4.0
 _TINY = float(np.finfo(float).tiny)
 _SIGN_BIT = np.int64(-(2**63))
 
@@ -75,24 +80,6 @@ class RayleighParams:
     psi: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.psi) and self.psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
-
-
-@dataclass(frozen=True)
-class ArctanGRParams:
-    """Location and scale of the arctan Gaussian-Rayleigh distribution.
-
-    ``omega`` and ``psi`` are in data units; ``psi`` is also the scale of the
-    underlying Laplace mixture kernel.
-    """
-
-    omega: float
-    psi: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise DomainError(f"omega must be finite, got {self.omega}")
         if not (np.isfinite(self.psi) and self.psi > 0):
             raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
 
@@ -417,14 +404,8 @@ def _z_quantile(p):
     return _negate(upper, _inplace(np.log, _select(upper, tail, t, out=tail)))
 
 
-# pi g(z) = sum_j C_j e^{-n_j |z|} on either side of 0, the standard density
-# as a series in e^{-|z|}: below 0, C_j = 2 (-1/4)^j and n_j = 2j + 1; above,
-# n_j = j + 1 and C_j = c_j, where c_0 = 1, c_1 = 1/2, c_j = c_{j-1}/2 - c_{j-2}/8,
-# which is 2^{-floor(3j/2)} times +1, +1, +1, 0, -1, -1, -1, 0 repeated.  The
-# terms shrink like 4^{-j} and 2^{-3j/2}, so 60 of them exhaust double precision.
-_j = np.arange(60)
-_LOWER_C, _LOWER_N = 2.0 * (-0.25) ** _j, 2.0 * _j + 1.0
-_UPPER_C, _UPPER_N = np.resize([1.0, 1, 1, 0, -1, -1, -1, 0], 60) * 0.5 ** (3 * _j // 2), _j + 1.0
+# the density's series coefficients, kept as tuples in :mod:`arctangr.tail`, as arrays
+_LOWER_C, _LOWER_N, _UPPER_C, _UPPER_N = map(np.array, (_LOWER_C, _LOWER_N, _UPPER_C, _UPPER_N))
 
 
 @functools.cache

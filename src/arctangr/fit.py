@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import at_unit_scale, dump_csv, dump_json, mean_sd
+from ._util import at_unit_scale, dump_csv, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -169,12 +169,15 @@ def _values(data) -> LossDataset:
 
 def agr_loglik(params: ArctanGRParams, data) -> float:
     """Sum of AGR log-densities over the sample."""
-    return float(np.sum(agr_logpdf(params, _values(data).values)))
+    return float(np.sum(agr_logpdf(params, _values(data).array)))
 
 
-def _build_result(model_name, params, logpdf, x, r, **diag) -> FitResult:
-    with np.errstate(over="ignore"):
-        ll = float(np.sum(logpdf(params, x)))
+def _build_result(model_name, params, logpdf, x, r, ll=None, **diag) -> FitResult:
+    """The fit's result; its log-likelihood is ``sum(logpdf(params, x))``
+    unless given as ``ll``."""
+    if ll is None:
+        with np.errstate(over="ignore"):
+            ll = float(np.sum(logpdf(params, x)))
     if not math.isfinite(ll):
         raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
     crit = information_criteria(ll, int(x.size), r)
@@ -199,14 +202,27 @@ def _check_size(x, r, model):
         raise DomainError(f"{model} fit needs at least {r + 2} observations, got {x.size}")
 
 
+def _mean_sd(y):
+    """numpy's ``mean`` and ``std(ddof=0)`` of an array, its overflow warnings off;
+    :func:`arctangr._util.mean_sd` gives the same bits on the sample's floats."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return y.mean(), y.std(ddof=0)
+
+
+def _root_mean_half_square(y):
+    """``sqrt(sum(y^2) / (2n))``, the Rayleigh MLE, its overflow warnings off."""
+    with np.errstate(over="ignore"):
+        return (np.sqrt(np.sum(y * y) / (2.0 * y.size)),)
+
+
 def fit_gaussian(data) -> FitResult:
     """Closed-form Gaussian MLE: sample mean and population SD.
 
     Both lie within ``max|x|``, so they are finite doubles; where the squares
     overflow they are computed by :func:`at_unit_scale`."""
-    x = _values(data).values
+    x = _values(data).array
     _check_size(x, 2, "Gaussian")
-    omega, sd = mean_sd(x)
+    omega, sd = at_unit_scale(x, _mean_sd)
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
     params = GaussianParams(omega=omega, eta=sd)
@@ -218,11 +234,11 @@ def fit_rayleigh(data) -> FitResult:
 
     ``psi`` is below ``max x``, so it is a finite double; where the squares
     overflow it is computed by :func:`at_unit_scale`."""
-    x = _values(data).values
+    x = _values(data).array
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
     _check_size(x, 1, "Rayleigh")
-    (psi,) = at_unit_scale(x, lambda y: (np.sqrt(np.sum(y * y) / (2.0 * y.size)),))
+    (psi,) = at_unit_scale(x, _root_mean_half_square)
     params = RayleighParams(psi=psi)
     return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
 
@@ -254,8 +270,8 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     data = _values(data)
-    x = data.values
-    med, scale = _median_and_spread(x, data.sorted_values, "Laplace")
+    x = data.array
+    med, scale = _median_and_spread(x, data.sorted_array, "Laplace")
     _check_size(x, 2, "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
     return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
@@ -615,12 +631,13 @@ def fit_agr(data) -> FitResult:
     fewer than 4 observations raise :class:`DomainError` before the search.
     """
     data = _values(data)
-    x, xs = data.values, data.sorted_values
+    x, xs = data.array, data.sorted_array
     _, scale = _median_and_spread(x, xs, "AGR")
     _check_size(x, 2, "AGR")
     # the search takes x - omega at every point: where the sample's range
     # overflows it runs on the sample over 2, and omega, psi and the slopes
-    # map back exactly
+    # map back exactly; so does the log-likelihood, which agr_logpdf would
+    # also take through x - omega: l(x; omega, psi) = l(x/2; omega/2, psi/2) - n log 2
     back = 2.0 if xs.item(-1) - xs.item(0) == math.inf else 1.0
     if back > 1.0:
         xs, scale = xs / back, scale / back
@@ -636,12 +653,17 @@ def fit_agr(data) -> FitResult:
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
     psi = math.exp(best.t)
+    ll = None
+    if back > 1.0:
+        half = agr_logpdf(ArctanGRParams(float(best.omega), psi), x / back)
+        ll = float(np.sum(half)) - x.size * math.log(back)
     return _build_result(
         "agr",
         ArctanGRParams(omega=float(best.omega) * back, psi=psi * back),
         agr_logpdf,
         x,
         r=2,
+        ll=ll,
         iterations=search.steps,
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,

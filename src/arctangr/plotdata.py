@@ -111,7 +111,7 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     its fences (1.5 IQR beyond the quartiles) or its grid (a quarter of the
     range beyond the data) would overflow raises :class:`DataError`.
     """
-    x = data.values
+    x = data.array
     lo, hi = float(x.min()), float(x.max())
     span = hi - lo
     # every fence, grid point and grid step lies within this of zero
@@ -121,7 +121,7 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
             "density grid would leave the double range"
         )
     # np.quantile's quartiles, from which np.histogram's "fd" takes its IQR
-    q1, med, q3 = (_linear_quantile(data.sorted_values, q) for q in (0.25, 0.5, 0.75))
+    q1, med, q3 = (_linear_quantile(data.sorted_array, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
     counts, edges = np.histogram(
         x, bins=(_fd_bins(x.size, span, iqr) if bins is None else int(bins)))

@@ -11,39 +11,25 @@ is an affine image of one computed on the standard variable ``Z``:
 ``e^{-|z|}`` (the raw moments' series), taken about ``z_a`` and ``m``: from
 0.5 + 1e-7 to 1 - 1e-13 they are within 2.5e-16 (``m``, relative to
 ``1 + |m|``) and 5.5e-16 (``v``, relative) of a 25-digit reference.  ``z``,
-``m`` and ``v`` depend on the levels alone, so each grid of levels is summed
-once, as one vectorised series, and its read-only arrays kept (the 64 most
+``m`` and ``v`` depend on the levels alone: :mod:`arctangr.tail` sums them in
+Python floats, level by level, and keeps each grid's tuples (the 64 most
 recently used grids of at most 256 levels) for every later call and every
-``(omega, psi)``.  The affine map, its finiteness checks and the report's
-checks then run on Python floats, per level: the same arithmetic as numpy's
-on the arrays, so the same bits, without numpy's cost per call on a handful
-of levels.  A seeded Monte Carlo oracle and order-statistic empirical
-estimators round out the module.
+``(omega, psi)``.  The affine map, its finiteness checks, the report's checks
+and the empirical estimators run on Python floats too, so a risk command
+that fits nothing never imports numpy.  A seeded Monte Carlo oracle, the one
+bulk computation here, imports numpy when it is called.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
-from ._util import at_unit_scale, dump_csv, dump_json
+from ._util import at_unit_scale, dump_csv, dump_json, mean_var
 from .dataset import LossDataset, _linear_quantile
-from .distributions import (
-    _LOWER_C,
-    _LOWER_N,
-    _UPPER_C,
-    _UPPER_N,
-    P_STAR,
-    ArctanGRParams,
-    _from_z,
-    _z_quantile,
-    _z_tail_quantile,
-)
 from .errors import DataError, DomainError
+from .tail import _CACHED_LEVELS, _UPPER_N, P_STAR, ArctanGRParams, _standard_tail, _tail_moments
 
 
 def _check_alpha(alpha) -> float:
@@ -68,63 +54,12 @@ def var(params: ArctanGRParams, alpha) -> float:
     return _risk_lists(params, [a], ["VaR"])[0][0]
 
 
-# C / n^k, k = 1, 2, 3: the weights of the three lower-branch sums
-_LOWER_W = [_LOWER_C / _LOWER_N**k for k in (1, 2, 3)]
-
-
-def _tail_moments(alphas):
-    """``(z, m, v)`` arrays per level: ``z_a``, ``E[Z | Z > z_a]`` and ``E[(Z - m)^2 | Z > z_a]``.
-
-    ``m = z_a + P_1/P_0`` with ``P_k = pi int_{z_a}^inf (z - z_a)^k g dz``; ``v`` is
-    summed about ``m``.  Above ``lo = max(z_a, 0)``, with ``u = 1/n + lo - z_a``, the
-    term ``C e^{-n z}`` adds ``C e^{-n lo} / n`` times ``1``, ``u`` and ``u^2 + 1/n^2``;
-    on ``[z_a, 0)`` the term ``C e^{n z}``, with ``x = n (lo - z_a)`` and ``e = 1 - e^{-x}``,
-    adds ``C e/n``, ``C (x - e)/n^2`` and ``C (x^2 - 2x + 2e)/n^3``.  At ``z_a >= 0``
-    those lower sums are exactly +0.0, so they are summed only for levels with
-    ``z_a < 0`` and left at 0 for the rest.
-    """
-    z = _z_quantile(np.atleast_1d(np.asarray(alphas, dtype=float)))
-    lo = np.maximum(z, 0.0)[:, None]
-    w = np.exp(-_UPPER_N * lo) * (_UPPER_C / _UPPER_N)
-    u = lo - z[:, None] + 1.0 / _UPPER_N
-    s0, s1, s2 = lower = np.zeros((3, z.size))
-    below = np.flatnonzero(z < 0.0)
-    if below.size:
-        x = _LOWER_N * -z[below, None]
-        e = -np.expm1(-x)
-        for s, weight, t in zip(lower, _LOWER_W, (e, x - e, x * (x - 2.0) + 2.0 * e)):
-            s[below] = (weight * t).sum(axis=1)
-    p0 = w.sum(axis=1) + s0
-    r = ((w * u).sum(axis=1) + s1) / p0
-    c = u - r[:, None]
-    p2 = (w * (c * c + _UPPER_N**-2.0)).sum(axis=1) + s2 - r * (2.0 * s1 - r * s0)
-    return z, z + r, p2 / p0
-
-
-#: Longer grids of levels are summed on every call, not kept, so the cache of
-#: :func:`_standard_tail` holds at most 64 x 256 levels (~0.9 MB, ~56 bytes each).
-_CACHED_LEVELS = 256
-
-
-@functools.lru_cache(maxsize=64)
-def _standard_tail(levels: tuple):
-    """:func:`_tail_moments` over the checked ``levels``, kept for the 64 most
-    recently used grids; :func:`_risk_lists` asks it only for grids of at most
-    ``_CACHED_LEVELS`` levels.  The result depends on the levels alone, never on
-    ``(omega, psi)``, so every parameter set and every measure share it; the
-    arrays are read-only, so no caller can change what a later one reads."""
-    tail = _tail_moments(levels)
-    for arr in tail:
-        arr.flags.writeable = False
-    return tail
-
-
 def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
     """The named measures over the checked ``levels``, one list of floats each,
-    mapped from :func:`_standard_tail` as ``omega + psi z``, ``omega + psi m``
-    and ``(psi psi) v``: the arithmetic, and so the bits, of numpy on the
-    arrays, without its per-call cost.  Grids longer than ``_CACHED_LEVELS``
-    take the same loop over a fresh :func:`_tail_moments`.  :class:`DomainError`
+    mapped from :func:`arctangr.tail._standard_tail` as ``omega + psi z``,
+    ``omega + psi m`` and ``(psi psi) v``: the arithmetic, and so the bits, of
+    numpy on the arrays, without its per-call cost.  Grids longer than
+    ``_CACHED_LEVELS`` take the same loop over a fresh ``_tail_moments``.  :class:`DomainError`
     names the first measure (in ``names`` order) and the first level at which
     it is not a finite double."""
     if len(levels) <= _CACHED_LEVELS:
@@ -136,9 +71,9 @@ def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
     for name in names:
         if name == "TV":
             psi2 = psi * psi
-            col = [psi2 * s for s in v.tolist()]
+            col = [psi2 * s for s in v]
         else:
-            col = [omega + psi * s for s in (z if name == "VaR" else m).tolist()]
+            col = [omega + psi * s for s in (z if name == "VaR" else m)]
         if not all(map(math.isfinite, col)):
             bad = next(i for i, value in enumerate(col) if not math.isfinite(value))
             raise DomainError(f"{name} at alpha={levels[bad]!r} is not a finite double")
@@ -264,10 +199,24 @@ class RiskReport:
         return "\n".join(lines) + "\n"
 
 
+def _as_floats(alphas) -> list:
+    """``alphas``, one level or a sequence of them, as a list of floats; what
+    does not read as a flat sequence of numbers (a nested list, a 0-d or a
+    2-d array) is read as ``np.atleast_1d`` reads it, with numpy's errors."""
+    try:
+        return [float(a) for a in alphas]
+    except TypeError:
+        if isinstance(alphas, (int, float)):
+            return [float(alphas)]
+        import numpy as np
+
+        arr = np.atleast_1d(np.asarray(alphas, dtype=float))
+        return arr.tolist() if arr.ndim == 1 else list(map(float, arr))
+
+
 def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
     """Risk measures across confidence levels, one sorted row per level."""
-    arr = np.atleast_1d(np.asarray(alphas, dtype=float))
-    values = arr.tolist() if arr.ndim == 1 else list(map(float, arr))
+    values = _as_floats(alphas)
     levels = sorted(values)
     # a NaN makes the sum NaN; otherwise the sorted ends bound every level
     if math.isnan(sum(values)) or levels and not (0.5 < levels[0] and levels[-1] < 1.0):
@@ -278,7 +227,7 @@ def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
     return RiskReport(
         rows=rows,
         source=f"model(omega={params.omega!r}, psi={params.psi!r})",
-        method={"rule": "density series, termwise", "terms": _UPPER_N.size},
+        method={"rule": "density series, termwise", "terms": len(_UPPER_N)},
     )
 
 
@@ -288,24 +237,24 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     VaR is the linear-interpolation quantile at rank ``h = (n-1)*alpha + 1``
     (numpy's default); TVaR is the mean of observations strictly exceeding
     it and TV their population variance, which needs at least two
-    exceedances.  Unlike the model-based measures, any ``alpha`` in (0, 1)
+    exceedances.  All three run on the sample's floats, with the bits of
+    ``np.quantile``, ``mean`` and ``var(ddof=0)``.  Unlike the model-based measures, any ``alpha`` in (0, 1)
     is accepted.
     """
     a = float(alpha)
     if math.isnan(a) or not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
-    values = data.values
-    if values.size < 2:
+    if data.n < 2:
         raise DataError("empirical risk needs at least 2 observations")
     threshold = _linear_quantile(data.sorted_values, a)
-    exceed = values[values > threshold]
-    if exceed.size < 2:
+    exceed = [v for v in data.values if v > threshold]
+    if len(exceed) < 2:
         raise DataError(
             f"empirical TVaR/TV need at least 2 observations above the VaR "
-            f"threshold; got {exceed.size} at alpha={a}"
+            f"threshold; got {len(exceed)} at alpha={a}"
         )
     try:
-        mean, tv = at_unit_scale(exceed, lambda y: (y.mean(), y.var(ddof=0)), (1, 2))
+        mean, tv = at_unit_scale(exceed, mean_var, (1, 2))
     except DataError:
         # TV scales like the square, so it may overflow where the mean does not
         raise DataError(f"empirical TV at alpha={a} is not a finite double") from None
@@ -314,7 +263,7 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
 
 def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:
     """Empirical analogue of :func:`risk_curve`."""
-    levels = sorted(float(a) for a in np.atleast_1d(np.asarray(alphas, dtype=float)))
+    levels = sorted(_as_floats(alphas))
     rows = tuple(empirical_risk(data, a) for a in levels)
     return RiskReport(
         rows=rows,
@@ -354,6 +303,10 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     squares and fourth powers of the exceedances stay finite wherever TV is.
     A result that is not a finite double raises :class:`DomainError`.
     """
+    import numpy as np
+
+    from .distributions import _from_z, _z_quantile, _z_tail_quantile
+
     a = _check_alpha(alpha)
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")

@@ -1,8 +1,11 @@
-"""Test oracle: the risk rows, the risk report's checks and the raw moments in
-their array forms.
+"""Test oracle: the tail series, the risk rows, the risk report's checks and
+the raw moments in their array forms.
 
-``risk_columns`` maps the standard tail's arrays with numpy under
-``errstate`` and scans each column for a value that is not finite;
+``tail_moments`` is the tail series as one numpy evaluation of (levels x 60)
+arrays, the form the library used before the series moved to Python floats
+(:mod:`arctangr.tail`); the float series must stay within a few ulps of it.
+``risk_columns`` maps the production standard tail ``(z, m, v)`` with numpy
+under ``errstate`` and scans each column for a value that is not finite;
 ``check_report`` walks the rows once per check; ``agr_moment`` sums with
 ``math.comb`` and ``sum`` per term.  The float path of :mod:`arctangr.risk`
 and :func:`arctangr.distributions.agr_moment` must equal these bit for bit,
@@ -13,16 +16,42 @@ import math
 
 import numpy as np
 
-from arctangr.distributions import _z_moment_parts
+from arctangr.distributions import _LOWER_C, _LOWER_N, _UPPER_C, _UPPER_N, _z_moment_parts, _z_quantile
 from arctangr.errors import DomainError
-from arctangr.risk import RiskRow, _check_alpha, _tail_moments
+from arctangr.risk import RiskRow, _check_alpha
+from arctangr.tail import _tail_moments
+
+# C / n^k, k = 1, 2, 3: the weights of the three lower-branch sums
+_LOWER_W = [_LOWER_C / _LOWER_N**k for k in (1, 2, 3)]
+
+
+def tail_moments(alphas):
+    """``(z, m, v)`` arrays per level: ``z_a``, ``E[Z | Z > z_a]`` and
+    ``E[(Z - m)^2 | Z > z_a]``, by the series of :func:`arctangr.tail._level_moments`
+    on arrays, with its lower-branch sums taken only where ``z_a < 0``."""
+    z = _z_quantile(np.atleast_1d(np.asarray(alphas, dtype=float)))
+    lo = np.maximum(z, 0.0)[:, None]
+    w = np.exp(-_UPPER_N * lo) * (_UPPER_C / _UPPER_N)
+    u = lo - z[:, None] + 1.0 / _UPPER_N
+    s0, s1, s2 = lower = np.zeros((3, z.size))
+    below = np.flatnonzero(z < 0.0)
+    if below.size:
+        x = _LOWER_N * -z[below, None]
+        e = -np.expm1(-x)
+        for s, weight, t in zip(lower, _LOWER_W, (e, x - e, x * (x - 2.0) + 2.0 * e)):
+            s[below] = (weight * t).sum(axis=1)
+    p0 = w.sum(axis=1) + s0
+    r = ((w * u).sum(axis=1) + s1) / p0
+    c = u - r[:, None]
+    p2 = (w * (c * c + _UPPER_N**-2.0)).sum(axis=1) + s2 - r * (2.0 * s1 - r * s0)
+    return z, z + r, p2 / p0
 
 
 def risk_columns(params, levels, names=("VaR", "TVaR", "TV")):
-    """The named measures, one array over the checked ``levels`` each;
-    :class:`DomainError` names the measure and the first level at which it
-    is not a finite double."""
-    z, m, v = _tail_moments(levels)
+    """The named measures, one array over the checked ``levels`` each, mapped
+    from the production ``(z, m, v)``; :class:`DomainError` names the measure
+    and the first level at which it is not a finite double."""
+    z, m, v = map(np.array, _tail_moments(levels))
     with np.errstate(over="ignore"):
         cols = {"VaR": params.omega + params.psi * z, "TVaR": params.omega + params.psi * m,
                 "TV": params.psi * params.psi * v}

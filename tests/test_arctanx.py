@@ -18,7 +18,7 @@ from arctangr import (
     mixture_kernel_base,
     rayleigh_base,
 )
-from arctangr._util import BLOCK
+from arctangr._arrays import BLOCK
 from arctangr.arctanx import FOUR_OVER_PI
 
 # (4/pi) * arctan(1/2), evaluated at 40-digit precision and frozen

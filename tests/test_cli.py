@@ -328,7 +328,8 @@ class TestColdPath:
 
 class TestModuleSets:
     # a fresh interpreter per command: each loads the package modules it
-    # runs and no other, since the runners import what they call
+    # runs and no other, since the runners import what they call; the
+    # commands that fit and draw nothing run on floats and never load numpy
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
         import arctangr.cli
@@ -336,32 +337,46 @@ class TestModuleSets:
         with contextlib.redirect_stdout(io.StringIO()):
             code = arctangr.cli.main(sys.argv[1:])
         print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("arctangr.")),
-                          sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"])]))
+                          sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]),
+                          "numpy" in sys.modules, "scipy" in sys.modules]))
     """)
     BASE = ["_util", "cli", "dataset", "errors"]
-    MODEL = sorted(BASE + ["arctanx", "distributions"])
+    FLOATS = sorted(BASE + ["risk", "tail"])
+    MODEL = sorted(BASE + ["_arrays", "arctanx", "distributions", "tail"])
     INS = "--data embedded:insurance"
+    PARAMS = "risk --omega 0.02 --psi 0.005"
+    # the modules each command loads, and whether numpy is among them
     LOADS = {
-        f"describe {INS}": BASE,
-        "risk --omega 0.02 --psi 0.005": sorted(MODEL + ["risk"]),
-        "risk --omega 0.02 --psi 0.005 --mc-samples 2000": sorted(MODEL + ["risk"]),
-        f"risk {INS} --empirical --alphas 0.75,0.9": sorted(MODEL + ["risk"]),
-        f"fit {INS}": sorted(MODEL + ["fit"]),
-        f"fit {INS} --model gaussian": sorted(MODEL + ["fit"]),
-        f"compare {INS}": sorted(MODEL + ["fit"]),
-        f"risk {INS}": sorted(MODEL + ["fit", "risk"]),
-        f"plotdata {INS}": sorted(MODEL + ["fit", "plotdata", "risk"]),
+        f"describe {INS}": (BASE, False),
+        "describe --data {file}": (BASE, False),
+        "describe --data {file} --format json": (BASE, False),
+        PARAMS: (FLOATS, False),
+        f"{PARAMS} --format csv": (FLOATS, False),
+        f"{PARAMS} --alphas 0.609,0.75,0.9,0.99 --format json": (FLOATS, False),
+        f"risk {INS} --empirical --alphas 0.75,0.9": (FLOATS, False),
+        "risk --data {file} --empirical --alphas 0.75,0.9 --format json": (FLOATS, False),
+        f"{PARAMS} --mc-samples 2000": (sorted(MODEL + ["risk"]), True),
+        f"fit {INS}": (sorted(MODEL + ["fit"]), True),
+        f"fit {INS} --model gaussian": (sorted(MODEL + ["fit"]), True),
+        f"compare {INS}": (sorted(MODEL + ["fit"]), True),
+        f"risk {INS}": (sorted(MODEL + ["fit", "risk"]), True),
+        f"plotdata {INS}": (sorted(MODEL + ["fit", "plotdata", "risk"]), True),
     }
 
     @pytest.mark.parametrize("command", LOADS)
-    def test_each_command_loads_only_what_it_runs(self, src_env, command):
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *command.split()],
+    def test_each_command_loads_only_what_it_runs(self, src_env, tmp_path, command):
+        data = tmp_path / "losses.csv"
+        data.write_text("loss\n" + "\n".join(map(str, range(1, 41))) + "\n")
+        argv = command.format(file=data).split()
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
                               capture_output=True, text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr
-        code, loaded, masked = json.loads(proc.stdout.splitlines()[-1])
+        code, loaded, masked, numpy, scipy = json.loads(proc.stdout.splitlines()[-1])
+        modules, needs_numpy = self.LOADS[command]
         assert code == 0
-        assert loaded == [f"arctangr.{m}" for m in self.LOADS[command]]
+        assert loaded == [f"arctangr.{m}" for m in modules]
         assert masked == []  # numpy.ma: ~20 ms of imports no command needs
+        assert (numpy, scipy) == (needs_numpy, False)
 
     def test_model_choices_come_from_the_registry(self, capsys):
         # argparse lists and tests the --model choices of fit from fit.MODELS

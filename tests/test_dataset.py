@@ -7,8 +7,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from arctangr import P_STAR, DataError, LossDataset, describe, fit_gaussian, ingest
-from arctangr._util import bowley_moors
+from arctangr import (
+    P_STAR,
+    DataError,
+    LossDataset,
+    describe,
+    empirical_risk,
+    fit_gaussian,
+    ingest,
+)
+from arctangr import fit as fit_module
+from arctangr._util import at_unit_scale, bowley_moors, mean_sd, mean_var
 from arctangr.dataset import _linear_quantile
 
 
@@ -17,7 +26,7 @@ class TestEmbedded:
         assert insurance.n == 58
         assert insurance.values[0] == 0.052
         assert insurance.values[-1] == 0.073
-        assert insurance.values.max() == 0.222
+        assert max(insurance.values) == 0.222
         assert insurance.source == "embedded:insurance"
         assert insurance.name == "insurance"
 
@@ -29,10 +38,17 @@ class TestEmbedded:
         s = insurance.sorted_values
         assert s is insurance.sorted_values
         assert np.all(np.diff(s) >= 0)
-        with pytest.raises(ValueError):
+        # the floats are tuples; the arrays, made on first use, are read-only
+        assert type(s) is tuple and type(insurance.values) is tuple
+        with pytest.raises(TypeError):
             s[0] = 99.0
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             insurance.values[0] = 99.0
+        for arr, floats in ((insurance.array, insurance.values),
+                            (insurance.sorted_array, insurance.sorted_values)):
+            assert arr.tolist() == list(floats)
+            with pytest.raises(ValueError):
+                arr[0] = 99.0
 
 
 class TestIngestFiles:
@@ -275,3 +291,65 @@ class TestLinearQuantile:
             except FloatingPointError:
                 want = 4.0 * _linear_quantile(xs / 4.0, level)
             assert bits(_linear_quantile(xs, level)) == bits(want)
+
+
+def float_bits(values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+# sizes on both sides of numpy's pairwise-sum boundaries: fewer than 8 terms
+# summed in order, up to 128 on eight accumulators, then halves, and the
+# 8192-element blocks of a buffered reduction
+SIZES = st.one_of(st.integers(1, 300), st.sampled_from(
+    [7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1000, 8191, 8192, 8193, 16385, 20001]))
+
+# the samples whose squares or sums overflow, from the describe and Gaussian fit tests
+OVERFLOWING = [[1.0, 2.0, 3.0, 4.0, 1e200], [1e154, -1e154, 3.0, 4.0, 5.0],
+               [1e300, 2e300, -3e300, 5.0], [1e308, 1.7e308, 1.7e308, 1.7e308],
+               [-1.4e308] * 3 + [-0.4e308] * 2, [1.7e308, 1.7e308, -1e308],
+               [-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0],
+               [1.7976931348623157e308] * 6 + [-1.7976931348623157e308] * 2 + [0.0],
+               [1e154, -1e154] * 2, [-1e308, 0.0, 1e308, 0.0], [1e200, 2e200, 3e200, 4e200],
+               [1.7e308, 1e-300, 5.0, 9e307]]
+
+
+class TestFloatStatistics:
+    """``describe`` and ``empirical_risk`` take the mean, SD and variance on
+    the sample's floats; they keep numpy's ``mean``/``std``/``var(ddof=0)``
+    bits, and so the Gaussian fit's, which takes them on the array."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=SIZES, seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 300),
+           shift=st.floats(-1e6, 1e6))
+    @example(n=8192, seed=1, exponent=0, shift=0.0)
+    @example(n=20001, seed=2, exponent=150, shift=1e6)
+    def test_mean_sd_and_var_are_numpys(self, n, seed, exponent, shift):
+        x = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent + shift
+        assume(np.isfinite(x).all())
+        values = x.tolist()
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = (x.mean(), x.std(ddof=0)), (x.mean(), x.var(ddof=0))
+        assert float_bits(mean_var(values)) == float_bits(want[1])
+        if all(map(math.isfinite, want[0])):
+            assert float_bits(mean_sd(values)) == float_bits(want[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=SIZES, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 0.99))
+    @example(n=20001, seed=3, alpha=0.5)
+    @example(n=300, seed=4, alpha=0.95)
+    def test_empirical_tvar_and_tv_are_numpys(self, n, seed, alpha):
+        x = np.random.default_rng(seed).lognormal(0.0, 1.5, n)
+        data = LossDataset(values=x, source="inline", name="s")
+        exceed = x[x > np.quantile(x, alpha)]
+        assume(exceed.size >= 2)
+        row = empirical_risk(data, alpha)
+        assert float_bits([row.var, row.tvar, row.tv]) == float_bits(
+            [np.quantile(x, alpha), exceed.mean(), exceed.var(ddof=0)])
+
+    @pytest.mark.parametrize("values", OVERFLOWING)
+    def test_rescaled_statistics_are_the_gaussian_fits(self, values):
+        # where the squares or a sum overflow, both are taken at unit scale:
+        # describe's floats and the Gaussian fit's arrays still agree bit for bit
+        stats = describe(LossDataset(values=values, source="inline", name="w"))
+        want = at_unit_scale(np.array(values), fit_module._mean_sd)
+        assert float_bits([stats.mean, stats.sd]) == float_bits(want)

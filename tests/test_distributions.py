@@ -49,7 +49,8 @@ from arctangr import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
-from arctangr._util import BLOCK, bowley_moors
+from arctangr._arrays import BLOCK
+from arctangr._util import bowley_moors
 from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
     _half_exp,

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import where_kernels as ref
 from arctangr import P_STAR
-from arctangr._util import BLOCK
+from arctangr._arrays import BLOCK
 from arctangr.distributions import (
     _BLEND_MIN,
     _laplace_cdf,

@@ -1,7 +1,9 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
 ``scipy.special`` from scipy, and nothing from the test-only packages.  The
 distribution kernels stay branch-free: ``np.where`` only in ``_select``.  And
-every sample quantile is ``dataset._linear_quantile``: no numpy quantile."""
+every sample quantile is ``dataset._linear_quantile``: no numpy quantile.
+The modules of the commands that fit nothing import no numpy or scipy when
+they are loaded."""
 
 import ast
 from pathlib import Path
@@ -91,3 +93,40 @@ def test_numpy_calls_found():
 def test_no_numpy_quantiles(path):
     # np.quantile and its kin import numpy.ma; _linear_quantile gives their bits
     assert numpy_calls(path.read_text(encoding="utf-8"), QUANTILES) == []
+
+
+def module_level_imports(source):
+    """Every module that ``source`` imports when it is itself imported: its
+    ``import`` and absolute ``from ... import`` statements outside function
+    bodies (class bodies and ``if``/``try`` blocks run at import, so count)."""
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                yield from (alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                yield child.module
+            yield from visit(child)
+
+    return list(visit(ast.parse(source)))
+
+
+def test_module_level_imports_found():
+    source = ("import numpy as np\nfrom scipy.special import ndtr\nfrom . import tail\n"
+              "try:\n    import json\nexcept ImportError:\n    pass\n"
+              "class A:\n    import csv\n"
+              "def f():\n    import numpy\n    from scipy import optimize\n")
+    assert module_level_imports(source) == ["numpy", "scipy.special", "json", "csv"]
+
+
+# the modules that describe, risk --omega/--psi and risk --empirical load:
+# they import numpy and scipy only inside the functions that need them
+COLD_PATH = ("cli.py", "dataset.py", "_util.py", "errors.py", "tail.py", "risk.py")
+
+
+@pytest.mark.parametrize("name", COLD_PATH)
+def test_cold_path_modules_import_no_numpy(name):
+    path = next(p for p in SOURCES if p.name == name)
+    names = module_level_imports(path.read_text(encoding="utf-8"))
+    assert not [n for n in names if within(n, "numpy") or within(n, "scipy")]
