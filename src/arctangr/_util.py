@@ -1,7 +1,7 @@
-"""Internal helpers in Python floats: numpy's pairwise sum, the sample
-statistics taken at unit scale where they would overflow, Bowley/Moors, and
-the output formats.  Nothing here imports numpy (see :mod:`arctangr._arrays`
-for the elementwise kernels' helpers)."""
+"""Internal helpers in Python floats: numpy's pairwise sum, the one unit
+scale of every sample sum and fit (:func:`unit_exponent`), the mean and
+variance, Bowley/Moors, and the output formats.  Nothing here imports numpy
+(see :mod:`arctangr._arrays` for the elementwise kernels' helpers)."""
 
 import csv
 import io
@@ -9,8 +9,6 @@ import json
 import math
 from functools import reduce
 from operator import add
-
-from .errors import DataError
 
 
 def _pairwise(x, i, n):
@@ -36,48 +34,41 @@ def pairwise_sum(x) -> float:
     return _pairwise(x, 0, len(x))
 
 
-def at_unit_scale(x, stats, degrees=None):
-    """``stats(x)`` as a tuple of floats, each statistic scaling like ``x`` (or
-    like ``x**k``, ``k`` its entry in ``degrees``).  ``x`` is a list (or tuple)
-    of floats, or an ndarray whose ``stats`` run with numpy's overflow and
-    invalid-value warnings off.  It is taken on ``x`` itself.  Only where a
-    statistic is not finite (the squares overflow, or a sum meets both
-    infinities, though the statistics need not) is it taken again, on ``x``
-    times ``2^-e``, ``2^e`` the power of two just above ``max|x|``, and then
-    times ``2^e`` (``2^{ke}``).  Both scalings are exact (or round once into
-    the subnormals, as ``ldexp`` does), so only ``stats`` rounds, and the
-    statistics keep their bits wherever nothing overflows."""
-    values = tuple(map(float, stats(x)))
-    if all(map(math.isfinite, values)):
-        return values
-    e = math.frexp(max(map(abs, x)))[1]
-    unit = math.ldexp(1.0, -e)
-    values = stats([v * unit for v in x] if isinstance(x, (list, tuple)) else x * unit)
-    try:
-        return tuple(math.ldexp(float(v), k * e)
-                     for v, k in zip(values, degrees or [1] * len(values)))
-    except OverflowError:
-        raise DataError("a statistic of the sample is not a finite double") from None
+#: Samples whose largest size lies in [2^(-B-1), 2^B) are summed as they are;
+#: :func:`unit_exponent` brings any other to that band's nearer edge.  At the
+#: top, a deviation between two values of the sample is below 2^(B+1), so
+#: ``n < 2^64`` squared deviations sum below 2^(2B+66) = 2^962 < 2^1024.  At
+#: the bottom, two distinct doubles near the largest size differ by at least
+#: its ulp, 2^(-B-53), whose square 2^(-2B-106) = 2^-1002 is still a normal
+#: double (>= 2^-1022).  Both hold up to B = 458; 448 keeps ten binades
+#: to spare.
+_BAND = 448
 
 
-def mean_var(x):
-    """numpy's ``mean`` and ``var(ddof=0)`` of a list of floats, bit for bit:
-    the pairwise sum over ``n``, then the pairwise sum of the squared
-    deviations from that mean over ``n``."""
+def unit_exponent(lo, hi) -> int:
+    """The exponent ``e`` of a sample's unit scale, from its smallest and
+    largest values: its sums are taken on ``x`` times ``2^-e`` and mapped back
+    by ``2^e`` (``ldexp``), exactly, so that no square of a deviation
+    overflows or, unless it is 0, leaves the normal doubles.  With ``t`` the
+    binary exponent of ``max|x|`` (as ``frexp`` gives it), ``e = t - clamp(t,
+    -B, B)``: 0 inside the band, where the sums keep their bits with no copy,
+    and otherwise the smallest shift that brings ``max|x|`` to its edge."""
+    t = math.frexp(max(abs(lo), abs(hi)))[1]
+    return t - min(max(t, -_BAND), _BAND)
+
+
+def mean_var(x, e):
+    """numpy's ``mean`` and ``var(ddof=0)`` of a list of floats times ``2^-e``,
+    bit for bit: the pairwise sum over ``n``, then the pairwise sum of the
+    squared deviations from that mean over ``n``.  They are left at that
+    scale; the mean maps back by ``2^e``, the variance by ``2^2e``."""
+    if e:
+        unit = math.ldexp(1.0, -e)
+        x = [v * unit for v in x]
     n = len(x)
     mean = pairwise_sum(x) / n
     dev = [v - mean for v in x]
     return mean, pairwise_sum([d * d for d in dev]) / n
-
-
-def mean_sd(x):
-    """The mean and the population SD of a list of floats, numpy's ``mean``
-    and ``std(ddof=0)`` bit for bit, by :func:`at_unit_scale`."""
-    def stats(y):
-        mean, var = mean_var(y)
-        return mean, math.sqrt(var)
-
-    return at_unit_scale(x, stats)
 
 
 def bowley_moors(octiles):

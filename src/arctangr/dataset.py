@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from pathlib import Path
 
-from ._util import bowley_moors, dump_csv, dump_json, mean_sd
+from ._util import bowley_moors, dump_csv, dump_json, mean_var, unit_exponent
 from .errors import DataError
 
 EMBEDDED_PREFIX = "embedded:"
@@ -215,19 +215,22 @@ def _linear_quantile(sorted_values, q: float) -> float:
 
 
 def describe(data: LossDataset) -> SummaryStats:
-    """Summary statistics; SD is the population standard deviation, computed
-    by :func:`mean_sd` with the bits of the Gaussian fit's numpy mean and SD.
-    The quartiles and the octiles under Bowley's and Moors' measures are
-    ``np.quantile``'s; everything runs on the sample's floats."""
+    """Summary statistics; SD is the population standard deviation.  The mean
+    and SD are :func:`mean_var`'s at the sample's unit scale (see
+    :func:`unit_exponent`), mapped back: the bits of the Gaussian fit's numpy
+    mean and SD.  The quartiles and the octiles under Bowley's and Moors'
+    measures are ``np.quantile``'s, on the sample itself; everything runs on
+    the sample's floats."""
     xs = data.sorted_values
-    mean, sd = mean_sd(data.values)
+    e = unit_exponent(xs[0], xs[-1])
+    mean, var = mean_var(data.values, e)
     octiles = [_linear_quantile(xs, k / 8) for k in range(1, 8)]
     bowley, moors = bowley_moors(octiles)
     return SummaryStats(
         n=data.n,
-        mean=mean,
+        mean=math.ldexp(mean, e),
         median=octiles[3],
-        sd=sd,
+        sd=math.ldexp(math.sqrt(var), e),
         min=xs[0],
         max=xs[-1],
         q1=octiles[1],

@@ -56,6 +56,7 @@ from .tail import (
 )
 
 _TINY = float(np.finfo(float).tiny)
+_HALF_MAX = 2.0 ** 1023
 _SIGN_BIT = np.int64(-(2**63))
 
 
@@ -135,19 +136,20 @@ def rayleigh_quantile(params: RayleighParams, p):
 
 def rayleigh_logpdf(params: RayleighParams, x):
     """Log density ``log(z/psi) - z^2/2``, ``z = x/psi``; ``-inf`` off the support
-    (x <= 0).  Where ``z/psi`` underflows (a point far below ``psi``) the log is
-    taken as ``log x - 2 log psi``, so it stays finite; elsewhere it keeps its
-    bits."""
+    (x <= 0).  Where ``z/psi`` underflows (a point far below ``psi``), or
+    reaches 2^1023 (which a subnormal ``psi`` can bring about; ``z`` is capped
+    there, so it never overflows), the log is taken as ``log x - 2 log psi``,
+    so it stays finite; elsewhere it keeps its bits."""
     arr = as_float_array(x)
     psi = params.psi
     pos = _lanes(arr > 0)
     safe = _select(pos, arr, 1.0)
     z = safe / psi
-    ratio = z / psi
-    tiny = _lanes(ratio < _TINY)
-    log_ratio = np.log(_select(tiny, 1.0, ratio))
-    if np.any(tiny):
-        log_ratio = _select(tiny, np.log(safe) - 2.0 * math.log(psi), log_ratio)
+    ratio = np.minimum(z, float(psi) * _HALF_MAX) / psi
+    far = _lanes((ratio < _TINY) | (ratio >= _HALF_MAX))
+    log_ratio = np.log(_select(far, 1.0, ratio))
+    if np.any(far):
+        log_ratio = _select(far, np.log(safe) - 2.0 * math.log(psi), log_ratio)
     out = _select(pos, log_ratio - 0.5 * z * z, -np.inf)
     return match_input(x, out)
 

@@ -12,7 +12,12 @@ swept point by point).  Every score pass of a fit writes one preallocated
 workspace in place.  The fit stops on a checkable rule (see
 :func:`fit_agr`).  No scipy is
 imported.  The baseline Gaussian, Rayleigh, and Laplace fits are
-closed-form MLEs.  The four models are registered once, in :data:`MODELS`.
+closed-form MLEs.  Every fit runs on its sample at unit scale, ``x``
+times ``2^-e`` (:func:`arctangr._util.unit_exponent`; ``e = 0`` for
+``max|x|`` in ``[2^-449, 2^448)``), where no sum overflows and no nonzero
+squared deviation leaves the normal doubles; each parameter, a location
+or a scale, maps back by ``2^e``, and the log-likelihood by
+``- n e log 2``.  The four models are registered once, in :data:`MODELS`.
 Model ranking uses AIC, BIC, CAIC, and HQIC (lower is better; higher
 log-likelihood is better).
 """
@@ -26,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._util import at_unit_scale, dump_csv, dump_json
+from ._util import dump_csv, dump_json, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .distributions import (
     P_STAR,
@@ -172,20 +177,32 @@ def agr_loglik(params: ArctanGRParams, data) -> float:
     return float(np.sum(agr_logpdf(params, _values(data).array)))
 
 
-def _build_result(model_name, params, logpdf, x, r, ll=None, **diag) -> FitResult:
-    """The fit's result; its log-likelihood is ``sum(logpdf(params, x))``
-    unless given as ``ll``."""
-    if ll is None:
-        with np.errstate(over="ignore"):
-            ll = float(np.sum(logpdf(params, x)))
+def _unit_sample(data):
+    """``(e, y, ys)``: the exponent of the sample's unit scale
+    (:func:`unit_exponent`, from its sorted ends), and the sample and its
+    sorted copy times ``2^-e``: the dataset's own arrays where ``e = 0``."""
+    xs = data.sorted_array
+    e = unit_exponent(xs.item(0), xs.item(-1))
+    if not e:
+        return 0, data.array, xs
+    unit = math.ldexp(1.0, -e)
+    return e, data.array * unit, xs * unit
+
+
+def _build_result(model_name, params, logpdf, y, e, r, **diag) -> FitResult:
+    """The fit's result from ``params`` fitted to ``y``, the sample times
+    ``2^-e``: every parameter, a location or a scale, maps back by ``2^e``,
+    and the log-likelihood ``sum(logpdf(params, y))`` by ``- n e log 2``."""
+    n = int(y.size)
+    ll = float(np.sum(logpdf(params, y))) - n * e * math.log(2.0)
     if not math.isfinite(ll):
         raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
-    crit = information_criteria(ll, int(x.size), r)
+    crit = information_criteria(ll, n, r)
     return FitResult(
         model_name=model_name,
-        params=params,
+        params=type(params)(**{k: math.ldexp(v, e) for k, v in vars(params).items()}),
         loglik=ll,
-        n=int(x.size),
+        n=n,
         r=r,
         aic=crit.aic,
         bic=crit.bic,
@@ -202,79 +219,58 @@ def _check_size(x, r, model):
         raise DomainError(f"{model} fit needs at least {r + 2} observations, got {x.size}")
 
 
-def _mean_sd(y):
-    """numpy's ``mean`` and ``std(ddof=0)`` of an array, its overflow warnings off;
-    :func:`arctangr._util.mean_sd` gives the same bits on the sample's floats."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return y.mean(), y.std(ddof=0)
-
-
-def _root_mean_half_square(y):
-    """``sqrt(sum(y^2) / (2n))``, the Rayleigh MLE, its overflow warnings off."""
-    with np.errstate(over="ignore"):
-        return (np.sqrt(np.sum(y * y) / (2.0 * y.size)),)
-
-
 def fit_gaussian(data) -> FitResult:
-    """Closed-form Gaussian MLE: sample mean and population SD.
-
-    Both lie within ``max|x|``, so they are finite doubles; where the squares
-    overflow they are computed by :func:`at_unit_scale`."""
-    x = _values(data).array
-    _check_size(x, 2, "Gaussian")
-    omega, sd = at_unit_scale(x, _mean_sd)
+    """Closed-form Gaussian MLE: sample mean and population SD, at the
+    sample's unit scale."""
+    data = _values(data)
+    _check_size(data.array, 2, "Gaussian")
+    e, y, _ = _unit_sample(data)
+    sd = float(y.std(ddof=0))
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
-    params = GaussianParams(omega=omega, eta=sd)
-    return _build_result("gaussian", params, gaussian_logpdf, x, r=2)
+    params = GaussianParams(omega=float(y.mean()), eta=sd)
+    return _build_result("gaussian", params, gaussian_logpdf, y, e, r=2)
 
 
 def fit_rayleigh(data) -> FitResult:
-    """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``.
-
-    ``psi`` is below ``max x``, so it is a finite double; where the squares
-    overflow it is computed by :func:`at_unit_scale`."""
-    x = _values(data).array
+    """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``, at the
+    sample's unit scale.  The log-likelihood is taken on ``x`` itself, where
+    :func:`rayleigh_logpdf` is finite at every scale: at unit scale its
+    ``log x`` could round away."""
+    data = _values(data)
+    x = data.array
     if np.any(x <= 0.0):
         raise DataError("Rayleigh fit requires strictly positive data")
     _check_size(x, 1, "Rayleigh")
-    (psi,) = at_unit_scale(x, _root_mean_half_square)
-    params = RayleighParams(psi=psi)
-    return _build_result("rayleigh", params, rayleigh_logpdf, x, r=1)
+    e, y, _ = _unit_sample(data)
+    psi = math.ldexp(float(np.sqrt(np.sum(y * y) / (2.0 * y.size))), e)
+    return _build_result("rayleigh", RayleighParams(psi=psi), rayleigh_logpdf, x, 0, r=1)
 
 
-def _median_and_spread(x, xs, model):
-    """Median of ``x`` (read from ``xs``, the same values sorted) and mean
-    absolute deviation from it, which must be positive for the ``model`` fit
-    to have a scale.  The deviation is at most half the range, so at most
-    ``max|x|``: where its plain sum overflows, it is taken on ``x`` and the
-    median over the power of two ``2^e`` just above ``max|x|`` (exact), capped
-    at ``max|x|`` against rounding, and mapped back."""
-    med = _linear_quantile(xs, 0.5)
-    with np.errstate(over="ignore"):
-        scale = float(np.mean(np.abs(x - med)))
-    if scale == math.inf:
-        top = max(-xs.item(0), xs.item(-1))
-        e = math.frexp(top)[1]
-        unit = float(np.mean(np.abs(np.ldexp(x, -e) - math.ldexp(med, -e))))
-        scale = math.ldexp(min(unit, math.ldexp(top, -e)), e)
+def _median_and_spread(y, ys, model):
+    """Median of the unit sample ``y`` (read from ``ys``, the same values
+    sorted) and mean absolute deviation from it, which must be positive for
+    the ``model`` fit to have a scale."""
+    med = _linear_quantile(ys, 0.5)
+    scale = float(np.mean(np.abs(y - med)))
     if scale <= 0.0:
         raise DataError(f"{model} fit is degenerate: zero absolute deviation")
     return med, scale
 
 
 def fit_laplace(data) -> FitResult:
-    """Closed-form Laplace MLE: median and mean absolute deviation from it.
+    """Closed-form Laplace MLE: median and mean absolute deviation from it,
+    at the sample's unit scale.
 
     This is the MLE of the Gaussian-Rayleigh mixture kernel, so the result
     reuses :class:`ArctanGRParams`.
     """
     data = _values(data)
-    x = data.array
-    med, scale = _median_and_spread(x, data.sorted_array, "Laplace")
-    _check_size(x, 2, "Laplace")
+    e, y, ys = _unit_sample(data)
+    med, scale = _median_and_spread(y, ys, "Laplace")
+    _check_size(y, 2, "Laplace")
     params = ArctanGRParams(omega=med, psi=scale)
-    return _build_result("laplace", params, mixture_kernel_logpdf, x, r=2)
+    return _build_result("laplace", params, mixture_kernel_logpdf, y, e, r=2)
 
 
 #: Score passes per psi solve; score passes and omega steps per fit.
@@ -327,9 +323,9 @@ class _Pass:
     def __init__(self, ws, psi):
         z, u, w, q, r, g, zr, zg = ws.z, ws.u, ws.w, ws.q, ws.r, ws.g, ws.zr, ws.zg
         self.ws = ws
-        self.psi_a = psi_a = psi * ws.unit  # |z| = a / psi_a
+        self.psi = psi
         np.divide(ws.d, psi, out=z)
-        np.divide(ws.a, -psi_a, out=u)
+        np.divide(ws.a, -psi, out=u)
         np.exp(u, out=u)
         np.multiply(u, 0.5, out=w)
         right = w[ws.below:]
@@ -344,8 +340,8 @@ class _Pass:
         # pairwise sums where rounding matters (the score and the slopes);
         # np.dot for the curvatures, which only shape steps
         self.zr_zr = float(np.dot(zr, zr))
-        self.a_zr = float(np.dot(ws.a, zr)) / psi_a
-        self.zl1 = -ws.a_sum / psi_a - float(zr.sum())
+        self.a_zr = float(np.dot(ws.a, zr)) / psi
+        self.zl1 = -ws.a_sum / psi - float(zr.sum())
         self.z2l2 = self.zr_zr + self.a_zr - 0.5 * float(np.dot(zg, z))
 
     @functools.cached_property
@@ -368,7 +364,7 @@ class _Pass:
 
     @functools.cached_property
     def a_r(self):
-        return float(np.dot(self.ws.a, self.ws.r)) / self.psi_a
+        return float(np.dot(self.ws.a, self.ws.r)) / self.psi
 
     @functools.cached_property
     def zr_r(self):
@@ -403,32 +399,25 @@ class _AgrSearch:
     """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`.
 
     Its score passes (:class:`_Pass`) all write one workspace of ``n``-arrays,
-    allocated here.  ``|x - omega|`` is kept in units of ``2^k``, with
-    ``k > 0`` only where ``n`` times the largest ``|x|`` could overflow, so
-    that its sum, taken once per omega, is finite."""
+    allocated here.  ``xs`` is at unit scale, so no sum of it overflows."""
 
     def __init__(self, xs):
         self.xs = xs
         self.n = n = xs.size
         self.passes = 0
         self.steps = 0
-        # sum |x - omega| < 2 n max|x| <= 2^(bits(n) + top + 1): kept below 2^1022
-        top = math.frexp(max(abs(float(xs[0])), abs(float(xs[-1]))))[1]
-        self.unit = math.ldexp(1.0, -max(0, top + n.bit_length() + 2 - 1023))
         ws = np.empty((10, n))
         self.d, self.a, self.u, self.w, self.q, self.zr, self.g, self.zg, self.z, self.r = ws
         self.summed = ws[6:]  # G, z G, z, r: the rows summed together
 
     def at(self, omega):
         """Point the workspace at ``omega``: ``below`` points lie left of it and
-        ``m`` at it, ``d = x - omega``, and ``a = |d|`` in units, with its sum."""
+        ``m`` at it, ``d = x - omega``, and ``a = |d|``, with its sum."""
         xs = self.xs
         self.below = int(xs.searchsorted(omega, "left"))
         self.m = int(xs.searchsorted(omega, "right")) - self.below
         np.subtract(xs, omega, out=self.d)
         np.abs(self.d, out=self.a)
-        if self.unit != 1.0:
-            self.a *= self.unit
         self.a_sum = float(self.a.sum())
 
     def score_pass(self, psi):
@@ -629,18 +618,17 @@ def fit_agr(data) -> FitResult:
     holds and the maximum of every gap whose ends rise into it compete with
     that one, and the highest is returned.  CAIC needs ``n > r + 1``, so
     fewer than 4 observations raise :class:`DomainError` before the search.
+
+    The search, its starting scale and the log-likelihood run on the sample
+    at unit scale (see :func:`_unit_sample`); omega and psi map back by
+    ``2^e``, the slopes in ``stop`` by ``2^-e``.  So two samples with one
+    unit sample, ``x`` and ``2^k x`` both beyond the same edge of the band,
+    have fits exactly ``2^k`` apart.
     """
     data = _values(data)
-    x, xs = data.array, data.sorted_array
-    _, scale = _median_and_spread(x, xs, "AGR")
-    _check_size(x, 2, "AGR")
-    # the search takes x - omega at every point: where the sample's range
-    # overflows it runs on the sample over 2, and omega, psi and the slopes
-    # map back exactly; so does the log-likelihood, which agr_logpdf would
-    # also take through x - omega: l(x; omega, psi) = l(x/2; omega/2, psi/2) - n log 2
-    back = 2.0 if xs.item(-1) - xs.item(0) == math.inf else 1.0
-    if back > 1.0:
-        xs, scale = xs / back, scale / back
+    e, y, xs = _unit_sample(data)
+    _, scale = _median_and_spread(y, xs, "AGR")
+    _check_size(y, 2, "AGR")
     search = _AgrSearch(xs)
     best = search.point(_linear_quantile(xs, P_STAR), math.log(scale))
     if not search.is_max(best):
@@ -653,23 +641,21 @@ def fit_agr(data) -> FitResult:
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
     psi = math.exp(best.t)
-    ll = None
-    if back > 1.0:
-        half = agr_logpdf(ArctanGRParams(float(best.omega), psi), x / back)
-        ll = float(np.sum(half)) - x.size * math.log(back)
+    # the slopes are per unit of omega, so they map back by 2^-e
+    per_x = 2.0 ** -e
     return _build_result(
         "agr",
-        ArctanGRParams(omega=float(best.omega) * back, psi=psi * back),
+        ArctanGRParams(omega=float(best.omega), psi=psi),
         agr_logpdf,
-        x,
+        y,
+        e,
         r=2,
-        ll=ll,
         iterations=search.steps,
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,
         stop={"psi_score": best.psi_score, "psi_tol": best.psi_tol,
-              "omega_slope_left": best.slope[0] / back, "omega_slope_right": best.slope[1] / back,
-              "slope_tol": search.slope_tol(best.omega, psi) / back},
+              "omega_slope_left": best.slope[0] * per_x, "omega_slope_right": best.slope[1] * per_x,
+              "slope_tol": search.slope_tol(best.omega, psi) * per_x},
     )
 
 

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ._util import at_unit_scale, dump_csv, dump_json, mean_var
+from ._util import dump_csv, dump_json, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
 from .tail import _CACHED_LEVELS, _UPPER_N, P_STAR, ArctanGRParams, _standard_tail, _tail_moments
@@ -238,8 +238,9 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     (numpy's default); TVaR is the mean of observations strictly exceeding
     it and TV their population variance, which needs at least two
     exceedances.  All three run on the sample's floats, with the bits of
-    ``np.quantile``, ``mean`` and ``var(ddof=0)``.  Unlike the model-based measures, any ``alpha`` in (0, 1)
-    is accepted.
+    ``np.quantile``, ``mean`` and ``var(ddof=0)``; TVaR and TV at the
+    exceedances' unit scale (see :func:`arctangr._util.unit_exponent`).
+    Unlike the model-based measures, any ``alpha`` in (0, 1) is accepted.
     """
     a = float(alpha)
     if math.isnan(a) or not 0.0 < a < 1.0:
@@ -253,12 +254,15 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
             f"empirical TVaR/TV need at least 2 observations above the VaR "
             f"threshold; got {len(exceed)} at alpha={a}"
         )
+    # the exceedances are the sorted sample's last values
+    e = unit_exponent(data.sorted_values[-len(exceed)], data.sorted_values[-1])
+    mean, var = mean_var(exceed, e)
     try:
-        mean, tv = at_unit_scale(exceed, mean_var, (1, 2))
-    except DataError:
+        tv = math.ldexp(var, 2 * e)
+    except OverflowError:
         # TV scales like the square, so it may overflow where the mean does not
         raise DataError(f"empirical TV at alpha={a} is not a finite double") from None
-    return RiskRow(a, threshold, mean, tv)
+    return RiskRow(a, threshold, math.ldexp(mean, e), tv)
 
 
 def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -249,6 +250,38 @@ class TestExitCodes:
                                       "--format", "json"], capsys)
         assert (code, err) == (0, "")
         assert all(math.isfinite(v) for v in json.loads(out)["params"].values())
+
+    TINY = [1e-300, 2e-300, 3e-300, 5e-300, 1e-310]
+
+    @pytest.mark.parametrize("argv", [["describe"], ["fit", "--model", "gaussian"],
+                                      ["fit", "--model", "rayleigh"], ["compare"]])
+    def test_squares_that_underflow_are_summed_at_unit_scale(self, tmp_path, capsys, argv):
+        # unscaled, every squared deviation of this sample is 0: describe
+        # printed sd 0 and these fits exited 3
+        f = tmp_path / "tiny.csv"
+        f.write_text("".join(f"{v!r}\n" for v in self.TINY))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli([*argv, "--data", str(f), "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        if argv == ["describe"]:
+            assert payload["sd"] == statistics.pstdev(self.TINY) == 1.7204650533829507e-300
+            return
+        for row in payload.get("rows", [payload]):
+            assert all(0.0 < abs(v) < 1e-299 for v in row["params"].values())
+            assert math.isfinite(row["loglik"])
+
+    def test_compare_where_x_minus_omega_overflows(self, tmp_path, capsys):
+        # each location-scale fit answers; only Rayleigh's positivity check ends compare
+        f = tmp_path / "huge.csv"
+        f.write_text("-1.7e308\n1e308\n1.7e308\n1.7e308\n2\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for model in ("agr", "gaussian", "laplace"):
+                assert run_cli(["fit", "--model", model, "--data", str(f)], capsys)[0] == 0
+            assert run_cli(["compare", "--data", str(f)], capsys) == (
+                3, "", "error: Rayleigh fit requires strictly positive data\n")
 
     def test_numeric_error_exit_code(self, capsys, monkeypatch):
         def exploding(data):

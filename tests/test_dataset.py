@@ -1,6 +1,8 @@
 """Dataset ingestion, the embedded fixture, and descriptive statistics."""
 
 import math
+import statistics
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,8 +18,7 @@ from arctangr import (
     fit_gaussian,
     ingest,
 )
-from arctangr import fit as fit_module
-from arctangr._util import at_unit_scale, bowley_moors, mean_sd, mean_var
+from arctangr._util import bowley_moors, mean_var
 from arctangr.dataset import _linear_quantile
 
 
@@ -311,12 +312,15 @@ OVERFLOWING = [[1.0, 2.0, 3.0, 4.0, 1e200], [1e154, -1e154, 3.0, 4.0, 5.0],
                [1.7976931348623157e308] * 6 + [-1.7976931348623157e308] * 2 + [0.0],
                [1e154, -1e154] * 2, [-1e308, 0.0, 1e308, 0.0], [1e200, 2e200, 3e200, 4e200],
                [1.7e308, 1e-300, 5.0, 9e307]]
+# a sample whose squared deviations underflow: its SD is 1.72e-300, not 0
+TINY = [1e-300, 2e-300, 3e-300, 5e-300, 1e-310]
 
 
 class TestFloatStatistics:
     """``describe`` and ``empirical_risk`` take the mean, SD and variance on
-    the sample's floats; they keep numpy's ``mean``/``std``/``var(ddof=0)``
-    bits, and so the Gaussian fit's, which takes them on the array."""
+    the sample's floats, at its unit scale; they keep numpy's
+    ``mean``/``std``/``var(ddof=0)`` bits wherever numpy's own squares stay
+    normal, and the Gaussian fit's, which takes them on the array."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=SIZES, seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 300),
@@ -328,10 +332,14 @@ class TestFloatStatistics:
         assume(np.isfinite(x).all())
         values = x.tolist()
         with np.errstate(over="ignore", invalid="ignore"):
-            want = (x.mean(), x.std(ddof=0)), (x.mean(), x.var(ddof=0))
-        assert float_bits(mean_var(values)) == float_bits(want[1])
-        if all(map(math.isfinite, want[0])):
-            assert float_bits(mean_sd(values)) == float_bits(want[0])
+            assert float_bits(mean_var(values, 0)) == float_bits((x.mean(), x.var(ddof=0)))
+        try:
+            with np.errstate(over="raise", invalid="raise", under="raise"):
+                want = (x.mean(), x.std(ddof=0))
+        except FloatingPointError:  # numpy's squares leave the normal doubles
+            return
+        stats = describe(LossDataset(values=values, source="inline", name="s"))
+        assert float_bits([stats.mean, stats.sd]) == float_bits(want)
 
     @settings(max_examples=60, deadline=None)
     @given(n=SIZES, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 0.99))
@@ -346,10 +354,17 @@ class TestFloatStatistics:
         assert float_bits([row.var, row.tvar, row.tv]) == float_bits(
             [np.quantile(x, alpha), exceed.mean(), exceed.var(ddof=0)])
 
-    @pytest.mark.parametrize("values", OVERFLOWING)
+    @pytest.mark.parametrize("values", OVERFLOWING + [TINY])
     def test_rescaled_statistics_are_the_gaussian_fits(self, values):
-        # where the squares or a sum overflow, both are taken at unit scale:
-        # describe's floats and the Gaussian fit's arrays still agree bit for bit
+        # where the squares or a sum overflow, or the squares underflow, both
+        # are taken at unit scale.  The oracle is the exact rational mean and
+        # population SD (statistics' own sums), correctly rounded: the mean is
+        # it and the SD within one ulp of it (as measured, 0 or 1).  And
+        # describe's floats and the Gaussian fit's arrays agree bit for bit
         stats = describe(LossDataset(values=values, source="inline", name="w"))
-        want = at_unit_scale(np.array(values), fit_module._mean_sd)
-        assert float_bits([stats.mean, stats.sd]) == float_bits(want)
+        assert stats.mean == float(statistics.mean(map(Fraction, values)))
+        sd = statistics.pstdev(map(Fraction, values))
+        assert abs(stats.sd - sd) <= math.ulp(sd)
+        if len(values) >= 4:
+            fit = fit_gaussian(np.array(values)).params
+            assert float_bits([stats.mean, stats.sd]) == float_bits([fit.omega, fit.eta])

@@ -27,6 +27,7 @@ from arctangr import (
     agr_quantile,
     agr_sample,
     compare_models,
+    describe,
     fit_agr,
     fit_gaussian,
     fit_laplace,
@@ -34,6 +35,7 @@ from arctangr import (
     information_criteria,
     plot_bundle,
 )
+from arctangr._util import unit_exponent
 from arctangr.distributions import _z_log_shape
 from arctangr.fit import MODELS
 from score_oracle import pass_terms
@@ -48,6 +50,24 @@ LAPLACE_LL = 130.67833178199416
 RAYLEIGH_PSI = 0.054963232224385455
 RAYLEIGH_LL = 120.37739415763846
 LOGPDF_AT_LOC = -0.67472625660366459  # ln(8/(5 pi))
+
+
+def mp_loglik(model, params, x):
+    """The log-likelihood of a location-scale ``model`` at ``params`` over ``x``,
+    in 40-digit mpmath, as a float."""
+    with mpmath.workdps(40):
+        omega = mpmath.mpf(params.omega)
+        scale = mpmath.mpf(params.eta if model == "gaussian" else params.psi)
+        total = 0
+        for z in ((mpmath.mpf(v) - omega) / scale for v in x):
+            if model == "gaussian":
+                total += -z * z / 2 - mpmath.log(2 * mpmath.pi) / 2
+            elif model == "laplace":
+                total += -abs(z) - mpmath.log(2)
+            else:
+                w = 1 - mpmath.exp(-z) / 2 if z >= 0 else mpmath.exp(z) / 2
+                total += mpmath.log(2 / mpmath.pi) - abs(z) - mpmath.log(1 + w * w)
+        return float(total - len(x) * mpmath.log(scale))
 
 
 class TestInformationCriteria:
@@ -571,22 +591,27 @@ class TestExtremeData:
     @pytest.mark.parametrize("x", [
         [-1.7e308, 0.0, 1.7e308, 1.0, 2.0], [-1e308, 0.0, 1.0, 2.0, 1e308],
         [1.79e308, -1.79e308, 3.0, -1.79e308, 5.0, 1.79e308],
-        # x - omega overflows at the fitted omega too: the log-likelihood is
-        # that of the halved sample, less n log 2
+        # x - omega overflows at the fitted omega too
         [-1.7e308, -1.7e308, 1.7e308, 1.7e308],
     ])
     def test_agr_on_a_sample_whose_range_overflows(self, x):
-        # the search runs on the sample over 2: the fit of the halved sample,
-        # mapped back exactly, and its log-likelihood less n log 2
+        # the search runs on the sample times 2^-e, which x and x/2 share: their
+        # parameters differ by exactly 2, and are the unit fit's times 2^e; the
+        # slopes in stop are the unit fit's times 2^-e.  The oracle of the
+        # log-likelihood is mpmath's at the returned parameters
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fit_agr(np.array(x))
         half = fit_agr(np.array(x) / 2.0)
-        assert res.converged and math.isfinite(res.loglik)
+        e = unit_exponent(min(x), max(x))
+        unit = fit_agr(np.ldexp(x, -e))
+        assert res.converged and unit.converged
         assert (res.params.omega, res.params.psi) == (2.0 * half.params.omega, 2.0 * half.params.psi)
+        assert (res.params.omega, res.params.psi) == (
+            math.ldexp(unit.params.omega, e), math.ldexp(unit.params.psi, e))
         for key in ("omega_slope_left", "omega_slope_right", "slope_tol"):
-            assert res.stop[key] == half.stop[key] / 2.0
-        assert res.loglik == half.loglik - len(x) * math.log(2.0)
+            assert res.stop[key] == math.ldexp(unit.stop[key], -e)
+        assert res.loglik == pytest.approx(mp_loglik("agr", res.params, x), rel=1e-15)
 
     @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
     @pytest.mark.parametrize("x", [[-1e308, 0.0, 1e308], [-1e308, 1e308, 1e308]])
@@ -621,11 +646,12 @@ class TestExtremeData:
         assert res.params.psi == pytest.approx(float(want), rel=4e-16)
         assert math.isfinite(res.loglik)
 
-    @pytest.mark.parametrize("x", [[1.79e308, 1.0, 1e-300], [1e150, 1e-300, 1.0]])
+    @pytest.mark.parametrize("x", [[1.79e308, 1.0, 1e-300], [1e150, 1e-300, 1.0],
+                                   [1e-320, 2e-320, 3e-320, 4e-320]])
     def test_rayleigh_point_far_below_psi(self, x):
-        # x / psi^2 underflows at 1e-300, where rayleigh_logpdf takes its log
-        # as log x - 2 log psi; the oracle is the log-likelihood in mpmath at
-        # the fitted psi
+        # x / psi^2 underflows at 1e-300, and overflows where psi is subnormal:
+        # there rayleigh_logpdf takes its log as log x - 2 log psi; the oracle
+        # is the log-likelihood in mpmath at the fitted psi
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = fit_rayleigh(np.array(x))
@@ -646,12 +672,65 @@ class TestExtremeData:
         r = fit_rayleigh(pos).params
         assert r.psi == float(np.sqrt(np.sum(pos * pos) / (2.0 * pos.size)))
 
-    def test_unrepresentable_loglik_is_a_data_error(self):
-        # the MLE is finite, but x - omega overflows at the first point
+    @pytest.mark.parametrize("fit", [fit_gaussian, fit_laplace], ids=["gaussian", "laplace"])
+    @pytest.mark.parametrize("x", [
+        [-1.7e308, 1e308, 1.7e308, 1.7e308, 2.0], [-1.7e308, 1.7e308, 1.7e308, 1.7e308],
+        [1.7976931348623157e308] * 6 + [-1.7976931348623157e308] * 2 + [0.0],
+    ])
+    def test_loglik_where_x_minus_omega_overflows(self, fit, x):
+        # the MLE is finite, but x - omega overflows at the first point: the
+        # log-likelihood, taken at unit scale, matches mpmath's at the
+        # returned parameters
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(DataError, match="log-likelihood is not a finite double"):
-                fit_gaussian(np.array([-1.7e308, 1.7e308, 1.7e308, 1.7e308]))
+            res = fit(np.array(x))
+        assert math.isfinite(res.loglik)
+        assert res.loglik == pytest.approx(mp_loglik(res.model_name, res.params, x), rel=1e-15)
+
+
+class TestScaleEquivariance:
+    """Every sum of a sample, in a fit and in ``describe``, is taken at the
+    sample's unit scale, so the fits and statistics of ``2^k x`` are those of
+    ``x`` mapped by ``2^k``, across both edges of the band and out to the ends
+    of the double range.  ``x`` is the insurance sample: positive, so that
+    Rayleigh fits it, with ``max|x| = 0.222`` in ``[2^-3, 2^-2)``, so that the
+    band's edges lie at ``k = -446`` and ``k = 450``.  From ``k = -1016`` on no
+    value of ``2^k x`` is subnormal, and ``2^1025 x`` is below the largest
+    double."""
+
+    KS = [-1016, -1000, -700, -447, -446, -445, -100, -1, 1, 100, 449, 450, 451, 800, 1025]
+
+    @pytest.mark.parametrize("k", KS)
+    def test_statistics_and_logliks(self, insurance, k):
+        x = insurance.array
+        y = np.ldexp(x, k)
+        got = describe(LossDataset(values=y, source="inline", name="y")).as_dict()
+        for key, value in describe(insurance).as_dict().items():
+            if key in ("n", "bowley_skewness", "moors_kurtosis"):
+                assert got[key] == value, key
+            else:
+                assert got[key] == math.ldexp(value, k), key
+        for name, model in MODELS.items():
+            base, res = model.fit(x), model.fit(y)
+            if name != "agr":
+                assert res.params_dict() == {
+                    key: math.ldexp(v, k) for key, v in base.params_dict().items()}, name
+            # l(2^k x) = l(x) - n k log 2 to 4 ulps of the size of its two
+            # terms (measured: at most 1.94)
+            with mpmath.workdps(40):
+                want = mpmath.mpf(base.loglik) - x.size * k * mpmath.log(2)
+                size = abs(base.loglik) + x.size * abs(k) * math.log(2.0)
+                assert abs(res.loglik - want) <= 4 * math.ulp(size), name
+
+    def test_agr_where_the_unit_sample_is_shared(self, insurance):
+        # above the band every 2^k x has the unit sample 2^450 x, and below it
+        # 2^-446 x: the same search, so parameters exactly 2^k apart
+        for ks in ([450, 451, 800, 1025], [-446, -447, -700, -1016]):
+            fits = [fit_agr(np.ldexp(insurance.array, k)) for k in ks]
+            for k, res in zip(ks, fits):
+                assert res.converged
+                assert res.params_dict() == {
+                    key: math.ldexp(v, k - ks[0]) for key, v in fits[0].params_dict().items()}
 
 
 class TestCompareModels:

@@ -1,6 +1,8 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
 ``scipy.special`` from scipy, and nothing from the test-only packages.  The
-distribution kernels stay branch-free: ``np.where`` only in ``_select``.  And
+distribution kernels stay branch-free: ``np.where`` only in ``_select``.  A
+sample is brought to its unit scale in one place: ``math.frexp`` only in
+``_util.unit_exponent`` (and in ``risk.mc_oracle``, for its parameters).  And
 every sample quantile is ``dataset._linear_quantile``: no numpy quantile.
 The modules of the commands that fit nothing import no numpy or scipy when
 they are loaded."""
@@ -42,16 +44,18 @@ def test_no_oracle_imports(path):
     assert not {n for n in names if within(n, "scipy") and not within(n, "scipy.special")}
 
 
-def where_calls(source):
-    """``(enclosing function, line)`` of every ``np.where(...)`` call in ``source``."""
+def calls_in_functions(source, attr, modules=("np", "numpy")):
+    """``(enclosing function, line)`` of every ``<module>.<attr>(...)`` call in
+    ``source``, the module named as one of ``modules`` (function ``None`` at
+    module level)."""
     def visit(node, func):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from visit(child, child.name)
                 continue
             if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == "where" and isinstance(child.func.value, ast.Name)
-                    and child.func.value.id in ("np", "numpy")):
+                    and child.func.attr == attr and isinstance(child.func.value, ast.Name)
+                    and child.func.value.id in modules):
                 yield func, child.lineno
             yield from visit(child, func)
 
@@ -62,14 +66,15 @@ def test_where_calls_found():
     source = "def _select(m, a, b):\n    return np.where(m, a, b)\n" \
              "def k(z):\n    def inner(v):\n        return numpy.where(v > 0, v, 0)\n" \
              "    return inner(z) + np.abs(z)\n"
-    assert where_calls(source) == [("_select", 2), ("inner", 5)]
+    assert calls_in_functions(source, "where") == [("_select", 2), ("inner", 5)]
 
 
 def test_where_only_in_select():
     # the distribution kernels select by bit masks (distributions._select);
     # np.where on a mask of random signs mispredicts a branch per element
     path = next(p for p in SOURCES if p.name == "distributions.py")
-    assert {f for f, _ in where_calls(path.read_text(encoding="utf-8"))} <= {"_select"}
+    calls = calls_in_functions(path.read_text(encoding="utf-8"), "where")
+    assert {f for f, _ in calls} <= {"_select"}
 
 
 def numpy_calls(source, names):
@@ -130,3 +135,19 @@ def test_cold_path_modules_import_no_numpy(name):
     path = next(p for p in SOURCES if p.name == name)
     names = module_level_imports(path.read_text(encoding="utf-8"))
     assert not [n for n in names if within(n, "numpy") or within(n, "scipy")]
+
+
+
+def test_frexp_calls_found():
+    source = "def f(x):\n    return math.frexp(x)[1]\nt = math.frexp(2.0)\n" \
+             "def g(y):\n    return np.frexp(y)\n"
+    assert calls_in_functions(source, "frexp", ("math",)) == [("f", 2), (None, 3)]
+
+
+def test_one_unit_scale_rule():
+    # a sample's scale is chosen in one place, _util.unit_exponent; the Monte
+    # Carlo oracle scales its parameters, not a sample.  A new local scaling
+    # has to show up here
+    found = {(p.name, f) for p in SOURCES
+             for f, _ in calls_in_functions(p.read_text(encoding="utf-8"), "frexp", ("math",))}
+    assert found == {("_util.py", "unit_exponent"), ("risk.py", "mc_oracle")}
