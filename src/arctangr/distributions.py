@@ -24,9 +24,10 @@ Each formula is one private kernel of ``z``; the public ``agr_*`` and
 passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
 Where a formula has two sides, a kernel picks each element's side by
 blending bits (:func:`_select`), not by a branch per element.  Raw moments
-expand ``E[(omega + psi Z)^r]`` binomially over ``E[Z^k]``, summed exactly
-from the density's series; those depend on ``k`` alone, so each is summed
-once and kept for later calls, as are each order's binomial weights.
+expand ``E[(omega + psi Z)^r]`` binomially over ``E[Z^k]``, which
+:mod:`arctangr.tail` sums termwise from the density's series in Python
+floats; those depend on ``k`` alone, so each is summed once and kept for
+later calls, as are each order's binomial weights.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -44,16 +45,7 @@ from ._arrays import BLOCK, SCALARS, as_float_array, blockwise, match_input
 from ._util import bowley_moors
 from .arctanx import BaseDistribution
 from .errors import DomainError
-from .tail import (
-    _LOWER_C,
-    _LOWER_N,
-    _PI_OVER_4,
-    _UPPER_C,
-    _UPPER_N,
-    FOUR_OVER_PI,
-    P_STAR,
-    ArctanGRParams,
-)
+from .tail import _PI_OVER_4, FOUR_OVER_PI, P_STAR, ArctanGRParams, _z_moment_parts
 
 _TINY = float(np.finfo(float).tiny)
 _HALF_MAX = 2.0 ** 1023
@@ -404,23 +396,6 @@ def _z_quantile(p):
     tail /= 1.0 + t
     t *= 2.0
     return _negate(upper, _inplace(np.log, _select(upper, tail, t, out=tail)))
-
-
-# the density's series coefficients, kept as tuples in :mod:`arctangr.tail`, as arrays
-_LOWER_C, _LOWER_N, _UPPER_C, _UPPER_N = map(np.array, (_LOWER_C, _LOWER_N, _UPPER_C, _UPPER_N))
-
-
-@functools.cache
-def _z_moment_parts(k):
-    """``E[Z^k]`` of the standard AGR as its (z < 0, z >= 0) parts, summed
-    termwise over the density series with ``int_0^inf z^k e^{-n z} dz = k! / n^{k+1}``.
-
-    Parameter-free, so each order is summed once and kept: the tuple of floats
-    is immutable, and from ``k = 171`` on ``k!`` leaves the double range and
-    raises ``OverflowError`` before anything is kept, so at most 170 orders are."""
-    lower = (-1) ** k * np.sum(_LOWER_C * _LOWER_N ** -(k + 1.0)) / math.pi
-    upper = np.sum(_UPPER_C * _UPPER_N ** -(k + 1.0)) / math.pi
-    return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
 
 
 #: The highest order whose ``E[Z^k]`` is a finite double (``171!`` is not).

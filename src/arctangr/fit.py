@@ -115,10 +115,7 @@ class FitResult:
     stop: dict | None = None
 
     def params_dict(self) -> dict:
-        return {
-            name: getattr(self.params, name)
-            for name in self.params.__dataclass_fields__
-        }
+        return dict(vars(self.params))
 
     def as_dict(self) -> dict:
         return {
@@ -192,24 +189,19 @@ def _unit_sample(data):
 def _build_result(model_name, params, logpdf, y, e, r, **diag) -> FitResult:
     """The fit's result from ``params`` fitted to ``y``, the sample times
     ``2^-e``: every parameter, a location or a scale, maps back by ``2^e``,
-    and the log-likelihood ``sum(logpdf(params, y))`` by ``- n e log 2``."""
+    and the log-likelihood ``sum(logpdf(params, y))`` by ``- n e log 2``; a
+    scale that maps back to 0 raises :class:`DataError`."""
     n = int(y.size)
     ll = float(np.sum(logpdf(params, y))) - n * e * math.log(2.0)
     if not math.isfinite(ll):
         raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
-    crit = information_criteria(ll, n, r)
-    return FitResult(
-        model_name=model_name,
-        params=type(params)(**{k: math.ldexp(v, e) for k, v in vars(params).items()}),
-        loglik=ll,
-        n=n,
-        r=r,
-        aic=crit.aic,
-        bic=crit.bic,
-        caic=crit.caic,
-        hqic=crit.hqic,
-        **diag,
-    )
+    try:
+        params = type(params)(**{k: math.ldexp(v, e) for k, v in vars(params).items()})
+    except DomainError:  # only a scale can fail its check: it rounded to 0
+        raise DataError(f"{model_name} fit: the fitted scale rounds below the smallest "
+                        "positive double") from None
+    return FitResult(model_name=model_name, params=params, loglik=ll, n=n, r=r,
+                     **information_criteria(ll, n, r)._asdict(), **diag)
 
 
 def _check_size(x, r, model):

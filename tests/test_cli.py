@@ -13,6 +13,7 @@ import pytest
 
 import arctangr.cli as cli
 from arctangr import ingest
+from arctangr.dataset import INSURANCE_VALUES
 from arctangr.errors import FitConvergenceError
 from arctangr.fit import MODELS
 
@@ -282,6 +283,18 @@ class TestExitCodes:
                 assert run_cli(["fit", "--model", model, "--data", str(f)], capsys)[0] == 0
             assert run_cli(["compare", "--data", str(f)], capsys) == (
                 3, "", "error: Rayleigh fit requires strictly positive data\n")
+
+    @pytest.mark.parametrize("model", ["agr", "laplace"])
+    def test_scale_below_the_smallest_double(self, tmp_path, capsys, model):
+        # insurance times 2^-1070 is 0 to 4 times 2^-1074: the fitted scale
+        # maps back to 0, which is the data's fault, not a parameter's
+        f = tmp_path / "subnormal.csv"
+        f.write_text("".join(f"{math.ldexp(v, -1070)!r}\n" for v in INSURANCE_VALUES))
+        message = (f"error: {model} fit: the fitted scale rounds below the smallest "
+                   "positive double\n")
+        assert run_cli(["fit", "--model", model, "--data", str(f)], capsys) == (3, "", message)
+        if model == "agr":
+            assert run_cli(["compare", "--data", str(f)], capsys) == (3, "", message)
 
     def test_numeric_error_exit_code(self, capsys, monkeypatch):
         def exploding(data):

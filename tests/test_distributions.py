@@ -60,14 +60,15 @@ from arctangr.distributions import (
     _z_cum_hazard,
     _z_hazard,
     _z_log_shape,
-    _z_moment_parts,
     _z_pdf,
     _z_quantile,
     _z_sf,
     _z_uw,
 )
+from arctangr.tail import _z_moment_parts
 from mixture_oracle import mixture_kernel_pdf_by_integration
 from score_oracle import z_shape_derivs
+from tail_oracle import z_moment_parts
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -460,6 +461,13 @@ class TestMoments:
         if k == 0:
             assert lower + upper == pytest.approx(1.0, abs=1e-15)
             assert lower == pytest.approx(P_STAR, abs=1e-15)
+
+    def test_moment_parts_against_the_array_series(self):
+        # cut off by the remainder bound and summed in floats, against the
+        # 60-term arrays (tail_oracle): 1 of the 342 parts moved, by 1 ulp
+        for k in range(171):
+            for got, want in zip(_z_moment_parts(k), z_moment_parts(k)):
+                assert abs(got - want) <= math.ulp(want), k
 
     def test_largest_representable_order(self, unit_params):
         # E[Z^r] = r! (sum_j c_j (j+1)^-(r+1) / pi + (2/pi) sum_j (-1/4)^j (2j+1)^-(r+1))

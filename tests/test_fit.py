@@ -663,11 +663,16 @@ class TestExtremeData:
     @settings(max_examples=60, deadline=None)
     @given(x=st.lists(st.floats(-1e150, 1e150), min_size=4, max_size=40))
     def test_finite_squares_keep_their_bytes(self, x):
-        # the fits as computed before the rescaled path existed
+        # the fits as computed before the rescaled path existed, on the sample
+        # at its unit scale: x itself inside the band (e = 0); below it, the
+        # squared deviations at x's own scale would lose bits as subnormals
         x = np.array(x)
         assume(x.std() > 0.0)
         g = fit_gaussian(x).params
-        assert (g.omega, g.eta) == (float(x.mean()), float(x.std(ddof=0)))
+        e = unit_exponent(x.min(), x.max())
+        y = np.ldexp(x, -e)
+        assert (g.omega, g.eta) == (math.ldexp(float(y.mean()), e),
+                                    math.ldexp(float(y.std(ddof=0)), e))
         pos = np.abs(x) + 1.0
         r = fit_rayleigh(pos).params
         assert r.psi == float(np.sqrt(np.sum(pos * pos) / (2.0 * pos.size)))
@@ -731,6 +736,16 @@ class TestScaleEquivariance:
                 assert res.converged
                 assert res.params_dict() == {
                     key: math.ldexp(v, k - ks[0]) for key, v in fits[0].params_dict().items()}
+
+
+    @pytest.mark.parametrize("fit", [fit_agr, fit_laplace, compare_models])
+    def test_scale_below_the_smallest_double(self, insurance, fit):
+        # 2^-1070 x is 0 to 4 times 2^-1074, and its AGR and Laplace scales,
+        # mapped back, round to 0; compare fits AGR first
+        name = "laplace" if fit is fit_laplace else "agr"
+        with pytest.raises(DataError, match=rf"^{name} fit: the fitted scale rounds below "
+                                            r"the smallest positive double$"):
+            fit(np.ldexp(insurance.array, -1070))
 
 
 class TestCompareModels:

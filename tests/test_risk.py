@@ -39,10 +39,10 @@ from arctangr import distributions, risk, tail
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
 from arctangr._util import pairwise_sum
-from arctangr.distributions import _z_moment_parts, _z_quantile, _z_tail_quantile
+from arctangr.distributions import _z_quantile, _z_tail_quantile
 from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import _DRAW_BLOCK
-from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level
+from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level, _z_moment_parts
 from tail_oracle import tail_moments as array_tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
@@ -306,6 +306,84 @@ class TestSeriesAgainstMpmath:
         assert [row.var for row in report.rows] == [var(table_params, a) for a in levels]
 
 
+def _mp_shape(s):
+    """``pi g(s)``, the closed-form standard density times pi, in mpmath."""
+    e = mpmath.exp(-abs(s))
+    return 2 * e / (1 + (1 - e / 2) ** 2) if s >= 0 else 8 * e / (4 + e * e)
+
+
+class TestRemainderBound:
+    """The terms that each sum leaves out add up to at most ``REMAINDER_BOUND``
+    of the sum: the exact remainder is a 40-digit quadrature of the density
+    less the kept terms, also in 40 digits."""
+
+    B = tail.REMAINDER_BOUND
+
+    def test_the_bound_is_the_reported_one(self, table_params):
+        assert self.B == 2.0**-60
+        assert risk_curve(table_params, [0.9]).method["relative_remainder"] == self.B
+
+    @pytest.mark.parametrize("lo", [0.0, 0.25, 1.0, 2.5, 5.0, 10.0, 20.0, 30.0, 40.0,
+                                    41.3, 45.0])
+    def test_count_is_the_first_below_the_bound(self, lo):
+        n = len(tail._upper_terms(lo))
+        with mpmath.workdps(40):
+            rho = mpmath.exp(-mpmath.mpf(lo)) / mpmath.sqrt(8)
+            assert 2 * rho**n < self.B
+            assert n == 1 or 2 * rho ** (n - 1) >= self.B * (1 - mpmath.mpf(2) ** -40)
+        assert len(tail._LOWER_TERMS) == 31
+        assert 4 / 3 * 4.0**-31 <= self.B < 4 / 3 * 4.0**-30
+
+    @staticmethod
+    def _factors(n, d):
+        """The factors of the term ``n`` in ``P_0``, ``P_1`` and ``P_2`` above ``lo``
+        at ``z = lo - d``: ``1``, ``u`` and ``u^2 + 1/n^2``, ``u = d + 1/n``."""
+        u = d + mpmath.mpf(1) / n
+        return 1, u, u * u + mpmath.mpf(1) / (n * n)
+
+    @pytest.mark.parametrize("lo, d", [
+        (0.0, 0.0), (0.0, 1e-9), (0.0, 0.1), (0.0, 0.19), (0.5, 0.0), (2.0, 0.0),
+        (8.0, 0.0), (20.0, 0.0), (40.0, 0.0), (41.3, 0.0), (50.0, 0.0)])
+    def test_upper_sums(self, lo, d):
+        ns = range(1, len(tail._upper_terms(lo)) + 1)
+        with mpmath.workdps(40):
+            lo_, d_ = mpmath.mpf(lo), mpmath.mpf(d)
+            z = lo_ - d_
+            w = mpmath.mpc(0.25, 0.25) * mpmath.exp(-lo_)
+            kept = [4 * mpmath.im(w**n) / n for n in ns]
+            for k in range(3):
+                exact = mpmath.quad(lambda s: (s - z) ** k * _mp_shape(s),
+                                    [lo_, lo_ + 1, lo_ + 10, mpmath.inf])
+                head = sum(c * self._factors(n, d_)[k] for n, c in zip(ns, kept))
+                assert abs(exact - head) <= self.B * exact, (lo, d, k)
+
+    @pytest.mark.parametrize("d", [1e-9, 1e-3, 0.05, 0.1, 0.19,
+                                   -_z_level(math.nextafter(0.5, 1.0))])
+    def test_lower_sums(self, d):
+        # the largest d, at alpha -> 1/2, is 0.18823
+        with mpmath.workdps(40):
+            d_ = mpmath.mpf(d)
+            sums = [0, 0, 0]
+            for n, c in tail._LOWER_TERMS:
+                x = n * d_
+                e = -mpmath.expm1(-x)
+                for k, t in enumerate((e / n, (x - e) / n**2, (x * (x - 2) + 2 * e) / n**3)):
+                    sums[k] += c * t
+            for k in range(3):
+                exact = mpmath.quad(lambda s: (s + d_) ** k * _mp_shape(s), [-d_, 0])
+                assert abs(exact - sums[k]) <= self.B * exact, (d, k)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8])
+    def test_raw_moment_parts(self, k):
+        with mpmath.workdps(40):
+            # |E[Z^k]|'s part on each side of 0: the lower part's sign is (-1)^k
+            for terms, (a, b) in ((tail._LOWER_TERMS, (-mpmath.inf, 0)),
+                                  (enumerate(tail._upper_terms(0.0), 1), (0, mpmath.inf))):
+                exact = mpmath.quad(lambda s: abs(s) ** k * _mp_shape(s), [a, b])
+                head = sum(c * mpmath.mpf(n) ** -(k + 1) for n, c in terms) * mpmath.factorial(k)
+                assert abs(exact - head) <= self.B * exact, (k, a)
+
+
 def _tail_moments_both_branches(alphas):
     """The float tail-moment series with its lower-branch sums taken at every
     level, the oracle for :func:`_tail_moments`, which takes them only at
@@ -314,18 +392,15 @@ def _tail_moments_both_branches(alphas):
     for z in map(_z_level, alphas):
         lo = z if z >= 0.0 else 0.0
         d = lo - z
-        w = [math.exp(k * lo) * c for k, c in zip(tail._UPPER_NEG_N, tail._UPPER_W)]
-        u = [d + q for q in tail._UPPER_INV]
-        x = [n * d for n in tail._LOWER_N]
-        e = [-math.expm1(-t) for t in x]
-        s0, s1, s2 = (pairwise_sum([c * t for c, t in zip(weights, terms)])
-                      for weights, terms in zip(tail._LOWER_W, (
-                          e, [t - b for t, b in zip(x, e)],
-                          [t * (t - 2.0) + 2.0 * b for t, b in zip(x, e)])))
+        cs = tail._upper_terms(lo)
+        ns = range(1, len(cs) + 1)
+        w = [c / n for c, n in zip(cs, ns)]
+        u = [d + 1.0 / n for n in ns]
+        s0, s1, s2 = tail._lower_sums(d)
         p0 = pairwise_sum(w) + s0
         r = (pairwise_sum([a * b for a, b in zip(w, u)]) + s1) / p0
         c = [b - r for b in u]
-        p2 = pairwise_sum([a * (t * t + q) for a, t, q in zip(w, c, tail._UPPER_INV2)])
+        p2 = pairwise_sum([a * (t * t + 1.0 / (n * n)) for a, t, n in zip(w, c, ns)])
         zs.append(z)
         ms.append(z + r)
         vs.append((p2 + s2 - r * (2.0 * s1 - r * s0)) / p0)
@@ -649,7 +724,7 @@ class TestMcExceedances:
         assert payload["mc_check"] == [mc_oracle(params, a, 200_000, s)._asdict()
                                        for a, s in zip(alphas, seeds)]
         assert payload["method"] == {
-            "rule": "density series, termwise", "terms": 60,
+            "rule": "density series, termwise, cut off per level", "relative_remainder": 2.0**-60,
             "mc_check": "binomial exceedance count, then inverse-transform draws from the tail"}
 
     def test_cli_table_lines(self, capsys):
@@ -700,7 +775,8 @@ class TestRiskCurve:
         report = risk_curve(table_params, [0.75])
         payload = json.loads(report.to_json())
         assert payload["rows"][0]["var"] == var(table_params, 0.75)
-        assert payload["method"] == {"rule": "density series, termwise", "terms": 60}
+        assert payload["method"] == {"rule": "density series, termwise, cut off per level",
+                                     "relative_remainder": 2.0**-60}
 
     def test_mc_check_renders_in_json_and_text_only(self, table_params):
         report = risk_curve(table_params, [0.75, 0.9])

@@ -2,8 +2,10 @@
 ``scipy.special`` from scipy, and nothing from the test-only packages.  The
 distribution kernels stay branch-free: ``np.where`` only in ``_select``.  A
 sample is brought to its unit scale in one place: ``math.frexp`` only in
-``_util.unit_exponent`` (and in ``risk.mc_oracle``, for its parameters).  And
-every sample quantile is ``dataset._linear_quantile``: no numpy quantile.
+``_util.unit_exponent`` (and in ``risk.mc_oracle``, for its parameters).
+Every sample quantile is ``dataset._linear_quantile``: no numpy quantile.  And
+the standard tail series has one home, ``tail.py``: no other module defines,
+imports or rebinds its terms, its sums or ``E[Z^k]``.
 The modules of the commands that fit nothing import no numpy or scipy when
 they are loaded."""
 
@@ -151,3 +153,56 @@ def test_one_unit_scale_rule():
     found = {(p.name, f) for p in SOURCES
              for f, _ in calls_in_functions(p.read_text(encoding="utf-8"), "frexp", ("math",))}
     assert found == {("_util.py", "unit_exponent"), ("risk.py", "mc_oracle")}
+
+
+def bound_names(source):
+    """Every name that ``source`` binds by a ``def``, a ``class`` or an
+    assignment, at any depth (imports are not counted)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names
+
+
+def names_from(source, module):
+    """The names that ``source`` imports by ``from .<module> import ...``."""
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == module
+            for alias in node.names}
+
+
+def test_bound_and_imported_names_found():
+    source = ("from .tail import P_STAR, _z_moment_parts\n_A, _B = map(f, (1, 2))\n"
+              "def g(x):\n    for y in x:\n        z = y\n    return z\n")
+    assert bound_names(source) == {"_A", "_B", "g", "y", "z"}
+    assert names_from(source, "tail") == {"P_STAR", "_z_moment_parts"}
+
+
+#: What the other modules read from ``tail.py``: the parameters, the branch
+#: level, the quantile's constants, the per-grid tail and its cache size,
+#: ``E[Z^k]`` and the remainder bound that a report names.
+TAIL_EXPORTS = {"ArctanGRParams", "P_STAR", "FOUR_OVER_PI", "_PI_OVER_4", "_CACHED_LEVELS",
+                "_standard_tail", "_tail_moments", "_z_moment_parts", "REMAINDER_BOUND"}
+
+
+def test_one_home_for_the_tail_series():
+    # the series' terms, their counts and sums are private to tail.py; a
+    # module that copied them (as distributions.py once rebound the 60-term
+    # tables to arrays) would bind one of those names or an _UPPER_/_LOWER_ one
+    tail = ast.parse(next(p for p in SOURCES if p.name == "tail.py").read_text(encoding="utf-8"))
+    series = {node.name for node in tail.body if isinstance(node, ast.FunctionDef)}
+    series.update(t.id for node in tail.body if isinstance(node, ast.Assign)
+                  for t in node.targets if isinstance(t, ast.Name))
+    assert {"_upper_terms", "_LOWER_TERMS", "_lower_sums", "_z_moment_parts"} <= series
+    series -= TAIL_EXPORTS - {"_z_moment_parts"}
+    for path in SOURCES:
+        if path.name == "tail.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert names_from(source, "tail") <= TAIL_EXPORTS, path.name
+        bound = bound_names(source)
+        assert not bound & series, path.name
+        assert not [n for n in bound if n.startswith(("_UPPER_", "_LOWER_"))], path.name
