@@ -27,7 +27,7 @@ blending bits (:func:`_select`), not by a branch per element.  Raw moments
 expand ``E[(omega + psi Z)^r]`` binomially over ``E[Z^k]``, which
 :mod:`arctangr.tail` sums termwise from the density's series in Python
 floats; those depend on ``k`` alone, so each is summed once and kept for
-later calls, as are each order's binomial weights.
+later calls, in each order's row of binomial weights.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -404,10 +404,10 @@ _MAX_ORDER = 170
 
 @functools.cache
 def _binomial_row(r):
-    """``(C(r, k), r - k, k)`` for ``k = 1..r``, ``r <= _MAX_ORDER``: the exact
-    weight and the two powers of each of :func:`agr_moment`'s terms, kept per
-    order (at most 170 rows)."""
-    return tuple((math.comb(r, k), r - k, k) for k in range(1, r + 1))
+    """``(C(r, k), r - k, k, E[Z^k])`` for ``k = 1..r``, ``r <= _MAX_ORDER``:
+    the exact weight, the two powers and the standard moment of each of
+    :func:`agr_moment`'s terms, kept per order (at most 170 rows)."""
+    return tuple((math.comb(r, k), r - k, k, sum(_z_moment_parts(k))) for k in range(1, r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -565,10 +565,8 @@ def agr_moment(params: ArctanGRParams, r):
         if r > _MAX_ORDER:  # its E[Z^171] term would overflow
             raise OverflowError
         total = omega**r
-        for c, j, k in _binomial_row(r):
-            # E[Z^k] = lower + upper; neither is zero, so this is sum() to the bit
-            lower, upper = _z_moment_parts(k)
-            total += c * omega**j * psi**k * (lower + upper)
+        for c, j, k, z_k in _binomial_row(r):
+            total += c * omega**j * psi**k * z_k
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

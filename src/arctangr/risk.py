@@ -17,12 +17,16 @@ level by level, and keeps each grid's tuples (the 64 most recently used grids
 of at most 256 levels) for every later call and every ``(omega, psi)``.  The
 affine map, its finiteness checks, the report's checks and the empirical
 estimators run on Python floats too, so a risk command that fits nothing
-never imports numpy.  A seeded Monte Carlo oracle, the one
+never imports numpy.  A warm curve costs about its floats: each mapped column
+is tested with one ``math.isfinite`` of its sum (finite only if every term
+is), and its rows are made by ``tuple.__new__``, as ``RiskRow._make`` makes
+them, with no Python frame per level.  A seeded Monte Carlo oracle, the one
 bulk computation here, imports numpy when it is called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -62,7 +66,10 @@ def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
     numpy on the arrays, without its per-call cost.  Grids longer than
     ``_CACHED_LEVELS`` take the same loop over a fresh ``_tail_moments``.  :class:`DomainError`
     names the first measure (in ``names`` order) and the first level at which
-    it is not a finite double."""
+    it is not a finite double.  A column is scanned for that level only where
+    its sum is not finite: a finite sum has only finite terms, and a sum of
+    finite terms that overflows finds none, so one sum per column stands in
+    for a test per level."""
     if len(levels) <= _CACHED_LEVELS:
         z, m, v = _standard_tail(tuple(levels))
     else:
@@ -75,9 +82,10 @@ def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
             col = [psi2 * s for s in v]
         else:
             col = [omega + psi * s for s in (z if name == "VaR" else m)]
-        if not all(map(math.isfinite, col)):
-            bad = next(i for i, value in enumerate(col) if not math.isfinite(value))
-            raise DomainError(f"{name} at alpha={levels[bad]!r} is not a finite double")
+        if not math.isfinite(sum(col)):
+            for level, value in zip(levels, col):
+                if not math.isfinite(value):
+                    raise DomainError(f"{name} at alpha={level!r} is not a finite double")
         cols.append(col)
     return cols
 
@@ -99,6 +107,12 @@ class RiskRow(NamedTuple):
     var: float
     tvar: float
     tv: float
+
+
+#: A ``RiskRow`` from one ``(alpha, var, tvar, tv)`` tuple, as ``RiskRow._make``
+#: builds it; mapped over a curve's rows it runs no Python frame per row, where
+#: ``RiskRow(...)`` runs its Python-level ``__new__`` once per row.
+_new_row = functools.partial(tuple.__new__, RiskRow)
 
 
 class MCOracleResult(NamedTuple):
@@ -205,7 +219,7 @@ def _as_floats(alphas) -> list:
     does not read as a flat sequence of numbers (a nested list, a 0-d or a
     2-d array) is read as ``np.atleast_1d`` reads it, with numpy's errors."""
     try:
-        return [float(a) for a in alphas]
+        return list(map(float, alphas))
     except TypeError:
         if isinstance(alphas, (int, float)):
             return [float(alphas)]
@@ -224,7 +238,7 @@ def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
         levels = sorted(map(_check_alpha, values))  # raises on the first bad level
     if not levels:
         raise DomainError("alphas must be nonempty")
-    rows = tuple(map(RiskRow, levels, *_risk_lists(params, levels)))
+    rows = tuple(map(_new_row, zip(levels, *_risk_lists(params, levels))))
     return RiskReport(
         rows=rows,
         source=f"model(omega={params.omega!r}, psi={params.psi!r})",

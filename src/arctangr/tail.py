@@ -115,23 +115,32 @@ def _lower_sums(d: float):
                           for (n, c), t, b in zip(_LOWER_TERMS, x, e)]))
 
 
+#: The weights ``C/n`` of the terms above ``lo = 0`` and their sum, the same at
+#: every level below ``P_STAR`` (``z < 0``), so built once.
+_UPPER_AT_0 = tuple(c / n for n, c in enumerate(_upper_terms(0.0), 1))
+_UPPER_SUM_AT_0 = pairwise_sum(_UPPER_AT_0)
+
+
 def _level_moments(z: float):
     """``(m, v)`` beyond the standard quantile ``z``.
 
     ``m = z + P_1/P_0`` with ``P_k = pi int_z^inf (s - z)^k g ds``; ``v`` is
     summed about ``m``.  Above ``lo = max(z, 0)``, with ``u = 1/n + lo - z``, the
-    term ``C e^{-n s}`` adds ``C e^{-n lo} / n`` times ``1``, ``u`` and ``u^2 + 1/n^2``;
+    term ``C e^{-n s}`` adds ``C e^{-n lo} / n`` times ``1``, ``u`` and ``u^2 + 1/n^2``
+    (the weights ``C e^{-n lo} / n`` and their sum are kept for ``z < 0``);
     below 0 :func:`_lower_sums` adds its parts, which are exactly +0.0 at
     ``z >= 0`` and so are summed only where ``z < 0``.
     """
-    lo = z if z >= 0.0 else 0.0
-    d = lo - z
-    cs = _upper_terms(lo)
-    ns = range(1, len(cs) + 1)
-    w = [c / n for c, n in zip(cs, ns)]
+    if z < 0.0:
+        d, w, p0 = -z, _UPPER_AT_0, _UPPER_SUM_AT_0
+        s0, s1, s2 = _lower_sums(d)
+    else:
+        d, w = 0.0, [c / n for n, c in enumerate(_upper_terms(z), 1)]
+        p0 = pairwise_sum(w)
+        s0 = s1 = s2 = 0.0
+    p0 += s0
+    ns = range(1, len(w) + 1)
     u = [d + 1.0 / n for n in ns]
-    s0, s1, s2 = _lower_sums(d) if z < 0.0 else (0.0, 0.0, 0.0)
-    p0 = pairwise_sum(w) + s0
     r = (pairwise_sum([a * b for a, b in zip(w, u)]) + s1) / p0
     p2 = pairwise_sum([a * ((b - r) * (b - r) + 1.0 / (n * n)) for a, b, n in zip(w, u, ns)])
     return z + r, (p2 + s2 - r * (2.0 * s1 - r * s0)) / p0

@@ -26,7 +26,9 @@ from arctangr import (
     tv,
     tvar,
 )
+from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import MCOracleResult
+from arctangr.tail import _CACHED_LEVELS
 
 
 def bits(value):
@@ -71,8 +73,8 @@ def tail_params(draw):
 
 
 @st.composite
-def level_grids(draw):
-    size = draw(st.sampled_from(GRID_SIZES))
+def level_grids(draw, sizes=GRID_SIZES):
+    size = draw(st.sampled_from(sizes))
     seed = draw(st.integers(0, 2**32 - 1))
     levels = np.random.default_rng(seed).uniform(0.5, 1.0, size)
     levels[levels <= 0.5] = P_STAR
@@ -101,13 +103,19 @@ class TestRiskRows:
     @given(omega=st.one_of(st.sampled_from(EDGES), st.floats(-1.79e308, 1.79e308)),
            psi=st.one_of(st.sampled_from([e for e in EDGES if e > 0.0]),
                          st.floats(1e150, 1.79e308)),
-           levels=st.lists(LEVELS, min_size=1, max_size=6))
+           levels=st.one_of(st.lists(LEVELS, min_size=1, max_size=6),
+                            level_grids(sizes=(45, _CACHED_LEVELS + 1))))
     @example(omega=1e308, psi=1e308, levels=[0.99])
     @example(omega=1e308, psi=1e308, levels=[0.6, 0.99])
     # VaR below omega overflows to -inf while TVaR stays finite
     @example(omega=-1.7e308, psi=1e308, levels=[0.51, 0.9])
     @example(omega=-1e308, psi=1e154, levels=[0.51])
     @example(omega=0.0, psi=1e200, levels=[0.9])
+    # on the plot bundle's 45 levels: every VaR and TVaR is finite, and their
+    # sums overflow
+    @example(omega=1.7e308, psi=1e150, levels=list(RISK_ALPHAS))
+    # VaR overflows from alpha = 0.87 on: the first of them is named
+    @example(omega=1.7e308, psi=1e307, levels=list(RISK_ALPHAS[::-1]))
     def test_overflow_raises_the_same_message(self, omega, psi, levels):
         params = ArctanGRParams(omega, psi)
         assert outcome(lambda: risk_curve(params, levels).rows) == \

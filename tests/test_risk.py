@@ -1,6 +1,7 @@
 """Risk measures: frozen values, coherence/equivariance, MC agreement,
 empirical estimators, and report serialization."""
 
+import gc
 import json
 import math
 import tracemalloc
@@ -39,7 +40,7 @@ from arctangr import distributions, risk, tail
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
 from arctangr._util import pairwise_sum
-from arctangr.distributions import _z_quantile, _z_tail_quantile
+from arctangr.distributions import _binomial_row, _z_quantile, _z_tail_quantile
 from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import _DRAW_BLOCK
 from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level, _z_moment_parts
@@ -443,6 +444,7 @@ class TestStandardCaches:
         params = ArctanGRParams(ratio * psi, psi)
         warm = [repr(_measures(params, levels, r)) for _ in range(2)]
         with mock.patch.object(risk, "_standard_tail", _tail_moments), \
+                mock.patch.object(distributions, "_binomial_row", _binomial_row.__wrapped__), \
                 mock.patch.object(distributions, "_z_moment_parts", _z_moment_parts.__wrapped__):
             cold = repr(_measures(params, levels, r))
         assert warm == [cold, cold]
@@ -461,13 +463,17 @@ class TestStandardCaches:
         assert series.call_count == 1
 
     def test_one_moment_series_per_order(self):
+        # each order's row holds its E[Z^k], so the series is read once per
+        # row built, and the row once per call
         _z_moment_parts.cache_clear()
+        _binomial_row.cache_clear()
         for i in range(21):
             params = ArctanGRParams(10.0**i - 1.0, 1e-3 * 2.0**i)
             for r in (1, 2, 3, 4):
                 agr_moment(params, r)
-        info = _z_moment_parts.cache_info()
-        assert (info.misses, info.hits) == (4, 21 * (1 + 2 + 3 + 4) - 4)
+        assert _z_moment_parts.cache_info().misses == 4
+        info = _binomial_row.cache_info()
+        assert (info.misses, info.hits) == (4, 21 * 4 - 4)
 
     def test_overflow_raises_on_a_cache_hit(self):
         _standard_tail.cache_clear()
@@ -487,6 +493,9 @@ class TestStandardCaches:
             report = risk_curve(ArctanGRParams(0.0, 1.0), levels)
             assert len(report.rows) == levels.size
             del report
+            # a full collection empties CPython's free lists, whose freed
+            # tuples and floats tracemalloc would count as kept
+            gc.collect()
             kept, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
