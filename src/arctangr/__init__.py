@@ -29,8 +29,6 @@ _EXPORTS = {
         "ingest",
     ),
     "distributions": (
-        "GaussianParams",
-        "RayleighParams",
         "agr_cdf",
         "agr_cum_hazard",
         "agr_hazard",
@@ -83,7 +81,7 @@ _EXPORTS = {
         "tvar",
         "var",
     ),
-    "tail": ("P_STAR", "ArctanGRParams"),
+    "tail": ("P_STAR", "ArctanGRParams", "GaussianParams", "RayleighParams"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

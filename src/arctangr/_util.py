@@ -87,8 +87,10 @@ def bowley_moors(octiles):
 
 
 def dump_json(payload) -> str:
-    """``payload`` as indent-2 JSON with a final newline: every JSON output."""
-    return json.dumps(payload, indent=2) + "\n"
+    """``payload`` as indent-2 JSON with a final newline: every JSON output.
+    It is strict JSON (RFC 8259): a ``NaN`` or infinite number raises
+    ``ValueError``, where ``json`` would write ``NaN`` or ``Infinity``."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def dump_csv(header, rows) -> str:

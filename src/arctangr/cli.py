@@ -9,11 +9,12 @@ and ``compare`` share one CSV row layout; ``plotdata`` has no CSV, and
 ``risk --mc-samples`` needs table or JSON.
 
 Each runner imports the modules it calls, so a command loads only those:
-``describe`` needs no model code, and ``risk --omega/--psi`` no fit.  The
-commands that fit and draw nothing (``describe``, ``risk --omega/--psi``
-and ``risk --empirical``) run on Python floats and never import numpy;
-``fit``, ``compare``, ``plotdata``, ``risk --data`` without ``--empirical``
-and ``risk --mc-samples`` do.
+``describe`` needs no model code, and ``risk --omega/--psi`` no fit.  Every
+command but ``risk --mc-samples`` runs on Python floats and never imports
+numpy, except that ``fit``, ``compare``, ``plotdata`` and ``risk --data``
+without ``--empirical`` fit samples of more than
+:data:`arctangr.fit.FLOAT_FIT_MAX` points on numpy arrays.  JSON output is
+strict (RFC 8259): it never holds ``NaN`` or ``Infinity``.
 
 Exit codes: 0 success, 2 usage error, 3 data/domain error (or an ``--out``
 that cannot be written), 4 numeric non-convergence.

@@ -7,9 +7,10 @@ July 2008 - April 2013) available under the source spec
 ``embedded:insurance``.
 
 A :class:`LossDataset` holds its checked sample, and the sorted copy, as
-Python floats; ``describe`` and the quantiles run on those, with numpy's
-bits, and import no numpy.  The ndarrays that the fits and the plot bundle
-work on are built from the floats on first use.
+Python floats; ``describe``, the quantiles, the plot bundle and the fits of
+up to :data:`arctangr.fit.FLOAT_FIT_MAX` points run on those, with numpy's
+bits where numpy has an equal, and import no numpy.  The ndarrays that the
+fits of larger samples work on are built from the floats on first use.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,36 +44,19 @@ from ._arrays import BLOCK, SCALARS, as_float_array, blockwise, match_input
 from ._util import bowley_moors
 from .arctanx import BaseDistribution
 from .errors import DomainError
-from .tail import _PI_OVER_4, FOUR_OVER_PI, P_STAR, ArctanGRParams, _z_moment_parts
+from .tail import (
+    _PI_OVER_4,
+    FOUR_OVER_PI,
+    P_STAR,
+    ArctanGRParams,
+    GaussianParams,
+    RayleighParams,
+    _z_moment_parts,
+)
 
 _TINY = float(np.finfo(float).tiny)
 _HALF_MAX = 2.0 ** 1023
 _SIGN_BIT = np.int64(-(2**63))
-
-
-@dataclass(frozen=True)
-class GaussianParams:
-    """Mean and standard deviation of a Gaussian."""
-
-    omega: float
-    eta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.omega):
-            raise DomainError(f"omega must be finite, got {self.omega}")
-        if not (np.isfinite(self.eta) and self.eta > 0):
-            raise DomainError(f"eta must be a positive finite scale, got {self.eta}")
-
-
-@dataclass(frozen=True)
-class RayleighParams:
-    """Scale of a Rayleigh distribution (support x >= 0)."""
-
-    psi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.psi) and self.psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,14 @@ in omega one bracketed search on the one-sided slopes of the profile, from
 the sample's ``P_STAR`` quantile (where the model puts omega) toward an open
 end just beyond the data, narrowed over the order statistics and then inside
 a gap between two data points (samples with few distinct values are also
-swept point by point).  Every score pass of a fit writes one preallocated
-workspace in place.  The fit stops on a checkable rule (see
-:func:`fit_agr`).  No scipy is
-imported.  The baseline Gaussian, Rayleigh, and Laplace fits are
-closed-form MLEs.  Every fit runs on its sample at unit scale, ``x``
+swept point by point).  The fit stops on a checkable rule (see
+:func:`fit_agr`).  No scipy is imported.  The baseline Gaussian, Rayleigh,
+and Laplace fits are closed-form MLEs.  Every fit of a sample of at most
+:data:`FLOAT_FIT_MAX` points runs on Python floats, with no numpy: a score
+pass is one loop per side of omega (:class:`_FloatPass`), and each model's
+log-density is one float per point; larger samples run the same fits on
+numpy arrays (:mod:`arctangr._fit_arrays`), whose score pass writes one
+preallocated workspace in place.  Every fit runs on its sample at unit scale, ``x``
 times ``2^-e`` (:func:`arctangr._util.unit_exponent`; ``e = 0`` for
 ``max|x|`` in ``[2^-449, 2^448)``), where no sum overflows and no nonzero
 squared deviation leaves the normal doubles; each parameter, a location
@@ -24,31 +27,18 @@ log-likelihood is better).
 
 from __future__ import annotations
 
-import functools
 import math
+import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from numbers import Integral
+from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from ._util import dump_csv, dump_json, unit_exponent
+from ._util import dump_csv, dump_json, mean_var, pairwise_sum, unit_exponent
 from .dataset import LossDataset, _linear_quantile
-from .distributions import (
-    P_STAR,
-    ArctanGRParams,
-    GaussianParams,
-    RayleighParams,
-    _z_log_shape,
-    agr_logpdf,
-    agr_pdf,
-    gaussian_logpdf,
-    gaussian_pdf,
-    mixture_kernel_logpdf,
-    mixture_kernel_pdf,
-    rayleigh_logpdf,
-    rayleigh_pdf,
-)
 from .errors import DataError, DomainError
+from .tail import FOUR_OVER_PI, P_STAR, ArctanGRParams, GaussianParams, RayleighParams
 
 CRITERIA = ("aic", "bic", "caic", "hqic")
 
@@ -75,9 +65,9 @@ def information_criteria(loglik, n, r) -> Criteria:
     CAIC's denominator is positive).
     """
     loglik = float(loglik)
-    if not (isinstance(n, (int, np.integer)) and n >= 3):
+    if not (isinstance(n, Integral) and n >= 3):
         raise DomainError(f"sample size n must be an integer >= 3, got {n!r}")
-    if not (isinstance(r, (int, np.integer)) and r >= 0):
+    if not (isinstance(r, Integral) and r >= 0):
         raise DomainError(f"parameter count r must be a nonnegative integer, got {r!r}")
     if n <= r + 1:
         raise DomainError(f"CAIC undefined: need n > r + 1, got n={n}, r={r}")
@@ -169,30 +159,54 @@ def _values(data) -> LossDataset:
     return LossDataset(values=data, source="array", name="sample")
 
 
+#: Samples of at most this many points are fitted on Python floats, and
+#: larger ones on numpy arrays (:mod:`arctangr._fit_arrays`).  Measured on a
+#: 2-vCPU x86-64 VM: a float score pass costs ~0.5 us per point (~30 us at
+#: n = 58, ~0.25 ms at n = 500) and a numpy pass ~20-30 us at any n below a
+#: few thousand, while a one-shot CLI process that never imports numpy saves
+#: ~100 ms.  At 1024 points a fit of ~10 passes takes ~5 ms on floats, a
+#: twentieth of that saving; above it the float passes cost more, and a
+#: process that has numpy loaded already loses more (~20x per pass here).
+FLOAT_FIT_MAX = 1024
+
+
+def _path(data):
+    """``(path, x, xs)``: the arithmetic of the fits of ``data`` and the sample
+    and its sorted copy as that path reads them: :data:`_FLOATS` on the
+    dataset's tuples of floats for at most ``FLOAT_FIT_MAX`` points, and
+    :mod:`arctangr._fit_arrays` on its ndarrays above."""
+    if data.n <= FLOAT_FIT_MAX:
+        return _FLOATS, data.values, data.sorted_values
+    from . import _fit_arrays
+
+    return _fit_arrays, data.array, data.sorted_array
+
+
 def agr_loglik(params: ArctanGRParams, data) -> float:
-    """Sum of AGR log-densities over the sample."""
-    return float(np.sum(agr_logpdf(params, _values(data).array)))
+    """Sum of AGR log-densities over the sample, as the fits take it."""
+    path, x, _ = _path(_values(data))
+    return path.loglik("agr", params, x)
 
 
-def _unit_sample(data):
+def _unit_sample(path, x, xs):
     """``(e, y, ys)``: the exponent of the sample's unit scale
-    (:func:`unit_exponent`, from its sorted ends), and the sample and its
-    sorted copy times ``2^-e``: the dataset's own arrays where ``e = 0``."""
-    xs = data.sorted_array
-    e = unit_exponent(xs.item(0), xs.item(-1))
+    (:func:`unit_exponent`, from the sorted ends of ``xs``), and the sample
+    ``x`` and its sorted copy ``xs`` times ``2^-e``: themselves where ``e = 0``."""
+    e = unit_exponent(xs[0], xs[-1])
     if not e:
-        return 0, data.array, xs
+        return 0, x, xs
     unit = math.ldexp(1.0, -e)
-    return e, data.array * unit, xs * unit
+    return e, path.scaled(x, unit), path.scaled(xs, unit)
 
 
-def _build_result(model_name, params, logpdf, y, e, r, **diag) -> FitResult:
+def _build_result(model_name, params, path, y, e, r, **diag) -> FitResult:
     """The fit's result from ``params`` fitted to ``y``, the sample times
     ``2^-e``: every parameter, a location or a scale, maps back by ``2^e``,
-    and the log-likelihood ``sum(logpdf(params, y))`` by ``- n e log 2``; a
-    scale that maps back to 0 raises :class:`DataError`."""
-    n = int(y.size)
-    ll = float(np.sum(logpdf(params, y))) - n * e * math.log(2.0)
+    and the log-likelihood, the model's log-density summed over ``y`` on
+    ``path``, by ``- n e log 2``; a scale that maps back to 0 raises
+    :class:`DataError`."""
+    n = len(y)
+    ll = path.loglik(model_name, params, y) - n * e * math.log(2.0)
     if not math.isfinite(ll):
         raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
     try:
@@ -204,47 +218,48 @@ def _build_result(model_name, params, logpdf, y, e, r, **diag) -> FitResult:
                      **information_criteria(ll, n, r)._asdict(), **diag)
 
 
-def _check_size(x, r, model):
+def _check_size(n, r, model):
     """CAIC needs ``n > r + 1``, so a fit of ``r`` parameters to fewer than
     ``r + 2`` observations raises :class:`DomainError` before it is made."""
-    if x.size <= r + 1:
-        raise DomainError(f"{model} fit needs at least {r + 2} observations, got {x.size}")
+    if n <= r + 1:
+        raise DomainError(f"{model} fit needs at least {r + 2} observations, got {n}")
 
 
 def fit_gaussian(data) -> FitResult:
     """Closed-form Gaussian MLE: sample mean and population SD, at the
     sample's unit scale."""
     data = _values(data)
-    _check_size(data.array, 2, "Gaussian")
-    e, y, _ = _unit_sample(data)
-    sd = float(y.std(ddof=0))
+    _check_size(data.n, 2, "Gaussian")
+    path, x, xs = _path(data)
+    e, y, _ = _unit_sample(path, x, xs)
+    mean, var = path.mean_var(y)
+    sd = math.sqrt(var)
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
-    params = GaussianParams(omega=float(y.mean()), eta=sd)
-    return _build_result("gaussian", params, gaussian_logpdf, y, e, r=2)
+    return _build_result("gaussian", GaussianParams(omega=mean, eta=sd), path, y, e, r=2)
 
 
 def fit_rayleigh(data) -> FitResult:
     """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``, at the
     sample's unit scale.  The log-likelihood is taken on ``x`` itself, where
-    :func:`rayleigh_logpdf` is finite at every scale: at unit scale its
+    the Rayleigh log-density is finite at every scale: at unit scale its
     ``log x`` could round away."""
     data = _values(data)
-    x = data.array
-    if np.any(x <= 0.0):
+    path, x, xs = _path(data)
+    if xs[0] <= 0.0:
         raise DataError("Rayleigh fit requires strictly positive data")
-    _check_size(x, 1, "Rayleigh")
-    e, y, _ = _unit_sample(data)
-    psi = math.ldexp(float(np.sqrt(np.sum(y * y) / (2.0 * y.size))), e)
-    return _build_result("rayleigh", RayleighParams(psi=psi), rayleigh_logpdf, x, 0, r=1)
+    _check_size(data.n, 1, "Rayleigh")
+    e, y, _ = _unit_sample(path, x, xs)
+    psi = math.ldexp(math.sqrt(path.square_sum(y) / (2.0 * len(y))), e)
+    return _build_result("rayleigh", RayleighParams(psi=psi), path, x, 0, r=1)
 
 
-def _median_and_spread(y, ys, model):
+def _median_and_spread(path, y, ys, model):
     """Median of the unit sample ``y`` (read from ``ys``, the same values
     sorted) and mean absolute deviation from it, which must be positive for
     the ``model`` fit to have a scale."""
     med = _linear_quantile(ys, 0.5)
-    scale = float(np.mean(np.abs(y - med)))
+    scale = path.abs_dev_sum(y, med) / len(y)
     if scale <= 0.0:
         raise DataError(f"{model} fit is degenerate: zero absolute deviation")
     return med, scale
@@ -258,11 +273,11 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     data = _values(data)
-    e, y, ys = _unit_sample(data)
-    med, scale = _median_and_spread(y, ys, "Laplace")
-    _check_size(y, 2, "Laplace")
-    params = ArctanGRParams(omega=med, psi=scale)
-    return _build_result("laplace", params, mixture_kernel_logpdf, y, e, r=2)
+    path, x, xs = _path(data)
+    e, y, ys = _unit_sample(path, x, xs)
+    med, scale = _median_and_spread(path, y, ys, "Laplace")
+    _check_size(data.n, 2, "Laplace")
+    return _build_result("laplace", ArctanGRParams(omega=med, psi=scale), path, y, e, r=2)
 
 
 #: Score passes per psi solve; score passes and omega steps per fit.
@@ -273,7 +288,9 @@ _MAX_STEPS = 400
 _PSI_ROUNDING = 64.0
 #: Samples with at most this many distinct values are swept point by point.
 _SWEEP_N = 32
-_EPS = float(np.finfo(float).eps)
+_EPS = sys.float_info.epsilon
+#: Points per block of a float score pass's sums (see :class:`_FloatPass`).
+_BLOCK = 16
 
 
 class _Point(NamedTuple):
@@ -294,128 +311,104 @@ class _Point(NamedTuple):
     scoring: tuple
 
 
-class _Pass:
-    """One score pass at ``psi`` on the workspace of an :class:`_AgrSearch` that
-    :meth:`_AgrSearch.at` has pointed at omega.
+class _FloatPass:
+    """One score pass at ``psi``, in Python floats, of an :class:`_AgrSearch`
+    that :meth:`_AgrSearch.at` has pointed at omega: the definition of every
+    sum a pass exposes (the numpy pass, ``arctangr._fit_arrays._Pass``, takes
+    the same sums on arrays).
 
     With ``s = +-1`` the side of omega (points at omega count on the right),
     ``u = e^{-|z|}``, ``w = H(z)``, ``q = 1 + w^2``, ``r = w u / q`` and
     ``G = u^2 / q``, the log-shape's derivatives are ``L' = -s - r`` and
     ``L'' = r^2 + s r - G/2``; as ``s z = |z|``, every sum below is a sum of
-    ``r``, ``z r`` and ``z G`` against ``1``, ``z`` and ``|z|``.  The pass
-    writes ``z``, ``u``, ``w``, ``q``, ``r = w (u/q)``, ``G = u (u/q)``,
-    ``z r`` and ``z G`` into the workspace and takes the two sums that the
-    psi step reads; every other sum is read from the workspace on first
-    use, so a pass is valid until the next one.  Sums named ``l1``/``l2``
-    are of ``L'``/``L''``, with their ``z`` factors as a prefix; the others
-    are named by their factors, with ``a = |z|`` and ``s``: ``a_zr`` is
-    ``sum |z| z r``.
+    ``r``, ``z r`` and ``z G`` against ``1``, ``z`` and ``|z|``, so one loop
+    per side of omega takes them all.  Sums named ``l1``/``l2`` are of
+    ``L'``/``L''``, with their ``z`` factors as a prefix.  Each sum is taken
+    in order over blocks of ``_BLOCK`` points and the blocks' sums are added
+    by ``math.fsum``: like numpy's pairwise sum, it is within ``_BLOCK`` eps
+    of the sum of its terms' sizes.
     """
 
-    def __init__(self, ws, psi):
-        z, u, w, q, r, g, zr, zg = ws.z, ws.u, ws.w, ws.q, ws.r, ws.g, ws.zr, ws.zg
-        self.ws = ws
-        self.psi = psi
-        np.divide(ws.d, psi, out=z)
-        np.divide(ws.a, -psi, out=u)
-        np.exp(u, out=u)
-        np.multiply(u, 0.5, out=w)
-        right = w[ws.below:]
-        np.subtract(1.0, right, out=right)
-        np.multiply(w, w, out=q)
-        q += 1.0
-        np.divide(u, q, out=g)
-        np.multiply(w, g, out=r)
-        g *= u
-        np.multiply(z, r, out=zr)
-        np.multiply(z, g, out=zg)
-        # pairwise sums where rounding matters (the score and the slopes);
-        # np.dot for the curvatures, which only shape steps
-        self.zr_zr = float(np.dot(zr, zr))
-        self.a_zr = float(np.dot(ws.a, zr)) / psi
-        self.zl1 = -ws.a_sum / psi - float(zr.sum())
-        self.z2l2 = self.zr_zr + self.a_zr - 0.5 * float(np.dot(zg, z))
-
-    @functools.cached_property
-    def row_sums(self):
-        """``(sum G, sum z G, sum z, sum r)``: one reduction over four rows of
-        the workspace, each row's sum pairwise as ``ndarray.sum`` takes it."""
-        return self.ws.summed.sum(axis=1).tolist()
-
-    @functools.cached_property
-    def r_sum(self):
-        return self.row_sums[3]
-
-    @functools.cached_property
-    def sr_sum(self):
-        return self.r_sum - 2.0 * float(self.ws.r[:self.ws.below].sum())
-
-    @functools.cached_property
-    def r_r(self):
-        return float(np.dot(self.ws.r, self.ws.r))
-
-    @functools.cached_property
-    def a_r(self):
-        return float(np.dot(self.ws.a, self.ws.r)) / self.psi
-
-    @functools.cached_property
-    def zr_r(self):
-        return float(np.dot(self.ws.zr, self.ws.r))
-
-    @functools.cached_property
-    def l1(self):
-        return 2.0 * self.ws.below - self.ws.n - self.r_sum
-
-    @functools.cached_property
-    def zl2(self):
-        return self.zr_r + self.a_r - 0.5 * self.row_sums[1]
-
-    @functools.cached_property
-    def l2(self):
-        return self.r_r + self.sr_sum - 0.5 * self.row_sums[0]
-
-    @functools.cached_property
-    def l11(self):
-        return self.ws.n + 2.0 * self.sr_sum + self.r_r
-
-    @functools.cached_property
-    def zl11(self):
-        return self.row_sums[2] + 2.0 * self.a_r + self.zr_r
-
-    @functools.cached_property
-    def z2l11(self):
-        return float(np.dot(self.ws.z, self.ws.z)) + 2.0 * self.a_zr + self.zr_zr
+    def __init__(self, search, psi):
+        exp = math.exp
+        blocks = []
+        for s, ds in zip((-1.0, 1.0), search.sides):
+            w0, h = (0.0, 0.5) if s < 0.0 else (1.0, -0.5)  # w = u/2 left, 1 - u/2 right
+            for i in range(0, len(ds), _BLOCK):
+                r_s = zr_s = zr_zr = z_zr = z_zg = g = zg = r_r = zr_r = z_z = 0.0
+                for d in ds[i:i + _BLOCK]:
+                    z = d / psi
+                    u = exp(-s * z)
+                    w = w0 + h * u
+                    gq = u / (w * w + 1.0)
+                    r = w * gq
+                    big_g = gq * u
+                    zr = z * r
+                    zg_i = z * big_g
+                    r_s += r
+                    zr_s += zr
+                    zr_zr += zr * zr
+                    z_zr += z * zr
+                    z_zg += z * zg_i
+                    g += big_g
+                    zg += zg_i
+                    r_r += r * r
+                    zr_r += zr * r
+                    z_z += z * z
+                # s times a sum over one side adds up to a sum weighted by |z|/z
+                blocks.append((r_s, s * r_s, zr_s, s * zr_s, s * z_zr,
+                               zr_zr, z_zg, g, zg, r_r, zr_r, z_z))
+        (r_sum, sr_sum, zr_sum, a_r, a_zr,
+         zr_zr, z_zg, g, zg, r_r, zr_r, z_z) = map(math.fsum, zip(*blocks))
+        n = search.n
+        self.zl1 = -search.a_sum / psi - zr_sum
+        self.z2l2 = zr_zr + a_zr - 0.5 * z_zg
+        self.l1 = 2.0 * search.below - n - r_sum
+        self.zl2 = zr_r + a_r - 0.5 * zg
+        self.l2 = r_r + sr_sum - 0.5 * g
+        self.l11 = n + 2.0 * sr_sum + r_r
+        self.zl11 = search.d_sum / psi + 2.0 * a_r + zr_r
+        self.z2l11 = z_z + 2.0 * a_zr + zr_zr
 
 
 class _AgrSearch:
     """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`.
 
-    Its score passes (:class:`_Pass`) all write one workspace of ``n``-arrays,
-    allocated here.  ``xs`` is at unit scale, so no sum of it overflows."""
+    ``xs`` is at unit scale, so no sum of it overflows.  This is the float
+    search, on a sequence of floats, with the float pass
+    (:class:`_FloatPass`); ``arctangr._fit_arrays.ArraySearch`` runs it on a
+    sorted ndarray, with the numpy pass on one workspace."""
+
+    Pass = _FloatPass
 
     def __init__(self, xs):
         self.xs = xs
-        self.n = n = xs.size
+        self.n = len(xs)
         self.passes = 0
         self.steps = 0
-        ws = np.empty((10, n))
-        self.d, self.a, self.u, self.w, self.q, self.zr, self.g, self.zg, self.z, self.r = ws
-        self.summed = ws[6:]  # G, z G, z, r: the rows summed together
 
     def at(self, omega):
-        """Point the workspace at ``omega``: ``below`` points lie left of it and
-        ``m`` at it, ``d = x - omega``, and ``a = |d|``, with its sum."""
+        """Point the search at ``omega``: ``below`` points lie left of it and ``m``
+        at it; ``sides`` holds ``d = x - omega`` left of it and from it on, and
+        ``d_sum`` and ``a_sum`` are the sums of ``d`` and ``|d|``."""
         xs = self.xs
-        self.below = int(xs.searchsorted(omega, "left"))
-        self.m = int(xs.searchsorted(omega, "right")) - self.below
-        np.subtract(xs, omega, out=self.d)
-        np.abs(self.d, out=self.a)
-        self.a_sum = float(self.a.sum())
+        self.below = below = bisect_left(xs, omega)
+        self.m = bisect_right(xs, omega, below) - below
+        d = [x - omega for x in xs]
+        self.sides = d[:below], d[below:]
+        self.d_sum = math.fsum(d)
+        self.a_sum = math.fsum(map(abs, d))
 
     def score_pass(self, psi):
-        """A :class:`_Pass` at ``psi``; it overwrites the last one's workspace."""
+        """A :class:`Pass` at ``psi``, valid until the next one."""
         self.passes += 1
-        return _Pass(self, psi)
+        return self.Pass(self, psi)
+
+    def few_values(self):
+        """The sample's distinct values in order where there are at most
+        ``_SWEEP_N`` of them, else none."""
+        values = set(self.xs)
+        return sorted(values) if len(values) <= _SWEEP_N else []
 
     def slope_tol(self, omega, psi):
         """Rounding level of a slope at ``(omega, psi)``: the rounding of its ``n``
@@ -498,8 +491,8 @@ class _AgrSearch:
         where every ``L'`` has one sign: infinite slopes, no psi solve (``t`` is
         ``nan``), and never stepped from or returned."""
         slope = -math.inf if side else math.inf
-        omega = np.nextafter(self.xs[-1 if side else 0], slope)
-        return _Point(float(omega), math.nan, math.nan, math.nan, (slope, slope), (), ())
+        omega = math.nextafter(self.xs[-1 if side else 0], slope)
+        return _Point(omega, math.nan, math.nan, math.nan, (slope, slope), (), ())
 
     def budget_left(self):
         return self.steps < _MAX_STEPS and self.passes < _MAX_PASSES
@@ -520,7 +513,8 @@ class _AgrSearch:
 
     def loglik(self, p):
         """The log-likelihood at ``p`` less its constant ``n log(2/pi)``."""
-        return float(_z_log_shape((self.xs - p.omega) / math.exp(p.t)).sum()) - self.n * p.t
+        psi = math.exp(p.t)
+        return math.fsum(_log_shape((x - p.omega) / psi) for x in self.xs) - self.n * p.t
 
     def narrow(self, a, b):
         """Shrink ``[a, b]``, where the profile rises to the right of ``a`` and to
@@ -536,8 +530,8 @@ class _AgrSearch:
         xs = self.xs
         sizes = []
         while self.budget_left():
-            lo = int(xs.searchsorted(a.omega, "right"))
-            hi = int(xs.searchsorted(b.omega, "left"))
+            lo = bisect_right(xs, a.omega)
+            hi = bisect_left(xs, b.omega)
             inside = hi > lo
             sa, sb = a.slope[1], b.slope[0]
             p, side = (a, 1) if sa <= -sb else (b, 0)
@@ -558,7 +552,7 @@ class _AgrSearch:
                     if not min(p.omega, nxt) < omega < max(p.omega, nxt):
                         omega = nxt
                 else:
-                    j = min(max(int(np.searchsorted(xs, guess)), lo), hi - 1)
+                    j = min(max(bisect_left(xs, guess), lo), hi - 1)
                     if j > lo and guess - xs[j - 1] < xs[j] - guess:
                         j -= 1
                     omega = float(xs[j])
@@ -583,7 +577,7 @@ def fit_agr(data) -> FitResult:
 
     The log-likelihood is ``n log(2/(pi psi)) + sum L(z_i)`` with
     ``z_i = (x_i - omega)/psi`` and ``L(z) = -|z| - log1p(w^2)``, whose
-    derivatives are closed forms (see :class:`_Pass`).
+    derivatives are closed forms (see :class:`_FloatPass`).
     For a fixed omega, ``psi-hat`` solves the psi-score
     ``dl/dlog psi = -n - sum z L'(z)`` by a bracketed Newton iteration on
     ``log psi``.  The profile ``l(omega, psi-hat(omega))`` is smooth between
@@ -599,9 +593,11 @@ def fit_agr(data) -> FitResult:
     ``converged`` means the stopping rule holds at the returned point: the
     psi-score is at rounding level and ``slope_right <= 0 <= slope_left``,
     both slopes to their rounding level.  ``stop`` records those three
-    numbers and the two tolerances (``psi_tol``, ``slope_tol``), so that
-    ``converged`` is ``|psi_score| <= psi_tol`` and ``omega_slope_right <=
-    slope_tol`` and ``omega_slope_left >= -slope_tol``, from ``stop`` alone;
+    numbers and the two tolerances (``psi_tol``, ``slope_tol``), the slopes
+    and their tolerance times ``psi/n``, which leaves them without dimension
+    and O(1) at any scale, so that ``converged`` is ``|psi_score| <=
+    psi_tol`` and ``omega_slope_right <= slope_tol`` and ``omega_slope_left
+    >= -slope_tol``, from ``stop`` alone;
     ``iterations`` counts the omega steps and ``nfev`` the score passes.  The
     likelihood is not concave, so this certifies a local maximum: the one the
     search from that quantile reaches.  Samples with at
@@ -613,32 +609,32 @@ def fit_agr(data) -> FitResult:
 
     The search, its starting scale and the log-likelihood run on the sample
     at unit scale (see :func:`_unit_sample`); omega and psi map back by
-    ``2^e``, the slopes in ``stop`` by ``2^-e``.  So two samples with one
-    unit sample, ``x`` and ``2^k x`` both beyond the same edge of the band,
-    have fits exactly ``2^k`` apart.
+    ``2^e``, and ``stop`` is the same at every scale.  So two samples with
+    one unit sample, ``x`` and ``2^k x`` both beyond the same edge of the
+    band, have fits exactly ``2^k`` apart.  Samples of more than
+    ``FLOAT_FIT_MAX`` points run the same search with the numpy pass.
     """
     data = _values(data)
-    e, y, xs = _unit_sample(data)
-    _, scale = _median_and_spread(y, xs, "AGR")
-    _check_size(y, 2, "AGR")
-    search = _AgrSearch(xs)
-    best = search.point(_linear_quantile(xs, P_STAR), math.log(scale))
+    path, x, xs = _path(data)
+    e, y, ys = _unit_sample(path, x, xs)
+    _, scale = _median_and_spread(path, y, ys, "AGR")
+    _check_size(data.n, 2, "AGR")
+    search = path.search(ys)
+    best = search.point(_linear_quantile(ys, P_STAR), math.log(scale))
     if not search.is_max(best):
         ends = (best, search.open_end(1)) if search.rises(best) else (search.open_end(0), best)
         best = search.narrow(*ends)
-    new = xs[1:] != xs[:-1]
-    if np.count_nonzero(new) < _SWEEP_N:  # at most _SWEEP_N distinct values
-        values = xs[np.r_[True, new]]
+    values = search.few_values()
+    if values:
         best = max([best, *search.sweep(values, best)], key=search.loglik)
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
     psi = math.exp(best.t)
-    # the slopes are per unit of omega, so they map back by 2^-e
-    per_x = 2.0 ** -e
+    per = psi / search.n  # a slope times psi/n has no dimension
     return _build_result(
         "agr",
         ArctanGRParams(omega=float(best.omega), psi=psi),
-        agr_logpdf,
+        path,
         y,
         e,
         r=2,
@@ -646,26 +642,120 @@ def fit_agr(data) -> FitResult:
         nfev=search.passes,
         converged=search.is_max(best) and abs(best.psi_score) <= best.psi_tol,
         stop={"psi_score": best.psi_score, "psi_tol": best.psi_tol,
-              "omega_slope_left": best.slope[0] * per_x, "omega_slope_right": best.slope[1] * per_x,
-              "slope_tol": search.slope_tol(best.omega, psi) * per_x},
+              "omega_slope_left": best.slope[0] * per, "omega_slope_right": best.slope[1] * per,
+              "slope_tol": search.slope_tol(best.omega, psi) * per},
     )
 
 
+def _uw(z):
+    """``(u, w)`` at one float ``z``: ``u = e^{-|z|}`` and the standard Laplace
+    CDF ``w = H(z)``, in the steps of :func:`arctangr.distributions._z_uw`."""
+    u = math.exp(-abs(z))
+    h = u * 0.5
+    return u, (1.0 - h if z >= 0.0 else h)
+
+
+def _log_shape(z):
+    """``L(z) = -|z| - log1p(w^2)``, the standard AGR log-density less
+    ``log(2/pi)``, at one float ``z``."""
+    w = _uw(z)[1]
+    return -abs(z) - math.log1p(w * w)
+
+
+# The models' densities and log-densities over a sequence of floats ``xs``, one
+# float per point, each in the steps of its array kernel in
+# :mod:`arctangr.distributions`; only ``exp``, ``log`` and ``log1p`` are
+# ``math``'s, not numpy's, and may differ from them in the last bit.
+
+def _agr_pdf(p, xs):
+    return [u * 0.5 * FOUR_OVER_PI / (w * w + 1.0) / p.psi
+            for u, w in (_uw((x - p.omega) / p.psi) for x in xs)]
+
+
+def _agr_logpdf(p, xs):
+    c = math.log(2.0 / math.pi) - math.log(p.psi)
+    return [c + _log_shape((x - p.omega) / p.psi) for x in xs]
+
+
+def _gaussian_pdf(p, xs):
+    c = p.eta * math.sqrt(2 * math.pi)
+    return [math.exp(-0.5 * z * z) / c for z in ((x - p.omega) / p.eta for x in xs)]
+
+
+def _gaussian_logpdf(p, xs):
+    c, h = math.log(p.eta), 0.5 * math.log(2 * math.pi)
+    return [-0.5 * z * z - c - h for z in ((x - p.omega) / p.eta for x in xs)]
+
+
+def _rayleigh_pdf(p, xs):
+    return [z / p.psi * math.exp(-0.5 * z * z) if x > 0.0 else 0.0
+            for x, z in ((x, x / p.psi) for x in xs)]
+
+
+#: The smallest normal double, and the cap of ``z/psi`` in the Rayleigh log-density.
+_TINY = sys.float_info.min
+_HALF_MAX = 2.0 ** 1023
+
+
+def _rayleigh_logpdf(p, xs):
+    """``log(z/psi) - z^2/2``, ``-inf`` off the support; where ``z/psi`` leaves
+    ``[_TINY, _HALF_MAX)``, as ``log x - 2 log psi`` (see
+    :func:`arctangr.distributions.rayleigh_logpdf`)."""
+    psi = p.psi
+
+    def one(x):
+        if not x > 0.0:
+            return -math.inf
+        z = x / psi
+        ratio = min(z, psi * _HALF_MAX) / psi
+        log_ratio = math.log(ratio) if _TINY <= ratio < _HALF_MAX else (
+            math.log(x) - 2.0 * math.log(psi))
+        return log_ratio - 0.5 * z * z
+
+    return list(map(one, xs))
+
+
+def _laplace_pdf(p, xs):
+    return [0.5 * math.exp(-abs((x - p.omega) / p.psi)) / p.psi for x in xs]
+
+
+def _laplace_logpdf(p, xs):
+    psi = p.psi
+    c = math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
+    return [-abs((x - p.omega) / psi) - c for x in xs]
+
+
 class Model(NamedTuple):
-    """A candidate model: display label, MLE fitter, and density ``pdf(params, x)``."""
+    """A candidate model: display label, MLE fitter, and density and
+    log-density ``pdf(params, xs)``/``logpdf(params, xs)``: a list of floats,
+    one per float in ``xs``."""
 
     label: str
     fit: Callable[..., FitResult]
     pdf: Callable
+    logpdf: Callable
 
 
 #: The candidate models, in comparison order.
 MODELS = {
-    "agr": Model("Arctan-GR", fit_agr, agr_pdf),
-    "gaussian": Model("Gaussian", fit_gaussian, gaussian_pdf),
-    "rayleigh": Model("Rayleigh", fit_rayleigh, rayleigh_pdf),
-    "laplace": Model("Laplace", fit_laplace, mixture_kernel_pdf),
+    "agr": Model("Arctan-GR", fit_agr, _agr_pdf, _agr_logpdf),
+    "gaussian": Model("Gaussian", fit_gaussian, _gaussian_pdf, _gaussian_logpdf),
+    "rayleigh": Model("Rayleigh", fit_rayleigh, _rayleigh_pdf, _rayleigh_logpdf),
+    "laplace": Model("Laplace", fit_laplace, _laplace_pdf, _laplace_logpdf),
 }
+
+#: The fits' arithmetic on at most ``FLOAT_FIT_MAX`` Python floats (see
+#: :func:`_path`): sums in numpy's pairwise order, and log-likelihoods summed
+#: from :data:`MODELS`' float log-densities.  :mod:`arctangr._fit_arrays` has
+#: the same functions on ndarrays.
+_FLOATS = SimpleNamespace(
+    scaled=lambda x, unit: [v * unit for v in x],
+    mean_var=lambda y: mean_var(y, 0),
+    square_sum=lambda y: pairwise_sum([v * v for v in y]),
+    abs_dev_sum=lambda y, c: pairwise_sum([abs(v - c) for v in y]),
+    loglik=lambda name, params, y: pairwise_sum(MODELS[name].logpdf(params, y)),
+    search=lambda xs: _AgrSearch(xs),
+)
 
 
 @dataclass(frozen=True)
@@ -713,3 +803,12 @@ def compare_models(data) -> ComparisonTable:
     for criterion in CRITERIA:
         best_by[criterion] = min(results, key=lambda r: getattr(r, criterion)).model_name
     return ComparisonTable(rows=results, best_by=best_by)
+
+
+# A process that has imported numpy already (a library session, not a one-shot
+# CLI command) loads the numpy path with this module: deferred, its import and
+# compile (~10 ms without a bytecode cache) would land inside the process's
+# first fit above FLOAT_FIT_MAX points.  Only a process without numpy, which
+# saves ~100 ms by never importing it, defers it.
+if "numpy" in sys.modules:
+    from . import _fit_arrays  # noqa: E402, F401

@@ -2,16 +2,19 @@
 
 Figures are emitted as data grids rather than rendered images so any
 plotting tool can consume them.  Density columns come from whichever
-candidate models fit the data; models whose support excludes the data are
-skipped with a note instead of failing the whole bundle.
+candidate models fit the data; models whose support excludes the data, or
+whose density leaves the double range on the grid, are skipped with a note
+instead of failing the whole bundle.  Everything runs on Python floats,
+with the bits of numpy's ``linspace``, ``round`` and ``histogram``: a
+bundle imports numpy only where its fits do (see
+:data:`arctangr.fit.FLOAT_FIT_MAX`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from operator import lt
 
 from ._util import dump_json
 from .dataset import LossDataset, _linear_quantile
@@ -19,8 +22,24 @@ from .errors import DataError, DomainError
 from .fit import MODELS
 from .risk import risk_curve
 
-#: Confidence levels of the risk curves, and points of the density grid.
-RISK_ALPHAS = tuple(np.linspace(0.55, 0.99, 45).round(12))
+
+def _linspace(start, stop, num):
+    """``np.linspace(start, stop, num).tolist()`` for ``num >= 2``, bit for bit:
+    ``i * step + start`` with ``step = (stop - start) / (num - 1)`` (or, where
+    that step rounds to 0, ``i / (num - 1) * (stop - start) + start``), and
+    ``stop`` as the last point."""
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    points = [i * step + start if step else i / div * delta + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
+#: Confidence levels of the risk curves (``np.linspace(0.55, 0.99,
+#: 45).round(12)``: numpy rounds ``v`` to 12 decimals as ``rint(v 1e12) /
+#: 1e12``), and points of the density grid.
+RISK_ALPHAS = tuple(round(v * 1e12) / 1e12 for v in _linspace(0.55, 0.99, 45))
 GRID_POINTS = 401
 #: The most histogram bins the Freedman-Diaconis rule may choose; a million
 #: edges are already ~25 MB of JSON.
@@ -38,17 +57,16 @@ class PlotBundle:
     skipped_models: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        edges = np.asarray(self.histogram["bin_edges"])
-        counts = np.asarray(self.histogram["counts"])
-        if counts.sum() != self.histogram["n"]:
+        edges, counts = self.histogram["bin_edges"], self.histogram["counts"]
+        if sum(counts) != self.histogram["n"]:
             raise DomainError("histogram counts must sum to the sample size")
-        if edges.size != counts.size + 1:
+        if len(edges) != len(counts) + 1:
             raise DomainError("histogram needs one more edge than counts")
-        grid = np.asarray(self.density["x"])
-        if not np.all(np.diff(grid) > 0):
+        grid = self.density["x"]
+        if not all(map(lt, grid, grid[1:])):
             raise DomainError("density grid must be strictly increasing")
         for name, col in self.density["curves"].items():
-            if np.any(np.asarray(col) < 0):
+            if any(map((0.0).__gt__, col)):
                 raise DomainError(f"density column {name!r} has negative values")
 
     def to_json(self) -> str:
@@ -99,6 +117,33 @@ def _fd_bins(n, span, iqr) -> int:
     return math.ceil(count)
 
 
+def _histogram(xs, bins):
+    """``np.histogram(xs, bins)`` for an integer ``bins``, as ``(counts, edges)``
+    lists, bit for bit: ``bins + 1`` edges by :func:`_linspace` from the
+    smallest to the largest value (widened by 0.5 each way where they are
+    equal), and each value's bin from ``(x - first) / (last - first) * bins``,
+    moved down where ``x`` lies below its bin's lower edge and up where it
+    reaches the next edge (the last bin holds its upper edge).  Edges that do
+    not increase, as numpy's raise, raise :class:`DataError`."""
+    first, last = min(xs), max(xs)
+    if first == last:
+        first, last = first - 0.5, last + 0.5
+    edges = _linspace(first, last, bins + 1)
+    if not all(map(lt, edges, edges[1:])):
+        raise DataError(f"{bins} histogram bins do not fit in the data range "
+                        f"{first:.6g} to {last:.6g}: choose fewer with --bins")
+    counts = [0] * bins
+    span = last - first
+    for x in xs:
+        i = min(int((x - first) / span * bins), bins - 1)
+        if x < edges[i]:
+            i -= 1
+        elif i != bins - 1 and x >= edges[i + 1]:
+            i += 1
+        counts[i] += 1
+    return counts, edges
+
+
 def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     """Assemble histogram/boxplot/density/risk data for one dataset.
 
@@ -111,8 +156,8 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     its fences (1.5 IQR beyond the quartiles) or its grid (a quarter of the
     range beyond the data) would overflow raises :class:`DataError`.
     """
-    x = data.array
-    lo, hi = float(x.min()), float(x.max())
+    xs = data.sorted_values
+    lo, hi = xs[0], xs[-1]
     span = hi - lo
     # every fence, grid point and grid step lies within this of zero
     if not math.isfinite(max(abs(lo), abs(hi)) + 1.5 * span):
@@ -121,18 +166,12 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
             "density grid would leave the double range"
         )
     # np.quantile's quartiles, from which np.histogram's "fd" takes its IQR
-    q1, med, q3 = (_linear_quantile(data.sorted_array, q) for q in (0.25, 0.5, 0.75))
+    q1, med, q3 = (_linear_quantile(xs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
-    counts, edges = np.histogram(
-        x, bins=(_fd_bins(x.size, span, iqr) if bins is None else int(bins)))
-    histogram = {
-        "n": int(x.size),
-        "bin_edges": edges.tolist(),
-        "counts": counts.tolist(),
-    }
+    counts, edges = _histogram(xs, _fd_bins(data.n, span, iqr) if bins is None else int(bins))
+    histogram = {"n": data.n, "bin_edges": edges, "counts": counts}
 
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    outliers = x[(x < lo_fence) | (x > hi_fence)]
     boxplot = {
         "five_number": {
             "min": lo,
@@ -142,11 +181,11 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
             "max": hi,
         },
         "fences": {"low": lo_fence, "high": hi_fence},
-        "outliers": sorted(float(v) for v in outliers),
+        "outliers": [v for v in xs if v < lo_fence or v > hi_fence],
     }
 
     span = span or 1.0
-    grid = np.linspace(lo - 0.25 * span, hi + 0.25 * span, GRID_POINTS)
+    grid = _linspace(lo - 0.25 * span, hi + 0.25 * span, GRID_POINTS)
     curves = {}
     skipped = {}
     agr_params = None
@@ -156,10 +195,14 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
         except DataError as exc:
             skipped[name] = str(exc)
             continue
-        curves[name] = np.asarray(model.pdf(result.params, grid)).tolist()
         if name == "agr":
             agr_params = result.params
-    density_block = {"x": grid.tolist(), "curves": curves}
+        col = model.pdf(result.params, grid)
+        if all(map(math.isfinite, col)):
+            curves[name] = col
+        else:
+            skipped[name] = "its density leaves the double range on the grid"
+    density_block = {"x": grid, "curves": curves}
 
     if agr_params is None:
         raise DataError("cannot build risk curves: AGR fit failed")

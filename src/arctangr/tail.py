@@ -1,8 +1,9 @@
-"""The AGR parameters and the standard variable's tail, in Python floats.
+"""The model parameters and the standard AGR variable's tail, in Python floats.
 
 AGR is a location-scale family, ``X = omega + psi Z``.  This module holds
-what the per-level risk measures read, with no numpy: the parameters
-(:class:`ArctanGRParams`), the level ``P_STAR = G(0)`` at which the quantile
+what the per-level risk measures read, with no numpy: the parameters of
+every model (:class:`ArctanGRParams`, and the baselines'
+:class:`GaussianParams` and :class:`RayleighParams`), the level ``P_STAR = G(0)`` at which the quantile
 switches branches, the density's series in ``e^{-|z|}``, the raw moments
 ``E[Z^k]`` summed from it, and per confidence level ``a`` the standard
 quantile ``z_a`` and the tail moments
@@ -54,6 +55,31 @@ class ArctanGRParams:
     def __post_init__(self):
         if not math.isfinite(self.omega):
             raise DomainError(f"omega must be finite, got {self.omega}")
+        if not (math.isfinite(self.psi) and self.psi > 0):
+            raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
+
+
+@dataclass(frozen=True)
+class GaussianParams:
+    """Mean and standard deviation of a Gaussian."""
+
+    omega: float
+    eta: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.omega):
+            raise DomainError(f"omega must be finite, got {self.omega}")
+        if not (math.isfinite(self.eta) and self.eta > 0):
+            raise DomainError(f"eta must be a positive finite scale, got {self.eta}")
+
+
+@dataclass(frozen=True)
+class RayleighParams:
+    """Scale of a Rayleigh distribution (support x >= 0)."""
+
+    psi: float
+
+    def __post_init__(self):
         if not (math.isfinite(self.psi) and self.psi > 0):
             raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
 

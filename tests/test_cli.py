@@ -15,7 +15,7 @@ import arctangr.cli as cli
 from arctangr import ingest
 from arctangr.dataset import INSURANCE_VALUES
 from arctangr.errors import FitConvergenceError
-from arctangr.fit import MODELS
+from arctangr.fit import FLOAT_FIT_MAX, MODELS
 
 
 def run_cli(argv, capsys):
@@ -374,8 +374,9 @@ class TestColdPath:
 
 class TestModuleSets:
     # a fresh interpreter per command: each loads the package modules it
-    # runs and no other, since the runners import what they call; the
-    # commands that fit and draw nothing run on floats and never load numpy
+    # runs and no other, since the runners import what they call; every
+    # command that draws nothing runs on floats and loads no numpy, unless
+    # it fits a sample of more than fit.FLOAT_FIT_MAX points
     SCRIPT = textwrap.dedent("""
         import contextlib, io, json, sys
         import arctangr.cli
@@ -389,9 +390,11 @@ class TestModuleSets:
     BASE = ["_util", "cli", "dataset", "errors"]
     FLOATS = sorted(BASE + ["risk", "tail"])
     MODEL = sorted(BASE + ["_arrays", "arctanx", "distributions", "tail"])
+    FIT = sorted(BASE + ["fit", "tail"])
     INS = "--data embedded:insurance"
     PARAMS = "risk --omega 0.02 --psi 0.005"
-    # the modules each command loads, and whether numpy is among them
+    # the modules each command loads, and whether numpy is among them; {file}
+    # holds 40 points and {big} FLOAT_FIT_MAX + 1
     LOADS = {
         f"describe {INS}": (BASE, False),
         "describe --data {file}": (BASE, False),
@@ -402,18 +405,27 @@ class TestModuleSets:
         f"risk {INS} --empirical --alphas 0.75,0.9": (FLOATS, False),
         "risk --data {file} --empirical --alphas 0.75,0.9 --format json": (FLOATS, False),
         f"{PARAMS} --mc-samples 2000": (sorted(MODEL + ["risk"]), True),
-        f"fit {INS}": (sorted(MODEL + ["fit"]), True),
-        f"fit {INS} --model gaussian": (sorted(MODEL + ["fit"]), True),
-        f"compare {INS}": (sorted(MODEL + ["fit"]), True),
-        f"risk {INS}": (sorted(MODEL + ["fit", "risk"]), True),
-        f"plotdata {INS}": (sorted(MODEL + ["fit", "plotdata", "risk"]), True),
+        f"fit {INS}": (FIT, False),
+        f"fit {INS} --model gaussian": (FIT, False),
+        "fit --data {file} --format json": (FIT, False),
+        f"compare {INS}": (FIT, False),
+        "compare --data {file}": (FIT, False),
+        f"risk {INS}": (sorted(FIT + ["risk"]), False),
+        "risk --data {file}": (sorted(FIT + ["risk"]), False),
+        f"plotdata {INS}": (sorted(FIT + ["plotdata", "risk"]), False),
+        "plotdata --data {file} --format json": (sorted(FIT + ["plotdata", "risk"]), False),
+        "fit --data {big}": (sorted(MODEL + ["_fit_arrays", "fit"]), True),
+        "compare --data {big}": (sorted(MODEL + ["_fit_arrays", "fit"]), True),
+        "plotdata --data {big}": (sorted(MODEL + ["_fit_arrays", "fit", "plotdata", "risk"]), True),
     }
 
     @pytest.mark.parametrize("command", LOADS)
     def test_each_command_loads_only_what_it_runs(self, src_env, tmp_path, command):
-        data = tmp_path / "losses.csv"
+        data, big = tmp_path / "losses.csv", tmp_path / "big.csv"
         data.write_text("loss\n" + "\n".join(map(str, range(1, 41))) + "\n")
-        argv = command.format(file=data).split()
+        big.write_text("".join(f"{1.0 + (i * 7919 % 1000) / 997}\n"
+                               for i in range(FLOAT_FIT_MAX + 1)))
+        argv = command.format(file=data, big=big).split()
         proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
                               capture_output=True, text=True, env=src_env)
         assert proc.returncode == 0, proc.stderr

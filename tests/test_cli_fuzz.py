@@ -3,13 +3,16 @@ run in process through ``cli.main`` as the golden test runs them.
 
 Whatever is drawn, the exit code is 0, 2 (usage), 3 (data/domain) or 4
 (numeric); on an error stdout stays empty and stderr ends in its one
-``error:`` line, with no traceback and no numpy repr; and no
-``RuntimeWarning`` is raised.
+``error:`` line, with no traceback and no numpy repr; no ``RuntimeWarning``
+is raised; and JSON output is strict JSON, with no ``NaN`` or ``Infinity``.
+The commands that fit also run on extreme files on both sides of
+``fit.FLOAT_FIT_MAX``, where the float and the numpy paths serve.
 ``--mc-samples`` and ``--bins`` are drawn small, so no case runs long or
 allocates much.
 """
 
 import io
+import json
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -18,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arctangr.cli as cli
+from arctangr.fit import FLOAT_FIT_MAX
 
 
 def mostly(good, bad):
@@ -114,6 +118,14 @@ def files(tmp_path_factory):
     return paths
 
 
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON: ``NaN`` and ``Infinity`` raise."""
+    def reject(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
@@ -172,9 +184,54 @@ def test_exit_codes_and_streams(files, argv):
     if code == 0:
         assert err == ""
         assert (out == "") == any(arg.startswith("--out") for arg in argv)
+        if out and any(arg in ("json", "--format=json") for arg in argv):
+            strict_json(out)
     else:
         assert out == ""
         lines = err.splitlines()
         assert [i for i, line in enumerate(lines) if "error:" in line] == [len(lines) - 1]
         if code != 2:  # argparse prints its usage first; the program prints one line
             assert len(lines) == 1
+
+
+def extreme_samples(n):
+    """Samples of ``n`` points at the edges of the double range: subnormal,
+    near +-1.7e308 and near 1.7e308 alone, and tied to two values."""
+    return {
+        "subnormal": [k * 1e-320 for k in range(1, n + 1)],
+        "huge": [(-1.0) ** k * (1.7e308 - k * 1e292) for k in range(n)],
+        "top": [1.7e308 - k * 1e292 for k in range(n)],
+        "tied": [1.0 + (k % 2) for k in range(n)],
+    }
+
+
+@pytest.fixture(scope="module")
+def extreme_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_extreme")
+    paths = {}
+    for n in (4, FLOAT_FIT_MAX, FLOAT_FIT_MAX + 1):
+        for name, values in extreme_samples(n).items():
+            path = root / f"{name}{n}.csv"
+            path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+            paths[f"{name}{n}"] = str(path)
+    return paths
+
+
+FITTING = [["fit", "--model", m] for m in ("agr", "gaussian", "rayleigh", "laplace")] + [
+    ["compare"], ["plotdata"], ["risk"]]
+
+
+@pytest.mark.parametrize("n", [4, FLOAT_FIT_MAX, FLOAT_FIT_MAX + 1])
+@pytest.mark.parametrize("name", ["subnormal", "huge", "top", "tied"])
+@pytest.mark.parametrize("command", FITTING, ids=" ".join)
+def test_extreme_files_on_both_paths(extreme_files, n, name, command):
+    # each command ends in strict JSON or in one data error line, with no
+    # RuntimeWarning, on the float path (up to FLOAT_FIT_MAX points) and the
+    # numpy path (above)
+    code, out, err = run([*command, "--data", extreme_files[f"{name}{n}"], "--format", "json"])
+    assert code in (0, 3), err
+    if code == 0:
+        assert err == ""
+        strict_json(out)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import arctangr.dataset as dataset_module
 import arctangr.fit as fit_module
 from arctangr import (
     ArctanGRParams,
@@ -35,6 +36,7 @@ from arctangr import (
     information_criteria,
     plot_bundle,
 )
+from arctangr._fit_arrays import ArraySearch
 from arctangr._util import unit_exponent
 from arctangr.distributions import _z_log_shape
 from arctangr.fit import MODELS
@@ -400,16 +402,17 @@ class TestStoppingRule:
         # moves the score by |d score / d log psi| <= 4n
         psi_tol = 64.0 * eps * size + 4.0 * x.size * math.ulp(math.log(psi))
         assert res.converged
-        stop = res.stop
-        assert stop["omega_slope_right"] <= tol and stop["omega_slope_left"] >= -tol
+        # stop reports the slopes and their tolerance times psi/n
+        stop, per = res.stop, psi / x.size
+        assert stop["omega_slope_right"] <= tol * per and stop["omega_slope_left"] >= -tol * per
         assert abs(stop["psi_score"]) <= psi_tol
         # and the tolerances it reports are the rule's
-        assert stop["slope_tol"] == tol
+        assert stop["slope_tol"] == tol * per
         assert abs(stop["psi_score"]) <= stop["psi_tol"] <= psi_tol
         # the reported numbers are the scores at the returned point
         assert abs(score - stop["psi_score"]) <= psi_tol
-        assert abs(left - stop["omega_slope_left"]) <= tol
-        assert abs(right - stop["omega_slope_right"]) <= tol
+        assert abs(left * per - stop["omega_slope_left"]) <= tol * per
+        assert abs(right * per - stop["omega_slope_right"]) <= tol * per
         # and the point is a local maximum of the log-likelihood itself
         ll = res.loglik
         for w, s in ((omega + 1e-6 * psi, psi), (omega - 1e-6 * psi, psi),
@@ -441,12 +444,14 @@ class TestStoppingRule:
 
     def test_converged_recomputes_from_the_json(self, insurance):
         # stop carries the tolerances, so the rule can be checked from the
-        # JSON alone; a small pass budget leaves some of these fits unconverged
+        # JSON alone; a small pass budget leaves some of these fits unconverged.
+        # Its slopes and tolerance, times psi/n, are O(1) at any scale: at
+        # subnormal data they were infinite, which to_json, strict, rejects
         seen = set()
         for budget in (1, 3, 5, fit_module._MAX_PASSES):
-            for x in [insurance.values, *(_family_sample(kind, 300, seed)
-                                          for kind in ("lognormal", "two_normals")
-                                          for seed in range(3))]:
+            for x in [insurance.values, [1e-320, 2e-320, 3e-320, 4e-320],
+                      *(_family_sample(kind, 300, seed)
+                        for kind in ("lognormal", "two_normals") for seed in range(3))]:
                 with mock.patch.object(fit_module, "_MAX_PASSES", budget):
                     payload = json.loads(fit_agr(x).to_json())
                 stop = payload["stop"]
@@ -493,10 +498,13 @@ _PASS_SUMS = {"l1": 0, "zl1": 1, "l2": 0, "zl2": 1, "z2l2": 2, "l11": 0, "zl11":
 
 
 class TestScorePass:
-    """The in-place pass's sums against the same sums of the elementwise
-    ``L'``/``L''`` arrays (``score_oracle``), on sorted samples with omega tied
-    to a sample point or anywhere."""
+    """The sums of both score passes, the float loop and the numpy pass on its
+    in-place workspace, against the same sums of the elementwise ``L'``/``L''``
+    arrays (``score_oracle``), on sorted samples with omega tied to a sample
+    point or anywhere."""
 
+    @pytest.mark.parametrize("search_of", [lambda xs: fit_module._AgrSearch(xs.tolist()),
+                                           ArraySearch], ids=["floats", "numpy"])
     @settings(max_examples=200, deadline=None)
     @given(
         xs=st.lists(st.one_of(st.sampled_from([-3.0, -0.0, 0.0, 0.0, 2.5, 2.5, 7.0]),
@@ -512,10 +520,10 @@ class TestScorePass:
     @example(xs=[2.5, 2.5, 2.5], at=0, psi=1e-3, tile=1)  # every point at omega
     # |x| near the top of the range: |x - omega| is summed in units of 2^k
     @example(xs=[-1e307, 0.0, 1e307, 1e307], at=1, psi=1e300, tile=1)
-    def test_sums_match_the_elementwise_oracle(self, xs, at, psi, tile):
+    def test_sums_match_the_elementwise_oracle(self, search_of, xs, at, psi, tile):
         xs = np.sort(np.tile(np.array(xs), tile))
         omega = float(xs[at % xs.size]) if isinstance(at, int) else at
-        search = fit_module._AgrSearch(xs)
+        search = search_of(xs)
         search.at(omega)
         got = search.score_pass(psi)
         z, terms = pass_terms(xs, omega, psi)
@@ -596,8 +604,8 @@ class TestExtremeData:
     ])
     def test_agr_on_a_sample_whose_range_overflows(self, x):
         # the search runs on the sample times 2^-e, which x and x/2 share: their
-        # parameters differ by exactly 2, and are the unit fit's times 2^e; the
-        # slopes in stop are the unit fit's times 2^-e.  The oracle of the
+        # parameters differ by exactly 2, and are the unit fit's times 2^e; stop,
+        # without dimension, is the unit fit's.  The oracle of the
         # log-likelihood is mpmath's at the returned parameters
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -609,8 +617,7 @@ class TestExtremeData:
         assert (res.params.omega, res.params.psi) == (2.0 * half.params.omega, 2.0 * half.params.psi)
         assert (res.params.omega, res.params.psi) == (
             math.ldexp(unit.params.omega, e), math.ldexp(unit.params.psi, e))
-        for key in ("omega_slope_left", "omega_slope_right", "slope_tol"):
-            assert res.stop[key] == math.ldexp(unit.stop[key], -e)
+        assert res.stop == unit.stop
         assert res.loglik == pytest.approx(mp_loglik("agr", res.params, x), rel=1e-15)
 
     @pytest.mark.parametrize("fit", [fit_agr, fit_laplace])
@@ -808,14 +815,20 @@ class TestSampleType:
             with pytest.raises(DataError, match=f"^dataset 'sample' .*{match}"):
                 model.fit(bad)
 
-    def test_sorted_once(self, insurance, monkeypatch):
-        # compare_models sorts its sample once for the AGR and Laplace fits
-        data = LossDataset(values=insurance.values, source="inline", name="i")
+    @pytest.mark.parametrize("n", [58, fit_module.FLOAT_FIT_MAX + 1])
+    def test_sorted_once(self, n, monkeypatch):
+        # compare_models sorts its sample once for the AGR, Laplace and Rayleigh
+        # fits: as floats (LossDataset.sorted_values) up to FLOAT_FIT_MAX
+        # points, and by np.sort above
+        data = LossDataset(values=agr_sample(ArctanGRParams(10.0, 0.5), n, 3).tolist(),
+                           source="inline", name="i")
         sorts = []
-        real_sort = np.sort
-        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append(1) or real_sort(*a, **k))
+        real_sort, real_sorted = np.sort, sorted
+        monkeypatch.setattr(np, "sort", lambda *a, **k: sorts.append("np") or real_sort(*a, **k))
+        monkeypatch.setattr(dataset_module, "sorted", raising=False,
+                            value=lambda *a, **k: sorts.append("floats") or real_sorted(*a, **k))
         compare_models(data)
-        assert len(sorts) == 1
+        assert sorts == ["floats" if n <= fit_module.FLOAT_FIT_MAX else "np"]
 
 
 class TestModelRegistry:

@@ -1,0 +1,216 @@
+"""The fits and the plot bundle on Python floats: up to ``fit.FLOAT_FIT_MAX``
+points they run without numpy, above it on the numpy path.  The two paths
+give the same fits on the same samples, the per-point densities are the
+array kernels' to the last bits of ``exp``/``log``, and the plot bundle's
+levels, grid and histogram are numpy's ``round``, ``linspace`` and
+``histogram``, bit for bit."""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import arctangr.fit as fit_module
+from arctangr import (
+    ArctanGRParams,
+    DataError,
+    GaussianParams,
+    LossDataset,
+    RayleighParams,
+    compare_models,
+    distributions,
+    plot_bundle,
+)
+from arctangr._util import dump_json
+from arctangr.dataset import INSURANCE_VALUES
+from arctangr.plotdata import GRID_POINTS, RISK_ALPHAS, _histogram, _linspace
+from test_fit import _family_sample
+
+N = fit_module.FLOAT_FIT_MAX
+KINDS = ["normal", "two_normals", "cauchy", "lognormal", "cubed_exponential", "rounded", "pareto"]
+
+
+def fits(data):
+    """Every model's fit of ``data``, or its error message."""
+    out = {}
+    for name, model in fit_module.MODELS.items():
+        try:
+            out[name] = model.fit(data)
+        except DataError as exc:
+            out[name] = str(exc)
+    return out
+
+
+def both_paths(fn, data):
+    """``fn(data)`` on the float path and on the numpy path."""
+    with mock.patch.object(fit_module, "FLOAT_FIT_MAX", 10**9):
+        floats = fn(data)
+    with mock.patch.object(fit_module, "FLOAT_FIT_MAX", 0):
+        return floats, fn(data)
+
+
+class TestPathsAgree:
+    """The float and the numpy path on the same samples, with n on both sides
+    of ``FLOAT_FIT_MAX``: log-likelihoods within 1e-12 relative (measured: 3e-16),
+    the closed-form parameters bit for bit (both take numpy's pairwise sums),
+    and the AGR parameters within 1e-12 psi (measured: 2.1e-15 psi; the slope
+    tolerance alone leaves omega ~16 eps psi of play inside a gap)."""
+
+    @pytest.mark.parametrize("n", [40, 300, N, N + 3, 2000])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_family(self, kind, n):
+        for seed in range(3):
+            data = LossDataset(values=_family_sample(kind, n, seed), source="array", name="s")
+            floats, arrays = both_paths(fits, data)
+            for name, a in floats.items():
+                b = arrays[name]
+                if isinstance(b, str):  # Rayleigh, on a sample that is not positive
+                    assert a == b
+                    continue
+                assert a.loglik == pytest.approx(b.loglik, rel=1e-12, abs=0.0), name
+                if name != "agr":
+                    assert a.params == b.params
+                    continue
+                assert a.converged and b.converged
+                psi = b.params.psi
+                assert abs(a.params.omega - b.params.omega) <= 1e-12 * psi
+                assert abs(a.params.psi - psi) <= 1e-12 * psi
+
+    def test_insurance(self, insurance):
+        floats, arrays = both_paths(compare_models, insurance)
+        assert floats.to_text() == arrays.to_text()
+
+    def test_fit_path_follows_the_size(self, monkeypatch):
+        # the numpy search serves above FLOAT_FIT_MAX points only
+        searches = []
+        real = fit_module._path
+
+        def spy(data):
+            path, x, xs = real(data)
+            searches.append((data.n, path is fit_module._FLOATS, type(xs).__name__))
+            return path, x, xs
+
+        monkeypatch.setattr(fit_module, "_path", spy)
+        for n in (N, N + 1):
+            fit_module.fit_agr(_family_sample("normal", n, 1))
+        assert searches == [(N, True, "tuple"), (N + 1, False, "ndarray")]
+
+
+GRIDS = [np.linspace(-40.0, 40.0, 2001), np.array([-1e300, -1.0, -0.0, 0.0, 1e-310, 3.0, 1e300])]
+
+
+class TestDensities:
+    """Each model's float ``pdf``/``logpdf`` against its array kernel: the same
+    steps, so equal but for the last bits of ``math``'s ``exp``/``log``/``log1p``
+    (within 4 ulps here); the Gaussian and Laplace log-densities, which take no
+    transcendental per point, bit for bit."""
+
+    CASES = {
+        "agr": (ArctanGRParams(0.3, 2.0), distributions.agr_pdf, distributions.agr_logpdf),
+        "gaussian": (GaussianParams(0.3, 2.0), distributions.gaussian_pdf,
+                     distributions.gaussian_logpdf),
+        "rayleigh": (RayleighParams(2.0), distributions.rayleigh_pdf,
+                     distributions.rayleigh_logpdf),
+        "laplace": (ArctanGRParams(0.3, 2.0), distributions.mixture_kernel_pdf,
+                    distributions.mixture_kernel_logpdf),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS, ids=["dense", "extreme"])
+    @pytest.mark.parametrize("name", CASES)
+    def test_float_kernels_are_the_array_kernels(self, name, grid):
+        params, pdf, logpdf = self.CASES[name]
+        model = fit_module.MODELS[name]
+        with np.errstate(all="ignore"):
+            for got, want in ((model.pdf(params, grid.tolist()), pdf(params, grid)),
+                              (model.logpdf(params, grid.tolist()), logpdf(params, grid))):
+                want = want.tolist()
+                if name in ("gaussian", "laplace") and got[0] < 0:  # the log-densities
+                    assert got == want
+                for g, w in zip(got, want):
+                    assert g == w or abs(g - w) <= 4 * math.ulp(w), (g, w)
+
+    def test_rayleigh_logpdf_at_the_edges(self):
+        # z/psi below the smallest normal or at 2^1023 takes log x - 2 log psi
+        for psi, x in ((1e-310, [1e-310, 3e-310]), (1e200, [1e-200, 5.0, 1e300])):
+            params = RayleighParams(psi)
+            want = distributions.rayleigh_logpdf(params, np.array(x)).tolist()
+            assert fit_module.MODELS["rayleigh"].logpdf(params, x) == pytest.approx(want, rel=4e-16)
+
+
+class TestPlotFloats:
+    """``perfbench`` compares the risk levels to numpy's with ``!=`` and the
+    counts to ``np.histogram(x, bins="fd")``, so these are pinned bit for bit."""
+
+    def test_risk_levels_are_numpys(self):
+        assert RISK_ALPHAS == tuple(np.linspace(0.55, 0.99, 45).round(12))
+
+    @pytest.mark.parametrize("ends", [(0.55, 0.99), (-0.25, 1.25), (0.0, 5e-324), (5e-324, 1e-322),
+                                      (-1.7e308, 5e306), (3.0, 3.0), (1e-300, 1.0)])
+    @pytest.mark.parametrize("num", [2, 3, 45, GRID_POINTS])
+    def test_linspace_is_numpys(self, ends, num):
+        assert _linspace(*ends, num) == np.linspace(*ends, num).tolist()
+
+    def test_grid_is_numpys(self, insurance):
+        grid = plot_bundle(insurance).density["x"]
+        x = np.asarray(insurance.values)
+        span = float(x.max() - x.min())
+        assert grid == np.linspace(x.min() - 0.25 * span, x.max() + 0.25 * span,
+                                   GRID_POINTS).tolist()
+
+    SAMPLES = {
+        "insurance": INSURANCE_VALUES,
+        "normal": np.random.default_rng(1).normal(3.0, 2.0, 997),
+        "cauchy": np.random.default_rng(2).standard_cauchy(3000),
+        "lognormal": np.random.default_rng(3).lognormal(0.0, 2.0, 500),
+        "tied": np.random.default_rng(4).integers(0, 7, 400) * 0.1,
+        "grid": np.arange(-50, 51) / 8.0,
+        "constant": [2.5] * 9,
+        "one": [-0.0],
+        "subnormal": np.arange(1, 41) * 5e-324,
+    }
+
+    @pytest.mark.parametrize("bins", [None, 1, 2, 7, 12, 100])
+    @pytest.mark.parametrize("name", SAMPLES)
+    def test_histogram_is_numpys(self, name, bins):
+        x = np.asarray(self.SAMPLES[name], dtype=float)
+        if bins is None:
+            bins = np.histogram_bin_edges(x, bins="fd").size - 1
+        try:
+            got = _histogram(sorted(x.tolist()), bins)
+        except DataError:  # where numpy's edges do not increase, it raises
+            with pytest.raises(ValueError, match="Too many bins"):
+                np.histogram(x, bins=bins)
+            return
+        counts, edges = np.histogram(x, bins=bins)
+        assert got == (counts.tolist(), edges.tolist())
+        if bins == np.histogram_bin_edges(x, bins="fd").size - 1:
+            assert got[0] == np.histogram(x, bins="fd")[0].tolist()
+
+    def test_plot_bundle_histogram_is_fd(self):
+        x = self.SAMPLES["lognormal"]
+        bundle = plot_bundle(LossDataset(values=x, source="array", name="s"))
+        counts, edges = np.histogram(x, bins="fd")
+        assert bundle.histogram["counts"] == counts.tolist()
+        assert bundle.histogram["bin_edges"] == edges.tolist()
+
+    def test_too_many_bins_is_a_data_error(self):
+        data = LossDataset(values=[0.0, 5e-324, 1e-323], source="inline", name="s")
+        with pytest.raises(DataError, match="12 histogram bins do not fit in the data range"):
+            plot_bundle(data, bins=12)
+
+    def test_density_that_overflows_is_skipped(self):
+        # at a subnormal scale every density exceeds the largest double
+        data = LossDataset(values=[k * 1e-310 for k in range(1, 9)], source="inline", name="s")
+        bundle = plot_bundle(data)
+        assert bundle.density["curves"] == {}
+        assert set(bundle.skipped_models) == set(fit_module.MODELS)
+        assert bundle.risk["params"]["psi"] > 0.0
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_json_output_is_strict(value):
+    # every JSON output goes through dump_json, which refuses the NaN and
+    # Infinity tokens that RFC 8259 parsers reject, rather than write them
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_json({"stop": {"slope_tol": value}})

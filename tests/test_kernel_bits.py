@@ -30,7 +30,7 @@ from arctangr.distributions import (
     _z_sf,
     _z_uw,
 )
-from arctangr.fit import _AgrSearch
+from arctangr._fit_arrays import ArraySearch
 
 Z_KERNELS = {
     "uw": (_z_uw, ref.z_uw),
@@ -165,7 +165,7 @@ def test_select_is_where_on_any_bits(bits):
 @example(xs=[-1e-300, 0.0, 0.0, 1.0], at=1, psi=1e300)  # z = -1e-600 rounds to -0.0
 @example(xs=[-1e300, 0.0, 1e300], at=-1e300, psi=1e-300)  # z = +-inf
 def test_fit_pass_uw_is_z_uw(xs, at, psi):
-    # the fit's score pass on a sorted sample, with omega tied to a sample
+    # the fit's numpy score pass on a sorted sample, with omega tied to a sample
     # point or anywhere: it writes u = e^{-|z|} from |x - omega| / psi, and
     # w = u/2 turned into 1 - u/2 on a slice (the points from omega on),
     # where _z_uw selects per element
@@ -173,7 +173,7 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
     omega = float(xs[at % xs.size]) if isinstance(at, int) else at
     # as drawn, and each point repeated so that _z_uw blends
     for sample in (xs, np.repeat(xs, _BLEND_MIN // xs.size + 1)):
-        search = _AgrSearch(sample)
+        search = ArraySearch(sample)
         # (u, w) only: the pass's other sums are not finite where z is not
         with np.errstate(all="ignore"):
             z = (sample - omega) / psi

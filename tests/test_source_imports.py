@@ -6,8 +6,7 @@ sample is brought to its unit scale in one place: ``math.frexp`` only in
 Every sample quantile is ``dataset._linear_quantile``: no numpy quantile.  And
 the standard tail series has one home, ``tail.py``: no other module defines,
 imports or rebinds its terms, its sums or ``E[Z^k]``.
-The modules of the commands that fit nothing import no numpy or scipy when
-they are loaded."""
+The modules of the commands import no numpy or scipy when they are loaded."""
 
 import ast
 from pathlib import Path
@@ -127,9 +126,11 @@ def test_module_level_imports_found():
     assert module_level_imports(source) == ["numpy", "scipy.special", "json", "csv"]
 
 
-# the modules that describe, risk --omega/--psi and risk --empirical load:
-# they import numpy and scipy only inside the functions that need them
-COLD_PATH = ("cli.py", "dataset.py", "_util.py", "errors.py", "tail.py", "risk.py")
+# the modules that every command but risk --mc-samples loads on samples of at
+# most fit.FLOAT_FIT_MAX points: they import numpy and scipy only inside the
+# functions that need them
+COLD_PATH = ("cli.py", "dataset.py", "_util.py", "errors.py", "tail.py", "risk.py", "fit.py",
+             "plotdata.py")
 
 
 @pytest.mark.parametrize("name", COLD_PATH)
@@ -181,11 +182,12 @@ def test_bound_and_imported_names_found():
     assert names_from(source, "tail") == {"P_STAR", "_z_moment_parts"}
 
 
-#: What the other modules read from ``tail.py``: the parameters, the branch
-#: level, the quantile's constants, the per-grid tail and its cache size,
-#: ``E[Z^k]`` and the remainder bound that a report names.
-TAIL_EXPORTS = {"ArctanGRParams", "P_STAR", "FOUR_OVER_PI", "_PI_OVER_4", "_CACHED_LEVELS",
-                "_standard_tail", "_tail_moments", "_z_moment_parts", "REMAINDER_BOUND"}
+#: What the other modules read from ``tail.py``: the parameters of the models,
+#: the branch level, the quantile's constants, the per-grid tail and its cache
+#: size, ``E[Z^k]`` and the remainder bound that a report names.
+TAIL_EXPORTS = {"ArctanGRParams", "GaussianParams", "RayleighParams", "P_STAR", "FOUR_OVER_PI",
+                "_PI_OVER_4", "_CACHED_LEVELS", "_standard_tail", "_tail_moments",
+                "_z_moment_parts", "REMAINDER_BOUND"}
 
 
 def test_one_home_for_the_tail_series():
