@@ -75,7 +75,7 @@ val = sum(
 ) / (params.psi * math.sqrt(2 * math.pi))
 print(f"mixture integral at x=1.7: {val:.12f}")
 
-# Wrapping a custom base takes one dataclass.
+# Wrapping a custom base takes one BaseDistribution: a CDF, a PDF and a support.
 custom = BaseDistribution(
     cdf=lambda x: np.clip(x, 0.0, 1.0),          # uniform on [0, 1]
     pdf=lambda x: ((x >= 0) & (x <= 1)).astype(float),

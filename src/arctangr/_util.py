@@ -1,11 +1,10 @@
 """Internal helpers in Python floats: numpy's pairwise sum, the one unit
 scale of every sample sum and fit (:func:`unit_exponent`), the mean and
-variance, Bowley/Moors, and the output formats.  Nothing here imports numpy
-(see :mod:`arctangr._arrays` for the elementwise kernels' helpers)."""
+variance, Bowley/Moors, the output formats, and the base of the record
+classes (:class:`Record`).  Nothing here imports numpy (see
+:mod:`arctangr._arrays` for the elementwise kernels' helpers), and ``json``
+and ``csv`` load only where their format is written."""
 
-import csv
-import io
-import json
 import math
 from functools import reduce
 from operator import add
@@ -90,13 +89,58 @@ def dump_json(payload) -> str:
     """``payload`` as indent-2 JSON with a final newline: every JSON output.
     It is strict JSON (RFC 8259): a ``NaN`` or infinite number raises
     ``ValueError``, where ``json`` would write ``NaN`` or ``Infinity``."""
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def dump_csv(header, rows) -> str:
     """A header and rows as CSV, minimal quoting and ``\\n`` line ends: every CSV output."""
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
+
+
+class Record:
+    """Base of the package's record classes, with the ``==`` and ``repr`` of a
+    dataclass, read from the class's ``_fields`` (its constructor's
+    parameters, in order).  Two records are equal where they are of one
+    class and their fields compare equal as tuples; against any other class
+    ``==`` is ``NotImplemented``.  The ``repr`` is ``Name(field=value, ...)``.
+    Each subclass writes its own ``__init__``, which checks its arguments and
+    stores them in the instance ``__dict__``."""
+
+    _fields = ()
+
+    def _astuple(self):
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        pairs = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({pairs})"
+
+
+class FrozenRecord(Record):
+    """A :class:`Record` whose attributes are set once, by ``__init__`` in the
+    instance ``__dict__``: assigning or deleting one raises
+    :class:`AttributeError`.  It hashes as the tuple of its fields, so a
+    record whose fields are all hashable is."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._astuple())

@@ -17,18 +17,15 @@ or any other base can be wrapped without duplicating code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from ._arrays import as_float_array, blockwise, match_input
+from ._util import FrozenRecord
 from .errors import DomainError
 from .tail import FOUR_OVER_PI
 
 
-@dataclass(frozen=True)
-class BaseDistribution:
+class BaseDistribution(FrozenRecord):
     """A CDF/PDF pair plus support, as consumed by the arctan transform.
 
     ``cdf`` and ``pdf`` must accept float ndarrays of finite arguments and
@@ -39,14 +36,13 @@ class BaseDistribution:
     maps +-inf to 0/1 directly, and finite ``x`` go to ``cdf``.
     """
 
-    cdf: Callable[[np.ndarray], np.ndarray]
-    pdf: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float] = (-np.inf, np.inf)
+    _fields = ("cdf", "pdf", "support")
 
-    def __post_init__(self):
-        lo, hi = self.support
+    def __init__(self, cdf, pdf, support: tuple = (-np.inf, np.inf)):
+        lo, hi = support
         if not lo < hi:
-            raise DomainError(f"support must be a nonempty interval, got {self.support}")
+            raise DomainError(f"support must be a nonempty interval, got {support}")
+        self.__dict__.update(cdf=cdf, pdf=pdf, support=support)
 
 
 def arctan_cdf(base: BaseDistribution, x):

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from pathlib import Path
 
 from .dataset import EMBEDDED_INSURANCE, describe, ingest
 from .errors import DataError, DomainError, FitConvergenceError
@@ -123,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(text: str, out) -> None:
     if out:
         try:
-            Path(out).write_text(text, encoding="utf-8")
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         except OSError as exc:
             raise DataError(f"cannot write {out}: {exc.strerror or exc}") from None
     else:
@@ -147,7 +146,7 @@ def _run_compare(args):
 
 
 def _run_risk(args):
-    from .risk import empirical_risk_curve, mc_oracle, risk_curve
+    from .risk import RiskReport, empirical_risk_curve, mc_oracle, risk_curve
     from .tail import ArctanGRParams
 
     if (args.omega is None) != (args.psi is None):
@@ -180,7 +179,7 @@ def _run_risk(args):
         from numpy.random import SeedSequence
 
         seeds = SeedSequence(args.seed).spawn(len(report.rows))
-        report = replace(report, mc_check=tuple(
+        report = RiskReport(report.rows, report.source, report.method, mc_check=tuple(
             mc_oracle(params, row.alpha, args.mc_samples, seed)
             for row, seed in zip(report.rows, seeds)
         ))

@@ -15,13 +15,11 @@ fits of larger samples work on are built from the floats on first use.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, fields
+import os
 from functools import cached_property
-from pathlib import Path
 
-from ._util import bowley_moors, dump_csv, dump_json, mean_var, unit_exponent
+from ._util import FrozenRecord, Record, bowley_moors, dump_csv, dump_json, mean_var, unit_exponent
 from .errors import DataError
 
 EMBEDDED_PREFIX = "embedded:"
@@ -38,8 +36,7 @@ INSURANCE_VALUES = (
 )
 
 
-@dataclass
-class LossDataset:
+class LossDataset(Record):
     """An ordered sample of finite real-valued losses with provenance.
 
     ``values`` is given as any flat sequence of numbers (an ndarray too) and
@@ -48,25 +45,22 @@ class LossDataset:
     ``sorted_array`` are read-only float ndarrays of the two, each made on
     first use (``np.sort`` for the sorted one)."""
 
-    values: tuple
-    source: str
-    name: str
+    _fields = ("values", "source", "name")
 
-    def __post_init__(self):
-        raw = self.values
-        is_array = type(raw).__module__ == "numpy"  # an ndarray (or a numpy scalar)
+    def __init__(self, values, source: str, name: str):
+        is_array = type(values).__module__ == "numpy"  # an ndarray (or a numpy scalar)
         try:
             # an ndarray's tolist() gives its numbers in one call, nested if not 1-d
-            values = tuple(map(float, raw.tolist() if is_array else raw))
+            floats = tuple(map(float, values.tolist() if is_array else values))
         except (TypeError, ValueError):
-            values = ()
-        if not values:
-            raise DataError(f"dataset {self.name!r} must be a nonempty 1-d sample")
-        if not all(map(math.isfinite, values)):
-            raise DataError(f"dataset {self.name!r} contains NaN or infinite values")
-        self.values = values
+            floats = ()
+        if not floats:
+            raise DataError(f"dataset {name!r} must be a nonempty 1-d sample")
+        if not all(map(math.isfinite, floats)):
+            raise DataError(f"dataset {name!r} contains NaN or infinite values")
+        self.values, self.source, self.name = floats, source, name
         if is_array:  # kept as ``array``, so it is not rebuilt from the floats
-            arr = raw.astype(float)
+            arr = values.astype(float)
             arr.flags.writeable = False
             self.__dict__["array"] = arr
 
@@ -110,11 +104,13 @@ def ingest(source) -> LossDataset:
             )
         return LossDataset(values=INSURANCE_VALUES, source=spec, name="insurance")
 
-    path = Path(spec)
-    if not path.is_file():
+    import csv
+
+    if not os.path.isfile(spec):
         raise DataError(f"no such data file: {spec}")
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        with open(spec, encoding="utf-8-sig") as fh:
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{spec} is not UTF-8 text: {exc}") from exc
 
@@ -142,30 +138,35 @@ def ingest(source) -> LossDataset:
 
     if not values:
         raise DataError(f"{spec} contains no numeric values")
-    return LossDataset(values=values, source=spec, name=path.stem)
+    return LossDataset(values=values, source=spec, name=_stem(spec))
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+def _stem(path: str) -> str:
+    """The file name of ``path`` without its last suffix, as ``pathlib``'s
+    ``stem``: a leading dot or a final one is no suffix's."""
+    name = os.path.basename(path)
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
+class SummaryStats(FrozenRecord):
     """Descriptive statistics of a loss sample.
 
     Skewness and kurtosis are the quantile-based Bowley/Moors measures so
     they stay comparable to the model's shape measures.
     """
 
-    n: int
-    mean: float
-    median: float
-    sd: float
-    min: float
-    max: float
-    q1: float
-    q3: float
-    bowley_skewness: float
-    moors_kurtosis: float
+    _fields = ("n", "mean", "median", "sd", "min", "max", "q1", "q3",
+               "bowley_skewness", "moors_kurtosis")
+
+    def __init__(self, n: int, mean: float, median: float, sd: float, min: float, max: float,
+                 q1: float, q3: float, bowley_skewness: float, moors_kurtosis: float):
+        self.__dict__.update(n=n, mean=mean, median=median, sd=sd, min=min, max=max, q1=q1,
+                             q3=q3, bowley_skewness=bowley_skewness,
+                             moors_kurtosis=moors_kurtosis)
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(zip(self._fields, self._astuple()))
 
     def _cells(self):
         return {k: f"{v:.6g}" if isinstance(v, float) else str(v)

@@ -3,6 +3,8 @@
 The CLI maps these onto distinct exit codes, so keep the hierarchy flat:
 ``DomainError``/``DataError`` are argument/input problems (exit 3), and
 ``FitConvergenceError``, a ``RuntimeError``, is a numeric failure (exit 4).
+``SupportError`` is the one refinement, a ``DataError`` that
+:func:`arctangr.fit.compare_models` tells apart from the others.
 """
 
 
@@ -12,6 +14,10 @@ class DomainError(ValueError):
 
 class DataError(ValueError):
     """A dataset is malformed, degenerate, or unusable for the requested task."""
+
+
+class SupportError(DataError):
+    """A sample holds values outside a model's support."""
 
 
 class FitConvergenceError(RuntimeError):

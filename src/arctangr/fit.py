@@ -28,16 +28,15 @@ log-likelihood is better).
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from numbers import Integral
+from collections import namedtuple
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
-from ._util import dump_csv, dump_json, mean_var, pairwise_sum, unit_exponent
+from ._util import FrozenRecord, dump_csv, dump_json, mean_var, pairwise_sum, unit_exponent
 from .dataset import LossDataset, _linear_quantile
-from .errors import DataError, DomainError
+from .errors import DataError, DomainError, SupportError
 from .tail import FOUR_OVER_PI, P_STAR, ArctanGRParams, GaussianParams, RayleighParams
 
 CRITERIA = ("aic", "bic", "caic", "hqic")
@@ -46,11 +45,17 @@ CRITERIA = ("aic", "bic", "caic", "hqic")
 _CSV_HEADER = ("model", "par", "r", "loglik", *CRITERIA)
 
 
-class Criteria(NamedTuple):
-    aic: float
-    bic: float
-    caic: float
-    hqic: float
+Criteria = namedtuple("Criteria", CRITERIA)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's: one that
+    ``operator.index`` takes, as ``numbers.Integral`` would accept it."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 def information_criteria(loglik, n, r) -> Criteria:
@@ -65,9 +70,9 @@ def information_criteria(loglik, n, r) -> Criteria:
     CAIC's denominator is positive).
     """
     loglik = float(loglik)
-    if not (isinstance(n, Integral) and n >= 3):
+    if not (_is_integer(n) and n >= 3):
         raise DomainError(f"sample size n must be an integer >= 3, got {n!r}")
-    if not (isinstance(r, Integral) and r >= 0):
+    if not (_is_integer(r) and r >= 0):
         raise DomainError(f"parameter count r must be a nonnegative integer, got {r!r}")
     if n <= r + 1:
         raise DomainError(f"CAIC undefined: need n > r + 1, got n={n}, r={r}")
@@ -80,8 +85,7 @@ def information_criteria(loglik, n, r) -> Criteria:
     )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(FrozenRecord):
     """One fitted model: parameters, log-likelihood, criteria, diagnostics.
 
     The diagnostics describe an iterative fit (AGR; the closed forms keep the
@@ -90,19 +94,15 @@ class FitResult:
     holds the numbers that rule reads, which ``as_dict`` includes when set.
     """
 
-    model_name: str
-    params: object
-    loglik: float
-    n: int
-    r: int
-    aic: float
-    bic: float
-    caic: float
-    hqic: float
-    iterations: int = 0
-    converged: bool = True
-    nfev: int = 0
-    stop: dict | None = None
+    _fields = ("model_name", "params", "loglik", "n", "r", "aic", "bic", "caic", "hqic",
+               "iterations", "converged", "nfev", "stop")
+
+    def __init__(self, model_name: str, params, loglik: float, n: int, r: int, aic: float,
+                 bic: float, caic: float, hqic: float, iterations: int = 0,
+                 converged: bool = True, nfev: int = 0, stop: dict | None = None):
+        self.__dict__.update(model_name=model_name, params=params, loglik=loglik, n=n, r=r,
+                             aic=aic, bic=bic, caic=caic, hqic=hqic, iterations=iterations,
+                             converged=converged, nfev=nfev, stop=stop)
 
     def params_dict(self) -> dict:
         return dict(vars(self.params))
@@ -247,7 +247,7 @@ def fit_rayleigh(data) -> FitResult:
     data = _values(data)
     path, x, xs = _path(data)
     if xs[0] <= 0.0:
-        raise DataError("Rayleigh fit requires strictly positive data")
+        raise SupportError("Rayleigh fit requires strictly positive data")
     _check_size(data.n, 1, "Rayleigh")
     e, y, _ = _unit_sample(path, x, xs)
     psi = math.ldexp(math.sqrt(path.square_sum(y) / (2.0 * len(y))), e)
@@ -293,22 +293,14 @@ _EPS = sys.float_info.epsilon
 _BLOCK = 16
 
 
-class _Point(NamedTuple):
-    """The profile ``l(omega, psi-hat(omega))`` at one ``omega``: ``t = log psi-hat``,
-    the psi-score ``dl/dt`` there and its rounding level, and, per side of
-    ``omega`` (left, right), the slope ``dl/domega`` and two candidate omega
-    steps: a Newton step on the profile's curvature between data points
-    (``nan`` where that is not concave), and a scoring step on its
-    outer-product curvature, which counts the kinks.  A data point at
-    ``omega`` is a kink: the slope drops by ``2/psi`` across it."""
-
-    omega: float
-    t: float
-    psi_score: float
-    psi_tol: float
-    slope: tuple
-    newton: tuple
-    scoring: tuple
+#: The profile ``l(omega, psi-hat(omega))`` at one ``omega``: ``t = log psi-hat``,
+#: the psi-score ``dl/dt`` there and its rounding level, and, per side of
+#: ``omega`` (left, right), the slope ``dl/domega`` and two candidate omega
+#: steps: a Newton step on the profile's curvature between data points
+#: (``nan`` where that is not concave), and a scoring step on its
+#: outer-product curvature, which counts the kinks.  A data point at
+#: ``omega`` is a kink: the slope drops by ``2/psi`` across it.
+_Point = namedtuple("_Point", "omega t psi_score psi_tol slope newton scoring")
 
 
 class _FloatPass:
@@ -725,15 +717,10 @@ def _laplace_logpdf(p, xs):
     return [-abs((x - p.omega) / psi) - c for x in xs]
 
 
-class Model(NamedTuple):
-    """A candidate model: display label, MLE fitter, and density and
-    log-density ``pdf(params, xs)``/``logpdf(params, xs)``: a list of floats,
-    one per float in ``xs``."""
-
-    label: str
-    fit: Callable[..., FitResult]
-    pdf: Callable
-    logpdf: Callable
+#: A candidate model: display label, MLE fitter, and density and
+#: log-density ``pdf(params, xs)``/``logpdf(params, xs)``: a list of floats,
+#: one per float in ``xs``.
+Model = namedtuple("Model", "label fit pdf logpdf")
 
 
 #: The candidate models, in comparison order.
@@ -758,18 +745,26 @@ _FLOATS = SimpleNamespace(
 )
 
 
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Fit results for every candidate model plus the winner per criterion."""
+class ComparisonTable(FrozenRecord):
+    """Fit results for every candidate model that applies to the data, plus
+    the winner per criterion.  ``skipped_models`` maps each model whose
+    support excludes the data to the reason; the table lists them, and the
+    JSON has the key only where one was skipped."""
 
-    rows: tuple[FitResult, ...]
-    best_by: dict
+    _fields = ("rows", "best_by", "skipped_models")
+
+    def __init__(self, rows: tuple, best_by: dict, skipped_models: dict | None = None):
+        self.__dict__.update(rows=rows, best_by=best_by,
+                             skipped_models={} if skipped_models is None else skipped_models)
 
     def to_csv(self) -> str:
         return dump_csv(_CSV_HEADER, [row._csv_row() for row in self.rows])
 
     def to_json(self) -> str:
-        return dump_json({"rows": [row.as_dict() for row in self.rows], "best_by": self.best_by})
+        payload = {"rows": [row.as_dict() for row in self.rows], "best_by": self.best_by}
+        if self.skipped_models:
+            payload["skipped_models"] = self.skipped_models
+        return dump_json(payload)
 
     def to_text(self) -> str:
         headers = ["Model", "Par.", "r", "LL", "AIC", "BIC", "CAIC", "HQIC"]
@@ -792,17 +787,27 @@ class ComparisonTable:
         best = ", ".join(f"{k}: {v}" for k, v in self.best_by.items())
         lines.append("")
         lines.append(f"best by criterion -- {best}")
+        for name, reason in self.skipped_models.items():
+            lines.append(f"skipped {name}: {reason}")
         return "\n".join(lines) + "\n"
 
 
 def compare_models(data) -> ComparisonTable:
-    """Fit every model in :data:`MODELS` and rank them per criterion."""
+    """Fit every model in :data:`MODELS` and rank them per criterion.  A
+    model whose support excludes the data (Rayleigh's, ``x > 0``, on a
+    sample with a value ``<= 0``) is skipped, with its :class:`SupportError`
+    as the reason; every other error ends the comparison."""
     data = _values(data)
-    results = tuple(model.fit(data) for model in MODELS.values())
+    results, skipped = [], {}
+    for name, model in MODELS.items():
+        try:
+            results.append(model.fit(data))
+        except SupportError as exc:
+            skipped[name] = str(exc)
     best_by = {"loglik": max(results, key=lambda r: r.loglik).model_name}
     for criterion in CRITERIA:
         best_by[criterion] = min(results, key=lambda r: getattr(r, criterion)).model_name
-    return ComparisonTable(rows=results, best_by=best_by)
+    return ComparisonTable(rows=tuple(results), best_by=best_by, skipped_models=skipped)
 
 
 # A process that has imported numpy already (a library session, not a one-shot

@@ -13,10 +13,9 @@ bundle imports numpy only where its fits do (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import lt
 
-from ._util import dump_json
+from ._util import FrozenRecord, dump_json
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
 from .fit import MODELS
@@ -46,28 +45,28 @@ GRID_POINTS = 401
 MAX_FD_BINS = 10**6
 
 
-@dataclass(frozen=True)
-class PlotBundle:
-    """Numeric payloads for the standard diagnostic figures."""
+class PlotBundle(FrozenRecord):
+    """Numeric payloads for the standard diagnostic figures; the constructor
+    checks the histogram's counts and edges, that the density grid
+    increases, and that no density is negative."""
 
-    histogram: dict
-    boxplot: dict
-    density: dict
-    risk: dict
-    skipped_models: dict = field(default_factory=dict)
+    _fields = ("histogram", "boxplot", "density", "risk", "skipped_models")
 
-    def __post_init__(self):
-        edges, counts = self.histogram["bin_edges"], self.histogram["counts"]
-        if sum(counts) != self.histogram["n"]:
+    def __init__(self, histogram: dict, boxplot: dict, density: dict, risk: dict,
+                 skipped_models: dict | None = None):
+        edges, counts = histogram["bin_edges"], histogram["counts"]
+        if sum(counts) != histogram["n"]:
             raise DomainError("histogram counts must sum to the sample size")
         if len(edges) != len(counts) + 1:
             raise DomainError("histogram needs one more edge than counts")
-        grid = self.density["x"]
+        grid = density["x"]
         if not all(map(lt, grid, grid[1:])):
             raise DomainError("density grid must be strictly increasing")
-        for name, col in self.density["curves"].items():
+        for name, col in density["curves"].items():
             if any(map((0.0).__gt__, col)):
                 raise DomainError(f"density column {name!r} has negative values")
+        self.__dict__.update(histogram=histogram, boxplot=boxplot, density=density, risk=risk,
+                             skipped_models={} if skipped_models is None else skipped_models)
 
     def to_json(self) -> str:
         payload = {
@@ -154,7 +153,9 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     tabulated on ``GRID_POINTS`` points; risk curves use the fitted AGR
     parameters at ``RISK_ALPHAS``.  A sample so near the double limits that
     its fences (1.5 IQR beyond the quartiles) or its grid (a quarter of the
-    range beyond the data) would overflow raises :class:`DataError`.
+    range beyond the data) would overflow raises :class:`DataError`, as does
+    one whose range is a few subnormal steps wide, too narrow for the grid's
+    distinct points.
     """
     xs = data.sorted_values
     lo, hi = xs[0], xs[-1]
@@ -186,6 +187,11 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
 
     span = span or 1.0
     grid = _linspace(lo - 0.25 * span, hi + 0.25 * span, GRID_POINTS)
+    if not all(map(lt, grid, grid[1:])):
+        raise DataError(
+            f"the sample spans {lo:.6g} to {hi:.6g}, too narrow a range for a "
+            f"density grid of {GRID_POINTS} distinct points"
+        )
     curves = {}
     skipped = {}
     agr_params = None

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
-from ._util import dump_csv, dump_json, mean_var, unit_exponent
+from ._util import FrozenRecord, dump_csv, dump_json, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
 from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _standard_tail, _tail_moments
@@ -102,11 +101,7 @@ def tv(params: ArctanGRParams, alpha) -> float:
     return _risk_lists(params, [a], ["TV"])[0][0]
 
 
-class RiskRow(NamedTuple):
-    alpha: float
-    var: float
-    tvar: float
-    tv: float
+RiskRow = namedtuple("RiskRow", "alpha var tvar tv")
 
 
 #: A ``RiskRow`` from one ``(alpha, var, tvar, tv)`` tuple, as ``RiskRow._make``
@@ -115,42 +110,34 @@ class RiskRow(NamedTuple):
 _new_row = functools.partial(tuple.__new__, RiskRow)
 
 
-class MCOracleResult(NamedTuple):
-    tvar: float
-    tv: float
-    tvar_se: float
-    tv_se: float
-    exceedances: int
-    n: int
+MCOracleResult = namedtuple("MCOracleResult", "tvar tv tvar_se tv_se exceedances n")
 
 
 #: How :func:`mc_oracle` draws, as a report's JSON ``method`` names it.
 _MC_METHOD = "binomial exceedance count, then inverse-transform draws from the tail"
 
 
-@dataclass(frozen=True)
-class RiskReport:
+class RiskReport(FrozenRecord):
     """Rows of (alpha, var, tvar, tv) plus provenance metadata.
 
     ``source`` tags whether the rows came from model parameters or from
-    empirical estimators; ``method`` records the series or the
-    quantile convention that produced them.  ``mc_check`` optionally holds
-    one :func:`mc_oracle` result per row; the JSON and text layouts render
-    it, and the JSON ``method`` then also names its design under
-    ``"mc_check"``.  The CSV layout has no columns for it.
+    empirical estimators; ``method`` (a fresh dict by default) records the
+    series or the quantile convention that produced them.  ``mc_check``
+    optionally holds one :func:`mc_oracle` result per row; the JSON and text
+    layouts render it, and the JSON ``method`` then also names its design
+    under ``"mc_check"``.  The CSV layout has no columns for it.
+
+    The constructor checks the rows in one pass.  The checks, in order of
+    precedence: each row's ``tvar >= var`` (to a slack of 1e-9 (1 + |var|))
+    and ``tv >= 0``, one ``mc_check`` result per row, rows sorted by alpha,
+    and then ``var`` and ``tvar`` nondecreasing in alpha (to the same slack).
     """
 
-    rows: tuple[RiskRow, ...]
-    source: str
-    method: dict = field(default_factory=dict)
-    mc_check: tuple[MCOracleResult, ...] = ()
+    _fields = ("rows", "source", "method", "mc_check")
 
-    def __post_init__(self):
-        """One pass over the rows.  The checks, in order of precedence: each
-        row's ``tvar >= var`` (to a slack of 1e-9 (1 + |var|)) and ``tv >= 0``,
-        one ``mc_check`` result per row, rows sorted by alpha, and then ``var``
-        and ``tvar`` nondecreasing in alpha (to the same slack)."""
-        if not self.rows:
+    def __init__(self, rows: tuple, source: str, method: dict | None = None,
+                 mc_check: tuple = ()):
+        if not rows:
             raise DomainError("a risk report needs at least one row")
         slack = 1e-9
         descent = var_falls = tvar_falls = False
@@ -158,7 +145,7 @@ class RiskReport:
         # is never above ``b``, and NaN or -inf wherever ``b`` is not finite, so
         # ``a < b`` is tested first and the floor is taken only where it holds
         alpha0 = v0 = t0 = -math.inf
-        for alpha, v, t, w in self.rows:
+        for alpha, v, t, w in rows:
             if t < v and t < v - slack * (1.0 + abs(v)):
                 raise DomainError(f"tvar < var at alpha={alpha}")
             if w < 0.0:
@@ -170,17 +157,19 @@ class RiskReport:
             if t < t0 and t < t0 - slack * (1.0 + abs(t0)):
                 tvar_falls = True
             alpha0, v0, t0 = alpha, v, t
-        if self.mc_check and len(self.mc_check) != len(self.rows):
+        if mc_check and len(mc_check) != len(rows):
             raise DomainError("mc_check needs one Monte Carlo result per row")
         # without a descent the rows are one sorted run; with one, sorted()
         # decides, as it would with a NaN level
         if descent:
-            alphas = [row.alpha for row in self.rows]
+            alphas = [row.alpha for row in rows]
             if sorted(alphas) != alphas:
                 raise DomainError("risk report rows must be sorted by alpha")
         for col, falls in (("var", var_falls), ("tvar", tvar_falls)):
             if falls:
                 raise DomainError(f"{col} must be nondecreasing in alpha")
+        self.__dict__.update(rows=rows, source=source,
+                             method={} if method is None else method, mc_check=mc_check)
 
     def to_csv(self) -> str:
         return dump_csv(["alpha", "var", "tvar", "tv"],

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import mul
 
-from ._util import pairwise_sum
+from ._util import FrozenRecord, pairwise_sum
 from .errors import DomainError
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -41,47 +40,45 @@ P_STAR = FOUR_OVER_PI * math.atan(0.5)
 _PI_OVER_4 = math.pi / 4.0
 
 
-@dataclass(frozen=True)
-class ArctanGRParams:
+class ArctanGRParams(FrozenRecord):
     """Location and scale of the arctan Gaussian-Rayleigh distribution.
 
     ``omega`` and ``psi`` are in data units; ``psi`` is also the scale of the
     underlying Laplace mixture kernel.
     """
 
-    omega: float
-    psi: float
+    _fields = ("omega", "psi")
 
-    def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise DomainError(f"omega must be finite, got {self.omega}")
-        if not (math.isfinite(self.psi) and self.psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
+    def __init__(self, omega: float, psi: float):
+        if not math.isfinite(omega):
+            raise DomainError(f"omega must be finite, got {omega}")
+        if not (math.isfinite(psi) and psi > 0):
+            raise DomainError(f"psi must be a positive finite scale, got {psi}")
+        self.__dict__.update(omega=omega, psi=psi)
 
 
-@dataclass(frozen=True)
-class GaussianParams:
+class GaussianParams(FrozenRecord):
     """Mean and standard deviation of a Gaussian."""
 
-    omega: float
-    eta: float
+    _fields = ("omega", "eta")
 
-    def __post_init__(self):
-        if not math.isfinite(self.omega):
-            raise DomainError(f"omega must be finite, got {self.omega}")
-        if not (math.isfinite(self.eta) and self.eta > 0):
-            raise DomainError(f"eta must be a positive finite scale, got {self.eta}")
+    def __init__(self, omega: float, eta: float):
+        if not math.isfinite(omega):
+            raise DomainError(f"omega must be finite, got {omega}")
+        if not (math.isfinite(eta) and eta > 0):
+            raise DomainError(f"eta must be a positive finite scale, got {eta}")
+        self.__dict__.update(omega=omega, eta=eta)
 
 
-@dataclass(frozen=True)
-class RayleighParams:
+class RayleighParams(FrozenRecord):
     """Scale of a Rayleigh distribution (support x >= 0)."""
 
-    psi: float
+    _fields = ("psi",)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.psi) and self.psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {self.psi}")
+    def __init__(self, psi: float):
+        if not (math.isfinite(psi) and psi > 0):
+            raise DomainError(f"psi must be a positive finite scale, got {psi}")
+        self.__dict__.update(psi=psi)
 
 
 # The standard density as a series in e^{-|s|}: above 0, with q = (1 + i)/4,

@@ -1,5 +1,6 @@
 """CLI: subcommands, formats, exit codes, and output determinism."""
 
+import ast
 import json
 import math
 import re
@@ -221,8 +222,8 @@ class TestExitCodes:
 
     def test_spread_whose_sum_overflows(self, tmp_path, capsys):
         # the mean absolute deviation (4e307 here) is finite, so both fits
-        # answer; the AGR tail beyond it, and the Rayleigh fit of data below
-        # 0, are what end in exit 3
+        # answer; the AGR tail beyond it is what ends risk in exit 3, and
+        # compare ranks the three models whose support holds data below 0
         f = tmp_path / "huge.csv"
         f.write_text("-1e308\n0\n1\n2\n1e308\n")
         runs = {}
@@ -233,7 +234,16 @@ class TestExitCodes:
         assert runs["fit"][0] == runs["laplace"][0] == 0
         assert "params: omega=1; psi=4e+307" in runs["laplace"][1]
         assert runs["risk"] == (3, "", "error: TVaR at alpha=0.99 is not a finite double\n")
-        assert runs["compare"] == (3, "", "error: Rayleigh fit requires strictly positive data\n")
+        assert runs["compare"] == (0, textwrap.dedent("""\
+            Model      Par.                     r  LL        AIC      BIC      CAIC     HQIC
+            ---------  -----------------------  -  --------  -------  -------  -------  -------
+            Arctan-GR  omega=2, psi=4.079e+307  2  -3549.98  7103.96  7103.18  7109.96  7101.86
+            Gaussian   omega=0, eta=6.325e+307  2  -3550.79  7105.57  7104.79  7111.57  7103.47
+            Laplace    omega=1, psi=4e+307      2  -3549.87  7103.73  7102.95  7109.73  7101.63
+
+            best by criterion -- loglik: laplace, aic: laplace, bic: laplace, caic: laplace, hqic: laplace
+            skipped rayleigh: Rayleigh fit requires strictly positive data
+            """), "")
 
     def test_three_huge_points_stop_at_the_size_check(self, tmp_path, capsys):
         f = tmp_path / "huge.csv"
@@ -274,15 +284,33 @@ class TestExitCodes:
             assert math.isfinite(row["loglik"])
 
     def test_compare_where_x_minus_omega_overflows(self, tmp_path, capsys):
-        # each location-scale fit answers; only Rayleigh's positivity check ends compare
+        # each location-scale fit answers; Rayleigh's support excludes the
+        # data, so compare ranks the other three and names it as skipped
         f = tmp_path / "huge.csv"
         f.write_text("-1.7e308\n1e308\n1.7e308\n1.7e308\n2\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for model in ("agr", "gaussian", "laplace"):
                 assert run_cli(["fit", "--model", model, "--data", str(f)], capsys)[0] == 0
-            assert run_cli(["compare", "--data", str(f)], capsys) == (
-                3, "", "error: Rayleigh fit requires strictly positive data\n")
+            assert run_cli(["compare", "--data", str(f)], capsys) == (0, textwrap.dedent("""\
+                Model      Par.                            r  LL        AIC      BIC      CAIC     HQIC
+                ---------  ------------------------------  -  --------  -------  -------  -------  -------
+                Arctan-GR  omega=1e+308, psi=1.073e+308    2  -3554.48  7112.96  7112.18  7118.96  7110.86
+                Gaussian   omega=5.4e+307, eta=1.282e+308  2  -3554.32  7112.63  7111.85  7118.63  7110.54
+                Laplace    omega=1e+308, psi=1.02e+308     2  -3554.55  7113.09  7112.31  7119.09  7111
+
+                best by criterion -- loglik: gaussian, aic: gaussian, bic: gaussian, caic: gaussian, hqic: gaussian
+                skipped rayleigh: Rayleigh fit requires strictly positive data
+                """), "")
+            code, out, _ = run_cli(["compare", "--data", str(f), "--format", "json"], capsys)
+            payload = json.loads(out)
+            assert (code, [row["model"] for row in payload["rows"]]) == (
+                0, ["agr", "gaussian", "laplace"])
+            assert payload["skipped_models"] == {
+                "rayleigh": "Rayleigh fit requires strictly positive data"}
+            code, out, _ = run_cli(["compare", "--data", str(f), "--format", "csv"], capsys)
+            assert (code, [line.split(",")[0] for line in out.splitlines()]) == (
+                0, ["model", "agr", "gaussian", "laplace"])
 
     @pytest.mark.parametrize("model", ["agr", "laplace"])
     def test_scale_below_the_smallest_double(self, tmp_path, capsys, model):
@@ -377,15 +405,15 @@ class TestModuleSets:
     # runs and no other, since the runners import what they call; every
     # command that draws nothing runs on floats and loads no numpy, unless
     # it fits a sample of more than fit.FLOAT_FIT_MAX points
+    # the script imports nothing the commands might not (no json): it prints
+    # the exit code and every loaded module as a Python literal
     SCRIPT = textwrap.dedent("""
-        import contextlib, io, json, sys
+        import contextlib, io, sys
         import arctangr.cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             code = arctangr.cli.main(sys.argv[1:])
-        print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("arctangr.")),
-                          sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "ma"]),
-                          "numpy" in sys.modules, "scipy" in sys.modules]))
+        print(repr([code, sorted(sys.modules)]))
     """)
     BASE = ["_util", "cli", "dataset", "errors"]
     FLOATS = sorted(BASE + ["risk", "tail"])
@@ -419,22 +447,42 @@ class TestModuleSets:
         "plotdata --data {big}": (sorted(MODEL + ["_fit_arrays", "fit", "plotdata", "risk"]), True),
     }
 
-    @pytest.mark.parametrize("command", LOADS)
-    def test_each_command_loads_only_what_it_runs(self, src_env, tmp_path, command):
+    #: Standard-library modules that no numpy-free command needs: ``dataclasses``
+    #: (which loads ``inspect``), ``typing``, ``pathlib`` and ``numbers``.
+    UNNEEDED = ("dataclasses", "inspect", "typing", "pathlib", "numbers")
+
+    def run_script(self, env, tmp_path, command, *flags):
+        """``(exit code, sorted loaded modules)`` of ``command`` in a new
+        interpreter run with the ``python`` ``flags``."""
         data, big = tmp_path / "losses.csv", tmp_path / "big.csv"
         data.write_text("loss\n" + "\n".join(map(str, range(1, 41))) + "\n")
         big.write_text("".join(f"{1.0 + (i * 7919 % 1000) / 997}\n"
                                for i in range(FLOAT_FIT_MAX + 1)))
         argv = command.format(file=data, big=big).split()
-        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
-                              capture_output=True, text=True, env=src_env)
+        proc = subprocess.run([sys.executable, *flags, "-c", self.SCRIPT, *argv],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        code, loaded, masked, numpy, scipy = json.loads(proc.stdout.splitlines()[-1])
+        return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+    @pytest.mark.parametrize("command", LOADS)
+    def test_each_command_loads_only_what_it_runs(self, src_env, tmp_path, command):
+        code, loaded = self.run_script(src_env, tmp_path, command)
         modules, needs_numpy = self.LOADS[command]
         assert code == 0
-        assert loaded == [f"arctangr.{m}" for m in modules]
-        assert masked == []  # numpy.ma: ~20 ms of imports no command needs
-        assert (numpy, scipy) == (needs_numpy, False)
+        assert [m for m in loaded if m.startswith("arctangr.")] == [
+            f"arctangr.{m}" for m in modules]
+        # numpy.ma: ~20 ms of imports no command needs
+        assert [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]] == []
+        assert ("numpy" in loaded, "scipy" in loaded) == (needs_numpy, False)
+
+    @pytest.mark.parametrize("command", [c for c, (_, numpy) in LOADS.items() if not numpy])
+    def test_clean_interpreter_loads_no_unneeded_stdlib(self, src_env, tmp_path, command):
+        # under -S no site hook (a .pth file) preloads modules, so what is
+        # loaded is what the program imports; json only where JSON is written
+        code, loaded = self.run_script(src_env, tmp_path, command, "-S")
+        assert code == 0
+        assert [m for m in self.UNNEEDED if m in loaded] == []
+        assert ("json" in loaded) == command.endswith("--format json")
 
     def test_model_choices_come_from_the_registry(self, capsys):
         # argparse lists and tests the --model choices of fit from fit.MODELS

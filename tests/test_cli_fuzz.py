@@ -35,10 +35,11 @@ def mostly(good, bad):
 DATA = mostly(["embedded:insurance", "@sample"],
               ["@constant", "@tiny", "@words", "@empty", "@missing", "embedded:nope"])
 # samples whose range is huge against their IQR, whose octiles' sums and
-# gaps leave the double range, or whose squared deviations underflow;
+# gaps leave the double range, whose squared deviations underflow, or whose
+# range is a few subnormal steps wide;
 # describe, plotdata and risk --empirical draw them
 WIDE_DATA = st.one_of(DATA, st.sampled_from(["@wide", "@widepm", "@subnormal", "@edge",
-                                             "@top", "@gap", "@underflow"]))
+                                             "@top", "@gap", "@underflow", "@narrow"]))
 EDGE_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-0.0", "abc"]
 OMEGAS = mostly(["0.02", "0", "-3", "2.5", "1e8"], EDGE_NUMBERS)
 PSIS = mostly(["0.005", "1", "2.5", "1e3"], EDGE_NUMBERS)
@@ -107,6 +108,7 @@ def files(tmp_path_factory):
         "top": "1e308\n1.7e308\n1.7e308\n1.7e308\n",
         "gap": "1.7e308\n1.7e308\n-1e308\n",
         "underflow": "1e-300\n2e-300\n3e-300\n5e-300\n1e-310\n",
+        "narrow": "1e-320\n2e-320\n3e-320\n4e-320\n",
     }
     # --out: a file, a directory, and a file whose parent does not exist
     paths = {"missing": str(root / "missing.csv"), "folder": str(root),
@@ -171,6 +173,8 @@ def run(argv):
 @example(argv=["compare", "--data", "@underflow"])
 @example(argv=["risk", "--data", "@underflow", "--empirical", "--alphas", "0.6"])
 @example(argv=["plotdata", "--data", "@underflow"])
+@example(argv=["plotdata", "--data", "@narrow", "--format", "json"])
+@example(argv=["compare", "--data", "@narrow"])
 @example(argv=["fit", "--data", "@missing"])
 @example(argv=["describe", "--data", "embedded:insurance", "--out", "@folder"])
 @example(argv=["fit", "--data", "@sample", "--out=@nowhere", "--format", "json"])

@@ -51,6 +51,16 @@ def test_fd_bins_beyond_a_bundle_is_data_error():
                     bins=3)
 
 
+def test_range_too_narrow_for_the_grid_is_data_error():
+    # four points a few subnormal steps apart: the 401-point grid over them
+    # repeats doubles, which is the data's fault, not the bundle's
+    x = LossDataset(values=[1e-320, 2e-320, 3e-320, 4e-320], source="inline", name="n")
+    with pytest.raises(DataError, match=r"^the sample spans 9\.99989e-321 to 3\.99996e-320, "
+                                        r"too narrow a range for a density grid of 401 "
+                                        r"distinct points$"):
+        plot_bundle(x)
+
+
 def test_bins_override(insurance):
     b = plot_bundle(insurance, bins=7)
     assert len(b.histogram["counts"]) == 7

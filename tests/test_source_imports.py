@@ -6,7 +6,8 @@ sample is brought to its unit scale in one place: ``math.frexp`` only in
 Every sample quantile is ``dataset._linear_quantile``: no numpy quantile.  And
 the standard tail series has one home, ``tail.py``: no other module defines,
 imports or rebinds its terms, its sums or ``E[Z^k]``.
-The modules of the commands import no numpy or scipy when they are loaded."""
+The modules of the commands import no numpy or scipy when they are loaded,
+and no module imports ``dataclasses``."""
 
 import ast
 from pathlib import Path
@@ -139,6 +140,13 @@ def test_cold_path_modules_import_no_numpy(name):
     names = module_level_imports(path.read_text(encoding="utf-8"))
     assert not [n for n in names if within(n, "numpy") or within(n, "scipy")]
 
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # the records are plain classes (_util.Record): dataclasses loads inspect
+    # and builds each class's methods by exec, ~7-9 ms and ~1 ms a class
+    assert not [n for n in imported_modules(path) if within(n, "dataclasses")]
 
 
 def test_frexp_calls_found():
