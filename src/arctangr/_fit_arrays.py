@@ -4,9 +4,10 @@
 sample (``fit.py`` imports it at once where numpy is loaded already), so a
 command that fits a smaller sample never imports numpy.  It holds the
 functions of ``fit._FLOATS`` on ndarrays: the baselines' sums (numpy's
-pairwise sums, whose bits the float path copies), the log-likelihoods from
-the array kernels of :mod:`arctangr.distributions`, and the AGR search with
-the numpy score pass, which writes one preallocated workspace in place.
+pairwise sums, within a few ulps of the float path's correctly rounded
+ones), the log-likelihoods from the array kernels of
+:mod:`arctangr.distributions`, and the AGR search with the numpy score
+pass, which writes one preallocated workspace in place.
 """
 
 import functools

@@ -1,36 +1,11 @@
-"""Internal helpers in Python floats: numpy's pairwise sum, the one unit
-scale of every sample sum and fit (:func:`unit_exponent`), the mean and
-variance, Bowley/Moors, the output formats, and the base of the record
-classes (:class:`Record`).  Nothing here imports numpy (see
-:mod:`arctangr._arrays` for the elementwise kernels' helpers), and ``json``
-and ``csv`` load only where their format is written."""
+"""Internal helpers in Python floats: the one unit scale of every sample
+sum and fit (:func:`unit_exponent`), the mean and variance, Bowley/Moors,
+the output formats, and the base of the record classes (:class:`Record`).
+Nothing here imports numpy (see :mod:`arctangr._arrays` for the elementwise
+kernels' helpers), and ``json`` and ``csv`` load only where their format is
+written."""
 
 import math
-from functools import reduce
-from operator import add
-
-
-def _pairwise(x, i, n):
-    """numpy's pairwise sum of ``x[i:i + n]``: fewer than 8 terms in order from
-    0.0; up to 128 on eight interleaved accumulators, combined as
-    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the last
-    ``n % 8`` terms in order; more, as two halves split at a multiple of 8."""
-    if n < 8:
-        return reduce(add, x[i:i + n], 0.0)
-    if n <= 128:
-        end = i + n - n % 8
-        r0, r1, r2, r3, r4, r5, r6, r7 = [reduce(add, x[j:end:8]) for j in range(i, i + 8)]
-        return reduce(add, x[end:i + n], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
-    half = n // 2
-    half -= half % 8
-    return _pairwise(x, i, half) + _pairwise(x, i + half, n - half)
-
-
-def pairwise_sum(x) -> float:
-    """The sum of a list (or tuple) of floats, in the order, and so with the
-    bits, of numpy's ``sum`` of the same values as a contiguous float array
-    (or of one row of a C-ordered 2-d array summed along its rows)."""
-    return _pairwise(x, 0, len(x))
 
 
 #: Samples whose largest size lies in [2^(-B-1), 2^B) are summed as they are;
@@ -57,17 +32,17 @@ def unit_exponent(lo, hi) -> int:
 
 
 def mean_var(x, e):
-    """numpy's ``mean`` and ``var(ddof=0)`` of a list of floats times ``2^-e``,
-    bit for bit: the pairwise sum over ``n``, then the pairwise sum of the
-    squared deviations from that mean over ``n``.  They are left at that
-    scale; the mean maps back by ``2^e``, the variance by ``2^2e``."""
+    """The mean and population variance of a list of floats times ``2^-e``:
+    the correctly rounded sum (``math.fsum``) over ``n``, then the correctly
+    rounded sum of the squared deviations from that mean over ``n``.  They are
+    left at that scale; the mean maps back by ``2^e``, the variance by ``2^2e``."""
     if e:
         unit = math.ldexp(1.0, -e)
         x = [v * unit for v in x]
     n = len(x)
-    mean = pairwise_sum(x) / n
+    mean = math.fsum(x) / n
     dev = [v - mean for v in x]
-    return mean, pairwise_sum([d * d for d in dev]) / n
+    return mean, math.fsum([d * d for d in dev]) / n
 
 
 def bowley_moors(octiles):

@@ -8,9 +8,10 @@ July 2008 - April 2013) available under the source spec
 
 A :class:`LossDataset` holds its checked sample, and the sorted copy, as
 Python floats; ``describe``, the quantiles, the plot bundle and the fits of
-up to :data:`arctangr.fit.FLOAT_FIT_MAX` points run on those, with numpy's
-bits where numpy has an equal, and import no numpy.  The ndarrays that the
-fits of larger samples work on are built from the floats on first use.
+up to :data:`arctangr.fit.FLOAT_FIT_MAX` points run on those, with
+``np.quantile``'s bits for the quantiles and correctly rounded sums, and
+import no numpy.  The ndarrays that the fits of larger samples work on are
+built from the floats on first use.
 """
 
 from __future__ import annotations
@@ -218,11 +219,11 @@ def _linear_quantile(sorted_values, q: float) -> float:
 
 def describe(data: LossDataset) -> SummaryStats:
     """Summary statistics; SD is the population standard deviation.  The mean
-    and SD are :func:`mean_var`'s at the sample's unit scale (see
-    :func:`unit_exponent`), mapped back: the bits of the Gaussian fit's numpy
-    mean and SD.  The quartiles and the octiles under Bowley's and Moors'
-    measures are ``np.quantile``'s, on the sample itself; everything runs on
-    the sample's floats."""
+    and SD are :func:`mean_var`'s (correctly rounded sums) at the sample's
+    unit scale (see :func:`unit_exponent`), mapped back: the Gaussian fit's
+    mean and SD up to ``FLOAT_FIT_MAX`` points, bit for bit.  The quartiles
+    and the octiles under Bowley's and Moors' measures are ``np.quantile``'s,
+    on the sample itself; everything runs on the sample's floats."""
     xs = data.sorted_values
     e = unit_exponent(xs[0], xs[-1])
     mean, var = mean_var(data.values, e)

@@ -51,7 +51,7 @@ from .tail import (
     ArctanGRParams,
     GaussianParams,
     RayleighParams,
-    _z_moment_parts,
+    _z_moment,
 )
 
 _TINY = float(np.finfo(float).tiny)
@@ -389,7 +389,7 @@ def _binomial_row(r):
     """``(C(r, k), r - k, k, E[Z^k])`` for ``k = 1..r``, ``r <= _MAX_ORDER``:
     the exact weight, the two powers and the standard moment of each of
     :func:`agr_moment`'s terms, kept per order (at most 170 rows)."""
-    return tuple((math.comb(r, k), r - k, k, sum(_z_moment_parts(k))) for k in range(1, r + 1))
+    return tuple((math.comb(r, k), r - k, k, _z_moment(k)) for k in range(1, r + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from types import SimpleNamespace
 
-from ._util import FrozenRecord, dump_csv, dump_json, mean_var, pairwise_sum, unit_exponent
+from ._util import FrozenRecord, dump_csv, dump_json, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError, SupportError
 from .tail import FOUR_OVER_PI, P_STAR, ArctanGRParams, GaussianParams, RayleighParams
@@ -731,16 +731,27 @@ MODELS = {
     "laplace": Model("Laplace", fit_laplace, _laplace_pdf, _laplace_logpdf),
 }
 
+
+def _float_loglik(name, params, y):
+    """The model's float log-densities over ``y``, correctly rounded in sum.
+    No log-density exceeds ~745, so a sum that leaves the doubles is one
+    below ``-DBL_MAX``: ``-inf``, where ``math.fsum`` raises."""
+    try:
+        return math.fsum(MODELS[name].logpdf(params, y))
+    except OverflowError:
+        return -math.inf
+
+
 #: The fits' arithmetic on at most ``FLOAT_FIT_MAX`` Python floats (see
-#: :func:`_path`): sums in numpy's pairwise order, and log-likelihoods summed
-#: from :data:`MODELS`' float log-densities.  :mod:`arctangr._fit_arrays` has
-#: the same functions on ndarrays.
+#: :func:`_path`): correctly rounded sums (``math.fsum``), and log-likelihoods
+#: summed from :data:`MODELS`' float log-densities.  :mod:`arctangr._fit_arrays`
+#: has the same functions on ndarrays.
 _FLOATS = SimpleNamespace(
     scaled=lambda x, unit: [v * unit for v in x],
     mean_var=lambda y: mean_var(y, 0),
-    square_sum=lambda y: pairwise_sum([v * v for v in y]),
-    abs_dev_sum=lambda y, c: pairwise_sum([abs(v - c) for v in y]),
-    loglik=lambda name, params, y: pairwise_sum(MODELS[name].logpdf(params, y)),
+    square_sum=lambda y: math.fsum([v * v for v in y]),
+    abs_dev_sum=lambda y, c: math.fsum([abs(v - c) for v in y]),
+    loglik=_float_loglik,
     search=lambda xs: _AgrSearch(xs),
 )
 

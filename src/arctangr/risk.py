@@ -242,9 +242,10 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     VaR is the linear-interpolation quantile at rank ``h = (n-1)*alpha + 1``
     (numpy's default); TVaR is the mean of observations strictly exceeding
     it and TV their population variance, which needs at least two
-    exceedances.  All three run on the sample's floats, with the bits of
-    ``np.quantile``, ``mean`` and ``var(ddof=0)``; TVaR and TV at the
-    exceedances' unit scale (see :func:`arctangr._util.unit_exponent`).
+    exceedances.  All three run on the sample's floats: VaR with the bits of
+    ``np.quantile``, TVaR and TV by :func:`arctangr._util.mean_var`'s correctly
+    rounded sums, at the exceedances' unit scale (see
+    :func:`arctangr._util.unit_exponent`).
     Unlike the model-based measures, any ``alpha`` in (0, 1) is accepted.
     """
     a = float(alpha)

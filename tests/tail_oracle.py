@@ -1,11 +1,10 @@
 """Test oracle: the tail series, the risk rows, the risk report's checks and
 the raw moments in their array forms.
 
-``tail_moments`` and ``z_moment_parts`` are the tail series as numpy
-evaluations of fixed 60-term coefficient arrays (levels x 60 for the tail),
-the form the library used before the series moved to Python floats and was
-cut off per level (:mod:`arctangr.tail`); the float series must stay within a
-few ulps of it.
+``tail_moments`` is the tail series as a numpy evaluation of fixed 60-term
+coefficient arrays (levels x 60), the form the library used before the
+series moved to Python floats and was cut off per level
+(:mod:`arctangr.tail`); the float series must stay within a few ulps of it.
 ``risk_columns`` maps the production standard tail ``(z, m, v)`` with numpy
 under ``errstate`` and scans each column for a value that is not finite;
 ``check_report`` walks the rows once per check; ``agr_moment`` sums with
@@ -21,7 +20,7 @@ import numpy as np
 from arctangr.distributions import _z_quantile
 from arctangr.errors import DomainError
 from arctangr.risk import RiskRow, _check_alpha
-from arctangr.tail import _tail_moments, _z_moment_parts
+from arctangr.tail import _tail_moments, _z_moment
 
 # pi g(z) = sum_j C_j e^{-n_j |z|} on either side of 0: below 0, C_j = 2 (-1/4)^j
 # and n_j = 2j + 1; above, n_j = j + 1 and C_j = c_j, where c_0 = 1, c_1 = 1/2,
@@ -36,14 +35,6 @@ _UPPER_N = _TERMS + 1.0
 
 # C / n^k, k = 1, 2, 3: the weights of the three lower-branch sums
 _LOWER_W = [_LOWER_C / _LOWER_N**k for k in (1, 2, 3)]
-
-
-def z_moment_parts(k):
-    """``E[Z^k]`` as its (z < 0, z >= 0) parts, ``k! / n^{k+1}`` termwise over
-    the 60-term arrays."""
-    lower = (-1) ** k * np.sum(_LOWER_C * _LOWER_N ** -(k + 1.0)) / math.pi
-    upper = np.sum(_UPPER_C * _UPPER_N ** -(k + 1.0)) / math.pi
-    return math.factorial(k) * float(lower), math.factorial(k) * float(upper)
 
 
 def tail_moments(alphas):
@@ -130,7 +121,7 @@ def agr_moment(params, r):
     try:
         total = omega**r
         for k in range(1, r + 1):
-            total += math.comb(r, k) * omega ** (r - k) * psi**k * sum(_z_moment_parts(k))
+            total += math.comb(r, k) * omega ** (r - k) * psi**k * _z_moment(k)
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from fractions import Fraction
 
 import pytest
 
@@ -223,9 +224,14 @@ class TestExitCodes:
     def test_spread_whose_sum_overflows(self, tmp_path, capsys):
         # the mean absolute deviation (4e307 here) is finite, so both fits
         # answer; the AGR tail beyond it is what ends risk in exit 3, and
-        # compare ranks the three models whose support holds data below 0
+        # compare ranks the three models whose support holds data below 0.
+        # The Gaussian mean is the exact one, 3/5: the correctly rounded sum
+        # keeps the 3 that an in-order float sum loses against +-1e308
+        values = [-1e308, 0.0, 1.0, 2.0, 1e308]
+        mean = float(statistics.mean(map(Fraction, values)))
+        assert MODELS["gaussian"].fit(values).params.omega == mean == 0.6
         f = tmp_path / "huge.csv"
-        f.write_text("-1e308\n0\n1\n2\n1e308\n")
+        f.write_text("".join(f"{v!r}\n" for v in values))
         runs = {}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -235,11 +241,11 @@ class TestExitCodes:
         assert "params: omega=1; psi=4e+307" in runs["laplace"][1]
         assert runs["risk"] == (3, "", "error: TVaR at alpha=0.99 is not a finite double\n")
         assert runs["compare"] == (0, textwrap.dedent("""\
-            Model      Par.                     r  LL        AIC      BIC      CAIC     HQIC
-            ---------  -----------------------  -  --------  -------  -------  -------  -------
-            Arctan-GR  omega=2, psi=4.079e+307  2  -3549.98  7103.96  7103.18  7109.96  7101.86
-            Gaussian   omega=0, eta=6.325e+307  2  -3550.79  7105.57  7104.79  7111.57  7103.47
-            Laplace    omega=1, psi=4e+307      2  -3549.87  7103.73  7102.95  7109.73  7101.63
+            Model      Par.                       r  LL        AIC      BIC      CAIC     HQIC
+            ---------  -------------------------  -  --------  -------  -------  -------  -------
+            Arctan-GR  omega=2, psi=4.079e+307    2  -3549.98  7103.96  7103.18  7109.96  7101.86
+            Gaussian   omega=0.6, eta=6.325e+307  2  -3550.79  7105.57  7104.79  7111.57  7103.47
+            Laplace    omega=1, psi=4e+307        2  -3549.87  7103.73  7102.95  7109.73  7101.63
 
             best by criterion -- loglik: laplace, aic: laplace, bic: laplace, caic: laplace, hqic: laplace
             skipped rayleigh: Rayleigh fit requires strictly positive data

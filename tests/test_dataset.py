@@ -18,8 +18,9 @@ from arctangr import (
     fit_gaussian,
     ingest,
 )
-from arctangr._util import bowley_moors, mean_var
+from arctangr._util import bowley_moors, mean_var, unit_exponent
 from arctangr.dataset import _linear_quantile
+from sum_oracle import exact_mean_var
 
 
 class TestEmbedded:
@@ -298,11 +299,8 @@ def float_bits(values):
     return [np.float64(v).tobytes() for v in values]
 
 
-# sizes on both sides of numpy's pairwise-sum boundaries: fewer than 8 terms
-# summed in order, up to 128 on eight accumulators, then halves, and the
-# 8192-element blocks of a buffered reduction
-SIZES = st.one_of(st.integers(1, 300), st.sampled_from(
-    [7, 8, 9, 15, 16, 17, 127, 128, 129, 136, 255, 256, 257, 1000, 8191, 8192, 8193, 16385, 20001]))
+# small samples, and a few large ones
+SIZES = st.one_of(st.integers(1, 300), st.sampled_from([1000, 8193, 20001]))
 
 # the samples whose squares or sums overflow, from the describe and Gaussian fit tests
 OVERFLOWING = [[1.0, 2.0, 3.0, 4.0, 1e200], [1e154, -1e154, 3.0, 4.0, 5.0],
@@ -318,41 +316,42 @@ TINY = [1e-300, 2e-300, 3e-300, 5e-300, 1e-310]
 
 class TestFloatStatistics:
     """``describe`` and ``empirical_risk`` take the mean, SD and variance on
-    the sample's floats, at its unit scale; they keep numpy's
-    ``mean``/``std``/``var(ddof=0)`` bits wherever numpy's own squares stay
-    normal, and the Gaussian fit's, which takes them on the array."""
+    the sample's floats, at its unit scale, with correctly rounded sums: each
+    sum is the exact sum of its float terms, rounded once, at every size;
+    and the Gaussian fit takes them the same way."""
 
     @settings(max_examples=80, deadline=None)
     @given(n=SIZES, seed=st.integers(0, 2**32 - 1), exponent=st.integers(-300, 300),
            shift=st.floats(-1e6, 1e6))
-    @example(n=8192, seed=1, exponent=0, shift=0.0)
+    @example(n=8193, seed=1, exponent=0, shift=0.0)
     @example(n=20001, seed=2, exponent=150, shift=1e6)
-    def test_mean_sd_and_var_are_numpys(self, n, seed, exponent, shift):
+    def test_mean_sd_and_var_are_correctly_rounded_sums(self, n, seed, exponent, shift):
         x = np.random.default_rng(seed).standard_normal(n) * 10.0**exponent + shift
         assume(np.isfinite(x).all())
         values = x.tolist()
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert float_bits(mean_var(values, 0)) == float_bits((x.mean(), x.var(ddof=0)))
-        try:
-            with np.errstate(over="raise", invalid="raise", under="raise"):
-                want = (x.mean(), x.std(ddof=0))
-        except FloatingPointError:  # numpy's squares leave the normal doubles
-            return
+        e = unit_exponent(min(values), max(values))
+        mean, var = mean_var(values, e)
+        assert float_bits([mean, var]) == float_bits(exact_mean_var(values, e))
         stats = describe(LossDataset(values=values, source="inline", name="s"))
-        assert float_bits([stats.mean, stats.sd]) == float_bits(want)
+        assert float_bits([stats.mean, stats.sd]) == float_bits(
+            [math.ldexp(mean, e), math.ldexp(math.sqrt(var), e)])
 
     @settings(max_examples=60, deadline=None)
     @given(n=SIZES, seed=st.integers(0, 2**32 - 1), alpha=st.floats(0.01, 0.99))
     @example(n=20001, seed=3, alpha=0.5)
     @example(n=300, seed=4, alpha=0.95)
-    def test_empirical_tvar_and_tv_are_numpys(self, n, seed, alpha):
+    def test_empirical_tvar_and_tv_are_correctly_rounded_sums(self, n, seed, alpha):
+        # VaR keeps np.quantile's bits; TVaR and TV are the exceedances' mean
+        # and variance at their unit scale
         x = np.random.default_rng(seed).lognormal(0.0, 1.5, n)
         data = LossDataset(values=x, source="inline", name="s")
-        exceed = x[x > np.quantile(x, alpha)]
-        assume(exceed.size >= 2)
+        exceed = x[x > np.quantile(x, alpha)].tolist()
+        assume(len(exceed) >= 2)
         row = empirical_risk(data, alpha)
+        e = unit_exponent(min(exceed), max(exceed))
+        mean, var = exact_mean_var(exceed, e)
         assert float_bits([row.var, row.tvar, row.tv]) == float_bits(
-            [np.quantile(x, alpha), exceed.mean(), exceed.var(ddof=0)])
+            [np.quantile(x, alpha), math.ldexp(mean, e), math.ldexp(var, 2 * e)])
 
     @pytest.mark.parametrize("values", OVERFLOWING + [TINY])
     def test_rescaled_statistics_are_the_gaussian_fits(self, values):

@@ -65,10 +65,9 @@ from arctangr.distributions import (
     _z_sf,
     _z_uw,
 )
-from arctangr.tail import _z_moment_parts
+from arctangr.tail import _z_moment
 from mixture_oracle import mixture_kernel_pdf_by_integration
 from score_oracle import z_shape_derivs
-from tail_oracle import z_moment_parts
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -453,21 +452,29 @@ class TestMoments:
 
     @pytest.mark.parametrize("k", range(9))
     def test_standard_moment_series_matches_quadrature(self, unit_params, k):
-        lower, upper = _z_moment_parts(k)
-        for got, (lo, hi) in ((lower, (-np.inf, 0.0)), (upper, (0.0, np.inf))):
-            want, _ = quad(lambda z: z**k * agr_pdf(unit_params, z), lo, hi,
-                           epsabs=0, epsrel=1e-13, limit=200)
-            assert got == pytest.approx(want, rel=1e-12)
+        want = sum(quad(lambda z: z**k * agr_pdf(unit_params, z), lo, hi,
+                        epsabs=0, epsrel=1e-13, limit=200)[0]
+                   for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+        assert _z_moment(k) == pytest.approx(want, rel=1e-12)
         if k == 0:
-            assert lower + upper == pytest.approx(1.0, abs=1e-15)
-            assert lower == pytest.approx(P_STAR, abs=1e-15)
+            assert _z_moment(0) == pytest.approx(1.0, abs=1e-15)
 
-    def test_moment_parts_against_the_array_series(self):
-        # cut off by the remainder bound and summed in floats, against the
-        # 60-term arrays (tail_oracle): 1 of the 342 parts moved, by 1 ulp
-        for k in range(171):
-            for got, want in zip(_z_moment_parts(k), z_moment_parts(k)):
-                assert abs(got - want) <= math.ulp(want), k
+    def test_moment_against_mpmath(self):
+        # E[Z^k], k! / n^{k+1} termwise, against the series on each side of 0
+        # in 40-digit mpmath (the terms left out are below 2^-140 of each
+        # side's sum): within 2 ulps at every order (measured: 1.42; the two
+        # sides' float sums added in floats reached 3.07, at k = 21)
+        with mpmath.workdps(40):
+            q = mpmath.mpc(1, 1) / 4
+            upper = [(mpmath.mpf(n), 4 * (q**n).imag) for n in range(1, 95)]
+            lower = [(mpmath.mpf(2 * j + 1), 2 * mpmath.mpf(-0.25) ** j) for j in range(72)]
+            lower_mass = mpmath.fsum(c / n for n, c in lower) / mpmath.pi
+            assert lower_mass == pytest.approx(P_STAR, abs=1e-16)
+            for k in range(171):
+                parts = [mpmath.fsum(c * n ** -(k + 1) for n, c in terms)
+                         for terms in (lower, upper)]
+                want = mpmath.factorial(k) / mpmath.pi * ((-1) ** k * parts[0] + parts[1])
+                assert abs(_z_moment(k) - want) <= 2 * math.ulp(float(want)), k
 
     def test_largest_representable_order(self, unit_params):
         # E[Z^r] = r! (sum_j c_j (j+1)^-(r+1) / pi + (2/pi) sum_j (-1/4)^j (2j+1)^-(r+1))

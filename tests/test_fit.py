@@ -41,6 +41,7 @@ from arctangr._util import unit_exponent
 from arctangr.distributions import _z_log_shape
 from arctangr.fit import MODELS
 from score_oracle import pass_terms
+from sum_oracle import exact_mean_var, exact_sum
 
 # frozen values computed from the embedded insurance sample's closed forms
 GAUSS_OMEGA = 0.070672413793103461
@@ -139,6 +140,12 @@ class TestAgrLoglik:
         assert both == pytest.approx(
             float(agr_logpdf(params, -d) + agr_logpdf(params, d)), abs=1e-12
         )
+
+    @pytest.mark.parametrize("data", [[1.0, 1.0], [1.0, 1.0, 2.0, 3.0]])
+    def test_sum_below_the_doubles_is_minus_inf(self, data):
+        # each log-density at 1.0 is -1.79e308 (at 2.0 and 3.0, -inf): their
+        # sum is below -DBL_MAX, where math.fsum raises OverflowError
+        assert agr_loglik(ArctanGRParams(0.0, 5.6e-309), data) == -math.inf
 
 
 class TestClosedFormFits:
@@ -669,20 +676,24 @@ class TestExtremeData:
 
     @settings(max_examples=60, deadline=None)
     @given(x=st.lists(st.floats(-1e150, 1e150), min_size=4, max_size=40))
-    def test_finite_squares_keep_their_bytes(self, x):
-        # the fits as computed before the rescaled path existed, on the sample
-        # at its unit scale: x itself inside the band (e = 0); below it, the
-        # squared deviations at x's own scale would lose bits as subnormals
-        x = np.array(x)
-        assume(x.std() > 0.0)
-        g = fit_gaussian(x).params
-        e = unit_exponent(x.min(), x.max())
-        y = np.ldexp(x, -e)
-        assert (g.omega, g.eta) == (math.ldexp(float(y.mean()), e),
-                                    math.ldexp(float(y.std(ddof=0)), e))
-        pos = np.abs(x) + 1.0
-        r = fit_rayleigh(pos).params
-        assert r.psi == float(np.sqrt(np.sum(pos * pos) / (2.0 * pos.size)))
+    def test_finite_squares_are_correctly_rounded_sums(self, x):
+        # the closed-form fits on the sample at its unit scale (x itself
+        # inside the band, e = 0; below it, the squared deviations at x's own
+        # scale would lose bits as subnormals), each sum (of the values, the
+        # squared deviations, the absolute deviations from the median and the
+        # squares) the exact sum of its float terms rounded once
+        assume(np.std(x) > 0.0)
+        g = fit_gaussian(np.array(x)).params
+        e = unit_exponent(min(x), max(x))
+        mean, var = exact_mean_var(x, e)
+        assert (g.omega, g.eta) == (math.ldexp(mean, e), math.ldexp(math.sqrt(var), e))
+        lap = fit_laplace(np.array(x)).params
+        med = math.ldexp(lap.omega, -e)
+        mad = exact_sum([abs(math.ldexp(v, -e) - med) for v in x]) / len(x)
+        assert lap.psi == math.ldexp(mad, e)
+        pos = [abs(v) + 1.0 for v in x]
+        r = fit_rayleigh(np.array(pos)).params
+        assert r.psi == math.sqrt(exact_sum([v * v for v in pos]) / (2.0 * len(pos)))
 
     @pytest.mark.parametrize("fit", [fit_gaussian, fit_laplace], ids=["gaussian", "laplace"])
     @pytest.mark.parametrize("x", [

@@ -39,11 +39,10 @@ from arctangr import (
 from arctangr import distributions, risk, tail
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
-from arctangr._util import pairwise_sum
 from arctangr.distributions import _binomial_row, _z_quantile, _z_tail_quantile
 from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import _DRAW_BLOCK
-from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level, _z_moment_parts
+from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level, _z_moment
 from tail_oracle import tail_moments as array_tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
@@ -267,9 +266,9 @@ class TestSeriesAgainstMpmath:
     #: both reached 1.11 ulp.
     Z_BACKWARD_ULPS = 2.0
     #: The float series against numpy's array form of it (``tail_oracle``):
-    #: over 20,007 uniform levels, 251 ``m`` and 297 ``v`` differed, by at
-    #: most 3 and 4 ulps, where ``math`` and numpy round ``exp``/``tan``/``log``
-    #: apart.
+    #: over 120,000 uniform levels, 51,886 ``m`` and 76,094 ``v`` differed, by
+    #: at most 6 and 7 ulps, where ``math`` and numpy round ``exp``/``tan``/``log``
+    #: apart and numpy sums in its pairwise order.
     ARRAY_ULPS = 8.0
 
     def test_m_and_v_to_a_few_ulps(self):
@@ -398,10 +397,10 @@ def _tail_moments_both_branches(alphas):
         w = [c / n for c, n in zip(cs, ns)]
         u = [d + 1.0 / n for n in ns]
         s0, s1, s2 = tail._lower_sums(d)
-        p0 = pairwise_sum(w) + s0
-        r = (pairwise_sum([a * b for a, b in zip(w, u)]) + s1) / p0
+        p0 = math.fsum(w) + s0
+        r = (math.fsum([a * b for a, b in zip(w, u)]) + s1) / p0
         c = [b - r for b in u]
-        p2 = pairwise_sum([a * (t * t + 1.0 / (n * n)) for a, t, n in zip(w, c, ns)])
+        p2 = math.fsum([a * (t * t + 1.0 / (n * n)) for a, t, n in zip(w, c, ns)])
         zs.append(z)
         ms.append(z + r)
         vs.append((p2 + s2 - r * (2.0 * s1 - r * s0)) / p0)
@@ -445,7 +444,7 @@ class TestStandardCaches:
         warm = [repr(_measures(params, levels, r)) for _ in range(2)]
         with mock.patch.object(risk, "_standard_tail", _tail_moments), \
                 mock.patch.object(distributions, "_binomial_row", _binomial_row.__wrapped__), \
-                mock.patch.object(distributions, "_z_moment_parts", _z_moment_parts.__wrapped__):
+                mock.patch.object(distributions, "_z_moment", _z_moment.__wrapped__):
             cold = repr(_measures(params, levels, r))
         assert warm == [cold, cold]
 
@@ -465,13 +464,13 @@ class TestStandardCaches:
     def test_one_moment_series_per_order(self):
         # each order's row holds its E[Z^k], so the series is read once per
         # row built, and the row once per call
-        _z_moment_parts.cache_clear()
+        _z_moment.cache_clear()
         _binomial_row.cache_clear()
         for i in range(21):
             params = ArctanGRParams(10.0**i - 1.0, 1e-3 * 2.0**i)
             for r in (1, 2, 3, 4):
                 agr_moment(params, r)
-        assert _z_moment_parts.cache_info().misses == 4
+        assert _z_moment.cache_info().misses == 4
         info = _binomial_row.cache_info()
         assert (info.misses, info.hits) == (4, 21 * 4 - 4)
 

@@ -184,10 +184,10 @@ def names_from(source, module):
 
 
 def test_bound_and_imported_names_found():
-    source = ("from .tail import P_STAR, _z_moment_parts\n_A, _B = map(f, (1, 2))\n"
+    source = ("from .tail import P_STAR, _z_moment\n_A, _B = map(f, (1, 2))\n"
               "def g(x):\n    for y in x:\n        z = y\n    return z\n")
     assert bound_names(source) == {"_A", "_B", "g", "y", "z"}
-    assert names_from(source, "tail") == {"P_STAR", "_z_moment_parts"}
+    assert names_from(source, "tail") == {"P_STAR", "_z_moment"}
 
 
 #: What the other modules read from ``tail.py``: the parameters of the models,
@@ -195,7 +195,7 @@ def test_bound_and_imported_names_found():
 #: size, ``E[Z^k]`` and the remainder bound that a report names.
 TAIL_EXPORTS = {"ArctanGRParams", "GaussianParams", "RayleighParams", "P_STAR", "FOUR_OVER_PI",
                 "_PI_OVER_4", "_CACHED_LEVELS", "_standard_tail", "_tail_moments",
-                "_z_moment_parts", "REMAINDER_BOUND"}
+                "_z_moment", "REMAINDER_BOUND"}
 
 
 def test_one_home_for_the_tail_series():
@@ -206,8 +206,8 @@ def test_one_home_for_the_tail_series():
     series = {node.name for node in tail.body if isinstance(node, ast.FunctionDef)}
     series.update(t.id for node in tail.body if isinstance(node, ast.Assign)
                   for t in node.targets if isinstance(t, ast.Name))
-    assert {"_upper_terms", "_LOWER_TERMS", "_lower_sums", "_z_moment_parts"} <= series
-    series -= TAIL_EXPORTS - {"_z_moment_parts"}
+    assert {"_upper_terms", "_LOWER_TERMS", "_lower_sums", "_z_moment"} <= series
+    series -= TAIL_EXPORTS - {"_z_moment"}
     for path in SOURCES:
         if path.name == "tail.py":
             continue
