@@ -189,8 +189,6 @@ def _run_risk(args):
 def _run_plotdata(args):
     from .plotdata import plot_bundle
 
-    if args.bins is not None and args.bins < 1:
-        raise DomainError(f"--bins must be a positive integer, got {args.bins}")
     return plot_bundle(ingest(args.data), bins=args.bins)
 
 

@@ -413,7 +413,7 @@ def mixture_kernel_logpdf(params: ArctanGRParams, x):
     """Log density ``-|z| - log(2 psi)``; where ``2 psi`` overflows (psi above
     ~9e307) the constant is taken as ``log 2 + log psi``, so it is finite at
     every scale and unchanged, bit for bit, below."""
-    psi = float(params.psi)
+    psi = params.psi
     log_c = math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
     return _on_z(params, x, lambda z: -np.abs(z) - log_c)
 

@@ -12,11 +12,13 @@ swept point by point).  The fit stops on a checkable rule (see
 :func:`fit_agr`).  No scipy is imported.  The baseline Gaussian, Rayleigh,
 and Laplace fits are closed-form MLEs.  Every fit of a sample of at most
 :data:`FLOAT_FIT_MAX` points runs on Python floats, with no numpy: a score
-pass is one loop per side of omega (:class:`_FloatPass`), and each model's
-log-density is one float per point; larger samples run the same fits on
-numpy arrays (:mod:`arctangr._fit_arrays`), whose score pass writes one
-preallocated workspace in place.  Every fit runs on its sample at unit scale, ``x``
-times ``2^-e`` (:func:`arctangr._util.unit_exponent`; ``e = 0`` for
+pass is one loop per side of omega (:meth:`_AgrSearch.sums`), and each
+model's log-density is one float per point; larger samples run the same
+fits on numpy arrays (:mod:`arctangr._fit_arrays`), whose score pass writes
+one preallocated workspace in place.  Each path takes only a pass's raw
+sums, and :class:`_ScorePass` defines its derivatives once.  Every fit runs
+on its sample at unit scale, ``x`` times ``2^-e``
+(:func:`arctangr._util.unit_exponent`; ``e = 0`` for
 ``max|x|`` in ``[2^-449, 2^448)``), where no sum overflows and no nonzero
 squared deviation leaves the normal doubles; each parameter, a location
 or a scale, maps back by ``2^e``, and the log-likelihood by
@@ -161,12 +163,13 @@ def _values(data) -> LossDataset:
 
 #: Samples of at most this many points are fitted on Python floats, and
 #: larger ones on numpy arrays (:mod:`arctangr._fit_arrays`).  Measured on a
-#: 2-vCPU x86-64 VM: a float score pass costs ~0.5 us per point (~30 us at
-#: n = 58, ~0.25 ms at n = 500) and a numpy pass ~20-30 us at any n below a
-#: few thousand, while a one-shot CLI process that never imports numpy saves
-#: ~100 ms.  At 1024 points a fit of ~10 passes takes ~5 ms on floats, a
-#: twentieth of that saving; above it the float passes cost more, and a
-#: process that has numpy loaded already loses more (~20x per pass here).
+#: 2-vCPU x86-64 VM (a pass that takes every sum, best of 7 repeats): a float
+#: score pass costs ~0.5-0.7 us per point (~30-50 us at n = 58, ~0.25-0.4 ms
+#: at n = 500) and a numpy pass ~30-45 us at n = 1025 and ~60 us at n = 3000,
+#: while a one-shot CLI process that never imports numpy saves ~100 ms.  At
+#: 1024 points a fit of ~10 passes takes ~5-7 ms on floats, a twentieth of
+#: that saving; above it the float passes cost more, and a process that has
+#: numpy loaded already loses more (~15x per pass here).
 FLOAT_FIT_MAX = 1024
 
 
@@ -289,7 +292,7 @@ _PSI_ROUNDING = 64.0
 #: Samples with at most this many distinct values are swept point by point.
 _SWEEP_N = 32
 _EPS = sys.float_info.epsilon
-#: Points per block of a float score pass's sums (see :class:`_FloatPass`).
+#: Points per block of a float score pass's sums (see :meth:`_AgrSearch.sums`).
 _BLOCK = 16
 
 
@@ -303,28 +306,70 @@ _BLOCK = 16
 _Point = namedtuple("_Point", "omega t psi_score psi_tol slope newton scoring")
 
 
-class _FloatPass:
-    """One score pass at ``psi``, in Python floats, of an :class:`_AgrSearch`
-    that :meth:`_AgrSearch.at` has pointed at omega: the definition of every
-    sum a pass exposes (the numpy pass, ``arctangr._fit_arrays._Pass``, takes
-    the same sums on arrays).
+class _ScorePass:
+    """One score pass at ``psi`` of an :class:`_AgrSearch` that
+    :meth:`_AgrSearch.at` has pointed at omega: the profile's eight
+    derivative sums, defined here once from the thirteen raw sums that the
+    search's :meth:`~_AgrSearch.sums` takes, in floats or on arrays.
 
     With ``s = +-1`` the side of omega (points at omega count on the right),
     ``u = e^{-|z|}``, ``w = H(z)``, ``q = 1 + w^2``, ``r = w u / q`` and
     ``G = u^2 / q``, the log-shape's derivatives are ``L' = -s - r`` and
     ``L'' = r^2 + s r - G/2``; as ``s z = |z|``, every sum below is a sum of
-    ``r``, ``z r`` and ``z G`` against ``1``, ``z`` and ``|z|``, so one loop
-    per side of omega takes them all.  Sums named ``l1``/``l2`` are of
-    ``L'``/``L''``, with their ``z`` factors as a prefix.  Each sum is taken
-    in order over blocks of ``_BLOCK`` points and the blocks' sums are added
-    by ``math.fsum``: like numpy's pairwise sum, it is within ``_BLOCK`` eps
-    of the sum of its terms' sizes.
+    ``r``, ``z r`` and ``z G`` against ``1``, ``z`` and ``|z|``.  Sums named
+    ``l1``/``l2`` are of ``L'``/``L''``, with their ``z`` factors as a
+    prefix; the raw sums are named by their factors, with ``a = |z|`` and
+    ``s``: ``a_zr`` is ``sum |z| z r`` and ``sr_sum`` is ``sum s r``.
     """
 
-    def __init__(self, search, psi):
+    def __init__(self, search, psi, r_sum, sr_sum, zr_sum, a_r, a_zr, zr_zr, z_zg, g, zg,
+                 r_r, zr_r, z_z, z_sum):
+        n = search.n
+        self.zl1 = -search.a_sum / psi - zr_sum
+        self.z2l2 = zr_zr + a_zr - 0.5 * z_zg
+        self.l1 = 2.0 * search.below - n - r_sum
+        self.zl2 = zr_r + a_r - 0.5 * zg
+        self.l2 = r_r + sr_sum - 0.5 * g
+        self.l11 = n + 2.0 * sr_sum + r_r
+        self.zl11 = z_sum + 2.0 * a_r + zr_r
+        self.z2l11 = z_z + 2.0 * a_zr + zr_zr
+
+
+class _AgrSearch:
+    """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`.
+
+    ``xs`` is at unit scale, so no sum of it overflows.  This is the float
+    search, on a sequence of floats, whose score pass is one loop per side of
+    omega (:meth:`sums`); ``arctangr._fit_arrays.ArraySearch`` runs it on a
+    sorted ndarray, with the numpy pass on one workspace."""
+
+    def __init__(self, xs):
+        self.xs = xs
+        self.n = len(xs)
+        self.passes = 0
+        self.steps = 0
+
+    def at(self, omega):
+        """Point the search at ``omega``: ``below`` points lie left of it and ``m``
+        at it; ``sides`` holds ``d = x - omega`` left of it and from it on, and
+        ``d_sum`` and ``a_sum`` are the sums of ``d`` and ``|d|``."""
+        xs = self.xs
+        self.below = below = bisect_left(xs, omega)
+        self.m = bisect_right(xs, omega, below) - below
+        d = [x - omega for x in xs]
+        self.sides = d[:below], d[below:]
+        self.d_sum = math.fsum(d)
+        self.a_sum = math.fsum(map(abs, d))
+
+    def sums(self, psi):
+        """The raw sums of a :class:`_ScorePass` at ``psi``, from one loop per
+        side of omega.  Each sum is taken in order over blocks of ``_BLOCK``
+        points and the blocks' sums are added by ``math.fsum``: like numpy's
+        pairwise sum, it is within ``_BLOCK`` eps of the sum of its terms'
+        sizes."""
         exp = math.exp
         blocks = []
-        for s, ds in zip((-1.0, 1.0), search.sides):
+        for s, ds in zip((-1.0, 1.0), self.sides):
             w0, h = (0.0, 0.5) if s < 0.0 else (1.0, -0.5)  # w = u/2 left, 1 - u/2 right
             for i in range(0, len(ds), _BLOCK):
                 r_s = zr_s = zr_zr = z_zr = z_zg = g = zg = r_r = zr_r = z_z = 0.0
@@ -350,51 +395,12 @@ class _FloatPass:
                 # s times a sum over one side adds up to a sum weighted by |z|/z
                 blocks.append((r_s, s * r_s, zr_s, s * zr_s, s * z_zr,
                                zr_zr, z_zg, g, zg, r_r, zr_r, z_z))
-        (r_sum, sr_sum, zr_sum, a_r, a_zr,
-         zr_zr, z_zg, g, zg, r_r, zr_r, z_z) = map(math.fsum, zip(*blocks))
-        n = search.n
-        self.zl1 = -search.a_sum / psi - zr_sum
-        self.z2l2 = zr_zr + a_zr - 0.5 * z_zg
-        self.l1 = 2.0 * search.below - n - r_sum
-        self.zl2 = zr_r + a_r - 0.5 * zg
-        self.l2 = r_r + sr_sum - 0.5 * g
-        self.l11 = n + 2.0 * sr_sum + r_r
-        self.zl11 = search.d_sum / psi + 2.0 * a_r + zr_r
-        self.z2l11 = z_z + 2.0 * a_zr + zr_zr
-
-
-class _AgrSearch:
-    """The score-driven AGR fit on a sorted sample ``xs``; see :func:`fit_agr`.
-
-    ``xs`` is at unit scale, so no sum of it overflows.  This is the float
-    search, on a sequence of floats, with the float pass
-    (:class:`_FloatPass`); ``arctangr._fit_arrays.ArraySearch`` runs it on a
-    sorted ndarray, with the numpy pass on one workspace."""
-
-    Pass = _FloatPass
-
-    def __init__(self, xs):
-        self.xs = xs
-        self.n = len(xs)
-        self.passes = 0
-        self.steps = 0
-
-    def at(self, omega):
-        """Point the search at ``omega``: ``below`` points lie left of it and ``m``
-        at it; ``sides`` holds ``d = x - omega`` left of it and from it on, and
-        ``d_sum`` and ``a_sum`` are the sums of ``d`` and ``|d|``."""
-        xs = self.xs
-        self.below = below = bisect_left(xs, omega)
-        self.m = bisect_right(xs, omega, below) - below
-        d = [x - omega for x in xs]
-        self.sides = d[:below], d[below:]
-        self.d_sum = math.fsum(d)
-        self.a_sum = math.fsum(map(abs, d))
+        return (*map(math.fsum, zip(*blocks)), self.d_sum / psi)
 
     def score_pass(self, psi):
-        """A :class:`Pass` at ``psi``, valid until the next one."""
+        """The :class:`_ScorePass` at ``psi``."""
         self.passes += 1
-        return self.Pass(self, psi)
+        return _ScorePass(self, psi, *self.sums(psi))
 
     def few_values(self):
         """The sample's distinct values in order where there are at most
@@ -414,8 +420,8 @@ class _AgrSearch:
         The psi-score is solved to rounding level unless ``tight`` is false and
         the profile clearly rises on one side of ``omega``: then it stops once
         the psi error moves the slopes by under a tenth of that rise.  Each
-        pass computes only the sums its step and this test read; the rest are
-        taken once, from the last pass.
+        pass is a :class:`_ScorePass` with all eight sums; those of the last
+        one give the slopes and the omega steps.
         """
         n = self.n
         self.at(omega)
@@ -569,7 +575,7 @@ def fit_agr(data) -> FitResult:
 
     The log-likelihood is ``n log(2/(pi psi)) + sum L(z_i)`` with
     ``z_i = (x_i - omega)/psi`` and ``L(z) = -|z| - log1p(w^2)``, whose
-    derivatives are closed forms (see :class:`_FloatPass`).
+    derivatives are closed forms (see :class:`_ScorePass`).
     For a fixed omega, ``psi-hat`` solves the psi-score
     ``dl/dlog psi = -n - sum z L'(z)`` by a bracketed Newton iteration on
     ``log psi``.  The profile ``l(omega, psi-hat(omega))`` is smooth between

@@ -13,7 +13,7 @@ bundle imports numpy only where its fits do (see
 from __future__ import annotations
 
 import math
-from operator import lt
+from operator import index, lt
 
 from ._util import FrozenRecord, dump_json
 from .dataset import LossDataset, _linear_quantile
@@ -116,6 +116,23 @@ def _fd_bins(n, span, iqr) -> int:
     return math.ceil(count)
 
 
+def _bin_count(bins) -> int:
+    """An explicit histogram bin count: an integer (one that
+    ``operator.index`` takes) from 1 to ``MAX_FD_BINS``, the most the
+    Freedman-Diaconis rule may choose; anything else raises
+    :class:`DomainError`."""
+    try:
+        count = index(bins)
+    except TypeError:
+        raise DomainError(f"--bins must be a positive integer, got {bins!r}") from None
+    if count < 1:
+        raise DomainError(f"--bins must be a positive integer, got {count}")
+    if count > MAX_FD_BINS:
+        raise DomainError(f"--bins must be at most {MAX_FD_BINS}, the most histogram bins "
+                          f"a plot bundle holds, got {count}")
+    return count
+
+
 def _histogram(xs, bins):
     """``np.histogram(xs, bins)`` for an integer ``bins``, as ``(counts, edges)``
     lists, bit for bit: ``bins + 1`` edges by :func:`_linspace` from the
@@ -149,14 +166,16 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     ``bins=None`` selects the Freedman-Diaconis rule, bit for bit as
     ``np.histogram(x, bins="fd")``, for at most ``MAX_FD_BINS`` (10**6)
     bins: a sample whose range needs more raises :class:`DataError`.  Pass
-    an integer to override.  Densities of every model in :data:`MODELS` are
-    tabulated on ``GRID_POINTS`` points; risk curves use the fitted AGR
-    parameters at ``RISK_ALPHAS``.  A sample so near the double limits that
-    its fences (1.5 IQR beyond the quartiles) or its grid (a quarter of the
-    range beyond the data) would overflow raises :class:`DataError`, as does
-    one whose range is a few subnormal steps wide, too narrow for the grid's
-    distinct points.
+    an integer from 1 to ``MAX_FD_BINS`` to override; any other ``bins``
+    raises :class:`DomainError` before anything is built.  Densities of
+    every model in :data:`MODELS` are tabulated on ``GRID_POINTS`` points;
+    risk curves use the fitted AGR parameters at ``RISK_ALPHAS``.  A sample
+    so near the double limits that its fences (1.5 IQR beyond the quartiles)
+    or its grid (a quarter of the range beyond the data) would overflow
+    raises :class:`DataError`, as does one whose range is a few subnormal
+    steps wide, too narrow for the grid's distinct points.
     """
+    count = None if bins is None else _bin_count(bins)
     xs = data.sorted_values
     lo, hi = xs[0], xs[-1]
     span = hi - lo
@@ -169,7 +188,7 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     # np.quantile's quartiles, from which np.histogram's "fd" takes its IQR
     q1, med, q3 = (_linear_quantile(xs, q) for q in (0.25, 0.5, 0.75))
     iqr = q3 - q1
-    counts, edges = _histogram(xs, _fd_bins(data.n, span, iqr) if bins is None else int(bins))
+    counts, edges = _histogram(xs, _fd_bins(data.n, span, iqr) if count is None else count)
     histogram = {"n": data.n, "bin_edges": edges, "counts": counts}
 
     lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr

@@ -73,7 +73,7 @@ def _risk_lists(params: ArctanGRParams, levels, names=("VaR", "TVaR", "TV")):
         z, m, v = _standard_tail(tuple(levels))
     else:
         z, m, v = _tail_moments(levels)
-    omega, psi = float(params.omega), float(params.psi)
+    omega, psi = params.omega, params.psi
     cols = []
     for name in names:
         if name == "TV":

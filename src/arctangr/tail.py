@@ -45,7 +45,8 @@ class ArctanGRParams(FrozenRecord):
     """Location and scale of the arctan Gaussian-Rayleigh distribution.
 
     ``omega`` and ``psi`` are in data units; ``psi`` is also the scale of the
-    underlying Laplace mixture kernel.
+    underlying Laplace mixture kernel.  Each parameter is kept as a Python
+    float, as are those of the other models.
     """
 
     _fields = ("omega", "psi")
@@ -55,7 +56,7 @@ class ArctanGRParams(FrozenRecord):
             raise DomainError(f"omega must be finite, got {omega}")
         if not (math.isfinite(psi) and psi > 0):
             raise DomainError(f"psi must be a positive finite scale, got {psi}")
-        self.__dict__.update(omega=omega, psi=psi)
+        self.__dict__.update(omega=float(omega), psi=float(psi))
 
 
 class GaussianParams(FrozenRecord):
@@ -68,7 +69,7 @@ class GaussianParams(FrozenRecord):
             raise DomainError(f"omega must be finite, got {omega}")
         if not (math.isfinite(eta) and eta > 0):
             raise DomainError(f"eta must be a positive finite scale, got {eta}")
-        self.__dict__.update(omega=omega, eta=eta)
+        self.__dict__.update(omega=float(omega), eta=float(eta))
 
 
 class RayleighParams(FrozenRecord):
@@ -79,7 +80,7 @@ class RayleighParams(FrozenRecord):
     def __init__(self, psi: float):
         if not (math.isfinite(psi) and psi > 0):
             raise DomainError(f"psi must be a positive finite scale, got {psi}")
-        self.__dict__.update(psi=psi)
+        self.__dict__.update(psi=float(psi))
 
 
 # The standard density as a series in e^{-|s|}: above 0, with q = (1 + i)/4,

@@ -544,6 +544,24 @@ class TestScorePass:
             assert abs(getattr(got, name) - want) <= tol, (name, getattr(got, name), want)
 
 
+@pytest.mark.parametrize("search_of", [lambda xs: fit_module._AgrSearch(xs.tolist()),
+                                       ArraySearch], ids=["floats", "numpy"])
+def test_a_score_pass_is_a_value(search_of):
+    # a pass still held when the next one runs keeps its own sums: the numpy
+    # pass, which shares one workspace, once read most of them lazily from it
+    xs = np.sort(agr_sample(ArctanGRParams(1.0, 0.03), 300, seed=34))
+    omega = float(xs[120])
+    search = search_of(xs)
+    search.at(omega)
+    held = search.score_pass(0.03)
+    search.score_pass(0.5)
+    fresh = search_of(xs)
+    fresh.at(omega)
+    want = fresh.score_pass(0.03)
+    for name in _PASS_SUMS:
+        assert getattr(held, name) == getattr(want, name), name
+
+
 class TestExtremeData:
     @pytest.mark.parametrize("x", [
         1e9 + np.random.default_rng(2).normal(0.0, 1.0, 300),

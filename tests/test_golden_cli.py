@@ -1,12 +1,14 @@
 """Golden CLI bytes: every command's exit code, stdout and stderr, in process.
 
 The expected values live in ``golden_cli.json`` next to this file, keyed by
-the command line.  After a deliberate output change, rewrite the file with
+the command line.  Each command runs from this directory, so a sample file
+committed here is named by a path that does not depend on the checkout.  After a deliberate output change, rewrite the file with
 ``PYTHONPATH=src python tests/test_golden_cli.py`` and review its diff.
 """
 
 import io
 import json
+import os
 import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,6 +20,9 @@ import arctangr.cli as cli
 GOLDEN = Path(__file__).with_name("golden_cli.json")
 
 INS = "--data embedded:insurance"
+#: 1,500 rounded losses from a two-lognormal mixture: more than
+#: ``fit.FLOAT_FIT_MAX`` points, so its fits run on the numpy path
+ARRAYS = "--data numpy_path_losses.csv"
 _BY_FORMAT = [
     f"describe {INS}",
     *(f"fit {INS} --model {m}" for m in ("agr", "gaussian", "rayleigh", "laplace")),
@@ -30,6 +35,7 @@ _BY_FORMAT = [
 COMMANDS = (
     [f"{c} --format {f}" for c in _BY_FORMAT for f in ("table", "csv", "json")]
     + [f"plotdata {INS}{b} --format {f}" for b in ("", " --bins 12") for f in ("table", "json")]
+    + [f"{c} {ARRAYS} --format json" for c in ("fit", "compare")]
     + [
         "risk --omega 0.02 --alphas 0.8",  # unpaired --omega: exit 3
         "fit --data /no/such/file.csv",  # missing file: exit 3
@@ -45,8 +51,13 @@ COMMANDS = (
 
 def run(command):
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = cli.main(shlex.split(command))
+    cwd = os.getcwd()
+    os.chdir(GOLDEN.parent)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(shlex.split(command))
+    finally:
+        os.chdir(cwd)
     return [code, out.getvalue(), err.getvalue()]
 
 

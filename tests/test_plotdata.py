@@ -64,6 +64,25 @@ def test_range_too_narrow_for_the_grid_is_data_error():
 def test_bins_override(insurance):
     b = plot_bundle(insurance, bins=7)
     assert len(b.histogram["counts"]) == 7
+    # any integer that operator.index takes, numpy's too; the cap is the FD rule's
+    assert len(plot_bundle(insurance, bins=np.int64(3)).histogram["counts"]) == 3
+    assert len(plot_bundle(insurance, bins=MAX_FD_BINS).histogram["counts"]) == MAX_FD_BINS
+
+
+@pytest.mark.parametrize("bins, message", [
+    (0, "a positive integer, got 0"), (-3, "a positive integer, got -3"),
+    (2.5, "a positive integer, got 2.5"), (12.0, "a positive integer, got 12.0"),
+    ("12", "a positive integer, got '12'"), (np.float64(7.0), "a positive integer, got "),
+    (MAX_FD_BINS + 1, "at most 1000000, the most histogram bins a plot bundle holds, "
+                      "got 1000001"),
+    (10**8, "at most 1000000, .* got 100000000"),
+])
+def test_bad_bins_is_domain_error_before_any_work(bins, message):
+    # the count is checked first: the dataset here is no dataset at all, and
+    # 0 once divided by zero, -3 indexed out of range, 2.5 gave 2 bins, and
+    # 10**8 would have built lists of 10**8 edges and counts
+    with pytest.raises(DomainError, match=f"^--bins must be {message}"):
+        plot_bundle(None, bins=bins)
 
 
 def test_boxplot_five_number_and_outliers(bundle):

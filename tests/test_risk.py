@@ -21,7 +21,9 @@ from arctangr import (
     ArctanGRParams,
     DataError,
     DomainError,
+    GaussianParams,
     LossDataset,
+    RayleighParams,
     RiskReport,
     RiskRow,
     agr_moment,
@@ -800,6 +802,19 @@ class TestRiskCurve:
         assert checked.to_csv() == report.to_csv()
         with pytest.raises(DomainError, match="one Monte Carlo result per row"):
             RiskReport(report.rows, report.source, mc_check=checks[:1])
+
+    def test_numpy_scalar_params_are_kept_as_floats(self):
+        # the source once read model(omega=np.float64(0.02), psi=np.float64(0.005))
+        params = ArctanGRParams(np.float64(0.02), np.float64(0.005))
+        report = risk_curve(params, [0.9])
+        source = "model(omega=0.02, psi=0.005)"
+        assert report.source == source
+        assert json.loads(report.to_json())["source"] == source
+        assert report.to_text().startswith(f"risk report ({source})\n")
+        assert report == risk_curve(ArctanGRParams(0.02, 0.005), [0.9])
+        for p in (params, GaussianParams(np.float32(1.5), np.int64(2)),
+                  RayleighParams(np.float16(0.5)), ArctanGRParams(1, 2)):
+            assert all(type(v) is float for v in vars(p).values()), p
 
     def test_text_has_one_line_per_row(self, table_params):
         report = risk_curve(table_params, [0.75, 0.9, 0.95])

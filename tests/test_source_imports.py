@@ -216,3 +216,47 @@ def test_one_home_for_the_tail_series():
         bound = bound_names(source)
         assert not bound & series, path.name
         assert not [n for n in bound if n.startswith(("_UPPER_", "_LOWER_"))], path.name
+
+
+#: The profile's derivative sums that a score pass exposes.
+PASS_SUMS = {"l1", "zl1", "l2", "zl2", "z2l2", "l11", "zl11", "z2l11"}
+
+
+def bindings(source):
+    """``(scope, name, line)`` of every ``def``, ``class``, and name or
+    attribute assigned in ``source``, the scope dotted from its enclosing
+    classes and functions."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield scope, child.name, child.lineno
+                yield from visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, (ast.Name, ast.Attribute)) and isinstance(child.ctx, ast.Store):
+                yield scope, child.id if isinstance(child, ast.Name) else child.attr, child.lineno
+            yield from visit(child, scope)
+
+    return list(visit(ast.parse(source), ""))
+
+
+def test_bindings_found():
+    source = ("l1 = 0\nclass P:\n    def __init__(self, s):\n        self.zl1 = s\n"
+              "        for self.l2, k in s:\n            pass\n    def l11(self):\n"
+              "        return 1\n")
+    assert bindings(source) == [("", "l1", 1), ("", "P", 2), ("P", "__init__", 3),
+                                ("P.__init__", "zl1", 4), ("P.__init__", "l2", 5),
+                                ("P.__init__", "k", 5), ("P", "l11", 7)]
+
+
+def test_one_home_for_the_score_pass_formulas():
+    # each path of the fit takes only the raw sums of a score pass; the eight
+    # derivative sums are defined once, in fit._ScorePass, which both use.
+    # The numpy pass once wrote them again, as lazy properties of a workspace
+    # that the next pass overwrote
+    found = [(p.name, scope, name) for p in SOURCES
+             for scope, name, _ in bindings(p.read_text(encoding="utf-8"))
+             if name in PASS_SUMS]
+    assert sorted(found) == sorted(("fit.py", "_ScorePass.__init__", n) for n in PASS_SUMS)
+    arrays = next(p for p in SOURCES if p.name == "_fit_arrays.py")
+    assert "functools" not in {n.split(".")[0] for n in imported_modules(arrays)}
+    assert "cached_property" not in arrays.read_text(encoding="utf-8")
