@@ -32,13 +32,10 @@ _EXPORTS = {
         "agr_cdf",
         "agr_cum_hazard",
         "agr_hazard",
-        "agr_kurtosis",
         "agr_logpdf",
-        "agr_moment",
         "agr_pdf",
         "agr_quantile",
         "agr_sample",
-        "agr_skewness",
         "agr_survival",
         "gaussian_base",
         "gaussian_cdf",
@@ -81,7 +78,8 @@ _EXPORTS = {
         "tvar",
         "var",
     ),
-    "tail": ("P_STAR", "ArctanGRParams", "GaussianParams", "RayleighParams"),
+    "tail": ("P_STAR", "ArctanGRParams", "GaussianParams", "RayleighParams", "agr_kurtosis",
+             "agr_moment", "agr_skewness"),
 }
 
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -43,10 +43,9 @@ def match_input(x, result):
     return result
 
 
-def blockwise(fn, arr, out=None):
+def blockwise(fn, arr):
     """``fn(arr)`` for an elementwise float ``fn``, evaluated ``BLOCK`` elements
-    at a time into one output array of ``arr``'s shape (``out``, a new array
-    by default).
+    at a time into one new output array of ``arr``'s shape.
 
     Each element passes through the same ufuncs in the same order, so the
     result is bit-identical to ``fn(arr)``; only the temporaries shrink.  A
@@ -56,15 +55,11 @@ def blockwise(fn, arr, out=None):
     pages and waits on memory.  Of 4, 16, 64 and 256 Ki, 16 Ki was the
     fastest for the 1e6-point kernels on a Xeon with 2 MiB of L2 per core.
     Inputs of at most ``BLOCK`` elements are passed to ``fn`` whole.
-
-    ``out`` may be a contiguous float ``arr`` itself, for an ``fn`` that
-    writes its result over its block and returns it: numpy skips the copy of
-    a view onto itself, so the pass runs in place.
     """
     if arr.size <= BLOCK:
         return fn(arr)
     flat = arr.reshape(-1)
-    out = np.empty(flat.size) if out is None else out.reshape(-1)
+    out = np.empty(flat.size)
     for i in range(0, flat.size, BLOCK):
         out[i:i + BLOCK] = fn(flat[i:i + BLOCK])
     return out.reshape(arr.shape)

@@ -1,11 +1,24 @@
-"""Internal helpers in Python floats: the one unit scale of every sample
-sum and fit (:func:`unit_exponent`), the mean and variance, Bowley/Moors,
-the output formats, and the base of the record classes (:class:`Record`).
+"""Internal helpers in Python floats: the one rule for a count argument
+(:func:`is_integer`), the one unit scale of every sample sum and fit
+(:func:`unit_exponent`), the mean and variance, Bowley/Moors, the output
+formats, and the base of the record classes (:class:`Record`).
 Nothing here imports numpy (see :mod:`arctangr._arrays` for the elementwise
 kernels' helpers), and ``json`` and ``csv`` load only where their format is
 written."""
 
 import math
+import operator
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's (a ``bool`` too, not
+    a numpy bool nor a float): one that ``operator.index`` takes.  Every count
+    argument is tested by this rule."""
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
 
 
 #: Samples whose largest size lies in [2^(-B-1), 2^B) are summed as they are;

@@ -41,7 +41,8 @@ class LossDataset(Record):
     """An ordered sample of finite real-valued losses with provenance.
 
     ``values`` is given as any flat sequence of numbers (an ndarray too) and
-    kept as a tuple of floats, checked once: nonempty, 1-d and finite.
+    kept as a tuple of floats, checked once: nonempty, 1-d and finite (text,
+    a ``str`` or ``bytes``, is not a sample).
     ``sorted_values`` is the same floats sorted; ``array`` and
     ``sorted_array`` are read-only float ndarrays of the two, each made on
     first use (``np.sort`` for the sorted one)."""
@@ -50,9 +51,10 @@ class LossDataset(Record):
 
     def __init__(self, values, source: str, name: str):
         is_array = type(values).__module__ == "numpy"  # an ndarray (or a numpy scalar)
+        text = isinstance(values, (str, bytes, bytearray))  # not a sample of its characters
         try:
             # an ndarray's tolist() gives its numbers in one call, nested if not 1-d
-            floats = tuple(map(float, values.tolist() if is_array else values))
+            floats = () if text else tuple(map(float, values.tolist() if is_array else values))
         except (TypeError, ValueError):
             floats = ()
         if not floats:

@@ -23,11 +23,10 @@ Each formula is one private kernel of ``z``; the public ``agr_*`` and
 :func:`arctangr._arrays.blockwise`; one number is checked with ``math`` and
 passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
 Where a formula has two sides, a kernel picks each element's side by
-blending bits (:func:`_select`), not by a branch per element.  Raw moments
-expand ``E[(omega + psi Z)^r]`` binomially over ``E[Z^k]``, which
-:mod:`arctangr.tail` sums termwise from the density's series in Python
-floats; those depend on ``k`` alone, so each is summed once and kept for
-later calls, in each order's row of binomial weights.
+blending bits (:func:`_select`), on every array, not by a branch per
+element.  This module holds array kernels only: the float functions of
+``Z`` (the raw moments, and Bowley's skewness and Moors' kurtosis) live in
+:mod:`arctangr.tail`, beside the density's series, and are re-exported here.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -35,13 +34,12 @@ all randomness (see :func:`agr_sample` for the stream-splitting convention).
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from ._arrays import BLOCK, SCALARS, as_float_array, blockwise, match_input
-from ._util import bowley_moors
+from ._util import is_integer
 from .arctanx import BaseDistribution
 from .errors import DomainError
 from .tail import (
@@ -51,8 +49,8 @@ from .tail import (
     ArctanGRParams,
     GaussianParams,
     RayleighParams,
-    _z_moment,
 )
+from .tail import agr_kurtosis, agr_moment, agr_skewness  # noqa: F401 (re-exported)
 
 _TINY = float(np.finfo(float).tiny)
 _HALF_MAX = 2.0 ** 1023
@@ -128,20 +126,20 @@ def rayleigh_logpdf(params: RayleighParams, x):
     return match_input(x, out)
 
 
-def _checked_prob(p, name="p"):
+def _checked_prob(p):
     if type(p) in SCALARS:
         v = float(p)
         if not 0.0 < v < 1.0:
             if math.isnan(v):
-                raise DomainError(f"{name} must not contain NaN")
-            raise DomainError(f"{name} must lie strictly inside (0, 1)")
+                raise DomainError("p must not contain NaN")
+            raise DomainError("p must lie strictly inside (0, 1)")
         return np.float64(v)
     arr = np.asarray(p, dtype=float)
     # min and max are NaN if any element is, so one range check also fails on
     # NaN; only then is there a NaN scan, to name the fault
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
-        as_float_array(arr, name=name)
-        raise DomainError(f"{name} must lie strictly inside (0, 1)")
+        as_float_array(arr, name="p")
+        raise DomainError("p must lie strictly inside (0, 1)")
     return arr
 
 
@@ -189,11 +187,6 @@ def _from_z(params: ArctanGRParams, z):
 # themselves, never on a caller's array; a scalar or 0-d input runs the same
 # steps on numpy scalars.
 
-#: Masks shorter than this select by ``np.where``: below it the one call costs
-#: less than the blend's five (on fresh random-sign masks the two cost the
-#: same at ~1024 elements, and the blend 1.5-1.9x less at 16 Ki).
-_BLEND_MIN = 1024
-
 
 def _is_array(mask):
     """Whether ``mask`` is an array of at least one dimension; a bool scalar is
@@ -208,10 +201,10 @@ def _inplace(ufunc, x):
 
 
 def _lanes(mask):
-    """A bool ``mask`` as the int64 lanes :func:`_select` blends with: all bits
-    set (-1) where it holds, none (0) where not.  Lanes, a scalar mask, or one
-    shorter than ``_BLEND_MIN``, stay as they are."""
-    if not _is_array(mask) or mask.dtype == np.int64 or mask.size < _BLEND_MIN:
+    """A bool array ``mask`` as the int64 lanes :func:`_select` blends with: all
+    bits set (-1) where it holds, none (0) where not.  Lanes, and a scalar
+    mask, stay as they are."""
+    if not _is_array(mask) or mask.dtype == np.int64:
         return mask
     k = mask.astype(np.int64)
     return np.negative(k, out=k)
@@ -221,18 +214,14 @@ def _select(mask, a, b, out=None):
     """``np.where(mask, a, b)``, bit for bit, without a branch per element.
 
     For an array ``mask`` (bool, or already as :func:`_lanes`) the float bits
-    are blended as int64: ``((a ^ b) & k) ^ b`` is ``a`` where ``k`` is -1 and
-    ``b`` where it is 0.  ``out`` may be ``a``'s buffer (never ``b``'s); the
-    result is returned either way.  A bool mask shorter than ``_BLEND_MIN``
-    keeps ``np.where``.  A scalar mask picks ``a`` or ``b`` as a numpy scalar,
-    a copy that is safe to work on (``np.where`` would give a 0-d array, whose
-    arithmetic costs ten times more)."""
+    are blended as int64, at any length: ``((a ^ b) & k) ^ b`` is ``a`` where
+    ``k`` is -1 and ``b`` where it is 0.  ``out`` may be ``a``'s buffer (never
+    ``b``'s); the result is returned either way.  A scalar mask picks ``a`` or
+    ``b`` as a numpy scalar, a copy that is safe to work on (``np.where``
+    would give a 0-d array, whose arithmetic costs ten times more)."""
     if not _is_array(mask):
         return np.float64(a if mask else b)
-    if mask.dtype != np.int64:
-        if mask.size < _BLEND_MIN:
-            return np.where(mask, a, b)
-        mask = _lanes(mask)
+    mask = _lanes(mask)
     bits = np.asarray(b, dtype=float).view(np.int64)
     r = np.bitwise_xor(np.asarray(a, dtype=float).view(np.int64), bits,
                        out=None if out is None else out.view(np.int64))
@@ -246,7 +235,7 @@ def _negate(mask, x):
     its sign bit flipped, so the mask's lanes, cut to the sign bit, are xored
     into ``x``'s bits (two passes where a select takes four)."""
     mask = _lanes(mask)
-    if not (_is_array(mask) and mask.dtype == np.int64):
+    if not _is_array(mask):
         return _select(mask, -x, x)
     bits = x.view(np.int64)
     bits ^= np.bitwise_and(mask, _SIGN_BIT)
@@ -380,18 +369,6 @@ def _z_quantile(p):
     return _negate(upper, _inplace(np.log, _select(upper, tail, t, out=tail)))
 
 
-#: The highest order whose ``E[Z^k]`` is a finite double (``171!`` is not).
-_MAX_ORDER = 170
-
-
-@functools.cache
-def _binomial_row(r):
-    """``(C(r, k), r - k, k, E[Z^k])`` for ``k = 1..r``, ``r <= _MAX_ORDER``:
-    the exact weight, the two powers and the standard moment of each of
-    :func:`agr_moment`'s terms, kept per order (at most 170 rows)."""
-    return tuple((math.comb(r, k), r - k, k, _z_moment(k)) for k in range(1, r + 1))
-
-
 # ---------------------------------------------------------------------------
 # Gaussian-Rayleigh scale mixture (Laplace kernel)
 # ---------------------------------------------------------------------------
@@ -520,7 +497,7 @@ def agr_sample(params: ArctanGRParams, n, seed):
     are the children of one, as the CLI gives each level's
     :func:`arctangr.risk.mc_oracle` its own.
     """
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     rng = np.random.default_rng(seed)
@@ -532,38 +509,3 @@ def agr_sample(params: ArctanGRParams, n, seed):
         out[i:i + BLOCK] = _from_z(params, _z_quantile(p))
     return out
 
-
-def agr_moment(params: ArctanGRParams, r):
-    """r-th raw moment ``E[X^r] = sum_k C(r,k) omega^(r-k) psi^k E[Z^k]``.
-
-    Summed in increasing ``k`` from the exact ``k = 0`` term ``omega^r``.
-    Raises :class:`DomainError` when the sum leaves the double range, which
-    for the standard variable happens from ``r = 171`` on.
-    """
-    if not (isinstance(r, (int, np.integer)) and r >= 1):
-        raise DomainError(f"moment order r must be a positive integer, got {r!r}")
-    omega, psi, r = params.omega, params.psi, int(r)
-    try:
-        if r > _MAX_ORDER:  # its E[Z^171] term would overflow
-            raise OverflowError
-        total = omega**r
-        for c, j, k, z_k in _binomial_row(r):
-            total += c * omega**j * psi**k * z_k
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(
-            f"moment of order r={r} overflows double precision "
-            f"at omega={omega!r}, psi={psi!r}"
-        )
-    return total
-
-
-def agr_skewness(params: ArctanGRParams) -> float:
-    """Quartile-based (Bowley) skewness; free of both location and scale."""
-    return bowley_moors(_z_quantile(np.arange(1, 8) / 8).tolist())[0]
-
-
-def agr_kurtosis(params: ArctanGRParams) -> float:
-    """Octile-based (Moors) kurtosis; free of both location and scale."""
-    return bowley_moors(_z_quantile(np.arange(1, 8) / 8).tolist())[1]

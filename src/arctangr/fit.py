@@ -30,13 +30,12 @@ log-likelihood is better).
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from types import SimpleNamespace
 
-from ._util import FrozenRecord, dump_csv, dump_json, mean_var, unit_exponent
+from ._util import FrozenRecord, dump_csv, dump_json, is_integer, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError, SupportError
 from .tail import FOUR_OVER_PI, P_STAR, ArctanGRParams, GaussianParams, RayleighParams
@@ -48,16 +47,6 @@ _CSV_HEADER = ("model", "par", "r", "loglik", *CRITERIA)
 
 
 Criteria = namedtuple("Criteria", CRITERIA)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an integer, Python's or numpy's: one that
-    ``operator.index`` takes, as ``numbers.Integral`` would accept it."""
-    try:
-        operator.index(value)
-    except TypeError:
-        return False
-    return True
 
 
 def information_criteria(loglik, n, r) -> Criteria:
@@ -72,9 +61,9 @@ def information_criteria(loglik, n, r) -> Criteria:
     CAIC's denominator is positive).
     """
     loglik = float(loglik)
-    if not (_is_integer(n) and n >= 3):
+    if not (is_integer(n) and n >= 3):
         raise DomainError(f"sample size n must be an integer >= 3, got {n!r}")
-    if not (_is_integer(r) and r >= 0):
+    if not (is_integer(r) and r >= 0):
         raise DomainError(f"parameter count r must be a nonnegative integer, got {r!r}")
     if n <= r + 1:
         raise DomainError(f"CAIC undefined: need n > r + 1, got n={n}, r={r}")

@@ -5,7 +5,8 @@ plotting tool can consume them.  Density columns come from whichever
 candidate models fit the data; models whose support excludes the data, or
 whose density leaves the double range on the grid, are skipped with a note
 instead of failing the whole bundle.  Everything runs on Python floats,
-with the bits of numpy's ``linspace``, ``round`` and ``histogram``: a
+with the bits of numpy's ``linspace`` and ``histogram`` (the box plot's
+outliers are two slices of the sorted sample, found by bisection): a
 bundle imports numpy only where its fits do (see
 :data:`arctangr.fit.FLOAT_FIT_MAX`).
 """
@@ -13,6 +14,7 @@ bundle imports numpy only where its fits do (see
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from operator import index, lt
 
 from ._util import FrozenRecord, dump_json
@@ -35,10 +37,9 @@ def _linspace(start, stop, num):
     return points
 
 
-#: Confidence levels of the risk curves (``np.linspace(0.55, 0.99,
-#: 45).round(12)``: numpy rounds ``v`` to 12 decimals as ``rint(v 1e12) /
-#: 1e12``), and points of the density grid.
-RISK_ALPHAS = tuple(round(v * 1e12) / 1e12 for v in _linspace(0.55, 0.99, 45))
+#: Confidence levels of the risk curves, 0.55 to 0.99 by 0.01 (each equal to
+#: ``np.linspace(0.55, 0.99, 45).round(12)``), and points of the density grid.
+RISK_ALPHAS = tuple(k / 100 for k in range(55, 100))
 GRID_POINTS = 401
 #: The most histogram bins the Freedman-Diaconis rule may choose; a million
 #: edges are already ~25 MB of JSON.
@@ -201,7 +202,7 @@ def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
             "max": hi,
         },
         "fences": {"low": lo_fence, "high": hi_fence},
-        "outliers": [v for v in xs if v < lo_fence or v > hi_fence],
+        "outliers": [*xs[:bisect_left(xs, lo_fence)], *xs[bisect_right(xs, hi_fence):]],
     }
 
     span = span or 1.0

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
+from bisect import bisect_right
 from collections import namedtuple
 
-from ._util import FrozenRecord, dump_csv, dump_json, mean_var, unit_exponent
+from ._util import FrozenRecord, dump_csv, dump_json, is_integer, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
 from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _standard_tail, _tail_moments
@@ -204,14 +205,15 @@ class RiskReport(FrozenRecord):
 
 
 def _as_floats(alphas) -> list:
-    """``alphas``, one level or a sequence of them, as a list of floats; what
-    does not read as a flat sequence of numbers (a nested list, a 0-d or a
-    2-d array) is read as ``np.atleast_1d`` reads it, with numpy's errors."""
+    """``alphas``, one level (a number, or text as :func:`var` reads it) or a
+    sequence of them, as a list of floats; what does not read as a flat
+    sequence of numbers (a nested list, a 0-d or a 2-d array) is read as
+    ``np.atleast_1d`` reads it, with numpy's errors."""
+    if isinstance(alphas, (int, float, str, bytes, bytearray)):
+        return [float(alphas)]
     try:
         return list(map(float, alphas))
     except TypeError:
-        if isinstance(alphas, (int, float)):
-            return [float(alphas)]
         import numpy as np
 
         arr = np.atleast_1d(np.asarray(alphas, dtype=float))
@@ -253,15 +255,15 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if data.n < 2:
         raise DataError("empirical risk needs at least 2 observations")
-    threshold = _linear_quantile(data.sorted_values, a)
-    exceed = [v for v in data.values if v > threshold]
+    xs = data.sorted_values
+    threshold = _linear_quantile(xs, a)
+    exceed = xs[bisect_right(xs, threshold):]
     if len(exceed) < 2:
         raise DataError(
             f"empirical TVaR/TV need at least 2 observations above the VaR "
             f"threshold; got {len(exceed)} at alpha={a}"
         )
-    # the exceedances are the sorted sample's last values
-    e = unit_exponent(data.sorted_values[-len(exceed)], data.sorted_values[-1])
+    e = unit_exponent(exceed[0], exceed[-1])
     mean, var = mean_var(exceed, e)
     try:
         tv = math.ldexp(var, 2 * e)
@@ -318,7 +320,7 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     from .distributions import _from_z, _z_quantile, _z_tail_quantile
 
     a = _check_alpha(alpha)
-    if not (isinstance(n, (int, np.integer)) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
     n = int(n)
     if n > 2**63 - 1:

@@ -1,12 +1,12 @@
-"""The model parameters and the standard AGR variable's tail, in Python floats.
+"""The model parameters and every float function of the standard AGR variable.
 
-AGR is a location-scale family, ``X = omega + psi Z``.  This module holds
-what the per-level risk measures read, with no numpy: the parameters of
-every model (:class:`ArctanGRParams`, and the baselines'
-:class:`GaussianParams` and :class:`RayleighParams`), the level ``P_STAR = G(0)`` at which the quantile
-switches branches, the density's series in ``e^{-|z|}``, the raw moments
-``E[Z^k]`` summed from it, and per confidence level ``a`` the standard
-quantile ``z_a`` and the tail moments
+AGR is a location-scale family, ``X = omega + psi Z``.  This module holds,
+in Python floats: the parameters of every model (:class:`ArctanGRParams`,
+and the baselines' :class:`GaussianParams` and :class:`RayleighParams`), the
+level ``P_STAR = G(0)`` at which the quantile switches branches, the
+density's series in ``e^{-|z|}``, the raw moments summed from it
+(:func:`agr_moment`), Bowley's skewness and Moors' kurtosis, and per
+confidence level ``a`` the standard quantile ``z_a`` and the tail moments
 
     m(a) = E[Z | Z > z_a],    v(a) = E[(Z - m(a))^2 | Z > z_a].
 
@@ -28,7 +28,7 @@ import math
 from itertools import accumulate, repeat
 from operator import mul
 
-from ._util import FrozenRecord
+from ._util import FrozenRecord, bowley_moors, is_integer
 from .errors import DomainError
 
 FOUR_OVER_PI = 4.0 / math.pi
@@ -118,7 +118,7 @@ def _upper_terms(lo: float):
 
 
 def _z_level(alpha: float) -> float:
-    """The standard quantile ``z_a`` at a level ``alpha`` in (1/2, 1), one
+    """The standard quantile ``z_a`` at a level ``alpha`` in (0, 1), one
     ``tan`` and one ``log``: ``log(2 tan(pi a/4))`` below ``P_STAR``, and from it
     ``-log(4t/(1 + t))`` with ``t = tan(pi (1 - a)/4)``, which keeps its
     accuracy as ``a -> 1`` (``1 - a`` is exact for ``a >= 1/2``)."""
@@ -206,3 +206,58 @@ def _z_moment(k):
     terms = [(-1) ** k * c * n ** s for n, c in _LOWER_TERMS]
     terms += [c * n ** s for n, c in enumerate(_upper_terms(0.0), 1)]
     return math.factorial(k) * (math.fsum(terms) / math.pi)
+
+
+#: The highest order whose ``E[Z^k]`` is a finite double (``171!`` is not).
+_MAX_ORDER = 170
+
+
+@functools.cache
+def _binomial_row(r):
+    """``(C(r, k), r - k, k, E[Z^k])`` for ``k = 1..r``, ``r <= _MAX_ORDER``:
+    the exact weight, the two powers and the standard moment of each of
+    :func:`agr_moment`'s terms, kept per order (at most 170 rows)."""
+    return tuple((math.comb(r, k), r - k, k, _z_moment(k)) for k in range(1, r + 1))
+
+
+def agr_moment(params: ArctanGRParams, r):
+    """r-th raw moment ``E[X^r] = sum_k C(r,k) omega^(r-k) psi^k E[Z^k]``.
+
+    Summed in increasing ``k`` from the exact ``k = 0`` term ``omega^r``.
+    Raises :class:`DomainError` when the sum leaves the double range, which
+    for the standard variable happens from ``r = 171`` on.
+    """
+    if not (is_integer(r) and r >= 1):
+        raise DomainError(f"moment order r must be a positive integer, got {r!r}")
+    omega, psi, r = params.omega, params.psi, int(r)
+    try:
+        if r > _MAX_ORDER:  # its E[Z^171] term would overflow
+            raise OverflowError
+        total = omega**r
+        for c, j, k, z_k in _binomial_row(r):
+            total += c * omega**j * psi**k * z_k
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(
+            f"moment of order r={r} overflows double precision "
+            f"at omega={omega!r}, psi={psi!r}"
+        )
+    return total
+
+
+@functools.cache
+def _shape_measures():
+    """Bowley's skewness and Moors' kurtosis of ``Z``, from its seven octiles
+    ``_z_level(k/8)``: constants of the family, computed on first use."""
+    return bowley_moors([_z_level(k / 8) for k in range(1, 8)])
+
+
+def agr_skewness(params: ArctanGRParams) -> float:
+    """Quartile-based (Bowley) skewness; free of both location and scale."""
+    return _shape_measures()[0]
+
+
+def agr_kurtosis(params: ArctanGRParams) -> float:
+    """Octile-based (Moors) kurtosis; free of both location and scale."""
+    return _shape_measures()[1]

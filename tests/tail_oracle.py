@@ -9,7 +9,7 @@ series moved to Python floats and was cut off per level
 under ``errstate`` and scans each column for a value that is not finite;
 ``check_report`` walks the rows once per check; ``agr_moment`` sums with
 ``math.comb`` and ``sum`` per term.  The float path of :mod:`arctangr.risk`
-and :func:`arctangr.distributions.agr_moment` must equal these bit for bit,
+and :func:`arctangr.tail.agr_moment` must equal these bit for bit,
 and raise the same message wherever these raise.
 """
 

@@ -15,6 +15,7 @@ from arctangr import (
     LossDataset,
     describe,
     empirical_risk,
+    fit_agr,
     fit_gaussian,
     ingest,
 )
@@ -123,6 +124,15 @@ class TestLossDataset:
             LossDataset(values=np.array([1.0, np.nan]), source="inline", name="x")
         with pytest.raises(DataError):
             LossDataset(values=np.array([1.0, np.inf]), source="inline", name="x")
+
+    @pytest.mark.parametrize("text", ["5678", "1", b"\x01\x02\x03", bytearray(b"12")])
+    def test_text_is_not_a_sample(self, text):
+        # a str or bytes was once read as a sequence of characters: "5678" as
+        # the four digits, b"\x01\x02\x03" as (1.0, 2.0, 3.0)
+        with pytest.raises(DataError, match=r"^dataset 'x' must be a nonempty 1-d sample$"):
+            LossDataset(values=text, source="inline", name="x")
+        with pytest.raises(DataError, match="must be a nonempty 1-d sample"):
+            fit_agr(text)
 
     def test_order_preserved(self):
         ds = LossDataset(values=np.array([3.0, 1.0, 2.0]), source="inline", name="x")

@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import arctangr.fit as fit_module
 from arctangr import (
@@ -198,6 +200,39 @@ class TestPlotFloats:
         assert got == (counts.tolist(), edges.tolist())
         if bins == np.histogram_bin_edges(x, bins="fd").size - 1:
             assert got[0] == np.histogram(x, bins="fd")[0].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(ends=st.tuples(*[st.one_of(st.floats(-1e300, 1e300), st.floats(-1e-320, 1e-320))] * 2),
+           bins=st.integers(1, 40),
+           picks=st.lists(st.tuples(st.integers(0, 40), st.sampled_from((-1, 0, 0, 1))),
+                          max_size=60))
+    @example(ends=(0.0, 1.0), bins=10, picks=[(i, d) for i in range(11) for d in (-1, 0, 1)])
+    @example(ends=(-1e300, 1e300), bins=3, picks=[(1, 0), (2, 0), (2, -1)])
+    @example(ends=(5e-324, 2e-323), bins=3, picks=[(i, 0) for i in range(4)])
+    # edges 1, 3, ..., 35, 40 steps of 5e-324: numpy's first guess for the value
+    # on edge 14 is bin 12, and it moves it up one, into bin 13, so no count
+    # by the edges alone (a bisection) gives numpy's bits here
+    @example(ends=(5e-324, 2e-322), bins=18, picks=[(14, 0), (15, 0), (16, 0), (17, 0)])
+    def test_values_on_and_beside_the_edges(self, ends, bins, picks):
+        # the sample is drawn from the edges themselves and their float
+        # neighbours (within the range), with its ends first and last, so
+        # that the edges are the ones drawn on
+        first, last = min(ends), max(ends)
+        edges = np.linspace(first, last, bins + 1).tolist()
+
+        def value(i, step):  # an edge, or its float neighbour below or above, in range
+            edge = edges[i % (bins + 1)]
+            return min(max(math.nextafter(edge, step * math.inf), first), last) if step else edge
+
+        x = [first, last, *(value(i, step) for i, step in picks)]
+        try:
+            got = _histogram(sorted(x), bins)
+        except DataError:
+            with pytest.raises(ValueError, match="Too many bins"):
+                np.histogram(x, bins=bins)
+            return
+        counts, want_edges = np.histogram(x, bins=bins)
+        assert got == (counts.tolist(), want_edges.tolist())
 
     def test_plot_bundle_histogram_is_fd(self):
         x = self.SAMPLES["lognormal"]

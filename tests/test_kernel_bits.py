@@ -1,8 +1,8 @@
 """The branch-free kernels equal their ``np.where`` forms (``where_kernels``)
 bit for bit: on random-sign arrays, at the branch points and their float
 neighbours, where ``e^{-|z|}`` underflows, at +-0 and +-inf, and on 0-d
-arrays and Python floats.  Every drawn array is also tried repeated past
-``_BLEND_MIN``, where the selects blend bits instead of calling ``np.where``."""
+arrays and Python floats.  Every array mask blends bits, whatever its
+length, so the short drawn lists reach the blend directly."""
 
 import math
 
@@ -15,7 +15,6 @@ import where_kernels as ref
 from arctangr import P_STAR
 from arctangr._arrays import BLOCK
 from arctangr.distributions import (
-    _BLEND_MIN,
     _laplace_cdf,
     _laplace_quantile,
     _lanes,
@@ -78,14 +77,9 @@ def reference(kernel, arg):
         return kernel(arg)
 
 
-def long(values):
-    """``values`` repeated to a length at which the selects blend."""
-    return np.resize(np.asarray(values), _BLEND_MIN + len(values))
-
-
 def check_all_forms(new, old, values):
-    for arr in (np.array(values, dtype=float), long(np.array(values, dtype=float))):
-        assert_same_bits(new(arr.copy()), reference(old, arr))
+    arr = np.array(values, dtype=float)
+    assert_same_bits(new(arr.copy()), reference(old, arr))
     for v in values:
         for arg in (float(v), np.float64(v), np.array(v)):
             assert_same_bits(new(arg), reference(old, arg))
@@ -141,15 +135,14 @@ def test_select_is_where_on_any_bits(bits):
     b = np.array([y for _, _, y in bits], dtype=np.int64).view(float)
     assert_same_bits(_select(mask[0], a[0], b[0]), np.where(mask[0], a[0], b[0]))
     assert_same_bits(_negate(mask[0], a[0]), np.where(mask[0], -a[0], a[0]))
-    for mask, a, b in ((mask, a, b), (long(mask), long(a), long(b))):
-        want = np.where(mask, a, b)
-        assert_same_bits(_select(mask, a, b), want)
-        assert_same_bits(_select(_lanes(mask), a, b), want)
-        assert_same_bits(_select(mask, 1.0, b), np.where(mask, 1.0, b))
-        assert_same_bits(_select(mask, a, -0.0), np.where(mask, a, -0.0))
-        assert_same_bits(_select(mask, a.copy(), b, out=a.copy()), want)
-        assert_same_bits(_negate(mask, a.copy()), np.where(mask, -a, a))
-        assert_same_bits(_negate(_lanes(mask), a.copy()), np.where(mask, -a, a))
+    want = np.where(mask, a, b)
+    assert_same_bits(_select(mask, a, b), want)
+    assert_same_bits(_select(_lanes(mask), a, b), want)
+    assert_same_bits(_select(mask, 1.0, b), np.where(mask, 1.0, b))
+    assert_same_bits(_select(mask, a, -0.0), np.where(mask, a, -0.0))
+    assert_same_bits(_select(mask, a.copy(), b, out=a.copy()), want)
+    assert_same_bits(_negate(mask, a.copy()), np.where(mask, -a, a))
+    assert_same_bits(_negate(_lanes(mask), a.copy()), np.where(mask, -a, a))
     out = a.copy()
     _select(mask, out, b, out=out)
     assert_same_bits(out, want)
@@ -171,13 +164,11 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
     # where _z_uw selects per element
     xs = np.sort(np.array(xs))
     omega = float(xs[at % xs.size]) if isinstance(at, int) else at
-    # as drawn, and each point repeated so that _z_uw blends
-    for sample in (xs, np.repeat(xs, _BLEND_MIN // xs.size + 1)):
-        search = ArraySearch(sample)
-        # (u, w) only: the pass's other sums are not finite where z is not
-        with np.errstate(all="ignore"):
-            z = (sample - omega) / psi
-            search.at(omega)
-            search.score_pass(psi)
-        assert_same_bits((search.u, search.w), _z_uw(z))
-        assert_same_bits((search.u, search.w), ref.z_uw(z))
+    search = ArraySearch(xs)
+    # (u, w) only: the pass's other sums are not finite where z is not
+    with np.errstate(all="ignore"):
+        z = (xs - omega) / psi
+        search.at(omega)
+        search.score_pass(psi)
+    assert_same_bits((search.u, search.w), _z_uw(z))
+    assert_same_bits((search.u, search.w), ref.z_uw(z))

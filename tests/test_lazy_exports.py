@@ -99,3 +99,14 @@ def test_import_loads_no_submodule(src_env):
         ["arctangr._util", "arctangr.dataset", "arctangr.errors", "arctangr.risk",
          "arctangr.tail"],
     ]
+
+
+def test_functions_of_z_load_no_numpy(src_env):
+    # the raw moments and shape measures are sums in Python floats (tail.py)
+    script = ("import sys\nimport arctangr as A\np = A.ArctanGRParams(1.0, 2.0)\n"
+              "A.agr_moment(p, 3), A.agr_skewness(p), A.agr_kurtosis(p)\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=src_env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -95,6 +95,14 @@ def test_boxplot_five_number_and_outliers(bundle):
     assert bundle.boxplot["outliers"] == sorted([0.137, 0.170, 0.222, 0.109, 0.114, 0.133])
 
 
+def test_values_on_the_fences_are_not_outliers():
+    # q1 = 1 and q3 = 7 (ranks 4 and 10 of 13), so the fences are -8 and 16
+    values = [-9.0, -8.0, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 16.0, 17.0, 18.0]
+    box = plot_bundle(LossDataset(values=values[::-1], source="inline", name="f")).boxplot
+    assert box["fences"] == {"low": -8.0, "high": 16.0}
+    assert box["outliers"] == [-9.0, 17.0, 18.0]
+
+
 def test_density_grid_strictly_increasing_and_nonnegative(bundle):
     x = np.asarray(bundle.density["x"])
     assert np.all(np.diff(x) > 0)

@@ -41,10 +41,17 @@ from arctangr import (
 from arctangr import distributions, risk, tail
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
-from arctangr.distributions import _binomial_row, _z_quantile, _z_tail_quantile
+from arctangr.distributions import _z_quantile, _z_tail_quantile
 from arctangr.plotdata import RISK_ALPHAS
 from arctangr.risk import _DRAW_BLOCK
-from arctangr.tail import _CACHED_LEVELS, _standard_tail, _tail_moments, _z_level, _z_moment
+from arctangr.tail import (
+    _CACHED_LEVELS,
+    _binomial_row,
+    _standard_tail,
+    _tail_moments,
+    _z_level,
+    _z_moment,
+)
 from tail_oracle import tail_moments as array_tail_moments
 
 # frozen oracle values for omega=0.02, psi=0.005 (40-digit evaluation)
@@ -445,8 +452,8 @@ class TestStandardCaches:
         params = ArctanGRParams(ratio * psi, psi)
         warm = [repr(_measures(params, levels, r)) for _ in range(2)]
         with mock.patch.object(risk, "_standard_tail", _tail_moments), \
-                mock.patch.object(distributions, "_binomial_row", _binomial_row.__wrapped__), \
-                mock.patch.object(distributions, "_z_moment", _z_moment.__wrapped__):
+                mock.patch.object(tail, "_binomial_row", _binomial_row.__wrapped__), \
+                mock.patch.object(tail, "_z_moment", _z_moment.__wrapped__):
             cold = repr(_measures(params, levels, r))
         assert warm == [cold, cold]
 
@@ -760,6 +767,15 @@ class TestRiskCurve:
         assert [round(r.alpha, 6) for r in report.rows] == [0.6, 0.75, 0.9]
         single = risk_curve(table_params, 0.8)
         assert len(single.rows) == 1
+
+    @pytest.mark.parametrize("level", ["0.9", b"0.9", " 0.9 "])
+    def test_text_level_is_one_level(self, table_params, insurance, level):
+        # a str was once read as a sequence of characters: "0.9" raised a bare
+        # ValueError on ".", and "9" read as the level 9.0
+        assert risk_curve(table_params, level) == risk_curve(table_params, [0.9])
+        assert empirical_risk_curve(insurance, level) == empirical_risk_curve(insurance, [0.9])
+        with pytest.raises(DomainError, match="got 9.0"):
+            risk_curve(table_params, "9")
 
     def test_invariants_validated(self):
         with pytest.raises(DomainError):

@@ -1,11 +1,12 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
 ``scipy.special`` from scipy, and nothing from the test-only packages.  The
-distribution kernels stay branch-free: ``np.where`` only in ``_select``.  A
+distribution kernels stay branch-free: no ``np.where`` call anywhere.  A
 sample is brought to its unit scale in one place: ``math.frexp`` only in
 ``_util.unit_exponent`` (and in ``risk.mc_oracle``, for its parameters).
 Every sample quantile is ``dataset._linear_quantile``: no numpy quantile.  And
 the standard tail series has one home, ``tail.py``: no other module defines,
-imports or rebinds its terms, its sums or ``E[Z^k]``.
+imports or rebinds its terms, its sums or ``E[Z^k]``, and ``distributions.py``
+defines no float-only function of ``Z``.
 The modules of the commands import no numpy or scipy when they are loaded,
 and no module imports ``dataclasses``."""
 
@@ -71,12 +72,12 @@ def test_where_calls_found():
     assert calls_in_functions(source, "where") == [("_select", 2), ("inner", 5)]
 
 
-def test_where_only_in_select():
-    # the distribution kernels select by bit masks (distributions._select);
-    # np.where on a mask of random signs mispredicts a branch per element
-    path = next(p for p in SOURCES if p.name == "distributions.py")
-    calls = calls_in_functions(path.read_text(encoding="utf-8"), "where")
-    assert {f for f, _ in calls} <= {"_select"}
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_where_calls(path):
+    # the distribution kernels select by bit masks (distributions._select), on
+    # arrays of every length; np.where on a mask of random signs mispredicts a
+    # branch per element
+    assert calls_in_functions(path.read_text(encoding="utf-8"), "where") == []
 
 
 def numpy_calls(source, names):
@@ -190,12 +191,16 @@ def test_bound_and_imported_names_found():
     assert names_from(source, "tail") == {"P_STAR", "_z_moment"}
 
 
+#: The float functions of ``Z`` that ``distributions.py`` re-exports from
+#: ``tail.py``; no other module defines them.
+Z_FUNCTIONS = {"agr_moment", "agr_skewness", "agr_kurtosis"}
+
 #: What the other modules read from ``tail.py``: the parameters of the models,
 #: the branch level, the quantile's constants, the per-grid tail and its cache
-#: size, ``E[Z^k]`` and the remainder bound that a report names.
+#: size, the remainder bound that a report names, and the functions of ``Z``.
 TAIL_EXPORTS = {"ArctanGRParams", "GaussianParams", "RayleighParams", "P_STAR", "FOUR_OVER_PI",
                 "_PI_OVER_4", "_CACHED_LEVELS", "_standard_tail", "_tail_moments",
-                "_z_moment", "REMAINDER_BOUND"}
+                "REMAINDER_BOUND", *Z_FUNCTIONS}
 
 
 def test_one_home_for_the_tail_series():
@@ -206,8 +211,9 @@ def test_one_home_for_the_tail_series():
     series = {node.name for node in tail.body if isinstance(node, ast.FunctionDef)}
     series.update(t.id for node in tail.body if isinstance(node, ast.Assign)
                   for t in node.targets if isinstance(t, ast.Name))
-    assert {"_upper_terms", "_LOWER_TERMS", "_lower_sums", "_z_moment"} <= series
-    series -= TAIL_EXPORTS - {"_z_moment"}
+    assert {"_upper_terms", "_LOWER_TERMS", "_lower_sums", "_z_moment", "_binomial_row",
+            "_shape_measures"} <= series
+    series -= TAIL_EXPORTS - Z_FUNCTIONS
     for path in SOURCES:
         if path.name == "tail.py":
             continue
