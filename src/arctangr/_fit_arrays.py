@@ -3,9 +3,9 @@
 :func:`arctangr.fit._path` imports this module on the first fit of a larger
 sample (``fit.py`` imports it at once where numpy is loaded already), so a
 command that fits a smaller sample never imports numpy.  It holds the
-functions of ``fit._FLOATS`` on ndarrays: the baselines' sums (numpy's
-pairwise sums, within a few ulps of the float path's correctly rounded
-ones), the log-likelihoods from the array kernels of
+functions of ``fit._FLOATS`` on the sorted ndarray: the baselines' sums
+(numpy's pairwise sums, in sorted order, within a few ulps of the float
+path's correctly rounded ones), the log-likelihoods from the array kernels of
 :mod:`arctangr.distributions`, and the AGR search with the numpy score
 pass, which writes one preallocated workspace in place and takes all of a
 pass's raw sums from it at once: each pass is a

@@ -8,10 +8,10 @@ July 2008 - April 2013) available under the source spec
 
 A :class:`LossDataset` holds its checked sample, and the sorted copy, as
 Python floats; ``describe``, the quantiles, the plot bundle and the fits of
-up to :data:`arctangr.fit.FLOAT_FIT_MAX` points run on those, with
+up to :data:`arctangr.fit.FLOAT_FIT_MAX` points run on the sorted copy, with
 ``np.quantile``'s bits for the quantiles and correctly rounded sums, and
-import no numpy.  The ndarrays that the fits of larger samples work on are
-built from the floats on first use.
+import no numpy.  The sorted ndarray that the fits of larger samples work on
+is the one an ndarray input was sorted into, else built on first use.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class LossDataset(Record):
     ``values`` is given as any flat sequence of numbers (an ndarray too) and
     kept as a tuple of floats, checked once: nonempty, 1-d and finite (text,
     a ``str`` or ``bytes``, is not a sample).
-    ``sorted_values`` is the same floats sorted; ``array`` and
-    ``sorted_array`` are read-only float ndarrays of the two, each made on
-    first use (``np.sort`` for the sorted one)."""
+    ``sorted_values`` is the same floats sorted, and ``sorted_array`` a
+    read-only float ndarray of them: an ndarray input is sorted into it here,
+    any other by ``np.sort`` on first use.  The library reads only these two."""
 
     _fields = ("values", "source", "name")
 
@@ -62,10 +62,11 @@ class LossDataset(Record):
         if not all(map(math.isfinite, floats)):
             raise DataError(f"dataset {name!r} contains NaN or infinite values")
         self.values, self.source, self.name = floats, source, name
-        if is_array:  # kept as ``array``, so it is not rebuilt from the floats
+        if is_array:  # sorted here, so ``sorted_array`` is not rebuilt from the floats
             arr = values.astype(float)
+            arr.sort()
             arr.flags.writeable = False
-            self.__dict__["array"] = arr
+            self.__dict__["sorted_array"] = arr
 
     @property
     def n(self) -> int:
@@ -76,18 +77,10 @@ class LossDataset(Record):
         return tuple(sorted(self.values))
 
     @cached_property
-    def array(self):
-        import numpy as np
-
-        out = np.array(self.values)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
     def sorted_array(self):
         import numpy as np
 
-        out = np.sort(self.array)
+        out = np.sort(self.values)
         out.flags.writeable = False
         return out
 
@@ -225,10 +218,10 @@ def describe(data: LossDataset) -> SummaryStats:
     unit scale (see :func:`unit_exponent`), mapped back: the Gaussian fit's
     mean and SD up to ``FLOAT_FIT_MAX`` points, bit for bit.  The quartiles
     and the octiles under Bowley's and Moors' measures are ``np.quantile``'s,
-    on the sample itself; everything runs on the sample's floats."""
+    on the sample itself; everything runs on the sample's sorted floats."""
     xs = data.sorted_values
     e = unit_exponent(xs[0], xs[-1])
-    mean, var = mean_var(data.values, e)
+    mean, var = mean_var(xs, e)
     octiles = [_linear_quantile(xs, k / 8) for k in range(1, 8)]
     bowley, moors = bowley_moors(octiles)
     return SummaryStats(

@@ -16,9 +16,10 @@ pass is one loop per side of omega (:meth:`_AgrSearch.sums`), and each
 model's log-density is one float per point; larger samples run the same
 fits on numpy arrays (:mod:`arctangr._fit_arrays`), whose score pass writes
 one preallocated workspace in place.  Each path takes only a pass's raw
-sums, and :class:`_ScorePass` defines its derivatives once.  Every fit runs
-on its sample at unit scale, ``x`` times ``2^-e``
-(:func:`arctangr._util.unit_exponent`; ``e = 0`` for
+sums, and :class:`_ScorePass` defines its derivatives once.  Each fit reads
+one copy of its sample, the sorted one (:func:`_path`), so no result depends
+on the order of the rows.  Every fit runs on its sample at unit scale, ``x``
+times ``2^-e`` (:func:`arctangr._util.unit_exponent`; ``e = 0`` for
 ``max|x|`` in ``[2^-449, 2^448)``), where no sum overflows and no nonzero
 squared deviation leaves the normal doubles; each parameter, a location
 or a scale, maps back by ``2^e``, and the log-likelihood by
@@ -163,42 +164,41 @@ FLOAT_FIT_MAX = 1024
 
 
 def _path(data):
-    """``(path, x, xs)``: the arithmetic of the fits of ``data`` and the sample
-    and its sorted copy as that path reads them: :data:`_FLOATS` on the
-    dataset's tuples of floats for at most ``FLOAT_FIT_MAX`` points, and
-    :mod:`arctangr._fit_arrays` on its ndarrays above."""
+    """``(path, xs)``: the arithmetic of the fits of ``data`` and the sorted
+    sample, the one copy that every fit reads: :data:`_FLOATS` on the
+    dataset's sorted tuple of floats for at most ``FLOAT_FIT_MAX`` points, and
+    :mod:`arctangr._fit_arrays` on its sorted ndarray above."""
     if data.n <= FLOAT_FIT_MAX:
-        return _FLOATS, data.values, data.sorted_values
+        return _FLOATS, data.sorted_values
     from . import _fit_arrays
 
-    return _fit_arrays, data.array, data.sorted_array
+    return _fit_arrays, data.sorted_array
 
 
 def agr_loglik(params: ArctanGRParams, data) -> float:
     """Sum of AGR log-densities over the sample, as the fits take it."""
-    path, x, _ = _path(_values(data))
-    return path.loglik("agr", params, x)
+    path, xs = _path(_values(data))
+    return path.loglik("agr", params, xs)
 
 
-def _unit_sample(path, x, xs):
-    """``(e, y, ys)``: the exponent of the sample's unit scale
-    (:func:`unit_exponent`, from the sorted ends of ``xs``), and the sample
-    ``x`` and its sorted copy ``xs`` times ``2^-e``: themselves where ``e = 0``."""
+def _unit_sample(path, xs):
+    """``(e, ys)``: the exponent of the sample's unit scale
+    (:func:`unit_exponent`, from the ends of the sorted sample ``xs``), and
+    ``xs`` times ``2^-e``: ``xs`` itself where ``e = 0``."""
     e = unit_exponent(xs[0], xs[-1])
     if not e:
-        return 0, x, xs
-    unit = math.ldexp(1.0, -e)
-    return e, path.scaled(x, unit), path.scaled(xs, unit)
+        return 0, xs
+    return e, path.scaled(xs, math.ldexp(1.0, -e))
 
 
-def _build_result(model_name, params, path, y, e, r, **diag) -> FitResult:
-    """The fit's result from ``params`` fitted to ``y``, the sample times
-    ``2^-e``: every parameter, a location or a scale, maps back by ``2^e``,
-    and the log-likelihood, the model's log-density summed over ``y`` on
-    ``path``, by ``- n e log 2``; a scale that maps back to 0 raises
+def _build_result(model_name, params, path, ys, e, r, **diag) -> FitResult:
+    """The fit's result from ``params`` fitted to ``ys``, the sorted sample
+    times ``2^-e``: every parameter, a location or a scale, maps back by
+    ``2^e``, and the log-likelihood, the model's log-density summed over
+    ``ys`` on ``path``, by ``- n e log 2``; a scale that maps back to 0 raises
     :class:`DataError`."""
-    n = len(y)
-    ll = path.loglik(model_name, params, y) - n * e * math.log(2.0)
+    n = len(ys)
+    ll = path.loglik(model_name, params, ys) - n * e * math.log(2.0)
     if not math.isfinite(ll):
         raise DataError(f"{model_name} fit: the log-likelihood is not a finite double")
     try:
@@ -222,36 +222,35 @@ def fit_gaussian(data) -> FitResult:
     sample's unit scale."""
     data = _values(data)
     _check_size(data.n, 2, "Gaussian")
-    path, x, xs = _path(data)
-    e, y, _ = _unit_sample(path, x, xs)
-    mean, var = path.mean_var(y)
+    path, xs = _path(data)
+    e, ys = _unit_sample(path, xs)
+    mean, var = path.mean_var(ys)
     sd = math.sqrt(var)
     if sd <= 0.0:
         raise DataError("Gaussian fit is degenerate: sample has zero variance")
-    return _build_result("gaussian", GaussianParams(omega=mean, eta=sd), path, y, e, r=2)
+    return _build_result("gaussian", GaussianParams(omega=mean, eta=sd), path, ys, e, r=2)
 
 
 def fit_rayleigh(data) -> FitResult:
     """Closed-form Rayleigh MLE: ``psi = sqrt(sum(x^2) / (2n))``, at the
-    sample's unit scale.  The log-likelihood is taken on ``x`` itself, where
-    the Rayleigh log-density is finite at every scale: at unit scale its
+    sample's unit scale.  The log-likelihood is taken on the sample itself,
+    where the Rayleigh log-density is finite at every scale: at unit scale its
     ``log x`` could round away."""
     data = _values(data)
-    path, x, xs = _path(data)
+    path, xs = _path(data)
     if xs[0] <= 0.0:
         raise SupportError("Rayleigh fit requires strictly positive data")
     _check_size(data.n, 1, "Rayleigh")
-    e, y, _ = _unit_sample(path, x, xs)
-    psi = math.ldexp(math.sqrt(path.square_sum(y) / (2.0 * len(y))), e)
-    return _build_result("rayleigh", RayleighParams(psi=psi), path, x, 0, r=1)
+    e, ys = _unit_sample(path, xs)
+    psi = math.ldexp(math.sqrt(path.square_sum(ys) / (2.0 * len(ys))), e)
+    return _build_result("rayleigh", RayleighParams(psi=psi), path, xs, 0, r=1)
 
 
-def _median_and_spread(path, y, ys, model):
-    """Median of the unit sample ``y`` (read from ``ys``, the same values
-    sorted) and mean absolute deviation from it, which must be positive for
-    the ``model`` fit to have a scale."""
+def _median_and_spread(path, ys, model):
+    """Median of the sorted unit sample ``ys`` and mean absolute deviation
+    from it, which must be positive for the ``model`` fit to have a scale."""
     med = _linear_quantile(ys, 0.5)
-    scale = path.abs_dev_sum(y, med) / len(y)
+    scale = path.abs_dev_sum(ys, med) / len(ys)
     if scale <= 0.0:
         raise DataError(f"{model} fit is degenerate: zero absolute deviation")
     return med, scale
@@ -265,11 +264,11 @@ def fit_laplace(data) -> FitResult:
     reuses :class:`ArctanGRParams`.
     """
     data = _values(data)
-    path, x, xs = _path(data)
-    e, y, ys = _unit_sample(path, x, xs)
-    med, scale = _median_and_spread(path, y, ys, "Laplace")
+    path, xs = _path(data)
+    e, ys = _unit_sample(path, xs)
+    med, scale = _median_and_spread(path, ys, "Laplace")
     _check_size(data.n, 2, "Laplace")
-    return _build_result("laplace", ArctanGRParams(omega=med, psi=scale), path, y, e, r=2)
+    return _build_result("laplace", ArctanGRParams(omega=med, psi=scale), path, ys, e, r=2)
 
 
 #: Score passes per psi solve; score passes and omega steps per fit.
@@ -602,9 +601,9 @@ def fit_agr(data) -> FitResult:
     ``FLOAT_FIT_MAX`` points run the same search with the numpy pass.
     """
     data = _values(data)
-    path, x, xs = _path(data)
-    e, y, ys = _unit_sample(path, x, xs)
-    _, scale = _median_and_spread(path, y, ys, "AGR")
+    path, xs = _path(data)
+    e, ys = _unit_sample(path, xs)
+    _, scale = _median_and_spread(path, ys, "AGR")
     _check_size(data.n, 2, "AGR")
     search = path.search(ys)
     best = search.point(_linear_quantile(ys, P_STAR), math.log(scale))
@@ -622,7 +621,7 @@ def fit_agr(data) -> FitResult:
         "agr",
         ArctanGRParams(omega=float(best.omega), psi=psi),
         path,
-        y,
+        ys,
         e,
         r=2,
         iterations=search.steps,

@@ -5,17 +5,17 @@ plotting tool can consume them.  Density columns come from whichever
 candidate models fit the data; models whose support excludes the data, or
 whose density leaves the double range on the grid, are skipped with a note
 instead of failing the whole bundle.  Everything runs on Python floats,
-with the bits of numpy's ``linspace`` and ``histogram`` (the box plot's
-outliers are two slices of the sorted sample, found by bisection): a
-bundle imports numpy only where its fits do (see
-:data:`arctangr.fit.FLOAT_FIT_MAX`).
+with the bits of numpy's ``linspace`` and ``histogram`` edges (the
+histogram's bins and the box plot's outliers are slices of the sorted
+sample, found by bisection): a bundle imports numpy only where its fits do
+(see :data:`arctangr.fit.FLOAT_FIT_MAX`).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from operator import index, lt
+from operator import index, lt, sub
 
 from ._util import FrozenRecord, dump_json
 from .dataset import LossDataset, _linear_quantile
@@ -135,39 +135,33 @@ def _bin_count(bins) -> int:
 
 
 def _histogram(xs, bins):
-    """``np.histogram(xs, bins)`` for an integer ``bins``, as ``(counts, edges)``
-    lists, bit for bit: ``bins + 1`` edges by :func:`_linspace` from the
-    smallest to the largest value (widened by 0.5 each way where they are
-    equal), and each value's bin from ``(x - first) / (last - first) * bins``,
-    moved down where ``x`` lies below its bin's lower edge and up where it
-    reaches the next edge (the last bin holds its upper edge).  Edges that do
-    not increase, as numpy's raise, raise :class:`DataError`."""
-    first, last = min(xs), max(xs)
+    """The histogram of the sorted sample ``xs`` in ``bins`` bins, as ``(counts,
+    edges)`` lists: ``np.histogram``'s ``bins + 1`` edges, bit for bit, by
+    :func:`_linspace` from the smallest to the largest value (widened by 0.5
+    each way where they are equal), and in each bin the values from its lower
+    edge up to its upper one (the last bin holds it), by one bisection per
+    interior edge.  These are numpy's counts but in bins a few subnormal steps
+    wide, where numpy's index arithmetic can put a value in a bin whose edges
+    exclude it.  Edges that do not increase, as numpy's raise, raise
+    :class:`DataError`."""
+    first, last = xs[0], xs[-1]
     if first == last:
         first, last = first - 0.5, last + 0.5
     edges = _linspace(first, last, bins + 1)
     if not all(map(lt, edges, edges[1:])):
         raise DataError(f"{bins} histogram bins do not fit in the data range "
                         f"{first:.6g} to {last:.6g}: choose fewer with --bins")
-    counts = [0] * bins
-    span = last - first
-    for x in xs:
-        i = min(int((x - first) / span * bins), bins - 1)
-        if x < edges[i]:
-            i -= 1
-        elif i != bins - 1 and x >= edges[i + 1]:
-            i += 1
-        counts[i] += 1
-    return counts, edges
+    cuts = [0, *(bisect_left(xs, edge) for edge in edges[1:-1]), len(xs)]
+    return list(map(sub, cuts[1:], cuts[:-1])), edges
 
 
 def plot_bundle(data: LossDataset, bins=None) -> PlotBundle:
     """Assemble histogram/boxplot/density/risk data for one dataset.
 
-    ``bins=None`` selects the Freedman-Diaconis rule, bit for bit as
-    ``np.histogram(x, bins="fd")``, for at most ``MAX_FD_BINS`` (10**6)
-    bins: a sample whose range needs more raises :class:`DataError`.  Pass
-    an integer from 1 to ``MAX_FD_BINS`` to override; any other ``bins``
+    ``bins=None`` selects the Freedman-Diaconis rule, with the bin count and
+    edges of ``np.histogram(x, bins="fd")``, for at most ``MAX_FD_BINS``
+    (10**6) bins: a sample whose range needs more raises :class:`DataError`.
+    Pass an integer from 1 to ``MAX_FD_BINS`` to override; any other ``bins``
     raises :class:`DomainError` before anything is built.  Densities of
     every model in :data:`MODELS` are tabulated on ``GRID_POINTS`` points;
     risk curves use the fitted AGR parameters at ``RISK_ALPHAS``.  A sample

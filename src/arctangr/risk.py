@@ -37,8 +37,16 @@ from .errors import DataError, DomainError
 from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _standard_tail, _tail_moments
 
 
+def _level(alpha) -> float:
+    """``float(alpha)``; text that reads as no number raises :class:`DomainError`."""
+    try:
+        return float(alpha)
+    except ValueError as exc:
+        raise DomainError(f"confidence level must be a number: {exc}") from None
+
+
 def _check_alpha(alpha) -> float:
-    a = float(alpha)
+    a = _level(alpha)
     if math.isnan(a) or not 0.5 < a < 1.0:
         raise DomainError(f"confidence level must lie in (1/2, 1), got {a!r}")
     return a
@@ -208,9 +216,10 @@ def _as_floats(alphas) -> list:
     """``alphas``, one level (a number, or text as :func:`var` reads it) or a
     sequence of them, as a list of floats; what does not read as a flat
     sequence of numbers (a nested list, a 0-d or a 2-d array) is read as
-    ``np.atleast_1d`` reads it, with numpy's errors."""
+    ``np.atleast_1d`` reads it, with numpy's errors.  Text that reads as no
+    number raises :class:`DomainError`, as in :func:`_level`."""
     if isinstance(alphas, (int, float, str, bytes, bytearray)):
-        return [float(alphas)]
+        return [_level(alphas)]
     try:
         return list(map(float, alphas))
     except TypeError:
@@ -218,6 +227,8 @@ def _as_floats(alphas) -> list:
 
         arr = np.atleast_1d(np.asarray(alphas, dtype=float))
         return arr.tolist() if arr.ndim == 1 else list(map(float, arr))
+    except ValueError as exc:
+        raise DomainError(f"confidence level must be a number: {exc}") from None
 
 
 def risk_curve(params: ArctanGRParams, alphas) -> RiskReport:
@@ -250,7 +261,7 @@ def empirical_risk(data: LossDataset, alpha) -> RiskRow:
     :func:`arctangr._util.unit_exponent`).
     Unlike the model-based measures, any ``alpha`` in (0, 1) is accepted.
     """
-    a = float(alpha)
+    a = _level(alpha)
     if math.isnan(a) or not 0.0 < a < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha!r}")
     if data.n < 2:

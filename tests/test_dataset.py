@@ -41,17 +41,16 @@ class TestEmbedded:
         s = insurance.sorted_values
         assert s is insurance.sorted_values
         assert np.all(np.diff(s) >= 0)
-        # the floats are tuples; the arrays, made on first use, are read-only
+        # the floats are tuples; the sorted array, made on first use, is read-only
         assert type(s) is tuple and type(insurance.values) is tuple
         with pytest.raises(TypeError):
             s[0] = 99.0
         with pytest.raises(TypeError):
             insurance.values[0] = 99.0
-        for arr, floats in ((insurance.array, insurance.values),
-                            (insurance.sorted_array, insurance.sorted_values)):
-            assert arr.tolist() == list(floats)
-            with pytest.raises(ValueError):
-                arr[0] = 99.0
+        arr = insurance.sorted_array
+        assert arr.tolist() == list(insurance.sorted_values)
+        with pytest.raises(ValueError):
+            arr[0] = 99.0
 
 
 class TestIngestFiles:
@@ -135,9 +134,13 @@ class TestLossDataset:
             fit_agr(text)
 
     def test_order_preserved(self):
-        ds = LossDataset(values=np.array([3.0, 1.0, 2.0]), source="inline", name="x")
+        x = np.array([3.0, 1.0, 2.0])
+        ds = LossDataset(values=x, source="inline", name="x")
         np.testing.assert_array_equal(ds.values, [3.0, 1.0, 2.0])
         np.testing.assert_array_equal(ds.sorted_values, [1.0, 2.0, 3.0])
+        # an ndarray is sorted into a read-only copy; the caller's is left as it was
+        assert ds.sorted_array.tolist() == [1.0, 2.0, 3.0] and not ds.sorted_array.flags.writeable
+        assert x.tolist() == [3.0, 1.0, 2.0] and x.flags.writeable
 
 
 class TestDescribe:

@@ -745,7 +745,7 @@ class TestScaleEquivariance:
 
     @pytest.mark.parametrize("k", KS)
     def test_statistics_and_logliks(self, insurance, k):
-        x = insurance.array
+        x = np.array(insurance.values)
         y = np.ldexp(x, k)
         got = describe(LossDataset(values=y, source="inline", name="y")).as_dict()
         for key, value in describe(insurance).as_dict().items():
@@ -769,7 +769,7 @@ class TestScaleEquivariance:
         # above the band every 2^k x has the unit sample 2^450 x, and below it
         # 2^-446 x: the same search, so parameters exactly 2^k apart
         for ks in ([450, 451, 800, 1025], [-446, -447, -700, -1016]):
-            fits = [fit_agr(np.ldexp(insurance.array, k)) for k in ks]
+            fits = [fit_agr(np.ldexp(np.array(insurance.values), k)) for k in ks]
             for k, res in zip(ks, fits):
                 assert res.converged
                 assert res.params_dict() == {
@@ -783,7 +783,7 @@ class TestScaleEquivariance:
         name = "laplace" if fit is fit_laplace else "agr"
         with pytest.raises(DataError, match=rf"^{name} fit: the fitted scale rounds below "
                                             r"the smallest positive double$"):
-            fit(np.ldexp(insurance.array, -1070))
+            fit(np.ldexp(np.array(insurance.values), -1070))
 
 
 class TestCompareModels:

@@ -2,10 +2,12 @@
 points they run without numpy, above it on the numpy path.  The two paths
 give the same fits, to a few ulps, on the same samples, the per-point
 densities are the array kernels' to the last bits of ``exp``/``log``, and
-the plot bundle's levels, grid and histogram are numpy's ``round``,
-``linspace`` and ``histogram``, bit for bit."""
+the plot bundle's levels, grid and histogram edges are numpy's ``round``,
+``linspace`` and ``histogram``, bit for bit; its histogram counts each bin
+by those edges, as numpy does but in bins of subnormal width."""
 
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -20,7 +22,9 @@ from arctangr import (
     GaussianParams,
     LossDataset,
     RayleighParams,
+    agr_loglik,
     compare_models,
+    describe,
     distributions,
     plot_bundle,
 )
@@ -43,6 +47,15 @@ def fits(data):
         except DataError as exc:
             out[name] = str(exc)
     return out
+
+
+def count_by_edges(x, edges):
+    """Each value of ``x`` counted in the bin ``[edges[i], edges[i + 1])`` that
+    holds it (the last bin holds its upper edge too), one value at a time."""
+    counts = [0] * (len(edges) - 1)
+    for v in x:
+        counts[max(i for i, edge in enumerate(edges[:-1]) if edge <= v)] += 1
+    return counts
 
 
 def both_paths(fn, data):
@@ -101,14 +114,36 @@ class TestPathsAgree:
         real = fit_module._path
 
         def spy(data):
-            path, x, xs = real(data)
+            path, xs = real(data)
             searches.append((data.n, path is fit_module._FLOATS, type(xs).__name__))
-            return path, x, xs
+            return path, xs
 
         monkeypatch.setattr(fit_module, "_path", spy)
         for n in (N, N + 1):
             fit_module.fit_agr(_family_sample("normal", n, 1))
         assert searches == [(N, True, "tuple"), (N + 1, False, "ndarray")]
+
+
+@pytest.mark.parametrize("n", [1000, 1500, 5000])
+def test_row_order_moves_no_bit(n):
+    # every fit, the comparison, describe and agr_loglik read the sorted
+    # sample only, so a shuffle of the rows gives the same bytes on both
+    # paths.  The numpy path's pairwise sums once ran in row order, and moved
+    # the fits above FLOAT_FIT_MAX by an ulp or two
+    x = _family_sample("lognormal", n, n)
+    params = ArctanGRParams(1.0, 0.5)
+
+    def outputs(values):
+        data = LossDataset(values=values, source="array", name="s")
+        return ([model.fit(data).to_json() for model in fit_module.MODELS.values()],
+                compare_models(data).to_json(), describe(data).to_json(),
+                agr_loglik(params, data).hex())
+
+    want = outputs(x)
+    rng = np.random.default_rng(0)
+    for k in range(3):  # an ndarray, and a list as ``ingest`` gives
+        shuffled = rng.permutation(x)
+        assert outputs(shuffled.tolist() if k else shuffled) == want
 
 
 GRIDS = [np.linspace(-40.0, 40.0, 2001), np.array([-1e300, -1.0, -0.0, 0.0, 1e-310, 3.0, 1e300])]
@@ -210,13 +245,15 @@ class TestPlotFloats:
     @example(ends=(-1e300, 1e300), bins=3, picks=[(1, 0), (2, 0), (2, -1)])
     @example(ends=(5e-324, 2e-323), bins=3, picks=[(i, 0) for i in range(4)])
     # edges 1, 3, ..., 35, 40 steps of 5e-324: numpy's first guess for the value
-    # on edge 14 is bin 12, and it moves it up one, into bin 13, so no count
-    # by the edges alone (a bisection) gives numpy's bits here
+    # on edge 14 is bin 12, and it moves it up one, into bin 13, whose edges
+    # exclude it; the count by the edges puts it in bin 14
     @example(ends=(5e-324, 2e-322), bins=18, picks=[(14, 0), (15, 0), (16, 0), (17, 0)])
     def test_values_on_and_beside_the_edges(self, ends, bins, picks):
         # the sample is drawn from the edges themselves and their float
         # neighbours (within the range), with its ends first and last, so
-        # that the edges are the ones drawn on
+        # that the edges are the ones drawn on.  The edges are numpy's and
+        # the counts are by those edges; numpy's own counts are the same but
+        # where its bins are narrower than the smallest normal double
         first, last = min(ends), max(ends)
         edges = np.linspace(first, last, bins + 1).tolist()
 
@@ -232,7 +269,9 @@ class TestPlotFloats:
                 np.histogram(x, bins=bins)
             return
         counts, want_edges = np.histogram(x, bins=bins)
-        assert got == (counts.tolist(), want_edges.tolist())
+        assert got == (count_by_edges(x, want_edges.tolist()), want_edges.tolist())
+        if got[0] != counts.tolist():
+            assert (last - first) / bins < sys.float_info.min
 
     def test_plot_bundle_histogram_is_fd(self):
         x = self.SAMPLES["lognormal"]

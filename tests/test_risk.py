@@ -777,6 +777,15 @@ class TestRiskCurve:
         with pytest.raises(DomainError, match="got 9.0"):
             risk_curve(table_params, "9")
 
+    @pytest.mark.parametrize("level", ["abc", b"0.9x"])
+    @pytest.mark.parametrize("fn", [var, tvar, tv, risk_curve, empirical_risk,
+                                    empirical_risk_curve])
+    def test_text_that_is_no_number_is_a_domain_error(self, table_params, insurance, fn, level):
+        # float() of such text raised a bare ValueError, not the bad-argument error
+        first = insurance if fn in (empirical_risk, empirical_risk_curve) else table_params
+        with pytest.raises(DomainError, match="confidence level must be a number"):
+            fn(first, level)
+
     def test_invariants_validated(self):
         with pytest.raises(DomainError):
             RiskReport(rows=(RiskRow(0.8, 1.0, 0.5, 0.1),), source="model")

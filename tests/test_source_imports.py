@@ -8,7 +8,8 @@ the standard tail series has one home, ``tail.py``: no other module defines,
 imports or rebinds its terms, its sums or ``E[Z^k]``, and ``distributions.py``
 defines no float-only function of ``Z``.
 The modules of the commands import no numpy or scipy when they are loaded,
-and no module imports ``dataclasses``."""
+and no module imports ``dataclasses``.  The fits read one copy of a sample,
+the sorted one: ``fit.py`` reads no ``values`` or ``array`` of a dataset."""
 
 import ast
 from pathlib import Path
@@ -266,3 +267,31 @@ def test_one_home_for_the_score_pass_formulas():
     arrays = next(p for p in SOURCES if p.name == "_fit_arrays.py")
     assert "functools" not in {n.split(".")[0] for n in imported_modules(arrays)}
     assert "cached_property" not in arrays.read_text(encoding="utf-8")
+
+
+def attribute_reads(source, attrs):
+    """``(attr, line)`` of every attribute named in ``attrs`` that ``source``
+    reads as a value, in line order; a method call (``d.values()``) is no read."""
+    tree = ast.parse(source)
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return sorted(((node.attr, node.lineno) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr in attrs
+                   and id(node) not in called), key=lambda read: read[1])
+
+
+def test_attribute_reads_found():
+    source = "x = data.values\ny = d.values()\nz = data.array[0]\n"
+    assert attribute_reads(source, {"values", "array"}) == [("values", 1), ("array", 3)]
+
+
+def test_fits_read_only_the_sorted_sample():
+    # every fit reads one copy of its sample, the dataset's sorted one, so no
+    # fit depends on the order of the rows.  The fits once summed the rows in
+    # their given order and searched the sorted copy, and a shuffle of a
+    # sample above FLOAT_FIT_MAX points moved them by an ulp
+    import numpy as np
+
+    fit = next(p for p in SOURCES if p.name == "fit.py").read_text(encoding="utf-8")
+    assert attribute_reads(fit, {"values", "array"}) == []
+    data = arctangr.LossDataset(values=np.array([2.0, 1.0]), source="array", name="s")
+    assert not hasattr(arctangr.LossDataset, "array") and not hasattr(data, "array")
