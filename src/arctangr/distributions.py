@@ -19,9 +19,10 @@ level at which the quantile function switches branches.
 
 Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
-(densities divide by ``psi``), evaluated in cache-sized blocks by
-:func:`arctangr._arrays.blockwise`; one number is checked with ``math`` and
-passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
+(densities divide by ``psi``), evaluated in cache-sized blocks, on every
+CPU for a large input, by :func:`arctangr._arrays.blockwise`; one number
+is checked with ``math`` and passed to the kernel as an ``np.float64``,
+with the bits of a 0-d array.
 Where a formula has two sides, a kernel picks each element's side by
 blending bits (:func:`_select`), on every array, not by a branch per
 element.  This module holds array kernels only: the float functions of
@@ -38,7 +39,7 @@ import math
 
 import numpy as np
 
-from ._arrays import BLOCK, SCALARS, as_float_array, blockwise, match_input
+from ._arrays import SCALARS, as_float_array, blockwise, match_input
 from ._util import is_integer
 from .arctanx import BaseDistribution
 from .errors import DomainError
@@ -304,28 +305,50 @@ def _z_pdf(z):
 
 def _z_cum_hazard(z):
     """Standard AGR cumulative hazard ``-log(survival)``; see :func:`agr_cum_hazard`.
-    Below 0 it is ``-log1p(-cdf)``, on the lower tail's accurate CDF."""
+    Below 0 it is ``-log1p(-cdf)``, on the lower tail's accurate CDF.  As in
+    :func:`_z_hazard`, the side below 0 comes first and each temporary is
+    dropped once read."""
+    below = np.minimum(z, 0.0)
+    lower = _inplace(np.negative, _inplace(np.log1p, _inplace(np.negative, _z_cdf(below))))
+    del below
     t = _half_exp(z)
     y = t / (2.0 - t)
     # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
     small = _lanes(y < 1e-8)
     safe_y = _select(small, 1.0, y)
-    ratio = _select(small, 1.0, np.arctan(safe_y) / safe_y)
-    upper = z + np.log(2.0 * (2.0 - t)) - math.log(FOUR_OVER_PI) - np.log(ratio)
-    below = np.minimum(z, 0.0)
-    return _select(z >= 0.0, upper, -np.log1p(-_z_cdf(below)))
+    del y
+    ratio = np.arctan(safe_y)
+    ratio /= safe_y
+    ratio = _select(small, 1.0, ratio)
+    del small, safe_y
+    upper = _inplace(np.log, 2.0 * (2.0 - t))
+    del t
+    upper += z
+    upper -= math.log(FOUR_OVER_PI)
+    upper -= _inplace(np.log, ratio)
+    return _select(z >= 0.0, upper, lower, out=upper)
 
 
 def _z_hazard(z):
-    """Standard AGR hazard ``g / (1 - G)``; see :func:`agr_hazard`."""
+    """Standard AGR hazard ``g / (1 - G)``; see :func:`agr_hazard`.  The side
+    below 0 comes first and each temporary is dropped once read, so a block
+    holds at most 7 blocks' worth at once (see :data:`arctangr._arrays.CHUNK`)."""
+    below = np.minimum(z, 0.0)
+    lower = _z_pdf(below)
+    lower /= _z_sf(below)
+    del below
     t = _half_exp(z)
     # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
     small = _lanes(t < 1e-8)
     safe_t = _select(small, 0.5, t)
-    ratio = _select(small, 2.0 - t, safe_t / np.arctan(safe_t / (2.0 - safe_t)))
-    upper = ratio / (1.0 + (1.0 - t) ** 2)
-    below = np.minimum(z, 0.0)
-    return _select(z >= 0.0, upper, _z_pdf(below) / _z_sf(below))
+    ratio = safe_t / _inplace(np.arctan, safe_t / (2.0 - safe_t))
+    del safe_t
+    near = 2.0 - t
+    upper = _select(small, near, ratio, out=near)
+    del small, ratio
+    upper /= 1.0 + (1.0 - t) ** 2
+    del t
+    return _select(z >= 0.0, upper, lower, out=upper)
 
 
 def _z_log_shape(z):
@@ -489,23 +512,17 @@ def agr_sample(params: ArctanGRParams, n, seed):
 
     Randomness comes from numpy's seeded PCG64 generator
     (``np.random.default_rng(seed)``), so identical seeds reproduce the
-    identical sequence on any platform.  The uniforms are drawn and mapped
-    ``BLOCK`` at a time; PCG64 spends one 64-bit word per double, so the
-    blocks consume the stream exactly as one ``rng.random(n)`` would, and
-    the draws equal ``agr_quantile(params, max(rng.random(n), tiny))``.
+    identical sequence on any platform.  The ``n`` uniforms are drawn at
+    once into the output, which :func:`arctangr._arrays.blockwise` maps in
+    place, so the draws are exactly
+    ``agr_quantile(params, max(rng.random(n), tiny))``, on any number of
+    CPUs, and no second array of ``n`` is made.
     ``seed`` may also be a ``np.random.SeedSequence``: independent streams
     are the children of one, as the CLI gives each level's
     :func:`arctangr.risk.mc_oracle` its own.
     """
     if not (is_integer(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
-    rng = np.random.default_rng(seed)
-    out = np.empty(n)
-    for i in range(0, n, BLOCK):
-        # random() lands in [0, 1); nudge an exact 0 into the domain of the quantile
-        p = rng.random(min(BLOCK, n - i))
-        np.maximum(p, np.finfo(float).tiny, out=p)
-        out[i:i + BLOCK] = _from_z(params, _z_quantile(p))
-    return out
-
+    u = np.random.default_rng(seed).random(int(n))
+    # random() lands in [0, 1); an exact 0 is nudged into the quantile's domain
+    return blockwise(lambda p: _from_z(params, _z_quantile(np.maximum(p, _TINY))), u, out=u)

@@ -38,10 +38,11 @@ from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _stan
 
 
 def _level(alpha) -> float:
-    """``float(alpha)``; text that reads as no number raises :class:`DomainError`."""
+    """``float(alpha)``; text that reads as no number, and an integer too large
+    for a double, raise :class:`DomainError`."""
     try:
         return float(alpha)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DomainError(f"confidence level must be a number: {exc}") from None
 
 
@@ -216,18 +217,19 @@ def _as_floats(alphas) -> list:
     """``alphas``, one level (a number, or text as :func:`var` reads it) or a
     sequence of them, as a list of floats; what does not read as a flat
     sequence of numbers (a nested list, a 0-d or a 2-d array) is read as
-    ``np.atleast_1d`` reads it, with numpy's errors.  Text that reads as no
-    number raises :class:`DomainError`, as in :func:`_level`."""
+    ``np.atleast_1d`` reads it.  A level that reads as no double raises
+    :class:`DomainError`, as in :func:`_level`."""
     if isinstance(alphas, (int, float, str, bytes, bytearray)):
         return [_level(alphas)]
     try:
-        return list(map(float, alphas))
-    except TypeError:
-        import numpy as np
+        try:
+            return list(map(float, alphas))
+        except TypeError:
+            import numpy as np
 
-        arr = np.atleast_1d(np.asarray(alphas, dtype=float))
-        return arr.tolist() if arr.ndim == 1 else list(map(float, arr))
-    except ValueError as exc:
+            arr = np.atleast_1d(np.asarray(alphas, dtype=float))
+            return arr.tolist() if arr.ndim == 1 else list(map(float, arr))
+    except (ValueError, OverflowError) as exc:
         raise DomainError(f"confidence level must be a number: {exc}") from None
 
 

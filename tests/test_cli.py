@@ -490,6 +490,19 @@ class TestModuleSets:
         assert [m for m in self.UNNEEDED if m in loaded] == []
         assert ("json" in loaded) == command.endswith("--format json")
 
+    @pytest.mark.parametrize("command", [f"fit {INS}", PARAMS, f"{PARAMS} --mc-samples 2000"])
+    def test_one_shot_command_starts_no_thread_pool(self, src_env, command):
+        # `python -m arctangr` as users run it: no input of these commands is
+        # large enough for the bulk kernels' pool, so concurrent.futures stays
+        # unloaded; -X importtime lists every module imported
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "arctangr",
+                               *command.split()], capture_output=True, text=True, env=src_env)
+        assert proc.returncode == 0, proc.stderr
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "arctangr.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "concurrent"] == []
+
     def test_model_choices_come_from_the_registry(self, capsys):
         # argparse lists and tests the --model choices of fit from fit.MODELS
         with pytest.raises(SystemExit):

@@ -6,7 +6,16 @@ Expected constants were evaluated independently at 40-digit precision
 """
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
 import tracemalloc
+import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -19,6 +28,7 @@ from scipy.stats import kstest
 from arctangr import (
     P_STAR,
     ArctanGRParams,
+    BaseDistribution,
     DomainError,
     GaussianParams,
     RayleighParams,
@@ -49,7 +59,8 @@ from arctangr import (
     rayleigh_pdf,
     rayleigh_quantile,
 )
-from arctangr._arrays import BLOCK
+from arctangr import _arrays
+from arctangr._arrays import BLOCK, CHUNK
 from arctangr._util import bowley_moors
 from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
@@ -713,3 +724,141 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert out.nbytes == 8 * self.N
         assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+
+@pytest.fixture
+def own_pool(monkeypatch):
+    """A pool of the test's own, made on its first bulk input and shut down
+    after it; ``own_pool(k)`` sets the CPU count to ``k``."""
+    monkeypatch.setattr(_arrays, "_pool", None)
+    yield lambda k: monkeypatch.setattr(_arrays, "cpus", lambda: k)
+    if _arrays._pool is not None:
+        _arrays._pool.shutdown()
+
+
+class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
+    """The same budget with eight CPUs: each thread holds its own block's
+    temporaries, and a thread takes at least CHUNK elements, so at 1e6
+    points three threads share the input, not eight."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cpus(self, own_pool):
+        own_pool(8)
+
+
+# around the block and the chunk boundaries: below 2 CHUNK one chunk, from
+# there one per CPU, most ending in a block cut short
+CHUNK_LENGTHS = [BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 7, 3 * BLOCK + 5,
+                 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 7, 3 * CHUNK + 5, 10**6]
+
+
+def per_block(fn, arg):
+    """``fn`` on each BLOCK-long slice of a 1-d ``arg`` in turn, on this thread."""
+    out = np.empty(arg.size)
+    for i in range(0, arg.size, BLOCK):
+        out[i:i + BLOCK] = fn(arg[i:i + BLOCK])
+    return out
+
+
+class TestChunks:
+    """A bulk input is split into one contiguous chunk of blocks per CPU, each
+    of at least CHUNK elements; every bit equals the blocks evaluated in turn
+    on one thread, on this machine's CPUs and on three."""
+
+    @pytest.mark.parametrize("cpus", [None, 3])
+    @pytest.mark.parametrize("n", CHUNK_LENGTHS)
+    def test_bit_identical_to_serial_blocks(self, own_pool, table_params, cpus, n):
+        if cpus:
+            own_pool(cpus)
+        rng = np.random.default_rng(n)
+        p = np.maximum(rng.random(n), np.finfo(float).tiny)
+        x = table_params.omega + table_params.psi * _z_quantile(p)
+        g = 0.3 + 2.0 * rng.standard_normal(n)
+        base = gaussian_base(GAUSS)
+        cases = [(partial(fn, table_params), x) for fn, _ in BLOCKED_X.values()]
+        cases += [(partial(fn, table_params), p) for fn, _ in BLOCKED_P.values()]
+        cases += [(partial(fn, base), g) for fn, _, _ in BLOCKED_BASE.values()]
+        for fn, arg in cases:
+            assert_same_bits(fn(arg), per_block(fn, arg))
+        stream = np.maximum(np.random.default_rng(n).random(n), np.finfo(float).tiny)
+        assert_same_bits(agr_sample(table_params, n, seed=n),
+                         per_block(partial(agr_quantile, table_params), stream))
+
+    def test_an_error_in_a_pool_thread_reaches_the_caller(self, own_pool):
+        own_pool(2)
+        caller, raised_on = threading.current_thread(), []
+
+        def cdf(v):
+            if v[0] >= 1.0:  # chunk 1 holds the upper half
+                raised_on.append(threading.current_thread())
+                raise ZeroDivisionError("in chunk 1")
+            return np.full(v.shape, 0.5)
+
+        x = np.linspace(0.0, 2.0, 2 * CHUNK)
+        with pytest.raises(ZeroDivisionError, match="in chunk 1"):
+            arctan_cdf(BaseDistribution(cdf, cdf), x)
+        assert raised_on and caller not in raised_on
+
+    def test_pool_threads_keep_the_callers_errstate(self, own_pool):
+        own_pool(2)
+        caller, seen_on = threading.current_thread(), []
+
+        def cdf(v):
+            if v[0] < 1.0:
+                return np.full(v.shape, 0.5)
+            seen_on.append(threading.current_thread())
+            return np.log(v * 0.0)  # divides by zero in chunk 1
+
+        x = np.linspace(0.0, 2.0, 2 * CHUNK)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            arctan_cdf(BaseDistribution(cdf, cdf), x)
+        assert seen_on and caller not in seen_on
+
+    # a base CDF that itself evaluates a bulk input, as a pool thread runs it;
+    # run in a new process, which a hang cannot outlive
+    NESTED = textwrap.dedent("""
+        import numpy as np
+        from arctangr import BaseDistribution, GaussianParams, _arrays, arctan_cdf, gaussian_base
+
+        _arrays.cpus = lambda: 2
+        inner = gaussian_base(GaussianParams(0.3, 2.0))
+        wide = np.linspace(-1.0, 1.0, 2 * _arrays.CHUNK)
+        want = arctan_cdf(inner, wide)
+
+        def cdf(v):
+            assert np.array_equal(arctan_cdf(inner, wide), want)
+            return inner.cdf(v)
+
+        got = arctan_cdf(BaseDistribution(cdf, inner.pdf), wide)
+        print(np.array_equal(got, want))
+    """)
+
+    def test_a_bulk_input_in_a_pool_thread_runs_there(self, src_env):
+        proc = subprocess.run([sys.executable, "-c", self.NESTED], capture_output=True,
+                              text=True, env=src_env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_a_forked_child_evaluates_in_bulk(self, own_pool, table_params):
+        own_pool(2)
+        x = np.linspace(-1.0, 1.0, 2 * CHUNK)
+        want = agr_cdf(table_params, x)  # the pool and its thread now exist
+        with warnings.catch_warnings():
+            # Python 3.12 on warns that a process with threads forks: the case here
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if np.array_equal(agr_cdf(table_params, x), want) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's bulk call did not return within 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0

@@ -786,6 +786,24 @@ class TestRiskCurve:
         with pytest.raises(DomainError, match="confidence level must be a number"):
             fn(first, level)
 
+    @pytest.mark.parametrize("fn", [var, tvar, tv, risk_curve, empirical_risk,
+                                    empirical_risk_curve])
+    def test_integer_beyond_a_double_is_a_domain_error(self, table_params, insurance, fn):
+        # float(10**400) raised a bare OverflowError
+        first = insurance if fn in (empirical_risk, empirical_risk_curve) else table_params
+        with pytest.raises(DomainError, match="confidence level must be a number"):
+            fn(first, 10**400)
+
+    @pytest.mark.parametrize("levels", [[10**400], [["abc"]], [[10**400]], [[0.9], ["abc"]]])
+    @pytest.mark.parametrize("fn", [risk_curve, empirical_risk_curve])
+    def test_nested_level_that_is_no_double_is_a_domain_error(self, table_params, insurance,
+                                                              fn, levels):
+        # a nested sequence is read by numpy, which raised a bare ValueError or
+        # OverflowError
+        first = insurance if fn is empirical_risk_curve else table_params
+        with pytest.raises(DomainError, match="confidence level must be a number"):
+            fn(first, levels)
+
     def test_invariants_validated(self):
         with pytest.raises(DomainError):
             RiskReport(rows=(RiskRow(0.8, 1.0, 0.5, 0.1),), source="model")
