@@ -195,10 +195,11 @@ def _is_array(mask):
     return isinstance(mask, np.ndarray) and mask.ndim > 0
 
 
-def _inplace(ufunc, x):
-    """``ufunc(x)``, written over ``x`` when it is an array (a kernel's own
-    temporary); a scalar gets a new scalar."""
-    return ufunc(x, out=x) if _is_array(x) else ufunc(x)
+def _inplace(ufunc, *args):
+    """``ufunc(*args)``, written over the last argument when it is an array (a
+    kernel's own temporary); a scalar gets a new scalar."""
+    x = args[-1]
+    return ufunc(*args, out=x) if _is_array(x) else ufunc(*args)
 
 
 def _lanes(mask):
@@ -286,8 +287,9 @@ def _z_sf(z):
     which stays accurate where ``1 - cdf`` cancels (survival below ~1e-16)."""
     upper = _lanes(z >= 0.0)
     t = _half_exp(z)
-    y = t / (2.0 - t)
+    y = _inplace(np.divide, t, 2.0 - t)
     y = _inplace(np.arctan, _select(upper, y, t, out=y))
+    del t
     y *= FOUR_OVER_PI
     return _select(upper, y, 1.0 - y, out=y)
 
@@ -312,15 +314,16 @@ def _z_cum_hazard(z):
     lower = _inplace(np.negative, _inplace(np.log1p, _inplace(np.negative, _z_cdf(below))))
     del below
     t = _half_exp(z)
-    y = t / (2.0 - t)
+    y = _inplace(np.divide, t, 2.0 - t)
     # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
     small = _lanes(y < 1e-8)
     safe_y = _select(small, 1.0, y)
     del y
     ratio = np.arctan(safe_y)
     ratio /= safe_y
+    del safe_y
     ratio = _select(small, 1.0, ratio)
-    del small, safe_y
+    del small
     upper = _inplace(np.log, 2.0 * (2.0 - t))
     del t
     upper += z
@@ -331,8 +334,10 @@ def _z_cum_hazard(z):
 
 def _z_hazard(z):
     """Standard AGR hazard ``g / (1 - G)``; see :func:`agr_hazard`.  The side
-    below 0 comes first and each temporary is dropped once read, so a block
-    holds at most 7 blocks' worth at once (see :data:`arctangr._arrays.CHUNK`)."""
+    below 0 comes first, each temporary is dropped once read and the
+    quotients are written over their divisors, so a block holds about 6
+    blocks' worth at once, its input included (see
+    :data:`arctangr._arrays.CHUNK`)."""
     below = np.minimum(z, 0.0)
     lower = _z_pdf(below)
     lower /= _z_sf(below)
@@ -341,7 +346,8 @@ def _z_hazard(z):
     # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
     small = _lanes(t < 1e-8)
     safe_t = _select(small, 0.5, t)
-    ratio = safe_t / _inplace(np.arctan, safe_t / (2.0 - safe_t))
+    ratio = _inplace(np.arctan, _inplace(np.divide, safe_t, 2.0 - safe_t))
+    ratio = _inplace(np.divide, safe_t, ratio)
     del safe_t
     near = 2.0 - t
     upper = _select(small, near, ratio, out=near)

@@ -693,7 +693,8 @@ class TestBlockwise:
 
 class TestMemoryBudget:
     """No bulk kernel may hold more than half an output's worth of
-    temporaries: the blocks keep them at most BLOCK elements each."""
+    temporaries: the blocks keep them at most BLOCK elements each on one
+    CPU, and a sixteenth of a thread's chunk on several."""
 
     N = 10**6
 
@@ -746,10 +747,21 @@ class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
         own_pool(8)
 
 
+class TestMemoryBudgetOnFewAndManyCpus(TestMemoryBudget):
+    """The same budget on 2, 3, 4 and 64 CPUs: a thread's blocks are a
+    sixteenth of its chunk, so the fewest chunks (two) hold the longest."""
+
+    @pytest.fixture(autouse=True, params=[2, 3, 4, 64])
+    def cpu_count(self, own_pool, request):
+        own_pool(request.param)
+
+
 # around the block and the chunk boundaries: below 2 CHUNK one chunk, from
-# there one per CPU, most ending in a block cut short
+# there one per CPU, most walked in blocks of a length that is no multiple
+# of BLOCK nor of 8, the last one cut short
 CHUNK_LENGTHS = [BLOCK + 1, 2 * BLOCK - 1, 2 * BLOCK + 7, 3 * BLOCK + 5,
-                 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 7, 3 * CHUNK + 5, 10**6]
+                 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 7, 2 * CHUNK + 16 * 8 + 3,
+                 3 * CHUNK + 5, 10**6]
 
 
 def per_block(fn, arg):
@@ -761,11 +773,12 @@ def per_block(fn, arg):
 
 
 class TestChunks:
-    """A bulk input is split into one contiguous chunk of blocks per CPU, each
-    of at least CHUNK elements; every bit equals the blocks evaluated in turn
-    on one thread, on this machine's CPUs and on three."""
+    """A bulk input is split into one contiguous chunk per CPU, each of at
+    least CHUNK elements and walked in 16 blocks; every bit equals the
+    BLOCK-long blocks evaluated in turn on one thread, on this machine's
+    CPUs, on two and on three."""
 
-    @pytest.mark.parametrize("cpus", [None, 3])
+    @pytest.mark.parametrize("cpus", [None, 2, 3])
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     def test_bit_identical_to_serial_blocks(self, own_pool, table_params, cpus, n):
         if cpus:
@@ -862,3 +875,44 @@ class TestChunks:
             os.waitpid(pid, 0)
             pytest.fail("the forked child's bulk call did not return within 60 s")
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+class TestBlockLength:
+    """Each thread takes the interpreter lock back after every ufunc of every
+    block, so the number of blocks is the number of those round trips: a
+    chunk is walked in 16 blocks (at most 4 BLOCK long), one thread's input
+    in BLOCK-long ones."""
+
+    @staticmethod
+    def lengths(n):
+        """The lengths of the slices ``blockwise`` hands its ``fn`` over ``n``
+        elements, once the output is checked against ``fn``'s, bit for bit."""
+        x = np.linspace(-1.0, 1.0, n)
+        seen = []
+
+        def fn(v):
+            seen.append(v.size)  # list.append is atomic under the lock
+            return v * 3.0
+
+        got = _arrays.blockwise(fn, x)
+        assert_same_bits(got, x * 3.0)
+        return seen
+
+    def test_two_cpus_walk_16_blocks_each(self, own_pool):
+        own_pool(2)
+        seen = self.lengths(10**6)
+        assert len(seen) <= 2 * 16 + 2
+        assert sum(seen) == 10**6
+
+    def test_one_cpu_walks_block_long_slices(self, own_pool):
+        own_pool(1)
+        seen = self.lengths(10**6)
+        full, rest = divmod(10**6, BLOCK)
+        assert seen == [BLOCK] * full + [rest]
+
+    def test_a_long_chunk_takes_blocks_of_at_most_4_block(self, own_pool):
+        own_pool(2)
+        n = 2 * 16 * 4 * BLOCK + 7  # chunks just past 16 blocks of 4 BLOCK
+        seen = self.lengths(n)
+        assert max(seen) == 4 * BLOCK
+        assert len(seen) == 2 * 17 and sum(seen) == n
