@@ -1,7 +1,8 @@
 """numpy helpers of the elementwise kernels: scalar-or-array input, checked
-once, and bulk evaluation in cache-sized blocks, in one contiguous chunk per
-CPU, which its thread walks in 16 blocks so that it takes the interpreter
-lock as seldom as the cache allows."""
+once, a seeded generator, and bulk evaluation in cache-sized blocks, in one
+contiguous chunk per CPU, each on a thread of the call's own that walks it
+in 16 blocks, so that it takes the interpreter lock as seldom as the cache
+allows."""
 
 import contextvars
 import math
@@ -28,6 +29,15 @@ CHUNK = 16 * BLOCK
 SCALARS = (float, int, np.float64)
 
 
+def float_array(x, name):
+    """``np.asarray(x, dtype=float)``; what reads as no float array (such as
+    text, a complex or a ragged sequence) raises :class:`DomainError`."""
+    try:
+        return np.asarray(x, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{name} must hold real numbers: {exc}") from None
+
+
 def as_float_array(x, name="x", require_finite=False):
     """Coerce to a float ndarray, rejecting NaN (and optionally infinities).
 
@@ -35,13 +45,16 @@ def as_float_array(x, name="x", require_finite=False):
     ``np.float64``: every ufunc then runs the loop a 0-d array would, with the
     same bits, without the array's per-call cost."""
     if type(x) in SCALARS:
-        v = float(x)
+        try:
+            v = float(x)
+        except OverflowError as exc:  # an int beyond the doubles
+            raise DomainError(f"{name} must hold real numbers: {exc}") from None
         if math.isnan(v):
             raise DomainError(f"{name} must not contain NaN")
         if require_finite and math.isinf(v):
             raise DomainError(f"{name} must be finite")
         return np.float64(v)
-    arr = np.asarray(x, dtype=float)
+    arr = float_array(x, name)
     if np.isnan(arr).any():
         raise DomainError(f"{name} must not contain NaN")
     if require_finite and not np.isfinite(arr).all():
@@ -56,48 +69,20 @@ def match_input(x, result):
     return result
 
 
+def generator(seed):
+    """``np.random.default_rng(seed)``; a seed it refuses raises :class:`DomainError`."""
+    try:
+        return np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be a nonnegative integer or a SeedSequence: {exc}") from None
+
+
 def cpus():
     """The number of CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # a platform without CPU affinity
         return os.cpu_count() or 1
-
-
-# The threads that evaluate chunks 1, 2, ... of a bulk input, made on first
-# use; concurrent.futures is imported then, so a command that evaluates no
-# bulk input never loads it.  A pool thread that meets a bulk input itself
-# (a base CDF that evaluates one) runs it serially: waiting on chunks queued
-# behind its own would never end.
-_pool = None
-_pool_lock = threading.Lock()
-_in_pool = threading.local()
-
-
-def _mark_pool_thread():
-    _in_pool.flag = True
-
-
-def _workers():
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(cpus() - 1, thread_name_prefix="arctangr-blockwise",
-                                       initializer=_mark_pool_thread)
-        return _pool
-
-
-def _drop_pool():
-    """In a forked child: the parent's pool threads do not exist here, and a
-    pool that counts them would queue every chunk for no thread to take."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
 
 
 def blockwise(fn, arr, out=None):
@@ -116,24 +101,25 @@ def blockwise(fn, arr, out=None):
     most ``BLOCK`` elements are passed to ``fn`` whole.
 
     An input of at least ``2 * CHUNK`` elements is split into one contiguous
-    chunk per CPU (:func:`cpus`), each of at least ``CHUNK`` elements: the
-    calling thread evaluates chunk 0, and a pool of ``cpus() - 1`` threads,
-    made on first use, the others.  numpy's ufuncs release the interpreter
-    lock over a block, so the chunks run at once; ``fn`` must therefore be
-    safe to call from several threads at once, on disjoint blocks.  Each
-    thread takes the lock back after every ufunc, and with two threads
-    every take waits on the other's Python code between its calls.  Ten
-    in-place ``np.add`` calls per block over 1 Mi doubles (median of 100)
-    took 5.2-5.3 ms on one thread and 8.5-8.9 ms on two at 4 Ki blocks,
-    3.6-4.1 and 3.3-3.6 ms at 16 Ki, 3.4-3.8 and 2.1 ms at 32 Ki, 3.4-3.5
-    and 1.8-2.1 ms at 64 Ki, on the same VM (whose ``lscpu`` reports 4 MiB
-    of L2: its two cores' 2 MiB each).  So a thread walks its chunk in 16
+    chunk per CPU (:func:`cpus`), each of at least ``CHUNK`` elements.  The
+    call starts a thread for each chunk after the first, evaluates chunk 0
+    itself, and joins every thread before it returns: no thread outlives
+    it, a forked child inherits none, and a bulk call inside a chunk splits
+    as any other does.  On the same VM the second chunk's first block began
+    a median 105 us after the call (59 us in a pool's thread), and each
+    1e6-point kernel took 1.02-1.04 times as long as with a pool.  numpy's
+    ufuncs release the interpreter lock over a block, so the chunks run at
+    once, and ``fn`` must be safe to call so, on disjoint blocks.  A thread
+    takes the lock back after every ufunc, each take waiting on the other
+    threads' Python code: ten ``np.add`` calls per block over 1 Mi doubles
+    took 3.6-4.1 ms on one thread and 3.3-3.6 on two at 16 Ki blocks, but
+    3.4-3.5 and 1.8-2.1 ms at 64 Ki.  So a thread walks its chunk in 16
     blocks of ``ceil(len(chunk) / 16)`` elements, at most ``4 * BLOCK``
-    each, which keeps the temporaries of all threads together within 6/16
-    of the output (see :data:`CHUNK`).  One chunk (on one CPU, below
-    ``2 * CHUNK``, and in a pool thread) is walked in ``BLOCK``-long
-    blocks.  The call returns once every chunk is done, and an exception in
-    any chunk reaches the caller (the lowest chunk's, if several raise).
+    each, and all threads' temporaries stay within 6/16 of the output (see
+    :data:`CHUNK`).  One chunk is walked in ``BLOCK``-long blocks: on one
+    CPU, 16 blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf`` and
+    ``agr_logpdf`` 10-11% longer over 1e6 points.  An exception in any
+    chunk reaches the caller (the lowest chunk's, if several raise).
     """
     n = arr.size
     if n <= BLOCK and out is None:
@@ -147,24 +133,30 @@ def blockwise(fn, arr, out=None):
             j = min(i + step, stop)
             res[i:j] = fn(flat[i:j])
 
-    def run_chunk(start, stop):
-        run(start, stop, min(4 * BLOCK, -(-(stop - start) // 16)))
-
-    chunks = 1 if getattr(_in_pool, "flag", False) else min(cpus(), n // CHUNK)
+    chunks = min(cpus(), n // CHUNK)
     if chunks <= 1:
         run(0, n, BLOCK)
         return out
     bounds = [n * k // chunks for k in range(chunks + 1)]
-    pool = _workers()
-    # each chunk runs in a copy of the caller's context, so under the
-    # caller's np.errstate, as on one CPU
-    rest = [pool.submit(contextvars.copy_context().run, run_chunk, *span)
-            for span in zip(bounds[1:-1], bounds[2:])]
+    errors = [None] * chunks
+
+    def run_chunk(k):
+        start, stop = bounds[k], bounds[k + 1]
+        try:
+            run(start, stop, min(4 * BLOCK, -(-(stop - start) // 16)))
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = []
     try:
-        run_chunk(0, bounds[1])
+        for k in range(1, chunks):  # in a copy of the caller's context: its np.errstate
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run_chunk, k))
+            t.start()
+            threads.append(t)
+        run_chunk(0)
     finally:
-        for f in rest:  # every chunk is done before the output is read or dropped
-            f.exception()
-    for f in rest:
-        f.result()
+        for t in threads:  # every chunk is done before the output is read or dropped
+            t.join()
+    for exc in filter(None, errors):
+        raise exc
     return out

@@ -12,12 +12,9 @@ pass's raw sums from it at once: each pass is a
 :class:`arctangr.fit._ScorePass`, whose eight sums no later pass changes.
 """
 
-import math
-
 import numpy as np
 
 from .distributions import (
-    _z_log_shape,
     agr_logpdf,
     gaussian_logpdf,
     mixture_kernel_logpdf,
@@ -100,9 +97,6 @@ class ArraySearch(_AgrSearch):
         xs = self.xs
         new = xs[1:] != xs[:-1]
         return xs[np.r_[True, new]].tolist() if np.count_nonzero(new) < _SWEEP_N else []
-
-    def loglik(self, p):
-        return float(_z_log_shape((self.xs - p.omega) / math.exp(p.t)).sum()) - self.n * p.t
 
 
 search = ArraySearch

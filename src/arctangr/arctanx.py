@@ -31,8 +31,9 @@ class BaseDistribution(FrozenRecord):
     ``cdf`` and ``pdf`` must accept float ndarrays of finite arguments and
     evaluate elementwise; the transform calls them on blocks of its input.
     On a large input they are called concurrently, from the calling thread
-    and from a pool's threads, each call on its own disjoint block (see
-    :func:`arctangr._arrays.blockwise`), so they must be safe to run at once.
+    and from threads that the call starts and joins, each call on its own
+    disjoint block (see :func:`arctangr._arrays.blockwise`), so they must be
+    safe to run at once.
     ``support`` is the interval carrying the mass, bounds possibly infinite;
     it is validated as a nonempty interval, and callers read it for
     integration bounds.  The transform itself never reads it: ``arctan_cdf``

@@ -55,7 +55,7 @@ class LossDataset(Record):
         try:
             # an ndarray's tolist() gives its numbers in one call, nested if not 1-d
             floats = () if text else tuple(map(float, values.tolist() if is_array else values))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             floats = ()
         if not floats:
             raise DataError(f"dataset {name!r} must be a nonempty 1-d sample")

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from ._arrays import SCALARS, as_float_array, blockwise, match_input
+from ._arrays import SCALARS, as_float_array, blockwise, float_array, generator, match_input
 from ._util import is_integer
 from .arctanx import BaseDistribution
 from .errors import DomainError
@@ -129,13 +129,16 @@ def rayleigh_logpdf(params: RayleighParams, x):
 
 def _checked_prob(p):
     if type(p) in SCALARS:
-        v = float(p)
+        try:
+            v = float(p)
+        except OverflowError as exc:  # an int beyond the doubles
+            raise DomainError(f"p must hold real numbers: {exc}") from None
         if not 0.0 < v < 1.0:
             if math.isnan(v):
                 raise DomainError("p must not contain NaN")
             raise DomainError("p must lie strictly inside (0, 1)")
         return np.float64(v)
-    arr = np.asarray(p, dtype=float)
+    arr = float_array(p, "p")
     # min and max are NaN if any element is, so one range check also fails on
     # NaN; only then is there a NaN scan, to name the fault
     if arr.size and not (arr.min() > 0.0 and arr.max() < 1.0):
@@ -529,6 +532,6 @@ def agr_sample(params: ArctanGRParams, n, seed):
     """
     if not (is_integer(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    u = np.random.default_rng(seed).random(int(n))
+    u = generator(seed).random(int(n))
     # random() lands in [0, 1); an exact 0 is nudged into the quantile's domain
     return blockwise(lambda p: _from_z(params, _z_quantile(np.maximum(p, _TINY))), u, out=u)

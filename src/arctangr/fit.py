@@ -61,7 +61,10 @@ def information_criteria(loglik, n, r) -> Criteria:
     Requires ``n >= 3`` (so ``ln ln n`` is positive) and ``n > r + 1`` (so
     CAIC's denominator is positive).
     """
-    loglik = float(loglik)
+    try:
+        loglik = float(loglik)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"log-likelihood must be a number: {exc}") from None
     if not (is_integer(n) and n >= 3):
         raise DomainError(f"sample size n must be an integer >= 3, got {n!r}")
     if not (is_integer(r) and r >= 0):
@@ -497,11 +500,6 @@ class _AgrSearch:
                 found.append(self.narrow(a, b))
         return found
 
-    def loglik(self, p):
-        """The log-likelihood at ``p`` less its constant ``n log(2/pi)``."""
-        psi = math.exp(p.t)
-        return math.fsum(_log_shape((x - p.omega) / psi) for x in self.xs) - self.n * p.t
-
     def narrow(self, a, b):
         """Shrink ``[a, b]``, where the profile rises to the right of ``a`` and to
         the left of ``b``, to a local maximum.  Either end may be an
@@ -590,7 +588,8 @@ def fit_agr(data) -> FitResult:
     most 32 distinct values (small or coarsely rounded ones), where several
     local maxima are common, are also swept: every value where the rule
     holds and the maximum of every gap whose ends rise into it compete with
-    that one, and the highest is returned.  CAIC needs ``n > r + 1``, so
+    that one, and the one whose log-likelihood, as the result reports it, is
+    highest is returned.  CAIC needs ``n > r + 1``, so
     fewer than 4 observations raise :class:`DomainError` before the search.
 
     The search, its starting scale and the log-likelihood run on the sample
@@ -612,7 +611,8 @@ def fit_agr(data) -> FitResult:
         best = search.narrow(*ends)
     values = search.few_values()
     if values:
-        best = max([best, *search.sweep(values, best)], key=search.loglik)
+        best = max([best, *search.sweep(values, best)],
+                   key=lambda p: path.loglik("agr", ArctanGRParams(p.omega, math.exp(p.t)), ys))
     if abs(best.psi_score) > best.psi_tol:
         best = search.point(best.omega, best.t, tight=True)
     psi = math.exp(best.t)

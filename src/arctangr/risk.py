@@ -38,11 +38,12 @@ from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _stan
 
 
 def _level(alpha) -> float:
-    """``float(alpha)``; text that reads as no number, and an integer too large
-    for a double, raise :class:`DomainError`."""
+    """``float(alpha)``; what reads as no double (text that is no number, an
+    integer too large for one, ``None``, a complex, a sequence) raises
+    :class:`DomainError`."""
     try:
         return float(alpha)
-    except (ValueError, OverflowError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"confidence level must be a number: {exc}") from None
 
 
@@ -214,22 +215,20 @@ class RiskReport(FrozenRecord):
 
 
 def _as_floats(alphas) -> list:
-    """``alphas``, one level (a number, or text as :func:`var` reads it) or a
-    sequence of them, as a list of floats; what does not read as a flat
-    sequence of numbers (a nested list, a 0-d or a 2-d array) is read as
-    ``np.atleast_1d`` reads it.  A level that reads as no double raises
-    :class:`DomainError`, as in :func:`_level`."""
+    """``alphas``, one level (a number, text as :func:`var` reads it, or
+    anything else that cannot be iterated, such as a 0-d array) or a flat
+    sequence of numbers, as a list of floats.  A level that reads as no
+    double, and a nested sequence, raise :class:`DomainError`, as in
+    :func:`_level`."""
     if isinstance(alphas, (int, float, str, bytes, bytearray)):
         return [_level(alphas)]
     try:
-        try:
-            return list(map(float, alphas))
-        except TypeError:
-            import numpy as np
-
-            arr = np.atleast_1d(np.asarray(alphas, dtype=float))
-            return arr.tolist() if arr.ndim == 1 else list(map(float, arr))
-    except (ValueError, OverflowError) as exc:
+        levels = iter(alphas)
+    except TypeError:
+        return [_level(alphas)]
+    try:
+        return list(map(float, levels))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"confidence level must be a number: {exc}") from None
 
 
@@ -330,6 +329,7 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     """
     import numpy as np
 
+    from ._arrays import generator
     from .distributions import _from_z, _z_quantile, _z_tail_quantile
 
     a = _check_alpha(alpha)
@@ -348,7 +348,7 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
         def to_z(q):
             return _z_quantile(np.subtract(1.0, q, out=q))
 
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     k = int(rng.binomial(n, tail))
     draws = np.empty(min(k, _DRAW_BLOCK))
     m = 0

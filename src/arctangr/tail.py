@@ -41,6 +41,20 @@ P_STAR = FOUR_OVER_PI * math.atan(0.5)
 _PI_OVER_4 = math.pi / 4.0
 
 
+def _checked(name, value, scale=False) -> float:
+    """``value`` as a finite float, a positive one for a ``scale``; text, and
+    what reads as no double (``None``, a complex, an integer beyond the
+    doubles), raise :class:`DomainError` as an infinite value does."""
+    try:
+        x = math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    if not (math.isfinite(x) and (x > 0 or not scale)):
+        raise DomainError(f"{name} must be a positive finite scale, got {value}" if scale
+                          else f"{name} must be finite, got {value}")
+    return x
+
+
 class ArctanGRParams(FrozenRecord):
     """Location and scale of the arctan Gaussian-Rayleigh distribution.
 
@@ -52,11 +66,7 @@ class ArctanGRParams(FrozenRecord):
     _fields = ("omega", "psi")
 
     def __init__(self, omega: float, psi: float):
-        if not math.isfinite(omega):
-            raise DomainError(f"omega must be finite, got {omega}")
-        if not (math.isfinite(psi) and psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {psi}")
-        self.__dict__.update(omega=float(omega), psi=float(psi))
+        self.__dict__.update(omega=_checked("omega", omega), psi=_checked("psi", psi, True))
 
 
 class GaussianParams(FrozenRecord):
@@ -65,11 +75,7 @@ class GaussianParams(FrozenRecord):
     _fields = ("omega", "eta")
 
     def __init__(self, omega: float, eta: float):
-        if not math.isfinite(omega):
-            raise DomainError(f"omega must be finite, got {omega}")
-        if not (math.isfinite(eta) and eta > 0):
-            raise DomainError(f"eta must be a positive finite scale, got {eta}")
-        self.__dict__.update(omega=float(omega), eta=float(eta))
+        self.__dict__.update(omega=_checked("omega", omega), eta=_checked("eta", eta, True))
 
 
 class RayleighParams(FrozenRecord):
@@ -78,9 +84,7 @@ class RayleighParams(FrozenRecord):
     _fields = ("psi",)
 
     def __init__(self, psi: float):
-        if not (math.isfinite(psi) and psi > 0):
-            raise DomainError(f"psi must be a positive finite scale, got {psi}")
-        self.__dict__.update(psi=float(psi))
+        self.__dict__.update(psi=_checked("psi", psi, True))
 
 
 # The standard density as a series in e^{-|s|}: above 0, with q = (1 + i)/4,

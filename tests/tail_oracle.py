@@ -75,8 +75,9 @@ def risk_columns(params, levels, names=("VaR", "TVaR", "TV")):
 
 
 def risk_rows(params, alphas):
-    """The rows of ``risk_curve(params, alphas)``, sorted by level."""
-    levels = sorted(_check_alpha(a) for a in np.atleast_1d(np.asarray(alphas, dtype=float)))
+    """The rows of ``risk_curve(params, alphas)``, sorted by level: ``alphas``
+    is one level or a flat sequence of them, each checked in turn."""
+    levels = sorted(map(_check_alpha, alphas if np.ndim(alphas) else [alphas]))
     if not levels:
         raise DomainError("alphas must be nonempty")
     return tuple(map(RiskRow, levels, *(col.tolist() for col in risk_columns(params, levels))))

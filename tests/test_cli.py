@@ -492,8 +492,8 @@ class TestModuleSets:
 
     @pytest.mark.parametrize("command", [f"fit {INS}", PARAMS, f"{PARAMS} --mc-samples 2000"])
     def test_one_shot_command_starts_no_thread_pool(self, src_env, command):
-        # `python -m arctangr` as users run it: no input of these commands is
-        # large enough for the bulk kernels' pool, so concurrent.futures stays
+        # `python -m arctangr` as users run it: the bulk kernels start their
+        # threads per call, with no pool, so concurrent.futures stays
         # unloaded; -X importtime lists every module imported
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "arctangr",
                                *command.split()], capture_output=True, text=True, env=src_env)

@@ -728,13 +728,9 @@ class TestMemoryBudget:
 
 
 @pytest.fixture
-def own_pool(monkeypatch):
-    """A pool of the test's own, made on its first bulk input and shut down
-    after it; ``own_pool(k)`` sets the CPU count to ``k``."""
-    monkeypatch.setattr(_arrays, "_pool", None)
-    yield lambda k: monkeypatch.setattr(_arrays, "cpus", lambda: k)
-    if _arrays._pool is not None:
-        _arrays._pool.shutdown()
+def set_cpus(monkeypatch):
+    """``set_cpus(k)`` sets the CPU count that bulk calls split by to ``k``."""
+    return lambda k: monkeypatch.setattr(_arrays, "cpus", lambda: k)
 
 
 class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
@@ -743,8 +739,8 @@ class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
     points three threads share the input, not eight."""
 
     @pytest.fixture(autouse=True)
-    def eight_cpus(self, own_pool):
-        own_pool(8)
+    def eight_cpus(self, set_cpus):
+        set_cpus(8)
 
 
 class TestMemoryBudgetOnFewAndManyCpus(TestMemoryBudget):
@@ -752,8 +748,8 @@ class TestMemoryBudgetOnFewAndManyCpus(TestMemoryBudget):
     sixteenth of its chunk, so the fewest chunks (two) hold the longest."""
 
     @pytest.fixture(autouse=True, params=[2, 3, 4, 64])
-    def cpu_count(self, own_pool, request):
-        own_pool(request.param)
+    def cpu_count(self, set_cpus, request):
+        set_cpus(request.param)
 
 
 # around the block and the chunk boundaries: below 2 CHUNK one chunk, from
@@ -780,9 +776,9 @@ class TestChunks:
 
     @pytest.mark.parametrize("cpus", [None, 2, 3])
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
-    def test_bit_identical_to_serial_blocks(self, own_pool, table_params, cpus, n):
+    def test_bit_identical_to_serial_blocks(self, set_cpus, table_params, cpus, n):
         if cpus:
-            own_pool(cpus)
+            set_cpus(cpus)
         rng = np.random.default_rng(n)
         p = np.maximum(rng.random(n), np.finfo(float).tiny)
         x = table_params.omega + table_params.psi * _z_quantile(p)
@@ -797,8 +793,14 @@ class TestChunks:
         assert_same_bits(agr_sample(table_params, n, seed=n),
                          per_block(partial(agr_quantile, table_params), stream))
 
-    def test_an_error_in_a_pool_thread_reaches_the_caller(self, own_pool):
-        own_pool(2)
+    def test_no_thread_outlives_a_bulk_call(self, set_cpus, table_params):
+        set_cpus(2)
+        before = threading.active_count()
+        agr_cdf(table_params, np.linspace(-1.0, 1.0, 2 * CHUNK))
+        assert threading.active_count() == before
+
+    def test_an_error_in_another_chunk_reaches_the_caller(self, set_cpus):
+        set_cpus(2)
         caller, raised_on = threading.current_thread(), []
 
         def cdf(v):
@@ -812,8 +814,8 @@ class TestChunks:
             arctan_cdf(BaseDistribution(cdf, cdf), x)
         assert raised_on and caller not in raised_on
 
-    def test_pool_threads_keep_the_callers_errstate(self, own_pool):
-        own_pool(2)
+    def test_every_chunk_keeps_the_callers_errstate(self, set_cpus):
+        set_cpus(2)
         caller, seen_on = threading.current_thread(), []
 
         def cdf(v):
@@ -827,8 +829,8 @@ class TestChunks:
             arctan_cdf(BaseDistribution(cdf, cdf), x)
         assert seen_on and caller not in seen_on
 
-    # a base CDF that itself evaluates a bulk input, as a pool thread runs it;
-    # run in a new process, which a hang cannot outlive
+    # a base CDF that itself evaluates a bulk input, on the caller and in a
+    # chunk thread; run in a new process, which a hang cannot outlive
     NESTED = textwrap.dedent("""
         import numpy as np
         from arctangr import BaseDistribution, GaussianParams, _arrays, arctan_cdf, gaussian_base
@@ -846,17 +848,17 @@ class TestChunks:
         print(np.array_equal(got, want))
     """)
 
-    def test_a_bulk_input_in_a_pool_thread_runs_there(self, src_env):
+    def test_a_bulk_input_inside_a_chunk_is_evaluated(self, src_env):
         proc = subprocess.run([sys.executable, "-c", self.NESTED], capture_output=True,
                               text=True, env=src_env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["True"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
-    def test_a_forked_child_evaluates_in_bulk(self, own_pool, table_params):
-        own_pool(2)
+    def test_a_forked_child_evaluates_in_bulk(self, set_cpus, table_params):
+        set_cpus(2)
         x = np.linspace(-1.0, 1.0, 2 * CHUNK)
-        want = agr_cdf(table_params, x)  # the pool and its thread now exist
+        want = agr_cdf(table_params, x)  # a bulk call has split into two chunks
         with warnings.catch_warnings():
             # Python 3.12 on warns that a process with threads forks: the case here
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -898,20 +900,20 @@ class TestBlockLength:
         assert_same_bits(got, x * 3.0)
         return seen
 
-    def test_two_cpus_walk_16_blocks_each(self, own_pool):
-        own_pool(2)
+    def test_two_cpus_walk_16_blocks_each(self, set_cpus):
+        set_cpus(2)
         seen = self.lengths(10**6)
         assert len(seen) <= 2 * 16 + 2
         assert sum(seen) == 10**6
 
-    def test_one_cpu_walks_block_long_slices(self, own_pool):
-        own_pool(1)
+    def test_one_cpu_walks_block_long_slices(self, set_cpus):
+        set_cpus(1)
         seen = self.lengths(10**6)
         full, rest = divmod(10**6, BLOCK)
         assert seen == [BLOCK] * full + [rest]
 
-    def test_a_long_chunk_takes_blocks_of_at_most_4_block(self, own_pool):
-        own_pool(2)
+    def test_a_long_chunk_takes_blocks_of_at_most_4_block(self, set_cpus):
+        set_cpus(2)
         n = 2 * 16 * 4 * BLOCK + 7  # chunks just past 16 blocks of 4 BLOCK
         seen = self.lengths(n)
         assert max(seen) == 4 * BLOCK

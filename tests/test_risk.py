@@ -777,11 +777,20 @@ class TestRiskCurve:
         with pytest.raises(DomainError, match="got 9.0"):
             risk_curve(table_params, "9")
 
-    @pytest.mark.parametrize("level", ["abc", b"0.9x"])
+    @pytest.mark.parametrize("level", [np.array(0.9), np.float64(0.9), np.float32(0.75)],
+                             ids=["0-d array", "np.float64", "np.float32"])
+    def test_a_number_that_cannot_be_iterated_is_one_level(self, table_params, insurance,
+                                                           level):
+        assert risk_curve(table_params, level) == risk_curve(table_params, [float(level)])
+        assert (empirical_risk_curve(insurance, level)
+                == empirical_risk_curve(insurance, [float(level)]))
+
+    @pytest.mark.parametrize("level", ["abc", b"0.9x", None, 0.9 + 0j])
     @pytest.mark.parametrize("fn", [var, tvar, tv, risk_curve, empirical_risk,
                                     empirical_risk_curve])
     def test_text_that_is_no_number_is_a_domain_error(self, table_params, insurance, fn, level):
-        # float() of such text raised a bare ValueError, not the bad-argument error
+        # float() of such text raised a bare ValueError, not the bad-argument
+        # error, and of None or a complex a bare TypeError
         first = insurance if fn in (empirical_risk, empirical_risk_curve) else table_params
         with pytest.raises(DomainError, match="confidence level must be a number"):
             fn(first, level)
@@ -794,12 +803,21 @@ class TestRiskCurve:
         with pytest.raises(DomainError, match="confidence level must be a number"):
             fn(first, 10**400)
 
-    @pytest.mark.parametrize("levels", [[10**400], [["abc"]], [[10**400]], [[0.9], ["abc"]]])
+    @pytest.mark.parametrize("fn", [var, tvar, tv, empirical_risk])
+    def test_a_sequence_is_no_single_level(self, table_params, insurance, fn):
+        # float([0.9]) raised a bare TypeError
+        first = insurance if fn is empirical_risk else table_params
+        with pytest.raises(DomainError, match="confidence level must be a number"):
+            fn(first, [0.9])
+
+    @pytest.mark.parametrize("levels", [
+        [10**400], [["abc"]], [[10**400]], [[0.9], ["abc"]], [[0.9, 0.95]],
+        np.array([[0.9], [0.95]]), [None], [0.9 + 0j]])
     @pytest.mark.parametrize("fn", [risk_curve, empirical_risk_curve])
     def test_nested_level_that_is_no_double_is_a_domain_error(self, table_params, insurance,
                                                               fn, levels):
-        # a nested sequence is read by numpy, which raised a bare ValueError or
-        # OverflowError
+        # a nested sequence was read by numpy, which raised a bare ValueError,
+        # OverflowError or TypeError
         first = insurance if fn is empirical_risk_curve else table_params
         with pytest.raises(DomainError, match="confidence level must be a number"):
             fn(first, levels)
