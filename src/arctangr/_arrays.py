@@ -2,7 +2,9 @@
 once, a seeded generator, and bulk evaluation in cache-sized blocks, in one
 contiguous chunk per CPU, each on a thread of the call's own that walks it
 in 16 blocks, so that it takes the interpreter lock as seldom as the cache
-allows."""
+allows.  A seeded stream is drawn a chunk per thread, each chunk from a
+copy of the generator jumped ahead to its first draw (:func:`substreams`),
+with the bits of one serial draw."""
 
 import contextvars
 import math
@@ -28,12 +30,20 @@ CHUNK = 16 * BLOCK
 #: The types taken as one number, by exact type (not bool, nor a 0-d array).
 SCALARS = (float, int, np.float64)
 
+#: The bit generators whose ``advance(k)`` skips ``k`` draws of one double each.
+_JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
 
 def float_array(x, name):
-    """``np.asarray(x, dtype=float)``; what reads as no float array (such as
-    text, a complex or a ragged sequence) raises :class:`DomainError`."""
+    """``x`` as a float ndarray, with no check of its values; what reads as no
+    real array (such as text, a complex or a ragged sequence) raises
+    :class:`DomainError`.  A complex array is refused before any cast, which
+    would drop its imaginary part."""
     try:
-        return np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        if arr.dtype.kind == "c":
+            raise TypeError(f"got {arr.dtype} values")
+        return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{name} must hold real numbers: {exc}") from None
 
@@ -43,7 +53,8 @@ def as_float_array(x, name="x", require_finite=False):
 
     A number of a ``SCALARS`` type is checked with ``math`` and returned as an
     ``np.float64``: every ufunc then runs the loop a 0-d array would, with the
-    same bits, without the array's per-call cost."""
+    same bits, without the array's per-call cost.  Anything else is read by
+    :func:`float_array` and scanned once; a NaN is named before an infinity."""
     if type(x) in SCALARS:
         try:
             v = float(x)
@@ -55,11 +66,11 @@ def as_float_array(x, name="x", require_finite=False):
             raise DomainError(f"{name} must be finite")
         return np.float64(v)
     arr = float_array(x, name)
+    if np.isfinite(arr).all() if require_finite else not np.isnan(arr).any():
+        return arr
     if np.isnan(arr).any():
         raise DomainError(f"{name} must not contain NaN")
-    if require_finite and not np.isfinite(arr).all():
-        raise DomainError(f"{name} must be finite")
-    return arr
+    raise DomainError(f"{name} must be finite")
 
 
 def match_input(x, result):
@@ -77,6 +88,38 @@ def generator(seed):
         raise DomainError(f"seed must be a nonnegative integer or a SeedSequence: {exc}") from None
 
 
+def substreams(rng, bounds):
+    """``(bounds, generators)``: a generator for each interval of ``bounds``
+    (offsets into ``rng``'s stream of doubles, the first 0), drawing the
+    stream from the interval's start.  ``rng`` itself draws the last
+    interval, so once every interval is drawn it ends where drawing them in
+    turn leaves it; it draws the whole stream, as one interval
+    ``[0, bounds[-1]]``, when its bit generator cannot jump ahead.
+
+    A PCG64 (or PCG64DXSM) draws a double from one 64-bit output, and its
+    ``advance`` skips any number of outputs in O(log n) steps (O'Neill 2014),
+    so each interval but the last is drawn by a copy advanced to its first
+    draw, and the last by ``rng`` advanced to its own: their draws are the
+    serial stream's, bit for bit.  ``advance`` clears the 32-bit value a bit
+    generator may hold back; a double draw never reads or writes it, so
+    ``rng`` gets its own back."""
+    bg = rng.bit_generator
+    if len(bounds) <= 2 or type(bg) not in _JUMPABLE:
+        return [0, bounds[-1]], [rng]
+    state = bg.state
+
+    def at(start):
+        copy = type(bg)(0)  # seeded only to be overwritten
+        copy.state = state
+        copy.advance(start)
+        return np.random.Generator(copy)
+
+    draws = [at(start) for start in bounds[:-2]]
+    bg.advance(bounds[-2])
+    bg.state = {**bg.state, "has_uint32": state["has_uint32"], "uinteger": state["uinteger"]}
+    return bounds, draws + [rng]
+
+
 def cpus():
     """The number of CPUs this process may run on."""
     try:
@@ -85,10 +128,44 @@ def cpus():
         return os.cpu_count() or 1
 
 
-def blockwise(fn, arr, out=None):
+def spread(work, count):
+    """``work(k)`` for each ``k`` in ``range(count)``: ``k = 0`` on the caller,
+    each other on a thread that the call starts, in a copy of the caller's
+    context (so its ``np.errstate`` holds there), and joins before it
+    returns, also when a start fails.  No thread outlives the call, so a
+    forked child inherits none, and a ``work`` may itself spread.  An
+    exception in any ``work`` reaches the caller: the lowest ``k``'s, if
+    several raise."""
+    errors = [None] * count
+
+    def run(k):
+        try:
+            work(k)
+        except BaseException as exc:
+            errors[k] = exc
+
+    threads = []
+    try:
+        for k in range(1, count):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+            t.start()
+            threads.append(t)
+        run(0)
+    finally:
+        for t in threads:  # every chunk is done before its output is read or dropped
+            t.join()
+    for exc in filter(None, errors):
+        raise exc
+
+
+def blockwise(fn, arr, out=None, rng=None):
     """``fn(arr)`` for an elementwise float ``fn``, evaluated a block at a time
     into one output array of ``arr``'s shape: ``out`` if given (a contiguous
-    float array, which may be ``arr`` itself), else a new one.
+    float array, which may be ``arr`` itself), else a new one.  With a
+    generator ``rng``, each block of ``arr`` (then a contiguous float array)
+    is first overwritten by ``rng``'s next uniforms on [0, 1), so that
+    ``arr`` ends as ``rng.random(arr.size)`` would make it, and ``rng`` where
+    that draw leaves it.
 
     Each element passes through the same ufuncs in the same order, so the
     result is bit-identical to ``fn(arr)`` at any block length; only the
@@ -101,25 +178,24 @@ def blockwise(fn, arr, out=None):
     most ``BLOCK`` elements are passed to ``fn`` whole.
 
     An input of at least ``2 * CHUNK`` elements is split into one contiguous
-    chunk per CPU (:func:`cpus`), each of at least ``CHUNK`` elements.  The
-    call starts a thread for each chunk after the first, evaluates chunk 0
-    itself, and joins every thread before it returns: no thread outlives
-    it, a forked child inherits none, and a bulk call inside a chunk splits
-    as any other does.  On the same VM the second chunk's first block began
-    a median 105 us after the call (59 us in a pool's thread), and each
-    1e6-point kernel took 1.02-1.04 times as long as with a pool.  numpy's
-    ufuncs release the interpreter lock over a block, so the chunks run at
-    once, and ``fn`` must be safe to call so, on disjoint blocks.  A thread
-    takes the lock back after every ufunc, each take waiting on the other
-    threads' Python code: ten ``np.add`` calls per block over 1 Mi doubles
-    took 3.6-4.1 ms on one thread and 3.3-3.6 on two at 16 Ki blocks, but
-    3.4-3.5 and 1.8-2.1 ms at 64 Ki.  So a thread walks its chunk in 16
-    blocks of ``ceil(len(chunk) / 16)`` elements, at most ``4 * BLOCK``
-    each, and all threads' temporaries stay within 6/16 of the output (see
-    :data:`CHUNK`).  One chunk is walked in ``BLOCK``-long blocks: on one
-    CPU, 16 blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf`` and
-    ``agr_logpdf`` 10-11% longer over 1e6 points.  An exception in any
-    chunk reaches the caller (the lowest chunk's, if several raise).
+    chunk per CPU (:func:`cpus`), each of at least ``CHUNK`` elements, and
+    the chunks are evaluated at once by :func:`spread`; a chunk's uniforms
+    are drawn on its own thread, from a generator jumped ahead to its first
+    element (:func:`substreams`; a generator that cannot jump draws on the
+    caller, in one chunk).  On the same VM the second chunk's first block
+    began a median 105 us after the call (59 us in a pool's thread), and
+    each 1e6-point kernel took 1.02-1.04 times as long as with a pool.
+    numpy's ufuncs release the interpreter lock over a block, so the chunks
+    run at once, and ``fn`` must be safe to call so, on disjoint blocks.  A
+    thread takes the lock back after every ufunc, each take waiting on the
+    other threads' Python code: ten ``np.add`` calls per block over 1 Mi
+    doubles took 3.6-4.1 ms on one thread and 3.3-3.6 on two at 16 Ki
+    blocks, but 3.4-3.5 and 1.8-2.1 ms at 64 Ki.  So a thread walks its
+    chunk in 16 blocks of ``ceil(len(chunk) / 16)`` elements, at most
+    ``4 * BLOCK`` each, and all threads' temporaries stay within 6/16 of the
+    output (see :data:`CHUNK`).  One chunk is walked in ``BLOCK``-long
+    blocks: on one CPU, 16 blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf``
+    and ``agr_logpdf`` 10-11% longer over 1e6 points.
     """
     n = arr.size
     if n <= BLOCK and out is None:
@@ -127,36 +203,22 @@ def blockwise(fn, arr, out=None):
     if out is None:
         out = np.empty(arr.shape)
     flat, res = arr.reshape(-1), out.reshape(-1)
+    chunks = max(1, min(cpus(), n // CHUNK))
+    bounds = [n * k // chunks for k in range(chunks + 1)]
+    if rng is None:
+        draws = [None] * chunks
+    else:
+        bounds, draws = substreams(rng, bounds)
 
-    def run(start, stop, step):
+    def run(k):
+        start, stop, draw = bounds[k], bounds[k + 1], draws[k]
+        step = BLOCK if len(bounds) == 2 else min(4 * BLOCK, -(-(stop - start) // 16))
         for i in range(start, stop, step):
             j = min(i + step, stop)
+            if draw is not None:
+                draw.random(out=flat[i:j])
             res[i:j] = fn(flat[i:j])
 
-    chunks = min(cpus(), n // CHUNK)
-    if chunks <= 1:
-        run(0, n, BLOCK)
-        return out
-    bounds = [n * k // chunks for k in range(chunks + 1)]
-    errors = [None] * chunks
-
-    def run_chunk(k):
-        start, stop = bounds[k], bounds[k + 1]
-        try:
-            run(start, stop, min(4 * BLOCK, -(-(stop - start) // 16)))
-        except BaseException as exc:
-            errors[k] = exc
-
-    threads = []
-    try:
-        for k in range(1, chunks):  # in a copy of the caller's context: its np.errstate
-            t = threading.Thread(target=contextvars.copy_context().run, args=(run_chunk, k))
-            t.start()
-            threads.append(t)
-        run_chunk(0)
-    finally:
-        for t in threads:  # every chunk is done before the output is read or dropped
-            t.join()
-    for exc in filter(None, errors):
-        raise exc
+    spread(run, len(bounds) - 1)
     return out
+

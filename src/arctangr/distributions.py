@@ -39,6 +39,7 @@ import math
 
 import numpy as np
 
+from . import _arrays
 from ._arrays import SCALARS, as_float_array, blockwise, float_array, generator, match_input
 from ._util import is_integer
 from .arctanx import BaseDistribution
@@ -69,10 +70,17 @@ def gaussian_pdf(params: GaussianParams, x):
 
 
 def gaussian_cdf(params: GaussianParams, x):
+    return match_input(x, _gaussian_ndtr(params, as_float_array(x)))
+
+
+def _gaussian_ndtr(params: GaussianParams, x):
+    """``ndtr((x - omega) / eta)`` over ``x`` (numbers or an array-like of
+    them), unchecked, with ``ndtr`` written over the one temporary."""
     from scipy.special import ndtr
 
-    arr = as_float_array(x)
-    return match_input(x, ndtr((arr - params.omega) / params.eta))
+    z = np.subtract(x, params.omega)
+    z /= params.eta
+    return _inplace(ndtr, z)
 
 
 def gaussian_quantile(params: GaussianParams, p):
@@ -371,13 +379,14 @@ def _z_log_shape(z):
     return shape
 
 
-def _z_tail_quantile(q):
+def _z_tail_quantile(q, d=None):
     """Standard quantile at tail probability ``q = 1 - p <= 1 - P_STAR``: equal to
     ``-log(2*(1 - tan(pi*(1-q)/4)))`` without its cancellation as ``q -> 0``.
-    An array ``q`` is a temporary handed over: the result is written over it."""
+    An array ``q`` is a temporary handed over: the result is written over it,
+    and its one temporary over ``d`` if given (an array of ``q``'s shape)."""
     q *= _PI_OVER_4
     t = _inplace(np.tan, q)
-    d = 1.0 + t
+    d = np.add(1.0, t, out=d)
     t *= 4.0
     t /= d
     return _inplace(np.negative, _inplace(np.log, t))
@@ -436,8 +445,13 @@ def mixture_kernel_quantile(params: ArctanGRParams, p):
 # ---------------------------------------------------------------------------
 
 def gaussian_base(params: GaussianParams) -> BaseDistribution:
+    """The Gaussian as a base of the arctan transform.  Its ``cdf`` is
+    :func:`gaussian_cdf`'s arithmetic without its check: the transform gives
+    it blocks it has checked, and a NaN maps to NaN (``BaseDistribution``
+    takes finite floats).  On a 2-vCPU VM the check took ``arctan_cdf`` on
+    1e6 points from 7.0 to 7.7 ms."""
     return BaseDistribution(
-        cdf=lambda x: gaussian_cdf(params, x),
+        cdf=lambda x: _gaussian_ndtr(params, x),
         pdf=lambda x: gaussian_pdf(params, x),
         support=(-np.inf, np.inf),
     )
@@ -521,17 +535,101 @@ def agr_sample(params: ArctanGRParams, n, seed):
 
     Randomness comes from numpy's seeded PCG64 generator
     (``np.random.default_rng(seed)``), so identical seeds reproduce the
-    identical sequence on any platform.  The ``n`` uniforms are drawn at
-    once into the output, which :func:`arctangr._arrays.blockwise` maps in
-    place, so the draws are exactly
+    identical sequence on any platform.  The draws are exactly
     ``agr_quantile(params, max(rng.random(n), tiny))``, on any number of
-    CPUs, and no second array of ``n`` is made.
-    ``seed`` may also be a ``np.random.SeedSequence``: independent streams
-    are the children of one, as the CLI gives each level's
-    :func:`arctangr.risk.mc_oracle` its own.
+    CPUs: :func:`arctangr._arrays.blockwise` draws each block's uniforms into
+    the output and maps them in place, each chunk's on its own thread from a
+    copy of the generator jumped ahead to the chunk's first draw, and no
+    second array of ``n`` is made.  ``seed`` may also be a
+    ``np.random.SeedSequence``: independent streams are the children of one,
+    as the CLI gives each level's :func:`arctangr.risk.mc_oracle` its own.
+    A ``Generator`` (or a bit generator) given as ``seed`` is drawn from, and
+    ends where ``rng.random(n)`` leaves it.
     """
     if not (is_integer(n) and n >= 1):
         raise DomainError(f"n must be a positive integer, got {n!r}")
-    u = generator(seed).random(int(n))
+    rng = generator(seed)
+    u = np.empty(int(n))
     # random() lands in [0, 1); an exact 0 is nudged into the quantile's domain
-    return blockwise(lambda p: _from_z(params, _z_quantile(np.maximum(p, _TINY))), u, out=u)
+    return blockwise(lambda p: _from_z(params, _z_quantile(np.maximum(p, _TINY))), u, out=u,
+                     rng=rng)
+
+
+#: The blocks of draws :func:`_tail_sums` makes between two folds of their sums.
+_ROUND = 128
+
+
+def _tail_sums(unit: ArctanGRParams, alpha, threshold, k, rng, block):
+    """``(m, s1, s2, s3, s4)`` over ``k`` draws from ``unit``'s tail beyond
+    level ``alpha``, for :func:`arctangr.risk.mc_oracle`: ``m`` draws lie
+    above ``threshold``, and ``s_r`` sums the ``r``-th powers of their excess.
+
+    Each draw maps a tail probability ``q = (1 - alpha) (1 - U)``, ``U`` one
+    double of ``rng`` on [0, 1), to ``x``: by :func:`_z_tail_quantile` at
+    ``q`` from ``alpha >= P_STAR`` on, by the general quantile at ``1 - q``
+    below it.  The draws go in blocks of ``block``, each into its run's
+    buffer, and each block's five sums into a row of its own.
+
+    The blocks are drawn in rounds of ``_ROUND``.  A round of at least four
+    blocks, on two CPUs or more, is split into two runs of consecutive
+    blocks (:func:`arctangr._arrays.spread`), each drawing from a copy of
+    ``rng`` jumped ahead to its first draw (:func:`arctangr._arrays.substreams`);
+    a shorter round, or one on one CPU, is one run on the caller.  After
+    each round its rows are added to the totals in block order, so every sum
+    has the bits of one serial loop, and ``rng`` ends where that leaves it.
+    On a 2-vCPU VM two runs took 1.16-1.27 times the time of one over two
+    blocks, about as long over three or four, and 0.65-0.73 times over 16 or
+    more.  Memory is fixed: a run holds two blocks of doubles and a block of
+    bools (~0.53 MiB at 32 Ki draws a block; below ``P_STAR`` the general
+    quantile's temporaries besides), and the call ``_ROUND`` rows of sums.
+    So 1e6 draws at level 0.9 (four blocks) hold what 1e8 do, on any number
+    of CPUs."""
+    tail, upper = 1.0 - alpha, alpha >= P_STAR  # 1 - alpha is exact, as alpha >= 1/2
+    blocks = -(-k // block)
+    runs = max(1, min(_arrays.cpus(), 2, blocks // 2))
+    # every run's buffers, each a block long, are made before any run starts
+    # (its draws, a scratch block and a mask): the call holds the same memory
+    # however the runs overlap in time
+    size = min(block, k)
+    buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool)) for _ in range(runs)]
+    sums = np.empty((min(blocks, _ROUND), 5))
+    m = 0
+    s1 = s2 = s3 = s4 = 0.0
+    for first in range(0, blocks, _ROUND):
+        count = min(_ROUND, blocks - first)
+        split = max(1, min(runs, count // 2))
+        bounds, draws = _arrays.substreams(
+            rng, [min(k, (first + count * r // split) * block) - first * block
+                  for r in range(split + 1)])
+
+        def run(r):
+            draw, (buf, scratch, mask), stop = draws[r], buffers[r], bounds[r + 1]
+            for i in range(bounds[r], stop, block):
+                length = min(block, stop - i)
+                q = buf[:length]
+                draw.random(out=q)
+                # 1 - U is exact and lies in (0, 1], so q > 0 and its quantile is finite
+                np.subtract(1.0, q, out=q)
+                q *= tail
+                if upper:
+                    z = _z_tail_quantile(q, scratch[:length])
+                else:
+                    z = _z_quantile(np.subtract(1.0, q, out=q))
+                x = _from_z(unit, z)
+                hit = np.greater(x, threshold, out=mask[:length])
+                y = x if hit.all() else x[hit]
+                y -= threshold
+                y2 = np.multiply(y, y, out=scratch[:y.size])
+                s1, s2 = y.sum(), y2.sum()
+                y *= y2
+                y2 *= y2
+                sums[i // block] = y.size, s1, s2, y.sum(), y2.sum()
+
+        _arrays.spread(run, len(draws))
+        for c, b1, b2, b3, b4 in sums[:count]:
+            m += int(c)
+            s1 += b1
+            s2 += b2
+            s3 += b3
+            s4 += b4
+    return m, s1, s2, s3, s4

@@ -34,7 +34,7 @@ from collections import namedtuple
 from ._util import FrozenRecord, dump_csv, dump_json, is_integer, mean_var, unit_exponent
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError
-from .tail import _CACHED_LEVELS, P_STAR, REMAINDER_BOUND, ArctanGRParams, _standard_tail, _tail_moments
+from .tail import _CACHED_LEVELS, REMAINDER_BOUND, ArctanGRParams, _standard_tail, _tail_moments
 
 
 def _level(alpha) -> float:
@@ -296,9 +296,10 @@ def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:
     )
 
 
-#: Tail draws per block, drawn and mapped in one reused 256 KiB buffer.  For
-#: 1e7 draws on a 2-vCPU Xeon VM, 16 and 32 Ki ran fastest of 8 to 64 Ki
-#: (64 Ki 5-20% slower).
+#: Tail draws per block of :func:`mc_oracle`, drawn and mapped in a 256 KiB
+#: buffer that each of its (at most two) runs of blocks reuses.  For 1e7
+#: draws on one thread of a 2-vCPU Xeon VM, 16 and 32 Ki ran fastest of 8 to
+#: 64 Ki (64 Ki 5-20% slower).
 _DRAW_BLOCK = 1 << 15
 
 
@@ -309,15 +310,21 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     given that number they are iid from the tail.  So one generator,
     ``np.random.default_rng(seed)`` (``seed`` an int or a ``SeedSequence``),
     draws that count ``k``, then ``k`` tail probabilities ``q = (1 - alpha) U``,
-    ``U`` uniform on (0, 1], ``_DRAW_BLOCK`` at a time into one reused buffer.
-    Each block is mapped in place to ``x``: by :func:`_z_tail_quantile` at ``q``
-    from ``alpha >= P_STAR`` on, by the general quantile at ``1 - q`` below
-    it.  ``x > VaR`` decides each draw, so one that rounds onto the threshold
-    does not count, and each block adds its four sums of ``x - VaR`` (shifted
-    to limit cancellation in the higher moments).  Time scales with
-    ``(1 - alpha) n`` and memory is fixed; the same seed gives the same
-    result.  ``n`` is at most ``2**63 - 1``, the largest count the binomial
-    draw takes.
+    ``U`` uniform on (0, 1], ``_DRAW_BLOCK`` at a time.  Each block is mapped
+    in place to ``x``: by the tail quantile at ``q`` from ``alpha >= P_STAR``
+    on, by the general quantile at ``1 - q`` below it.  ``x > VaR`` decides
+    each draw, so one that rounds onto the threshold does not count, and
+    each block adds its four sums of ``x - VaR`` (shifted to limit
+    cancellation in the higher moments).  The blocks are drawn in rounds of
+    128; on two CPUs or more a round of at least four blocks is drawn in two
+    runs of consecutive blocks at once, the second from a copy of the
+    generator jumped ahead to its first draw, and the sums are added in
+    block order (see :func:`arctangr.distributions._tail_sums`), so the
+    result has every bit of one serial loop on any number of CPUs.  Time
+    scales with ``(1 - alpha) n`` and memory is fixed: each run holds a
+    block of draws, a scratch block and a mask (~0.53 MiB), and the call
+    128 rows of sums.  The same seed gives the same result.  ``n`` is at
+    most ``2**63 - 1``, the largest count the binomial draw takes.
 
     The passes run on ``omega``, ``psi`` and the threshold times ``2^-s``,
     ``2^s`` the power of two just above ``psi`` (``s = 0`` for ``psi < 1``),
@@ -327,10 +334,8 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     squares and fourth powers of the exceedances stay finite wherever TV is.
     A result that is not a finite double raises :class:`DomainError`.
     """
-    import numpy as np
-
     from ._arrays import generator
-    from .distributions import _from_z, _z_quantile, _z_tail_quantile
+    from .distributions import _tail_sums
 
     a = _check_alpha(alpha)
     if not (is_integer(n) and n >= 1):
@@ -341,36 +346,9 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     s = max(0, math.frexp(params.psi)[1])
     unit = ArctanGRParams(math.ldexp(params.omega, -s), math.ldexp(params.psi, -s))
     threshold = math.ldexp(var(params, a), -s)
-    tail = 1.0 - a  # exact, as a >= 1/2
-    if a >= P_STAR:
-        to_z = _z_tail_quantile
-    else:
-        def to_z(q):
-            return _z_quantile(np.subtract(1.0, q, out=q))
-
     rng = generator(seed)
-    k = int(rng.binomial(n, tail))
-    draws = np.empty(min(k, _DRAW_BLOCK))
-    m = 0
-    s1 = s2 = s3 = s4 = 0.0
-    for j in range(0, k, _DRAW_BLOCK):
-        q = draws[:min(_DRAW_BLOCK, k - j)]
-        rng.random(out=q)
-        # 1 - U is exact and lies in (0, 1], so q > 0 and its quantile is finite
-        np.subtract(1.0, q, out=q)
-        q *= tail
-        x = _from_z(unit, to_z(q))
-        hit = x > threshold
-        y = x if hit.all() else x[hit]
-        y -= threshold
-        m += y.size
-        s1 += y.sum()
-        y2 = y * y
-        s2 += y2.sum()
-        y *= y2
-        s3 += y.sum()
-        y2 *= y2
-        s4 += y2.sum()
+    k = int(rng.binomial(n, 1.0 - a))
+    m, s1, s2, s3, s4 = _tail_sums(unit, a, threshold, k, rng, _DRAW_BLOCK)
 
     if m < 2:
         raise DomainError(

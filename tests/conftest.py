@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import arctangr
-from arctangr import ArctanGRParams, ingest
+from arctangr import ArctanGRParams, _arrays, ingest
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,9 @@ def unit_params():
 def table_params():
     # the location/scale pair used for the published risk grid
     return ArctanGRParams(omega=0.02, psi=0.005)
+
+
+@pytest.fixture
+def set_cpus(monkeypatch):
+    """``set_cpus(k)`` sets the CPU count that bulk calls split by to ``k``."""
+    return lambda k: monkeypatch.setattr(_arrays, "cpus", lambda: k)

@@ -4,6 +4,7 @@ for any other argument (a parameter, a log-likelihood, a point, a
 probability, a seed), never Python's or numpy's bare ``TypeError``,
 ``ValueError`` or ``OverflowError``.  Text stays refused as a parameter."""
 
+import numpy as np
 import pytest
 
 import arctangr as A
@@ -35,6 +36,12 @@ BAD_NUMBERS = [
     ("gaussian_pdf text", lambda: A.gaussian_pdf(A.GaussianParams(0, 1), "abc"),
      A.DomainError),
     ("arctan_cdf huge", lambda: A.arctan_cdf(BASE, 10**400), A.DomainError),
+    # a complex array, whose cast to float would drop the imaginary part
+    ("agr_cdf complex array", lambda: A.agr_cdf(PARAMS, np.array([1 + 1j])), A.DomainError),
+    ("agr_quantile complex array", lambda: A.agr_quantile(PARAMS, np.array([0.5 + 0j])),
+     A.DomainError),
+    ("arctan_cdf complex array", lambda: A.arctan_cdf(BASE, np.array([[0.5 + 1j]])),
+     A.DomainError),
     ("agr_sample negative seed", lambda: A.agr_sample(PARAMS, 3, seed=-1), A.DomainError),
     ("agr_sample float seed", lambda: A.agr_sample(PARAMS, 3, seed=1.5), A.DomainError),
     ("mc_oracle negative seed", lambda: A.mc_oracle(PARAMS, 0.9, 100, -1), A.DomainError),

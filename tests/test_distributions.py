@@ -727,12 +727,6 @@ class TestMemoryBudget:
         assert peak <= 1.5 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
-@pytest.fixture
-def set_cpus(monkeypatch):
-    """``set_cpus(k)`` sets the CPU count that bulk calls split by to ``k``."""
-    return lambda k: monkeypatch.setattr(_arrays, "cpus", lambda: k)
-
-
 class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
     """The same budget with eight CPUs: each thread holds its own block's
     temporaries, and a thread takes at least CHUNK elements, so at 1e6
