@@ -1,10 +1,8 @@
 """numpy helpers of the elementwise kernels: scalar-or-array input, checked
-once, a seeded generator, and bulk evaluation in cache-sized blocks, in one
-contiguous chunk per CPU, each on a thread of the call's own that walks it
-in 16 blocks, so that it takes the interpreter lock as seldom as the cache
-allows.  A seeded stream is drawn a chunk per thread, each chunk from a
-copy of the generator jumped ahead to its first draw (:func:`substreams`),
-with the bits of one serial draw."""
+once, a seeded generator, and the one walk of every bulk op (:func:`walk`),
+which cuts an input into blocks, splits them into runs on the call's own
+threads and draws each run's stretch of a seeded stream from a generator
+jumped ahead to it, with the bits of one serial pass."""
 
 import contextvars
 import math
@@ -21,9 +19,9 @@ BLOCK = 1 << 14
 
 #: The fewest elements a thread takes of a bulk input (see :func:`blockwise`).
 #: A kernel holds about 6 blocks of temporaries while it evaluates one (the
-#: hazards; most hold 5), and each thread holds its own: a thread walks its
-#: chunk in 16 blocks, so together they stay within half of the output's
-#: size on any number of CPUs, as they do on one.
+#: hazards; most hold 5), and each thread holds its own: a thread's blocks
+#: are a sixteenth of its run, so together they stay within half of the
+#: output's size on any number of CPUs, as they do on one.
 CHUNK = 16 * BLOCK
 
 
@@ -89,12 +87,13 @@ def generator(seed):
 
 
 def substreams(rng, bounds):
-    """``(bounds, generators)``: a generator for each interval of ``bounds``
-    (offsets into ``rng``'s stream of doubles, the first 0), drawing the
-    stream from the interval's start.  ``rng`` itself draws the last
-    interval, so once every interval is drawn it ends where drawing them in
-    turn leaves it; it draws the whole stream, as one interval
-    ``[0, bounds[-1]]``, when its bit generator cannot jump ahead.
+    """``(bounds, generators)``, the runs' streams of :func:`walk`: a
+    generator for each interval of ``bounds`` (offsets into ``rng``'s stream
+    of doubles, the first 0), drawing the stream from the interval's start.
+    ``rng`` itself draws the last interval, so once every interval is drawn
+    it ends where drawing them in turn leaves it; it draws the whole stream,
+    as one interval ``[0, bounds[-1]]``, when its bit generator cannot jump
+    ahead.
 
     A PCG64 (or PCG64DXSM) draws a double from one 64-bit output, and its
     ``advance`` skips any number of outputs in O(log n) steps (O'Neill 2014),
@@ -128,31 +127,64 @@ def cpus():
         return os.cpu_count() or 1
 
 
-def spread(work, count):
-    """``work(k)`` for each ``k`` in ``range(count)``: ``k = 0`` on the caller,
-    each other on a thread that the call starts, in a copy of the caller's
-    context (so its ``np.errstate`` holds there), and joins before it
-    returns, also when a start fails.  No thread outlives the call, so a
-    forked child inherits none, and a ``work`` may itself spread.  An
-    exception in any ``work`` reaches the caller: the lowest ``k``'s, if
-    several raise."""
-    errors = [None] * count
+def walk(n, step, runs, work, rng=None):
+    """``work(r, i, j, draw)`` on each block ``[i, j)`` of ``range(n)``, the
+    blocks cut at the multiples of ``step`` and split into at most ``runs``
+    runs of consecutive blocks, run ``r`` walking its blocks in turn: the
+    one walk of every bulk op (:func:`blockwise`, and the Monte Carlo sums
+    of :func:`arctangr.distributions._tail_sums`).  Each caller chooses
+    ``step`` and ``runs`` from its own work.
 
-    def run(k):
+    With a generator ``rng``, ``draw`` is run ``r``'s generator of its
+    stretch of ``rng``'s doubles (:func:`substreams`): drawing ``j - i``
+    doubles from it in each block leaves the serial draw's bits, and ``rng``
+    where that draw leaves it.  A generator that cannot jump ahead draws the
+    whole stream, in one run on the caller.  Without one, ``draw`` is
+    ``None``.
+
+    Run 0 walks on the caller, each other on a thread that the call starts,
+    in a copy of the caller's context (so its ``np.errstate`` holds there),
+    and joins before it returns, also when a start fails.  No thread
+    outlives the call, so a forked child inherits none, and a ``work`` may
+    itself walk.  An exception in any run reaches the caller: the lowest
+    run's, if several raise.  numpy's ufuncs release the interpreter lock
+    over a block, so the runs go at once, and ``work`` must be safe to call
+    so, on disjoint blocks.
+
+    One memory rule holds for every walk: a block's temporaries live only
+    while ``work`` runs on it, and what a run keeps from block to block is
+    made by the caller before the walk, for as many runs as the call may
+    ever split into, so the peak depends neither on the split nor on how
+    the runs overlap in time.  :func:`blockwise` keeps nothing and cuts
+    blocks of at most a sixteenth of a run, within 1.5 times its output on
+    any number of CPUs (``TestMemoryBudget`` and its subclasses); the Monte
+    Carlo sums keep the buffers of ``min(cpus(), 2)`` runs, whatever a
+    round's split, so their peak does not grow with ``n``
+    (``test_memory_does_not_grow_with_n``)."""
+    blocks = -(-n // step)
+    runs = max(1, min(runs, blocks))
+    bounds = [min(n, blocks * r // runs * step) for r in range(runs + 1)]
+    draws = [None] * runs
+    if rng is not None:
+        bounds, draws = substreams(rng, bounds)
+    errors = [None] * len(draws)
+
+    def run(r):
         try:
-            work(k)
+            for i in range(bounds[r], bounds[r + 1], step):
+                work(r, i, min(i + step, bounds[r + 1]), draws[r])
         except BaseException as exc:
-            errors[k] = exc
+            errors[r] = exc
 
     threads = []
     try:
-        for k in range(1, count):
-            t = threading.Thread(target=contextvars.copy_context().run, args=(run, k))
+        for r in range(1, len(draws)):
+            t = threading.Thread(target=contextvars.copy_context().run, args=(run, r))
             t.start()
             threads.append(t)
         run(0)
     finally:
-        for t in threads:  # every chunk is done before its output is read or dropped
+        for t in threads:  # every block is done before its output is read or dropped
             t.join()
     for exc in filter(None, errors):
         raise exc
@@ -177,25 +209,18 @@ def blockwise(fn, arr, out=None, rng=None):
     one thread of a 2-vCPU Xeon VM with 2 MiB of L2 per core.  Inputs of at
     most ``BLOCK`` elements are passed to ``fn`` whole.
 
-    An input of at least ``2 * CHUNK`` elements is split into one contiguous
-    chunk per CPU (:func:`cpus`), each of at least ``CHUNK`` elements, and
-    the chunks are evaluated at once by :func:`spread`; a chunk's uniforms
-    are drawn on its own thread, from a generator jumped ahead to its first
-    element (:func:`substreams`; a generator that cannot jump draws on the
-    caller, in one chunk).  On the same VM the second chunk's first block
-    began a median 105 us after the call (59 us in a pool's thread), and
-    each 1e6-point kernel took 1.02-1.04 times as long as with a pool.
-    numpy's ufuncs release the interpreter lock over a block, so the chunks
-    run at once, and ``fn`` must be safe to call so, on disjoint blocks.  A
-    thread takes the lock back after every ufunc, each take waiting on the
-    other threads' Python code: ten ``np.add`` calls per block over 1 Mi
-    doubles took 3.6-4.1 ms on one thread and 3.3-3.6 on two at 16 Ki
-    blocks, but 3.4-3.5 and 1.8-2.1 ms at 64 Ki.  So a thread walks its
-    chunk in 16 blocks of ``ceil(len(chunk) / 16)`` elements, at most
-    ``4 * BLOCK`` each, and all threads' temporaries stay within 6/16 of the
-    output (see :data:`CHUNK`).  One chunk is walked in ``BLOCK``-long
-    blocks: on one CPU, 16 blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf``
-    and ``agr_logpdf`` 10-11% longer over 1e6 points.
+    The split rule: an input of at least ``2 * CHUNK`` elements is walked
+    (:func:`walk`) in one run per CPU (:func:`cpus`), each of at least
+    ``CHUNK`` elements.  A thread takes the interpreter lock back after
+    every ufunc, each take waiting on the other threads' Python code: ten
+    ``np.add`` calls per block over 1 Mi doubles took 3.6-4.1 ms on one
+    thread and 3.3-3.6 on two at 16 Ki blocks, but 3.4-3.5 and 1.8-2.1 ms
+    at 64 Ki.  So the runs share ``16 * runs`` blocks of
+    ``ceil(n / (16 * runs))`` elements, at most ``4 * BLOCK`` each, and all
+    threads' temporaries stay within 6/16 of the output (see
+    :data:`CHUNK`).  One run walks ``BLOCK``-long blocks: on one CPU, 16
+    blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf`` and ``agr_logpdf`` 10-11%
+    longer over 1e6 points.
     """
     n = arr.size
     if n <= BLOCK and out is None:
@@ -203,22 +228,13 @@ def blockwise(fn, arr, out=None, rng=None):
     if out is None:
         out = np.empty(arr.shape)
     flat, res = arr.reshape(-1), out.reshape(-1)
-    chunks = max(1, min(cpus(), n // CHUNK))
-    bounds = [n * k // chunks for k in range(chunks + 1)]
-    if rng is None:
-        draws = [None] * chunks
-    else:
-        bounds, draws = substreams(rng, bounds)
+    runs = max(1, min(cpus(), n // CHUNK))
+    step = BLOCK if runs == 1 else min(4 * BLOCK, -(-n // (16 * runs)))
 
-    def run(k):
-        start, stop, draw = bounds[k], bounds[k + 1], draws[k]
-        step = BLOCK if len(bounds) == 2 else min(4 * BLOCK, -(-(stop - start) // 16))
-        for i in range(start, stop, step):
-            j = min(i + step, stop)
-            if draw is not None:
-                draw.random(out=flat[i:j])
-            res[i:j] = fn(flat[i:j])
+    def work(r, i, j, draw):
+        if draw is not None:
+            draw.random(out=flat[i:j])
+        res[i:j] = fn(flat[i:j])
 
-    spread(run, len(bounds) - 1)
+    walk(n, step, runs, work, rng)
     return out
-

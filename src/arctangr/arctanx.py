@@ -32,7 +32,7 @@ class BaseDistribution(FrozenRecord):
     evaluate elementwise; the transform calls them on blocks of its input.
     On a large input they are called concurrently, from the calling thread
     and from threads that the call starts and joins, each call on its own
-    disjoint block (see :func:`arctangr._arrays.blockwise`), so they must be
+    disjoint block (see :func:`arctangr._arrays.walk`), so they must be
     safe to run at once.
     ``support`` is the interval carrying the mass, bounds possibly infinite;
     it is validated as a nonempty interval, and callers read it for

@@ -20,9 +20,9 @@ level at which the quantile function switches branches.
 Each formula is one private kernel of ``z``; the public ``agr_*`` and
 ``mixture_kernel_*`` functions check input and map a kernel affinely
 (densities divide by ``psi``), evaluated in cache-sized blocks, on every
-CPU for a large input, by :func:`arctangr._arrays.blockwise`; one number
-is checked with ``math`` and passed to the kernel as an ``np.float64``,
-with the bits of a 0-d array.
+CPU for a large input, by :func:`arctangr._arrays.blockwise` (see
+:func:`arctangr._arrays.walk`); one number is checked with ``math`` and
+passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
 Where a formula has two sides, a kernel picks each element's side by
 blending bits (:func:`_select`), on every array, not by a branch per
 element.  This module holds array kernels only: the float functions of
@@ -538,9 +538,9 @@ def agr_sample(params: ArctanGRParams, n, seed):
     identical sequence on any platform.  The draws are exactly
     ``agr_quantile(params, max(rng.random(n), tiny))``, on any number of
     CPUs: :func:`arctangr._arrays.blockwise` draws each block's uniforms into
-    the output and maps them in place, each chunk's on its own thread from a
-    copy of the generator jumped ahead to the chunk's first draw, and no
-    second array of ``n`` is made.  ``seed`` may also be a
+    the output and maps them in place, each run of blocks from its own
+    stretch of the stream (:func:`arctangr._arrays.walk`), and no second
+    array of ``n`` is made.  ``seed`` may also be a
     ``np.random.SeedSequence``: independent streams are the children of one,
     as the CLI gives each level's :func:`arctangr.risk.mc_oracle` its own.
     A ``Generator`` (or a bit generator) given as ``seed`` is drawn from, and
@@ -555,11 +555,25 @@ def agr_sample(params: ArctanGRParams, n, seed):
                      rng=rng)
 
 
+#: Tail draws per block of :func:`_tail_sums`, drawn and mapped in a 256 KiB
+#: buffer that each of its runs of blocks (:func:`arctangr._arrays.walk`)
+#: reuses.  For 1e7 draws on one thread of a 2-vCPU Xeon VM, 16 and 32 Ki
+#: ran fastest of 8 to 64 Ki (64 Ki 5-20% slower).
+_DRAW_BLOCK = 1 << 15
+
 #: The blocks of draws :func:`_tail_sums` makes between two folds of their sums.
 _ROUND = 128
 
+#: The fewest blocks of a round that :func:`_tail_sums` draws in two runs.
+#: On a 2-vCPU Xeon VM, in one process, alternating 60 pairs at level 0.9,
+#: two runs took a median 1.02-1.15 times one run's time over 2-3 blocks,
+#: and 0.83, 0.79 and 0.80 times over 4, 6 and 8; after the second CPU had
+#: idled 3 ms, 1.07-1.09 over 2-3, 0.98 over 4 (faster in 32 of 60 pairs),
+#: 0.90 over 6 (44 of 60), 0.86 over 8 (53 of 60) and 0.77-0.81 over 10-16.
+_SPLIT_BLOCKS = 8
 
-def _tail_sums(unit: ArctanGRParams, alpha, threshold, k, rng, block):
+
+def _tail_sums(unit: ArctanGRParams, alpha, threshold, k, rng):
     """``(m, s1, s2, s3, s4)`` over ``k`` draws from ``unit``'s tail beyond
     level ``alpha``, for :func:`arctangr.risk.mc_oracle`: ``m`` draws lie
     above ``threshold``, and ``s_r`` sums the ``r``-th powers of their excess.
@@ -567,65 +581,54 @@ def _tail_sums(unit: ArctanGRParams, alpha, threshold, k, rng, block):
     Each draw maps a tail probability ``q = (1 - alpha) (1 - U)``, ``U`` one
     double of ``rng`` on [0, 1), to ``x``: by :func:`_z_tail_quantile` at
     ``q`` from ``alpha >= P_STAR`` on, by the general quantile at ``1 - q``
-    below it.  The draws go in blocks of ``block``, each into its run's
-    buffer, and each block's five sums into a row of its own.
+    below it.  The draws go in blocks of ``_DRAW_BLOCK``, each into its
+    run's buffer, and each block's five sums into a row of its own.
 
-    The blocks are drawn in rounds of ``_ROUND``.  A round of at least four
-    blocks, on two CPUs or more, is split into two runs of consecutive
-    blocks (:func:`arctangr._arrays.spread`), each drawing from a copy of
-    ``rng`` jumped ahead to its first draw (:func:`arctangr._arrays.substreams`);
-    a shorter round, or one on one CPU, is one run on the caller.  After
-    each round its rows are added to the totals in block order, so every sum
-    has the bits of one serial loop, and ``rng`` ends where that leaves it.
-    On a 2-vCPU VM two runs took 1.16-1.27 times the time of one over two
-    blocks, about as long over three or four, and 0.65-0.73 times over 16 or
-    more.  Memory is fixed: a run holds two blocks of doubles and a block of
-    bools (~0.53 MiB at 32 Ki draws a block; below ``P_STAR`` the general
-    quantile's temporaries besides), and the call ``_ROUND`` rows of sums.
-    So 1e6 draws at level 0.9 (four blocks) hold what 1e8 do, on any number
-    of CPUs."""
+    The blocks are drawn in rounds of ``_ROUND``, each round by one
+    :func:`arctangr._arrays.walk`: in two runs on two CPUs or more from
+    ``_SPLIT_BLOCKS`` blocks on, else in one on the caller.  After each
+    round its rows are added to the totals in block order, so every sum has
+    the bits of one serial loop, and ``rng`` ends where that leaves it.
+    Memory is fixed: the buffers of ``min(cpus(), 2)`` runs are made before
+    the first round, whatever the split (a run's: two blocks of doubles and
+    a block of bools, ~0.53 MiB; below ``P_STAR`` the general quantile's
+    temporaries besides), and the call holds ``_ROUND`` rows of sums."""
     tail, upper = 1.0 - alpha, alpha >= P_STAR  # 1 - alpha is exact, as alpha >= 1/2
+    block = _DRAW_BLOCK
     blocks = -(-k // block)
-    runs = max(1, min(_arrays.cpus(), 2, blocks // 2))
-    # every run's buffers, each a block long, are made before any run starts
-    # (its draws, a scratch block and a mask): the call holds the same memory
-    # however the runs overlap in time
+    runs = min(_arrays.cpus(), 2)
     size = min(block, k)
+    # per run: its draws, a scratch block and a mask
     buffers = [(np.empty(size), np.empty(size), np.empty(size, dtype=bool)) for _ in range(runs)]
     sums = np.empty((min(blocks, _ROUND), 5))
+
+    def work(r, i, j, draw):
+        buf, scratch, mask = buffers[r]
+        q = buf[:j - i]
+        draw.random(out=q)
+        # 1 - U is exact and lies in (0, 1], so q > 0 and its quantile is finite
+        np.subtract(1.0, q, out=q)
+        q *= tail
+        if upper:
+            z = _z_tail_quantile(q, scratch[:q.size])
+        else:
+            z = _z_quantile(np.subtract(1.0, q, out=q))
+        x = _from_z(unit, z)
+        hit = np.greater(x, threshold, out=mask[:q.size])
+        y = x if hit.all() else x[hit]
+        y -= threshold
+        y2 = np.multiply(y, y, out=scratch[:y.size])
+        s1, s2 = y.sum(), y2.sum()
+        y *= y2
+        y2 *= y2
+        sums[i // block] = y.size, s1, s2, y.sum(), y2.sum()
+
     m = 0
     s1 = s2 = s3 = s4 = 0.0
     for first in range(0, blocks, _ROUND):
         count = min(_ROUND, blocks - first)
-        split = max(1, min(runs, count // 2))
-        bounds, draws = _arrays.substreams(
-            rng, [min(k, (first + count * r // split) * block) - first * block
-                  for r in range(split + 1)])
-
-        def run(r):
-            draw, (buf, scratch, mask), stop = draws[r], buffers[r], bounds[r + 1]
-            for i in range(bounds[r], stop, block):
-                length = min(block, stop - i)
-                q = buf[:length]
-                draw.random(out=q)
-                # 1 - U is exact and lies in (0, 1], so q > 0 and its quantile is finite
-                np.subtract(1.0, q, out=q)
-                q *= tail
-                if upper:
-                    z = _z_tail_quantile(q, scratch[:length])
-                else:
-                    z = _z_quantile(np.subtract(1.0, q, out=q))
-                x = _from_z(unit, z)
-                hit = np.greater(x, threshold, out=mask[:length])
-                y = x if hit.all() else x[hit]
-                y -= threshold
-                y2 = np.multiply(y, y, out=scratch[:y.size])
-                s1, s2 = y.sum(), y2.sum()
-                y *= y2
-                y2 *= y2
-                sums[i // block] = y.size, s1, s2, y.sum(), y2.sum()
-
-        _arrays.spread(run, len(draws))
+        _arrays.walk(min(count * block, k - first * block), block,
+                     runs if count >= _SPLIT_BLOCKS else 1, work, rng)
         for c, b1, b2, b3, b4 in sums[:count]:
             m += int(c)
             s1 += b1

@@ -296,13 +296,6 @@ def empirical_risk_curve(data: LossDataset, alphas) -> RiskReport:
     )
 
 
-#: Tail draws per block of :func:`mc_oracle`, drawn and mapped in a 256 KiB
-#: buffer that each of its (at most two) runs of blocks reuses.  For 1e7
-#: draws on one thread of a 2-vCPU Xeon VM, 16 and 32 Ki ran fastest of 8 to
-#: 64 Ki (64 Ki 5-20% slower).
-_DRAW_BLOCK = 1 << 15
-
-
 def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     """Monte Carlo estimate of TVaR/TV with standard errors, from ``n`` draws.
 
@@ -310,20 +303,18 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     given that number they are iid from the tail.  So one generator,
     ``np.random.default_rng(seed)`` (``seed`` an int or a ``SeedSequence``),
     draws that count ``k``, then ``k`` tail probabilities ``q = (1 - alpha) U``,
-    ``U`` uniform on (0, 1], ``_DRAW_BLOCK`` at a time.  Each block is mapped
-    in place to ``x``: by the tail quantile at ``q`` from ``alpha >= P_STAR``
+    ``U`` uniform on (0, 1], in blocks of 32 Ki.  Each block is mapped in
+    place to ``x``: by the tail quantile at ``q`` from ``alpha >= P_STAR``
     on, by the general quantile at ``1 - q`` below it.  ``x > VaR`` decides
     each draw, so one that rounds onto the threshold does not count, and
     each block adds its four sums of ``x - VaR`` (shifted to limit
-    cancellation in the higher moments).  The blocks are drawn in rounds of
-    128; on two CPUs or more a round of at least four blocks is drawn in two
-    runs of consecutive blocks at once, the second from a copy of the
-    generator jumped ahead to its first draw, and the sums are added in
-    block order (see :func:`arctangr.distributions._tail_sums`), so the
-    result has every bit of one serial loop on any number of CPUs.  Time
-    scales with ``(1 - alpha) n`` and memory is fixed: each run holds a
-    block of draws, a scratch block and a mask (~0.53 MiB), and the call
-    128 rows of sums.  The same seed gives the same result.  ``n`` is at
+    cancellation in the higher moments), in block order.  The blocks are
+    drawn by :func:`arctangr._arrays.walk`, split over two CPUs where a
+    round of them is long enough to pay
+    (:func:`arctangr.distributions._tail_sums`), so the result has every bit
+    of one serial loop on any number of CPUs.  Time scales with
+    ``(1 - alpha) n`` and memory is fixed: ~0.53 MiB of buffers on one CPU,
+    ~1.06 MiB on more.  The same seed gives the same result.  ``n`` is at
     most ``2**63 - 1``, the largest count the binomial draw takes.
 
     The passes run on ``omega``, ``psi`` and the threshold times ``2^-s``,
@@ -348,7 +339,7 @@ def mc_oracle(params: ArctanGRParams, alpha, n, seed) -> MCOracleResult:
     threshold = math.ldexp(var(params, a), -s)
     rng = generator(seed)
     k = int(rng.binomial(n, 1.0 - a))
-    m, s1, s2, s3, s4 = _tail_sums(unit, a, threshold, k, rng, _DRAW_BLOCK)
+    m, s1, s2, s3, s4 = _tail_sums(unit, a, threshold, k, rng)
 
     if m < 2:
         raise DomainError(

@@ -7,8 +7,7 @@ import math
 import numpy as np
 
 from arctangr import P_STAR, MCOracleResult, var
-from arctangr.distributions import _from_z, _z_quantile, _z_tail_quantile
-from arctangr.risk import _DRAW_BLOCK
+from arctangr.distributions import _DRAW_BLOCK, _from_z, _z_quantile, _z_tail_quantile
 from arctangr.tail import ArctanGRParams
 
 

@@ -1,11 +1,12 @@
 """Bulk ops split over CPUs keep every bit of one serial pass.
 
-The seeded ops draw each chunk's (or each run's) uniforms on its own thread,
-from a copy of the generator jumped ahead to its first draw: the results
-equal ``serial_draws``' one-thread loops, and a caller's generator ends where
-those leave it.  A bad input raises the error one scan of the whole input
-names, in whichever chunk its faults lie: the AGR kernels scan before the
-blocks, and ``arctan_cdf`` checks each block and rescans only on a fault.
+The seeded ops draw each run's uniforms by ``_arrays.walk`` on its own
+thread, from a copy of the generator jumped ahead to its first draw: the
+results equal ``serial_draws``' one-thread loops, and a caller's generator
+ends where those leave it.  A bad input raises the error one scan of the
+whole input names, in whichever run its faults lie: the AGR kernels scan
+before the blocks, and ``arctan_cdf`` checks each block and rescans only on
+a fault.
 """
 
 import math
@@ -27,16 +28,18 @@ from arctangr import (
     gaussian_base,
     mc_oracle,
 )
-from arctangr import distributions, risk
+from arctangr import distributions
 from arctangr._arrays import BLOCK, CHUNK
-from arctangr.risk import _DRAW_BLOCK
+from arctangr.distributions import _DRAW_BLOCK
 
-CPUS = [1, 2, 3, 64]
+CPUS = [1, 2, 3, 4, 8, 64]
 
 # (alpha, the number of draw blocks, the exceedances aimed at): one block,
-# two, and four with a short last one, on both sides of P_STAR
-MC_CASES = [(0.9, 1, 20_000), (0.9, 2, 50_000), (0.9, 4, 130_000),
-            (0.55, 1, 20_000), (0.55, 2, 50_000), (0.55, 4, 130_000)]
+# two, four with a short last one, and nine, a round that two CPUs split, on
+# both sides of P_STAR
+MC_CASES = [(0.9, 1, 20_000), (0.9, 2, 50_000), (0.9, 4, 130_000), (0.9, 9, 280_000),
+            (0.55, 1, 20_000), (0.55, 2, 50_000), (0.55, 4, 130_000), (0.55, 9, 280_000)]
+assert distributions._SPLIT_BLOCKS <= 9
 assert 0.55 < P_STAR <= 0.9
 
 
@@ -77,27 +80,28 @@ def test_mc_oracle_equals_the_serial_loop(set_cpus, table_params, cpus, alpha, b
         same(mc_oracle(table_params, alpha, n, seed), want)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 4, 8])
 @pytest.mark.parametrize("aim", [130_000, 280_000])
 def test_mc_oracle_in_rounds_equals_the_serial_loop(set_cpus, monkeypatch, table_params, cpus,
                                                     aim):
-    # rounds of 4 blocks: 4 blocks make one round in two runs; 9 make two
-    # such rounds and a last one-block round on the caller
+    # rounds of 4 blocks, split from 2: 4 blocks make one round in two runs;
+    # 9 make two such rounds and a last one-block round on the caller
     set_cpus(cpus)
     monkeypatch.setattr(distributions, "_ROUND", 4)
+    monkeypatch.setattr(distributions, "_SPLIT_BLOCKS", 2)
     n = round(aim / 0.1)
     for seed in seeds(n):
         want = serial_draws.mc_oracle(table_params, 0.9, n, np.random.default_rng(seed))
         same(mc_oracle(table_params, 0.9, n, seed), want)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 64])
+@pytest.mark.parametrize("cpus", [1, 2, 4, 8, 64])
 def test_mc_oracle_memory_does_not_grow_with_the_blocks(set_cpus, monkeypatch, table_params,
                                                         cpus):
     # blocks of 256 draws: 1e7 draws at level 0.9 make ~3,900 blocks, whose
     # sums alone (40 bytes each) would outweigh all the buffers
     set_cpus(cpus)
-    monkeypatch.setattr(risk, "_DRAW_BLOCK", 256)
+    monkeypatch.setattr(distributions, "_DRAW_BLOCK", 256)
 
     def peak(n):
         tracemalloc.start()
@@ -137,7 +141,7 @@ def callers_generators(kind):
     return made
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
 @pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937])
 def test_a_callers_generator_ends_where_the_serial_draw_leaves_it(set_cpus, table_params,
                                                                    cpus, kind):
@@ -149,8 +153,9 @@ def test_a_callers_generator_ends_where_the_serial_draw_leaves_it(set_cpus, tabl
     same(agr_sample(table_params, 3 * CHUNK + 5, rng),
          serial_draws.sample(table_params, 3 * CHUNK + 5, ref))
     assert state(rng.bit_generator) == state(ref.bit_generator)
-    same(mc_oracle(table_params, 0.9, 1_300_000, rng),
-         serial_draws.mc_oracle(table_params, 0.9, 1_300_000, ref))
+    # ~3e5 tail draws: ten blocks, in one round that two CPUs split
+    same(mc_oracle(table_params, 0.9, 3_000_000, rng),
+         serial_draws.mc_oracle(table_params, 0.9, 3_000_000, ref))
     assert state(rng.bit_generator) == state(ref.bit_generator)
     assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
     assert rng.random() == ref.random()
@@ -174,7 +179,7 @@ def split_input(n, faults):
     return x
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [2, 3, 4, 8])
 def test_a_nan_in_a_later_chunk_is_named_before_an_earlier_fault(set_cpus, table_params, cpus):
     set_cpus(cpus)
     n = cpus * CHUNK + 11

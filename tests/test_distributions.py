@@ -694,7 +694,7 @@ class TestBlockwise:
 class TestMemoryBudget:
     """No bulk kernel may hold more than half an output's worth of
     temporaries: the blocks keep them at most BLOCK elements each on one
-    CPU, and a sixteenth of a thread's chunk on several."""
+    CPU, and a sixteenth of a thread's run on several."""
 
     N = 10**6
 
@@ -739,7 +739,7 @@ class TestMemoryBudgetOnEightCpus(TestMemoryBudget):
 
 class TestMemoryBudgetOnFewAndManyCpus(TestMemoryBudget):
     """The same budget on 2, 3, 4 and 64 CPUs: a thread's blocks are a
-    sixteenth of its chunk, so the fewest chunks (two) hold the longest."""
+    sixteenth of its run, so the fewest runs (two) hold the longest."""
 
     @pytest.fixture(autouse=True, params=[2, 3, 4, 64])
     def cpu_count(self, set_cpus, request):
@@ -763,12 +763,12 @@ def per_block(fn, arg):
 
 
 class TestChunks:
-    """A bulk input is split into one contiguous chunk per CPU, each of at
-    least CHUNK elements and walked in 16 blocks; every bit equals the
-    BLOCK-long blocks evaluated in turn on one thread, on this machine's
-    CPUs, on two and on three."""
+    """A bulk input is split into one run of blocks per CPU, each of at
+    least CHUNK elements and of 16 blocks; every bit equals the BLOCK-long
+    blocks evaluated in turn on one thread, on this machine's CPUs and on
+    2, 3, 4 and 8."""
 
-    @pytest.mark.parametrize("cpus", [None, 2, 3])
+    @pytest.mark.parametrize("cpus", [None, 2, 3, 4, 8])
     @pytest.mark.parametrize("n", CHUNK_LENGTHS)
     def test_bit_identical_to_serial_blocks(self, set_cpus, table_params, cpus, n):
         if cpus:
@@ -875,9 +875,9 @@ class TestChunks:
 
 class TestBlockLength:
     """Each thread takes the interpreter lock back after every ufunc of every
-    block, so the number of blocks is the number of those round trips: a
-    chunk is walked in 16 blocks (at most 4 BLOCK long), one thread's input
-    in BLOCK-long ones."""
+    block, so the number of blocks is the number of those round trips: the
+    runs share 16 blocks a CPU (at most 4 BLOCK long), one thread's input
+    is walked in BLOCK-long ones."""
 
     @staticmethod
     def lengths(n):
@@ -908,7 +908,7 @@ class TestBlockLength:
 
     def test_a_long_chunk_takes_blocks_of_at_most_4_block(self, set_cpus):
         set_cpus(2)
-        n = 2 * 16 * 4 * BLOCK + 7  # chunks just past 16 blocks of 4 BLOCK
+        n = 2 * 16 * 4 * BLOCK + 7  # just past 32 blocks of 4 BLOCK
         seen = self.lengths(n)
         assert max(seen) == 4 * BLOCK
-        assert len(seen) == 2 * 17 and sum(seen) == n
+        assert len(seen) == 2 * 16 + 1 and sum(seen) == n

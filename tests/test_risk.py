@@ -41,9 +41,8 @@ from arctangr import (
 from arctangr import distributions, risk, tail
 from arctangr.cli import DEFAULT_RISK_ALPHAS
 from arctangr.cli import main as cli_main
-from arctangr.distributions import _z_quantile, _z_tail_quantile
+from arctangr.distributions import _DRAW_BLOCK, _z_quantile, _z_tail_quantile
 from arctangr.plotdata import RISK_ALPHAS
-from arctangr.risk import _DRAW_BLOCK
 from arctangr.tail import (
     _CACHED_LEVELS,
     _binomial_row,

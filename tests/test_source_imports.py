@@ -9,7 +9,8 @@ imports or rebinds its terms, its sums or ``E[Z^k]``, and ``distributions.py``
 defines no float-only function of ``Z``.
 The modules of the commands import no numpy or scipy when they are loaded,
 and no module imports ``dataclasses``.  The fits read one copy of a sample,
-the sorted one: ``fit.py`` reads no ``values`` or ``array`` of a dataset."""
+the sorted one: ``fit.py`` reads no ``values`` or ``array`` of a dataset.  The
+bulk ops have one walk: only ``_arrays`` starts threads or splits a stream."""
 
 import ast
 from pathlib import Path
@@ -164,6 +165,21 @@ def test_one_unit_scale_rule():
     found = {(p.name, f) for p in SOURCES
              for f, _ in calls_in_functions(p.read_text(encoding="utf-8"), "frexp", ("math",))}
     assert found == {("_util.py", "unit_exponent"), ("risk.py", "mc_oracle")}
+
+
+def test_one_bulk_walk():
+    # every bulk op cuts, draws and threads its blocks through _arrays.walk:
+    # no other module starts a thread or jumps a generator ahead.  The Monte
+    # Carlo sums once split their rounds, and their streams, by a walk of
+    # their own
+    for path in SOURCES:
+        if path.name == "_arrays.py":
+            continue
+        source = path.read_text(encoding="utf-8")
+        assert not [n for n in imported_modules(path)
+                    if within(n, "threading") or within(n, "contextvars")], path.name
+        assert "substreams" not in names_from(source, "_arrays"), path.name
+        assert calls_in_functions(source, "substreams", ("_arrays",)) == [], path.name
 
 
 def bound_names(source):
