@@ -32,6 +32,13 @@ SCALARS = (float, int, np.float64)
 _JUMPABLE = (np.random.PCG64, np.random.PCG64DXSM)
 
 
+def is_number(x):
+    """Whether ``x`` is one number of a ``SCALARS`` type, which
+    :func:`as_float_array` reads with ``math`` and :func:`match_input` gives
+    back as a float."""
+    return type(x) in SCALARS
+
+
 def float_array(x, name):
     """``x`` as a float ndarray, with no check of its values; what reads as no
     real array (such as text, a complex or a ragged sequence) raises
@@ -53,7 +60,7 @@ def as_float_array(x, name="x", require_finite=False):
     ``np.float64``: every ufunc then runs the loop a 0-d array would, with the
     same bits, without the array's per-call cost.  Anything else is read by
     :func:`float_array` and scanned once; a NaN is named before an infinity."""
-    if type(x) in SCALARS:
+    if is_number(x):
         try:
             v = float(x)
         except OverflowError as exc:  # an int beyond the doubles
@@ -73,7 +80,7 @@ def as_float_array(x, name="x", require_finite=False):
 
 def match_input(x, result):
     """Return a bare float when the caller passed a scalar."""
-    if type(x) in SCALARS or np.ndim(x) == 0:
+    if is_number(x) or np.ndim(x) == 0:
         return float(result)
     return result
 

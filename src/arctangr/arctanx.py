@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import SCALARS, as_float_array, blockwise, float_array, match_input
+from ._arrays import as_float_array, blockwise, float_array, match_input
 from ._util import FrozenRecord
 from .errors import DomainError
 from .tail import FOUR_OVER_PI
@@ -84,7 +84,7 @@ def arctan_cdf(base: BaseDistribution, x):
         r *= FOUR_OVER_PI
         return r
 
-    arr = _points(x) if type(x) in SCALARS else float_array(x, "x")
+    arr = float_array(x, "x")
     try:
         return match_input(x, blockwise(block, arr))
     except Exception:

@@ -155,6 +155,8 @@ def _run_risk(args):
         raise DomainError(f"--mc-samples must be >= 0 (0 skips the check), got {args.mc_samples}")
     if args.mc_samples > 0 and args.format == "csv":
         raise DomainError("--mc-samples has no CSV layout; use --format table or json")
+    if args.mc_samples > 0 and args.empirical:
+        raise DomainError("--mc-samples applies to model-based risk only")
     if args.omega is not None:
         if args.empirical:
             raise DomainError("--empirical needs --data, not --omega/--psi")
@@ -164,7 +166,6 @@ def _run_risk(args):
         data = ingest(args.data)
         if args.empirical:
             report = empirical_risk_curve(data, args.alphas)
-            params = None
         else:
             from .fit import fit_agr
 
@@ -174,8 +175,6 @@ def _run_risk(args):
         raise DomainError("risk needs either --data or --omega/--psi")
 
     if args.mc_samples > 0:
-        if params is None:
-            raise DomainError("--mc-samples applies to model-based risk only")
         from numpy.random import SeedSequence
 
         seeds = SeedSequence(args.seed).spawn(len(report.rows))

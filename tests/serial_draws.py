@@ -14,7 +14,7 @@ from arctangr.tail import ArctanGRParams
 def sample(params, n, rng):
     """``agr_sample(params, n, rng)``: ``n`` uniforms in one draw, mapped whole."""
     u = rng.random(n)
-    return _from_z(params, _z_quantile(np.maximum(u, np.finfo(float).tiny)))
+    return _from_z(params.omega, params.psi, _z_quantile(np.maximum(u, np.finfo(float).tiny)))
 
 
 def mc_oracle(params, alpha, n, rng):
@@ -32,7 +32,7 @@ def mc_oracle(params, alpha, n, rng):
         q = rng.random(min(_DRAW_BLOCK, k - j))
         q = tail * (1.0 - q)
         z = _z_tail_quantile(q) if alpha >= P_STAR else _z_quantile(1.0 - q)
-        x = _from_z(unit, z)
+        x = _from_z(unit.omega, unit.psi, z)
         y = x[x > threshold] - threshold
         m += y.size
         s1 += y.sum()

@@ -130,6 +130,22 @@ class TestRisk:
             assert (code, out) == (3, "")
             assert err == "error: --mc-samples has no CSV layout; use --format table or json\n"
 
+    def test_mc_samples_rejected_with_empirical_before_any_work(self, capsys, monkeypatch):
+        # the empirical curve ran first, and a level it refuses (0.99 on the
+        # insurance data) hid the conflict behind its own error
+        def forbidden(*args, **kwargs):
+            raise AssertionError("no curve or draw may run before the conflict check")
+
+        monkeypatch.setattr("arctangr.risk.empirical_risk_curve", forbidden)
+        monkeypatch.setattr("arctangr.risk.mc_oracle", forbidden)
+        for alphas in ([], ["--alphas", "0.99"], ["--alphas", "0.75"]):
+            code, out, err = run_cli(
+                ["risk", "--data", "embedded:insurance", "--empirical", *alphas,
+                 "--mc-samples", "10"], capsys
+            )
+            assert (code, out) == (3, "")
+            assert err == "error: --mc-samples applies to model-based risk only\n"
+
     def test_param_pairing_enforced(self, capsys):
         code, _, err = run_cli(["risk", "--omega", "0.02", "--alphas", "0.8"], capsys)
         assert code == 3
@@ -197,6 +213,17 @@ class TestPlotdata:
             cli.main(["plotdata", "--data", "embedded:insurance", "--format", "csv"])
         assert exc.value.code == 2
 
+    def test_table_names_each_skipped_model(self, tmp_path, capsys):
+        # a value <= 0 leaves the Rayleigh fit without support; the table
+        # ends in one line per skipped model, with the fit's reason
+        f = tmp_path / "signed.csv"
+        f.write_text("loss\n-0.5\n0.1\n0.2\n0.3\n0.4\n0.6\n0.9\n1.5\n")
+        code, out, err = run_cli(["plotdata", "--data", str(f), "--format", "table"], capsys)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[-1] == "skipped rayleigh: Rayleigh fit requires strictly positive data"
+        assert lines[-3] == "density curves: agr, gaussian, laplace on 401 grid points"
+
 
 class TestExitCodes:
     def test_usage_error_unknown_flag(self):
@@ -213,6 +240,14 @@ class TestExitCodes:
         code, _, err = run_cli(["fit", "--data", "/no/such/file.csv"], capsys)
         assert code == 3
         assert "no such data file" in err
+
+    def test_data_error_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "latin1.csv"
+        f.write_bytes("loss\n0,5\u00a0\n".encode("latin-1"))
+        code, out, err = run_cli(["describe", "--data", str(f)], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {f} is not UTF-8 text: 'utf-8' codec can't decode byte 0xa0")
+        assert len(err.splitlines()) == 1
 
     def test_data_error_bad_line(self, tmp_path, capsys):
         f = tmp_path / "bad.csv"

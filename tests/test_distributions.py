@@ -67,6 +67,7 @@ from arctangr.distributions import (
     _half_exp,
     _laplace_cdf,
     _laplace_quantile,
+    _z,
     _z_cdf,
     _z_cum_hazard,
     _z_hazard,
@@ -609,6 +610,90 @@ def _flat_size(layout):
 
 def _laid_out(flat, layout):
     return flat[::3] if layout == "view" else flat.reshape(layout)
+
+
+def _mp_wide_logs(omega, scale, x):
+    """``{function: value}`` in 40-digit mpmath for the log-scale functions
+    that stay finite where ``x - omega`` leaves the doubles."""
+    with mpmath.workdps(40):
+        psi = mpmath.mpf(scale)
+        z = (mpmath.mpf(x) - mpmath.mpf(omega)) / psi
+        if z >= 0:
+            w = 1 - mpmath.exp(-z) / 2
+            t = mpmath.exp(-z) / 2
+            cum = -mpmath.log(4 / mpmath.pi * mpmath.atan(t / (2 - t)))
+        else:
+            w = mpmath.exp(z) / 2
+            cum = -mpmath.log1p(-4 / mpmath.pi * mpmath.atan(w))
+        return {
+            agr_logpdf: mpmath.log(2 / mpmath.pi) - mpmath.log(psi) - abs(z)
+            - mpmath.log1p(w * w),
+            agr_cum_hazard: cum,
+            mixture_kernel_logpdf: -abs(z) - mpmath.log(2 * psi),
+            gaussian_logpdf: -z * z / 2 - mpmath.log(psi) - mpmath.log(2 * mpmath.pi) / 2,
+        }
+
+
+#: A location and a point so far apart that ``x - omega`` overflows, while
+#: ``z = (x - omega) / 1e300`` is 3.4e8; and the same mirrored.
+WIDE = [(-1.7e308, 1.7e308), (1.7e308, -1.7e308)]
+
+
+class TestStandardization:
+    """``_z`` forms ``(x - omega) / scale`` for every location-scale kernel
+    (Gaussian, Laplace, AGR): finite wherever ``z`` is, also where
+    ``x - omega`` overflows, and with the direct form's bits elsewhere."""
+
+    @pytest.mark.parametrize("omega,x", WIDE)
+    def test_wide_location_against_mpmath(self, omega, x):
+        want = _mp_wide_logs(omega, 1e300, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn, value in want.items():
+                params = (GaussianParams if fn is gaussian_logpdf else ArctanGRParams)(omega, 1e300)
+                got = fn(params, x)
+                assert math.isfinite(got) and got == pytest.approx(float(value), rel=1e-14), fn
+                # an array mixes the far point with near ones, whose bits stay
+                arr = fn(params, np.array([x, omega, omega + 1e300]))
+                assert arr[0] == got
+                assert arr[1:].tolist() == [fn(params, omega), fn(params, omega + 1e300)]
+
+    @pytest.mark.parametrize("omega,x", WIDE)
+    def test_wide_location_cdf_side(self, omega, x):
+        params = ArctanGRParams(omega, 1e300)
+        above = x > omega
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert agr_cdf(params, x) == (1.0 if above else 0.0)
+            assert agr_survival(params, x) == (0.0 if above else 1.0)
+            assert gaussian_cdf(GaussianParams(omega, 1e300), x) == (1.0 if above else 0.0)
+            assert agr_hazard(params, x) == pytest.approx(1e-300 if above else 0.0, rel=1e-15)
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega=st.floats(2.0**970, np.finfo(float).max), sign=st.sampled_from([-1.0, 1.0]),
+           scale=st.floats(5e-324, np.finfo(float).max),
+           v=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    def test_halved_form_keeps_the_direct_bits(self, omega, sign, scale, v):
+        # from |omega| = 2^970 on z is formed as ((v/2 - omega/2) / scale) * 2;
+        # wherever v - omega does not overflow it has (v - omega) / scale's bits
+        omega *= sign
+        v = np.array(v + [omega, math.nextafter(omega, 0.0), np.finfo(float).max, -0.0])
+        with np.errstate(over="ignore"):
+            d = v - omega
+            direct = d / scale
+            got = _z(omega, scale, v)
+        kept = np.isfinite(d) | np.isinf(v)
+        assert got[kept].tobytes() == direct[kept].tobytes()
+        if scale >= 2.0:  # |v - omega| <= 2 * MAX, so z is finite at every finite v
+            assert np.isfinite(got[np.isfinite(v)]).all()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_finite_point_overflows_below_the_bound(self, sign):
+        # |x - omega| < 2^1024 - 2^970 for every finite x: the direct form serves
+        omega = sign * math.nextafter(2.0**970, 0.0)
+        edge = np.array([np.finfo(float).max, -np.finfo(float).max])
+        with np.errstate(over="raise"):
+            assert np.isfinite(_z(omega, 2.0, edge)).all()
 
 
 class TestBlockwise:

@@ -621,8 +621,8 @@ def _mapped_draws(params, alpha, n, seed):
     seen = []
     from_z = distributions._from_z
 
-    def recording(unit, z):
-        x = from_z(unit, z)
+    def recording(omega, scale, z):
+        x = from_z(omega, scale, z)
         seen.append(x.copy())
         return x
 
@@ -883,6 +883,14 @@ class TestRiskCurve:
 
 
 class TestEmpirical:
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.5, 1.5, math.inf, math.nan])
+    def test_level_outside_the_unit_interval_is_domain_error(self, insurance, alpha):
+        # any level inside (0, 1) is taken, the ends and NaN are not
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got "):
+            empirical_risk(insurance, alpha)
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got "):
+            empirical_risk_curve(insurance, [0.75, alpha])
+
     def test_hand_computed_example(self):
         data = LossDataset(values=np.array([1.0, 2.0, 3.0, 4.0]), source="inline", name="tiny")
         row = empirical_risk(data, 0.5)

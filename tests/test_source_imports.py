@@ -10,7 +10,9 @@ defines no float-only function of ``Z``.
 The modules of the commands import no numpy or scipy when they are loaded,
 and no module imports ``dataclasses``.  The fits read one copy of a sample,
 the sorted one: ``fit.py`` reads no ``values`` or ``array`` of a dataset.  The
-bulk ops have one walk: only ``_arrays`` starts threads or splits a stream."""
+bulk ops have one walk: only ``_arrays`` starts threads or splits a stream.
+The location-scale kernels have one standardization: in ``distributions.py``
+only ``_z`` subtracts a location, and only ``_arrays`` names the scalar types."""
 
 import ast
 from pathlib import Path
@@ -311,3 +313,64 @@ def test_fits_read_only_the_sorted_sample():
     assert attribute_reads(fit, {"values", "array"}) == []
     data = arctangr.LossDataset(values=np.array([2.0, 1.0]), source="array", name="s")
     assert not hasattr(arctangr.LossDataset, "array") and not hasattr(data, "array")
+
+
+def reads_location(node):
+    """Whether ``node`` reads a name or an attribute ``omega``."""
+    return any(isinstance(n, ast.Name) and n.id == "omega"
+               or isinstance(n, ast.Attribute) and n.attr == "omega" for n in ast.walk(node))
+
+
+def location_subtractions(source):
+    """The enclosing function (``None`` at module level) of every subtraction
+    of a location in ``source``: a ``-`` or ``-=`` whose right operand reads
+    ``omega``, or a ``subtract`` call that passes it after its first argument."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, (ast.BinOp, ast.AugAssign)) and isinstance(child.op, ast.Sub):
+                if reads_location(child.right if isinstance(child, ast.BinOp) else child.value):
+                    yield func
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "subtract"
+                    and any(map(reads_location, child.args[1:]))):
+                yield func
+            yield from visit(child, func)
+
+    return list(visit(ast.parse(source), None))
+
+
+def test_location_subtractions_found():
+    source = ("def f(p, x):\n    return (x - p.omega) / p.psi\n"
+              "def g(omega, v):\n    z = v\n    z -= omega * 0.5\n    return omega - v\n"
+              "def h(p, x):\n    return np.subtract(x, p.omega)\n"
+              "y = np.subtract(omega, 1.0) + (x + omega)\n")
+    assert location_subtractions(source) == ["f", "g", "h"]
+
+
+def names_read(source):
+    """Every name, attribute and imported name in ``source``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_one_standardization():
+    # every location-scale kernel forms z = (x - omega) / scale in
+    # distributions._z, so a fix to it (such as the one for x - omega
+    # overflowing) is made once; the Gaussian functions once formed it
+    # themselves, each its own way.  Which numbers are read as one is told
+    # in _arrays alone
+    source = next(p for p in SOURCES if p.name == "distributions.py").read_text(encoding="utf-8")
+    assert set(location_subtractions(source)) == {"_z"}
+    for path in SOURCES:
+        if path.name != "_arrays.py":
+            assert "SCALARS" not in names_read(path.read_text(encoding="utf-8")), path.name
