@@ -198,13 +198,17 @@ def walk(n, step, runs, work, rng=None):
 
 
 def blockwise(fn, arr, out=None, rng=None):
-    """``fn(arr)`` for an elementwise float ``fn``, evaluated a block at a time
-    into one output array of ``arr``'s shape: ``out`` if given (a contiguous
-    float array, which may be ``arr`` itself), else a new one.  With a
-    generator ``rng``, each block of ``arr`` (then a contiguous float array)
-    is first overwritten by ``rng``'s next uniforms on [0, 1), so that
-    ``arr`` ends as ``rng.random(arr.size)`` would make it, and ``rng`` where
-    that draw leaves it.
+    """``fn(arr)`` for an elementwise float ``fn(v, out=None)``, evaluated a
+    block at a time into one output array of ``arr``'s shape: ``out`` if
+    given (a contiguous float array, which may be ``arr`` itself), else a
+    new one.  ``fn`` is given each block ``v`` with its block of the output
+    as ``out``, and writes its result there (its last ufunc's ``out``), so
+    no block is copied; ``v`` and ``out`` may be one buffer, which ``fn``
+    overwrites only once it has read ``v``.  With a generator ``rng``, each
+    block of ``arr`` (then a contiguous float array) is first overwritten by
+    ``rng``'s next uniforms on [0, 1), so that ``arr`` ends as
+    ``rng.random(arr.size)`` would make it, and ``rng`` where that draw
+    leaves it.
 
     Each element passes through the same ufuncs in the same order, so the
     result is bit-identical to ``fn(arr)`` at any block length; only the
@@ -214,7 +218,8 @@ def blockwise(fn, arr, out=None, rng=None):
     array that faults in new pages and waits on memory.  Of 4, 16, 64 and
     256 Ki, ``BLOCK`` = 16 Ki was the fastest for the 1e6-point kernels on
     one thread of a 2-vCPU Xeon VM with 2 MiB of L2 per core.  Inputs of at
-    most ``BLOCK`` elements are passed to ``fn`` whole.
+    most ``BLOCK`` elements, with no ``out``, are passed to ``fn`` whole, as
+    ``fn(arr)``, and its result is returned.
 
     The split rule: an input of at least ``2 * CHUNK`` elements is walked
     (:func:`walk`) in one run per CPU (:func:`cpus`), each of at least
@@ -225,7 +230,11 @@ def blockwise(fn, arr, out=None, rng=None):
     at 64 Ki.  So the runs share ``16 * runs`` blocks of
     ``ceil(n / (16 * runs))`` elements, at most ``4 * BLOCK`` each, and all
     threads' temporaries stay within 6/16 of the output (see
-    :data:`CHUNK`).  One run walks ``BLOCK``-long blocks: on one CPU, 16
+    :data:`CHUNK`).  A call on two CPUs still waits for the lock 60-110
+    times over 1e6 points (its voluntary context switches, ``ru_nvcsw``),
+    the fewer the fewer and cheaper the ufuncs of a block: ``agr_logpdf``
+    and ``agr_quantile`` counted 125-160 at 19 and 23 numpy calls a block,
+    70-80 at 13 and 17.  One run walks ``BLOCK``-long blocks: on one CPU, 16
     blocks of 62.5 Ki took ``agr_cdf``, ``agr_pdf`` and ``agr_logpdf`` 10-11%
     longer over 1e6 points.
     """
@@ -239,9 +248,10 @@ def blockwise(fn, arr, out=None, rng=None):
     step = BLOCK if runs == 1 else min(4 * BLOCK, -(-n // (16 * runs)))
 
     def work(r, i, j, draw):
+        v = flat[i:j]
         if draw is not None:
-            draw.random(out=flat[i:j])
-        res[i:j] = fn(flat[i:j])
+            draw.random(out=v)
+        fn(v, res[i:j])
 
     walk(n, step, runs, work, rng)
     return out

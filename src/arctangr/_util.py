@@ -1,6 +1,7 @@
 """Internal helpers in Python floats: the one rule for a count argument
 (:func:`is_integer`), the one unit scale of every sample sum and fit
-(:func:`unit_exponent`), the mean and variance, Bowley/Moors, the output
+(:func:`unit_exponent`), the bound from which ``z`` is formed in halves
+(:data:`WIDE_LOCATION`), the mean and variance, Bowley/Moors, the output
 formats, and the base of the record classes (:class:`Record`).
 Nothing here imports numpy (see :mod:`arctangr._arrays` for the elementwise
 kernels' helpers), and ``json`` and ``csv`` load only where their format is
@@ -8,6 +9,12 @@ written."""
 
 import math
 import operator
+
+#: The least ``|omega|`` at which a finite ``x - omega`` can overflow: from
+#: here on the standardized ``z`` is formed in halves, by the array kernels
+#: (:func:`arctangr.distributions._z`) and the float densities
+#: (:func:`arctangr.fit._standardizing`) alike.
+WIDE_LOCATION = 2.0 ** 970
 
 
 def is_integer(value) -> bool:

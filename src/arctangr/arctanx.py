@@ -69,7 +69,7 @@ def arctan_cdf(base: BaseDistribution, x):
     took the call on 1e6 points from 8.8 to 8.2 ms.
     """
 
-    def block(v):
+    def block(v, out=None):
         finite = np.isfinite(v)
         if finite.all():
             h = np.asarray(base.cdf(v), dtype=float)
@@ -80,7 +80,7 @@ def arctan_cdf(base: BaseDistribution, x):
                 h[finite] = base.cdf(v[finite])
             h[v == -np.inf] = 0.0
             h[v == np.inf] = 1.0
-        r = np.arctan(h)
+        r = np.arctan(h, out=out)
         r *= FOUR_OVER_PI
         return r
 
@@ -99,10 +99,14 @@ def arctan_pdf(base: BaseDistribution, x):
     base callables are only guaranteed on finite arguments.
     """
 
-    def block(v):
+    def block(v, out=None):
         h = np.asarray(base.pdf(v), dtype=float)
         cap_h = np.asarray(base.cdf(v), dtype=float)
-        return FOUR_OVER_PI * h / (1.0 + cap_h * cap_h)
+        r = np.multiply(FOUR_OVER_PI, h, out=out)
+        d = cap_h * cap_h
+        d += 1.0
+        r /= d
+        return r
 
     arr = np.asarray(as_float_array(x, require_finite=True))
     return match_input(x, blockwise(block, arr))

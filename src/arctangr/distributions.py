@@ -23,17 +23,20 @@ checks its input and maps a kernel affinely by :func:`_on_z` or
 :func:`_on_p`, which form ``z = (x - omega) / scale`` by :func:`_z` (the one
 place a location is subtracted, which keeps ``z`` finite where ``x - omega``
 overflows) and ``x = omega + scale * z`` by :func:`_from_z` (densities
-divide by the scale), evaluated in cache-sized blocks, on every CPU for a
-large input, by :func:`arctangr._arrays.blockwise` (see
-:func:`arctangr._arrays.walk`); one number is checked with ``math`` and
-passed to the kernel as an ``np.float64``, with the bits of a 0-d array.
+divide by the scale; halved where ``scale * z`` can overflow), evaluated in
+cache-sized blocks, on every CPU for a large input, by
+:func:`arctangr._arrays.blockwise` (see :func:`arctangr._arrays.walk`),
+each kernel writing its last ufunc straight into its block of the output;
+one number is checked with ``math`` and passed to the kernel as an
+``np.float64``, with the bits of a 0-d array.
 Rayleigh is the exception: a scale family on ``x > 0``, whose support test
 and log fallback read ``x`` itself, so its functions evaluate ``x`` whole.
-Where a formula has two sides, a kernel picks each element's side by
-blending bits (:func:`_select`), on every array, not by a branch per
-element.  This module holds array kernels only: the float functions of
-``Z`` (the raw moments, and Bowley's skewness and Moors' kurtosis) live in
-:mod:`arctangr.tail`, beside the density's series, and are re-exported here.
+Where a formula has two sides, a kernel picks each element's side without a
+branch per element: by exact arithmetic on a side of 1.0 or 0.0
+(:func:`_above`), or by blending bits (:func:`_select`).  This module holds
+array kernels only: the float functions of ``Z`` (the raw moments, and
+Bowley's skewness and Moors' kurtosis) live in :mod:`arctangr.tail`, beside
+the density's series, and are re-exported here.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -42,12 +45,13 @@ all randomness (see :func:`agr_sample` for the stream-splitting convention).
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
 from . import _arrays
 from ._arrays import as_float_array, blockwise, float_array, generator, is_number, match_input
-from ._util import is_integer
+from ._util import WIDE_LOCATION, is_integer
 from .arctanx import BaseDistribution
 from .errors import DomainError
 from .tail import (
@@ -62,7 +66,7 @@ from .tail import agr_kurtosis, agr_moment, agr_skewness  # noqa: F401 (re-expor
 
 _TINY = float(np.finfo(float).tiny)
 _HALF_MAX = 2.0 ** 1023
-_WIDE = 2.0 ** 970
+_WIDE_SCALE = 2.0 ** 1014
 _SIGN_BIT = np.int64(-(2**63))
 
 
@@ -77,18 +81,18 @@ def gaussian_pdf(params: GaussianParams, x):
 def _normal_pdf(eta):
     """The Gaussian density as a kernel of ``z``: ``e^{-z^2/2} / (eta sqrt(2 pi))``."""
     c = eta * math.sqrt(2 * math.pi)
-    return lambda z: np.exp(-0.5 * z * z) / c
+    return lambda z, out=None: _last(np.divide, np.exp(-0.5 * z * z), c, out)
 
 
 def gaussian_cdf(params: GaussianParams, x):
     return _on_z(params.omega, params.eta, x, _ndtr)
 
 
-def _ndtr(z):
+def _ndtr(z, out=None):
     """The standard normal CDF, written over an array ``z`` (a temporary)."""
     from scipy.special import ndtr
 
-    return _inplace(ndtr, z)
+    return _inplace(ndtr, z, out=out)
 
 
 def gaussian_quantile(params: GaussianParams, p):
@@ -99,7 +103,8 @@ def gaussian_quantile(params: GaussianParams, p):
 
 def gaussian_logpdf(params: GaussianParams, x):
     log_eta, half_log_2pi = math.log(params.eta), 0.5 * math.log(2 * math.pi)
-    return _on_z(params.omega, params.eta, x, lambda z: -0.5 * z * z - log_eta - half_log_2pi)
+    return _on_z(params.omega, params.eta, x,
+                 lambda z, out=None: _last(np.subtract, -0.5 * z * z - log_eta, half_log_2pi, out))
 
 
 def rayleigh_pdf(params: RayleighParams, x):
@@ -170,7 +175,7 @@ def _z(omega, scale, v):
     2^917 in magnitude, so halving and doubling it, and its quotient, are
     exact, and the halved form has the direct one's bits wherever that one
     does not overflow.  The test is one comparison per call."""
-    if abs(omega) >= _WIDE:
+    if abs(omega) >= WIDE_LOCATION:
         return (v * 0.5 - omega * 0.5) / scale * 2.0
     z = v - omega
     z /= scale
@@ -179,44 +184,68 @@ def _z(omega, scale, v):
 
 def _on_z(omega, scale, x, kernel, require_finite=False, per_scale=False):
     """``kernel(_z(omega, scale, x))`` elementwise over checked ``x``, divided
-    in place by ``scale`` if ``per_scale`` (a density or a rate in ``x``); a
-    float for a scalar.  Every Gaussian, Laplace and AGR function of ``x``
-    is one call of it."""
+    by ``scale`` if ``per_scale`` (a density or a rate in ``x``); a float for
+    a scalar.  Every Gaussian, Laplace and AGR function of ``x`` is one call
+    of it.  On a bulk input :func:`arctangr._arrays.blockwise` hands each
+    block its block of the output as ``out``, where the last ufunc writes:
+    the kernel's, or the division by ``scale``."""
     arr = as_float_array(x, require_finite=require_finite)
 
-    def fn(v):
-        r = kernel(_z(omega, scale, v))
-        if per_scale:
-            r /= scale
-        return r
+    def fn(v, out=None):
+        z = _z(omega, scale, v)
+        if not per_scale:
+            return kernel(z, out=out)
+        return _last(np.divide, kernel(z), scale, out)
 
     return match_input(x, blockwise(fn, arr))
 
 
 def _on_p(omega, scale, p, kernel):
     """``_from_z(omega, scale, kernel(p))`` elementwise over checked
-    probabilities ``p``: every quantile but Rayleigh's."""
+    probabilities ``p``: every quantile but Rayleigh's.  On a bulk input
+    ``_from_z`` writes each block into its block of the output."""
     arr = _checked_prob(p)
-    return match_input(p, blockwise(lambda q: _from_z(omega, scale, kernel(q)), arr))
+    return match_input(p, blockwise(lambda q, out=None: _from_z(omega, scale, kernel(q), out),
+                                    arr))
 
 
-def _from_z(omega, scale, z):
-    """``omega + scale * z``, scaled and shifted in place in ``z``."""
+def _from_z(omega, scale, z, out=None):
+    """``omega + scale * z``, scaled and shifted in place in ``z`` (or into
+    ``out``).  Every quantile kernel gives ``|z| < 2^10`` (745 at most), so
+    ``scale * z`` can overflow only from ``scale = 2^1014`` on, where the
+    sum may still be finite (``omega = -1.7e308``, ``scale = 1.7e308``,
+    ``z = 1.5`` give 8.5e307).  There, and while ``omega/2`` is exact
+    (``|omega| >= 2^-1021``), it is formed as ``(omega/2 + (scale/2) z) * 2``:
+    ``scale * z`` is 0 or at least 2^-60 in magnitude, so every halving and
+    the doubling are exact, and the halved form has the direct one's bits
+    wherever that one does not overflow.  A tinier ``omega`` cannot bring
+    an overflowing product back to the doubles, so the direct form serves;
+    it also keeps ``omega`` itself, a subnormal one too, where ``z = 0``.
+    The test is one comparison per call."""
+    if scale >= _WIDE_SCALE and abs(omega) >= 2.0 * _TINY:
+        z *= scale * 0.5
+        z += omega * 0.5
+        return _last(np.multiply, z, 2.0, out)
     z *= scale
-    z += omega
-    return z
+    return _last(np.add, z, omega, out)
 
 
-# The kernels below do not branch per element.  Where a formula has two sides
-# (z >= 0 or not, p below P_STAR or not), :func:`_select` picks each element's
-# side by bit masks: ``np.where`` on a mask of random signs mispredicts a
-# branch per element, which costs more than an ``exp``.  The quantiles select
-# the argument of each transcendental first, so an element passes through its
-# own side's ``tan`` and ``log`` only.  Each element still meets its own side's
-# ufuncs in the same order as under ``np.where``, so every result keeps its
-# bits.  On arrays the kernels work in place on temporaries they allocate
+# The kernels below do not branch per element: ``np.where`` on a mask of
+# random signs mispredicts a branch per element, which costs more than an
+# ``exp``.  Where a formula has two sides (z >= 0 or not, p below P_STAR or
+# not), the AGR CDF, survival, density and log-density, the Laplace CDF and
+# the AGR quantile read the side as a float ``c``, 1.0 or 0.0, and pick by
+# steps that are exact on either value (``|c - h|`` is ``1 - h`` or ``h``,
+# ``t * (2 + 2c)`` is ``4t`` or ``2t``, a product by ``1 - 2c`` flips a sign
+# or keeps it), a float pass each, where a blend of bits (:func:`_select`)
+# takes three integer passes and its mask three more; the other kernels
+# blend.  The quantiles select the argument of each transcendental first, so
+# an element passes through its own side's ``tan`` and ``log`` only.  Each
+# element's result has the bits of its own side's ufuncs under ``np.where``.
+# On arrays the kernels work in place on temporaries they allocate
 # themselves, never on a caller's array; a scalar or 0-d input runs the same
-# steps on numpy scalars.
+# steps on numpy scalars.  A kernel with an ``out`` writes its last ufunc
+# there (a walk's output block), else over its own temporary.
 
 
 def _is_array(mask):
@@ -225,11 +254,32 @@ def _is_array(mask):
     return isinstance(mask, np.ndarray) and mask.ndim > 0
 
 
-def _inplace(ufunc, *args):
-    """``ufunc(*args)``, written over the last argument when it is an array (a
-    kernel's own temporary); a scalar gets a new scalar."""
-    x = args[-1]
-    return ufunc(*args, out=x) if _is_array(x) else ufunc(*args)
+def _dest(temp, out=None):
+    """Where a kernel writes its result: ``out`` if given, else over its own
+    temporary ``temp`` if that is an array; ``None`` (a new scalar) for a
+    scalar."""
+    if out is not None:
+        return out
+    return temp if _is_array(temp) else None
+
+
+def _inplace(ufunc, *args, out=None):
+    """``ufunc(*args)``, written into ``out`` if given, else over the last
+    argument when it is an array (a kernel's own temporary); a scalar gets a
+    new scalar."""
+    return ufunc(*args, out=_dest(args[-1], out))
+
+
+#: The in-place operator of each ufunc that :func:`_last` runs.
+_IN_PLACE = {np.add: operator.iadd, np.subtract: operator.isub, np.multiply: operator.imul,
+             np.divide: operator.itruediv}
+
+
+def _last(ufunc, a, b, out=None):
+    """A kernel's last step ``ufunc(a, b)``: into ``out`` if given, else as
+    ``a op= b``, over ``a`` (a kernel's own temporary) or on a numpy scalar,
+    whose operator is numpy's scalar arithmetic, not a ufunc call."""
+    return _IN_PLACE[ufunc](a, b) if out is None else ufunc(a, b, out=out)
 
 
 def _lanes(mask):
@@ -274,9 +324,35 @@ def _negate(mask, x):
     return x
 
 
+def _above(x, level=0.0):
+    """``x >= level`` as 1.0, and 0.0 below (-0 counts as 0): the side a
+    two-sided kernel reads, to choose by exact arithmetic, which costs less
+    than a blend (:func:`_select`) of the two sides' bits."""
+    return np.asarray(x >= level, dtype=float)
+
+
+def _minus_abs(z):
+    """``-|z|``, a new temporary: ``z`` with its sign bit set, one pass where
+    ``abs`` and ``negative`` take two."""
+    if not _is_array(z):
+        return -abs(z)
+    return np.bitwise_or(z.view(np.int64), _SIGN_BIT).view(float)
+
+
 def _half_exp(z):
     """``e^{-|z|} / 2``: the standard Laplace density, and its tail on either side."""
-    return 0.5 * np.exp(-np.abs(z))
+    h = _inplace(np.exp, _minus_abs(z))
+    h *= 0.5
+    return h
+
+
+def _complement(c, x, out):
+    """``1 - x`` where ``c`` is 1 and ``x`` where it is 0, for ``x`` in
+    [0, 1], bit for bit: ``|c - x|``, whose ``abs`` keeps ``1 - x`` and
+    turns ``0 - x`` back into ``x``.  Written into ``out``, which may be
+    ``x``'s buffer (``None``: a new array).  With :func:`_above`'s ``c`` and
+    ``x = e^{-|z|}/2`` it is the standard Laplace CDF ``w = H(z)``."""
+    return _inplace(np.abs, np.subtract(c, x, out=out))
 
 
 def _z_uw(z):
@@ -284,58 +360,63 @@ def _z_uw(z):
     is ``1 - u/2`` for z >= 0 and ``u/2`` below.  ``w`` is continuous at 0 with
     ``w' = u/2`` on both sides; the AGR log-shape (:func:`_z_log_shape`) and
     its derivatives (the fit's score pass) are written in these two."""
-    u = _inplace(np.exp, _inplace(np.negative, np.abs(z)))
+    u = _inplace(np.exp, _minus_abs(z))
     h = u * 0.5
-    w = 1.0 - h
-    return u, _select(z >= 0.0, w, h, out=w)
+    return u, _complement(_above(z), h, out=_dest(h))
 
 
-def _laplace_cdf(z):
+def _laplace_cdf(z, out=None):
     """Standard Laplace CDF: ``1 - e^{-z}/2`` for z >= 0, ``e^{z}/2`` below."""
-    return _z_uw(z)[1]
+    h = _half_exp(z)
+    return _complement(_above(z), h, out=_dest(h, out))
 
 
 def _laplace_quantile(p):
     """Standard Laplace quantile, the inverse of :func:`_laplace_cdf`:
-    ``log(2p)`` below 1/2 and ``-log(2(1 - p))`` from there, one ``log`` each."""
-    upper = _lanes(p >= 0.5)
-    a = 1.0 - p
-    a = _select(upper, a, p, out=a)
+    ``log(2p)`` below 1/2 and ``-log(2(1 - p))`` from there, one ``log`` each.
+    ``1 - p`` is exact from 1/2 on and at least 1/2 below, so the argument
+    is ``min(p, 1 - p)``."""
+    a = _inplace(np.minimum, p, 1.0 - p)
     a *= 2.0
-    return _negate(upper, _inplace(np.log, a))
+    return _negate(p >= 0.5, _inplace(np.log, a))
 
 
-def _z_cdf(z):
+def _z_cdf(z, out=None):
     """Standard AGR CDF: the arctan transform ``(4/pi) arctan(H)`` of Laplace."""
-    w = _inplace(np.arctan, _laplace_cdf(z))
+    h = _half_exp(z)
+    w = _inplace(np.arctan, _complement(_above(z), h, out=_dest(h)), out=out)
     w *= FOUR_OVER_PI
     return w
 
 
-def _z_sf(z):
+def _z_sf(z, out=None):
     """Standard AGR survival; above 0 it is ``arctan(t/(2-t)) = pi/4 - arctan(1-t)``,
-    which stays accurate where ``1 - cdf`` cancels (survival below ~1e-16)."""
-    upper = _lanes(z >= 0.0)
+    which stays accurate where ``1 - cdf`` cancels (survival below ~1e-16).
+    Each side is chosen by exact arithmetic on :func:`_above`'s ``c``: the
+    divisor ``max(c (2 - t), 1)`` is ``2 - t`` (at least 3/2) from 0 on and
+    1 below, and ``|(1 - c) - y|`` is ``y`` from 0 on and ``1 - y`` below."""
+    c = _above(z)
     t = _half_exp(z)
-    y = _inplace(np.divide, t, 2.0 - t)
-    y = _inplace(np.arctan, _select(upper, y, t, out=y))
-    del t
+    d = 2.0 - t
+    d *= c
+    d = _inplace(np.maximum, 1.0, d)
+    t /= d
+    y = _inplace(np.arctan, t)
     y *= FOUR_OVER_PI
-    return _select(upper, y, 1.0 - y, out=y)
+    return _complement(_inplace(np.subtract, 1.0, c), y, out=_dest(y, out))
 
 
-def _z_pdf(z):
+def _z_pdf(z, out=None):
     """Standard AGR density: the arctan transform ``(4/pi) h / (1 + H^2)`` of Laplace."""
-    u, w = _z_uw(z)
-    u *= 0.5
-    u *= FOUR_OVER_PI
+    h = _half_exp(z)
+    g = h * FOUR_OVER_PI
+    w = _complement(_above(z), h, out=_dest(h))
     w *= w
     w += 1.0
-    u /= w
-    return u
+    return _last(np.divide, g, w, out)
 
 
-def _z_cum_hazard(z):
+def _z_cum_hazard(z, out=None):
     """Standard AGR cumulative hazard ``-log(survival)``; see :func:`agr_cum_hazard`.
     Below 0 it is ``-log1p(-cdf)``, on the lower tail's accurate CDF.  As in
     :func:`_z_hazard`, the side below 0 comes first and each temporary is
@@ -359,7 +440,7 @@ def _z_cum_hazard(z):
     upper += z
     upper -= math.log(FOUR_OVER_PI)
     upper -= _inplace(np.log, ratio)
-    return _select(z >= 0.0, upper, lower, out=upper)
+    return _select(z >= 0.0, upper, lower, out=_dest(upper, out))
 
 
 def _z_hazard(z):
@@ -389,11 +470,14 @@ def _z_hazard(z):
 
 def _z_log_shape(z):
     """``L(z) = log g(z) - log(2/pi) = -|z| - log1p(w^2)``, the standard AGR
-    log-density less its constant, with ``w = H(z)`` from :func:`_z_uw`; one
-    ``exp`` and one ``log1p``, and neither under- nor overflows far from 0."""
-    _, w = _z_uw(z)
+    log-density less its constant, with ``w = H(z)`` as in :func:`_z_uw`;
+    one ``exp`` and one ``log1p``, and neither under- nor overflows far from
+    0."""
+    shape = _minus_abs(z)
+    h = np.exp(shape)
+    h *= 0.5
+    w = _complement(_above(z), h, out=_dest(h))
     w *= w
-    shape = _inplace(np.negative, np.abs(z))
     shape -= _inplace(np.log1p, w)
     return shape
 
@@ -417,16 +501,24 @@ def _z_quantile(p):
     Below it ``log(2 tan(pi p/4))``, from it :func:`_z_tail_quantile` at
     ``1 - p``; per element one ``tan`` and one ``log``, on the selected
     argument each time."""
-    upper = _lanes(p >= P_STAR)
+    # c is 1 from P_STAR on and 0 below; every step that reads it is exact
+    c = _above(p, P_STAR)
     # 1 - p is exact for p >= 1/2, so the tail form loses nothing here
-    a = 1.0 - p
-    a = _select(upper, a, p, out=a)
+    a = _complement(c, p, out=None)
     a *= _PI_OVER_4
     t = _inplace(np.tan, a)
-    tail = t * 4.0
-    tail /= 1.0 + t
-    t *= 2.0
-    return _negate(upper, _inplace(np.log, _select(upper, tail, t, out=tail)))
+    # 4t / (1 + t) from P_STAR on and 2t / 1 = 2t below, by scalings by 2, 4
+    # and 1 and sums with 0, all exact
+    g = c * 2.0
+    g += 2.0
+    y = t * g
+    t *= c
+    t += 1.0
+    y /= t
+    y = _inplace(np.log, y)
+    # negated from P_STAR on: a product by -1 flips the sign bit alone
+    y *= _inplace(np.subtract, 3.0, g)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +544,8 @@ def mixture_kernel_logpdf(params: ArctanGRParams, x):
     every scale and unchanged, bit for bit, below."""
     psi = params.psi
     log_c = math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
-    return _on_z(params.omega, psi, x, lambda z: -np.abs(z) - log_c)
+    return _on_z(params.omega, psi, x,
+                 lambda z, out=None: _last(np.subtract, _minus_abs(z), log_c, out))
 
 
 def mixture_kernel_quantile(params: ArctanGRParams, p):
@@ -518,8 +611,9 @@ def agr_logpdf(params: ArctanGRParams, x):
     """Log density, written to avoid under/overflow far from the location and,
     as ``log(2/pi) - log(psi)``, at every scale (``pi * psi`` can overflow)."""
     log_c = math.log(2.0 / math.pi) - math.log(params.psi)
-    return _on_z(params.omega, params.psi, x, lambda z: log_c + _z_log_shape(z),
-                require_finite=True)
+    return _on_z(params.omega, params.psi, x,
+                 lambda z, out=None: _last(np.add, _z_log_shape(z), log_c, out),
+                 require_finite=True)
 
 
 def agr_cum_hazard(params: ArctanGRParams, x):
@@ -575,8 +669,11 @@ def agr_sample(params: ArctanGRParams, n, seed):
     u = np.empty(int(n))
     # random() lands in [0, 1); an exact 0 is nudged into the quantile's domain
     omega, psi = params.omega, params.psi
-    return blockwise(lambda p: _from_z(omega, psi, _z_quantile(np.maximum(p, _TINY))), u, out=u,
-                     rng=rng)
+
+    def fn(p, out):
+        return _from_z(omega, psi, _z_quantile(_inplace(np.maximum, _TINY, p)), out)
+
+    return blockwise(fn, u, out=u, rng=rng)
 
 
 #: Tail draws per block of :func:`_tail_sums`, drawn and mapped in a 256 KiB

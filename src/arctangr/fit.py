@@ -36,7 +36,15 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from types import SimpleNamespace
 
-from ._util import FrozenRecord, dump_csv, dump_json, is_integer, mean_var, unit_exponent
+from ._util import (
+    WIDE_LOCATION,
+    FrozenRecord,
+    dump_csv,
+    dump_json,
+    is_integer,
+    mean_var,
+    unit_exponent,
+)
 from .dataset import LossDataset, _linear_quantile
 from .errors import DataError, DomainError, SupportError
 from .tail import FOUR_OVER_PI, P_STAR, ArctanGRParams, GaussianParams, RayleighParams
@@ -648,29 +656,52 @@ def _log_shape(z):
     return -abs(z) - math.log1p(w * w)
 
 
+def _standardizing(omega, scale, xs):
+    """``(o, s, ys)`` such that ``(y - o) / s`` at each ``y`` of ``ys`` has the
+    bits of :func:`arctangr.distributions._z` at the ``x`` of ``xs`` in its
+    place: the float twin of its overflow rule, chosen once per call, so a
+    density's one loop keeps its direct form.  Below ``|omega| = 2^970``
+    they are ``omega``, ``scale`` and ``xs`` themselves.  From there on
+    ``_z`` is ``((x/2 - omega/2) / scale) * 2``, and this is
+    ``(x/2 - omega/2) / (scale/2)``: the difference is 0 or at least 2^916
+    in magnitude, so its quotient is a normal double or overflows, and
+    doubling commutes with rounding where ``scale/2`` is exact.  Where it
+    is not (a subnormal ``scale``) every nonzero quotient overflows either
+    way, so any positive divisor serves: 5e-324 stands in where
+    ``scale/2`` rounds to 0."""
+    if abs(omega) < WIDE_LOCATION:
+        return omega, scale, xs
+    return omega * 0.5, max(scale * 0.5, 5e-324), [x * 0.5 for x in xs]
+
+
 # The models' densities and log-densities over a sequence of floats ``xs``, one
 # float per point, each in the steps of its array kernel in
-# :mod:`arctangr.distributions`; only ``exp``, ``log`` and ``log1p`` are
-# ``math``'s, not numpy's, and may differ from them in the last bit.
+# :mod:`arctangr.distributions`, ``z`` as formed by :func:`_standardizing`;
+# only ``exp``, ``log`` and ``log1p`` are ``math``'s, not numpy's, and may
+# differ from them in the last bit.
 
 def _agr_pdf(p, xs):
+    o, s, xs = _standardizing(p.omega, p.psi, xs)
     return [u * 0.5 * FOUR_OVER_PI / (w * w + 1.0) / p.psi
-            for u, w in (_uw((x - p.omega) / p.psi) for x in xs)]
+            for u, w in (_uw((x - o) / s) for x in xs)]
 
 
 def _agr_logpdf(p, xs):
     c = math.log(2.0 / math.pi) - math.log(p.psi)
-    return [c + _log_shape((x - p.omega) / p.psi) for x in xs]
+    o, s, xs = _standardizing(p.omega, p.psi, xs)
+    return [c + _log_shape((x - o) / s) for x in xs]
 
 
 def _gaussian_pdf(p, xs):
     c = p.eta * math.sqrt(2 * math.pi)
-    return [math.exp(-0.5 * z * z) / c for z in ((x - p.omega) / p.eta for x in xs)]
+    o, s, xs = _standardizing(p.omega, p.eta, xs)
+    return [math.exp(-0.5 * z * z) / c for z in ((x - o) / s for x in xs)]
 
 
 def _gaussian_logpdf(p, xs):
     c, h = math.log(p.eta), 0.5 * math.log(2 * math.pi)
-    return [-0.5 * z * z - c - h for z in ((x - p.omega) / p.eta for x in xs)]
+    o, s, xs = _standardizing(p.omega, p.eta, xs)
+    return [-0.5 * z * z - c - h for z in ((x - o) / s for x in xs)]
 
 
 def _rayleigh_pdf(p, xs):
@@ -702,13 +733,15 @@ def _rayleigh_logpdf(p, xs):
 
 
 def _laplace_pdf(p, xs):
-    return [0.5 * math.exp(-abs((x - p.omega) / p.psi)) / p.psi for x in xs]
+    o, s, xs = _standardizing(p.omega, p.psi, xs)
+    return [0.5 * math.exp(-abs((x - o) / s)) / p.psi for x in xs]
 
 
 def _laplace_logpdf(p, xs):
     psi = p.psi
     c = math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
-    return [-abs((x - p.omega) / psi) - c for x in xs]
+    o, s, xs = _standardizing(p.omega, psi, xs)
+    return [-abs((x - o) / s) - c for x in xs]
 
 
 #: A candidate model: display label, MLE fitter, and density and

@@ -64,6 +64,7 @@ from arctangr._arrays import BLOCK, CHUNK
 from arctangr._util import bowley_moors
 from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
+    _from_z,
     _half_exp,
     _laplace_cdf,
     _laplace_quantile,
@@ -687,6 +688,48 @@ class TestStandardization:
         if scale >= 2.0:  # |v - omega| <= 2 * MAX, so z is finite at every finite v
             assert np.isfinite(got[np.isfinite(v)]).all()
 
+    def test_wide_scale_quantiles_are_finite(self):
+        # scale * z overflows where omega + scale * z is a double: the quantiles
+        # give it, with no warning, and it inverts the CDF
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for quantile, cdf, kind in ((agr_quantile, agr_cdf, ArctanGRParams),
+                                        (mixture_kernel_quantile, mixture_kernel_cdf,
+                                         ArctanGRParams),
+                                        (gaussian_quantile, gaussian_cdf, GaussianParams)):
+                params = kind(-1.7e308, 1.7e308)
+                levels = [0.924866801204832, 0.9, 0.6]
+                got = quantile(params, np.array(levels))
+                for level, x in zip(levels, got):
+                    assert math.isfinite(x) and quantile(params, level) == x
+                    assert cdf(params, x) == pytest.approx(level, rel=1e-13), quantile
+        assert agr_quantile(ArctanGRParams(-1.7e308, 1.7e308), 0.924866801204832) == (
+            pytest.approx(8.5e307, rel=1e-13))
+        # the sampler maps its draws by the same rule
+        params = ArctanGRParams(-1.7e308, 1.7e308)
+        u = np.maximum(np.random.default_rng(2).random(1000), np.finfo(float).tiny)
+        with np.errstate(over="ignore"):  # draws beyond the doubles do overflow
+            x = agr_sample(params, 1000, seed=2)
+            assert x.tobytes() == agr_quantile(params, u).tobytes()
+        assert np.isfinite(x[(u >= P_STAR) & (u < 0.92)]).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega=st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                           st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.0**-1022,
+                                            -(2.0**-1021), 1.7e308, -1.7e308])),
+           scale=st.floats(2.0**1014, np.finfo(float).max),
+           p=st.lists(st.floats(5e-324, math.nextafter(1.0, 0.0)), min_size=1, max_size=8))
+    def test_halved_from_z_keeps_the_direct_bits(self, omega, scale, p):
+        # from scale = 2^1014 on omega + scale * z is formed in halves, with the
+        # direct form's bits wherever that one does not overflow (z = +-0 too)
+        z = np.append(_z_quantile(np.array(p + [P_STAR])), [0.0, -0.0])
+        with np.errstate(over="ignore"):
+            direct = z * scale + omega
+            got = _from_z(omega, scale, z.copy())
+        kept = np.isfinite(direct)
+        assert got[kept].tobytes() == direct[kept].tobytes()
+        assert (got[~kept] == direct[~kept]).sum() <= (~kept).sum()
+
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_no_finite_point_overflows_below_the_bound(self, sign):
         # |x - omega| < 2^1024 - 2^970 for every finite x: the direct form serves
@@ -967,13 +1010,14 @@ class TestBlockLength:
     @staticmethod
     def lengths(n):
         """The lengths of the slices ``blockwise`` hands its ``fn`` over ``n``
-        elements, once the output is checked against ``fn``'s, bit for bit."""
+        elements, once the output is checked against ``fn``'s, bit for bit.
+        ``fn`` writes each block into the output block it is given."""
         x = np.linspace(-1.0, 1.0, n)
         seen = []
 
-        def fn(v):
+        def fn(v, out=None):
             seen.append(v.size)  # list.append is atomic under the lock
-            return v * 3.0
+            return np.multiply(v, 3.0, out=out)
 
         got = _arrays.blockwise(fn, x)
         assert_same_bits(got, x * 3.0)

@@ -179,6 +179,42 @@ class TestDensities:
                 for g, w in zip(got, want):
                     assert g == w or abs(g - w) <= 4 * math.ulp(w), (g, w)
 
+    @pytest.mark.parametrize("omega", [-1.7e308, 1.7e308, 2.0**970, -(2.0**970)])
+    @pytest.mark.parametrize("name", ["agr", "gaussian", "laplace"])
+    def test_wide_location_is_the_array_kernels(self, name, omega):
+        # from |omega| = 2^970 on x - omega can overflow where z is finite; the
+        # float densities form z as the array kernels do, with no warning
+        params = (GaussianParams if name == "gaussian" else ArctanGRParams)(omega, 1e300)
+        _, pdf, logpdf = self.CASES[name]
+        grid = [1.7e308, -1.7e308, omega, omega + 1e300, omega - 3e300, 0.0, 5e-324]
+        model = fit_module.MODELS[name]
+        for got, want in ((model.pdf(params, grid), pdf(params, np.array(grid))),
+                          (model.logpdf(params, grid), logpdf(params, np.array(grid)))):
+            want = want.tolist()
+            assert all(map(math.isfinite, want[-5:]))
+            if name in ("gaussian", "laplace") and got[0] < 0:  # the log-densities
+                assert got == want
+            for g, w in zip(got, want):
+                assert g == w or abs(g - w) <= 4 * math.ulp(w), (g, w)
+        if abs(omega) == 1.7e308:  # z = 3.4e8 from the other end of the doubles
+            assert -math.inf < model.logpdf(params, [-omega])[0] < -1e8
+
+    @settings(max_examples=300, deadline=None)
+    @given(omega=st.floats(2.0**970, np.finfo(float).max), sign=st.sampled_from([-1.0, 1.0]),
+           scale=st.one_of(st.floats(5e-324, np.finfo(float).max),
+                           st.sampled_from([5e-324, 1e-323, 1.5e-323, 2.0**-1021, 1e300])),
+           xs=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8))
+    def test_standardizing_is_the_array_z(self, omega, sign, scale, xs):
+        # the float twin of _z's halved form: (y - o) / s has its bits
+        omega *= sign
+        xs = xs + [omega, math.nextafter(omega, 0.0), -omega, 0.0, -0.0, 5e-324]
+        o, s, ys = fit_module._standardizing(omega, scale, xs)
+        with np.errstate(all="ignore"):
+            want = distributions._z(omega, scale, np.array(xs))
+        assert np.array([(y - o) / s for y in ys]).tobytes() == want.tobytes()
+        below = fit_module._standardizing(math.nextafter(2.0**970, 0.0), scale, xs)
+        assert below == (math.nextafter(2.0**970, 0.0), scale, xs)
+
     def test_rayleigh_logpdf_at_the_edges(self):
         # z/psi below the smallest normal or at 2^1023 takes log x - 2 log psi
         for psi, x in ((1e-310, [1e-310, 3e-310]), (1e200, [1e-200, 5.0, 1e300])):

@@ -2,7 +2,14 @@
 bit for bit: on random-sign arrays, at the branch points and their float
 neighbours, where ``e^{-|z|}`` underflows, at +-0 and +-inf, and on 0-d
 arrays and Python floats.  Every array mask blends bits, whatever its
-length, so the short drawn lists reach the blend directly."""
+length, so the short drawn lists reach the blend directly.
+
+Every public bulk function, whose two-sided kernels read ``-|z|`` and z's
+side from z's bits and write each block into the output, equals those
+forms composed with the plain standardization
+``(x - omega) / psi`` (halved from ``|omega| = 2^970`` on) and
+``omega + psi * z``, bit for bit: on one point, around a block and past two
+chunks, on one, two and three CPUs (``TestFusedStandardization``)."""
 
 import math
 
@@ -10,16 +17,41 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr, ndtri
 
 import where_kernels as ref
-from arctangr import P_STAR
-from arctangr._arrays import BLOCK
+from arctangr import (
+    P_STAR,
+    ArctanGRParams,
+    GaussianParams,
+    agr_cdf,
+    agr_cum_hazard,
+    agr_hazard,
+    agr_logpdf,
+    agr_pdf,
+    agr_quantile,
+    agr_sample,
+    agr_survival,
+    arctan_cdf,
+    arctan_pdf,
+    gaussian_base,
+)
+from arctangr._arrays import BLOCK, CHUNK
+from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
     _laplace_cdf,
     _laplace_quantile,
     _lanes,
     _negate,
     _select,
+    gaussian_cdf,
+    gaussian_logpdf,
+    gaussian_pdf,
+    gaussian_quantile,
+    mixture_kernel_cdf,
+    mixture_kernel_logpdf,
+    mixture_kernel_pdf,
+    mixture_kernel_quantile,
     _z_cdf,
     _z_cum_hazard,
     _z_hazard,
@@ -172,3 +204,172 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
         search.score_pass(psi)
     assert_same_bits((search.u, search.w), _z_uw(z))
     assert_same_bits((search.u, search.w), ref.z_uw(z))
+
+
+def plain_z(omega, scale, x):
+    """``(x - omega) / scale``, and ``((x/2 - omega/2) / scale) * 2`` from
+    ``|omega| = 2^970`` on: the standardization every kernel is composed with."""
+    with np.errstate(all="ignore"):
+        if abs(omega) >= 2.0**970:
+            return (x * 0.5 - omega * 0.5) / scale * 2.0
+        return (x - omega) / scale
+
+
+def plain_x(omega, scale, z):
+    with np.errstate(all="ignore"):
+        return z * scale + omega
+
+
+def _normal_pdf(z, eta):
+    return np.exp(-0.5 * z * z) / (eta * math.sqrt(2 * math.pi))
+
+
+def _arctan_base_cdf(omega, eta, x):
+    h = np.where(np.isfinite(x), ndtr(plain_z(omega, eta, np.where(np.isfinite(x), x, 0.0))),
+                 np.where(x > 0, 1.0, 0.0))
+    return FOUR_OVER_PI * np.arctan(h)
+
+
+def _laplace_log_c(psi):
+    return math.log(2.0 * psi) if 2.0 * psi < math.inf else math.log(2.0) + math.log(psi)
+
+
+# name: (function, params type, reference in (omega, scale, x), finite x only)
+FUSED_X = {
+    "agr_cdf": (agr_cdf, ArctanGRParams, lambda o, s, x: ref.z_cdf(plain_z(o, s, x)), False),
+    "agr_survival": (agr_survival, ArctanGRParams,
+                     lambda o, s, x: ref.z_sf(plain_z(o, s, x)), False),
+    "agr_pdf": (agr_pdf, ArctanGRParams, lambda o, s, x: ref.z_pdf(plain_z(o, s, x)) / s, False),
+    "agr_logpdf": (agr_logpdf, ArctanGRParams,
+                   lambda o, s, x: (math.log(2.0 / math.pi) - math.log(s))
+                   + ref.z_log_shape(plain_z(o, s, x)), True),
+    "agr_hazard": (agr_hazard, ArctanGRParams,
+                   lambda o, s, x: ref.z_hazard(plain_z(o, s, x)) / s, False),
+    "agr_cum_hazard": (agr_cum_hazard, ArctanGRParams,
+                       lambda o, s, x: ref.z_cum_hazard(plain_z(o, s, x)), False),
+    "mixture_kernel_pdf": (mixture_kernel_pdf, ArctanGRParams,
+                           lambda o, s, x: ref.half_exp(plain_z(o, s, x)) / s, False),
+    "mixture_kernel_cdf": (mixture_kernel_cdf, ArctanGRParams,
+                           lambda o, s, x: ref.laplace_cdf(plain_z(o, s, x)), False),
+    "mixture_kernel_logpdf": (mixture_kernel_logpdf, ArctanGRParams,
+                              lambda o, s, x: -np.abs(plain_z(o, s, x)) - _laplace_log_c(s),
+                              False),
+    "gaussian_pdf": (gaussian_pdf, GaussianParams,
+                     lambda o, s, x: _normal_pdf(plain_z(o, s, x), s), False),
+    "gaussian_cdf": (gaussian_cdf, GaussianParams, lambda o, s, x: ndtr(plain_z(o, s, x)), False),
+    "gaussian_logpdf": (gaussian_logpdf, GaussianParams,
+                        lambda o, s, x: -0.5 * plain_z(o, s, x) * plain_z(o, s, x) - math.log(s)
+                        - 0.5 * math.log(2 * math.pi), False),
+    "arctan_cdf": (lambda g, x: arctan_cdf(gaussian_base(g), x), GaussianParams,
+                   _arctan_base_cdf, False),
+    "arctan_pdf": (lambda g, x: arctan_pdf(gaussian_base(g), x), GaussianParams,
+                   lambda o, s, x: FOUR_OVER_PI * _normal_pdf(plain_z(o, s, x), s)
+                   / (1.0 + ndtr(plain_z(o, s, x)) * ndtr(plain_z(o, s, x))), True),
+}
+
+
+FUSED_P = {
+    "agr_quantile": (agr_quantile, ArctanGRParams, ref.z_quantile),
+    "mixture_kernel_quantile": (mixture_kernel_quantile, ArctanGRParams, ref.laplace_quantile),
+    "gaussian_quantile": (gaussian_quantile, GaussianParams, ndtri),
+}
+
+W970 = 2.0**970
+# (omega, scale): where x = omega -+ 5e-324 makes z underflow to -+0 (psi =
+# 1e300, and psi = 3 beside a subnormal omega), a subnormal location, the
+# neighbours of 2^970 on both signs, and a location whose x - omega
+# overflows
+FUSED_PARAMS = [(0.02, 0.005), (0.0, 1e300), (1e-310, 1e300), (3 * TINY, 3.0), (-0.0, 2.0),
+                (1e15, 1e-3), (W970, 1e300), (-W970, 3.0), (math.nextafter(W970, 0.0), 1e300),
+                (-math.nextafter(W970, 0.0), 1e300), (math.nextafter(W970, math.inf), 2.0),
+                (-1.7e308, 1e300)]
+FUSED_SIZES = [1, BLOCK - 1, BLOCK + 1, 2 * CHUNK + 3]
+MAX = np.finfo(float).max
+
+
+def fused_edges(omega, scale):
+    """+-0, +-inf, the largest doubles, omega and its float neighbours,
+    omega -+ 5e-324 and points a few scales away on both sides."""
+    e = [0.0, -0.0, math.inf, -math.inf, 1.7e308, -1.7e308, MAX, -MAX, TINY, -TINY,
+         omega, math.nextafter(omega, math.inf), math.nextafter(omega, -math.inf),
+         omega + TINY, omega - TINY]
+    for k in (1e-30, 0.5, 17.7275, 745.2):
+        e += [omega + scale * k, omega - scale * k]
+    return [v for v in e if not math.isnan(v)]
+
+
+def fused_input(omega, scale, n, finite):
+    """``n`` points: the edges first, the rest spread over z in +-800."""
+    rng = np.random.default_rng(n)
+    with np.errstate(all="ignore"):
+        x = omega + scale * (rng.uniform(-800.0, 800.0, n) * rng.choice([1e-3, 1.0], n))
+    e = np.array(fused_edges(omega, scale))
+    e = e[:n]
+    x[:e.size] = e
+    x[-e.size:] = e
+    x[~np.isfinite(x) if finite else np.isnan(x)] = omega
+    return x
+
+
+def fused_p(n):
+    rng = np.random.default_rng(n + 1)
+    p = np.maximum(rng.random(n), TINY)
+    e = np.array(P_EDGES[:n])
+    p[:e.size] = e
+    p[-e.size:] = e
+    return p
+
+
+class TestFusedStandardization:
+    """Each public bulk function against ``where_kernels`` on the plain
+    standardization, at every size on one, two and three CPUs, and on each
+    edge as a Python float."""
+
+    @pytest.mark.parametrize("name", FUSED_X)
+    def test_x_side(self, set_cpus, name):
+        fn, kind, want, finite = FUSED_X[name]
+        for omega, scale in FUSED_PARAMS:
+            params = kind(omega, scale)
+            for n in FUSED_SIZES:
+                x = fused_input(omega, scale, n, finite)
+                with np.errstate(all="ignore"):
+                    expected = np.asarray(want(omega, scale, x), dtype=float)
+                for cpus in (1, 2, 3):
+                    set_cpus(cpus)
+                    with np.errstate(all="ignore"):  # z overflows where it did
+                        assert_same_bits(fn(params, x), expected)
+            for v in fused_edges(omega, scale):
+                if finite and not math.isfinite(v):
+                    continue
+                with np.errstate(all="ignore"):
+                    assert_same_bits(fn(params, v), float(want(omega, scale, np.float64(v))))
+
+    @pytest.mark.parametrize("name", FUSED_P)
+    def test_p_side(self, set_cpus, name):
+        fn, kind, kernel = FUSED_P[name]
+        for omega, scale in FUSED_PARAMS:
+            params = kind(omega, scale)
+            for n in FUSED_SIZES:
+                p = fused_p(n)
+                with np.errstate(all="ignore"):
+                    expected = plain_x(omega, scale, kernel(p))
+                for cpus in (1, 2, 3):
+                    set_cpus(cpus)
+                    with np.errstate(all="ignore"):
+                        assert_same_bits(fn(params, p), expected)
+            for v in P_EDGES:
+                with np.errstate(all="ignore"):
+                    want = float(plain_x(omega, scale, kernel(np.float64(v))))
+                    assert_same_bits(fn(params, v), want)
+
+    def test_sample(self, set_cpus):
+        for omega, scale in FUSED_PARAMS:
+            params = ArctanGRParams(omega, scale)
+            for n in FUSED_SIZES:
+                u = np.maximum(np.random.default_rng(n).random(n), np.finfo(float).tiny)
+                with np.errstate(all="ignore"):
+                    expected = plain_x(omega, scale, ref.z_quantile(u))
+                for cpus in (1, 2, 3):
+                    set_cpus(cpus)
+                    with np.errstate(all="ignore"):
+                        assert_same_bits(agr_sample(params, n, seed=n), expected)
