@@ -18,10 +18,11 @@ from .errors import DomainError
 BLOCK = 1 << 14
 
 #: The fewest elements a thread takes of a bulk input (see :func:`blockwise`).
-#: A kernel holds about 6 blocks of temporaries while it evaluates one (the
-#: hazards; most hold 5), and each thread holds its own: a thread's blocks
-#: are a sixteenth of its run, so together they stay within half of the
-#: output's size on any number of CPUs, as they do on one.
+#: A kernel holds at most 6 blocks of temporaries while it evaluates one, its
+#: standardized input included (the two hazards; the others 3 to 4.2), and
+#: each thread holds its own: a thread's blocks are a sixteenth of its run,
+#: so together they stay within half of the output's size on any number of
+#: CPUs, as they do on one.
 CHUNK = 16 * BLOCK
 
 

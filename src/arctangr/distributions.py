@@ -32,11 +32,11 @@ one number is checked with ``math`` and passed to the kernel as an
 Rayleigh is the exception: a scale family on ``x > 0``, whose support test
 and log fallback read ``x`` itself, so its functions evaluate ``x`` whole.
 Where a formula has two sides, a kernel picks each element's side without a
-branch per element: by exact arithmetic on a side of 1.0 or 0.0
-(:func:`_above`), or by blending bits (:func:`_select`).  This module holds
-array kernels only: the float functions of ``Z`` (the raw moments, and
-Bowley's skewness and Moors' kurtosis) live in :mod:`arctangr.tail`, beside
-the density's series, and are re-exported here.
+branch per element, by exact arithmetic on a side of 1.0 or 0.0
+(:func:`_above`; :func:`_pick` between two finite values).  This module
+holds array kernels only: the float functions of ``Z`` (the raw moments,
+and Bowley's skewness and Moors' kurtosis) live in :mod:`arctangr.tail`,
+beside the density's series, and are re-exported here.
 
 All operations are pure; the sampler takes an explicit seed, so callers own
 all randomness (see :func:`agr_sample` for the stream-splitting convention).
@@ -68,6 +68,8 @@ _TINY = float(np.finfo(float).tiny)
 _HALF_MAX = 2.0 ** 1023
 _WIDE_SCALE = 2.0 ** 1014
 _SIGN_BIT = np.int64(-(2**63))
+_LEAST = math.ulp(0.0)  # 5e-324, the least positive double
+_MAX = float(np.finfo(float).max)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +110,15 @@ def gaussian_logpdf(params: GaussianParams, x):
 
 
 def rayleigh_pdf(params: RayleighParams, x):
+    """Density ``(z/psi) e^{-z^2/2}``, ``z = max(x, 0)/psi``, which is +0 at
+    every ``x <= 0``, -0 included.  Where ``z/psi`` overflows and
+    ``e^{-z^2/2}`` underflows (at x = inf, or a subnormal ``psi``) the
+    formula's ``inf * 0`` is taken as the density's limit, 0."""
     arr = as_float_array(x)
     z = np.maximum(arr, 0.0) / params.psi
-    out = _select(arr > 0, z / params.psi * np.exp(-0.5 * z * z), 0.0)
-    return match_input(x, out)
+    with np.errstate(invalid="ignore"):
+        r = z / params.psi * np.exp(-0.5 * z * z)
+    return match_input(x, np.fmax(r, 0.0, out=_dest(r)))
 
 
 def rayleigh_cdf(params: RayleighParams, x):
@@ -127,22 +134,33 @@ def rayleigh_quantile(params: RayleighParams, p):
 
 def rayleigh_logpdf(params: RayleighParams, x):
     """Log density ``log(z/psi) - z^2/2``, ``z = x/psi``; ``-inf`` off the support
-    (x <= 0).  Where ``z/psi`` underflows (a point far below ``psi``), or
-    reaches 2^1023 (which a subnormal ``psi`` can bring about; ``z`` is capped
-    there, so it never overflows), the log is taken as ``log x - 2 log psi``,
-    so it stays finite; elsewhere it keeps its bits."""
+    (x <= 0) and at x = inf.  Where ``z/psi`` underflows (a point far below
+    ``psi``), or reaches 2^1023 (which a subnormal ``psi`` can bring about;
+    ``z`` is capped there, so it never overflows), the log is taken as
+    ``log x - 2 log psi``, so it stays finite; elsewhere it keeps its bits.
+    If some point is far, both logs are taken on every element, each on an
+    argument clamped into the doubles, so that it is finite where it is
+    dropped (and the fallback at x = inf, where the sum is then -inf, not
+    ``inf - inf``), and :func:`_pick` chooses."""
     arr = as_float_array(x)
     psi = params.psi
-    pos = _lanes(arr > 0)
-    safe = _select(pos, arr, 1.0)
+    on = _above(arr, _LEAST)  # x > 0
+    # x on the support and 1 off it: the least double is lost in 1 + 5e-324
+    safe = np.maximum(arr, _LEAST)
+    safe += 1.0 - on
     z = safe / psi
     ratio = np.minimum(z, float(psi) * _HALF_MAX) / psi
-    far = _lanes((ratio < _TINY) | (ratio >= _HALF_MAX))
-    log_ratio = np.log(_select(far, 1.0, ratio))
-    if np.any(far):
-        log_ratio = _select(far, np.log(safe) - 2.0 * math.log(psi), log_ratio)
-    out = _select(pos, log_ratio - 0.5 * z * z, -np.inf)
-    return match_input(x, out)
+    near = _above(ratio, _TINY) - _above(ratio, _HALF_MAX)  # ratio in [_TINY, _HALF_MAX)
+    if near.all():
+        log_ratio = np.log(ratio)
+    else:
+        log_ratio = _pick(near, np.log(np.clip(ratio, _TINY, _HALF_MAX)),
+                          np.log(np.minimum(safe, _MAX)) - 2.0 * math.log(psi))
+    v = log_ratio - 0.5 * z * z
+    # -inf off the support: v's least with +inf on it and with -inf off it
+    on -= 0.5
+    on *= np.inf
+    return match_input(x, np.minimum(v, on, out=_dest(v)))
 
 
 def _checked_prob(p):
@@ -233,15 +251,17 @@ def _from_z(omega, scale, z, out=None):
 # The kernels below do not branch per element: ``np.where`` on a mask of
 # random signs mispredicts a branch per element, which costs more than an
 # ``exp``.  Where a formula has two sides (z >= 0 or not, p below P_STAR or
-# not), the AGR CDF, survival, density and log-density, the Laplace CDF and
-# the AGR quantile read the side as a float ``c``, 1.0 or 0.0, and pick by
-# steps that are exact on either value (``|c - h|`` is ``1 - h`` or ``h``,
+# not), every kernel reads the side as a float ``c``, 1.0 or 0.0, and picks
+# by steps that are exact on either value (``|c - h|`` is ``1 - h`` or ``h``,
 # ``t * (2 + 2c)`` is ``4t`` or ``2t``, a product by ``1 - 2c`` flips a sign
-# or keeps it), a float pass each, where a blend of bits (:func:`_select`)
-# takes three integer passes and its mask three more; the other kernels
-# blend.  The quantiles select the argument of each transcendental first, so
-# an element passes through its own side's ``tan`` and ``log`` only.  Each
-# element's result has the bits of its own side's ufuncs under ``np.where``.
+# or keeps it, and ``c a + (1 - c) b`` is ``a`` or ``b`` for finite ``a``
+# and ``b``, :func:`_pick`), a float pass each, where a blend of int64 bits
+# takes three integer passes and its mask three more.  A side whose formula
+# is not finite on the other side is formed there on a clamped argument
+# (``max(z, 0)``, ``max(t, 1e-8)``).  The quantiles select the argument of
+# each transcendental first, so an element passes through its own side's
+# ``tan`` and ``log`` only.  Each element's result has the bits of its own
+# side's ufuncs under ``np.where``.
 # On arrays the kernels work in place on temporaries they allocate
 # themselves, never on a caller's array; a scalar or 0-d input runs the same
 # steps on numpy scalars.  A kernel with an ``out`` writes its last ufunc
@@ -282,53 +302,22 @@ def _last(ufunc, a, b, out=None):
     return _IN_PLACE[ufunc](a, b) if out is None else ufunc(a, b, out=out)
 
 
-def _lanes(mask):
-    """A bool array ``mask`` as the int64 lanes :func:`_select` blends with: all
-    bits set (-1) where it holds, none (0) where not.  Lanes, and a scalar
-    mask, stay as they are."""
-    if not _is_array(mask) or mask.dtype == np.int64:
-        return mask
-    k = mask.astype(np.int64)
-    return np.negative(k, out=k)
-
-
-def _select(mask, a, b, out=None):
-    """``np.where(mask, a, b)``, bit for bit, without a branch per element.
-
-    For an array ``mask`` (bool, or already as :func:`_lanes`) the float bits
-    are blended as int64, at any length: ``((a ^ b) & k) ^ b`` is ``a`` where
-    ``k`` is -1 and ``b`` where it is 0.  ``out`` may be ``a``'s buffer (never
-    ``b``'s); the result is returned either way.  A scalar mask picks ``a`` or
-    ``b`` as a numpy scalar, a copy that is safe to work on (``np.where``
-    would give a 0-d array, whose arithmetic costs ten times more)."""
-    if not _is_array(mask):
-        return np.float64(a if mask else b)
-    mask = _lanes(mask)
-    bits = np.asarray(b, dtype=float).view(np.int64)
-    r = np.bitwise_xor(np.asarray(a, dtype=float).view(np.int64), bits,
-                       out=None if out is None else out.view(np.int64))
-    r &= mask
-    r ^= bits
-    return r.view(float)
-
-
-def _negate(mask, x):
-    """``_select(mask, -x, x)``, in place in an array ``x``: ``-x`` is ``x`` with
-    its sign bit flipped, so the mask's lanes, cut to the sign bit, are xored
-    into ``x``'s bits (two passes where a select takes four)."""
-    mask = _lanes(mask)
-    if not _is_array(mask):
-        return _select(mask, -x, x)
-    bits = x.view(np.int64)
-    bits ^= np.bitwise_and(mask, _SIGN_BIT)
-    return x
-
-
 def _above(x, level=0.0):
     """``x >= level`` as 1.0, and 0.0 below (-0 counts as 0): the side a
-    two-sided kernel reads, to choose by exact arithmetic, which costs less
-    than a blend (:func:`_select`) of the two sides' bits."""
+    two-sided kernel reads, to choose by exact arithmetic."""
     return np.asarray(x >= level, dtype=float)
+
+
+def _pick(c, a, b, out=None):
+    """``a`` where :func:`_above`'s side ``c`` is 1.0 and ``b`` where it is
+    0.0, as ``c a + (1 - c) b``, written over ``c``, ``a`` and ``b`` (a
+    kernel's own temporaries) and into ``out`` if given.  It is exact where
+    ``a`` and ``b`` are finite and neither is -0: each product is the value
+    or a zero, and a zero added to a value that is not -0 keeps its bits.
+    (An infinite side may be kept, but one dropped would give NaN.)"""
+    a *= c
+    b *= _inplace(np.subtract, 1.0, c)
+    return _last(np.add, a, b, out)
 
 
 def _minus_abs(z):
@@ -378,7 +367,10 @@ def _laplace_quantile(p):
     is ``min(p, 1 - p)``."""
     a = _inplace(np.minimum, p, 1.0 - p)
     a *= 2.0
-    return _negate(p >= 0.5, _inplace(np.log, a))
+    y = _inplace(np.log, a)
+    # negated from 1/2 on: a product by 1 - 2c = -1 flips the sign bit alone
+    y *= 1.0 - 2.0 * _above(p, 0.5)
+    return y
 
 
 def _z_cdf(z, out=None):
@@ -426,46 +418,41 @@ def _z_cum_hazard(z, out=None):
     del below
     t = _half_exp(z)
     y = _inplace(np.divide, t, 2.0 - t)
-    # arctan(y)/y = 1 - y^2/3 + ...; at y < 1e-8 it is 1 in double precision
-    small = _lanes(y < 1e-8)
-    safe_y = _select(small, 1.0, y)
+    # arctan(y)/y = 1 - y^2/3 + ...; at y <= 1e-8 it is 1 in double precision,
+    # as it is at y = 1e-8, where y is clamped (t/(2-t) may underflow to 0)
+    y = _inplace(np.maximum, 1e-8, y)
+    ratio = np.arctan(y)
+    ratio /= y
     del y
-    ratio = np.arctan(safe_y)
-    ratio /= safe_y
-    del safe_y
-    ratio = _select(small, 1.0, ratio)
-    del small
     upper = _inplace(np.log, 2.0 * (2.0 - t))
     del t
-    upper += z
+    # on max(z, 0), so that the upper side is finite below 0, where it is dropped
+    upper += np.maximum(z, 0.0)
     upper -= math.log(FOUR_OVER_PI)
     upper -= _inplace(np.log, ratio)
-    return _select(z >= 0.0, upper, lower, out=_dest(upper, out))
+    return _pick(_above(z), upper, lower, out)
 
 
 def _z_hazard(z):
     """Standard AGR hazard ``g / (1 - G)``; see :func:`agr_hazard`.  The side
     below 0 comes first, each temporary is dropped once read and the
-    quotients are written over their divisors, so a block holds about 6
+    quotients are written over their divisors, so a block holds at most 6
     blocks' worth at once, its input included (see
-    :data:`arctangr._arrays.CHUNK`)."""
+    :data:`arctangr._arrays.CHUNK`), as :func:`_z_cum_hazard` does."""
     below = np.minimum(z, 0.0)
     lower = _z_pdf(below)
     lower /= _z_sf(below)
     del below
     t = _half_exp(z)
-    # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades
-    small = _lanes(t < 1e-8)
-    safe_t = _select(small, 0.5, t)
-    ratio = _inplace(np.arctan, _inplace(np.divide, safe_t, 2.0 - safe_t))
-    ratio = _inplace(np.divide, safe_t, ratio)
-    del safe_t
-    near = 2.0 - t
-    upper = _select(small, near, ratio, out=near)
-    del small, ratio
+    # t / arctan(t/(2-t)) -> 2 - t as t -> 0; switch before the ratio degrades,
+    # at t = 1e-8, where t is clamped
+    s = np.maximum(t, 1e-8)
+    ratio = _inplace(np.divide, s, _inplace(np.arctan, _inplace(np.divide, s, 2.0 - s)))
+    del s
+    upper = _pick(_above(t, 1e-8), ratio, 2.0 - t)
     upper /= 1.0 + (1.0 - t) ** 2
     del t
-    return _select(z >= 0.0, upper, lower, out=upper)
+    return _pick(_above(z), upper, lower)
 
 
 def _z_log_shape(z):

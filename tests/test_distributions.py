@@ -558,6 +558,22 @@ class TestGaussianRayleighClosedForms:
             rayleigh_logpdf(params, x), np.log(rayleigh_pdf(params, x)), atol=1e-12
         )
 
+    def test_rayleigh_limits_where_z_over_psi_overflows(self):
+        # z/psi is inf at x = inf, and at a subnormal psi, while e^{-z^2/2}
+        # underflows: the density's limit there is 0, and its log -inf, as
+        # the CDF is 1; the formula's inf * 0 (inf - inf) must not surface as NaN
+        with np.errstate(over="ignore"):  # z = x/psi overflows at psi = 5e-324
+            for psi, x in ((1.0, np.inf), (5e-324, 1.0), (1e-10, np.inf)):
+                params = RayleighParams(psi)
+                assert rayleigh_pdf(params, x) == 0.0
+                assert rayleigh_logpdf(params, x) == -np.inf
+                assert rayleigh_cdf(params, x) == 1.0
+                arr = np.array([x, 1.0, -1.0, x])
+                want = np.array([0.0, rayleigh_pdf(params, 1.0), 0.0, 0.0])
+                np.testing.assert_array_equal(rayleigh_pdf(params, arr), want)
+                log_want = np.array([-np.inf, rayleigh_logpdf(params, 1.0), -np.inf, -np.inf])
+                np.testing.assert_array_equal(rayleigh_logpdf(params, arr), log_want)
+
     def test_rayleigh_density_normalizes(self):
         params = RayleighParams(psi=2.5)
         total, _ = quad(lambda x: rayleigh_pdf(params, x), 0, 50, epsabs=1e-12, epsrel=1e-12)
@@ -828,7 +844,7 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("name", [
         "agr_cdf", "agr_pdf", "agr_logpdf", "agr_quantile", "agr_sample", "agr_hazard",
-        "arctan_cdf",
+        "agr_cum_hazard", "mixture_kernel_quantile", "arctan_cdf",
     ])
     def test_peak_traced_allocation(self, table_params, name):
         rng = np.random.default_rng(5)
@@ -843,6 +859,8 @@ class TestMemoryBudget:
             "agr_quantile": lambda: agr_quantile(table_params, p),
             "agr_sample": lambda: agr_sample(table_params, self.N, seed=5),
             "agr_hazard": lambda: agr_hazard(table_params, x),
+            "agr_cum_hazard": lambda: agr_cum_hazard(table_params, x),
+            "mixture_kernel_quantile": lambda: mixture_kernel_quantile(table_params, p),
             "arctan_cdf": lambda: arctan_cdf(base, g),
         }[name]
         tracemalloc.start()

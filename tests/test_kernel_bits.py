@@ -1,8 +1,10 @@
 """The branch-free kernels equal their ``np.where`` forms (``where_kernels``)
 bit for bit: on random-sign arrays, at the branch points and their float
 neighbours, where ``e^{-|z|}`` underflows, at +-0 and +-inf, and on 0-d
-arrays and Python floats.  Every array mask blends bits, whatever its
-length, so the short drawn lists reach the blend directly.
+arrays and Python floats.  Every kernel picks its sides by the same exact
+float arithmetic at any length, so the short drawn lists reach the choice
+as a bulk block does.  The Rayleigh density and log-density equal theirs
+at the edges of the support and of the scale (``test_rayleigh_bits``).
 
 Every public bulk function, whose two-sided kernels read ``-|z|`` and z's
 side from z's bits and write each block into the output, equals those
@@ -24,6 +26,7 @@ from arctangr import (
     P_STAR,
     ArctanGRParams,
     GaussianParams,
+    RayleighParams,
     agr_cdf,
     agr_cum_hazard,
     agr_hazard,
@@ -41,9 +44,6 @@ from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import (
     _laplace_cdf,
     _laplace_quantile,
-    _lanes,
-    _negate,
-    _select,
     gaussian_cdf,
     gaussian_logpdf,
     gaussian_pdf,
@@ -52,6 +52,8 @@ from arctangr.distributions import (
     mixture_kernel_logpdf,
     mixture_kernel_pdf,
     mixture_kernel_quantile,
+    rayleigh_logpdf,
+    rayleigh_pdf,
     _z_cdf,
     _z_cum_hazard,
     _z_hazard,
@@ -156,30 +158,6 @@ def test_kernels_leave_their_input_alone(shape):
                 assert_same_bits(arg, np.full(shape, value))
 
 
-@settings(max_examples=200, deadline=None)
-@given(bits=st.lists(st.tuples(st.booleans(), st.integers(-2**63, 2**63 - 1),
-                               st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30))
-def test_select_is_where_on_any_bits(bits):
-    # every bit pattern, NaN payloads and signed zeros included, is carried
-    # over; _negate is np.where(mask, -a, a)
-    mask = np.array([m for m, _, _ in bits])
-    a = np.array([x for _, x, _ in bits], dtype=np.int64).view(float)
-    b = np.array([y for _, _, y in bits], dtype=np.int64).view(float)
-    assert_same_bits(_select(mask[0], a[0], b[0]), np.where(mask[0], a[0], b[0]))
-    assert_same_bits(_negate(mask[0], a[0]), np.where(mask[0], -a[0], a[0]))
-    want = np.where(mask, a, b)
-    assert_same_bits(_select(mask, a, b), want)
-    assert_same_bits(_select(_lanes(mask), a, b), want)
-    assert_same_bits(_select(mask, 1.0, b), np.where(mask, 1.0, b))
-    assert_same_bits(_select(mask, a, -0.0), np.where(mask, a, -0.0))
-    assert_same_bits(_select(mask, a.copy(), b, out=a.copy()), want)
-    assert_same_bits(_negate(mask, a.copy()), np.where(mask, -a, a))
-    assert_same_bits(_negate(_lanes(mask), a.copy()), np.where(mask, -a, a))
-    out = a.copy()
-    _select(mask, out, b, out=out)
-    assert_same_bits(out, want)
-
-
 @settings(max_examples=150, deadline=None)
 @given(
     xs=st.lists(st.one_of(st.sampled_from([-3.0, -1e-300, 0.0, 0.0, 2.5, 2.5, 7.0]),
@@ -204,6 +182,55 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
         search.score_pass(psi)
     assert_same_bits((search.u, search.w), _z_uw(z))
     assert_same_bits((search.u, search.w), ref.z_uw(z))
+
+
+# every scale from the least double to near the largest; the points off the
+# support and on its edge, subnormals, the largest doubles, and points a
+# few scales out, where z/psi under- and overflows
+RAYLEIGH_SCALES = [TINY, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-10, 1.0, 2.0, 1e10,
+                   1e200, 1e300, 1.7e308]
+RAYLEIGH_KERNELS = {"pdf": (rayleigh_pdf, ref.rayleigh_pdf),
+                    "logpdf": (rayleigh_logpdf, ref.rayleigh_logpdf)}
+
+
+def rayleigh_points(psi):
+    x = [0.0, -0.0, math.inf, -math.inf, -1.0, -1e308, -TINY, TINY, 1e-310,
+         2.2250738585072014e-308, 1e-300, 1.0, 1e308, 1.7e308]
+    with np.errstate(all="ignore"):
+        x += [float(np.float64(psi) * k) for k in (TINY, 1e-300, 1e-10, 0.5, 1.0, 3.0, 38.6,
+                                                    40.0, 1e10, 1e300)]
+    return x
+
+
+def test_rayleigh_points_reach_each_log():
+    # the log-density takes log(z/psi) on some points and log x - 2 log psi
+    # on others, below and above [tiny, 2^1023)
+    ratios = []
+    with np.errstate(all="ignore"):
+        for psi in RAYLEIGH_SCALES:
+            x = np.array([v for v in rayleigh_points(psi) if 0 < v < math.inf])
+            ratios += list(np.minimum(x / psi, psi * ref.RAYLEIGH_CAP) / psi)
+    ratios = np.array(ratios)
+    assert (ratios < ref.TINY).any() and (ratios >= ref.RAYLEIGH_CAP).any()
+    assert ((ratios >= ref.TINY) & (ratios < ref.RAYLEIGH_CAP)).any()
+
+
+@pytest.mark.parametrize("name", RAYLEIGH_KERNELS)
+def test_rayleigh_bits(name):
+    new, old = RAYLEIGH_KERNELS[name]
+    for psi in RAYLEIGH_SCALES:
+        params = RayleighParams(psi)
+        x = rayleigh_points(psi)
+        want = reference(lambda v: old(psi, v), np.array(x))
+        # z = x/psi overflows where it does; no other warning is allowed
+        with np.errstate(over="ignore"):
+            assert_same_bits(new(params, np.array(x)), want)
+            assert_same_bits(new(params, x), want)
+            for v, w in zip(x, want):
+                for arg in (float(v), np.float64(v), np.array(v)):
+                    got = new(params, arg)
+                    assert isinstance(got, float)
+                    assert_same_bits(got, w)
 
 
 def plain_z(omega, scale, x):

@@ -1,6 +1,8 @@
 """The library ships no test oracles: ``src/arctangr`` imports only
 ``scipy.special`` from scipy, and nothing from the test-only packages.  The
-distribution kernels stay branch-free: no ``np.where`` call anywhere.  A
+distribution kernels stay branch-free: no ``np.where`` call anywhere; and
+they have one way to pick a side, by float arithmetic: ``distributions.py``
+blends no integer bits, and views floats as int64 only in ``_minus_abs``.  A
 sample is brought to its unit scale in one place: ``math.frexp`` only in
 ``_util.unit_exponent`` (and in ``risk.mc_oracle``, for its parameters).
 Every sample quantile is ``dataset._linear_quantile``: no numpy quantile.  And
@@ -78,10 +80,50 @@ def test_where_calls_found():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_where_calls(path):
-    # the distribution kernels select by bit masks (distributions._select), on
-    # arrays of every length; np.where on a mask of random signs mispredicts a
-    # branch per element
+    # the distribution kernels pick each side by exact float arithmetic
+    # (distributions._above), on arrays of every length; np.where on a mask of
+    # random signs mispredicts a branch per element
     assert calls_in_functions(path.read_text(encoding="utf-8"), "where") == []
+
+
+def int_steps(source):
+    """``(kind, enclosing function, line)`` of every integer step on float
+    bits in ``source``: a name ``bitwise_xor`` or ``bitwise_and`` (``kind``
+    is the name), an ``^`` or ``&`` operator (``"op"``), and a
+    ``.view(<...>.int64)`` call (``"view"``)."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in ("bitwise_xor", "bitwise_and"):
+                yield child.attr, func, child.lineno
+            elif (isinstance(child, (ast.BinOp, ast.AugAssign))
+                  and isinstance(child.op, (ast.BitXor, ast.BitAnd))):
+                yield "op", func, child.lineno
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                  and child.func.attr == "view"
+                  and any(isinstance(a, ast.Attribute) and a.attr == "int64" for a in child.args)):
+                yield "view", func, child.lineno
+            yield from visit(child, func)
+
+    return list(visit(ast.parse(source), None))
+
+
+def test_int_steps_found():
+    source = "def blend(a, b, k):\n    r = np.bitwise_xor(a.view(np.int64), b)\n" \
+             "    r &= k\n    return np.bitwise_and(r, k) ^ b\n"
+    assert sorted(int_steps(source)) == [
+        ("bitwise_and", "blend", 4), ("bitwise_xor", "blend", 2), ("op", "blend", 3),
+        ("op", "blend", 4), ("view", "blend", 2)]
+
+
+def test_one_side_rule():
+    # every two-sided kernel picks its side by exact float arithmetic on
+    # _above's 1.0 or 0.0; the one int64 view left sets a sign bit (-|z|)
+    path = Path(arctangr.__file__).resolve().parent / "distributions.py"
+    assert [(kind, func) for kind, func, _ in int_steps(path.read_text(encoding="utf-8"))] == [
+        ("view", "_minus_abs")]
 
 
 def numpy_calls(source, names):

@@ -1,4 +1,5 @@
-"""Test oracle: the standard AGR and Laplace kernels in their ``np.where`` forms.
+"""Test oracle: the standard AGR and Laplace kernels, and the Rayleigh
+density and log-density, in their ``np.where`` forms.
 
 Each function evaluates both branches in full and picks per element with
 ``np.where``.  The branch-free kernels of :mod:`arctangr.distributions` must
@@ -11,6 +12,10 @@ import numpy as np
 
 from arctangr.arctanx import FOUR_OVER_PI
 from arctangr.distributions import _PI_OVER_4, P_STAR
+
+TINY = float(np.finfo(float).tiny)
+#: The cap of ``z/psi`` in the Rayleigh log-density.
+RAYLEIGH_CAP = 2.0 ** 1023
 
 
 def half_exp(z):
@@ -79,3 +84,23 @@ def z_tail_quantile(q):
 
 def z_quantile(p):
     return np.where(p < P_STAR, np.log(2.0 * np.tan(_PI_OVER_4 * p)), z_tail_quantile(1.0 - p))
+
+
+def rayleigh_pdf(psi, x):
+    """Where ``z/psi`` overflows and ``e^{-z^2/2}`` underflows the formula is
+    ``inf * 0``; the density's limit there is 0."""
+    z = np.maximum(x, 0.0) / psi
+    r = z / psi * np.exp(-0.5 * z * z)
+    return np.where(x > 0, np.where(np.isnan(r), 0.0, r), 0.0)
+
+
+def rayleigh_logpdf(psi, x):
+    """``log x - 2 log psi`` where ``z/psi`` leaves ``[tiny, 2^1023)``; at
+    x = inf, where the formula is ``inf - inf``, the limit -inf."""
+    pos = x > 0
+    safe = np.where(pos, x, 1.0)
+    z = safe / psi
+    ratio = np.minimum(z, psi * RAYLEIGH_CAP) / psi
+    far = (ratio < TINY) | (ratio >= RAYLEIGH_CAP)
+    v = np.where(far, np.log(safe) - 2.0 * math.log(psi), np.log(ratio)) - 0.5 * z * z
+    return np.where(pos & ~np.isnan(v), v, -np.inf)
