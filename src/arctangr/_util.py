@@ -1,8 +1,9 @@
 """Internal helpers in Python floats: the one rule for a count argument
 (:func:`is_integer`), the one unit scale of every sample sum and fit
 (:func:`unit_exponent`), the bound from which ``z`` is formed in halves
-(:data:`WIDE_LOCATION`), the mean and variance, Bowley/Moors, the output
-formats, and the base of the record classes (:class:`Record`).
+(:data:`WIDE_LOCATION`), the bounds of the Rayleigh log-density's direct
+log (:data:`TINY`, :data:`HALF_MAX`), the mean and variance, Bowley/Moors,
+the output formats, and the base of the record classes (:class:`Record`).
 Nothing here imports numpy (see :mod:`arctangr._arrays` for the elementwise
 kernels' helpers), and ``json`` and ``csv`` load only where their format is
 written."""
@@ -15,6 +16,14 @@ import operator
 #: (:func:`arctangr.distributions._z`) and the float densities
 #: (:func:`arctangr.fit._standardizing`) alike.
 WIDE_LOCATION = 2.0 ** 970
+
+#: The smallest normal double, and the cap of ``z/psi`` in the Rayleigh
+#: log-density: from ``[TINY, HALF_MAX)`` it takes ``log(z/psi)``, else
+#: ``log x - 2 log psi``, in its array kernel
+#: (:func:`arctangr.distributions.rayleigh_logpdf`) and its float twin
+#: (:func:`arctangr.fit._rayleigh_logpdf`) alike.
+TINY = 2.0 ** -1022
+HALF_MAX = 2.0 ** 1023
 
 
 def is_integer(value) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_float_array, blockwise, float_array, match_input
+from ._arrays import as_float_array, blockwise, elementwise, float_array, match_input
 from ._util import FrozenRecord
 from .errors import DomainError
 from .tail import FOUR_OVER_PI
@@ -49,12 +49,6 @@ class BaseDistribution(FrozenRecord):
         self.__dict__.update(cdf=cdf, pdf=pdf, support=support)
 
 
-def _points(x, require_finite=False):
-    """:func:`arctangr._arrays.as_float_array`, a number as a 0-d array: the
-    base callables are given arrays."""
-    return np.asarray(as_float_array(x, require_finite=require_finite))
-
-
 def arctan_cdf(base: BaseDistribution, x):
     """CDF of the arctan-transformed distribution: ``(4/pi) * arctan(H(x))``.
 
@@ -74,7 +68,7 @@ def arctan_cdf(base: BaseDistribution, x):
         if finite.all():
             h = np.asarray(base.cdf(v), dtype=float)
         else:
-            _points(v)  # refuses a NaN
+            as_float_array(v)  # refuses a NaN
             h = np.empty(v.shape, dtype=float)
             if finite.any():
                 h[finite] = base.cdf(v[finite])
@@ -88,7 +82,7 @@ def arctan_cdf(base: BaseDistribution, x):
     try:
         return match_input(x, blockwise(block, arr))
     except Exception:
-        _points(arr)  # a NaN anywhere is named before the block's own error
+        as_float_array(arr)  # a NaN anywhere is named before the block's own error
         raise
 
 
@@ -96,10 +90,12 @@ def arctan_pdf(base: BaseDistribution, x):
     """Density of the arctan-transformed distribution.
 
     ``(4/pi) * h(x) / (1 + H(x)^2)``; requires finite ``x`` because the
-    base callables are only guaranteed on finite arguments.
+    base callables are only guaranteed on finite arguments.  A number
+    reaches them as a 0-d array.
     """
 
     def block(v, out=None):
+        v = np.asarray(v)
         h = np.asarray(base.pdf(v), dtype=float)
         cap_h = np.asarray(base.cdf(v), dtype=float)
         r = np.multiply(FOUR_OVER_PI, h, out=out)
@@ -108,5 +104,4 @@ def arctan_pdf(base: BaseDistribution, x):
         r /= d
         return r
 
-    arr = np.asarray(as_float_array(x, require_finite=True))
-    return match_input(x, blockwise(block, arr))
+    return elementwise(block, x, require_finite=True)

@@ -19,18 +19,20 @@ level at which the quantile function switches branches.
 
 Each formula is one private kernel of ``z``.  The Gaussian, Laplace
 (``mixture_kernel_*``) and AGR functions share one standardization: each
-checks its input and maps a kernel affinely by :func:`_on_z` or
-:func:`_on_p`, which form ``z = (x - omega) / scale`` by :func:`_z` (the one
-place a location is subtracted, which keeps ``z`` finite where ``x - omega``
-overflows) and ``x = omega + scale * z`` by :func:`_from_z` (densities
-divide by the scale; halved where ``scale * z`` can overflow), evaluated in
-cache-sized blocks, on every CPU for a large input, by
-:func:`arctangr._arrays.blockwise` (see :func:`arctangr._arrays.walk`),
+maps a kernel affinely by :func:`_on_z` or :func:`_on_p`, which form
+``z = (x - omega) / scale`` by :func:`_z` (the one place a location is
+subtracted, which keeps ``z`` finite where ``x - omega`` overflows) and
+``x = omega + scale * z`` by :func:`_from_z` (densities divide by the
+scale; halved where ``scale * z`` can overflow).  Rayleigh, a scale family
+on ``x > 0`` whose support test and log fallback read ``x`` itself, has
+kernels of ``x`` instead, and its quantile is :func:`_on_p`'s at location 0.
+Every function takes its input by one checked walk,
+:func:`arctangr._arrays.elementwise` (or :func:`_on_p`'s, for
+probabilities): the input is checked once and evaluated in cache-sized
+blocks, on every CPU for a large input (see :func:`arctangr._arrays.walk`),
 each kernel writing its last ufunc straight into its block of the output;
 one number is checked with ``math`` and passed to the kernel as an
 ``np.float64``, with the bits of a 0-d array.
-Rayleigh is the exception: a scale family on ``x > 0``, whose support test
-and log fallback read ``x`` itself, so its functions evaluate ``x`` whole.
 Where a formula has two sides, a kernel picks each element's side without a
 branch per element, by exact arithmetic on a side of 1.0 or 0.0
 (:func:`_above`; :func:`_pick` between two finite values).  This module
@@ -51,7 +53,7 @@ import numpy as np
 
 from . import _arrays
 from ._arrays import as_float_array, blockwise, float_array, generator, is_number, match_input
-from ._util import WIDE_LOCATION, is_integer
+from ._util import HALF_MAX, TINY, WIDE_LOCATION, is_integer
 from .arctanx import BaseDistribution
 from .errors import DomainError
 from .tail import (
@@ -64,8 +66,6 @@ from .tail import (
 )
 from .tail import agr_kurtosis, agr_moment, agr_skewness  # noqa: F401 (re-exported)
 
-_TINY = float(np.finfo(float).tiny)
-_HALF_MAX = 2.0 ** 1023
 _WIDE_SCALE = 2.0 ** 1014
 _SIGN_BIT = np.int64(-(2**63))
 _LEAST = math.ulp(0.0)  # 5e-324, the least positive double
@@ -111,25 +111,45 @@ def gaussian_logpdf(params: GaussianParams, x):
 
 def rayleigh_pdf(params: RayleighParams, x):
     """Density ``(z/psi) e^{-z^2/2}``, ``z = max(x, 0)/psi``, which is +0 at
-    every ``x <= 0``, -0 included.  Where ``z/psi`` overflows and
-    ``e^{-z^2/2}`` underflows (at x = inf, or a subnormal ``psi``) the
-    formula's ``inf * 0`` is taken as the density's limit, 0."""
-    arr = as_float_array(x)
-    z = np.maximum(arr, 0.0) / params.psi
-    with np.errstate(invalid="ignore"):
-        r = z / params.psi * np.exp(-0.5 * z * z)
-    return match_input(x, np.fmax(r, 0.0, out=_dest(r)))
+    every ``x <= 0``, -0 included.  Where ``z/psi`` overflows (a ``psi``
+    below ~2e-307) the density may still be a double, and is taken as
+    ``(z e^{-z^2/2})/psi``, formed only in the blocks that hold such a point
+    and picked by :func:`_pick` against ``z/psi`` capped at the largest
+    double; elsewhere it keeps its bits.  An overflow warning means that the
+    density itself overflows.  Where ``z`` overflows too (at x = inf, or at
+    a subnormal ``psi``) that is ``inf * 0``, taken as the density's limit,
+    0."""
+    psi = params.psi
+
+    def kernel(v, out=None):
+        z = np.maximum(v, 0.0) / psi
+        e = _inplace(np.exp, -0.5 * z * z)
+        with np.errstate(over="ignore"):  # the fallback warns if the density overflows
+            q = z / psi
+        if q.max(initial=0.0) < math.inf:
+            return _last(np.multiply, q, e, out)
+        over = _above(q, math.inf)
+        with np.errstate(invalid="ignore"):  # inf * 0 where z overflows
+            z *= e
+        z /= psi
+        r = _pick(over, z, _inplace(np.minimum, _MAX, q) * e)
+        return np.fmax(r, 0.0, out=_dest(r, out))
+
+    return _arrays.elementwise(kernel, x)
 
 
 def rayleigh_cdf(params: RayleighParams, x):
-    arr = as_float_array(x)
-    z = np.maximum(arr, 0.0) / params.psi
-    return match_input(x, -np.expm1(-0.5 * z * z))
+    def kernel(v, out=None):
+        z = np.maximum(v, 0.0) / params.psi
+        return _inplace(np.negative, _inplace(np.expm1, -0.5 * z * z), out=out)
+
+    return _arrays.elementwise(kernel, x)
 
 
 def rayleigh_quantile(params: RayleighParams, p):
-    arr = _checked_prob(p)
-    return match_input(p, params.psi * np.sqrt(-2.0 * np.log1p(-arr)))
+    """``psi sqrt(-2 log(1 - p))``: :func:`_on_p` at location 0, whose
+    ``psi z + 0`` is ``psi z`` for every ``z >= +0``."""
+    return _on_p(0.0, params.psi, p, lambda q: _inplace(np.sqrt, -2.0 * _inplace(np.log1p, -q)))
 
 
 def rayleigh_logpdf(params: RayleighParams, x):
@@ -138,29 +158,33 @@ def rayleigh_logpdf(params: RayleighParams, x):
     ``psi``), or reaches 2^1023 (which a subnormal ``psi`` can bring about;
     ``z`` is capped there, so it never overflows), the log is taken as
     ``log x - 2 log psi``, so it stays finite; elsewhere it keeps its bits.
-    If some point is far, both logs are taken on every element, each on an
-    argument clamped into the doubles, so that it is finite where it is
-    dropped (and the fallback at x = inf, where the sum is then -inf, not
-    ``inf - inf``), and :func:`_pick` chooses."""
-    arr = as_float_array(x)
+    In a block that holds a far point, both logs are taken on every element,
+    each on an argument clamped into the doubles, so that it is finite where
+    it is dropped (and the fallback at x = inf, where the sum is then -inf,
+    not ``inf - inf``), and :func:`_pick` chooses."""
     psi = params.psi
-    on = _above(arr, _LEAST)  # x > 0
-    # x on the support and 1 off it: the least double is lost in 1 + 5e-324
-    safe = np.maximum(arr, _LEAST)
-    safe += 1.0 - on
-    z = safe / psi
-    ratio = np.minimum(z, float(psi) * _HALF_MAX) / psi
-    near = _above(ratio, _TINY) - _above(ratio, _HALF_MAX)  # ratio in [_TINY, _HALF_MAX)
-    if near.all():
-        log_ratio = np.log(ratio)
-    else:
-        log_ratio = _pick(near, np.log(np.clip(ratio, _TINY, _HALF_MAX)),
-                          np.log(np.minimum(safe, _MAX)) - 2.0 * math.log(psi))
-    v = log_ratio - 0.5 * z * z
-    # -inf off the support: v's least with +inf on it and with -inf off it
-    on -= 0.5
-    on *= np.inf
-    return match_input(x, np.minimum(v, on, out=_dest(v)))
+
+    def kernel(v, out=None):
+        on = _above(v, _LEAST)  # x > 0
+        # x on the support and 1 off it: the least double is lost in 1 + 5e-324
+        z = (np.maximum(v, _LEAST) + (1.0 - on)) / psi
+        ratio = np.minimum(z, psi * HALF_MAX) / psi
+        if TINY <= ratio.min(initial=TINY) and ratio.max(initial=TINY) < HALF_MAX:
+            log_ratio = _inplace(np.log, ratio)
+        else:
+            near = _above(ratio, TINY)  # ratio in [TINY, HALF_MAX)
+            near -= _above(ratio, HALF_MAX)
+            # log x on the support, where it may be kept; finite off it
+            far = _inplace(np.log, np.clip(v, _LEAST, _MAX))
+            far -= 2.0 * math.log(psi)
+            ratio = np.clip(ratio, TINY, HALF_MAX, out=_dest(ratio))
+            log_ratio = _pick(near, _inplace(np.log, ratio), far)
+            del near, far
+        log_ratio -= 0.5 * z * z
+        # -inf off the support: the least with +inf on it and with -inf off it
+        return np.minimum(log_ratio, (on - 0.5) * np.inf, out=_dest(log_ratio, out))
+
+    return _arrays.elementwise(kernel, x)
 
 
 def _checked_prob(p):
@@ -204,10 +228,9 @@ def _on_z(omega, scale, x, kernel, require_finite=False, per_scale=False):
     """``kernel(_z(omega, scale, x))`` elementwise over checked ``x``, divided
     by ``scale`` if ``per_scale`` (a density or a rate in ``x``); a float for
     a scalar.  Every Gaussian, Laplace and AGR function of ``x`` is one call
-    of it.  On a bulk input :func:`arctangr._arrays.blockwise` hands each
-    block its block of the output as ``out``, where the last ufunc writes:
-    the kernel's, or the division by ``scale``."""
-    arr = as_float_array(x, require_finite=require_finite)
+    of it.  :func:`arctangr._arrays.elementwise` hands each block its block
+    of the output as ``out``, where the last ufunc writes: the kernel's, or
+    the division by ``scale``."""
 
     def fn(v, out=None):
         z = _z(omega, scale, v)
@@ -215,13 +238,13 @@ def _on_z(omega, scale, x, kernel, require_finite=False, per_scale=False):
             return kernel(z, out=out)
         return _last(np.divide, kernel(z), scale, out)
 
-    return match_input(x, blockwise(fn, arr))
+    return _arrays.elementwise(fn, x, require_finite)
 
 
 def _on_p(omega, scale, p, kernel):
     """``_from_z(omega, scale, kernel(p))`` elementwise over checked
-    probabilities ``p``: every quantile but Rayleigh's.  On a bulk input
-    ``_from_z`` writes each block into its block of the output."""
+    probabilities ``p``: every quantile.  On a bulk input ``_from_z`` writes
+    each block into its block of the output."""
     arr = _checked_prob(p)
     return match_input(p, blockwise(lambda q, out=None: _from_z(omega, scale, kernel(q), out),
                                     arr))
@@ -240,7 +263,7 @@ def _from_z(omega, scale, z, out=None):
     an overflowing product back to the doubles, so the direct form serves;
     it also keeps ``omega`` itself, a subnormal one too, where ``z = 0``.
     The test is one comparison per call."""
-    if scale >= _WIDE_SCALE and abs(omega) >= 2.0 * _TINY:
+    if scale >= _WIDE_SCALE and abs(omega) >= 2.0 * TINY:
         z *= scale * 0.5
         z += omega * 0.5
         return _last(np.multiply, z, 2.0, out)
@@ -342,16 +365,6 @@ def _complement(c, x, out):
     ``x``'s buffer (``None``: a new array).  With :func:`_above`'s ``c`` and
     ``x = e^{-|z|}/2`` it is the standard Laplace CDF ``w = H(z)``."""
     return _inplace(np.abs, np.subtract(c, x, out=out))
-
-
-def _z_uw(z):
-    """``(u, w)``: ``u = e^{-|z|}`` and the standard Laplace CDF ``w = H(z)``, which
-    is ``1 - u/2`` for z >= 0 and ``u/2`` below.  ``w`` is continuous at 0 with
-    ``w' = u/2`` on both sides; the AGR log-shape (:func:`_z_log_shape`) and
-    its derivatives (the fit's score pass) are written in these two."""
-    u = _inplace(np.exp, _minus_abs(z))
-    h = u * 0.5
-    return u, _complement(_above(z), h, out=_dest(h))
 
 
 def _laplace_cdf(z, out=None):
@@ -457,7 +470,8 @@ def _z_hazard(z):
 
 def _z_log_shape(z):
     """``L(z) = log g(z) - log(2/pi) = -|z| - log1p(w^2)``, the standard AGR
-    log-density less its constant, with ``w = H(z)`` as in :func:`_z_uw`;
+    log-density less its constant, with ``w = H(z)`` the standard Laplace
+    CDF (:func:`_laplace_cdf`);
     one ``exp`` and one ``log1p``, and neither under- nor overflows far from
     0."""
     shape = _minus_abs(z)
@@ -658,7 +672,7 @@ def agr_sample(params: ArctanGRParams, n, seed):
     omega, psi = params.omega, params.psi
 
     def fn(p, out):
-        return _from_z(omega, psi, _z_quantile(_inplace(np.maximum, _TINY, p)), out)
+        return _from_z(omega, psi, _z_quantile(_inplace(np.maximum, TINY, p)), out)
 
     return blockwise(fn, u, out=u, rng=rng)
 

@@ -37,6 +37,8 @@ from collections import namedtuple
 from types import SimpleNamespace
 
 from ._util import (
+    HALF_MAX,
+    TINY,
     WIDE_LOCATION,
     FrozenRecord,
     dump_csv,
@@ -643,7 +645,10 @@ def fit_agr(data) -> FitResult:
 
 def _uw(z):
     """``(u, w)`` at one float ``z``: ``u = e^{-|z|}`` and the standard Laplace
-    CDF ``w = H(z)``, in the steps of :func:`arctangr.distributions._z_uw`."""
+    CDF ``w = H(z)``, which is ``1 - u/2`` for z >= 0 and ``u/2`` below, in
+    the steps of :func:`arctangr.distributions._laplace_cdf`.  ``w`` is
+    continuous at 0 with ``w' = u/2`` on both sides; the AGR log-shape and
+    its derivatives (the score pass) are written in these two."""
     u = math.exp(-abs(z))
     h = u * 0.5
     return u, (1.0 - h if z >= 0.0 else h)
@@ -705,18 +710,24 @@ def _gaussian_logpdf(p, xs):
 
 
 def _rayleigh_pdf(p, xs):
-    return [z / p.psi * math.exp(-0.5 * z * z) if x > 0.0 else 0.0
-            for x, z in ((x, x / p.psi) for x in xs)]
+    """``(z/psi) e^{-z^2/2}``, 0 off the support and where ``z`` overflows;
+    where ``z/psi`` overflows, ``(z e^{-z^2/2})/psi`` (see
+    :func:`arctangr.distributions.rayleigh_pdf`)."""
+    psi = p.psi
 
+    def one(x):
+        z = x / psi
+        if not 0.0 < z < math.inf:
+            return 0.0
+        e = math.exp(-0.5 * z * z)
+        return z / psi * e if z / psi < math.inf else z * e / psi
 
-#: The smallest normal double, and the cap of ``z/psi`` in the Rayleigh log-density.
-_TINY = sys.float_info.min
-_HALF_MAX = 2.0 ** 1023
+    return list(map(one, xs))
 
 
 def _rayleigh_logpdf(p, xs):
     """``log(z/psi) - z^2/2``, ``-inf`` off the support; where ``z/psi`` leaves
-    ``[_TINY, _HALF_MAX)``, as ``log x - 2 log psi`` (see
+    ``[TINY, HALF_MAX)``, as ``log x - 2 log psi`` (see
     :func:`arctangr.distributions.rayleigh_logpdf`)."""
     psi = p.psi
 
@@ -724,8 +735,8 @@ def _rayleigh_logpdf(p, xs):
         if not x > 0.0:
             return -math.inf
         z = x / psi
-        ratio = min(z, psi * _HALF_MAX) / psi
-        log_ratio = math.log(ratio) if _TINY <= ratio < _HALF_MAX else (
+        ratio = min(z, psi * HALF_MAX) / psi
+        log_ratio = math.log(ratio) if TINY <= ratio < HALF_MAX else (
             math.log(x) - 2.0 * math.log(psi))
         return log_ratio - 0.5 * z * z
 

@@ -7,11 +7,11 @@ reference.
 
 import numpy as np
 
-from arctangr.distributions import _z_uw
+from where_kernels import z_uw
 
 
 def z_shape_derivs(u, w, sign):
-    """``(L'(z), L''(z))`` from ``(u, w) = _z_uw(z)``, on the side ``sign`` (+1 or
+    """``(L'(z), L''(z))`` from ``(u, w) = z_uw(z)``, on the side ``sign`` (+1 or
     -1, scalar or per element) of 0, where ``sign * |z| = z``.
 
     With ``q = 1 + w^2`` and ``r = w u / q``: ``L' = -sign - r`` and
@@ -31,7 +31,7 @@ def pass_terms(xs, omega, psi):
     z = (xs - omega) / psi
     sign = np.ones(xs.size)
     sign[: int(np.searchsorted(xs, omega, "left"))] = -1.0
-    l1, l2 = z_shape_derivs(*_z_uw(z), sign)
+    l1, l2 = z_shape_derivs(*z_uw(z), sign)
     zl1 = z * l1
     return z, {"l1": l1, "zl1": zl1, "l2": l2, "zl2": z * l2, "z2l2": z * (z * l2),
                "l11": l1 * l1, "zl11": zl1 * l1, "z2l11": zl1 * zl1}

@@ -76,11 +76,11 @@ from arctangr.distributions import (
     _z_pdf,
     _z_quantile,
     _z_sf,
-    _z_uw,
 )
 from arctangr.tail import _z_moment
 from mixture_oracle import mixture_kernel_pdf_by_integration
 from score_oracle import z_shape_derivs
+from where_kernels import z_uw
 
 # frozen 40-digit oracle values, omega=0, psi=1
 PDF_AT_LOC = 0.50929581789406508       # 8 / (5 pi)
@@ -275,7 +275,7 @@ class TestLogShape:
         z = np.concatenate([_SHAPE_Z, [0.0, 0.0]])
         side = np.where(z > 0.0, 1.0, -1.0)
         side[-1] = 1.0  # the last two are L(0-) and L(0+)
-        l1, l2 = z_shape_derivs(*_z_uw(z), side)
+        l1, l2 = z_shape_derivs(*z_uw(z), side)
         with mpmath.workdps(40):
             for k, got in ((1, l1), (2, l2)):
                 want = [float(mpmath.diff(lambda t: _mp_log_shape(t, s), zi, k))
@@ -284,7 +284,7 @@ class TestLogShape:
                 np.testing.assert_allclose(got, want, rtol=0, atol=4e-16)
 
     def test_one_sided_limits_at_zero(self):
-        l1, l2 = z_shape_derivs(*_z_uw(np.zeros(2)), np.array([-1.0, 1.0]))
+        l1, l2 = z_shape_derivs(*z_uw(np.zeros(2)), np.array([-1.0, 1.0]))
         assert l1 == pytest.approx([0.6, -1.4], abs=1e-16)
         assert l2 == pytest.approx([-0.64, 0.16], abs=1e-16)
 
@@ -574,6 +574,30 @@ class TestGaussianRayleighClosedForms:
                 log_want = np.array([-np.inf, rayleigh_logpdf(params, 1.0), -np.inf, -np.inf])
                 np.testing.assert_array_equal(rayleigh_logpdf(params, arr), log_want)
 
+    def test_rayleigh_density_where_only_z_over_psi_overflows(self):
+        # below psi ~ 2e-307, z/psi overflows while (z/psi) e^{-z^2/2} is a
+        # double: the array kernel and its float twin (which the plot bundle
+        # draws) take (z e^{-z^2/2})/psi there, with no overflow warning,
+        # and stay 0 where the density underflows (x = inf, psi = 5e-324)
+        from arctangr.fit import MODELS
+
+        twin = MODELS["rayleigh"].pdf
+        for psi, x in ((1e-310, 1e-309), (1e-310, 3e-309), (2.2250738585072014e-308, 1e-307),
+                       (5e-324, 5e-323)):
+            params = RayleighParams(psi)
+            got = rayleigh_pdf(params, x)  # RuntimeWarning is an error here
+            assert math.isfinite(got) and got == pytest.approx(
+                math.exp(rayleigh_logpdf(params, x)), rel=1e-13)
+            assert twin(params, [x]) == [got]
+            np.testing.assert_array_equal(rayleigh_pdf(params, np.array([x, 2 * x])),
+                                          [got, rayleigh_pdf(params, 2 * x)])
+        assert rayleigh_pdf(RayleighParams(1e-310), 1e-309) == pytest.approx(
+            1.9287498479630117e+289, rel=1e-13)
+        with np.errstate(over="ignore"):  # z = x/psi overflows at psi = 5e-324
+            for psi, x in ((1.0, math.inf), (5e-324, 1.0), (1e-310, math.inf)):
+                assert rayleigh_pdf(RayleighParams(psi), x) == 0.0
+                assert twin(RayleighParams(psi), [x]) == [0.0]
+
     def test_rayleigh_density_normalizes(self):
         params = RayleighParams(psi=2.5)
         total, _ = quad(lambda x: rayleigh_pdf(params, x), 0, 50, epsabs=1e-12, epsrel=1e-12)
@@ -844,14 +868,16 @@ class TestMemoryBudget:
 
     @pytest.mark.parametrize("name", [
         "agr_cdf", "agr_pdf", "agr_logpdf", "agr_quantile", "agr_sample", "agr_hazard",
-        "agr_cum_hazard", "mixture_kernel_quantile", "arctan_cdf",
+        "agr_cum_hazard", "mixture_kernel_quantile", "arctan_cdf", "rayleigh_pdf",
+        "rayleigh_cdf", "rayleigh_logpdf", "rayleigh_quantile",
     ])
     def test_peak_traced_allocation(self, table_params, name):
         rng = np.random.default_rng(5)
         x = agr_quantile(table_params, rng.random(self.N))
         p = rng.random(self.N)
         g = 0.3 + 2.0 * rng.standard_normal(self.N)
-        base = gaussian_base(GAUSS)
+        r = rng.rayleigh(2.0, self.N)
+        base, ray = gaussian_base(GAUSS), RayleighParams(2.0)
         call = {
             "agr_cdf": lambda: agr_cdf(table_params, x),
             "agr_pdf": lambda: agr_pdf(table_params, x),
@@ -862,6 +888,10 @@ class TestMemoryBudget:
             "agr_cum_hazard": lambda: agr_cum_hazard(table_params, x),
             "mixture_kernel_quantile": lambda: mixture_kernel_quantile(table_params, p),
             "arctan_cdf": lambda: arctan_cdf(base, g),
+            "rayleigh_pdf": lambda: rayleigh_pdf(ray, r),
+            "rayleigh_cdf": lambda: rayleigh_cdf(ray, r),
+            "rayleigh_logpdf": lambda: rayleigh_logpdf(ray, r),
+            "rayleigh_quantile": lambda: rayleigh_quantile(ray, p),
         }[name]
         tracemalloc.start()
         try:

@@ -3,8 +3,11 @@ bit for bit: on random-sign arrays, at the branch points and their float
 neighbours, where ``e^{-|z|}`` underflows, at +-0 and +-inf, and on 0-d
 arrays and Python floats.  Every kernel picks its sides by the same exact
 float arithmetic at any length, so the short drawn lists reach the choice
-as a bulk block does.  The Rayleigh density and log-density equal theirs
-at the edges of the support and of the scale (``test_rayleigh_bits``).
+as a bulk block does.  The Rayleigh density, CDF and log-density equal
+theirs at the edges of the support and of the scale
+(``test_rayleigh_bits``), and every Rayleigh function equals its whole-array
+form past two chunks and on 1e6 points, on one, two and three CPUs
+(``test_rayleigh_bulk_bits``).
 
 Every public bulk function, whose two-sided kernels read ``-|z|`` and z's
 side from z's bits and write each block into the output, equals those
@@ -52,8 +55,10 @@ from arctangr.distributions import (
     mixture_kernel_logpdf,
     mixture_kernel_pdf,
     mixture_kernel_quantile,
+    rayleigh_cdf,
     rayleigh_logpdf,
     rayleigh_pdf,
+    rayleigh_quantile,
     _z_cdf,
     _z_cum_hazard,
     _z_hazard,
@@ -61,12 +66,10 @@ from arctangr.distributions import (
     _z_pdf,
     _z_quantile,
     _z_sf,
-    _z_uw,
 )
 from arctangr._fit_arrays import ArraySearch
 
 Z_KERNELS = {
-    "uw": (_z_uw, ref.z_uw),
     "laplace_cdf": (_laplace_cdf, ref.laplace_cdf),
     "cdf": (_z_cdf, ref.z_cdf),
     "sf": (_z_sf, ref.z_sf),
@@ -171,7 +174,7 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
     # the fit's numpy score pass on a sorted sample, with omega tied to a sample
     # point or anywhere: it writes u = e^{-|z|} from |x - omega| / psi, and
     # w = u/2 turned into 1 - u/2 on a slice (the points from omega on),
-    # where _z_uw selects per element
+    # where the np.where form selects per element
     xs = np.sort(np.array(xs))
     omega = float(xs[at % xs.size]) if isinstance(at, int) else at
     search = ArraySearch(xs)
@@ -180,7 +183,6 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
         z = (xs - omega) / psi
         search.at(omega)
         search.score_pass(psi)
-    assert_same_bits((search.u, search.w), _z_uw(z))
     assert_same_bits((search.u, search.w), ref.z_uw(z))
 
 
@@ -190,6 +192,7 @@ def test_fit_pass_uw_is_z_uw(xs, at, psi):
 RAYLEIGH_SCALES = [TINY, 1e-310, 2.2250738585072014e-308, 1e-200, 1e-10, 1.0, 2.0, 1e10,
                    1e200, 1e300, 1.7e308]
 RAYLEIGH_KERNELS = {"pdf": (rayleigh_pdf, ref.rayleigh_pdf),
+                    "cdf": (rayleigh_cdf, ref.rayleigh_cdf),
                     "logpdf": (rayleigh_logpdf, ref.rayleigh_logpdf)}
 
 
@@ -231,6 +234,31 @@ def test_rayleigh_bits(name):
                     got = new(params, arg)
                     assert isinstance(got, float)
                     assert_same_bits(got, w)
+
+
+@pytest.mark.parametrize("name", [*RAYLEIGH_KERNELS, "quantile"])
+def test_rayleigh_bulk_bits(set_cpus, name):
+    # the Rayleigh functions walk their blocks as the rest do: past two chunks
+    # and on 1e6 points, on one, two and three CPUs, each element keeps the
+    # bits of the whole-array form; the edges at both ends put the density's
+    # and the log-density's fallbacks in some blocks and not in others
+    new, old = RAYLEIGH_KERNELS.get(name, (rayleigh_quantile, ref.rayleigh_quantile))
+    for psi in (TINY, 1e-310, 1.0, 1e200):
+        params = RayleighParams(psi)
+        for n in (2 * CHUNK + 3, 10**6):
+            if name == "quantile":
+                arg = fused_p(n)
+            else:
+                rng = np.random.default_rng(n)
+                arg = psi * rng.rayleigh(1.0, n) * rng.choice([-1.0, 1e-3, 1.0, 10.0], n)
+                e = np.array(rayleigh_points(psi))
+                arg[:e.size] = e
+                arg[-e.size:] = e
+            want = reference(lambda v: old(psi, v), arg)
+            for cpus in (1, 2, 3):
+                set_cpus(cpus)
+                with np.errstate(over="ignore"):  # z = x/psi overflows where it does
+                    assert_same_bits(new(params, arg), want)
 
 
 def plain_z(omega, scale, x):

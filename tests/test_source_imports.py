@@ -12,7 +12,10 @@ defines no float-only function of ``Z``.
 The modules of the commands import no numpy or scipy when they are loaded,
 and no module imports ``dataclasses``.  The fits read one copy of a sample,
 the sorted one: ``fit.py`` reads no ``values`` or ``array`` of a dataset.  The
-bulk ops have one walk: only ``_arrays`` starts threads or splits a stream.
+bulk ops have one walk: only ``_arrays`` starts threads or splits a stream;
+and the public array functions one checked walk, ``_arrays.elementwise``:
+outside ``_arrays`` only ``_on_p`` and ``arctan_cdf`` call ``match_input``,
+and only they and ``agr_sample`` call ``blockwise``.
 The location-scale kernels have one standardization: in ``distributions.py``
 only ``_z`` subtracts a location, and only ``_arrays`` names the scalar types."""
 
@@ -224,6 +227,51 @@ def test_one_bulk_walk():
                     if within(n, "threading") or within(n, "contextvars")], path.name
         assert "substreams" not in names_from(source, "_arrays"), path.name
         assert calls_in_functions(source, "substreams", ("_arrays",)) == [], path.name
+
+
+def callers(source, name):
+    """The enclosing function (``None`` at module level) of every call of
+    ``name`` in ``source``, bare (``name(...)``) or as an attribute
+    (``_arrays.name(...)``)."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (isinstance(f, ast.Name) and f.id == name
+                        or isinstance(f, ast.Attribute) and f.attr == name):
+                    yield func
+            yield from visit(child, func)
+
+    return set(visit(ast.parse(source), None))
+
+
+def test_callers_found():
+    source = ("def f(x):\n    return match_input(x, blockwise(g, x))\n"
+              "def h(x):\n    def k(v):\n        return _arrays.blockwise(g, v)\n"
+              "    return k(x)\nmatch_input(1, 2)\ny = blockwise\n")
+    assert callers(source, "match_input") == {"f", None}
+    assert callers(source, "blockwise") == {"f", "k"}
+
+
+def test_one_checked_walk():
+    # every public array function takes its input through _arrays.elementwise,
+    # which checks it once, walks it in blocks and gives a number back a
+    # float; only the quantiles' _on_p (probabilities), arctan_cdf (its check
+    # inside its blocks) and agr_sample (its seeded draw) walk by hand.  The
+    # Rayleigh functions once evaluated their input whole, at 2 to 8 times the
+    # output's size
+    found = {"match_input": set(), "blockwise": set()}
+    for path in SOURCES:
+        if path.name != "_arrays.py":
+            source = path.read_text(encoding="utf-8")
+            for name, funcs in found.items():
+                funcs.update((path.name, f) for f in callers(source, name))
+    walks = {("distributions.py", "_on_p"), ("arctanx.py", "arctan_cdf")}
+    assert found["match_input"] == walks
+    assert found["blockwise"] == walks | {("distributions.py", "agr_sample")}
 
 
 def bound_names(source):

@@ -1,5 +1,6 @@
 """Test oracle: the standard AGR and Laplace kernels, and the Rayleigh
-density and log-density, in their ``np.where`` forms.
+functions, in their ``np.where`` forms (the Rayleigh CDF and quantile, which
+have one form each, as plain whole-array expressions).
 
 Each function evaluates both branches in full and picks per element with
 ``np.where``.  The branch-free kernels of :mod:`arctangr.distributions` must
@@ -87,11 +88,21 @@ def z_quantile(p):
 
 
 def rayleigh_pdf(psi, x):
-    """Where ``z/psi`` overflows and ``e^{-z^2/2}`` underflows the formula is
-    ``inf * 0``; the density's limit there is 0."""
+    """``(z e^{-z^2/2})/psi`` where ``z/psi`` overflows; where ``z`` does too
+    (or x = inf) that is ``inf * 0``, and the density's limit there is 0."""
     z = np.maximum(x, 0.0) / psi
-    r = z / psi * np.exp(-0.5 * z * z)
+    e = np.exp(-0.5 * z * z)
+    r = np.where(np.isinf(z / psi), z * e / psi, z / psi * e)
     return np.where(x > 0, np.where(np.isnan(r), 0.0, r), 0.0)
+
+
+def rayleigh_cdf(psi, x):
+    z = np.maximum(x, 0.0) / psi
+    return -np.expm1(-0.5 * z * z)
+
+
+def rayleigh_quantile(psi, p):
+    return psi * np.sqrt(-2.0 * np.log1p(-p))
 
 
 def rayleigh_logpdf(psi, x):
